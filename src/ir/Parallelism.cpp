@@ -24,24 +24,25 @@ ParallelismStats pf::analyzeParallelism(const Graph &G) {
   for (size_t I = 0; I < N; ++I)
     Index[Order[I]] = I;
 
-  // Reach[i] = bitset of nodes reachable from i (descendants, including i).
+  // Row i of Reach = bitset of nodes reachable from i (descendants,
+  // including i), stored flat: Words uint64_t per row.
   const size_t Words = (N + 63) / 64;
-  std::vector<std::vector<uint64_t>> Reach(
-      N, std::vector<uint64_t>(Words, 0));
-  auto SetBit = [&](std::vector<uint64_t> &Bits, size_t J) {
+  std::vector<uint64_t> Reach(N * Words, 0);
+  auto Row = [&](size_t I) { return Reach.data() + I * Words; };
+  auto SetBit = [](uint64_t *Bits, size_t J) {
     Bits[J / 64] |= uint64_t(1) << (J % 64);
   };
 
   std::vector<int> Depth(N, 1);
   // Walk in reverse topological order so consumers' sets are final.
   for (size_t I = N; I-- > 0;) {
-    SetBit(Reach[I], I);
+    SetBit(Row(I), I);
     const Node &Nd = G.node(Order[I]);
     for (ValueId Out : Nd.Outputs) {
       for (NodeId Consumer : G.consumers(Out)) {
         const size_t J = Index.at(Consumer);
         for (size_t W = 0; W < Words; ++W)
-          Reach[I][W] |= Reach[J][W];
+          Row(I)[W] |= Row(J)[W];
       }
     }
   }
@@ -58,13 +59,14 @@ ParallelismStats pf::analyzeParallelism(const Graph &G) {
   }
 
   // Two nodes are independent iff neither reaches the other. For node i,
-  // the nodes ordered with i are Reach[i] (descendants) plus all ancestors
-  // (j such that i is in Reach[j]).
+  // the nodes ordered with i are row i (descendants) plus all ancestors
+  // (j such that i is in row j).
+  std::vector<uint64_t> Ordered(Words);
   for (size_t I = 0; I < N; ++I) {
-    std::vector<uint64_t> Ordered = Reach[I];
+    std::copy(Row(I), Row(I) + Words, Ordered.begin());
     for (size_t J = 0; J < N; ++J)
-      if ((Reach[J][I / 64] >> (I % 64)) & 1)
-        SetBit(Ordered, J);
+      if ((Row(J)[I / 64] >> (I % 64)) & 1)
+        SetBit(Ordered.data(), J);
     size_t OrderedCount = 0;
     for (uint64_t W : Ordered)
       OrderedCount += static_cast<size_t>(__builtin_popcountll(W));

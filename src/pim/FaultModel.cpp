@@ -7,7 +7,6 @@
 #include "pim/FaultModel.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "support/Format.h"
 #include "support/Random.h"
@@ -152,17 +151,6 @@ std::vector<std::string> splitOn(const std::string &S, char Sep) {
   return Parts;
 }
 
-/// Strict double parse: the whole string must be a finite number.
-std::optional<double> parseDoubleStrict(const std::string &S) {
-  if (S.empty())
-    return std::nullopt;
-  char *End = nullptr;
-  const double V = std::strtod(S.c_str(), &End);
-  if (End != S.c_str() + S.size())
-    return std::nullopt;
-  return V;
-}
-
 /// Parses an integer field of a fault entry into [Min, Max].
 std::optional<int64_t> parseField(const std::string &Entry,
                                   const std::string &Field, int64_t Min,
@@ -228,7 +216,7 @@ std::optional<FaultModel> FaultModel::parse(const std::string &Spec,
         M.addStalled(static_cast<int>(*Ch));
     } else if (Kind == "slow" && F.size() == 3) {
       const auto Ch = parseField(Entry, F[1], 0, 4095, DE);
-      const auto Mult = parseDoubleStrict(F[2]);
+      const auto Mult = parseDouble(F[2]);
       if (!Ch || !Mult || *Mult < 1.0 || *Mult > 1e6) {
         if (Ch && (!Mult || *Mult < 1.0 || *Mult > 1e6))
           DE.error(DiagCode::FaultBadSpec, Entry,

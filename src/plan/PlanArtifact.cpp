@@ -7,7 +7,6 @@
 #include "plan/PlanArtifact.h"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -23,19 +22,6 @@ namespace {
 
 const char *kMagic = "pimflow-plan";
 const char *kVersion = "v1";
-
-/// Full-token finite-double parser: the whole string must be a number
-/// strtod accepts, and the result must be finite (profiled times are).
-std::optional<double> parseDouble(const std::string &S) {
-  if (S.empty())
-    return std::nullopt;
-  errno = 0;
-  char *End = nullptr;
-  const double V = std::strtod(S.c_str(), &End);
-  if (End != S.c_str() + S.size() || errno == ERANGE || !std::isfinite(V))
-    return std::nullopt;
-  return V;
-}
 
 std::optional<SegmentMode> segmentModeFromName(const std::string &Name) {
   for (SegmentMode M : {SegmentMode::GpuNode, SegmentMode::FullPim,

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 
 #include "obs/Counters.h"
 #include "obs/FlightRecorder.h"
@@ -263,24 +264,36 @@ bool Profiler::saveCache(const std::string &Path) const {
 }
 
 bool Profiler::loadCache(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "r");
-  if (!F)
+  std::ifstream In(Path);
+  if (!In)
     return false;
-  char Line[4096];
-  while (std::fgets(Line, sizeof(Line), F)) {
-    std::string S = trim(Line);
+  // Validate every row before touching the memo table: a damaged file is
+  // a miss (nothing loaded), never a partial table steering the search.
+  // Negative times are legal — failed pipeline probes cache -1.
+  std::vector<std::pair<std::string, double>> Rows;
+  std::string Line;
+  while (std::getline(In, Line)) {
+    const std::string S = trim(Line);
+    if (S.empty())
+      continue;
     const size_t Tab = S.rfind('\t');
     if (Tab == std::string::npos)
-      continue;
-    std::string Key = S.substr(0, Tab);
+      return false;
+    const std::optional<double> Ns = parseDouble(S.substr(Tab + 1));
+    if (!Ns)
+      return false;
+    Rows.emplace_back(S.substr(0, Tab), *Ns);
+  }
+  if (In.bad())
+    return false;
+  for (auto &[Key, Ns] : Rows) {
     auto E = std::make_shared<Entry>();
-    E->Ns = std::atof(S.c_str() + Tab + 1);
+    E->Ns = Ns;
     E->Ready.store(true, std::memory_order_release);
-    E->Done.set_value(E->Ns);
+    E->Done.set_value(Ns);
     Shard &Sh = shardFor(Key);
     std::lock_guard<std::mutex> Lock(Sh.Mu);
     Sh.Map[Key] = std::move(E);
   }
-  std::fclose(F);
   return true;
 }

@@ -75,7 +75,11 @@ public:
   /// sorted by signature so the file is byte-identical for every worker
   /// count).
   bool saveCache(const std::string &Path) const;
-  /// Loads a memo table previously written by saveCache.
+  /// Loads a memo table previously written by saveCache. All or nothing:
+  /// when the file is missing, or any non-blank row lacks a tab or has a
+  /// time that is not a full-token finite number, nothing is loaded and
+  /// the result is false (a damaged cache is a miss, like the plan
+  /// cache's corrupt files).
   bool loadCache(const std::string &Path);
 
 private:

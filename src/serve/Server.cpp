@@ -22,6 +22,16 @@
 using namespace pf;
 using namespace pf::serve;
 
+namespace {
+
+/// Threads for the pricing pool and the request re-runs: --jobs, under the
+/// search's convention (0 = all hardware threads).
+unsigned jobsOf(const ServerOptions &O) {
+  return static_cast<unsigned>(std::max(0, O.Flow.SearchJobs));
+}
+
+} // namespace
+
 const char *pf::serve::outcomeName(RequestOutcome O) {
   switch (O) {
   case RequestOutcome::Served:
@@ -117,8 +127,6 @@ void Server::prepare() {
     for (const Node &N : PM.FloorDemoted.nodes())
       if (!N.Dead && N.Dev == Device::Pim)
         PM.FloorDemoted.node(N.Id).Dev = Device::Gpu;
-    PM.UnitNsByChannels.assign(static_cast<size_t>(Planned) + 1, 0.0);
-    PM.UnitEnergyJByChannels.assign(static_cast<size_t>(Planned) + 1, 0.0);
     PM.UnitTimelines.assign(static_cast<size_t>(Planned) + 1, Timeline{});
   }
 
@@ -139,20 +147,17 @@ void Server::prepare() {
     for (int C = std::max(1, Floor); C <= MaxGrant; ++C)
       Entries.push_back({M, C});
   }
-  ThreadPool Pool(static_cast<unsigned>(std::max(1, Options.Jobs)));
-  Pool.parallelFor(Entries.size(), [&](size_t I) {
+  ThreadPool Pricers(jobsOf(Options));
+  Pricers.parallelFor(Entries.size(), [&](size_t I) {
     const Entry &E = Entries[I];
     PreparedModel &PM = Models[E.ModelIdx];
     obs::Scope Throwaway;
     obs::ScopeGuard Guard(Throwaway);
     ExecutionEngine Engine(configFor(E.Channels));
-    const Timeline TL =
-        Engine.execute(E.Channels > 0 ? PM.Materialized : PM.FloorDemoted);
-    PM.UnitNsByChannels[static_cast<size_t>(E.Channels)] = TL.TotalNs;
-    PM.UnitEnergyJByChannels[static_cast<size_t>(E.Channels)] = TL.EnergyJ;
     // Keep the whole node schedule: the request trace replays it as the
     // exec-phase span tree under each attempt.
-    PM.UnitTimelines[static_cast<size_t>(E.Channels)] = TL;
+    PM.UnitTimelines[static_cast<size_t>(E.Channels)] =
+        Engine.execute(E.Channels > 0 ? PM.Materialized : PM.FloorDemoted);
   });
 }
 
@@ -227,7 +232,7 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
       Health.noteQuarantine(Ch, 0);
     }
 
-  ThreadPool Workers(static_cast<unsigned>(std::max(1, Options.Jobs)));
+  ThreadPool Workers(jobsOf(Options));
 
   // Each completed request's engine run, re-executed for real under the
   // session's private scope. The virtual completion time comes from the
@@ -258,8 +263,6 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
       for (const Node &N : G.nodes())
         if (!N.Dead && !TL.find(N.Id))
           ++RR.MissingNodes;
-      if (RR.MissingNodes > 0)
-        obs::addCounter("serve.timeline_gaps", RR.MissingNodes);
       return RR;
     }));
   };
@@ -319,9 +322,10 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
   int Inflight = 0;
 
   auto price = [&](Session &S, int C, int64_t Now) {
-    const PreparedModel &PM = Models[static_cast<size_t>(S.Req.ModelIdx)];
-    S.UnitNs = PM.UnitNsByChannels[static_cast<size_t>(C)];
-    S.UnitEnergyJ = PM.UnitEnergyJByChannels[static_cast<size_t>(C)];
+    const Timeline &TL = Models[static_cast<size_t>(S.Req.ModelIdx)]
+                             .UnitTimelines[static_cast<size_t>(C)];
+    S.UnitNs = TL.TotalNs;
+    S.UnitEnergyJ = TL.EnergyJ;
     // Micro-batching: a batch-B request replays the unit run B times
     // back to back on its granted channels.
     const int64_t ServiceNs = std::max<int64_t>(
@@ -333,7 +337,6 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
       // outage cuts the attempt short.
       ExecAttempt &A = S.Attempts.back();
       A.EndNs = S.EndNs;
-      const Timeline &TL = PM.UnitTimelines[static_cast<size_t>(C)];
       A.UnitGpuBusyNs = TL.GpuBusyNs;
       A.UnitPimBusyNs = TL.PimBusyNs;
     }
@@ -618,7 +621,12 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
                   formatStr("request %d", S.Req.Id),
                   "session run disagrees with the duration table");
     }
-    if (RR.MissingNodes > 0 && DE)
+    if (RR.MissingNodes == 0)
+      continue;
+    // Counted here, in the caller's scope: the session's scope is
+    // private to its run and no export reads it.
+    obs::addCounter("serve.timeline_gaps", RR.MissingNodes);
+    if (DE)
       DE->warning(DiagCode::ServeTimelineGap,
                   formatStr("request %d", S.Req.Id),
                   formatStr("%d node(s) missing from the executed "

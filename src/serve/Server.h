@@ -19,8 +19,10 @@
 /// completions from the table. Worker threads only re-execute each
 /// admitted request's engine run under its Session's private scope (the
 /// reentrancy exercise, cross-checked against the table); they cannot
-/// influence admission order. A given (models, spec, options) input
-/// therefore yields byte-identical summaries for every --jobs=N.
+/// influence admission order. --jobs (PimFlowOptions::SearchJobs) sizes
+/// the search, the pricing pool and those workers, so a given (models,
+/// spec, options) input yields byte-identical summaries for every
+/// --jobs=N.
 ///
 /// Admission policy, in order, for a request at the head of the line:
 ///  1. In-flight bound reached -> wait in the FIFO queue (or shed when
@@ -81,9 +83,6 @@ struct ServerOptions {
   /// comment for why a pool larger than the planned count is the
   /// interesting multi-tenant configuration.
   int PoolChannels = 0;
-  /// Worker threads re-executing admitted requests (--jobs); outcomes
-  /// are identical for every value.
-  int Jobs = 1;
 
   // Resilience knobs (docs/INTERNALS.md section 14).
 
@@ -244,14 +243,11 @@ private:
     Graph Model;        ///< original, as handed in
     Graph Materialized; ///< plan applied, verified (PIM annotations live)
     Graph FloorDemoted; ///< Materialized with every PIM node on the GPU
-    /// Unit latency / energy by granted channel count c in [0, Planned];
-    /// c = 0 prices FloorDemoted, c >= PimFloor prices Materialized under
-    /// Pim.Channels = c. Entries in (0, PimFloor) are unused.
-    std::vector<double> UnitNsByChannels;
-    std::vector<double> UnitEnergyJByChannels;
-    /// The unit run's full node schedule per granted count — the
-    /// per-run span tree the request trace replays as exec-phase spans
-    /// under each attempt.
+    /// The priced unit run by granted channel count c in [0, Planned]:
+    /// c = 0 runs FloorDemoted, c >= PimFloor runs Materialized under
+    /// Pim.Channels = c; entries in (0, PimFloor) are unused. TotalNs and
+    /// EnergyJ price each request, and the node schedule is the span tree
+    /// the request trace replays as exec-phase spans under each attempt.
     std::vector<Timeline> UnitTimelines;
   };
 

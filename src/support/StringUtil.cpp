@@ -7,7 +7,10 @@
 #include "support/StringUtil.h"
 
 #include <cctype>
+#include <cerrno>
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
 
 using namespace pf;
 
@@ -80,4 +83,15 @@ std::optional<uint64_t> pf::parseUint(const std::string &S) {
   if (Ec != std::errc() || Ptr != End || Begin == End)
     return std::nullopt;
   return Out;
+}
+
+std::optional<double> pf::parseDouble(const std::string &S) {
+  if (S.empty())
+    return std::nullopt;
+  errno = 0;
+  char *End = nullptr;
+  const double V = std::strtod(S.c_str(), &End);
+  if (End != S.c_str() + S.size() || errno == ERANGE || !std::isfinite(V))
+    return std::nullopt;
+  return V;
 }

@@ -46,6 +46,12 @@ std::optional<int64_t> parseInt(const std::string &S);
 /// decimal number that fits in uint64_t (no sign characters accepted).
 std::optional<uint64_t> parseUint(const std::string &S);
 
+/// Strict finite-double parser: the entire string must be a number strtod
+/// accepts, and the result must be finite. Returns std::nullopt for empty
+/// strings, junk suffixes ("1.5x"), out-of-range values, inf and nan —
+/// unlike std::atof, which silently returns 0 or a prefix's value.
+std::optional<double> parseDouble(const std::string &S);
+
 } // namespace pf
 
 #endif // PIMFLOW_SUPPORT_STRINGUTIL_H

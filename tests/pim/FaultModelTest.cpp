@@ -63,7 +63,7 @@ TEST(FaultModelTest, EmptySpecYieldsEmptyModel) {
 TEST(FaultModelTest, MalformedSpecsProduceCodedDiagnostics) {
   for (const char *Bad :
        {"dead", "dead:x", "dead:-1", "slow:0:0.5", "slow:0:abc", "comp:0:1",
-        "readres:0:1:0", "bogus:1", "slow:0:1e9"}) {
+        "readres:0:1:0", "bogus:1", "slow:0:1e9", "slow:0:nan"}) {
     DiagnosticEngine DE;
     EXPECT_FALSE(FaultModel::parse(Bad, DE).has_value()) << Bad;
     EXPECT_TRUE(DE.hasErrors()) << Bad;

@@ -7,6 +7,8 @@
 #include "search/Profiler.h"
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <gtest/gtest.h>
 
 #include "ir/Builder.h"
@@ -98,6 +100,82 @@ TEST(ProfilerTest, CacheSaveLoadRoundTrip) {
     EXPECT_NEAR(P.pimNodeNs(G, firstConv(G)), Pim, 1e-3);
     EXPECT_EQ(P.cacheMisses(), 0u);
   }
+  std::remove(Path.c_str());
+}
+
+namespace {
+
+/// A temp file path private to the running test: ctest runs each test as
+/// its own process, in parallel.
+std::string testTempPath(const std::string &Suffix) {
+  return ::testing::TempDir() + "pf_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         Suffix;
+}
+
+std::string readText(const std::string &Path) {
+  std::ifstream In(Path);
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+/// The cache file a profiler writes after sampling pointwisePair()'s
+/// first conv on the GPU.
+std::string firstConvCacheText() {
+  Graph G = pointwisePair();
+  Profiler P(SystemConfig::dual());
+  P.gpuNodeNs(G, firstConv(G));
+  const std::string Path = testTempPath(".good.tsv");
+  EXPECT_TRUE(P.saveCache(Path));
+  const std::string Text = readText(Path);
+  std::remove(Path.c_str());
+  return Text;
+}
+
+/// Loads \p Text as a profile cache into \p P; returns loadCache's verdict.
+bool loadCacheText(Profiler &P, const std::string &Text) {
+  const std::string Path = testTempPath(".loaded.tsv");
+  std::ofstream(Path) << Text;
+  const bool Ok = P.loadCache(Path);
+  std::remove(Path.c_str());
+  return Ok;
+}
+
+/// Whether sampling pointwisePair()'s first conv on the GPU hits the
+/// cache \p P loaded.
+bool firstConvIsCached(Profiler &P) {
+  Graph G = pointwisePair();
+  P.gpuNodeNs(G, firstConv(G));
+  return P.cacheMisses() == 0;
+}
+
+} // namespace
+
+TEST(ProfilerTest, DamagedCacheLoadsNothing) {
+  // One damaged row among good ones makes the whole file a miss, good
+  // rows included: a garbage time (std::atof read "12abc" as 12), a row
+  // truncated after its tab, a non-finite time, a row without a tab.
+  const std::string Good = firstConvCacheText();
+  ASSERT_FALSE(Good.empty());
+  for (const char *Damage :
+       {"gpu|x\t12abc\n", "gpu|x\t", "gpu|x\tnan\n", "gpu|x 12\n"}) {
+    Profiler P(SystemConfig::dual());
+    EXPECT_FALSE(loadCacheText(P, Good + Damage)) << Damage;
+    EXPECT_FALSE(firstConvIsCached(P)) << Damage;
+  }
+}
+
+TEST(ProfilerTest, CacheKeyLongerThanFourKilobytesRoundTrips) {
+  // A fixed 4 KB line buffer used to split such a row into a bogus key
+  // and a stray fragment. The -1 failed-pipeline sentinel stays legal.
+  const std::string Text =
+      "gpu|" + std::string(5000, 'k') + "\t1234.5\npipe2|x\t-1\n";
+  Profiler P(SystemConfig::dual());
+  ASSERT_TRUE(loadCacheText(P, Text));
+  const std::string Path = testTempPath(".saved.tsv");
+  ASSERT_TRUE(P.saveCache(Path));
+  EXPECT_EQ(readText(Path), Text);
   std::remove(Path.c_str());
 }
 

@@ -44,7 +44,7 @@ ServerOptions contendedOptions(int Jobs) {
   SO.PoolChannels = 12;
   SO.MaxInflight = 3;
   SO.MaxQueue = 1;
-  SO.Jobs = Jobs;
+  SO.Flow.SearchJobs = Jobs;
   return SO;
 }
 

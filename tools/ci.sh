@@ -3,7 +3,7 @@
 #
 # Part of the PIMFlow reproduction, released under the MIT license.
 #
-# Three passes:
+# Twelve tiers:
 #   1. The tier-1 gate: configure, build, and run the full test suite in
 #      build/ (exactly what ROADMAP.md specifies).
 #   2. A PIMFLOW_CHECKED tree in build-checked/ running the full suite with
@@ -56,6 +56,9 @@
 #      deadline-missed, fault, and breaker events; then `pimflow report
 #      --request=` on a deadline-missed id must render its segment
 #      breakdown; finally the tracing suites re-run under TSan.
+#  12. The Release tier: the full suite in build-release/ configured with
+#      -DCMAKE_BUILD_TYPE=Release, so a diagnostic that only appears at -O3
+#      (under -Werror) cannot slip past the RelWithDebInfo trees.
 #
 # Usage: tools/ci.sh [jobs]   (jobs defaults to nproc)
 #===----------------------------------------------------------------------===#
@@ -368,5 +371,10 @@ grep -q 'exec-phase'       "$TRACE_DIR/request.txt"
 # The tracing suites race-free under TSan (tree built in tier 3).
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'RequestTrace|TraceCheck'
+
+echo "== tier 12: Release build + full test suite =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "$JOBS"
+ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
 echo "== ci.sh: all passes green =="

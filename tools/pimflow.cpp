@@ -45,7 +45,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -162,8 +161,8 @@ void usage() {
       "               [--graph=<solved.pimflow.graph>]\n"
       "               [--pim-channels=N] [--stages=N] [--autotune] "
       "[--no-memopt] [--stats]\n"
-      "               [--jobs=N]   (profiling threads; default all cores, "
-      "1 = serial)\n"
+      "               [--jobs=N]   (profiling and serve threads; default "
+      "all cores, 1 = serial)\n"
       "               [--verify] [--differential] [--max-errors=N]\n"
       "               [--faults=<spec|chaos>] [--fault-seed=N] "
       "[--max-retries=N] [--pim-floor=N] [--no-recovery]\n"
@@ -919,7 +918,8 @@ int runReport(const CliOptions &O) {
 /// multi-tenant serving mode (docs/INTERNALS.md section 13). Compiles
 /// (or replays from --plan-cache-dir) every tenant's plan, then admits
 /// the deterministic request stream against the shared PIM channel
-/// group. The summary is byte-identical for every --jobs=N.
+/// group. --jobs sizes the search, the pricing pool and the request
+/// re-runs; the summary is byte-identical for every --jobs=N.
 int runServe(const CliOptions &O) {
   DiagnosticEngine DE(O.Flow.MaxVerifyErrors);
   serve::LoadSpec Spec;
@@ -972,13 +972,6 @@ int runServe(const CliOptions &O) {
       return 2;
     }
   }
-  // --jobs=0 (the driver default) means every hardware thread, matching
-  // the search's convention; outcomes are jobs-independent either way.
-  SO.Jobs = O.Flow.SearchJobs != 0
-                ? O.Flow.SearchJobs
-                : static_cast<int>(
-                      std::max(1u, std::thread::hardware_concurrency()));
-
   serve::Server Srv(std::move(Models), SO);
   const serve::ServeResult R = Srv.run(Spec, &DE);
   if (!DE.diagnostics().empty())
