@@ -7,6 +7,7 @@
 #include "codegen/CommandGenerator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/Counters.h"
 #include "support/Format.h"
@@ -87,11 +88,11 @@ void recordPlanCounters(const PimKernelPlan &Plan) {
 
 } // namespace
 
-PimKernelPlan
-PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
-                                     int ChannelsForM, int ChannelsForV,
-                                     int ChannelsForK) const {
-  PF_ASSERT(Spec.valid(), "invalid PIM kernel spec");
+PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
+                                                int ChannelsForM,
+                                                int ChannelsForV,
+                                                int ChannelsForK,
+                                                ChannelTrace &Channel) const {
   PF_ASSERT(ChannelsForM >= 1 && ChannelsForV >= 1 && ChannelsForK >= 1,
             "channel partition factors must be positive");
   PF_ASSERT(ChannelsForM * ChannelsForV * ChannelsForK <= Config.Channels,
@@ -126,7 +127,10 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
       NumTiles > 1 && RowsPerBank * B > Config.ResultLatchesPerBank;
 
   // Build the per-pass command pattern of one channel.
-  std::vector<PimCommand> Pattern;
+  Channel.Blocks.resize(1);
+  Channel.Blocks.front().Repeats = PassesPerPart;
+  std::vector<PimCommand> &Pattern = Channel.Blocks.front().Pattern;
+  Pattern.clear();
   for (int64_t T = 0; T < NumTiles; ++T) {
     const int64_t TileElems =
         T + 1 < NumTiles ? BufElems : KPart - (NumTiles - 1) * BufElems;
@@ -166,13 +170,8 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
         PimCommand::readRes(B * ceilDiv(RowsPerPart, ElemsPerComp)));
 
   PimKernelPlan Plan;
-  const int UsedChannels = ChannelsForM * ChannelsForV * ChannelsForK;
-  Plan.Trace = DeviceTrace(Config.Channels);
-  for (int C = 0; C < UsedChannels; ++C)
-    Plan.Trace.Channels[static_cast<size_t>(C)].Blocks.push_back(
-        CommandBlock{Pattern, PassesPerPart});
-
-  Plan.Stats = Sim.run(Plan.Trace);
+  Plan.Stats = Sim.runReplicated(Channel,
+                                 ChannelsForM * ChannelsForV * ChannelsForK);
   Plan.Ns = Plan.Stats.Ns;
   Plan.EffectiveMacs = Spec.totalMacs();
   Plan.ChannelsForM = ChannelsForM;
@@ -195,11 +194,35 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
   return Plan;
 }
 
+DeviceTrace PimCommandGenerator::replicate(const ChannelTrace &Channel,
+                                           int UsedChannels) const {
+  DeviceTrace Trace(Config.Channels);
+  for (int C = 0; C < UsedChannels; ++C)
+    Trace.Channels[static_cast<size_t>(C)] = Channel;
+  return Trace;
+}
+
+PimKernelPlan
+PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
+                                     int ChannelsForM, int ChannelsForV,
+                                     int ChannelsForK) const {
+  PF_ASSERT(Spec.valid(), "invalid PIM kernel spec");
+  ChannelTrace Channel;
+  PimKernelPlan Plan =
+      priceMapping(Spec, ChannelsForM, ChannelsForV, ChannelsForK, Channel);
+  Plan.Trace =
+      replicate(Channel, ChannelsForM * ChannelsForV * ChannelsForK);
+  return Plan;
+}
+
 PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
   PF_ASSERT(Spec.valid(), "invalid PIM kernel spec");
 
+  // Every mapping is priced from one channel; only the kept mapping's
+  // device trace is built.
   PimKernelPlan Best;
   bool HaveBest = false;
+  ChannelTrace BestChannel, Channel;
 
   const int64_t B =
       std::min<int64_t>(Config.NumGlobalBuffers, Spec.NumVectors);
@@ -221,19 +244,22 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
         if (static_cast<int64_t>(Ck) * Config.elementsPerComp() > Spec.K &&
             Ck > 1)
           break;
-        PimKernelPlan Plan = planWithMapping(Spec, Cm, Cv, Ck);
+        PimKernelPlan Plan = priceMapping(Spec, Cm, Cv, Ck, Channel);
         Plan.Granularity = Ck > 1   ? ScheduleGranularity::Comp
                            : Cv > 1 ? ScheduleGranularity::ReadRes
                                     : ScheduleGranularity::GAct;
         obs::addCounter("codegen.mappings_tried");
         if (!HaveBest || Plan.Ns < Best.Ns) {
           Best = std::move(Plan);
+          std::swap(BestChannel, Channel);
           HaveBest = true;
         }
       }
     }
   }
   PF_ASSERT(HaveBest, "no feasible PIM mapping found");
+  Best.Trace = replicate(BestChannel, Best.ChannelsForM * Best.ChannelsForV *
+                                          Best.ChannelsForK);
   obs::addCounter("codegen.plans");
   if (obs::activeRegistry().enabled())
     recordPlanCounters(Best);

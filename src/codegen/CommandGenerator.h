@@ -97,6 +97,17 @@ public:
   PimKernelPlan plan(const PimKernelSpec &Spec) const;
 
 private:
+  /// Emits the command stream every used channel of the mapping carries
+  /// into \p Channel (reusing its storage) and prices the mapping from
+  /// it. The returned plan has no Trace; every used channel holds
+  /// \p Channel.
+  PimKernelPlan priceMapping(const PimKernelSpec &Spec, int ChannelsForM,
+                             int ChannelsForV, int ChannelsForK,
+                             ChannelTrace &Channel) const;
+
+  /// A device trace whose first \p UsedChannels channels hold \p Channel.
+  DeviceTrace replicate(const ChannelTrace &Channel, int UsedChannels) const;
+
   PimConfig Config;
   CodegenOptions Options;
   PimSimulator Sim;

@@ -68,12 +68,16 @@ struct PimCommand {
   static PimCommand readRes(int64_t Repeats = 1) {
     return PimCommand{PimCmdKind::ReadRes, Repeats};
   }
+
+  bool operator==(const PimCommand &) const = default;
 };
 
 /// A periodic block of commands: `Pattern` repeated `Repeats` times.
 struct CommandBlock {
   std::vector<PimCommand> Pattern;
   int64_t Repeats = 1;
+
+  bool operator==(const CommandBlock &) const = default;
 };
 
 /// The command stream of one PIM channel.

@@ -20,18 +20,21 @@ namespace {
 /// simulated cycles (the registry's SimCycles clock).
 constexpr int64_t ChannelCycleBucket = 1'000'000;
 
-/// Streams one channel's completion into the telemetry registry: the
-/// `pim.channel_cycles` quantile histogram plus its simulated-cycle
-/// window, keyed by the logical cycle clock the simulator advances.
-void recordChannelCycles(int64_t Cycles) {
+/// Streams the completions of \p Copies channels that each took \p Cycles
+/// into the telemetry registry: one `pim.channel_cycles` quantile
+/// histogram sample per channel plus its simulated-cycle window, keyed by
+/// the logical cycle clock the simulator advances.
+void recordChannelCycles(int64_t Cycles, int Copies = 1) {
   pf::obs::MetricsRegistry &M = pf::obs::activeMetrics();
   if (!M.enabled())
     return;
-  M.advanceCycles(Cycles);
-  pf::obs::recordMetricWindowed("pim.channel_cycles",
-                                pf::obs::TickDomain::SimCycles,
-                                ChannelCycleBucket, M.cycles(),
-                                static_cast<double>(Cycles));
+  for (int I = 0; I < Copies; ++I) {
+    M.advanceCycles(Cycles);
+    pf::obs::recordMetricWindowed("pim.channel_cycles",
+                                  pf::obs::TickDomain::SimCycles,
+                                  ChannelCycleBucket, M.cycles(),
+                                  static_cast<double>(Cycles));
+  }
 }
 
 } // namespace
@@ -289,6 +292,71 @@ bool hasGwrite(const ChannelTrace &Channel) {
   return false;
 }
 
+/// One non-empty channel trace's simulated results, shared by every
+/// channel that carries the same blocks.
+struct ChannelResult {
+  int64_t Cycles = 0;
+  ChannelPhaseCycles Phases;
+  /// Command counts of one copy (only the count fields are used).
+  PimRunStats Counts;
+};
+
+ChannelResult simulateOne(const PimSimulator &Sim,
+                          const ChannelTrace &Channel) {
+  ChannelResult R;
+  R.Cycles = Sim.simulateChannel(Channel);
+  R.Phases = phaseCyclesOf(Sim.config(), Channel);
+  R.Phases.CompletionCycles = R.Cycles;
+  accumulateCommands(Channel, R.Counts);
+  return R;
+}
+
+/// Adds \p Copies channels, numbered from \p FirstChannel, that each
+/// carry the trace \p R was simulated from.
+void addChannels(PimRunStats &Stats, const ChannelResult &R,
+                 int FirstChannel, int Copies) {
+  recordChannelCycles(R.Cycles, Copies);
+  Stats.Cycles = std::max(Stats.Cycles, R.Cycles);
+  Stats.BusyCycleSum += Copies * R.Cycles;
+  Stats.ActiveChannels += Copies;
+  Stats.GwriteCmds += Copies * R.Counts.GwriteCmds;
+  Stats.GwriteBursts += Copies * R.Counts.GwriteBursts;
+  Stats.GActs += Copies * R.Counts.GActs;
+  Stats.CompCmds += Copies * R.Counts.CompCmds;
+  Stats.CompColumns += Copies * R.Counts.CompColumns;
+  Stats.ReadResCmds += Copies * R.Counts.ReadResCmds;
+  for (int I = 0; I < Copies; ++I) {
+    Stats.ChannelPhases.push_back(R.Phases);
+    Stats.ChannelPhases.back().Channel = FirstChannel + I;
+  }
+}
+
+/// Sets Stats.Ns from the makespan, then raises it to the fetch-supply
+/// floor: the GWRITE traffic of all channels is supplied by the GPU
+/// channel group through the memory network, whose aggregate bandwidth
+/// lower-bounds the kernel's duration. Returns true when the floor binds.
+bool applyFetchFloor(const PimConfig &Config, PimRunStats &Stats) {
+  Stats.Ns = Config.cyclesToNs(Stats.Cycles);
+  const double FetchBytes = static_cast<double>(Stats.GwriteBursts) *
+                            static_cast<double>(Config.BurstBytes);
+  const double FetchFloorNs = FetchBytes / (Config.FetchSupplyGBs * 1e9) * 1e9;
+  if (FetchFloorNs <= Stats.Ns)
+    return false;
+  Stats.Ns = FetchFloorNs;
+  Stats.Cycles = static_cast<int64_t>(FetchFloorNs * Config.ClockGhz);
+  return true;
+}
+
+/// Completes a fault-free run's stats and counts it.
+void finishRun(const PimConfig &Config, PimRunStats &Stats) {
+  if (applyFetchFloor(Config, Stats))
+    obs::addCounter("pim.sim.fetch_floor_hits");
+  obs::addCounter("pim.sim.runs");
+  obs::addCounter("pim.sim.channels_simulated", Stats.ActiveChannels);
+  obs::addCounter("pim.sim.commands", Stats.GwriteCmds + Stats.GActs +
+                                          Stats.CompCmds + Stats.ReadResCmds);
+}
+
 } // namespace
 
 int64_t PimSimulator::simulateChannel(const ChannelTrace &Trace) const {
@@ -323,37 +391,30 @@ int64_t PimSimulator::simulateChannel(const ChannelTrace &Trace) const {
 
 PimRunStats PimSimulator::run(const DeviceTrace &Trace) const {
   PimRunStats Stats;
+  // A mapping places one pattern on every channel it uses, so most
+  // channels repeat their predecessor's blocks and reuse its results.
+  const ChannelTrace *Last = nullptr;
+  ChannelResult R;
   for (size_t ChIdx = 0; ChIdx < Trace.Channels.size(); ++ChIdx) {
     const ChannelTrace &Channel = Trace.Channels[ChIdx];
     if (Channel.empty())
       continue;
-    const int64_t Cycles = simulateChannel(Channel);
-    recordChannelCycles(Cycles);
-    Stats.Cycles = std::max(Stats.Cycles, Cycles);
-    Stats.BusyCycleSum += Cycles;
-    ++Stats.ActiveChannels;
-    accumulateCommands(Channel, Stats);
-    ChannelPhaseCycles Phases = phaseCyclesOf(Config, Channel);
-    Phases.Channel = static_cast<int>(ChIdx);
-    Phases.CompletionCycles = Cycles;
-    Stats.ChannelPhases.push_back(Phases);
+    if (!Last || Channel.Blocks != Last->Blocks)
+      R = simulateOne(*this, Channel);
+    Last = &Channel;
+    addChannels(Stats, R, static_cast<int>(ChIdx), 1);
   }
-  Stats.Ns = Config.cyclesToNs(Stats.Cycles);
-  // The GWRITE fetch traffic of all channels is supplied by the GPU channel
-  // group through the memory network; its aggregate bandwidth lower-bounds
-  // the kernel's duration.
-  const double FetchBytes = static_cast<double>(Stats.GwriteBursts) *
-                            static_cast<double>(Config.BurstBytes);
-  const double FetchFloorNs = FetchBytes / (Config.FetchSupplyGBs * 1e9) * 1e9;
-  if (FetchFloorNs > Stats.Ns) {
-    Stats.Ns = FetchFloorNs;
-    Stats.Cycles = static_cast<int64_t>(FetchFloorNs * Config.ClockGhz);
-    obs::addCounter("pim.sim.fetch_floor_hits");
-  }
-  obs::addCounter("pim.sim.runs");
-  obs::addCounter("pim.sim.channels_simulated", Stats.ActiveChannels);
-  obs::addCounter("pim.sim.commands", Stats.GwriteCmds + Stats.GActs +
-                                          Stats.CompCmds + Stats.ReadResCmds);
+  finishRun(Config, Stats);
+  return Stats;
+}
+
+PimRunStats PimSimulator::runReplicated(const ChannelTrace &Channel,
+                                        int Copies) const {
+  PF_ASSERT(Copies >= 0, "negative channel copy count");
+  PimRunStats Stats;
+  if (!Channel.empty() && Copies > 0)
+    addChannels(Stats, simulateOne(*this, Channel), 0, Copies);
+  finishRun(Config, Stats);
   return Stats;
 }
 
@@ -459,16 +520,9 @@ FaultyRunStats PimSimulator::runWithFaults(const DeviceTrace &Trace,
     Stats.ChannelPhases.push_back(Phases);
     R.Outcomes.push_back(O);
   }
-  Stats.Ns = Config.cyclesToNs(Stats.Cycles);
   // Same fetch-supply floor as the fault-free path: retries do not add
   // GWRITE traffic, so the floor is unchanged.
-  const double FetchBytes = static_cast<double>(Stats.GwriteBursts) *
-                            static_cast<double>(Config.BurstBytes);
-  const double FetchFloorNs = FetchBytes / (Config.FetchSupplyGBs * 1e9) * 1e9;
-  if (FetchFloorNs > Stats.Ns) {
-    Stats.Ns = FetchFloorNs;
-    Stats.Cycles = static_cast<int64_t>(FetchFloorNs * Config.ClockGhz);
-  }
+  applyFetchFloor(Config, Stats);
   obs::addCounter("pim.sim.fault_runs");
   return R;
 }

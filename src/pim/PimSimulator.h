@@ -167,8 +167,15 @@ public:
   /// Cycle count of a single channel's trace.
   int64_t simulateChannel(const ChannelTrace &Trace) const;
 
-  /// Runs every channel and returns the makespan and aggregate counts.
+  /// Runs every channel and returns the makespan and aggregate counts. A
+  /// channel whose blocks equal the previous non-empty channel's reuses
+  /// that channel's simulation instead of repeating it.
   PimRunStats run(const DeviceTrace &Trace) const;
+
+  /// Prices \p Copies channels that all carry \p Channel from a single
+  /// simulation. Equal, field for field and counter for counter, to run()
+  /// on a DeviceTrace whose channels 0..Copies-1 hold \p Channel.
+  PimRunStats runReplicated(const ChannelTrace &Channel, int Copies) const;
 
   /// Fault-aware run: executes \p Trace with \p Faults injected under the
   /// retry/backoff/watchdog rules of \p Retry. Slow channels multiply their

@@ -12,8 +12,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "../pim/SimExpect.h"
 #include "codegen/CommandGenerator.h"
 
 using namespace pf;
@@ -29,6 +33,23 @@ PimKernelSpec spec(int64_t M, int64_t K, int64_t V, int64_t Segments = 1) {
   return S;
 }
 
+/// Newton+ without and Newton++ with the strided-GWRITE extension, plus
+/// Newton++ at the smallest and largest PIM channel counts of the Fig. 13
+/// channel-ratio sweep.
+std::vector<std::pair<PimConfig, CodegenOptions>> sweepConfigs() {
+  CodegenOptions Plain;
+  Plain.StridedGwrite = false;
+  std::vector<std::pair<PimConfig, CodegenOptions>> Out = {
+      {PimConfig::newtonPlus(), Plain},
+      {PimConfig::newtonPlusPlus(), CodegenOptions{}}};
+  for (int Channels : {4, 28}) {
+    PimConfig C = PimConfig::newtonPlusPlus();
+    C.Channels = Channels;
+    Out.push_back({C, CodegenOptions{}});
+  }
+  return Out;
+}
+
 } // namespace
 
 class CodegenSweep
@@ -42,11 +63,9 @@ protected:
 
 TEST_P(CodegenSweep, InvariantsHold) {
   const PimKernelSpec S = param();
-  for (bool Optimized : {false, true}) {
-    const PimConfig C = Optimized ? PimConfig::newtonPlusPlus()
-                                  : PimConfig::newtonPlus();
-    CodegenOptions O;
-    O.StridedGwrite = Optimized;
+  for (const auto &[C, O] : sweepConfigs()) {
+    SCOPED_TRACE(testing::Message() << "channels=" << C.Channels
+                                    << " buffers=" << C.NumGlobalBuffers);
     PimCommandGenerator Gen(C, O);
     const PimKernelPlan P = Gen.plan(S);
 
@@ -71,10 +90,26 @@ TEST_P(CodegenSweep, InvariantsHold) {
     EXPECT_EQ(P.Trace.numActiveChannels(),
               P.ChannelsForM * P.ChannelsForV * P.ChannelsForK);
 
-    // 6. Makespan consistency: the stats' cycle count matches an
-    //    independent re-simulation of the emitted traces.
-    PimSimulator Sim(C);
-    EXPECT_GE(Sim.run(P.Trace).Cycles, 1);
+    // 6. Stats consistency: the stats match an independent re-simulation
+    //    of the emitted traces, field for field.
+    {
+      SCOPED_TRACE("re-simulated trace vs plan stats");
+      expectSameRunStats(PimSimulator(C).run(P.Trace), P.Stats);
+    }
+
+    // 7. Planning the chosen mapping directly reproduces the plan.
+    const PimKernelPlan Direct = Gen.planWithMapping(
+        S, P.ChannelsForM, P.ChannelsForV, P.ChannelsForK);
+    EXPECT_EQ(Direct.Ns, P.Ns);
+    {
+      SCOPED_TRACE("planWithMapping stats vs plan stats");
+      expectSameRunStats(Direct.Stats, P.Stats);
+    }
+    ASSERT_EQ(Direct.Trace.Channels.size(), P.Trace.Channels.size());
+    for (size_t Ch = 0; Ch < P.Trace.Channels.size(); ++Ch) {
+      SCOPED_TRACE(testing::Message() << "channel " << Ch);
+      expectSameChannel(Direct.Trace.Channels[Ch], P.Trace.Channels[Ch]);
+    }
   }
 }
 

@@ -6,7 +6,12 @@
 
 #include "pim/PimSimulator.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
+
+#include "SimExpect.h"
+#include "obs/Scope.h"
 
 using namespace pf;
 
@@ -23,6 +28,85 @@ ChannelTrace singleBlock(std::vector<PimCommand> Pattern,
                          int64_t Repeats = 1) {
   ChannelTrace T;
   T.Blocks.push_back(CommandBlock{std::move(Pattern), Repeats});
+  return T;
+}
+
+/// run() computed the plain way: every non-empty channel simulated and
+/// counted on its own. Assumes the fetch-supply floor does not bind.
+PimRunStats perChannelReference(const PimSimulator &Sim,
+                                const DeviceTrace &T) {
+  PimRunStats R;
+  for (size_t Ch = 0; Ch < T.Channels.size(); ++Ch) {
+    const ChannelTrace &Channel = T.Channels[Ch];
+    if (Channel.empty())
+      continue;
+    const int64_t Cycles = Sim.simulateChannel(Channel);
+    R.Cycles = std::max(R.Cycles, Cycles);
+    R.BusyCycleSum += Cycles;
+    ++R.ActiveChannels;
+    for (const CommandBlock &B : Channel.Blocks)
+      for (const PimCommand &Cmd : B.Pattern)
+        switch (Cmd.Kind) {
+        case PimCmdKind::Gwrite:
+        case PimCmdKind::Gwrite2:
+        case PimCmdKind::Gwrite4:
+          R.GwriteCmds += B.Repeats;
+          R.GwriteBursts +=
+              B.Repeats * Cmd.Count *
+              (Cmd.Kind == PimCmdKind::Gwrite    ? 1
+               : Cmd.Kind == PimCmdKind::Gwrite2 ? 2
+                                                 : 4);
+          break;
+        case PimCmdKind::GAct:
+          R.GActs += B.Repeats * Cmd.Count;
+          break;
+        case PimCmdKind::Comp:
+          R.CompCmds += B.Repeats;
+          R.CompColumns += B.Repeats * Cmd.Count;
+          break;
+        case PimCmdKind::ReadRes:
+          R.ReadResCmds += B.Repeats * Cmd.Count;
+          break;
+        }
+    ChannelPhaseCycles P = phaseCyclesOf(Sim.config(), Channel);
+    P.Channel = static_cast<int>(Ch);
+    P.CompletionCycles = Cycles;
+    R.ChannelPhases.push_back(P);
+  }
+  R.Ns = Sim.config().cyclesToNs(R.Cycles);
+  return R;
+}
+
+/// A device trace whose first \p Copies channels hold \p Channel.
+DeviceTrace replicated(const ChannelTrace &Channel, int Copies) {
+  DeviceTrace T(Copies);
+  for (ChannelTrace &C : T.Channels)
+    C = Channel;
+  return T;
+}
+
+/// The counters and channel-cycle telemetry a run leaves in a fresh scope.
+struct RunTelemetry {
+  std::vector<std::pair<std::string, int64_t>> Counters;
+  int64_t ChannelSamples = 0;
+  double ChannelCycleSum = 0.0;
+  int64_t SimCycles = 0;
+};
+
+template <typename Fn> RunTelemetry telemetryOf(Fn &&Run) {
+  obs::Scope S;
+  {
+    obs::ScopeGuard G(S);
+    Run();
+  }
+  RunTelemetry T;
+  T.Counters = S.registry().counterSnapshot();
+  for (const auto &[Name, Q] : S.metrics().histogramSnapshot())
+    if (Name == "pim.channel_cycles") {
+      T.ChannelSamples = Q.Count;
+      T.ChannelCycleSum = Q.Sum;
+    }
+  T.SimCycles = S.metrics().cycles();
   return T;
 }
 
@@ -169,6 +253,64 @@ TEST(PimSimulatorTest, FetchSupplyCapsThroughput) {
   PimRunStats Stats = Sim.run(T);
   // 32000 bytes at 1 GB/s = 32 us.
   EXPECT_NEAR(Stats.Ns, 32000.0, 1.0);
+}
+
+TEST(PimSimulatorTest, RepeatedChannelsReuseOneSimulation) {
+  PimConfig C = PimConfig::newtonPlusPlus();
+  PimSimulator Sim(C);
+  const ChannelTrace A = singleBlock({PimCommand::gwrite(9, 4),
+                                      PimCommand::gact(2),
+                                      PimCommand::comp(17),
+                                      PimCommand::readRes(3)},
+                                     40);
+  ChannelTrace B = singleBlock({PimCommand::gwrite(2, 1),
+                                PimCommand::comp(5)},
+                               7);
+  B.Blocks.push_back(CommandBlock{{PimCommand::readRes(2)}, 3});
+  // Repeated, distinct and empty channels out of order: A A - A B B A.
+  DeviceTrace T(7);
+  for (int Ch : {0, 1, 3, 6})
+    T.Channels[static_cast<size_t>(Ch)] = A;
+  T.Channels[4] = B;
+  T.Channels[5] = B;
+  ASSERT_NE(Sim.simulateChannel(A), Sim.simulateChannel(B));
+
+  SCOPED_TRACE("run vs per-channel reference");
+  expectSameRunStats(Sim.run(T), perChannelReference(Sim, T));
+}
+
+TEST(PimSimulatorTest, ReplicatedChannelMatchesRunOnCopies) {
+  PimConfig Floored = baseConfig();
+  Floored.FetchSupplyGBs = 1.0; // As in FetchSupplyCapsThroughput.
+  const std::pair<PimConfig, ChannelTrace> Cases[] = {
+      {PimConfig::newtonPlusPlus(),
+       singleBlock({PimCommand::gwrite(9, 4), PimCommand::gact(2),
+                    PimCommand::comp(17), PimCommand::readRes(3)},
+                   40)},
+      {Floored, singleBlock({PimCommand::gwrite(1000, 1)})},
+  };
+  for (const auto &[C, Channel] : Cases) {
+    PimSimulator Sim(C);
+    for (int Copies : {1, 3, 16, 32}) {
+      SCOPED_TRACE(testing::Message() << "copies=" << Copies
+                                      << " supply=" << C.FetchSupplyGBs);
+      const DeviceTrace Trace = replicated(Channel, Copies);
+      PimRunStats Want, Got;
+      const RunTelemetry WantT = telemetryOf([&] { Want = Sim.run(Trace); });
+      const RunTelemetry GotT =
+          telemetryOf([&] { Got = Sim.runReplicated(Channel, Copies); });
+      expectSameRunStats(Got, Want);
+      EXPECT_EQ(GotT.Counters, WantT.Counters);
+      EXPECT_EQ(GotT.ChannelSamples, Copies);
+      EXPECT_EQ(GotT.ChannelSamples, WantT.ChannelSamples);
+      EXPECT_EQ(GotT.ChannelCycleSum, WantT.ChannelCycleSum);
+      EXPECT_EQ(GotT.SimCycles, WantT.SimCycles);
+      // The floored case must actually be bound by the fetch supply.
+      if (C.FetchSupplyGBs == 1.0) {
+        EXPECT_GT(Got.Ns, C.cyclesToNs(Sim.simulateChannel(Channel)));
+      }
+    }
+  }
 }
 
 TEST(PimSimulatorTest, EnergyScalesWithWork) {

@@ -89,7 +89,7 @@ struct CliOptions {
   std::string Net = "toy";
   bool NetSet = false; // a positional or -n= net was given explicitly
   std::string Dir = ".";
-  std::string Policy = "PIMFlow";
+  OffloadPolicy Policy = OffloadPolicy::PimFlow;
   std::string GraphFile; // -m=run --graph=<file>: skip search, execute.
   std::string TraceOut;  // --trace-out=<file>: Chrome trace-event JSON.
   std::string JsonStats; // --json-stats=<file>: machine-readable report.
@@ -201,6 +201,25 @@ bool parseIntOption(const std::string &Arg, const std::string &Val,
   return true;
 }
 
+/// Parses a `--policy=` value. A misspelled mechanism is a cli.bad-option
+/// error naming the accepted spellings, never a silent fallback.
+bool parsePolicyOption(const std::string &Val, OffloadPolicy &Out,
+                       DiagnosticEngine &DE) {
+  std::string Names;
+  for (OffloadPolicy P : allPolicies()) {
+    if (Val == policyName(P)) {
+      Out = P;
+      return true;
+    }
+    Names += Names.empty() ? "" : ", ";
+    Names += policyName(P);
+  }
+  DE.error(DiagCode::BadOption, "--policy",
+           formatStr("unknown mechanism '%s' (expected one of: %s)",
+                     Val.c_str(), Names.c_str()));
+  return false;
+}
+
 bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
   bool Ok = true;
   for (int I = 1; I < Argc; ++I) {
@@ -217,7 +236,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
     else if (startsWith(Arg, "--dir="))
       O.Dir = Val();
     else if (startsWith(Arg, "--policy="))
-      O.Policy = Val();
+      Ok &= parsePolicyOption(Val(), O.Policy, DE);
     else if (Arg == "--gpu_only")
       O.GpuOnly = true;
     else if (Arg == "--stats")
@@ -430,15 +449,6 @@ int verifyGraphCli(const Graph &G, const CliOptions &O, const char *What) {
   return 1;
 }
 
-OffloadPolicy policyFromName(const std::string &Name) {
-  for (OffloadPolicy P : allPolicies())
-    if (Name == policyName(P))
-      return P;
-  std::fprintf(stderr, "warning: unknown policy '%s', using PIMFlow\n",
-               Name.c_str());
-  return OffloadPolicy::PimFlow;
-}
-
 std::string cachePath(const CliOptions &O) {
   // The net may be a graph-file path; flatten separators so the profile
   // log still lands inside --dir.
@@ -447,6 +457,15 @@ std::string cachePath(const CliOptions &O) {
     if (C == '/' || C == '\\')
       C = '_';
   return O.Dir + "/profile_" + Net + ".tsv";
+}
+
+/// Writes the profile log to cachePath(O). A failed write is an error in
+/// every mode that writes one.
+bool saveProfileLog(const Profiler &P, const CliOptions &O) {
+  if (P.saveCache(cachePath(O)))
+    return true;
+  std::fprintf(stderr, "error: cannot write %s\n", cachePath(O).c_str());
+  return false;
 }
 
 /// Resolves the `-n=` / positional net argument: a model-zoo name, or a
@@ -562,10 +581,8 @@ int runProfile(const CliOptions &O) {
   }
   std::printf("measurements: %zu new, %zu from cache\n", P.cacheMisses(),
               P.cacheHits());
-  if (!P.saveCache(cachePath(O))) {
-    std::fprintf(stderr, "error: cannot write %s\n", cachePath(O).c_str());
+  if (!saveProfileLog(P, O))
     return 1;
-  }
   std::printf("profile log written to %s\n", cachePath(O).c_str());
   if (!O.TraceOut.empty()) {
     // No execution timeline in profile mode: export the compile spans only.
@@ -587,7 +604,7 @@ int runSolve(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  PimFlow Flow(policyFromName(O.Policy), O.Flow);
+  PimFlow Flow(O.Policy, O.Flow);
   Flow.profiler().loadCache(cachePath(O));
   CompileResult R = Flow.compileAndRun(Model);
 
@@ -615,11 +632,15 @@ int runSolve(const CliOptions &O) {
   std::printf("%s", T.render().c_str());
 
   const std::string GraphPath = O.Dir + "/" + O.Net + ".pimflow.graph";
-  if (saveGraph(R.Transformed, GraphPath))
-    std::printf("\ntransformed graph written to %s (reload with "
-                "pf::loadGraph)\n",
-                GraphPath.c_str());
-  Flow.profiler().saveCache(cachePath(O));
+  if (!saveGraph(R.Transformed, GraphPath)) {
+    std::fprintf(stderr, "error: cannot write %s\n", GraphPath.c_str());
+    return 1;
+  }
+  std::printf("\ntransformed graph written to %s (reload with "
+              "pf::loadGraph)\n",
+              GraphPath.c_str());
+  if (!saveProfileLog(Flow.profiler(), O))
+    return 1;
   return exportObservability(O, R);
 }
 
@@ -636,13 +657,10 @@ int runExecuteGraphFile(const CliOptions &O) {
   // Graph files are hand-editable: verify before executing when asked.
   if (const int Rc = verifyGraphCli(*Loaded, O, "graph file"))
     return Rc;
-  const SystemConfig Config =
-      systemConfigFor(O.GpuOnly ? OffloadPolicy::GpuOnly
-                                : policyFromName(O.Policy),
-                      O.Flow);
   // No search ran: assemble the result the printers/exporters need by hand.
   CompileResult R;
-  R.Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
+  R.Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
+  const SystemConfig Config = systemConfigFor(R.Policy, O.Flow);
   R.Config = Config;
   R.Transformed = std::move(*Loaded);
   if (O.Flow.FaultSpec.empty()) {
@@ -722,8 +740,7 @@ int runCompile(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  const OffloadPolicy Policy =
-      O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
+  const OffloadPolicy Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
   PimFlow Flow(Policy, O.Flow);
   Flow.profiler().loadCache(cachePath(O));
   const ExecutionPlan Plan = Flow.plan(Model);
@@ -745,7 +762,8 @@ int runCompile(const CliOptions &O) {
     std::printf("plan cache %s: %zu hit(s), %zu miss(es), %zu store(s)\n",
                 Cache->dir().c_str(), Cache->hits(), Cache->misses(),
                 Cache->stores());
-  Flow.profiler().saveCache(cachePath(O));
+  if (!saveProfileLog(Flow.profiler(), O))
+    return 1;
   if (!O.MetricsOut.empty()) {
     if (!obs::writeMetricsText(O.MetricsOut)) {
       std::fprintf(stderr, "error: cannot write %s\n", O.MetricsOut.c_str());
@@ -768,8 +786,7 @@ int runReplay(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  const OffloadPolicy Policy =
-      O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
+  const OffloadPolicy Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
   PimFlow Flow(Policy, O.Flow);
 
   DiagnosticEngine DE;
@@ -809,8 +826,7 @@ int runExecute(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  const OffloadPolicy Policy =
-      O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
+  const OffloadPolicy Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
   PimFlow Flow(Policy, O.Flow);
   Flow.profiler().loadCache(cachePath(O));
   CompileResult R = Flow.compileAndRun(Model);
@@ -832,8 +848,7 @@ int runExecute(const CliOptions &O) {
     std::printf("GPU baseline: %.2f us -> %.2fx speedup\n",
                 BR.endToEndNs() / 1e3, BR.endToEndNs() / R.endToEndNs());
   }
-  Flow.profiler().saveCache(cachePath(O));
-  return 0;
+  return saveProfileLog(Flow.profiler(), O) ? 0 : 1;
 }
 
 /// Dumps the PIM command trace of every offloaded kernel of the solved
@@ -845,7 +860,7 @@ int runTrace(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  PimFlow Flow(policyFromName(O.Policy), O.Flow);
+  PimFlow Flow(O.Policy, O.Flow);
   Flow.profiler().loadCache(cachePath(O));
   CompileResult R = Flow.compileAndRun(Model);
 
@@ -939,7 +954,7 @@ int runServe(const CliOptions &O) {
   }
 
   serve::ServerOptions SO;
-  SO.Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
+  SO.Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
   SO.Flow = O.Flow;
   SO.MaxInflight = O.MaxInflight;
   SO.MaxQueue = O.MaxQueue;
