@@ -185,15 +185,13 @@ void recordDeterministicProxies() {
   }
   {
     // Per-candidate profile-latency distribution: run the search with the
-    // streaming registry on and report the bounded-error p50/p99 of
+    // registry on and report the bounded-error p50/p99 of
     // profiler.profile_sim_ns. Simulated nanoseconds, so the quantiles are
     // identical on every machine and safe to gate in tier 5.
     //
-    // A private scope instead of toggling + partially resetting the
-    // process globals: the old MetricsRegistry::reset() dance also wiped
-    // whatever counters earlier iterations had accumulated globally while
-    // leaving the Registry half intact (the obs::resetAll() misuse this
-    // sweep removes). SearchOptions::Jobs defaults to 1, so the serial
+    // A private scope instead of toggling and resetting the process
+    // globals, which would also wipe whatever earlier iterations had
+    // accumulated there. SearchOptions::Jobs defaults to 1, so the serial
     // search stays on this thread and the guard covers every record.
     obs::Scope Scoped;
     obs::ScopeGuard Guard(Scoped);
@@ -202,7 +200,7 @@ void recordDeterministicProxies() {
     SearchEngine S(P, SearchOptions{});
     (void)S.search(G);
     obs::QuantileStats Q;
-    for (const auto &[Name, Stats] : Scoped.metrics().histogramSnapshot())
+    for (const auto &[Name, Stats] : Scoped.registry().histogramSnapshot())
       if (Name == "profiler.profile_sim_ns")
         Q = Stats;
     BenchResult R;

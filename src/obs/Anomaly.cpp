@@ -7,7 +7,6 @@
 #include "obs/Anomaly.h"
 
 #include "obs/Counters.h"
-#include "obs/Metrics.h"
 #include "support/Format.h"
 
 using namespace pf;
@@ -17,10 +16,15 @@ int pf::obs::evaluateAnomalies(DiagnosticEngine &DE,
                                const AttributionReport *A,
                                const AnomalyRules &Rules) {
   int Warnings = 0;
+  Registry &R = activeRegistry();
 
-  // Rule 1: tail-latency ratio per HDR histogram.
-  for (const auto &[Name, Q] : activeMetrics().histogramSnapshot()) {
-    if (Q.Count < Rules.MinHistogramCount || Q.P50 <= 0.0)
+  // Rule 1: tail-latency ratio per HDR histogram. Wall-clock histograms
+  // are machine- and load-dependent (host scheduling alone makes 100x
+  // tails), so only simulated distributions are judged — the same
+  // exclusion perfDiff applies.
+  for (const auto &[Name, Q] : R.histogramSnapshot()) {
+    if (Q.Count < Rules.MinHistogramCount || Q.P50 <= 0.0 ||
+        Name.find("wall") != std::string::npos)
       continue;
     const double Ratio = Q.P99 / Q.P50;
     if (Ratio <= Rules.TailRatioMax)
@@ -53,7 +57,6 @@ int pf::obs::evaluateAnomalies(DiagnosticEngine &DE,
 
   // Rule 3: average retries per fault-injected simulator run.
   {
-    Registry &R = activeRegistry();
     const int64_t Retries = R.counter("pim.sim.retries").value();
     const int64_t FaultRuns = R.counter("pim.sim.fault_runs").value();
     if (FaultRuns > 0) {

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Threshold rules over the live telemetry registries (obs/Metrics,
-/// obs/Counters) and a timeline attribution: tail-latency blowups
-/// (p99/p50), lane idle-gap fractions, and retry rates. Violations become
+/// Threshold rules over the active telemetry registry (obs/Counters) and a
+/// timeline attribution: tail-latency blowups (p99/p50) of simulated
+/// histograms, lane idle-gap fractions, and retry rates. Violations become
 /// structured DiagnosticEngine *warnings* (anomaly.tail-latency,
 /// anomaly.idle-gap, anomaly.retry-rate) so a regression surfaces in the
 /// run that caused it, not only at the tier-5 diff gate. The default
@@ -27,8 +27,9 @@ namespace pf::obs {
 /// Watchdog thresholds; every rule fires as a warning, never an error.
 struct AnomalyRules {
   /// Maximum p99/p50 ratio of any HDR histogram (with p50 > 0) before the
-  /// tail is flagged. Latency distributions here are simulated, so a
-  /// 100x tail means a structurally imbalanced plan, not scheduler noise.
+  /// tail is flagged. Histograms whose name contains "wall" are skipped:
+  /// the judged distributions are simulated, so a 100x tail means a
+  /// structurally imbalanced plan, not scheduler noise.
   double TailRatioMax = 100.0;
   /// Maximum idle fraction of a lane that did schedule work. 1.0 would
   /// never fire; a lane over this threshold mostly waited.
@@ -40,7 +41,7 @@ struct AnomalyRules {
   int64_t MinHistogramCount = 16;
 };
 
-/// Evaluates every rule against the current registries and, when \p A is
+/// Evaluates every rule against the active registry and, when \p A is
 /// non-null, the lane usage of \p A. Returns the number of warnings
 /// reported into \p DE.
 int evaluateAnomalies(DiagnosticEngine &DE, const AttributionReport *A,

@@ -14,6 +14,7 @@
 
 #include "codegen/PimKernelSpec.h"
 #include "obs/Counters.h"
+#include "obs/Scope.h"
 #include "support/Format.h"
 
 using namespace pf;
@@ -238,6 +239,9 @@ AttributionReport pf::obs::attributeTimeline(const Graph &G,
   std::map<int, LaneUsage> Channels;
   std::map<int, ChannelPhaseCycles> Phases;
   if (Config.hasPim()) {
+    // Re-planning is export work: keep its telemetry out of the run's.
+    Scope Throwaway;
+    ScopeGuard Guard(Throwaway);
     PimCommandGenerator Gen(Config.Pim, Config.Codegen);
     for (const NodeSchedule &S : TL.Nodes) {
       if (S.Dev != Device::Pim || S.durationNs() <= 0.0)
@@ -278,9 +282,6 @@ AttributionReport pf::obs::attributeTimeline(const Graph &G,
   }
   for (const auto &[Ch, P] : Phases)
     R.Phases.push_back(P);
-
-  addCounter("attrib.critical_steps",
-             static_cast<int64_t>(R.Critical.Steps.size()));
   return R;
 }
 

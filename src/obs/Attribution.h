@@ -125,13 +125,14 @@ struct AttributionReport {
 };
 
 /// Attributes \p TL (executed from \p G under \p Config): critical chain,
-/// slack, lane usage, and per-channel phase cycles.
+/// slack, lane usage, and per-channel phase cycles. Records no telemetry
+/// into the active registry: an export must not count its own work.
 AttributionReport attributeTimeline(const Graph &G, const Timeline &TL,
                                     const SystemConfig &Config);
 
 /// Bumps the `pim.phase_cycles.<phase>.ch<N>` counters from \p Phases
 /// (gwrite / g_act / comp / readres / retry / stall per channel). Call
-/// once per report — repeated calls accumulate.
+/// once per run — repeated calls accumulate.
 void exportPhaseCounters(const std::vector<ChannelPhaseCycles> &Phases);
 
 } // namespace pf::obs

@@ -11,6 +11,7 @@
 
 #include "codegen/PimKernelSpec.h"
 #include "obs/Json.h"
+#include "obs/Scope.h"
 #include "support/Format.h"
 
 using namespace pf;
@@ -85,7 +86,10 @@ void emitExecution(JsonWriter &W, const Graph &G, const Timeline &TL,
   emitThreadName(W, ExecutionPid, 0, "GPU lane");
 
   // Regenerate the scheduled command traces of offloaded nodes to learn
-  // which channels each one occupies (same derivation as computeStats).
+  // which channels each one occupies (same derivation as computeStats),
+  // with the re-plans' telemetry kept out of the run's.
+  Scope Throwaway;
+  ScopeGuard Guard(Throwaway);
   PimCommandGenerator Gen(Config.Pim.Channels > 0 ? Config.Pim
                                                   : PimConfig::newtonPlus(),
                           Config.Codegen);

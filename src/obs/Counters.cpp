@@ -1,4 +1,4 @@
-//===- obs/Counters.cpp - Named counter / histogram registry ----*- C++ -*-===//
+//===- obs/Counters.cpp - The telemetry registry ----------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -6,13 +6,23 @@
 
 #include "obs/Counters.h"
 
-#include <algorithm>
-
 #include "obs/FlightRecorder.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 
 using namespace pf::obs;
+
+namespace {
+
+template <typename T, typename... Args>
+T &findOrCreate(std::map<std::string, std::unique_ptr<T>> &Metrics,
+                const std::string &Name, Args... CtorArgs) {
+  auto It = Metrics.find(Name);
+  if (It == Metrics.end())
+    It = Metrics.emplace(Name, std::make_unique<T>(CtorArgs...)).first;
+  return *It->second;
+}
+
+} // namespace
 
 Registry &Registry::instance() {
   static Registry R;
@@ -21,19 +31,26 @@ Registry &Registry::instance() {
 
 Counter &Registry::counter(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Counters.find(Name);
-  if (It == Counters.end())
-    It = Counters.emplace(Name, std::make_unique<Counter>()).first;
-  return *It->second;
+  return findOrCreate(Counters, Name);
 }
 
-Histogram &Registry::histogram(const std::string &Name) {
+Gauge &Registry::gauge(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Histograms.find(Name);
-  if (It == Histograms.end())
-    It = Histograms.emplace(Name, std::make_unique<Histogram>()).first;
-  return *It->second;
+  return findOrCreate(Gauges, Name);
 }
+
+LogLinearHistogram &Registry::histogram(const std::string &Name) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return findOrCreate(Histograms, Name);
+}
+
+SlidingWindow &Registry::window(const std::string &Name, TickDomain D,
+                                int64_t BucketWidth) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return findOrCreate(Windows, Name, D, BucketWidth);
+}
+
+// Every snapshot walks a std::map, so it is already name-sorted.
 
 std::vector<std::pair<std::string, int64_t>>
 Registry::counterSnapshot() const {
@@ -42,24 +59,42 @@ Registry::counterSnapshot() const {
   for (const auto &[Name, C] : Counters)
     if (C->value() != 0)
       Out.emplace_back(Name, C->value());
-  // Sorted-by-name emission is a documented contract (goldens and diffs
-  // depend on it), not an accident of the backing container.
-  std::sort(Out.begin(), Out.end(),
-            [](const auto &L, const auto &R) { return L.first < R.first; });
   return Out;
 }
 
-std::vector<std::pair<std::string, HistogramStats>>
+std::vector<std::pair<std::string, double>> Registry::gaugeSnapshot() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  std::vector<std::pair<std::string, double>> Out;
+  for (const auto &[Name, G] : Gauges)
+    if (G->value() != 0.0)
+      Out.emplace_back(Name, G->value());
+  return Out;
+}
+
+std::vector<std::pair<std::string, QuantileStats>>
 Registry::histogramSnapshot() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<std::pair<std::string, HistogramStats>> Out;
+  std::vector<std::pair<std::string, QuantileStats>> Out;
   for (const auto &[Name, H] : Histograms) {
-    const HistogramStats S = H->stats();
+    const QuantileStats Q = H->stats();
+    if (Q.Count > 0)
+      Out.emplace_back(Name, Q);
+  }
+  return Out;
+}
+
+std::vector<std::pair<std::string, WindowStats>>
+Registry::windowSnapshot() const {
+  const int64_t NowUs = static_cast<int64_t>(Tracer::instance().nowUs());
+  const int64_t NowCycles = cycles();
+  std::lock_guard<std::mutex> Lock(Mu);
+  std::vector<std::pair<std::string, WindowStats>> Out;
+  for (const auto &[Name, W] : Windows) {
+    const WindowStats S = W->stats(
+        W->domain() == TickDomain::SimCycles ? NowCycles : NowUs);
     if (S.Count > 0)
       Out.emplace_back(Name, S);
   }
-  std::sort(Out.begin(), Out.end(),
-            [](const auto &L, const auto &R) { return L.first < R.first; });
   return Out;
 }
 
@@ -67,29 +102,39 @@ void Registry::reset() {
   std::lock_guard<std::mutex> Lock(Mu);
   for (auto &[Name, C] : Counters)
     C->reset();
+  for (auto &[Name, G] : Gauges)
+    G->reset();
   for (auto &[Name, H] : Histograms)
     H->reset();
+  for (auto &[Name, W] : Windows)
+    W->reset();
+  CycleClock.store(0, std::memory_order_relaxed);
+}
+
+void pf::obs::recordMetricWindowed(const char *Name, TickDomain D,
+                                   int64_t BucketWidth, int64_t Tick,
+                                   double X) {
+  Registry &R = activeRegistry();
+  if (!R.enabled())
+    return;
+  R.histogram(Name).record(X);
+  R.window(Name, D, BucketWidth).record(Tick, X);
 }
 
 void pf::obs::setObservabilityEnabled(bool On) {
   Tracer::instance().setEnabled(On);
   Registry::instance().setEnabled(On);
-  MetricsRegistry::instance().setEnabled(On);
   // The flight recorder stays always-on regardless (bounded rings make it
   // free when idle); only its contents are lifecycle-managed, in
   // resetAll().
 }
 
 bool pf::obs::observabilityEnabled() {
-  return Tracer::instance().enabled() || Registry::instance().enabled() ||
-         MetricsRegistry::instance().enabled();
+  return Tracer::instance().enabled() || Registry::instance().enabled();
 }
 
 void pf::obs::resetAll() {
   Tracer::instance().clear();
   Registry::instance().reset();
-  MetricsRegistry::instance().reset();
   FlightRecorder::instance().clear();
 }
-
-void pf::obs::resetObservability() { resetAll(); }

@@ -1,19 +1,21 @@
-//===- obs/Counters.h - Named counter / histogram registry ------*- C++ -*-===//
+//===- obs/Counters.h - The telemetry registry ------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide registry of named int64 counters and scalar histograms,
-/// exported into the `--json-stats` output. Naming convention (see
-/// docs/INTERNALS.md section 6): `<module>.<metric>` in lower snake case,
-/// with an optional `.ch<N>` suffix for per-PIM-channel metrics — e.g.
-/// `profiler.cache_hits`, `search.dp_states`, `pim.comp_columns.ch3`.
+/// The one telemetry registry: named counters, gauges, HDR histograms,
+/// sliding windows (metric types in obs/Metrics.h) and the simulated-cycle
+/// clock, behind one enable flag. The process-wide registry lives behind
+/// `Registry::instance()`; session scopes (obs/Scope.h) own private ones.
+/// Naming convention (see docs/INTERNALS.md section 6): `<module>.<metric>`
+/// in lower snake case, with an optional `.ch<N>` suffix for
+/// per-PIM-channel metrics — e.g. `profiler.cache_hits`,
+/// `search.dp_states`, `pim.comp_columns.ch3`.
 ///
-/// Counters are relaxed atomics, safe to bump from concurrent threads.
-/// Like the tracer, the registry is disabled by default and the
-/// `obs::addCounter` / `obs::recordHistogram` helpers early-out on one
+/// Like the tracer, the registry is disabled by default and the recording
+/// helpers (`obs::addCounter`, `obs::recordMetric`, ...) early-out on one
 /// relaxed atomic load, so call sites can live in hot paths.
 ///
 //===----------------------------------------------------------------------===//
@@ -29,64 +31,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/Metrics.h"
+
 namespace pf::obs {
 
-/// A monotonically named int64 counter (values may also go down; "counter"
-/// refers to the aggregation, not a monotonicity contract).
-class Counter {
-public:
-  void add(int64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }
-  int64_t value() const { return V.load(std::memory_order_relaxed); }
-  void reset() { V.store(0, std::memory_order_relaxed); }
-
-private:
-  std::atomic<int64_t> V{0};
-};
-
-/// Summary statistics of a histogram (no buckets: count/sum/min/max cover
-/// the compiler-telemetry use cases without a bucketing policy).
-struct HistogramStats {
-  int64_t Count = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-
-  double mean() const { return Count > 0 ? Sum / Count : 0.0; }
-};
-
-/// A named scalar distribution.
-class Histogram {
-public:
-  void record(double X) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (S.Count == 0) {
-      S.Min = S.Max = X;
-    } else {
-      S.Min = X < S.Min ? X : S.Min;
-      S.Max = X > S.Max ? X : S.Max;
-    }
-    ++S.Count;
-    S.Sum += X;
-  }
-  HistogramStats stats() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return S;
-  }
-  void reset() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    S = HistogramStats{};
-  }
-
-private:
-  mutable std::mutex Mu;
-  HistogramStats S;
-};
-
-/// A metric registry. The process-wide default lives behind `instance()`;
-/// additional instances back session scopes (obs/Scope.h) so concurrent
-/// runs keep private namespaces. Returned Counter/Histogram references
-/// stay valid for the registry's lifetime; reset() zeroes values but never
-/// invalidates them.
+/// A metric registry. Returned references stay valid for the registry's
+/// lifetime; reset() zeroes values but never invalidates them.
 class Registry {
 public:
   Registry() = default;
@@ -98,25 +48,43 @@ public:
     Enabled.store(On, std::memory_order_relaxed);
   }
 
-  /// Finds or creates the counter named \p Name.
+  /// Finds or creates the metric named \p Name. A window's domain and
+  /// width are fixed by its first registration.
   Counter &counter(const std::string &Name);
-  /// Finds or creates the histogram named \p Name.
-  Histogram &histogram(const std::string &Name);
+  Gauge &gauge(const std::string &Name);
+  LogLinearHistogram &histogram(const std::string &Name);
+  SlidingWindow &window(const std::string &Name, TickDomain D,
+                        int64_t BucketWidth);
 
-  /// All counters with a non-zero value, sorted by name.
+  /// The simulated-cycle logical clock (TickDomain::SimCycles). Advanced
+  /// by the PIM simulator as it retires work; monotonic until reset().
+  void advanceCycles(int64_t N) {
+    CycleClock.fetch_add(N, std::memory_order_relaxed);
+  }
+  int64_t cycles() const {
+    return CycleClock.load(std::memory_order_relaxed);
+  }
+
+  /// Snapshots, sorted by name (goldens and diffs depend on it): counters
+  /// and gauges with a non-zero value, histograms with at least one
+  /// sample, and windows with at least one sample inside the trailing
+  /// span, each evaluated at its domain's current tick.
   std::vector<std::pair<std::string, int64_t>> counterSnapshot() const;
-  /// All histograms with at least one sample, sorted by name.
-  std::vector<std::pair<std::string, HistogramStats>>
-  histogramSnapshot() const;
+  std::vector<std::pair<std::string, double>> gaugeSnapshot() const;
+  std::vector<std::pair<std::string, QuantileStats>> histogramSnapshot() const;
+  std::vector<std::pair<std::string, WindowStats>> windowSnapshot() const;
 
-  /// Zeroes every metric (registrations and references survive).
+  /// Zeroes every metric and the cycle clock (registrations survive).
   void reset();
 
 private:
   std::atomic<bool> Enabled{false};
+  std::atomic<int64_t> CycleClock{0};
   mutable std::mutex Mu;
   std::map<std::string, std::unique_ptr<Counter>> Counters;
-  std::map<std::string, std::unique_ptr<Histogram>> Histograms;
+  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
+  std::map<std::string, std::unique_ptr<LogLinearHistogram>> Histograms;
+  std::map<std::string, std::unique_ptr<SlidingWindow>> Windows;
 };
 
 /// The registry obs helpers route to on this thread: the installed
@@ -138,31 +106,47 @@ inline void addCounter(const std::string &Name, int64_t N = 1) {
     R.counter(Name).add(N);
 }
 
-/// Records \p X into histogram \p Name when the active registry is enabled.
-inline void recordHistogram(const char *Name, double X) {
+/// Records \p X into HDR histogram \p Name when the registry is enabled.
+inline void recordMetric(const char *Name, double X) {
   Registry &R = activeRegistry();
   if (R.enabled())
     R.histogram(Name).record(X);
 }
 
+/// Records \p X into both the HDR histogram \p Name and its sliding
+/// window (same name, domain \p D, \p BucketWidth ticks per bucket) at
+/// tick \p Tick.
+void recordMetricWindowed(const char *Name, TickDomain D, int64_t BucketWidth,
+                          int64_t Tick, double X);
+
+/// Sets gauge \p Name when the registry is enabled.
+inline void setGauge(const char *Name, double X) {
+  Registry &R = activeRegistry();
+  if (R.enabled())
+    R.gauge(Name).set(X);
+}
+
+/// Advances the simulated-cycle clock when the registry is enabled.
+inline void advanceSimCycles(int64_t N) {
+  Registry &R = activeRegistry();
+  if (R.enabled())
+    R.advanceCycles(N);
+}
+
 /// Turns the whole observability layer (tracer + registry) on or off, and
-/// queries it. The driver's --trace-out/--json-stats flags call this.
+/// queries it. The driver's export flags call this.
 void setObservabilityEnabled(bool On);
 bool observabilityEnabled();
 
-/// Clears every *global* observability registry: the Tracer's spans, the
-/// Registry's counters/histograms, the MetricsRegistry's histograms,
-/// gauges, windows, and cycle clock, and the FlightRecorder's per-thread
-/// rings. Used by tests, by the driver between independent compilations,
-/// and by the bench harness between iterations so JSON dumps are
-/// per-iteration rather than cumulative. Explicitly excluded: session
-/// scopes (obs/Scope.h) — a Scope's registries belong to its owner and
-/// are reset via Scope::reset(), never by this global sweep.
+/// Clears every *global* observability store: the Tracer's spans, the
+/// Registry's metrics and cycle clock, and the FlightRecorder's
+/// per-thread rings. Used by tests, by the driver between independent
+/// compilations, and by the bench harness between iterations so JSON
+/// dumps are per-iteration rather than cumulative. Explicitly excluded:
+/// session scopes (obs/Scope.h) — a Scope's registry belongs to its owner
+/// and is reset via `registry().reset()`, never by this global sweep.
 /// tests/obs/ResetTest.cpp asserts this coverage contract.
 void resetAll();
-
-/// Alias of resetAll(), kept for existing call sites.
-void resetObservability();
 
 } // namespace pf::obs
 

@@ -7,7 +7,7 @@
 /// \file
 /// The JSON substrate of the observability layer: a streaming writer with
 /// automatic comma/nesting management (used by the Chrome-trace exporter,
-/// the stats exporter and the bench JSON emitter) and a small
+/// the perf report and the bench JSON emitter) and a small
 /// recursive-descent parser (used by tests and the `pf_json_check` smoke
 /// tool to prove the emitted files actually parse). Deliberately tiny — no
 /// external dependency, no DOM mutation API.

@@ -1,4 +1,4 @@
-//===- obs/Metrics.cpp - Streaming metrics implementation -------*- C++ -*-===//
+//===- obs/Metrics.cpp - Metric types and Prometheus exposition -*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -11,7 +11,6 @@
 
 #include "obs/Counters.h"
 #include "obs/Json.h"
-#include "obs/Trace.h"
 
 using namespace pf::obs;
 
@@ -168,100 +167,6 @@ void SlidingWindow::reset() {
 }
 
 //===----------------------------------------------------------------------===//
-// MetricsRegistry
-//===----------------------------------------------------------------------===//
-
-MetricsRegistry &MetricsRegistry::instance() {
-  static MetricsRegistry M;
-  return M;
-}
-
-LogLinearHistogram &MetricsRegistry::histogram(const std::string &Name) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Histograms.find(Name);
-  if (It == Histograms.end())
-    It = Histograms.emplace(Name, std::make_unique<LogLinearHistogram>())
-             .first;
-  return *It->second;
-}
-
-Gauge &MetricsRegistry::gauge(const std::string &Name) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Gauges.find(Name);
-  if (It == Gauges.end())
-    It = Gauges.emplace(Name, std::make_unique<Gauge>()).first;
-  return *It->second;
-}
-
-SlidingWindow &MetricsRegistry::window(const std::string &Name, TickDomain D,
-                                       int64_t BucketWidth) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Windows.find(Name);
-  if (It == Windows.end())
-    It = Windows.emplace(Name, std::make_unique<SlidingWindow>(D, BucketWidth))
-             .first;
-  return *It->second;
-}
-
-std::vector<std::pair<std::string, QuantileStats>>
-MetricsRegistry::histogramSnapshot() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<std::pair<std::string, QuantileStats>> Out;
-  for (const auto &[Name, H] : Histograms) {
-    const QuantileStats Q = H->stats();
-    if (Q.Count > 0)
-      Out.emplace_back(Name, Q);
-  }
-  return Out; // std::map iteration is already name-sorted.
-}
-
-std::vector<std::pair<std::string, double>>
-MetricsRegistry::gaugeSnapshot() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<std::pair<std::string, double>> Out;
-  for (const auto &[Name, G] : Gauges)
-    if (G->value() != 0.0)
-      Out.emplace_back(Name, G->value());
-  return Out;
-}
-
-std::vector<std::pair<std::string, WindowStats>>
-MetricsRegistry::windowSnapshot() const {
-  const int64_t NowUs = static_cast<int64_t>(Tracer::instance().nowUs());
-  const int64_t NowCycles = cycles();
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<std::pair<std::string, WindowStats>> Out;
-  for (const auto &[Name, W] : Windows) {
-    const WindowStats S = W->stats(
-        W->domain() == TickDomain::SimCycles ? NowCycles : NowUs);
-    if (S.Count > 0)
-      Out.emplace_back(Name, S);
-  }
-  return Out;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (auto &[Name, H] : Histograms)
-    H->reset();
-  for (auto &[Name, G] : Gauges)
-    G->reset();
-  for (auto &[Name, W] : Windows)
-    W->reset();
-  CycleClock.store(0, std::memory_order_relaxed);
-}
-
-void pf::obs::recordMetricWindowed(const char *Name, TickDomain D,
-                                   int64_t BucketWidth, int64_t Tick,
-                                   double X) {
-  MetricsRegistry &M = activeMetrics();
-  if (!M.enabled())
-    return;
-  M.histogram(Name).record(X);
-  M.window(Name, D, BucketWidth).record(Tick, X);
-}
-
-//===----------------------------------------------------------------------===//
 // Prometheus text exposition
 //===----------------------------------------------------------------------===//
 
@@ -300,34 +205,21 @@ std::string pf::obs::renderPrometheus() {
   std::string Out;
   Out += "# pimflow metrics exposition (Prometheus text format)\n";
 
-  for (const auto &[Name, V] : activeRegistry().counterSnapshot()) {
+  const Registry &Reg = activeRegistry();
+  for (const auto &[Name, V] : Reg.counterSnapshot()) {
     const std::string P = promName(Name);
     Out += "# TYPE " + P + " counter\n";
     appendSample(Out, P, static_cast<double>(V));
   }
 
-  for (const auto &[Name, V] : activeMetrics().gaugeSnapshot()) {
+  for (const auto &[Name, V] : Reg.gaugeSnapshot()) {
     const std::string P = promName(Name);
     Out += "# TYPE " + P + " gauge\n";
     appendSample(Out, P, V);
   }
 
-  // Aggregate min/max histograms (obs::Registry): no quantiles, so they
-  // export as summary {_sum,_count} plus explicit min/max gauges.
-  for (const auto &[Name, H] : activeRegistry().histogramSnapshot()) {
-    const std::string P = promName(Name);
-    Out += "# TYPE " + P + " summary\n";
-    appendSample(Out, P + "_sum", H.Sum);
-    appendSample(Out, P + "_count", static_cast<double>(H.Count));
-    Out += "# TYPE " + P + "_min gauge\n";
-    appendSample(Out, P + "_min", H.Min);
-    Out += "# TYPE " + P + "_max gauge\n";
-    appendSample(Out, P + "_max", H.Max);
-  }
-
   // HDR histograms: full summaries with bounded-error quantiles.
-  for (const auto &[Name, Q] :
-       activeMetrics().histogramSnapshot()) {
+  for (const auto &[Name, Q] : Reg.histogramSnapshot()) {
     const std::string P = promName(Name);
     Out += "# HELP " + P + " log-linear histogram, quantile rel-error <= " +
            std::to_string(Q.RelErrorBound) + "\n";
@@ -342,7 +234,7 @@ std::string pf::obs::renderPrometheus() {
 
   // Sliding windows: trailing-span count/sum gauges, labeled with the
   // tick domain so readers know which clock the span is over.
-  for (const auto &[Name, W] : activeMetrics().windowSnapshot()) {
+  for (const auto &[Name, W] : Reg.windowSnapshot()) {
     const std::string P = promName(Name) + "_window";
     const std::string Label = std::string("{domain=\"") +
                               tickDomainName(W.Domain) + "\",span=\"" +

@@ -1,14 +1,15 @@
-//===- obs/Metrics.h - Streaming metrics: HDR histograms, windows -*- C++ -*-===//
+//===- obs/Metrics.h - Metric types and Prometheus exposition ---*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The streaming half of the observability stack (docs/INTERNALS.md §11):
-/// a process-wide `MetricsRegistry` of gauges, log-linear (HDR-style)
-/// histograms with error-bounded quantiles, and sliding time-windowed
-/// views, registered alongside the aggregate `obs::Registry` counters.
+/// The metric types the telemetry registry (obs/Counters.h, docs/
+/// INTERNALS.md section 11) holds: int64 counters, gauges, log-linear
+/// (HDR-style) histograms with error-bounded quantiles, and sliding
+/// time-windowed views, plus the Prometheus exposition of the active
+/// registry.
 ///
 /// The log-linear histogram buckets values by octave (power of two), each
 /// octave split into `SubBucketsPerOctave` linear sub-buckets, so any
@@ -16,16 +17,13 @@
 /// `1 / (2 * SubBucketsPerOctave)` of the true sample at that rank —
 /// `relErrorBound()` reports the bound and the exporters carry it next to
 /// the quantiles so downstream gates know the resolution they diff at.
+/// Count, sum, min and max are exact.
 ///
 /// Sliding windows answer "what happened recently" in one of two tick
 /// domains: wall-clock microseconds (`Tracer::nowUs`) or simulated PIM
-/// cycles (a registry-owned logical clock advanced by the simulator).
+/// cycles (the registry-owned logical clock the simulator advances).
 /// A window is a ring of `NumBuckets` accumulator buckets of fixed tick
 /// width; reading sums the buckets that fall inside the trailing span.
-///
-/// Everything is gated on the same switch as the counter registry
-/// (`obs::setObservabilityEnabled`); the `recordMetric*` helpers early-out
-/// on one relaxed atomic load so call sites can live in hot paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,12 +33,24 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace pf::obs {
+
+/// A named int64 counter (values may also go down; "counter" refers to the
+/// aggregation, not a monotonicity contract). Relaxed atomics, safe to
+/// bump from concurrent threads.
+class Counter {
+public:
+  void add(int64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }
+  int64_t value() const { return V.load(std::memory_order_relaxed); }
+  void reset() { V.store(0, std::memory_order_relaxed); }
+
+private:
+  std::atomic<int64_t> V{0};
+};
 
 /// A point-in-time scalar (last write wins, no aggregation).
 class Gauge {
@@ -109,7 +119,7 @@ private:
 /// Which logical clock a sliding window is keyed by.
 enum class TickDomain : uint8_t {
   WallUs,    ///< wall-clock microseconds (obs::Tracer::nowUs)
-  SimCycles, ///< simulated PIM cycles (MetricsRegistry cycle clock)
+  SimCycles, ///< simulated PIM cycles (the registry's cycle clock)
 };
 
 const char *tickDomainName(TickDomain D);
@@ -149,92 +159,10 @@ private:
   std::vector<Bucket> Buckets;
 };
 
-/// A streaming-metric registry. The process-wide default lives behind
-/// `instance()` (enabled/disabled together with obs::Registry via
-/// obs::setObservabilityEnabled); additional instances back session
-/// scopes (obs/Scope.h). Returned references stay valid for the
-/// registry's lifetime; reset() zeroes values but never invalidates them.
-class MetricsRegistry {
-public:
-  MetricsRegistry() = default;
-
-  static MetricsRegistry &instance();
-
-  bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
-  void setEnabled(bool On) { Enabled.store(On, std::memory_order_relaxed); }
-
-  /// Finds or creates the histogram / gauge / window named \p Name. A
-  /// window's domain and width are fixed by its first registration.
-  LogLinearHistogram &histogram(const std::string &Name);
-  Gauge &gauge(const std::string &Name);
-  SlidingWindow &window(const std::string &Name, TickDomain D,
-                        int64_t BucketWidth);
-
-  /// The simulated-cycle logical clock (TickDomain::SimCycles). Advanced
-  /// by the PIM simulator as it retires work; monotonic until reset().
-  void advanceCycles(int64_t N) {
-    CycleClock.fetch_add(N, std::memory_order_relaxed);
-  }
-  int64_t cycles() const {
-    return CycleClock.load(std::memory_order_relaxed);
-  }
-
-  /// All histograms with at least one sample, sorted by name.
-  std::vector<std::pair<std::string, QuantileStats>> histogramSnapshot() const;
-  /// All gauges with a non-zero value, sorted by name.
-  std::vector<std::pair<std::string, double>> gaugeSnapshot() const;
-  /// All windows with at least one in-span sample, sorted by name,
-  /// evaluated at each window's current "now" tick.
-  std::vector<std::pair<std::string, WindowStats>> windowSnapshot() const;
-
-  /// Zeroes every metric and the cycle clock (registrations survive).
-  void reset();
-
-private:
-  std::atomic<bool> Enabled{false};
-  std::atomic<int64_t> CycleClock{0};
-  mutable std::mutex Mu;
-  std::map<std::string, std::unique_ptr<LogLinearHistogram>> Histograms;
-  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
-  std::map<std::string, std::unique_ptr<SlidingWindow>> Windows;
-};
-
-/// The metrics registry obs helpers route to on this thread: the
-/// installed session scope's (obs/Scope.h) when a ScopeGuard is live, the
-/// global `MetricsRegistry::instance()` otherwise. Defined in Scope.cpp.
-MetricsRegistry &activeMetrics();
-
-/// Records \p X into HDR histogram \p Name when metrics are enabled.
-inline void recordMetric(const char *Name, double X) {
-  MetricsRegistry &M = activeMetrics();
-  if (M.enabled())
-    M.histogram(Name).record(X);
-}
-
-/// Records \p X into both the HDR histogram \p Name and its sliding
-/// window (same name, domain \p D, \p BucketWidth ticks per bucket) at
-/// tick \p Tick.
-void recordMetricWindowed(const char *Name, TickDomain D, int64_t BucketWidth,
-                          int64_t Tick, double X);
-
-/// Sets gauge \p Name when metrics are enabled.
-inline void setGauge(const char *Name, double X) {
-  MetricsRegistry &M = activeMetrics();
-  if (M.enabled())
-    M.gauge(Name).set(X);
-}
-
-/// Advances the simulated-cycle clock when metrics are enabled.
-inline void advanceSimCycles(int64_t N) {
-  MetricsRegistry &M = activeMetrics();
-  if (M.enabled())
-    M.advanceCycles(N);
-}
-
-/// Renders every enabled-registry metric — counters and min/max histograms
-/// from obs::Registry, gauges / HDR histograms / windows from
-/// MetricsRegistry — in the Prometheus text exposition format, sorted by
-/// metric name within each section. HDR histograms become `summary`
+/// Renders every metric of the active registry (obs/Counters.h) —
+/// counters, gauges, HDR histograms and windows — in the Prometheus text
+/// exposition format, sorted by metric name within each section. HDR
+/// histograms become `summary`
 /// families with p50/p90/p99/p999 `quantile` samples plus `_sum` and
 /// `_count`. Names are sanitized (`.` and `-` become `_`) and prefixed
 /// with `pimflow_`.

@@ -10,7 +10,6 @@
 #include <cmath>
 
 #include "obs/Counters.h"
-#include "obs/Metrics.h"
 #include "search/SearchEngine.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -126,9 +125,6 @@ std::string pf::obs::renderPerfReport(const CompileResult &R) {
   const ExecutionStats S = computeStats(R);
   const AttributionReport A =
       attributeTimeline(R.Transformed, R.Schedule, R.Config);
-  // Surface the phase totals as counters too, so they show up in every
-  // counter dump alongside the report.
-  exportPhaseCounters(A.Phases);
 
   JsonWriter W;
   W.beginObject();
@@ -204,18 +200,18 @@ std::string pf::obs::renderPerfReport(const CompileResult &R) {
 }
 
 void pf::obs::emitObsSections(JsonWriter &W) {
+  // Every snapshot is sorted by name, so two reports of the same run are
+  // byte-identical.
   const Registry &Reg = activeRegistry();
   W.key("counters").beginObject();
   for (const auto &[Name, Value] : Reg.counterSnapshot())
     W.field(Name, Value);
   W.endObject();
 
-  // Schema v2: the streaming-metric section. Every snapshot is sorted by
-  // name, so two reports of the same run are byte-identical.
-  const MetricsRegistry &M = activeMetrics();
+  // Schema v2: the streaming-metric section.
   W.key("metrics").beginObject();
   W.key("histograms").beginObject();
-  for (const auto &[Name, Q] : M.histogramSnapshot()) {
+  for (const auto &[Name, Q] : Reg.histogramSnapshot()) {
     W.key(Name)
         .beginObject()
         .field("count", Q.Count)
@@ -232,11 +228,11 @@ void pf::obs::emitObsSections(JsonWriter &W) {
   }
   W.endObject();
   W.key("gauges").beginObject();
-  for (const auto &[Name, V] : M.gaugeSnapshot())
+  for (const auto &[Name, V] : Reg.gaugeSnapshot())
     W.field(Name, V);
   W.endObject();
   W.key("windows").beginObject();
-  for (const auto &[Name, WS] : M.windowSnapshot()) {
+  for (const auto &[Name, WS] : Reg.windowSnapshot()) {
     W.key(Name)
         .beginObject()
         .field("domain", tickDomainName(WS.Domain))

@@ -6,9 +6,11 @@
 ///
 /// \file
 /// The machine-readable performance report behind the driver's
-/// `--perf-report=<path>` flag: one schema-versioned JSON document merging
-/// the stats export, the timeline attribution (critical path, slack, lane
-/// utilization, per-channel phase cycles) and the search's decision trail.
+/// `--perf-report=<path>` flag, a run's one machine-readable export: one
+/// schema-versioned JSON document merging the `renderReport` numbers
+/// (stats, timeline, segments, recovery), the whole telemetry registry,
+/// the timeline attribution (critical path, slack, lane utilization,
+/// per-channel phase cycles) and the search's decision trail.
 /// `renderPerfReportText` renders a parsed report for humans (`pimflow
 /// report`), and `perfDiff` compares two reports (or two bench-results
 /// dumps) with per-metric relative thresholds — the regression gate behind
@@ -57,6 +59,12 @@
 /// plus — for sampled requests — a `segments` array of queue/exec/retry
 /// intervals on the virtual clock (the substrate of `pimflow report
 /// --request=<id>`). Every v3 key is unchanged.
+///
+/// Still version 4: since the registry has one histogram type,
+/// `metrics.histograms` also carries `profiler.measure_wall_us` and
+/// `search.segment_predicted_us`, and the report's `counters` and
+/// `metrics` no longer include the exporters' own re-planning work. No
+/// key changed.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,10 +24,4 @@ Registry &activeRegistry() {
   return Registry::instance();
 }
 
-MetricsRegistry &activeMetrics() {
-  if (Scope *S = CurrentScope)
-    return S->metrics();
-  return MetricsRegistry::instance();
-}
-
 } // namespace pf::obs

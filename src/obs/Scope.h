@@ -6,18 +6,19 @@
 ///
 /// \file
 /// Per-session observability scopes (docs/INTERNALS.md section 13). The
-/// process-wide `Registry` / `MetricsRegistry` singletons make the engine
-/// non-reentrant: two concurrent `PimFlow` runs interleave their counters,
-/// quantiles, and gauges into one shared namespace, so neither run can be
-/// attributed afterwards. A `Scope` is a private pair of registries a
-/// caller (a serve `Session`, a bench iteration, a test) owns outright;
-/// installing it with a `ScopeGuard` reroutes every `obs::addCounter` /
-/// `obs::recordMetric` / `obs::setGauge` / `obs::advanceSimCycles` call on
-/// the *current thread* into the scope instead of the globals.
+/// process-wide `Registry` singleton makes the engine non-reentrant: two
+/// concurrent `PimFlow` runs interleave their counters, quantiles, and
+/// gauges into one shared namespace, so neither run can be attributed
+/// afterwards. A `Scope` is a private registry a caller (a serve
+/// `Session`, a bench iteration, a test, an exporter re-planning kernels)
+/// owns outright; installing it with a `ScopeGuard` reroutes every
+/// `obs::addCounter` / `obs::recordMetric` / `obs::setGauge` /
+/// `obs::advanceSimCycles` call on the *current thread* into the scope
+/// instead of the global registry.
 ///
 /// Routing is thread-local by design: concurrent sessions on different
 /// threads each see only their own scope, and a thread with no guard
-/// installed keeps the historical behaviour (the global singletons), so
+/// installed keeps the historical behaviour (the global registry), so
 /// every existing one-shot CLI path is unchanged.
 ///
 /// Deliberately global (documented exclusions, see `resetAll()`):
@@ -34,39 +35,25 @@
 #define PIMFLOW_OBS_SCOPE_H
 
 #include "obs/Counters.h"
-#include "obs/Metrics.h"
 
 namespace pf::obs {
 
-/// A private observability namespace: one counter/histogram registry plus
-/// one streaming-metrics registry, constructed enabled (a scope exists to
-/// collect; the global on/off switch only governs the global registries).
-/// Scopes are cheap enough to create per request and must outlive any
-/// ScopeGuard installing them.
+/// A private observability namespace: one registry, constructed enabled (a
+/// scope exists to collect; the global on/off switch only governs the
+/// global registry). Scopes are cheap enough to create per request and
+/// must outlive any ScopeGuard installing them.
 class Scope {
 public:
-  Scope() {
-    Reg.setEnabled(true);
-    Met.setEnabled(true);
-  }
+  Scope() { Reg.setEnabled(true); }
 
   Scope(const Scope &) = delete;
   Scope &operator=(const Scope &) = delete;
 
   Registry &registry() { return Reg; }
   const Registry &registry() const { return Reg; }
-  MetricsRegistry &metrics() { return Met; }
-  const MetricsRegistry &metrics() const { return Met; }
-
-  /// Zeroes both registries (registrations survive, like the globals).
-  void reset() {
-    Reg.reset();
-    Met.reset();
-  }
 
 private:
   Registry Reg;
-  MetricsRegistry Met;
 };
 
 /// RAII installer: routes this thread's obs helpers into \p S for the
@@ -87,7 +74,7 @@ private:
 };
 
 /// The scope installed on the current thread, or nullptr when obs calls
-/// route to the global singletons.
+/// route to the global registry.
 Scope *currentScope();
 
 } // namespace pf::obs

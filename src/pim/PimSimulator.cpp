@@ -10,7 +10,6 @@
 
 #include "obs/Counters.h"
 #include "obs/FlightRecorder.h"
-#include "obs/Metrics.h"
 
 using namespace pf;
 
@@ -23,17 +22,20 @@ constexpr int64_t ChannelCycleBucket = 1'000'000;
 /// Streams the completions of \p Copies channels that each took \p Cycles
 /// into the telemetry registry: one `pim.channel_cycles` quantile
 /// histogram sample per channel plus its simulated-cycle window, keyed by
-/// the logical cycle clock the simulator advances.
+/// the logical cycle clock the simulator advances. The two metrics are
+/// looked up once per call, not once per channel: this runs for every
+/// simulated channel, and each lookup takes the registry lock.
 void recordChannelCycles(int64_t Cycles, int Copies = 1) {
-  pf::obs::MetricsRegistry &M = pf::obs::activeMetrics();
+  pf::obs::Registry &M = pf::obs::activeRegistry();
   if (!M.enabled())
     return;
+  pf::obs::LogLinearHistogram &H = M.histogram("pim.channel_cycles");
+  pf::obs::SlidingWindow &W = M.window(
+      "pim.channel_cycles", pf::obs::TickDomain::SimCycles, ChannelCycleBucket);
   for (int I = 0; I < Copies; ++I) {
     M.advanceCycles(Cycles);
-    pf::obs::recordMetricWindowed("pim.channel_cycles",
-                                  pf::obs::TickDomain::SimCycles,
-                                  ChannelCycleBucket, M.cycles(),
-                                  static_cast<double>(Cycles));
+    H.record(static_cast<double>(Cycles));
+    W.record(M.cycles(), static_cast<double>(Cycles));
   }
 }
 

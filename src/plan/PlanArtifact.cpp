@@ -11,7 +11,7 @@
 #include <cstring>
 
 #include "ir/GraphSerializer.h"
-#include "obs/Metrics.h"
+#include "obs/Counters.h"
 #include "obs/Trace.h"
 #include "support/Format.h"
 #include "support/StringUtil.h"

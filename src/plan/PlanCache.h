@@ -21,8 +21,8 @@
 ///
 /// Observability: `plan_cache.{hit,miss,store,evict,invalid}` counters and
 /// the `plan.load_us` / `plan.validate_us` latency histograms (recorded by
-/// the artifact layer) surface in `--json-stats`, `--perf-report`, and the
-/// Prometheus exposition.
+/// the artifact layer) surface in `--perf-report` and the Prometheus
+/// exposition.
 ///
 //===----------------------------------------------------------------------===//
 

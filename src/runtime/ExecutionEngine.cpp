@@ -354,7 +354,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
   // Streaming telemetry off the final timeline only (the contention model's
   // first pass would double-count): per-node latency quantiles windowed
   // over wall time, plus the completion event for the flight trace.
-  if (obs::activeMetrics().enabled()) {
+  if (obs::activeRegistry().enabled()) {
     const int64_t NowUs =
         static_cast<int64_t>(obs::Tracer::instance().nowUs());
     for (const NodeSchedule &S : TL.Nodes)

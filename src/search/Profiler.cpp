@@ -160,11 +160,11 @@ double Profiler::measure(const std::string &Key,
     throw;
   }
   if (Observed)
-    obs::recordHistogram("profiler.measure_wall_us",
-                         obs::Tracer::instance().nowUs() - StartUs);
+    obs::recordMetric("profiler.measure_wall_us",
+                      obs::Tracer::instance().nowUs() - StartUs);
   // Per-candidate profile latency in *simulated* nanoseconds: the
   // deterministic tail-latency distribution the bench baselines gate on
-  // (wall time stays in the plain histogram above). Failed pipeline
+  // (wall time stays in the histogram above, which no gate judges). Failed pipeline
   // probes return a negative sentinel and are not latencies.
   if (Ns >= 0.0)
     obs::recordMetricWindowed("profiler.profile_sim_ns",

@@ -314,8 +314,7 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
                   static_cast<int64_t>(Plan.Segments.size()));
   if (obs::activeRegistry().enabled())
     for (const SegmentPlan &S : Plan.Segments)
-      obs::recordHistogram("search.segment_predicted_us",
-                           S.PredictedNs / 1e3);
+      obs::recordMetric("search.segment_predicted_us", S.PredictedNs / 1e3);
   return Plan;
 }
 

@@ -10,7 +10,7 @@
 
 #include "models/Zoo.h"
 #include "obs/Json.h"
-#include "obs/StatsExport.h"
+#include "obs/PerfReport.h"
 
 using namespace pf;
 
@@ -73,11 +73,11 @@ TEST(ReportTest, WeightPlacementSplitsByDevice) {
   EXPECT_GT(S.GpuWeightBytes, 10'000'000); // Conv weights stay.
 }
 
-TEST(ReportTest, JsonStatsRoundTripMatchesComputeStats) {
+TEST(ReportTest, PerfReportStatsMatchComputeStats) {
   CompileResult R = PimFlow(OffloadPolicy::PimFlow).compileAndRun(buildToy());
   const ExecutionStats S = computeStats(R);
 
-  const auto Doc = obs::JsonValue::parse(obs::renderStatsJson(R, S));
+  const auto Doc = obs::JsonValue::parse(obs::renderPerfReport(R));
   ASSERT_TRUE(Doc.has_value());
   EXPECT_EQ(Doc->find("model")->Str, R.Transformed.name());
   EXPECT_EQ(Doc->find("policy")->Str, policyName(R.Policy));
@@ -86,7 +86,8 @@ TEST(ReportTest, JsonStatsRoundTripMatchesComputeStats) {
   const obs::JsonValue *J = Doc->find("stats");
   ASSERT_NE(J, nullptr);
   // Every command total must match the prose report's source of truth
-  // exactly (renderStatsJson and renderReport both serialize computeStats).
+  // exactly (renderPerfReport and renderReport both serialize
+  // computeStats).
   EXPECT_EQ(J->numberOr("gpu_kernels", -1), S.GpuKernels);
   EXPECT_EQ(J->numberOr("pim_kernels", -1), S.PimKernels);
   EXPECT_EQ(J->numberOr("fused_or_free_nodes", -1), S.FusedOrFreeNodes);

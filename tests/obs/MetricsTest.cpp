@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/Counters.h"
 #include "obs/Metrics.h"
 
 using namespace pf::obs;
@@ -139,61 +140,61 @@ TEST(SlidingWindow, StaleBucketsExcludedWithoutRewrite) {
   EXPECT_EQ(W.stats(10'000).Count, 0);
 }
 
-class MetricsRegistryTest : public ::testing::Test {
+class RegistryTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    MetricsRegistry::instance().reset();
-    WasEnabled = MetricsRegistry::instance().enabled();
-    MetricsRegistry::instance().setEnabled(true);
+    Registry::instance().reset();
+    WasEnabled = Registry::instance().enabled();
+    Registry::instance().setEnabled(true);
   }
   void TearDown() override {
-    MetricsRegistry::instance().reset();
-    MetricsRegistry::instance().setEnabled(WasEnabled);
+    Registry::instance().reset();
+    Registry::instance().setEnabled(WasEnabled);
   }
   bool WasEnabled = false;
 };
 
-TEST_F(MetricsRegistryTest, SnapshotsAreNameSorted) {
+TEST_F(RegistryTest, SnapshotsAreNameSorted) {
   recordMetric("unit.zz_last", 1.0);
   recordMetric("unit.aa_first", 1.0);
   recordMetric("unit.mm_middle", 1.0);
-  const auto Snap = MetricsRegistry::instance().histogramSnapshot();
+  const auto Snap = Registry::instance().histogramSnapshot();
   ASSERT_EQ(Snap.size(), 3u);
   EXPECT_TRUE(std::is_sorted(
       Snap.begin(), Snap.end(),
       [](const auto &A, const auto &B) { return A.first < B.first; }));
 }
 
-TEST_F(MetricsRegistryTest, DisabledRecordingIsDropped) {
-  MetricsRegistry::instance().setEnabled(false);
+TEST_F(RegistryTest, DisabledRecordingIsDropped) {
+  Registry::instance().setEnabled(false);
   recordMetric("unit.gated", 1.0);
   setGauge("unit.gated_gauge", 1.0);
-  MetricsRegistry::instance().setEnabled(true);
-  EXPECT_TRUE(MetricsRegistry::instance().histogramSnapshot().empty());
-  EXPECT_TRUE(MetricsRegistry::instance().gaugeSnapshot().empty());
+  Registry::instance().setEnabled(true);
+  EXPECT_TRUE(Registry::instance().histogramSnapshot().empty());
+  EXPECT_TRUE(Registry::instance().gaugeSnapshot().empty());
 }
 
-TEST_F(MetricsRegistryTest, WindowedRecordFeedsBothViews) {
+TEST_F(RegistryTest, WindowedRecordFeedsBothViews) {
   recordMetricWindowed("unit.windowed", TickDomain::SimCycles, 100,
                        /*Tick=*/50, 42.0);
-  const auto Hists = MetricsRegistry::instance().histogramSnapshot();
+  const auto Hists = Registry::instance().histogramSnapshot();
   ASSERT_EQ(Hists.size(), 1u);
   EXPECT_EQ(Hists[0].second.Count, 1);
-  const auto Wins = MetricsRegistry::instance().windowSnapshot();
+  const auto Wins = Registry::instance().windowSnapshot();
   ASSERT_EQ(Wins.size(), 1u);
   EXPECT_EQ(Wins[0].second.Count, 1);
   EXPECT_DOUBLE_EQ(Wins[0].second.Sum, 42.0);
 }
 
-TEST_F(MetricsRegistryTest, CycleClockAdvancesAndResets) {
+TEST_F(RegistryTest, CycleClockAdvancesAndResets) {
   advanceSimCycles(123);
   advanceSimCycles(77);
-  EXPECT_EQ(MetricsRegistry::instance().cycles(), 200);
-  MetricsRegistry::instance().reset();
-  EXPECT_EQ(MetricsRegistry::instance().cycles(), 0);
+  EXPECT_EQ(Registry::instance().cycles(), 200);
+  Registry::instance().reset();
+  EXPECT_EQ(Registry::instance().cycles(), 0);
 }
 
-TEST_F(MetricsRegistryTest, PrometheusRenderCarriesQuantileSamples) {
+TEST_F(RegistryTest, PrometheusRenderCarriesQuantileSamples) {
   for (int I = 1; I <= 100; ++I)
     recordMetric("unit.render-latency", static_cast<double>(I));
   setGauge("unit.render_gauge", 3.5);

@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // Asserts the obs::resetAll() contract documented in obs/Counters.h: one
-// call clears every *global* registry — Tracer spans, Registry counters
-// and histograms, MetricsRegistry histograms/gauges/windows plus the
-// sim-cycle clock, and the FlightRecorder rings — and touches nothing
-// else. In particular a session Scope's registries survive a global
-// sweep: they belong to the scope's owner and are reset only through
-// Scope::reset(). The bench harness relies on this when it brackets
-// iterations with resetAll() (the old bench_micro dance reset only the
-// MetricsRegistry and left half the state cumulative).
+// call clears every *global* store — Tracer spans, the Registry's
+// counters, histograms, gauges, windows and sim-cycle clock, and the
+// FlightRecorder rings — and touches nothing else. In particular a
+// session Scope's registry survives a global sweep: it belongs to the
+// scope's owner and is reset only through `registry().reset()`. The bench
+// harness relies on this when it brackets iterations with resetAll().
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +18,6 @@
 
 #include "obs/Counters.h"
 #include "obs/FlightRecorder.h"
-#include "obs/Metrics.h"
 #include "obs/Scope.h"
 #include "obs/Trace.h"
 
@@ -44,7 +41,6 @@ protected:
 void populateGlobals() {
   Tracer::instance().record("reset.span", "test", 0.0, 1.0);
   addCounter("reset.counter", 3);
-  recordHistogram("reset.histogram", 2.0);
   recordMetric("reset.metric", 4.0);
   setGauge("reset.gauge", 5.0);
   recordMetricWindowed("reset.window", TickDomain::SimCycles, 16, 8, 6.0);
@@ -60,10 +56,9 @@ TEST_F(ResetTest, ResetAllClearsEveryGlobalRegistry) {
   EXPECT_GT(Tracer::instance().numEvents(), 0u);
   EXPECT_FALSE(Registry::instance().counterSnapshot().empty());
   EXPECT_FALSE(Registry::instance().histogramSnapshot().empty());
-  EXPECT_FALSE(MetricsRegistry::instance().histogramSnapshot().empty());
-  EXPECT_FALSE(MetricsRegistry::instance().gaugeSnapshot().empty());
-  EXPECT_FALSE(MetricsRegistry::instance().windowSnapshot().empty());
-  EXPECT_EQ(MetricsRegistry::instance().cycles(), 7);
+  EXPECT_FALSE(Registry::instance().gaugeSnapshot().empty());
+  EXPECT_FALSE(Registry::instance().windowSnapshot().empty());
+  EXPECT_EQ(Registry::instance().cycles(), 7);
   EXPECT_FALSE(FlightRecorder::instance().merged().empty());
 
   resetAll();
@@ -71,10 +66,9 @@ TEST_F(ResetTest, ResetAllClearsEveryGlobalRegistry) {
   EXPECT_EQ(Tracer::instance().numEvents(), 0u);
   EXPECT_TRUE(Registry::instance().counterSnapshot().empty());
   EXPECT_TRUE(Registry::instance().histogramSnapshot().empty());
-  EXPECT_TRUE(MetricsRegistry::instance().histogramSnapshot().empty());
-  EXPECT_TRUE(MetricsRegistry::instance().gaugeSnapshot().empty());
-  EXPECT_TRUE(MetricsRegistry::instance().windowSnapshot().empty());
-  EXPECT_EQ(MetricsRegistry::instance().cycles(), 0);
+  EXPECT_TRUE(Registry::instance().gaugeSnapshot().empty());
+  EXPECT_TRUE(Registry::instance().windowSnapshot().empty());
+  EXPECT_EQ(Registry::instance().cycles(), 0);
   EXPECT_TRUE(FlightRecorder::instance().merged().empty());
 }
 
@@ -101,21 +95,21 @@ TEST_F(ResetTest, SessionScopesSurviveTheGlobalSweep) {
   }
   // The scope diverted the records away from the globals...
   EXPECT_TRUE(Registry::instance().counterSnapshot().empty());
-  EXPECT_TRUE(MetricsRegistry::instance().histogramSnapshot().empty());
+  EXPECT_TRUE(Registry::instance().histogramSnapshot().empty());
 
   populateGlobals();
   resetAll();
 
-  // ...and the global sweep must not reach into the session's registries.
+  // ...and the global sweep must not reach into the session's registry.
   auto Scoped = Session.registry().counterSnapshot();
   ASSERT_EQ(Scoped.size(), 1u);
   EXPECT_EQ(Scoped[0].second, 11);
-  ASSERT_EQ(Session.metrics().histogramSnapshot().size(), 1u);
+  ASSERT_EQ(Session.registry().histogramSnapshot().size(), 1u);
 
-  // Scope::reset() is the owner's tool for its own registries.
-  Session.reset();
+  // The owner resets its own registry.
+  Session.registry().reset();
   EXPECT_TRUE(Session.registry().counterSnapshot().empty());
-  EXPECT_TRUE(Session.metrics().histogramSnapshot().empty());
+  EXPECT_TRUE(Session.registry().histogramSnapshot().empty());
 }
 
 TEST_F(ResetTest, ScopeGuardRestoresGlobalRoutingOnExit) {

@@ -26,10 +26,10 @@ class TraceTest : public ::testing::Test {
 protected:
   void SetUp() override {
     obs::setObservabilityEnabled(true);
-    obs::resetObservability();
+    obs::resetAll();
   }
   void TearDown() override {
-    obs::resetObservability();
+    obs::resetAll();
     obs::setObservabilityEnabled(false);
   }
 };
@@ -92,20 +92,21 @@ TEST_F(TraceTest, CountersAggregateAcrossThreads) {
 }
 
 TEST_F(TraceTest, HistogramTracksMinMaxMean) {
-  obs::recordHistogram("test.hist", 2.0);
-  obs::recordHistogram("test.hist", 6.0);
-  obs::recordHistogram("test.hist", 4.0);
+  obs::recordMetric("test.hist", 2.0);
+  obs::recordMetric("test.hist", 6.0);
+  obs::recordMetric("test.hist", 4.0);
   const auto S = obs::Registry::instance().histogram("test.hist").stats();
   EXPECT_EQ(S.Count, 3);
   EXPECT_EQ(S.Min, 2.0);
   EXPECT_EQ(S.Max, 6.0);
+  EXPECT_DOUBLE_EQ(S.Sum, 12.0);
   EXPECT_DOUBLE_EQ(S.mean(), 4.0);
 }
 
 TEST_F(TraceTest, ResetZeroesButKeepsReferences) {
   obs::Counter &C = obs::Registry::instance().counter("test.reset");
   C.add(5);
-  obs::resetObservability();
+  obs::resetAll();
   EXPECT_EQ(C.value(), 0);
   C.add(2);
   EXPECT_EQ(obs::Registry::instance().counter("test.reset").value(), 2);

@@ -101,12 +101,12 @@ template <typename Fn> RunTelemetry telemetryOf(Fn &&Run) {
   }
   RunTelemetry T;
   T.Counters = S.registry().counterSnapshot();
-  for (const auto &[Name, Q] : S.metrics().histogramSnapshot())
+  for (const auto &[Name, Q] : S.registry().histogramSnapshot())
     if (Name == "pim.channel_cycles") {
       T.ChannelSamples = Q.Count;
       T.ChannelCycleSum = Q.Sum;
     }
-  T.SimCycles = S.metrics().cycles();
+  T.SimCycles = S.registry().cycles();
   return T;
 }
 

@@ -133,7 +133,7 @@ TEST(ServerTest, ServeFamiliesLandInTheCallersScope) {
   EXPECT_EQ(Shed, R.Shed);
 
   bool SawLatency = false;
-  for (const auto &[Name, Stats] : Caller.metrics().histogramSnapshot())
+  for (const auto &[Name, Stats] : Caller.registry().histogramSnapshot())
     if (Name == "serve.request_latency_ns") {
       SawLatency = true;
       EXPECT_EQ(Stats.Count, R.completed());

@@ -291,7 +291,7 @@ TEST(ServeChaosTest, DeadlinesShedAndClassify) {
   EXPECT_EQ(Expired, R.DeadlineExpiredQueued);
 
   bool SawSlack = false, SawOverrun = false;
-  for (const auto &[Name, Stats] : Caller.metrics().histogramSnapshot()) {
+  for (const auto &[Name, Stats] : Caller.registry().histogramSnapshot()) {
     if (Name == "serve.deadline_slack_ns") {
       SawSlack = true;
       EXPECT_EQ(Stats.Count, R.DeadlineMet);

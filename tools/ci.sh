@@ -27,7 +27,9 @@
 #      quantile histograms required) and a flight-recorder dump (asserted
 #      non-empty and carrying the recovery ladder's events), then an
 #      unrecovered-fault run (--no-recovery) proving the auto-dump fires
-#      on the failure path.
+#      on the failure path, then the same run's counter families compared
+#      byte for byte across --trace-out / --perf-report combinations (an
+#      exporter must not count its own work).
 #   7. The plan-artifact tier: compile -> replay determinism (a replayed
 #      plan reproduces the fresh run's execution line, skips the search,
 #      and hits the plan cache on a recompile), then the corruption
@@ -85,7 +87,7 @@ cmake -B build-tsan -S . -DPIMFLOW_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
   --target support_test search_test obs_test serve_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|Profiler|SearchEngine|SearchDeterminism|AlgorithmDp|LayerExtract|FlightRecorder|MetricsRegistry|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure'
+  -R 'ThreadPool|Profiler|SearchEngine|SearchDeterminism|AlgorithmDp|LayerExtract|FlightRecorder|RegistryTest|CountersAggregateAcrossThreads|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure'
 
 echo "== tier 4: chaos fault-injection suite (fixed seeds), then under TSan =="
 ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Chaos'
@@ -161,6 +163,26 @@ if ! [ -s "$TEL_DIR/toy.crash.txt" ]; then
 fi
 grep -q 'kind=channel-dead' "$TEL_DIR/toy.crash.txt"
 grep -q 'kind=exec-error' "$TEL_DIR/toy.crash.txt"
+# Exporters never count their own work: with a warm profile log, the
+# counter families of a run are the same whichever exports it writes.
+./build/tools/pimflow run toy --dir="$TEL_DIR" --jobs=1 > /dev/null
+counters() { # <name> <export flags...>
+  local NAME="$1"
+  shift
+  ./build/tools/pimflow run toy --dir="$TEL_DIR" --jobs=1 \
+    --metrics-out="$TEL_DIR/$NAME.metrics.txt" "$@" > /dev/null
+  sed -n '/^# TYPE .* counter$/{n;p}' "$TEL_DIR/$NAME.metrics.txt" \
+    > "$TEL_DIR/$NAME.counters.txt"
+}
+counters alone
+counters traced --trace-out="$TEL_DIR/toy.trace.json"
+counters reported --perf-report="$TEL_DIR/toy.perf.json"
+counters both --trace-out="$TEL_DIR/toy.trace.json" \
+  --perf-report="$TEL_DIR/toy.perf.json"
+grep -q '^pimflow_codegen_plans ' "$TEL_DIR/alone.counters.txt"
+for NAME in traced reported both; do
+  cmp "$TEL_DIR/alone.counters.txt" "$TEL_DIR/$NAME.counters.txt"
+done
 
 echo "== tier 7: plan artifacts — compile/replay determinism + corruption matrix =="
 PLAN_DIR=build/plan-smoke

@@ -9,7 +9,6 @@
 /// shape, for CTest smoke tests and shell pipelines:
 ///
 ///   pf_json_check --chrome trace.json   # Chrome trace: semantic checks
-///   pf_json_check --stats stats.json    # stats dump: stats object present
 ///   pf_json_check file.json             # any well-formed JSON document
 ///
 /// --chrome validates the trace semantically, not just syntactically
@@ -33,12 +32,10 @@ using namespace pf;
 
 int main(int Argc, char **Argv) {
   const char *Path = nullptr;
-  bool WantChrome = false, WantStats = false;
+  bool WantChrome = false;
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--chrome") == 0)
       WantChrome = true;
-    else if (std::strcmp(Argv[I], "--stats") == 0)
-      WantStats = true;
     else if (Argv[I][0] == '-') {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Argv[I]);
       return 2;
@@ -47,7 +44,7 @@ int main(int Argc, char **Argv) {
   }
   if (!Path) {
     std::fprintf(stderr,
-                 "usage: pf_json_check [--chrome|--stats] <file.json>\n");
+                 "usage: pf_json_check [--chrome] <file.json>\n");
     return 2;
   }
 
@@ -74,17 +71,8 @@ int main(int Argc, char **Argv) {
                 "%zu flow chains)\n",
                 Path, Summary.Events, Summary.PairedSpans,
                 Summary.FlowChains);
-  }
-  if (WantStats) {
-    const obs::JsonValue *Stats = Doc->find("stats");
-    if (!Stats || !Stats->isObject()) {
-      std::fprintf(stderr, "error: %s: missing 'stats' object\n", Path);
-      return 1;
-    }
-    std::printf("%s: valid stats dump, %zu stat fields\n", Path,
-                Stats->Object.size());
-  }
-  if (!WantChrome && !WantStats)
+  } else {
     std::printf("%s: well-formed JSON\n", Path);
+  }
   return 0;
 }

@@ -15,7 +15,7 @@
 ///   - every non-comment line is `name[{labels}] value` with a finite
 ///     numeric value and a legal metric name ([a-zA-Z_:][a-zA-Z0-9_:]*);
 ///   - every sample is preceded by a `# TYPE` line for its family
-///     (suffixes `_sum`/`_count`/`_min`/`_max` and label-only variants
+///     (suffixes `_sum`/`_count` and label-only variants
 ///     bind to their base family);
 ///   - no family is declared by two TYPE lines;
 ///   - within a family, `quantile="Q"` samples appear with strictly
@@ -65,7 +65,7 @@ std::string familyOf(const std::string &Name,
                      const std::set<std::string> &Declared) {
   if (Declared.count(Name))
     return Name;
-  for (const char *Suffix : {"_sum", "_count", "_min", "_max"}) {
+  for (const char *Suffix : {"_sum", "_count"}) {
     const size_t Len = std::strlen(Suffix);
     if (Name.size() > Len &&
         Name.compare(Name.size() - Len, Len, Suffix) == 0) {

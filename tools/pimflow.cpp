@@ -67,7 +67,7 @@
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/PerfReport.h"
-#include "obs/StatsExport.h"
+#include "obs/Scope.h"
 #include "obs/Trace.h"
 #include "serve/LoadGen.h"
 #include "serve/ServeReport.h"
@@ -92,7 +92,6 @@ struct CliOptions {
   OffloadPolicy Policy = OffloadPolicy::PimFlow;
   std::string GraphFile; // -m=run --graph=<file>: skip search, execute.
   std::string TraceOut;  // --trace-out=<file>: Chrome trace-event JSON.
-  std::string JsonStats; // --json-stats=<file>: machine-readable report.
   std::string PerfReport; // --perf-report=<file>: attribution report JSON.
   std::string ReportFile; // `pimflow report <file>`: report to render.
   std::string MetricsOut; // --metrics-out=<file>: Prometheus exposition.
@@ -127,8 +126,7 @@ struct CliOptions {
   }
 
   bool observed() const {
-    return !TraceOut.empty() || !JsonStats.empty() || !PerfReport.empty() ||
-           !MetricsOut.empty();
+    return !TraceOut.empty() || !PerfReport.empty() || !MetricsOut.empty();
   }
 };
 
@@ -166,8 +164,8 @@ void usage() {
       "               [--verify] [--differential] [--max-errors=N]\n"
       "               [--faults=<spec|chaos>] [--fault-seed=N] "
       "[--max-retries=N] [--pim-floor=N] [--no-recovery]\n"
-      "               [--trace-out=<file>] [--json-stats=<file>] "
-      "[--perf-report=<file>] [-v|-vv]\n"
+      "               [--trace-out=<file>] [--perf-report=<file>] "
+      "[-v|-vv]\n"
       "               [--metrics-out=<file>] [--flight-dump=<file>]\n"
       "nets: efficientnet-v1-b0 mobilenet-v2 mnasnet-1.0 resnet-50 vgg-16 "
       "bert toy\n"
@@ -245,8 +243,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
       O.GraphFile = Val();
     else if (startsWith(Arg, "--trace-out="))
       O.TraceOut = Val();
-    else if (startsWith(Arg, "--json-stats="))
-      O.JsonStats = Val();
     else if (startsWith(Arg, "--perf-report="))
       O.PerfReport = Val();
     else if (startsWith(Arg, "--metrics-out="))
@@ -371,28 +367,25 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
              "--trace-sample) require the serve verb");
     Ok = false;
   }
-  if (O.Mode == "serve" && !O.JsonStats.empty()) {
-    // Silently ignored until the flag combinations were made hard errors;
-    // serve's machine-readable export is --perf-report.
-    DE.error(DiagCode::BadOption, "--json-stats",
-             "applies to single runs; serve exports --perf-report instead");
+  if (O.Mode == "compile" &&
+      (!O.TraceOut.empty() || !O.PerfReport.empty())) {
+    DE.error(DiagCode::BadOption, "compile",
+             "runs no execution, so --trace-out/--perf-report have nothing "
+             "to export (use run, or serve for request traces)");
     Ok = false;
   }
-  if (O.Mode == "compile" &&
-      (!O.TraceOut.empty() || !O.JsonStats.empty() ||
-       !O.PerfReport.empty())) {
-    DE.error(DiagCode::BadOption, "compile",
-             "runs no execution, so --trace-out/--json-stats/--perf-report "
-             "have nothing to export (use run, or serve for request "
-             "traces)");
+  if (O.Mode == "profile" && !O.PerfReport.empty()) {
+    DE.error(DiagCode::BadOption, "profile",
+             "runs no execution, so --perf-report has nothing to report "
+             "(use run)");
     Ok = false;
   }
   if (O.Mode == "report" &&
       (O.observed() || !O.FlightDump.empty())) {
     DE.error(DiagCode::BadOption, "report",
              "renders an existing document; output flags (--trace-out/"
-             "--json-stats/--perf-report/--metrics-out/--flight-dump) are "
-             "meaningless here");
+             "--perf-report/--metrics-out/--flight-dump) are meaningless "
+             "here");
     Ok = false;
   }
   if (O.ReportRequest >= 0 && O.Mode != "report") {
@@ -483,27 +476,36 @@ std::optional<Graph> resolveModel(const std::string &NameOrPath) {
   return std::nullopt;
 }
 
-/// Writes --json-stats and --trace-out for a finished compile. Stats go
-/// first: rendering the Chrome trace re-plans the offloaded kernels, which
-/// bumps codegen counters that would otherwise leak into the stats dump.
+/// Writes the Prometheus exposition to --metrics-out, when given.
+bool writeMetricsOut(const CliOptions &O) {
+  if (O.MetricsOut.empty())
+    return true;
+  if (!obs::writeMetricsText(O.MetricsOut)) {
+    std::fprintf(stderr, "error: cannot write %s\n", O.MetricsOut.c_str());
+    return false;
+  }
+  std::printf("metrics exposition written to %s\n", O.MetricsOut.c_str());
+  return true;
+}
+
+/// Writes --perf-report, --trace-out and --metrics-out for a finished
+/// compile. The exporters re-plan offloaded kernels under throwaway
+/// scopes, so the telemetry is the same whichever of them run.
 int exportObservability(const CliOptions &O, const CompileResult &R) {
-  // In-run anomaly watchdog: with telemetry collected, check tail-latency
-  // ratios, lane idle gaps and retry rates before anything is exported, so
-  // the warnings land next to the run they describe.
-  if (obs::MetricsRegistry::instance().enabled() &&
-      !R.Schedule.Nodes.empty()) {
-    DiagnosticEngine ADE;
+  // With telemetry collected, attribute the timeline once: record its
+  // critical-path and phase counters for this run, then run the in-run
+  // anomaly watchdog (tail-latency ratios, lane idle gaps, retry rates)
+  // before anything is exported, so the warnings land next to the run
+  // they describe.
+  if (obs::Registry::instance().enabled() && !R.Schedule.Nodes.empty()) {
     const obs::AttributionReport A =
         obs::attributeTimeline(R.Transformed, R.Schedule, R.Config);
+    obs::addCounter("attrib.critical_steps",
+                    static_cast<int64_t>(A.Critical.Steps.size()));
+    obs::exportPhaseCounters(A.Phases);
+    DiagnosticEngine ADE;
     if (obs::evaluateAnomalies(ADE, &A) > 0)
       std::fprintf(stderr, "%s", ADE.render().c_str());
-  }
-  if (!O.JsonStats.empty()) {
-    if (!obs::writeStatsJson(R, O.JsonStats)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.JsonStats.c_str());
-      return 1;
-    }
-    std::printf("JSON stats written to %s\n", O.JsonStats.c_str());
   }
   if (!O.PerfReport.empty()) {
     if (!obs::writePerfReport(R, O.PerfReport)) {
@@ -523,14 +525,7 @@ int exportObservability(const CliOptions &O, const CompileResult &R) {
                 "ui.perfetto.dev)\n",
                 O.TraceOut.c_str());
   }
-  if (!O.MetricsOut.empty()) {
-    if (!obs::writeMetricsText(O.MetricsOut)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.MetricsOut.c_str());
-      return 1;
-    }
-    std::printf("metrics exposition written to %s\n", O.MetricsOut.c_str());
-  }
-  return 0;
+  return writeMetricsOut(O) ? 0 : 1;
 }
 
 /// Prints the degradation summary of a fault-injected run.
@@ -594,7 +589,7 @@ int runProfile(const CliOptions &O) {
     }
     std::printf("Chrome trace written to %s\n", O.TraceOut.c_str());
   }
-  return 0;
+  return writeMetricsOut(O) ? 0 : 1;
 }
 
 int runSolve(const CliOptions &O) {
@@ -764,14 +759,7 @@ int runCompile(const CliOptions &O) {
                 Cache->stores());
   if (!saveProfileLog(Flow.profiler(), O))
     return 1;
-  if (!O.MetricsOut.empty()) {
-    if (!obs::writeMetricsText(O.MetricsOut)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.MetricsOut.c_str());
-      return 1;
-    }
-    std::printf("metrics exposition written to %s\n", O.MetricsOut.c_str());
-  }
-  return 0;
+  return writeMetricsOut(O) ? 0 : 1;
 }
 
 /// `pimflow run <net> --plan=<file>`: replay a compiled plan artifact —
@@ -870,7 +858,14 @@ int runTrace(const CliOptions &O) {
     if (S.Dev != Device::Pim)
       continue;
     const Node &N = R.Transformed.node(S.Id);
-    const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(R.Transformed, S.Id));
+    PimKernelPlan Plan;
+    {
+      // Re-planning for the dump is export work: keep its telemetry out
+      // of the run's, as the exporters do.
+      obs::Scope Throwaway;
+      obs::ScopeGuard Guard(Throwaway);
+      Plan = Gen.plan(lowerToPimSpec(R.Transformed, S.Id));
+    }
     const std::string Path =
         formatStr("%s/%s.%s.trace", O.Dir.c_str(), O.Net.c_str(),
                   N.Name.c_str());
@@ -1028,13 +1023,8 @@ int runServe(const CliOptions &O) {
                 O.TraceOut.c_str(), R.SampledRequests.size(),
                 R.Sessions.size(), R.SamplePolicy.c_str());
   }
-  if (!O.MetricsOut.empty()) {
-    if (!obs::writeMetricsText(O.MetricsOut)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.MetricsOut.c_str());
-      return 1;
-    }
-    std::printf("metrics exposition written to %s\n", O.MetricsOut.c_str());
-  }
+  if (!writeMetricsOut(O))
+    return 1;
   return DE.hasErrors() ? 1 : 0;
 }
 
