@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The `pimflow -m=solve/run` workflow on any zoo model: run the
+/// The `pimflow solve|run` workflow on any zoo model: run the
 /// execution-mode and task-size search, report the chosen segments, the
 /// device timeline, and the end-to-end result against the GPU baseline.
 ///

@@ -26,7 +26,7 @@ const char *pf::granularityName(ScheduleGranularity G) {
   pf_unreachable("unknown granularity");
 }
 
-std::string PimKernelPlan::describeMapping() const {
+std::string ChannelMapping::describeMapping() const {
   return formatStr("m%d.v%d.k%d@%s", ChannelsForM, ChannelsForV,
                    ChannelsForK, granularityName(Granularity));
 }
@@ -87,6 +87,19 @@ void recordPlanCounters(const PimKernelPlan &Plan) {
 }
 
 } // namespace
+
+PimKernelRecord pf::recordOf(NodeId Id, const PimKernelPlan &Plan) {
+  PF_ASSERT(!Plan.Stats.ChannelPhases.empty(), "PIM plan uses no channel");
+  PimKernelRecord R;
+  static_cast<ChannelMapping &>(R) = Plan;
+  R.Id = Id;
+  R.GwriteBursts = Plan.Stats.GwriteBursts;
+  R.GActs = Plan.Stats.GActs;
+  R.CompColumns = Plan.Stats.CompColumns;
+  R.ReadResCmds = Plan.Stats.ReadResCmds;
+  R.ChannelPhases = Plan.Stats.ChannelPhases.front();
+  return R;
+}
 
 PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
                                                 int ChannelsForM,
@@ -210,8 +223,7 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
   ChannelTrace Channel;
   PimKernelPlan Plan =
       priceMapping(Spec, ChannelsForM, ChannelsForV, ChannelsForK, Channel);
-  Plan.Trace =
-      replicate(Channel, ChannelsForM * ChannelsForV * ChannelsForK);
+  Plan.Trace = replicate(Channel, Plan.usedChannels());
   return Plan;
 }
 
@@ -258,8 +270,7 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
     }
   }
   PF_ASSERT(HaveBest, "no feasible PIM mapping found");
-  Best.Trace = replicate(BestChannel, Best.ChannelsForM * Best.ChannelsForV *
-                                          Best.ChannelsForK);
+  Best.Trace = replicate(BestChannel, Best.usedChannels());
   obs::addCounter("codegen.plans");
   if (obs::activeRegistry().enabled())
     recordPlanCounters(Best);

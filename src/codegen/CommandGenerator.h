@@ -59,23 +59,47 @@ struct CodegenOptions {
   bool StridedGwrite = true;
 };
 
+/// A channel partitioning of one kernel: (M-partitions, vector-partitions,
+/// K-partitions) and the Fig. 6 granularity it needs. It uses channels
+/// 0..usedChannels()-1 of the group it is planned over.
+struct ChannelMapping {
+  int ChannelsForM = 1;
+  int ChannelsForV = 1;
+  int ChannelsForK = 1;
+  ScheduleGranularity Granularity = ScheduleGranularity::GAct;
+
+  int usedChannels() const {
+    return ChannelsForM * ChannelsForV * ChannelsForK;
+  }
+  std::string describeMapping() const;
+};
+
 /// A generated PIM kernel: the traces, their simulated timing, and the
 /// mapping the scheduler chose.
-struct PimKernelPlan {
+struct PimKernelPlan : ChannelMapping {
   DeviceTrace Trace{0};
   PimRunStats Stats;
   /// Simulated kernel latency in nanoseconds.
   double Ns = 0.0;
   /// Useful MACs (for the energy model).
   int64_t EffectiveMacs = 0;
-  /// Chosen (M-partitions, vector-partitions, K-partitions) mapping.
-  int ChannelsForM = 1;
-  int ChannelsForV = 1;
-  int ChannelsForK = 1;
-  ScheduleGranularity Granularity = ScheduleGranularity::GAct;
-
-  std::string describeMapping() const;
 };
+
+/// What the engine keeps of one executed kernel's plan: the mapping, the
+/// command totals, and the phase cycles of one used channel (every used
+/// channel carries the same stream). No trace, so a timeline holds one per
+/// kernel and exporters read it instead of planning again.
+struct PimKernelRecord : ChannelMapping {
+  NodeId Id = InvalidNode;
+  int64_t GwriteBursts = 0;
+  int64_t GActs = 0;
+  int64_t CompColumns = 0;
+  int64_t ReadResCmds = 0;
+  ChannelPhaseCycles ChannelPhases;
+};
+
+/// The record of \p Plan executed as node \p Id.
+PimKernelRecord recordOf(NodeId Id, const PimKernelPlan &Plan);
 
 /// Generates and schedules PIM command traces for lowered kernels.
 class PimCommandGenerator {

@@ -8,14 +8,12 @@
 
 using namespace pf;
 
-int64_t pf::dramRowsPerBank(const PimKernelSpec &Spec,
-                            const PimKernelPlan &P,
+int64_t pf::dramRowsPerBank(const PimKernelSpec &Spec, int ChannelsForM,
                             const PimConfig &Config) {
   // Each channel of an M-partition holds ceil(M/Cm) matrix rows,
   // interleaved over the banks and packed densely: per bank,
   // ceil(rows/banks) dot-product segments of K fp16 elements each.
-  const int64_t RowsPerPart =
-      (Spec.M + P.ChannelsForM - 1) / P.ChannelsForM;
+  const int64_t RowsPerPart = (Spec.M + ChannelsForM - 1) / ChannelsForM;
   const int64_t RowsPerBank =
       (RowsPerPart + Config.BanksPerChannel - 1) / Config.BanksPerChannel;
   const int64_t Elements = RowsPerBank * Spec.K;
@@ -23,25 +21,21 @@ int64_t pf::dramRowsPerBank(const PimKernelSpec &Spec,
          Config.elementsPerRow();
 }
 
-PlacementPlan pf::placeWeights(const Graph &G, const PimConfig &Config,
-                               const CodegenOptions &Options,
+PlacementPlan pf::placeWeights(const Graph &G,
+                               const std::vector<PimKernelRecord> &Kernels,
+                               const PimConfig &Config,
                                int64_t RowsPerBankCapacity) {
   PlacementPlan Plan;
   Plan.RowsPerBankCapacity = RowsPerBankCapacity;
-  PimCommandGenerator Gen(Config, Options);
 
-  for (const Node &N : G.nodes()) {
-    if (N.Dead || N.Dev != Device::Pim)
-      continue;
-    const PimKernelSpec Spec = lowerToPimSpec(G, N.Id);
-    const PimKernelPlan P = Gen.plan(Spec);
-
+  for (const PimKernelRecord &K : Kernels) {
+    const PimKernelSpec Spec = lowerToPimSpec(G, K.Id);
     PlacementEntry E;
-    E.Node = N.Id;
-    E.DramRowsPerBank = dramRowsPerBank(Spec, P, Config);
+    E.Node = K.Id;
+    E.DramRowsPerBank = dramRowsPerBank(Spec, K.ChannelsForM, Config);
     // Vector- and K-partitions run against the same M-shard, so each of
     // the Cv * Ck channel groups needs its own copy.
-    E.Replicas = P.ChannelsForV * P.ChannelsForK;
+    E.Replicas = K.ChannelsForV * K.ChannelsForK;
     E.WeightBytes = Spec.weightBytes();
     Plan.TotalWeightBytes += E.WeightBytes;
     Plan.PhysicalWeightBytes += E.WeightBytes * E.Replicas;

@@ -58,16 +58,18 @@ struct PlacementPlan {
   }
 };
 
-/// DRAM rows per bank that one kernel's plan occupies in each channel of
-/// its M-partition.
-int64_t dramRowsPerBank(const PimKernelSpec &Spec, const PimKernelPlan &P,
+/// DRAM rows per bank that one kernel occupies in each channel of its
+/// M-partition when its rows split \p ChannelsForM ways.
+int64_t dramRowsPerBank(const PimKernelSpec &Spec, int ChannelsForM,
                         const PimConfig &Config);
 
-/// Places the weights of every PIM-annotated node of \p G.
+/// Places the weights of every kernel in \p Kernels (a timeline's kernel
+/// records of \p G) under the mapping each record holds.
 /// \p RowsPerBankCapacity defaults to a 1 GB/channel GDDR6 die with 16
 /// banks of 1 KB rows (65536 rows per bank).
-PlacementPlan placeWeights(const Graph &G, const PimConfig &Config,
-                           const CodegenOptions &Options,
+PlacementPlan placeWeights(const Graph &G,
+                           const std::vector<PimKernelRecord> &Kernels,
+                           const PimConfig &Config,
                            int64_t RowsPerBankCapacity = 65536);
 
 } // namespace pf

@@ -8,7 +8,6 @@
 
 #include "codegen/PimKernelSpec.h"
 #include "codegen/WeightPlacement.h"
-#include "obs/Scope.h"
 #include "runtime/MemoryPlanner.h"
 #include "runtime/TimelineDump.h"
 #include "support/Format.h"
@@ -20,15 +19,6 @@ ExecutionStats pf::computeStats(const CompileResult &R) {
   ExecutionStats S;
   const Graph &G = R.Transformed;
 
-  // Re-planning for the command totals is export work, not the run's own:
-  // its codegen and simulator telemetry goes to a throwaway scope.
-  obs::Scope Throwaway;
-  obs::ScopeGuard Guard(Throwaway);
-  PimCommandGenerator Gen(R.Config.Pim.Channels > 0
-                              ? R.Config.Pim
-                              : PimConfig::newtonPlus(),
-                          R.Config.Codegen);
-
   for (const NodeSchedule &Sched : R.Schedule.Nodes) {
     const Node &N = G.node(Sched.Id);
     if (Sched.durationNs() <= 0.0) {
@@ -37,19 +27,19 @@ ExecutionStats pf::computeStats(const CompileResult &R) {
     }
     if (Sched.Dev == Device::Pim) {
       ++S.PimKernels;
-      const PimKernelSpec Spec = lowerToPimSpec(G, Sched.Id);
-      const PimKernelPlan Plan = Gen.plan(Spec);
-      S.PimGwriteBursts += Plan.Stats.GwriteBursts;
-      S.PimGActs += Plan.Stats.GActs;
-      S.PimCompColumns += Plan.Stats.CompColumns;
-      S.PimReadRes += Plan.Stats.ReadResCmds;
-      S.PimWeightBytes += Spec.weightBytes();
+      S.PimWeightBytes += lowerToPimSpec(G, Sched.Id).weightBytes();
     } else {
       ++S.GpuKernels;
       for (ValueId In : N.Inputs)
         if (G.value(In).IsParam)
           S.GpuWeightBytes += G.value(In).byteCount();
     }
+  }
+  for (const PimKernelRecord &K : R.Schedule.Kernels) {
+    S.PimGwriteBursts += K.GwriteBursts;
+    S.PimGActs += K.GActs;
+    S.PimCompColumns += K.CompColumns;
+    S.PimReadRes += K.ReadResCmds;
   }
   if (R.Schedule.TotalNs > 0.0) {
     S.GpuBusyFraction = R.Schedule.GpuBusyNs / R.Schedule.TotalNs;
@@ -59,10 +49,6 @@ ExecutionStats pf::computeStats(const CompileResult &R) {
 }
 
 std::string pf::renderReport(const CompileResult &R) {
-  // Like computeStats, the weight placement below re-plans every offloaded
-  // kernel; keep that export work out of the run's telemetry.
-  obs::Scope Throwaway;
-  obs::ScopeGuard Guard(Throwaway);
   const ExecutionStats S = computeStats(R);
   std::string Out;
 
@@ -106,7 +92,7 @@ std::string pf::renderReport(const CompileResult &R) {
             formatStr("%.2f MB", MP.AliasedBytes / 1048576.0)});
   if (R.Config.hasPim()) {
     const PlacementPlan WP =
-        placeWeights(R.Transformed, R.Config.Pim, R.Config.Codegen);
+        placeWeights(R.Transformed, R.Schedule.Kernels, R.Config.Pim);
     T.addRow({"PIM cell-array rows/bank",
               formatStr("%lld (%.2f%% of capacity)",
                         (long long)WP.RowsPerBankUsed,

@@ -38,8 +38,8 @@ struct ExecutionStats {
   int64_t GpuWeightBytes = 0;
 };
 
-/// Computes the statistics of \p R (re-deriving PIM command counts from the
-/// transformed graph under \p R.Config).
+/// Computes the statistics of \p R (PIM command totals from the kernel
+/// records of \p R.Schedule).
 ExecutionStats computeStats(const CompileResult &R);
 
 /// Renders the full report.

@@ -12,9 +12,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "codegen/PimKernelSpec.h"
 #include "obs/Counters.h"
-#include "obs/Scope.h"
 #include "support/Format.h"
 
 using namespace pf;
@@ -226,9 +224,9 @@ AttributionReport pf::obs::attributeTimeline(const Graph &G,
     R.Slack.push_back(NS);
   }
 
-  // --- Lane usage and per-channel phases. Regenerate each offloaded
-  // node's command trace to learn channel occupancy (the Chrome-trace
-  // derivation), and total the phase cycles of every channel trace.
+  // --- Lane usage and per-channel phases, from each kernel's record: a
+  // kernel occupies channels 0..usedChannels()-1 of the group it ran on,
+  // and each of them carries the record's phase cycles.
   LaneUsage Gpu;
   Gpu.Name = "gpu";
   Gpu.Channel = -1;
@@ -238,31 +236,17 @@ AttributionReport pf::obs::attributeTimeline(const Graph &G,
 
   std::map<int, LaneUsage> Channels;
   std::map<int, ChannelPhaseCycles> Phases;
-  if (Config.hasPim()) {
-    // Re-planning is export work: keep its telemetry out of the run's.
-    Scope Throwaway;
-    ScopeGuard Guard(Throwaway);
-    PimCommandGenerator Gen(Config.Pim, Config.Codegen);
-    for (const NodeSchedule &S : TL.Nodes) {
-      if (S.Dev != Device::Pim || S.durationNs() <= 0.0)
-        continue;
-      const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(G, S.Id));
-      for (size_t C = 0; C < Plan.Trace.Channels.size(); ++C) {
-        if (Plan.Trace.Channels[C].empty())
-          continue;
-        const int Ch = static_cast<int>(C);
-        LaneUsage &Lane = Channels[Ch];
-        if (Lane.Name.empty()) {
-          Lane.Name = formatStr("pim.ch%d", Ch);
-          Lane.Channel = Ch;
-        }
-        Lane.Busy.push_back(LaneInterval{S.Id, S.StartNs, S.EndNs});
-        ChannelPhaseCycles P =
-            phaseCyclesOf(Config.Pim, Plan.Trace.Channels[C]);
-        P.Channel = Ch;
-        Phases[Ch] += P;
-        Phases[Ch].Channel = Ch;
+  for (const PimKernelRecord &K : TL.Kernels) {
+    const NodeSchedule &S = TL.scheduleOf(K.Id);
+    for (int Ch = 0; Ch < K.usedChannels(); ++Ch) {
+      LaneUsage &Lane = Channels[Ch];
+      if (Lane.Name.empty()) {
+        Lane.Name = formatStr("pim.ch%d", Ch);
+        Lane.Channel = Ch;
       }
+      Lane.Busy.push_back(LaneInterval{S.Id, S.StartNs, S.EndNs});
+      Phases[Ch] += K.ChannelPhases;
+      Phases[Ch].Channel = Ch;
     }
   }
 

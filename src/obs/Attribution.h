@@ -13,10 +13,10 @@
 /// The analysis replays the ExecutionEngine's scheduling rules rather than
 /// instrumenting the scheduler: a node starts at max(lane free, ready), a
 /// cross-device producer hands off SyncOverheadNs late, and zero-duration
-/// (fused) nodes never occupy a lane. Per-channel occupancy is derived the
-/// same way the Chrome-trace exporter derives it — by regenerating each
-/// offloaded node's command trace and reading which channels it maps to —
-/// so the two views of a run always agree.
+/// (fused) nodes never occupy a lane. Per-channel occupancy comes from the
+/// timeline's kernel records, which the Chrome-trace exporter reads too,
+/// so the two views of a run always agree. On a run that recovery remapped
+/// onto fewer channels, PIM lane k is the k-th surviving channel.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,7 +120,7 @@ struct AttributionReport {
   /// The GPU lane first, then every used PIM channel ascending.
   std::vector<LaneUsage> Lanes;
   /// Per-channel command-phase cycles summed over all offloaded nodes
-  /// (planned, fault-free traces), ascending by channel.
+  /// (the fault-free plans the engine priced), ascending by channel.
   std::vector<ChannelPhaseCycles> Phases;
 };
 

@@ -9,9 +9,7 @@
 #include <algorithm>
 #include <set>
 
-#include "codegen/PimKernelSpec.h"
 #include "obs/Json.h"
-#include "obs/Scope.h"
 #include "support/Format.h"
 
 using namespace pf;
@@ -80,42 +78,16 @@ void emitCompileSpans(JsonWriter &W,
 /// Execution tids: 0 = the GPU lane, 1 + k = PIM channel k.
 int channelTid(int Channel) { return 1 + Channel; }
 
-void emitExecution(JsonWriter &W, const Graph &G, const Timeline &TL,
-                   const SystemConfig &Config) {
+void emitExecution(JsonWriter &W, const Graph &G, const Timeline &TL) {
   emitProcessName(W, ExecutionPid, "execution (simulated)");
   emitThreadName(W, ExecutionPid, 0, "GPU lane");
 
-  // Regenerate the scheduled command traces of offloaded nodes to learn
-  // which channels each one occupies (same derivation as computeStats),
-  // with the re-plans' telemetry kept out of the run's.
-  Scope Throwaway;
-  ScopeGuard Guard(Throwaway);
-  PimCommandGenerator Gen(Config.Pim.Channels > 0 ? Config.Pim
-                                                  : PimConfig::newtonPlus(),
-                          Config.Codegen);
-
-  std::set<int> UsedChannels;
-  struct PimSlice {
-    const NodeSchedule *Sched = nullptr;
-    std::vector<int> Channels;
-    std::string Mapping;
-  };
-  std::vector<PimSlice> PimSlices;
-  for (const NodeSchedule &S : TL.Nodes) {
-    if (S.Dev != Device::Pim || S.durationNs() <= 0.0)
-      continue;
-    const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(G, S.Id));
-    PimSlice Slice;
-    Slice.Sched = &S;
-    Slice.Mapping = Plan.describeMapping();
-    for (size_t C = 0; C < Plan.Trace.Channels.size(); ++C)
-      if (!Plan.Trace.Channels[C].empty()) {
-        Slice.Channels.push_back(static_cast<int>(C));
-        UsedChannels.insert(static_cast<int>(C));
-      }
-    PimSlices.push_back(std::move(Slice));
-  }
-  for (int C : UsedChannels)
+  // Each offloaded node occupies channels 0..usedChannels()-1 of its
+  // kernel record's mapping.
+  int UsedChannels = 0;
+  for (const PimKernelRecord &K : TL.Kernels)
+    UsedChannels = std::max(UsedChannels, K.usedChannels());
+  for (int C = 0; C < UsedChannels; ++C)
     emitThreadName(W, ExecutionPid, channelTid(C),
                    formatStr("PIM ch %d", C));
 
@@ -125,20 +97,22 @@ void emitExecution(JsonWriter &W, const Graph &G, const Timeline &TL,
     emitCompleteEvent(W, ExecutionPid, 0, G.node(S.Id).Name, "gpu",
                       S.StartNs / 1e3, S.durationNs() / 1e3);
   }
-  for (const PimSlice &Slice : PimSlices) {
-    const Node &N = G.node(Slice.Sched->Id);
-    for (int C : Slice.Channels) {
+  for (const PimKernelRecord &K : TL.Kernels) {
+    const NodeSchedule &S = TL.scheduleOf(K.Id);
+    const Node &N = G.node(K.Id);
+    const std::string Mapping = K.describeMapping();
+    for (int C = 0; C < K.usedChannels(); ++C) {
       W.beginObject()
           .field("name", N.Name)
           .field("cat", "pim")
           .field("ph", "X")
           .field("pid", ExecutionPid)
           .field("tid", channelTid(C))
-          .field("ts", Slice.Sched->StartNs / 1e3)
-          .field("dur", Slice.Sched->durationNs() / 1e3)
+          .field("ts", S.StartNs / 1e3)
+          .field("dur", S.durationNs() / 1e3)
           .key("args")
           .beginObject()
-          .field("mapping", Slice.Mapping)
+          .field("mapping", Mapping)
           .field("op", opKindName(N.Kind))
           .endObject()
           .endObject();
@@ -163,16 +137,15 @@ JsonWriter startDocument() {
 
 std::string
 pf::obs::renderChromeTrace(const Graph &G, const Timeline &TL,
-                           const SystemConfig &Config,
                            const std::vector<TraceEvent> &CompileSpans) {
   JsonWriter W = startDocument();
   emitCompileSpans(W, CompileSpans);
-  emitExecution(W, G, TL, Config);
+  emitExecution(W, G, TL);
   return finishDocument(W);
 }
 
 std::string pf::obs::renderChromeTrace(const CompileResult &R) {
-  return renderChromeTrace(R.Transformed, R.Schedule, R.Config,
+  return renderChromeTrace(R.Transformed, R.Schedule,
                            Tracer::instance().snapshot());
 }
 
@@ -186,11 +159,4 @@ pf::obs::renderCompileTrace(const std::vector<TraceEvent> &CompileSpans) {
 bool pf::obs::writeChromeTrace(const CompileResult &R,
                                const std::string &Path) {
   return writeTextFile(Path, renderChromeTrace(R));
-}
-
-bool pf::obs::writeChromeTrace(const Graph &G, const Timeline &TL,
-                               const SystemConfig &Config,
-                               const std::string &Path) {
-  return writeTextFile(
-      Path, renderChromeTrace(G, TL, Config, Tracer::instance().snapshot()));
 }

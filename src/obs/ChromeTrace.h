@@ -15,7 +15,7 @@
 ///  * pid 2 "execution (simulated)": the ExecutionEngine Timeline, with
 ///    track 0 the GPU lane and one track per PIM channel. A GPU node is one
 ///    slice on the GPU lane; a PIM node is one slice on every channel its
-///    scheduled command trace occupies (so MD-DP halves and pipeline-stage
+///    kernel record's mapping occupies (so MD-DP halves and pipeline-stage
 ///    overlap are visible per channel).
 ///
 /// Wall-clock and simulated timestamps share the microsecond unit but not
@@ -35,9 +35,8 @@
 namespace pf::obs {
 
 /// Renders \p CompileSpans plus the execution timeline of (\p G, \p TL)
-/// under \p Config as a Chrome trace JSON document.
+/// as a Chrome trace JSON document.
 std::string renderChromeTrace(const Graph &G, const Timeline &TL,
-                              const SystemConfig &Config,
                               const std::vector<TraceEvent> &CompileSpans);
 
 /// Convenience: renders \p R with the global tracer's recorded spans.
@@ -49,11 +48,6 @@ std::string renderCompileTrace(const std::vector<TraceEvent> &CompileSpans);
 
 /// Writes renderChromeTrace(R) to \p Path; false on I/O failure.
 bool writeChromeTrace(const CompileResult &R, const std::string &Path);
-
-/// Writes the (\p G, \p TL, \p Config) timeline plus the global tracer's
-/// spans to \p Path; false on I/O failure.
-bool writeChromeTrace(const Graph &G, const Timeline &TL,
-                      const SystemConfig &Config, const std::string &Path);
 
 } // namespace pf::obs
 

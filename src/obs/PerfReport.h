@@ -62,9 +62,10 @@
 ///
 /// Still version 4: since the registry has one histogram type,
 /// `metrics.histograms` also carries `profiler.measure_wall_us` and
-/// `search.segment_predicted_us`, and the report's `counters` and
-/// `metrics` no longer include the exporters' own re-planning work. No
-/// key changed.
+/// `search.segment_predicted_us`. The exporters plan nothing: `stats`,
+/// `lanes` and `pim_phases` come from the timeline's kernel records, so a
+/// remapped run reports the plans that ran, PIM lane k being the k-th
+/// surviving channel. No key changed.
 ///
 //===----------------------------------------------------------------------===//
 

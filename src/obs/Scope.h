@@ -10,11 +10,11 @@
 /// concurrent `PimFlow` runs interleave their counters, quantiles, and
 /// gauges into one shared namespace, so neither run can be attributed
 /// afterwards. A `Scope` is a private registry a caller (a serve
-/// `Session`, a bench iteration, a test, an exporter re-planning kernels)
-/// owns outright; installing it with a `ScopeGuard` reroutes every
-/// `obs::addCounter` / `obs::recordMetric` / `obs::setGauge` /
-/// `obs::advanceSimCycles` call on the *current thread* into the scope
-/// instead of the global registry.
+/// `Session`, a bench iteration, a test, the `pimflow trace` dump
+/// rebuilding command streams) owns outright; installing it with a
+/// `ScopeGuard` reroutes every `obs::addCounter` / `obs::recordMetric` /
+/// `obs::setGauge` / `obs::advanceSimCycles` call on the *current thread*
+/// into the scope instead of the global registry.
 ///
 /// Routing is thread-local by design: concurrent sessions on different
 /// threads each see only their own scope, and a thread with no guard

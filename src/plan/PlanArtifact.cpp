@@ -65,15 +65,6 @@ struct LineParser {
 
 } // namespace
 
-std::string pf::fnv1a64Hex(const std::string &Data) {
-  uint64_t H = 1469598103934665603ull; // FNV offset basis
-  for (unsigned char C : Data) {
-    H ^= C;
-    H *= 1099511628211ull; // FNV prime
-  }
-  return formatStr("%016llx", static_cast<unsigned long long>(H));
-}
-
 std::string pf::canonicalGraphHash(const Graph &G) {
   return fnv1a64Hex(serializeGraph(G));
 }

@@ -52,6 +52,7 @@
 #include "runtime/SystemConfig.h"
 #include "search/SearchEngine.h"
 #include "support/Diagnostics.h"
+#include "support/StringUtil.h" // fnv1a64Hex, the artifact checksum.
 
 namespace pf {
 
@@ -79,9 +80,6 @@ struct PlanKey {
   }
   bool operator!=(const PlanKey &O) const { return !(*this == O); }
 };
-
-/// FNV-1a 64-bit digest of \p Data, as 16 lower-case hex digits.
-std::string fnv1a64Hex(const std::string &Data);
 
 /// Canonical hash of \p G: the FNV-1a 64 digest of its textual
 /// serialization (ir/GraphSerializer), which is deterministic and covers

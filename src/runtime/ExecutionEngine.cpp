@@ -77,15 +77,7 @@ struct PimPlanCache {
 
 } // namespace
 
-double ExecutionEngine::nodeLatencyNs(const Graph &G, NodeId Id,
-                                      Device Dev) const {
-  const Node &N = G.node(Id);
-  if (Dev == Device::Pim) {
-    PF_ASSERT(Config.hasPim(), "PIM node scheduled without PIM channels");
-    PF_ASSERT(isPimCandidate(N), "PIM node is not offloadable");
-    PimCommandGenerator Gen(Config.Pim, Config.Codegen);
-    return Gen.plan(lowerToPimSpec(G, Id)).Ns;
-  }
+double ExecutionEngine::nodeLatencyNs(const Graph &G, NodeId Id) const {
   const DataMovementCost DM = MemOpt.classify(G, Id);
   if (DM == DataMovementCost::Free)
     return 0.0;
@@ -97,26 +89,17 @@ double ExecutionEngine::nodeLatencyNs(const Graph &G, NodeId Id,
   return Gpu.nodeTime(G, Id).Ns;
 }
 
-double ExecutionEngine::nodeEnergyJ(const Graph &G, NodeId Id,
-                                    Device Dev) const {
-  const Node &N = G.node(Id);
-  if (Dev == Device::Pim) {
-    PimCommandGenerator Gen(Config.Pim, Config.Codegen);
-    PimSimulator Sim(Config.Pim);
-    const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(G, Id));
-    return Sim.energyJ(Plan.Stats, Plan.EffectiveMacs);
-  }
+double ExecutionEngine::nodeEnergyJ(const Graph &G, NodeId Id) const {
   const DataMovementCost DM = MemOpt.classify(G, Id);
   if (DM == DataMovementCost::Free)
     return 0.0;
   if (DM == DataMovementCost::Copy) {
     // A copy is a pure-bandwidth kernel.
     GpuKernelTime T;
-    T.Ns = nodeLatencyNs(G, Id, Device::Gpu);
+    T.Ns = nodeLatencyNs(G, Id);
     T.Utilization = 0.3;
     return Gpu.kernelEnergyJ(T);
   }
-  (void)N;
   return Gpu.kernelEnergyJ(Gpu.nodeTime(G, Id));
 }
 
@@ -229,8 +212,8 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
         NI.Duration = 0.0;
         NI.EnergyJ = 0.0;
       } else {
-        NI.Duration = nodeLatencyNs(G, Order[I], Device::Gpu) * GpuScale;
-        NI.EnergyJ = nodeEnergyJ(G, Order[I], Device::Gpu);
+        NI.Duration = nodeLatencyNs(G, Order[I]) * GpuScale;
+        NI.EnergyJ = nodeEnergyJ(G, Order[I]);
       }
       // Count distinct produced input values (consumers() reports each
       // consumer once per value, so duplicates must not double-count).
@@ -341,6 +324,11 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     TL = *std::move(MaybeTL);
     TL.ContentionSlowdown = Slowdown;
   }
+
+  TL.Kernels.reserve(Cache.Plans.size());
+  for (const NodeSchedule &S : TL.Nodes)
+    if (S.Dev == Device::Pim)
+      TL.Kernels.push_back(recordOf(S.Id, Cache.Plans.at(S.Id)));
 
   // Kernel energies plus GPU static power while idle within the makespan
   // (the PIM kernels' energy already folds in their channels' background

@@ -24,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "codegen/CommandGenerator.h"
 #include "codegen/MemoryOptimizer.h"
 #include "gpu/GpuModel.h"
 #include "pim/FaultModel.h"
@@ -53,15 +54,18 @@ struct Timeline {
   double EnergyJ = 0.0;
   /// GPU slowdown applied by the contention model (1.0 = none).
   double ContentionSlowdown = 1.0;
+  /// One record per node scheduled on PIM, in schedule order, from the
+  /// fault-free plan the engine priced: what exporters read instead of
+  /// planning the kernels again.
+  std::vector<PimKernelRecord> Kernels;
 
   /// Schedule entry for node \p Id, or nullptr when the node was never
   /// scheduled — the probe for recovery code inspecting partially-executed
   /// timelines, where absence is an answer rather than a bug.
   const NodeSchedule *find(NodeId Id) const;
 
-  /// Schedule entry for node \p Id. Unlike the old must-exist contract
-  /// (pf_unreachable), a missing node now dies through fatal() with a
-  /// diagnosable message naming the node; callers that can tolerate absence
+  /// Schedule entry for node \p Id. A missing node dies through fatal()
+  /// with a message naming the node; callers that can tolerate absence
   /// should use find() instead.
   const NodeSchedule &scheduleOf(NodeId Id) const;
 };
@@ -91,11 +95,11 @@ public:
                                      const FaultModel *Faults = nullptr,
                                      const RetryPolicy *Retry = nullptr) const;
 
-  /// Latency of one node on \p Dev in isolation (no transfers).
-  double nodeLatencyNs(const Graph &G, NodeId Id, Device Dev) const;
+  /// Latency of one node on the GPU in isolation (no transfers).
+  double nodeLatencyNs(const Graph &G, NodeId Id) const;
 
-  /// Energy of one node on \p Dev in isolation.
-  double nodeEnergyJ(const Graph &G, NodeId Id, Device Dev) const;
+  /// Energy of one node on the GPU in isolation.
+  double nodeEnergyJ(const Graph &G, NodeId Id) const;
 
 private:
   SystemConfig Config;

@@ -7,11 +7,10 @@
 #include "search/Profiler.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 #include "obs/Counters.h"
 #include "obs/FlightRecorder.h"
+#include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "search/LayerExtract.h"
@@ -240,6 +239,15 @@ double Profiler::chainGpuNs(const Graph &G,
   return Total;
 }
 
+namespace {
+
+/// Profile-log header: the plan artifact's shape, "<magic> <version> bytes
+/// <n> checksum <fnv1a64 of the n bytes after the header line>".
+const char *kProfileMagic = "pimflow-profile";
+const char *kProfileVersion = "v1";
+
+} // namespace
+
 bool Profiler::saveCache(const std::string &Path) const {
   // Collect only resolved entries (an in-flight measurement mid-save would
   // mean saveCache raced the pre-pass; callers save after search returns).
@@ -251,28 +259,38 @@ bool Profiler::saveCache(const std::string &Path) const {
         Rows.emplace_back(Key, E->Ns);
   }
   std::sort(Rows.begin(), Rows.end());
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
   // %.17g round-trips doubles exactly through strtod, so a search resumed
   // from the cache produces bit-identical plans (and byte-identical plan
   // artifacts) to one that measured everything itself.
+  std::string Body;
   for (const auto &[Key, Ns] : Rows)
-    std::fprintf(F, "%s\t%.17g\n", Key.c_str(), Ns);
-  std::fclose(F);
-  return true;
+    Body += Key + formatStr("\t%.17g\n", Ns);
+  return obs::writeTextFile(
+      Path, formatStr("%s %s bytes %zu checksum %s\n", kProfileMagic,
+                      kProfileVersion, Body.size(),
+                      fnv1a64Hex(Body).c_str()) +
+                Body);
 }
 
 bool Profiler::loadCache(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
+  const std::optional<std::string> Text = obs::readTextFile(Path);
+  // The header authenticates the rows: a missing header, a byte count or
+  // checksum that disagrees (a flipped digit that still parses), or a
+  // foreign version is a miss.
+  const size_t HeaderEnd = Text ? Text->find('\n') : std::string::npos;
+  if (HeaderEnd == std::string::npos)
+    return false;
+  const std::vector<std::string> H = split(Text->substr(0, HeaderEnd), ' ');
+  const std::string Body = Text->substr(HeaderEnd + 1);
+  if (H.size() != 6 || H[0] != kProfileMagic || H[1] != kProfileVersion ||
+      H[2] != "bytes" || H[4] != "checksum" ||
+      parseUint(H[3]) != Body.size() || H[5] != fnv1a64Hex(Body))
     return false;
   // Validate every row before touching the memo table: a damaged file is
   // a miss (nothing loaded), never a partial table steering the search.
   // Negative times are legal — failed pipeline probes cache -1.
   std::vector<std::pair<std::string, double>> Rows;
-  std::string Line;
-  while (std::getline(In, Line)) {
+  for (const std::string &Line : split(Body, '\n')) {
     const std::string S = trim(Line);
     if (S.empty())
       continue;
@@ -284,8 +302,6 @@ bool Profiler::loadCache(const std::string &Path) {
       return false;
     Rows.emplace_back(S.substr(0, Tab), *Ns);
   }
-  if (In.bad())
-    return false;
   for (auto &[Key, Ns] : Rows) {
     auto E = std::make_shared<Entry>();
     E->Ns = Ns;

@@ -71,14 +71,16 @@ public:
     return Misses.load(std::memory_order_relaxed);
   }
 
-  /// Serializes the memo table to \p Path ("signature<TAB>ns" lines,
-  /// sorted by signature so the file is byte-identical for every worker
-  /// count).
+  /// Serializes the memo table to \p Path: a "pimflow-profile v1 bytes
+  /// <n> checksum <fnv1a64>" header (the plan artifact's shape) over
+  /// "signature<TAB>ns" lines sorted by signature, so the file is
+  /// byte-identical for every worker count.
   bool saveCache(const std::string &Path) const;
   /// Loads a memo table previously written by saveCache. All or nothing:
-  /// when the file is missing, or any non-blank row lacks a tab or has a
-  /// time that is not a full-token finite number, nothing is loaded and
-  /// the result is false (a damaged cache is a miss, like the plan
+  /// when the file is missing, its header is missing or disagrees with
+  /// the rows' byte count or checksum, or any non-blank row lacks a tab or
+  /// has a time that is not a full-token finite number, nothing is loaded
+  /// and the result is false (a damaged cache is a miss, like the plan
   /// cache's corrupt files).
   bool loadCache(const std::string &Path);
 

@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "support/Format.h"
+
 using namespace pf;
 
 std::vector<std::string> pf::split(const std::string &S, char Sep) {
@@ -94,4 +96,13 @@ std::optional<double> pf::parseDouble(const std::string &S) {
   if (End != S.c_str() + S.size() || errno == ERANGE || !std::isfinite(V))
     return std::nullopt;
   return V;
+}
+
+std::string pf::fnv1a64Hex(const std::string &Data) {
+  uint64_t H = 1469598103934665603ull; // FNV offset basis
+  for (unsigned char C : Data) {
+    H ^= C;
+    H *= 1099511628211ull; // FNV prime
+  }
+  return formatStr("%016llx", static_cast<unsigned long long>(H));
 }

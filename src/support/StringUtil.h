@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small string utilities (split / join / trim / prefix tests) shared by the
-/// graph printer, the profile cache, and the bench command-line handling.
+/// Small string utilities (split / join / trim / prefix tests, strict
+/// number parsing, the FNV-1a checksum) shared by the graph printer, the
+/// on-disk formats, and the bench command-line handling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +52,10 @@ std::optional<uint64_t> parseUint(const std::string &S);
 /// strings, junk suffixes ("1.5x"), out-of-range values, inf and nan —
 /// unlike std::atof, which silently returns 0 or a prefix's value.
 std::optional<double> parseDouble(const std::string &S);
+
+/// FNV-1a 64-bit digest of \p Data, as 16 lower-case hex digits (the
+/// checksum of plan artifacts and profile logs).
+std::string fnv1a64Hex(const std::string &Data);
 
 } // namespace pf
 

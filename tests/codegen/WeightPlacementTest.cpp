@@ -30,14 +30,11 @@ TEST(WeightPlacementTest, RowMathExactCase) {
   // M=256 over 16 channels -> 16 rows/part -> 1 row/bank; K=512 fills
   // exactly one 512-element DRAM row per bank.
   PimConfig C = PimConfig::newtonPlusPlus();
-  PimKernelPlan P;
-  P.ChannelsForM = 16;
-  EXPECT_EQ(dramRowsPerBank(spec(256, 512, 1), P, C), 1);
+  EXPECT_EQ(dramRowsPerBank(spec(256, 512, 1), 16, C), 1);
   // K=513 spills into a second row.
-  EXPECT_EQ(dramRowsPerBank(spec(256, 513, 1), P, C), 2);
+  EXPECT_EQ(dramRowsPerBank(spec(256, 513, 1), 16, C), 2);
   // Unsplit matrix: 16 rows per bank of 512 elements -> 16 rows.
-  P.ChannelsForM = 1;
-  EXPECT_EQ(dramRowsPerBank(spec(256, 512, 1), P, C), 16);
+  EXPECT_EQ(dramRowsPerBank(spec(256, 512, 1), 1, C), 16);
 }
 
 TEST(WeightPlacementTest, EmptyGraphPlacesNothing) {
@@ -45,8 +42,7 @@ TEST(WeightPlacementTest, EmptyGraphPlacesNothing) {
   ValueId X = B.input("x", TensorShape{1, 8, 8, 4});
   B.output(B.relu(X));
   Graph G = B.take();
-  PlacementPlan Plan =
-      placeWeights(G, PimConfig::newtonPlusPlus(), CodegenOptions{});
+  PlacementPlan Plan = placeWeights(G, {}, PimConfig::newtonPlusPlus());
   EXPECT_TRUE(Plan.Entries.empty());
   EXPECT_EQ(Plan.RowsPerBankUsed, 0);
   EXPECT_TRUE(Plan.fits());
@@ -58,8 +54,8 @@ TEST(WeightPlacementTest, ModelsFitComfortably) {
   for (const std::string Model : {"mobilenet-v2", "vgg-16"}) {
     CompileResult R =
         PimFlow(OffloadPolicy::PimFlow).compileAndRun(buildModel(Model));
-    PlacementPlan Plan = placeWeights(R.Transformed, R.Config.Pim,
-                                      R.Config.Codegen);
+    PlacementPlan Plan =
+        placeWeights(R.Transformed, R.Schedule.Kernels, R.Config.Pim);
     EXPECT_FALSE(Plan.Entries.empty()) << Model;
     EXPECT_TRUE(Plan.fits()) << Model;
     EXPECT_LT(Plan.utilization(), 0.5) << Model;
@@ -75,9 +71,14 @@ TEST(WeightPlacementTest, ReplicationCountsVectorSplits) {
   ValueId X = B.input("x", TensorShape{1, 56, 56, 24});
   B.output(B.conv2d(X, 144, 1, 1, 0));
   Graph G = B.take();
-  G.node(G.topoOrder().front()).Dev = Device::Pim;
-  PlacementPlan Plan =
-      placeWeights(G, PimConfig::newtonPlusPlus(), CodegenOptions{});
+  const NodeId Conv = G.topoOrder().front();
+  G.node(Conv).Dev = Device::Pim;
+  // The record the engine would keep for the kernel.
+  const PimConfig C = PimConfig::newtonPlusPlus();
+  const PimKernelRecord K = recordOf(
+      Conv, PimCommandGenerator(C, CodegenOptions{})
+                .plan(lowerToPimSpec(G, Conv)));
+  PlacementPlan Plan = placeWeights(G, {K}, C);
   ASSERT_EQ(Plan.Entries.size(), 1u);
   EXPECT_GT(Plan.Entries[0].Replicas, 1);
   EXPECT_EQ(Plan.PhysicalWeightBytes,
@@ -87,8 +88,8 @@ TEST(WeightPlacementTest, ReplicationCountsVectorSplits) {
 TEST(WeightPlacementTest, TinyCapacityOverflows) {
   Graph Model = buildVgg16();
   CompileResult R = PimFlow(OffloadPolicy::NewtonPlus).compileAndRun(Model);
-  PlacementPlan Plan = placeWeights(R.Transformed, R.Config.Pim,
-                                    R.Config.Codegen,
+  PlacementPlan Plan = placeWeights(R.Transformed, R.Schedule.Kernels,
+                                    R.Config.Pim,
                                     /*RowsPerBankCapacity=*/16);
   EXPECT_FALSE(Plan.fits());
   EXPECT_GT(Plan.utilization(), 1.0);

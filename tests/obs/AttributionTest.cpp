@@ -78,6 +78,10 @@ TEST(AttributionTest, HandBuiltDependencyChain) {
       sched(C, Device::Pim, 100.0 + Config.SyncOverheadNs,
             300.0 + Config.SyncOverheadNs));
   TL.TotalNs = TL.Nodes.back().EndNs;
+  // The kernel record the engine would keep for the PIM node.
+  TL.Kernels.push_back(
+      recordOf(C, PimCommandGenerator(Config.Pim, Config.Codegen)
+                      .plan(lowerToPimSpec(G, C))));
 
   const AttributionReport R = attributeTimeline(G, TL, Config);
   EXPECT_DOUBLE_EQ(R.TotalNs, TL.TotalNs);

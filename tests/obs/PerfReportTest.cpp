@@ -13,6 +13,8 @@
 
 #include "obs/PerfReport.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/PimFlow.h"
@@ -138,9 +140,9 @@ TEST(PerfReportTest, CarriesSearchHistogramsAfterColdCompile) {
             static_cast<double>(R.Plan.Segments.size()));
 }
 
-// Every exporter re-plans the offloaded kernels; none of that work may
-// land in the run's telemetry, or each export flag would inflate the
-// counters the others report.
+// Exporters read the timeline's kernel records; no export may add to the
+// run's telemetry, or each export flag would inflate the counters the
+// others report.
 TEST(PerfReportTest, ExportersRecordNothingIntoTheRun) {
   Scope Run;
   ScopeGuard Guard(Run);
@@ -160,4 +162,55 @@ TEST(PerfReportTest, ExportersRecordNothingIntoTheRun) {
   EXPECT_EQ(After.Counters, Before.Counters);
   EXPECT_EQ(After.Histograms, Before.Histograms);
   EXPECT_EQ(After.Cycles, Before.Cycles);
+}
+
+// Recovery remaps the kernels of a run with dead channels onto the
+// survivors; every export describes those remapped plans, with PIM lane k
+// the k-th surviving channel, not a fault-free re-plan over all channels.
+TEST(PerfReportTest, RemappedRunExportsThePlanThatRan) {
+  PimFlowOptions Options;
+  Options.FaultSpec = "dead:3,dead:7";
+  const CompileResult R =
+      PimFlow(OffloadPolicy::PimFlow, Options).compileAndRun(buildToy());
+  ASSERT_EQ(R.Recovery.SurvivingChannels, 14);
+  ASSERT_GT(R.Recovery.NodesRemapped, 0);
+
+  const AttributionReport A =
+      attributeTimeline(R.Transformed, R.Schedule, R.Config);
+  std::vector<std::string> PimLanes;
+  for (const LaneUsage &L : A.Lanes)
+    if (L.Channel >= 0)
+      PimLanes.push_back(L.Name);
+  std::vector<std::string> Expected;
+  for (int Ch = 0; Ch < 14; ++Ch)
+    Expected.push_back("pim.ch" + std::to_string(Ch));
+  EXPECT_EQ(PimLanes, Expected);
+  ASSERT_EQ(A.Phases.size(), 14u);
+  EXPECT_EQ(A.Phases.back().Channel, 13);
+
+  // Chrome-trace track 1 + k is PIM channel k: no track for 14 or 15.
+  std::string Error;
+  const auto Trace = JsonValue::parse(renderChromeTrace(R), &Error);
+  ASSERT_TRUE(Trace.has_value()) << Error;
+  const JsonValue *Events = Trace->find("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  double MaxTid = -1.0;
+  for (const JsonValue &E : Events->Array)
+    if (E.numberOr("pid", 0.0) == 2.0)
+      MaxTid = std::max(MaxTid, E.numberOr("tid", -1.0));
+  EXPECT_EQ(MaxTid, 14.0);
+
+  const ExecutionStats S = computeStats(R);
+  int64_t Gwrite = 0, GActs = 0, Comp = 0, ReadRes = 0;
+  for (const PimKernelRecord &K : R.Schedule.Kernels) {
+    Gwrite += K.GwriteBursts;
+    GActs += K.GActs;
+    Comp += K.CompColumns;
+    ReadRes += K.ReadResCmds;
+  }
+  EXPECT_EQ(S.PimKernels, static_cast<int>(R.Schedule.Kernels.size()));
+  EXPECT_EQ(S.PimGwriteBursts, Gwrite);
+  EXPECT_EQ(S.PimGActs, GActs);
+  EXPECT_EQ(S.PimCompColumns, Comp);
+  EXPECT_EQ(S.PimReadRes, ReadRes);
 }

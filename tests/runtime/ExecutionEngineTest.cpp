@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codegen/CommandGenerator.h"
 #include "ir/Builder.h"
 
 using namespace pf;
@@ -127,13 +128,19 @@ TEST(ExecutionEngineTest, PimLatencyMatchesIsolatedQuery) {
     }
   SystemConfig Cfg = dualConfig();
   ExecutionEngine E(Cfg);
-  const double Gpu = E.nodeLatencyNs(G, Conv, Device::Gpu);
-  const double Pim = E.nodeLatencyNs(G, Conv, Device::Pim);
+  const double Gpu = E.nodeLatencyNs(G, Conv);
+  const PimKernelPlan Plan = PimCommandGenerator(Cfg.Pim, Cfg.Codegen)
+                                 .plan(lowerToPimSpec(G, Conv));
   EXPECT_GT(Gpu, 0.0);
-  EXPECT_GT(Pim, 0.0);
+  EXPECT_GT(Plan.Ns, 0.0);
   G.node(Conv).Dev = Device::Pim;
   Timeline TL = E.execute(G);
-  EXPECT_NEAR(TL.scheduleOf(Conv).durationNs(), Pim, 1e-6);
+  EXPECT_NEAR(TL.scheduleOf(Conv).durationNs(), Plan.Ns, 1e-6);
+  // The timeline records the mapping that plan chose.
+  ASSERT_EQ(TL.Kernels.size(), 1u);
+  EXPECT_EQ(TL.Kernels[0].Id, Conv);
+  EXPECT_EQ(TL.Kernels[0].describeMapping(), Plan.describeMapping());
+  EXPECT_EQ(TL.Kernels[0].GwriteBursts, Plan.Stats.GwriteBursts);
 }
 
 TEST(ExecutionEngineTest, GpuOnlyConfigRejectsNothing) {

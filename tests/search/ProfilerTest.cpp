@@ -13,6 +13,7 @@
 
 #include "ir/Builder.h"
 #include "models/Zoo.h"
+#include "support/StringUtil.h"
 
 using namespace pf;
 
@@ -133,6 +134,17 @@ std::string firstConvCacheText() {
   return Text;
 }
 
+/// \p Body under the profile log's header, as saveCache writes it.
+std::string withHeader(const std::string &Body) {
+  return "pimflow-profile v1 bytes " + std::to_string(Body.size()) +
+         " checksum " + fnv1a64Hex(Body) + "\n" + Body;
+}
+
+/// The rows of a saved profile log: everything after its header line.
+std::string bodyOf(const std::string &Text) {
+  return Text.substr(Text.find('\n') + 1);
+}
+
 /// Loads \p Text as a profile cache into \p P; returns loadCache's verdict.
 bool loadCacheText(Profiler &P, const std::string &Text) {
   const std::string Path = testTempPath(".loaded.tsv");
@@ -156,21 +168,37 @@ TEST(ProfilerTest, DamagedCacheLoadsNothing) {
   // One damaged row among good ones makes the whole file a miss, good
   // rows included: a garbage time (std::atof read "12abc" as 12), a row
   // truncated after its tab, a non-finite time, a row without a tab.
-  const std::string Good = firstConvCacheText();
+  const std::string Good = bodyOf(firstConvCacheText());
   ASSERT_FALSE(Good.empty());
   for (const char *Damage :
        {"gpu|x\t12abc\n", "gpu|x\t", "gpu|x\tnan\n", "gpu|x 12\n"}) {
     Profiler P(SystemConfig::dual());
-    EXPECT_FALSE(loadCacheText(P, Good + Damage)) << Damage;
+    EXPECT_FALSE(loadCacheText(P, withHeader(Good + Damage))) << Damage;
     EXPECT_FALSE(firstConvIsCached(P)) << Damage;
   }
+}
+
+TEST(ProfilerTest, FlippedDigitInASavedTimeLoadsNothing) {
+  // A flipped digit still parses as a time; only the checksum notices.
+  std::string Text = firstConvCacheText();
+  const size_t Digit = Text.find_first_of("0123456789", Text.rfind('\t'));
+  ASSERT_NE(Digit, std::string::npos);
+  Text[Digit] = Text[Digit] == '1' ? '2' : '1';
+  Profiler P(SystemConfig::dual());
+  EXPECT_FALSE(loadCacheText(P, Text));
+  EXPECT_FALSE(firstConvIsCached(P));
+
+  // Rows without the header are rejected too.
+  Profiler Headless(SystemConfig::dual());
+  EXPECT_FALSE(loadCacheText(Headless, bodyOf(firstConvCacheText())));
+  EXPECT_FALSE(firstConvIsCached(Headless));
 }
 
 TEST(ProfilerTest, CacheKeyLongerThanFourKilobytesRoundTrips) {
   // A fixed 4 KB line buffer used to split such a row into a bogus key
   // and a stray fragment. The -1 failed-pipeline sentinel stays legal.
-  const std::string Text =
-      "gpu|" + std::string(5000, 'k') + "\t1234.5\npipe2|x\t-1\n";
+  const std::string Text = withHeader("gpu|" + std::string(5000, 'k') +
+                                      "\t1234.5\npipe2|x\t-1\n");
   Profiler P(SystemConfig::dual());
   ASSERT_TRUE(loadCacheText(P, Text));
   const std::string Path = testTempPath(".saved.tsv");

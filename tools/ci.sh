@@ -28,8 +28,10 @@
 #      non-empty and carrying the recovery ladder's events), then an
 #      unrecovered-fault run (--no-recovery) proving the auto-dump fires
 #      on the failure path, then the same run's counter families compared
-#      byte for byte across --trace-out / --perf-report combinations (an
-#      exporter must not count its own work).
+#      byte for byte across --trace-out / --perf-report combinations (no
+#      exporter plans a kernel, so none adds to the counters), then a run
+#      remapped onto 14 surviving channels whose perf report and Chrome
+#      trace must validate and name no lane for the lost channels.
 #   7. The plan-artifact tier: compile -> replay determinism (a replayed
 #      plan reproduces the fresh run's execution line, skips the search,
 #      and hits the plan cache on a recompile), then the corruption
@@ -108,7 +110,7 @@ for B in BENCH_fig09_main BENCH_fig10_layerwise BENCH_micro; do
     "bench/baselines/$B.json" "$PERF_DIR/$B.json"
 done
 for NET in toy resnet-18; do
-  ./build/tools/pimflow -m=run -n="$NET" --dir="$PERF_DIR" \
+  ./build/tools/pimflow run "$NET" --dir="$PERF_DIR" \
     --perf-report="$PERF_DIR/$NET.perf.json" > /dev/null
   # A report never regresses against itself...
   ./build/tools/pf_perf_diff --threshold=0.25 \
@@ -128,7 +130,7 @@ echo "== tier 6: telemetry — metrics exposition + flight recorder =="
 TEL_DIR=build/telemetry-smoke
 mkdir -p "$TEL_DIR"
 # A faulted (recovered) chaos run exporting both telemetry artifacts.
-./build/tools/pimflow -m=run -n=toy --dir="$TEL_DIR" \
+./build/tools/pimflow run toy --dir="$TEL_DIR" \
   --faults=chaos --fault-seed=7 \
   --metrics-out="$TEL_DIR/toy.metrics.txt" \
   --flight-dump="$TEL_DIR/toy.flight.txt" \
@@ -148,9 +150,9 @@ grep -qE 'kind=(retry|channel-remap|floor-fallback|node-fallback|channel-dead|wa
   "$TEL_DIR/toy.flight.txt"
 # An unrecovered fault (--no-recovery lets a dead channel reach the
 # engine) must exit non-zero AND leave the flight trace behind.
-./build/tools/pimflow -m=solve -n=toy --dir="$TEL_DIR" > /dev/null
+./build/tools/pimflow solve toy --dir="$TEL_DIR" > /dev/null
 rm -f "$TEL_DIR/toy.crash.txt"
-if ./build/tools/pimflow -m=run -n=toy \
+if ./build/tools/pimflow run toy \
   --graph="$TEL_DIR/toy.pimflow.graph" --dir="$TEL_DIR" \
   --faults=dead:0 --no-recovery \
   --flight-dump="$TEL_DIR/toy.crash.txt" > /dev/null 2>&1; then
@@ -163,8 +165,9 @@ if ! [ -s "$TEL_DIR/toy.crash.txt" ]; then
 fi
 grep -q 'kind=channel-dead' "$TEL_DIR/toy.crash.txt"
 grep -q 'kind=exec-error' "$TEL_DIR/toy.crash.txt"
-# Exporters never count their own work: with a warm profile log, the
-# counter families of a run are the same whichever exports it writes.
+# Exporters read the timeline's kernel records and plan nothing: with a
+# warm profile log, the counter families of a run are the same whichever
+# exports it writes.
 ./build/tools/pimflow run toy --dir="$TEL_DIR" --jobs=1 > /dev/null
 counters() { # <name> <export flags...>
   local NAME="$1"
@@ -183,6 +186,17 @@ grep -q '^pimflow_codegen_plans ' "$TEL_DIR/alone.counters.txt"
 for NAME in traced reported both; do
   cmp "$TEL_DIR/alone.counters.txt" "$TEL_DIR/$NAME.counters.txt"
 done
+# Two dead channels remap every PIM kernel onto the 14 survivors; the
+# exports describe those plans (lane k is the k-th surviving channel).
+./build/tools/pimflow run toy --dir="$TEL_DIR" --faults=dead:3,dead:7 \
+  --perf-report="$TEL_DIR/remap.perf.json" \
+  --trace-out="$TEL_DIR/remap.trace.json" > /dev/null
+./build/tools/pf_json_check "$TEL_DIR/remap.perf.json" > /dev/null
+./build/tools/pf_json_check --chrome "$TEL_DIR/remap.trace.json" > /dev/null
+if grep -qE '"pim\.ch1[45]"' "$TEL_DIR/remap.perf.json"; then
+  echo "error: the remapped run's perf report names a lost channel" >&2
+  exit 1
+fi
 
 echo "== tier 7: plan artifacts — compile/replay determinism + corruption matrix =="
 PLAN_DIR=build/plan-smoke
@@ -196,7 +210,7 @@ mkdir -p "$PLAN_DIR"
 cmp "$PLAN_DIR/toy.plan" tools/testdata/toy.plan
 # Replay determinism: the replayed run's execution line is byte-identical
 # to a fresh compile-and-run of the same model.
-./build/tools/pimflow -m=run -n=toy --dir="$PLAN_DIR" \
+./build/tools/pimflow run toy --dir="$PLAN_DIR" \
   | grep 'us end-to-end' > "$PLAN_DIR/fresh.out"
 ./build/tools/pimflow run toy --dir="$PLAN_DIR" \
   --plan="$PLAN_DIR/toy.plan" \

@@ -9,12 +9,12 @@
 /// (Appendix A.5's three-step workflow):
 ///
 ///   Step 1: profile candidate layers / pipelining subgraphs
-///     pimflow -m=profile -t=split    -n=<net>
-///     pimflow -m=profile -t=pipeline -n=<net>
+///     pimflow profile <net> -t=split
+///     pimflow profile <net> -t=pipeline
 ///   Step 2: compute the optimal graph from the profiles
-///     pimflow -m=solve -n=<net>
+///     pimflow solve <net>
 ///   Step 3: execute the transformed model
-///     pimflow -m=run -n=<net> [--gpu_only] [--policy=<mech>]
+///     pimflow run <net> [--gpu_only] [--policy=<mech>]
 ///
 /// Profiling results persist in a metadata log (profile_<net>.tsv in
 /// --dir, default '.') so later steps reuse them, exactly as the artifact
@@ -87,10 +87,10 @@ struct CliOptions {
   std::string Mode;            // profile | solve | run | trace | compile
   std::string ProfileTarget;   // split | pipeline
   std::string Net = "toy";
-  bool NetSet = false; // a positional or -n= net was given explicitly
+  bool NetSet = false; // a positional net was given explicitly
   std::string Dir = ".";
   OffloadPolicy Policy = OffloadPolicy::PimFlow;
-  std::string GraphFile; // -m=run --graph=<file>: skip search, execute.
+  std::string GraphFile; // run --graph=<file>: skip search, execute.
   std::string TraceOut;  // --trace-out=<file>: Chrome trace-event JSON.
   std::string PerfReport; // --perf-report=<file>: attribution report JSON.
   std::string ReportFile; // `pimflow report <file>`: report to render.
@@ -133,10 +133,8 @@ struct CliOptions {
 void usage() {
   std::fprintf(
       stderr,
-      "usage: pimflow -m=<profile|solve|run|trace|compile> "
-      "[-t=<split|pipeline>] -n=<net>\n"
-      "       pimflow <verb> <net|graph-file>   (subcommand spelling; net "
-      "may be a .graph path)\n"
+      "usage: pimflow <profile|solve|run|trace> <net|graph-file> "
+      "[-t=<split|pipeline>]   (net may be a .graph path)\n"
       "       pimflow compile <net> --plan-out=<file> [--plan-cache-dir=<"
       "dir>]\n"
       "       pimflow run <net> --plan=<file>   (replay a compiled plan; "
@@ -223,14 +221,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
     auto Val = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (startsWith(Arg, "-m="))
-      O.Mode = Val();
-    else if (startsWith(Arg, "-t="))
+    if (startsWith(Arg, "-t="))
       O.ProfileTarget = Val();
-    else if (startsWith(Arg, "-n=")) {
-      O.Net = Val();
-      O.NetSet = true;
-    }
     else if (startsWith(Arg, "--dir="))
       O.Dir = Val();
     else if (startsWith(Arg, "--policy="))
@@ -330,7 +322,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
              (Arg == "profile" || Arg == "solve" || Arg == "run" ||
               Arg == "trace" || Arg == "compile" || Arg == "report" ||
               Arg == "serve"))
-      // Subcommand spelling: `pimflow compile toy` == `-m=compile -n=toy`.
       O.Mode = Arg;
     else if (O.Mode == "report" && O.ReportFile.empty() &&
              !startsWith(Arg, "-"))
@@ -351,13 +342,13 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
   if (O.Mode != "profile" && O.Mode != "solve" && O.Mode != "run" &&
       O.Mode != "trace" && O.Mode != "compile" && O.Mode != "report" &&
       O.Mode != "serve") {
-    DE.error(DiagCode::BadOption, "-m",
+    DE.error(DiagCode::BadOption, "<verb>",
              "must be profile, solve, run, trace, compile, report or serve");
     Ok = false;
   }
   if (O.Mode == "serve") {
-    // -n= spelling still works for a single tenant; with nothing given,
-    // serve the default net so smoke runs stay one-liners.
+    // With no tenant given, serve the default net so smoke runs stay
+    // one-liners.
     if (O.ServeNets.empty())
       O.ServeNets.push_back(O.Net);
   } else if (!O.Requests.empty() || !O.SummaryOut.empty() ||
@@ -461,7 +452,7 @@ bool saveProfileLog(const Profiler &P, const CliOptions &O) {
   return false;
 }
 
-/// Resolves the `-n=` / positional net argument: a model-zoo name, or a
+/// Resolves the positional net argument: a model-zoo name, or a
 /// path to a serialized graph file (`pimflow compile m.graph`).
 std::optional<Graph> resolveModel(const std::string &NameOrPath) {
   if (auto G = tryBuildModel(NameOrPath))
@@ -489,8 +480,8 @@ bool writeMetricsOut(const CliOptions &O) {
 }
 
 /// Writes --perf-report, --trace-out and --metrics-out for a finished
-/// compile. The exporters re-plan offloaded kernels under throwaway
-/// scopes, so the telemetry is the same whichever of them run.
+/// compile. The exporters read the timeline's kernel records and plan
+/// nothing, so the telemetry is the same whichever of them run.
 int exportObservability(const CliOptions &O, const CompileResult &R) {
   // With telemetry collected, attribute the timeline once: record its
   // critical-path and phase counters for this run, then run the in-run
@@ -854,17 +845,17 @@ int runTrace(const CliOptions &O) {
 
   PimCommandGenerator Gen(R.Config.Pim, R.Config.Codegen);
   int Dumped = 0;
-  for (const NodeSchedule &S : R.Schedule.Nodes) {
-    if (S.Dev != Device::Pim)
-      continue;
-    const Node &N = R.Transformed.node(S.Id);
+  for (const PimKernelRecord &K : R.Schedule.Kernels) {
+    const Node &N = R.Transformed.node(K.Id);
     PimKernelPlan Plan;
     {
-      // Re-planning for the dump is export work: keep its telemetry out
-      // of the run's, as the exporters do.
+      // Rebuild the trace of the mapping the run chose; the rebuild is
+      // export work, so its telemetry stays out of the run's.
       obs::Scope Throwaway;
       obs::ScopeGuard Guard(Throwaway);
-      Plan = Gen.plan(lowerToPimSpec(R.Transformed, S.Id));
+      Plan = Gen.planWithMapping(lowerToPimSpec(R.Transformed, K.Id),
+                                 K.ChannelsForM, K.ChannelsForV,
+                                 K.ChannelsForK);
     }
     const std::string Path =
         formatStr("%s/%s.%s.trace", O.Dir.c_str(), O.Net.c_str(),
@@ -874,8 +865,7 @@ int runTrace(const CliOptions &O) {
       return 1;
     }
     std::printf("%-28s %-14s %8.2f us -> %s\n", N.Name.c_str(),
-                Plan.describeMapping().c_str(), Plan.Ns / 1e3,
-                Path.c_str());
+                K.describeMapping().c_str(), Plan.Ns / 1e3, Path.c_str());
     ++Dumped;
   }
   std::printf("%d PIM kernel trace(s) written\n", Dumped);
