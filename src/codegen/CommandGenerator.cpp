@@ -47,43 +47,12 @@ std::vector<int> divisorsOf(int N) {
   return Out;
 }
 
-/// Per-channel command-mix telemetry of the plan the scheduler kept
-/// (`pim.<command>.ch<N>` counters; only when observability is on).
-void recordPlanCounters(const PimKernelPlan &Plan) {
-  for (size_t C = 0; C < Plan.Trace.Channels.size(); ++C) {
-    const ChannelTrace &Trace = Plan.Trace.Channels[C];
-    if (Trace.empty())
-      continue;
-    int64_t GwriteBursts = 0, GActs = 0, CompColumns = 0, ReadRes = 0;
-    for (const CommandBlock &B : Trace.Blocks) {
-      for (const PimCommand &Cmd : B.Pattern) {
-        switch (Cmd.Kind) {
-        case PimCmdKind::Gwrite:
-          GwriteBursts += B.Repeats * Cmd.Count;
-          break;
-        case PimCmdKind::Gwrite2:
-          GwriteBursts += B.Repeats * Cmd.Count * 2;
-          break;
-        case PimCmdKind::Gwrite4:
-          GwriteBursts += B.Repeats * Cmd.Count * 4;
-          break;
-        case PimCmdKind::GAct:
-          GActs += B.Repeats * Cmd.Count;
-          break;
-        case PimCmdKind::Comp:
-          CompColumns += B.Repeats * Cmd.Count;
-          break;
-        case PimCmdKind::ReadRes:
-          ReadRes += B.Repeats * Cmd.Count;
-          break;
-        }
-      }
-    }
-    obs::addCounter(formatStr("pim.gwrite_bursts.ch%zu", C), GwriteBursts);
-    obs::addCounter(formatStr("pim.g_acts.ch%zu", C), GActs);
-    obs::addCounter(formatStr("pim.comp_columns.ch%zu", C), CompColumns);
-    obs::addCounter(formatStr("pim.read_res.ch%zu", C), ReadRes);
-  }
+/// The Fig. 6 granularity a mapping with \p Cv vector partitions and
+/// \p Ck K-partitions needs.
+ScheduleGranularity granularityOf(int Cv, int Ck) {
+  return Ck > 1   ? ScheduleGranularity::Comp
+         : Cv > 1 ? ScheduleGranularity::ReadRes
+                  : ScheduleGranularity::GAct;
 }
 
 } // namespace
@@ -101,14 +70,14 @@ PimKernelRecord pf::recordOf(NodeId Id, const PimKernelPlan &Plan) {
   return R;
 }
 
-PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
-                                                int ChannelsForM,
-                                                int ChannelsForV,
-                                                int ChannelsForK,
-                                                ChannelTrace &Channel) const {
-  PF_ASSERT(ChannelsForM >= 1 && ChannelsForV >= 1 && ChannelsForK >= 1,
+PimCommandGenerator::MappingExtras
+PimCommandGenerator::emitChannel(const PimKernelSpec &Spec,
+                                 const ChannelMapping &Map,
+                                 ChannelTrace &Channel) const {
+  PF_ASSERT(Map.ChannelsForM >= 1 && Map.ChannelsForV >= 1 &&
+                Map.ChannelsForK >= 1,
             "channel partition factors must be positive");
-  PF_ASSERT(ChannelsForM * ChannelsForV * ChannelsForK <= Config.Channels,
+  PF_ASSERT(Map.usedChannels() <= Config.Channels,
             "channel partition exceeds the PIM channel count");
 
   const int64_t Banks = Config.BanksPerChannel;
@@ -117,7 +86,7 @@ PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
 
   // Work shares of one channel (ceil everywhere: every channel is priced as
   // the worst-case channel, keeping the estimate conservative).
-  const int64_t RowsPerPart = ceilDiv(Spec.M, ChannelsForM);
+  const int64_t RowsPerPart = ceilDiv(Spec.M, Map.ChannelsForM);
   // Matrix rows are interleaved across the channel's banks; the weight
   // layout packs each bank's share densely, so one activated DRAM row
   // serves ColumnIOsPerRow consecutive column computes regardless of how
@@ -129,8 +98,8 @@ PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
   if (B == 3)
     B = 2;
   const int64_t PassesTotal = ceilDiv(Spec.NumVectors, B);
-  const int64_t PassesPerPart = ceilDiv(PassesTotal, ChannelsForV);
-  const int64_t KPart = ceilDiv(Spec.K, ChannelsForK);
+  const int64_t PassesPerPart = ceilDiv(PassesTotal, Map.ChannelsForV);
+  const int64_t KPart = ceilDiv(Spec.K, Map.ChannelsForK);
   const int64_t NumTiles = ceilDiv(KPart, BufElems);
 
   // Result-latch pressure: each bank accumulates RowsPerBank x B partial
@@ -140,6 +109,7 @@ PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
       NumTiles > 1 && RowsPerBank * B > Config.ResultLatchesPerBank;
 
   // Build the per-pass command pattern of one channel.
+  MappingExtras X;
   Channel.Blocks.resize(1);
   Channel.Blocks.front().Repeats = PassesPerPart;
   std::vector<PimCommand> &Pattern = Channel.Blocks.front().Pattern;
@@ -155,6 +125,7 @@ PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
     if (Options.StridedGwrite || Spec.GwriteSegments == 1) {
       Pattern.push_back(
           PimCommand::gwrite(BurstsPerBuffer, static_cast<int>(B)));
+      X.GwriteBursts += PassesPerPart * B * BurstsPerBuffer;
     } else {
       const int64_t Segments =
           std::min<int64_t>(Spec.GwriteSegments, BurstsPerBuffer);
@@ -162,6 +133,7 @@ PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
       for (int64_t S = 0; S < Segments; ++S)
         Pattern.push_back(
             PimCommand::gwrite(BurstsPerSegment, static_cast<int>(B)));
+      X.GwriteBursts += PassesPerPart * Segments * B * BurstsPerSegment;
     }
     // Stream this K-tile of every resident matrix row through the MAC
     // trees: per bank, RowsPerBank dot-product segments of
@@ -182,28 +154,39 @@ PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
     Pattern.push_back(
         PimCommand::readRes(B * ceilDiv(RowsPerPart, ElemsPerComp)));
 
-  PimKernelPlan Plan;
-  Plan.Stats = Sim.runReplicated(Channel,
-                                 ChannelsForM * ChannelsForV * ChannelsForK);
-  Plan.Ns = Plan.Stats.Ns;
-  Plan.EffectiveMacs = Spec.totalMacs();
-  Plan.ChannelsForM = ChannelsForM;
-  Plan.ChannelsForV = ChannelsForV;
-  Plan.ChannelsForK = ChannelsForK;
-
   // Partial sums — from COMP-granularity K-splits across channels and from
   // latch-pressure per-tile drains — are merged by a lightweight
   // elementwise add on the GPU side; charge the merge traffic at the
   // cross-channel rate.
-  int64_t PartialCopies = ChannelsForK - 1;
+  int64_t PartialCopies = Map.ChannelsForK - 1;
   if (DrainPerTile)
     PartialCopies += NumTiles - 1;
   if (PartialCopies > 0) {
     const double MergeBytes = static_cast<double>(PartialCopies + 1) *
                               static_cast<double>(Spec.M) *
                               static_cast<double>(Spec.NumVectors) * 2.0;
-    Plan.Ns += MergeBytes / 100.0; // 100 GB/s crossbar -> ns per byte.
+    X.MergeNs = MergeBytes / 100.0; // 100 GB/s crossbar -> ns per byte.
   }
+  return X;
+}
+
+double PimCommandGenerator::priceNs(const ChannelMapping &Map,
+                                    const MappingExtras &X,
+                                    int64_t ChannelCycles) const {
+  return std::max(Config.cyclesToNs(ChannelCycles),
+                  Config.fetchFloorNs(Map.usedChannels() * X.GwriteBursts)) +
+         X.MergeNs;
+}
+
+PimKernelPlan PimCommandGenerator::priceMapping(const PimKernelSpec &Spec,
+                                                const ChannelMapping &Map,
+                                                const ChannelTrace &Channel,
+                                                const MappingExtras &X) const {
+  PimKernelPlan Plan;
+  static_cast<ChannelMapping &>(Plan) = Map;
+  Plan.Stats = Sim.runReplicated(Channel, Map.usedChannels());
+  Plan.Ns = Plan.Stats.Ns + X.MergeNs;
+  Plan.EffectiveMacs = Spec.totalMacs();
   return Plan;
 }
 
@@ -220,9 +203,11 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
                                      int ChannelsForM, int ChannelsForV,
                                      int ChannelsForK) const {
   PF_ASSERT(Spec.valid(), "invalid PIM kernel spec");
+  const ChannelMapping Map{ChannelsForM, ChannelsForV, ChannelsForK,
+                           granularityOf(ChannelsForV, ChannelsForK)};
   ChannelTrace Channel;
-  PimKernelPlan Plan =
-      priceMapping(Spec, ChannelsForM, ChannelsForV, ChannelsForK, Channel);
+  const MappingExtras X = emitChannel(Spec, Map, Channel);
+  PimKernelPlan Plan = priceMapping(Spec, Map, Channel, X);
   Plan.Trace = replicate(Channel, Plan.usedChannels());
   return Plan;
 }
@@ -230,9 +215,13 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
 PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
   PF_ASSERT(Spec.valid(), "invalid PIM kernel spec");
 
-  // Every mapping is priced from one channel; only the kept mapping's
-  // device trace is built.
-  PimKernelPlan Best;
+  // Every mapping is emitted as the one command stream its used channels
+  // all carry. A mapping whose lower bound reaches the best price so far
+  // cannot win and is skipped; the others are priced from one simulated
+  // channel. Only the kept mapping gets full run stats and a device trace.
+  ChannelMapping Best;
+  MappingExtras BestExtras;
+  double BestNs = 0.0;
   bool HaveBest = false;
   ChannelTrace BestChannel, Channel;
 
@@ -256,13 +245,30 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
         if (static_cast<int64_t>(Ck) * Config.elementsPerComp() > Spec.K &&
             Ck > 1)
           break;
-        PimKernelPlan Plan = priceMapping(Spec, Cm, Cv, Ck, Channel);
-        Plan.Granularity = Ck > 1   ? ScheduleGranularity::Comp
-                           : Cv > 1 ? ScheduleGranularity::ReadRes
-                                    : ScheduleGranularity::GAct;
         obs::addCounter("codegen.mappings_tried");
-        if (!HaveBest || Plan.Ns < Best.Ns) {
-          Best = std::move(Plan);
+        const ChannelMapping Map{Cm, Cv, Ck, granularityOf(Cv, Ck)};
+        const MappingExtras X = emitChannel(Spec, Map, Channel);
+        if (HaveBest) {
+          // Admissible: both engines start at cycle 0, the fetch engine
+          // runs the GWRITEs back to back, the bank engine the rest, and
+          // the channel ends on a READRES after its last COMP, which
+          // waits for the last GWRITE. Without latency hiding every
+          // command serializes, so the summed bound is exact.
+          const ChannelPhaseCycles Busy = phaseCyclesOf(Config, Channel);
+          const int64_t Floor =
+              Config.GwriteLatencyHiding
+                  ? std::max(Busy.GwriteCycles, Busy.bankBusyCycles())
+                  : Busy.busyCycles();
+          if (priceNs(Map, X, Floor) >= BestNs) {
+            obs::addCounter("codegen.mappings_pruned");
+            continue;
+          }
+        }
+        const double Ns = priceNs(Map, X, Sim.simulateChannel(Channel));
+        if (!HaveBest || Ns < BestNs) {
+          Best = Map;
+          BestExtras = X;
+          BestNs = Ns;
           std::swap(BestChannel, Channel);
           HaveBest = true;
         }
@@ -270,9 +276,10 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
     }
   }
   PF_ASSERT(HaveBest, "no feasible PIM mapping found");
-  Best.Trace = replicate(BestChannel, Best.usedChannels());
+  PimKernelPlan Plan = priceMapping(Spec, Best, BestChannel, BestExtras);
+  PF_ASSERT(Plan.Ns == BestNs,
+            "full-stats price of the kept mapping differs from its price");
+  Plan.Trace = replicate(BestChannel, Plan.usedChannels());
   obs::addCounter("codegen.plans");
-  if (obs::activeRegistry().enabled())
-    recordPlanCounters(Best);
-  return Best;
+  return Plan;
 }

@@ -117,17 +117,39 @@ public:
                                 int ChannelsForV, int ChannelsForK) const;
 
   /// Command-scheduling pass: tries every mapping the configured
-  /// granularity permits and returns the fastest plan.
+  /// granularity permits and returns the fastest plan. A mapping whose
+  /// lower bound cannot beat the fastest so far is skipped; only a
+  /// strictly faster mapping replaces it, so the first fastest one wins.
   PimKernelPlan plan(const PimKernelSpec &Spec) const;
 
 private:
-  /// Emits the command stream every used channel of the mapping carries
-  /// into \p Channel (reusing its storage) and prices the mapping from
-  /// it. The returned plan has no Trace; every used channel holds
-  /// \p Channel.
-  PimKernelPlan priceMapping(const PimKernelSpec &Spec, int ChannelsForM,
-                             int ChannelsForV, int ChannelsForK,
-                             ChannelTrace &Channel) const;
+  /// What pricing a mapping needs besides the command stream each of its
+  /// used channels carries.
+  struct MappingExtras {
+    /// GWRITE bursts one used channel fetches.
+    int64_t GwriteBursts = 0;
+    /// GPU-side merge time of the mapping's partial sums, in ns.
+    double MergeNs = 0.0;
+  };
+
+  /// Emits the command stream every used channel of \p Map carries into
+  /// \p Channel (reusing its storage).
+  MappingExtras emitChannel(const PimKernelSpec &Spec,
+                            const ChannelMapping &Map,
+                            ChannelTrace &Channel) const;
+
+  /// Kernel ns of \p Map when each used channel finishes at
+  /// \p ChannelCycles: the makespan raised to the fetch-supply floor, plus
+  /// the merge. Monotone in \p ChannelCycles.
+  double priceNs(const ChannelMapping &Map, const MappingExtras &X,
+                 int64_t ChannelCycles) const;
+
+  /// Full run stats of \p Map, whose used channels each carry \p Channel.
+  /// The returned plan has no Trace.
+  PimKernelPlan priceMapping(const PimKernelSpec &Spec,
+                             const ChannelMapping &Map,
+                             const ChannelTrace &Channel,
+                             const MappingExtras &X) const;
 
   /// A device trace whose first \p UsedChannels channels hold \p Channel.
   DeviceTrace replicate(const ChannelTrace &Channel, int UsedChannels) const;

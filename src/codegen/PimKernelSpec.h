@@ -16,6 +16,8 @@
 #ifndef PIMFLOW_CODEGEN_PIMKERNELSPEC_H
 #define PIMFLOW_CODEGEN_PIMKERNELSPEC_H
 
+#include <compare>
+
 #include "ir/Graph.h"
 
 namespace pf {
@@ -42,6 +44,9 @@ struct PimKernelSpec {
   int64_t weightBytes() const { return M * K * 2; }
 
   bool valid() const { return M > 0 && K > 0 && NumVectors > 0; }
+
+  /// Field-wise order: kernels that compare equal plan identically.
+  auto operator<=>(const PimKernelSpec &) const = default;
 };
 
 /// Lowers node \p Id to a PimKernelSpec. The node must be a PIM candidate

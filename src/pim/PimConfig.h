@@ -128,6 +128,14 @@ struct PimConfig {
     return static_cast<double>(Cycles) / ClockGhz;
   }
 
+  /// The fetch-supply floor on a kernel's duration in nanoseconds: the
+  /// time FetchSupplyGBs takes to deliver \p GwriteBursts bursts.
+  double fetchFloorNs(int64_t GwriteBursts) const {
+    const double FetchBytes = static_cast<double>(GwriteBursts) *
+                              static_cast<double>(BurstBytes);
+    return FetchBytes / (FetchSupplyGBs * 1e9) * 1e9;
+  }
+
   /// Newton+ mechanism: baseline command set (single buffer, no hiding).
   static PimConfig newtonPlus() {
     PimConfig C;

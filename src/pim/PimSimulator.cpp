@@ -339,9 +339,7 @@ void addChannels(PimRunStats &Stats, const ChannelResult &R,
 /// lower-bounds the kernel's duration. Returns true when the floor binds.
 bool applyFetchFloor(const PimConfig &Config, PimRunStats &Stats) {
   Stats.Ns = Config.cyclesToNs(Stats.Cycles);
-  const double FetchBytes = static_cast<double>(Stats.GwriteBursts) *
-                            static_cast<double>(Config.BurstBytes);
-  const double FetchFloorNs = FetchBytes / (Config.FetchSupplyGBs * 1e9) * 1e9;
+  const double FetchFloorNs = Config.fetchFloorNs(Stats.GwriteBursts);
   if (FetchFloorNs <= Stats.Ns)
     return false;
   Stats.Ns = FetchFloorNs;

@@ -7,7 +7,7 @@
 #include "runtime/ExecutionEngine.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <map>
 
 #include "codegen/PimKernelSpec.h"
 #include "obs/Counters.h"
@@ -61,19 +61,41 @@ bool isFusableEpilogue(OpKind Kind) {
   }
 }
 
-/// Per-execution cache of PIM kernel plans.
+/// Per-execution cache of PIM kernel plans. Planning reads nothing but the
+/// kernel spec, so nodes that lower to equal specs share one plan.
 struct PimPlanCache {
-  std::unordered_map<NodeId, PimKernelPlan> Plans;
+  std::map<PimKernelSpec, PimKernelPlan> Plans;
+  /// Each planned node's plan, by NodeId.
+  std::vector<const PimKernelPlan *> OfNode;
 
   const PimKernelPlan &planFor(const Graph &G, NodeId Id,
                                const PimCommandGenerator &Gen) {
-    auto It = Plans.find(Id);
-    if (It != Plans.end())
-      return It->second;
-    const PimKernelSpec Spec = lowerToPimSpec(G, Id);
-    return Plans.emplace(Id, Gen.plan(Spec)).first->second;
+    const PimKernelPlan *&Plan = OfNode[static_cast<size_t>(Id)];
+    if (!Plan) {
+      const PimKernelSpec Spec = lowerToPimSpec(G, Id);
+      auto It = Plans.find(Spec);
+      if (It == Plans.end())
+        It = Plans.emplace(Spec, Gen.plan(Spec)).first;
+      Plan = &It->second;
+    }
+    return *Plan;
   }
 };
+
+/// Per-channel command-mix telemetry of one executed PIM kernel
+/// (`pim.<command>.ch<N>` counters). Every used channel carries the same
+/// stream, so each takes an equal share of the kernel's totals.
+void recordKernelCounters(const PimKernelRecord &K) {
+  const int Used = K.usedChannels();
+  for (int C = 0; C < Used; ++C) {
+    obs::addCounter(formatStr("pim.gwrite_bursts.ch%d", C),
+                    K.GwriteBursts / Used);
+    obs::addCounter(formatStr("pim.g_acts.ch%d", C), K.GActs / Used);
+    obs::addCounter(formatStr("pim.comp_columns.ch%d", C),
+                    K.CompColumns / Used);
+    obs::addCounter(formatStr("pim.read_res.ch%d", C), K.ReadResCmds / Used);
+  }
+}
 
 } // namespace
 
@@ -129,12 +151,50 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     obs::flightEvent(obs::FlightEventKind::ExecError, 0, -1, -1, 0.0, What);
     obs::FlightRecorder::instance().autoDump(What);
   };
-  PimPlanCache Cache;
   PimCommandGenerator Gen(Config.Pim.Channels > 0
                               ? Config.Pim
                               : PimConfig::newtonPlus(),
                           Config.Codegen);
   PimSimulator Sim(Config.Pim);
+
+  // A cyclic dependency set never becomes ready, so Kahn's order comes up
+  // short — surface a diagnostic instead of silently scheduling a partial
+  // graph (or spinning forever looking for a ready node).
+  const std::vector<NodeId> Order = G.tryTopoOrder();
+  size_t LiveNodes = 0;
+  for (const Node &N : G.nodes())
+    LiveNodes += N.Dead ? 0 : 1;
+  if (Order.size() != LiveNodes) {
+    DE.error(DiagCode::ExecUnschedulable, G.name(),
+             formatStr("dependency cycle: only %zu of %zu live nodes are "
+                       "schedulable",
+                       Order.size(), LiveNodes));
+    FailExec("exec.unschedulable: dependency cycle");
+    return std::nullopt;
+  }
+
+  // The dataflow, indexed once: each node's topological index and count of
+  // distinct produced inputs, and each value's live consumers (each once,
+  // however often it reads the value).
+  const size_t NumNodes = G.numNodesIncludingDead();
+  std::vector<size_t> TopoIdx(NumNodes, 0);
+  std::vector<int> ProducedInputs(NumNodes, 0);
+  std::vector<std::vector<NodeId>> Consumers(G.numValues());
+  for (size_t I = 0; I < Order.size(); ++I) {
+    const NodeId Id = Order[I];
+    const std::vector<ValueId> &Inputs = G.node(Id).Inputs;
+    TopoIdx[static_cast<size_t>(Id)] = I;
+    for (auto In = Inputs.begin(); In != Inputs.end(); ++In) {
+      if (G.producer(*In) == InvalidNode ||
+          std::find(Inputs.begin(), In, *In) != In)
+        continue;
+      ++ProducedInputs[static_cast<size_t>(Id)];
+      Consumers[static_cast<size_t>(*In)].push_back(Id);
+    }
+  }
+
+  PimPlanCache Cache;
+  Cache.OfNode.assign(NumNodes, nullptr);
 
   // One scheduling pass; \p GpuScale inflates GPU kernel durations (used by
   // the contention model's second pass). Nodes are dispatched to their
@@ -143,24 +203,9 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
   // would run it rather than serializing in topological order.
   auto SchedulePass = [&](double GpuScale) -> std::optional<Timeline> {
     Timeline TL;
-    const std::vector<NodeId> Order = G.tryTopoOrder();
+    TL.Nodes.reserve(Order.size());
 
-    // A cyclic dependency set never becomes ready, so Kahn's order comes up
-    // short — surface a diagnostic instead of silently scheduling a partial
-    // graph (or spinning forever looking for a ready node).
-    size_t LiveNodes = 0;
-    for (const Node &N : G.nodes())
-      LiveNodes += N.Dead ? 0 : 1;
-    if (Order.size() != LiveNodes) {
-      DE.error(DiagCode::ExecUnschedulable, G.name(),
-               formatStr("dependency cycle: only %zu of %zu live nodes are "
-                         "schedulable",
-                         Order.size(), LiveNodes));
-      FailExec("exec.unschedulable: dependency cycle");
-      return std::nullopt;
-    }
-
-    // Static per-node properties (device annotations fix the producing
+    // Per-node properties, by NodeId (device annotations fix the producing
     // device of every value up front).
     struct NodeInfo {
       Device Dev = Device::Gpu;
@@ -168,15 +213,15 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
       double EnergyJ = 0.0;
       int Pending = 0;      ///< Unscheduled producer nodes.
       double ReadyNs = 0.0; ///< Max over scheduled deps (incl. handoffs).
-      bool Scheduled = false;
-      size_t TopoIdx = 0;
     };
-    std::unordered_map<NodeId, NodeInfo> Info;
+    std::vector<NodeInfo> Info(NumNodes);
+    // Topological indices of the nodes whose producers have all been
+    // scheduled, in increasing order.
+    std::vector<size_t> Ready;
 
-    for (size_t I = 0; I < Order.size(); ++I) {
-      const Node &N = G.node(Order[I]);
-      NodeInfo NI;
-      NI.TopoIdx = I;
+    for (const NodeId Id : Order) {
+      const Node &N = G.node(Id);
+      NodeInfo &NI = Info[static_cast<size_t>(Id)];
       NI.Dev = N.Dev == Device::Pim ? Device::Pim : Device::Gpu;
       if (NI.Dev == Device::Pim) {
         if (!Config.hasPim()) {
@@ -186,7 +231,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
           FailExec("exec.no-pim-channels");
           return std::nullopt;
         }
-        const PimKernelPlan &Plan = Cache.planFor(G, Order[I], Gen);
+        const PimKernelPlan &Plan = Cache.planFor(G, Id, Gen);
         if (Faults && !Faults->empty()) {
           const FaultyRunStats FS =
               Sim.runWithFaults(Plan.Trace, *Faults, *Retry);
@@ -212,40 +257,17 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
         NI.Duration = 0.0;
         NI.EnergyJ = 0.0;
       } else {
-        NI.Duration = nodeLatencyNs(G, Order[I]) * GpuScale;
-        NI.EnergyJ = nodeEnergyJ(G, Order[I]);
+        NI.Duration = nodeLatencyNs(G, Id) * GpuScale;
+        NI.EnergyJ = nodeEnergyJ(G, Id);
       }
-      // Count distinct produced input values (consumers() reports each
-      // consumer once per value, so duplicates must not double-count).
-      std::vector<ValueId> Seen;
-      for (ValueId In : N.Inputs) {
-        if (G.producer(In) == InvalidNode)
-          continue;
-        if (std::find(Seen.begin(), Seen.end(), In) != Seen.end())
-          continue;
-        Seen.push_back(In);
-        ++NI.Pending;
-      }
-      Info.emplace(Order[I], NI);
+      NI.Pending = ProducedInputs[static_cast<size_t>(Id)];
+      if (NI.Pending == 0)
+        Ready.push_back(TopoIdx[static_cast<size_t>(Id)]);
     }
 
     double GpuFree = 0.0, PimFree = 0.0;
-    size_t Remaining = Order.size();
-    while (Remaining > 0) {
-      // Pick the ready node with the earliest achievable start; break ties
-      // by topological index for determinism.
-      NodeId BestId = InvalidNode;
-      double BestStart = 0.0;
-      for (NodeId Id : Order) {
-        NodeInfo &NI = Info.at(Id);
-        if (NI.Scheduled || NI.Pending > 0)
-          continue;
-        const double Free = NI.Dev == Device::Pim ? PimFree : GpuFree;
-        const double Start = std::max(Free, NI.ReadyNs);
-        if (BestId == InvalidNode || Start < BestStart)
-          BestId = Id, BestStart = Start;
-      }
-      if (BestId == InvalidNode) {
+    for (size_t Remaining = Order.size(); Remaining > 0; --Remaining) {
+      if (Ready.empty()) {
         // Unreachable for acyclic graphs (checked above), but a diagnostic
         // beats an infinite loop if the invariant ever breaks.
         DE.error(DiagCode::ExecUnschedulable, G.name(),
@@ -254,11 +276,22 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
         FailExec("exec.unschedulable: scheduler deadlock");
         return std::nullopt;
       }
+      // Pick the ready node with the earliest achievable start; ties go to
+      // the lowest topological index for determinism.
+      size_t BestPos = 0;
+      double BestStart = 0.0;
+      for (size_t P = 0; P < Ready.size(); ++P) {
+        const NodeInfo &NI = Info[static_cast<size_t>(Order[Ready[P]])];
+        const double Free = NI.Dev == Device::Pim ? PimFree : GpuFree;
+        const double Start = std::max(Free, NI.ReadyNs);
+        if (P == 0 || Start < BestStart)
+          BestPos = P, BestStart = Start;
+      }
+      const NodeId BestId = Order[Ready[BestPos]];
+      Ready.erase(Ready.begin() + static_cast<std::ptrdiff_t>(BestPos));
 
-      NodeInfo &NI = Info.at(BestId);
+      const NodeInfo &NI = Info[static_cast<size_t>(BestId)];
       const double End = BestStart + NI.Duration;
-      NI.Scheduled = true;
-      --Remaining;
       // Zero-duration nodes (fused elementwise, free data movement) do not
       // occupy the device.
       if (NI.Duration > 0.0) {
@@ -280,18 +313,19 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
       // result is read in place by the consumer through the channel
       // interconnect.
       for (ValueId Out : G.node(BestId).Outputs) {
-        for (NodeId Consumer : G.consumers(Out)) {
-          auto It = Info.find(Consumer);
-          if (It == Info.end())
-            continue;
-          NodeInfo &CI = It->second;
+        for (NodeId Consumer : Consumers[static_cast<size_t>(Out)]) {
+          NodeInfo &CI = Info[static_cast<size_t>(Consumer)];
           double Avail = End;
           if (CI.Dev != NI.Dev) {
             Avail += Config.SyncOverheadNs;
             obs::addCounter("engine.cross_device_handoffs");
           }
           CI.ReadyNs = std::max(CI.ReadyNs, Avail);
-          --CI.Pending;
+          if (--CI.Pending == 0) {
+            const size_t Idx = TopoIdx[static_cast<size_t>(Consumer)];
+            Ready.insert(std::lower_bound(Ready.begin(), Ready.end(), Idx),
+                         Idx);
+          }
         }
       }
     }
@@ -307,10 +341,10 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     // PIM fetch traffic occupies the shared memory controller; GPU kernels
     // overlapping it slow down proportionally to the fetch-busy fraction.
     double FetchCycles = 0.0;
-    for (const auto &Entry : Cache.Plans)
-      FetchCycles +=
-          static_cast<double>(Entry.second.Stats.GwriteBursts) *
-          static_cast<double>(Config.Pim.TCcdl);
+    for (const PimKernelPlan *Plan : Cache.OfNode)
+      if (Plan)
+        FetchCycles += static_cast<double>(Plan->Stats.GwriteBursts) *
+                       static_cast<double>(Config.Pim.TCcdl);
     const double FetchNs = Config.Pim.cyclesToNs(
         static_cast<int64_t>(FetchCycles));
     const double Fraction = std::min(1.0, FetchNs / TL.TotalNs);
@@ -325,10 +359,15 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     TL.ContentionSlowdown = Slowdown;
   }
 
-  TL.Kernels.reserve(Cache.Plans.size());
-  for (const NodeSchedule &S : TL.Nodes)
-    if (S.Dev == Device::Pim)
-      TL.Kernels.push_back(recordOf(S.Id, Cache.Plans.at(S.Id)));
+  const bool Observed = obs::activeRegistry().enabled();
+  for (const NodeSchedule &S : TL.Nodes) {
+    if (S.Dev != Device::Pim)
+      continue;
+    TL.Kernels.push_back(
+        recordOf(S.Id, *Cache.OfNode[static_cast<size_t>(S.Id)]));
+    if (Observed)
+      recordKernelCounters(TL.Kernels.back());
+  }
 
   // Kernel energies plus GPU static power while idle within the makespan
   // (the PIM kernels' energy already folds in their channels' background
@@ -342,7 +381,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
   // Streaming telemetry off the final timeline only (the contention model's
   // first pass would double-count): per-node latency quantiles windowed
   // over wall time, plus the completion event for the flight trace.
-  if (obs::activeRegistry().enabled()) {
+  if (Observed) {
     const int64_t NowUs =
         static_cast<int64_t>(obs::Tracer::instance().nowUs());
     for (const NodeSchedule &S : TL.Nodes)

@@ -258,10 +258,13 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
       RunResult RR;
       RR.TotalNs = TL.TotalNs;
       // Partially-executed-timeline guard: every live node must have a
-      // schedule entry. Probed with find() — absence is a diagnostic
-      // (serve.timeline-gap), never a fatal() killing the server.
+      // schedule entry. Absence is a diagnostic (serve.timeline-gap),
+      // never a fatal() killing the server.
+      std::vector<char> Scheduled(G.numNodesIncludingDead(), 0);
+      for (const NodeSchedule &NS : TL.Nodes)
+        Scheduled[static_cast<size_t>(NS.Id)] = 1;
       for (const Node &N : G.nodes())
-        if (!N.Dead && !TL.find(N.Id))
+        if (!N.Dead && !Scheduled[static_cast<size_t>(N.Id)])
           ++RR.MissingNodes;
       return RR;
     }));

@@ -12,6 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <algorithm>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -33,9 +35,11 @@ PimKernelSpec spec(int64_t M, int64_t K, int64_t V, int64_t Segments = 1) {
   return S;
 }
 
-/// Newton+ without and Newton++ with the strided-GWRITE extension, plus
+/// Newton+ without and Newton++ with the strided-GWRITE extension,
 /// Newton++ at the smallest and largest PIM channel counts of the Fig. 13
-/// channel-ratio sweep.
+/// channel-ratio sweep, Newton++ capped at the G_ACT and READRES
+/// granularities, and Newton++ without GWRITE latency hiding (several
+/// buffers, every command serialized).
 std::vector<std::pair<PimConfig, CodegenOptions>> sweepConfigs() {
   CodegenOptions Plain;
   Plain.StridedGwrite = false;
@@ -46,6 +50,53 @@ std::vector<std::pair<PimConfig, CodegenOptions>> sweepConfigs() {
     PimConfig C = PimConfig::newtonPlusPlus();
     C.Channels = Channels;
     Out.push_back({C, CodegenOptions{}});
+  }
+  for (ScheduleGranularity G :
+       {ScheduleGranularity::GAct, ScheduleGranularity::ReadRes}) {
+    CodegenOptions Capped;
+    Capped.MaxGranularity = G;
+    Out.push_back({PimConfig::newtonPlusPlus(), Capped});
+  }
+  PimConfig Serialized = PimConfig::newtonPlusPlus();
+  Serialized.GwriteLatencyHiding = false;
+  Out.push_back({Serialized, CodegenOptions{}});
+  return Out;
+}
+
+std::vector<int> divisors(int N) {
+  std::vector<int> Out;
+  for (int D = 1; D <= N; ++D)
+    if (N % D == 0)
+      Out.push_back(D);
+  return Out;
+}
+
+/// Every (Cm, Cv, Ck) mapping the command-scheduling pass may enumerate
+/// for \p S, in its lexicographic order: divisors of the channels left,
+/// the granularity ceiling, Cm <= M, Cv <= the vector passes, and
+/// Ck * elementsPerComp <= K.
+std::vector<std::tuple<int, int, int>>
+enumerableMappings(const PimConfig &C, const CodegenOptions &O,
+                   const PimKernelSpec &S) {
+  const int64_t B = std::min<int64_t>(C.NumGlobalBuffers, S.NumVectors);
+  const int64_t Passes = (S.NumVectors + B - 1) / B;
+  std::vector<std::tuple<int, int, int>> Out;
+  for (int Cm : divisors(C.Channels)) {
+    if (Cm > S.M)
+      continue;
+    for (int Cv : divisors(C.Channels / Cm)) {
+      if (Cv > 1 && O.MaxGranularity == ScheduleGranularity::GAct)
+        break;
+      if (Cv > Passes)
+        break;
+      for (int Ck : divisors(C.Channels / (Cm * Cv))) {
+        if (Ck > 1 && O.MaxGranularity != ScheduleGranularity::Comp)
+          break;
+        if (Ck > 1 && static_cast<int64_t>(Ck) * C.elementsPerComp() > S.K)
+          break;
+        Out.emplace_back(Cm, Cv, Ck);
+      }
+    }
   }
   return Out;
 }
@@ -64,8 +115,11 @@ protected:
 TEST_P(CodegenSweep, InvariantsHold) {
   const PimKernelSpec S = param();
   for (const auto &[C, O] : sweepConfigs()) {
-    SCOPED_TRACE(testing::Message() << "channels=" << C.Channels
-                                    << " buffers=" << C.NumGlobalBuffers);
+    SCOPED_TRACE(testing::Message()
+                 << "channels=" << C.Channels
+                 << " buffers=" << C.NumGlobalBuffers
+                 << " hiding=" << C.GwriteLatencyHiding << " granularity="
+                 << granularityName(O.MaxGranularity));
     PimCommandGenerator Gen(C, O);
     const PimKernelPlan P = Gen.plan(S);
 
@@ -110,6 +164,25 @@ TEST_P(CodegenSweep, InvariantsHold) {
       SCOPED_TRACE(testing::Message() << "channel " << Ch);
       expectSameChannel(Direct.Trace.Channels[Ch], P.Trace.Channels[Ch]);
     }
+
+    // 8. The pruned search keeps the exhaustive search's winner: no
+    //    enumerable mapping is faster, and every one before the kept
+    //    mapping is strictly slower (the first fastest mapping wins).
+    bool SeenKept = false;
+    for (const auto &[Cm, Cv, Ck] : enumerableMappings(C, O, S)) {
+      SCOPED_TRACE(testing::Message()
+                   << "m" << Cm << ".v" << Cv << ".k" << Ck << " vs kept "
+                   << P.describeMapping());
+      const double Ns = Gen.planWithMapping(S, Cm, Cv, Ck).Ns;
+      EXPECT_GE(Ns, P.Ns);
+      const bool Kept = Cm == P.ChannelsForM && Cv == P.ChannelsForV &&
+                        Ck == P.ChannelsForK;
+      if (!SeenKept && !Kept) {
+        EXPECT_GT(Ns, P.Ns);
+      }
+      SeenKept = SeenKept || Kept;
+    }
+    EXPECT_TRUE(SeenKept);
   }
 }
 

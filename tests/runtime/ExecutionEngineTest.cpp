@@ -6,10 +6,14 @@
 
 #include "runtime/ExecutionEngine.h"
 
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "codegen/CommandGenerator.h"
 #include "ir/Builder.h"
+#include "obs/Scope.h"
+#include "support/Format.h"
 
 using namespace pf;
 
@@ -257,4 +261,77 @@ TEST(ExecutionEngineTest, EnergyPositiveAndDecomposes) {
   for (const NodeSchedule &S : TL.Nodes)
     KernelSum += S.EnergyJ;
   EXPECT_GE(TL.EnergyJ, KernelSum); // Plus idle power.
+}
+
+TEST(ExecutionEngineTest, RepeatedKernelIsPlannedOnce) {
+  // Two PIM convs of one kernel spec and a third of another: the engine
+  // plans two kernels, yet every executed node keeps its own record and
+  // its own contribution to the per-channel command counters.
+  GraphBuilder B("repeated");
+  ValueId X = B.input("x", TensorShape{1, 32, 32, 16});
+  ValueId A = B.conv2d(X, 32, 1, 1, 0);
+  ValueId C = B.conv2d(X, 32, 1, 1, 0);
+  ValueId D = B.conv2d(X, 64, 1, 1, 0);
+  B.output(B.concat({A, C, D}, 3));
+  Graph G = B.take();
+  std::vector<NodeId> Convs;
+  for (NodeId Id : G.topoOrder())
+    if (G.node(Id).Kind == OpKind::Conv2d) {
+      G.node(Id).Dev = Device::Pim;
+      Convs.push_back(Id);
+    }
+  ASSERT_EQ(Convs.size(), 3u);
+
+  obs::Scope Run;
+  Timeline TL;
+  {
+    obs::ScopeGuard Guard(Run);
+    TL = ExecutionEngine(dualConfig()).execute(G);
+  }
+  std::map<std::string, int64_t> Counters;
+  for (const auto &[Name, Value] : Run.registry().counterSnapshot())
+    Counters[Name] = Value;
+  EXPECT_EQ(Counters["codegen.plans"], 2);
+
+  ASSERT_EQ(TL.Kernels.size(), 3u);
+  std::map<NodeId, const PimKernelRecord *> ById;
+  for (const PimKernelRecord &K : TL.Kernels)
+    ById[K.Id] = &K;
+  const PimKernelRecord *First = ById[G.producer(A)];
+  const PimKernelRecord *Second = ById[G.producer(C)];
+  ASSERT_TRUE(First && Second && ById[G.producer(D)]);
+  EXPECT_EQ(First->describeMapping(), Second->describeMapping());
+  EXPECT_EQ(First->GwriteBursts, Second->GwriteBursts);
+  EXPECT_EQ(First->GActs, Second->GActs);
+  EXPECT_EQ(First->CompColumns, Second->CompColumns);
+  EXPECT_EQ(First->ReadResCmds, Second->ReadResCmds);
+  EXPECT_EQ(First->ChannelPhases.busyCycles(),
+            Second->ChannelPhases.busyCycles());
+  EXPECT_EQ(First->ChannelPhases.CompletionCycles,
+            Second->ChannelPhases.CompletionCycles);
+  EXPECT_EQ(TL.scheduleOf(First->Id).durationNs(),
+            TL.scheduleOf(Second->Id).durationNs());
+
+  // Every used channel of a kernel carries the same stream, so channel N
+  // of the `pim.<command>.ch<N>` families sums each executed kernel's
+  // per-channel share over the kernels that use channel N.
+  std::map<std::string, int64_t> Expected;
+  for (const PimKernelRecord &K : TL.Kernels) {
+    const int Used = K.usedChannels();
+    for (int Ch = 0; Ch < Used; ++Ch) {
+      Expected[formatStr("pim.gwrite_bursts.ch%d", Ch)] +=
+          K.GwriteBursts / Used;
+      Expected[formatStr("pim.g_acts.ch%d", Ch)] += K.GActs / Used;
+      Expected[formatStr("pim.comp_columns.ch%d", Ch)] += K.CompColumns / Used;
+      Expected[formatStr("pim.read_res.ch%d", Ch)] += K.ReadResCmds / Used;
+    }
+  }
+  std::map<std::string, int64_t> Actual;
+  for (const auto &[Name, Value] : Counters)
+    for (const char *Family : {"pim.gwrite_bursts.ch", "pim.g_acts.ch",
+                               "pim.comp_columns.ch", "pim.read_res.ch"})
+      if (Name.rfind(Family, 0) == 0)
+        Actual[Name] = Value;
+  EXPECT_FALSE(Actual.empty());
+  EXPECT_EQ(Actual, Expected);
 }

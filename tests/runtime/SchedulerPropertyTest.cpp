@@ -18,6 +18,7 @@
 #include "core/PimFlow.h"
 #include "models/Zoo.h"
 #include "support/Format.h"
+#include "support/StringUtil.h"
 
 using namespace pf;
 
@@ -69,6 +70,39 @@ void checkTimeline(const Graph &G, const Timeline &TL,
     }
 }
 
+/// Everything one engine run decides, at full double precision: the
+/// timeline totals, every node's schedule in order and every PIM kernel
+/// record.
+std::string dumpSchedule(const Timeline &TL) {
+  std::string Out = formatStr(
+      "total %.17g gpu %.17g pim %.17g energy %.17g slowdown %.17g\n",
+      TL.TotalNs, TL.GpuBusyNs, TL.PimBusyNs, TL.EnergyJ,
+      TL.ContentionSlowdown);
+  for (const NodeSchedule &S : TL.Nodes)
+    Out += formatStr("node %d dev %d %.17g %.17g %.17g\n",
+                     static_cast<int>(S.Id), static_cast<int>(S.Dev),
+                     S.StartNs, S.EndNs, S.EnergyJ);
+  for (const PimKernelRecord &K : TL.Kernels) {
+    const ChannelPhaseCycles &P = K.ChannelPhases;
+    Out += formatStr(
+        "kernel %d %s bursts %lld acts %lld columns %lld readres %lld "
+        "phases %d %lld %lld %lld %lld %lld %lld %lld\n",
+        static_cast<int>(K.Id), K.describeMapping().c_str(),
+        static_cast<long long>(K.GwriteBursts),
+        static_cast<long long>(K.GActs),
+        static_cast<long long>(K.CompColumns),
+        static_cast<long long>(K.ReadResCmds), P.Channel,
+        static_cast<long long>(P.GwriteCycles),
+        static_cast<long long>(P.GactCycles),
+        static_cast<long long>(P.CompCycles),
+        static_cast<long long>(P.ReadResCycles),
+        static_cast<long long>(P.RetryCycles),
+        static_cast<long long>(P.StallCycles),
+        static_cast<long long>(P.CompletionCycles));
+  }
+  return Out;
+}
+
 } // namespace
 
 class SchedulerProperty
@@ -110,6 +144,40 @@ TEST(SchedulerProperty, ExecutionIsDeterministic) {
   for (size_t I = 0; I < A.Schedule.Nodes.size(); ++I) {
     EXPECT_EQ(A.Schedule.Nodes[I].Id, B.Schedule.Nodes[I].Id);
     EXPECT_EQ(A.Schedule.Nodes[I].StartNs, B.Schedule.Nodes[I].StartNs);
+  }
+}
+
+TEST(SchedulerProperty, PaperModelSchedulesArePinned) {
+  // Whole-model schedules under PIMFlow at 16 PIM channels, bit for bit:
+  // a scheduler or planner change that keeps every schedule valid but
+  // moves one start time, energy or kernel mapping changes a digest. Only
+  // a deliberate change to the modelled system may re-baseline them, in
+  // the same change that explains why.
+  struct Pinned {
+    const char *Model;
+    bool Contention;
+    const char *Digest;
+  };
+  const Pinned Cases[] = {
+      {"efficientnet-v1-b0", false, "7365dc0c5222e8a6"},
+      {"mobilenet-v2", false, "08499bd827d091c9"},
+      {"mnasnet-1.0", false, "9d576887e8639394"},
+      {"resnet-50", false, "c8832d9bcc7eedcb"},
+      {"vgg-16", false, "5603237f281ef79f"},
+      {"toy", false, "466378048b321034"},
+      {"resnet-18", false, "021fd71513fae3b4"},
+      {"mobilenet-v2", true, "e4ef5293ab71aa2f"},
+  };
+  for (const Pinned &C : Cases) {
+    SCOPED_TRACE(testing::Message() << C.Model << " contention="
+                                    << C.Contention);
+    PimFlowOptions O;
+    O.ModelContention = C.Contention;
+    PimFlow Flow(OffloadPolicy::PimFlow, O);
+    ASSERT_EQ(Flow.config().Pim.Channels, 16);
+    const CompileResult R = Flow.compileAndRun(buildModel(C.Model));
+    EXPECT_FALSE(R.Schedule.Kernels.empty());
+    EXPECT_EQ(fnv1a64Hex(dumpSchedule(R.Schedule)), C.Digest);
   }
 }
 

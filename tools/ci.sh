@@ -50,11 +50,13 @@
 #      byte-identical across --jobs values while the breaker demonstrably
 #      trips, probes, and re-admits; plus a tight-deadline burst proving
 #      queued expiries shed and late completions classify.
-#  10. The memory/UB tier: the serve + runtime resilience suites and the
+#  10. The memory/UB tier: the serve + runtime resilience suites, the
 #      PIM simulator + codegen suites (whose replicated-channel counts
-#      multiply per-channel totals) rebuilt and re-run under
-#      AddressSanitizer and UndefinedBehaviorSanitizer
-#      (PIMFLOW_SANITIZE=address|undefined; UBSan findings are fatal).
+#      multiply per-channel totals) and the execution engine + scheduler
+#      suites (whose ready list and consumer index are NodeId/ValueId
+#      arithmetic) rebuilt and re-run under AddressSanitizer and
+#      UndefinedBehaviorSanitizer (PIMFLOW_SANITIZE=address|undefined;
+#      UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
 #      --trace-out + --trace-sample=tail whose Chrome trace must be
 #      byte-identical across --jobs values, pf_trace_check-clean (span
@@ -345,17 +347,17 @@ grep -qE 'shed_reasons: queue_full=[0-9]+ deadline_expired=[1-9]' \
 grep -qE 'deadline: met=[1-9][0-9]* missed_run=[1-9][0-9]* expired_queued=[1-9]' \
   "$CHAOS_DIR/deadline.txt"
 
-echo "== tier 10: ASan + UBSan on the serve/runtime resilience, simulator and codegen suites =="
+echo "== tier 10: ASan + UBSan on the serve/runtime resilience, simulator, codegen and engine suites =="
 cmake -B build-asan -S . -DPIMFLOW_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke
