@@ -45,53 +45,77 @@ std::optional<Device> deviceFromName(const std::string &Name) {
   return std::nullopt;
 }
 
-/// Emits the attr tokens of \p N.
-std::string attrTokens(const Node &N) {
-  auto LL = [](int64_t V) {
-    return formatStr("%lld", static_cast<long long>(V));
-  };
+/// Appends " <key>=<integer>".
+void appendAttr(std::string &Out, const char *Key, int64_t V) {
+  Out += ' ';
+  Out += Key;
+  Out += '=';
+  appendInt(Out, V);
+}
+
+/// Appends the " kh=.. kw=.. sh=.. sw=.. pt=.. pb=.. pl=.. pr=.." window
+/// tokens shared by conv and pooling nodes.
+template <typename WindowAttrs>
+void appendWindow(std::string &Out, const WindowAttrs &A) {
+  appendAttr(Out, "kh", A.KernelH);
+  appendAttr(Out, "kw", A.KernelW);
+  appendAttr(Out, "sh", A.StrideH);
+  appendAttr(Out, "sw", A.StrideW);
+  appendAttr(Out, "pt", A.PadTop);
+  appendAttr(Out, "pb", A.PadBottom);
+  appendAttr(Out, "pl", A.PadLeft);
+  appendAttr(Out, "pr", A.PadRight);
+}
+
+/// Appends " eps=<%.9g>".
+void appendEpsilon(std::string &Out, float Epsilon) {
+  Out += " eps=";
+  appendDouble(Out, Epsilon, 9);
+}
+
+/// Appends the attr tokens of \p N.
+void appendAttrs(std::string &Out, const Node &N) {
   switch (N.Kind) {
-  case OpKind::Conv2d: {
-    const Conv2dAttrs &A = N.conv();
-    return " kh=" + LL(A.KernelH) + " kw=" + LL(A.KernelW) +
-           " sh=" + LL(A.StrideH) + " sw=" + LL(A.StrideW) +
-           " pt=" + LL(A.PadTop) + " pb=" + LL(A.PadBottom) +
-           " pl=" + LL(A.PadLeft) + " pr=" + LL(A.PadRight) +
-           " g=" + LL(A.Groups);
-  }
+  case OpKind::Conv2d:
+    appendWindow(Out, N.conv());
+    appendAttr(Out, "g", N.conv().Groups);
+    return;
   case OpKind::Gemm:
-    return formatStr(" bias=%d", N.gemm().HasBias ? 1 : 0);
+    appendAttr(Out, "bias", N.gemm().HasBias ? 1 : 0);
+    return;
   case OpKind::MaxPool:
-  case OpKind::AvgPool: {
-    const PoolAttrs &A = std::get<PoolAttrs>(N.Attrs);
-    return " kh=" + LL(A.KernelH) + " kw=" + LL(A.KernelW) +
-           " sh=" + LL(A.StrideH) + " sw=" + LL(A.StrideW) +
-           " pt=" + LL(A.PadTop) + " pb=" + LL(A.PadBottom) +
-           " pl=" + LL(A.PadLeft) + " pr=" + LL(A.PadRight);
-  }
+  case OpKind::AvgPool:
+    appendWindow(Out, std::get<PoolAttrs>(N.Attrs));
+    return;
   case OpKind::BatchNorm:
-    return formatStr(" eps=%.9g",
-                     std::get<BatchNormAttrs>(N.Attrs).Epsilon);
+    appendEpsilon(Out, std::get<BatchNormAttrs>(N.Attrs).Epsilon);
+    return;
   case OpKind::Pad: {
     const PadAttrs &A = std::get<PadAttrs>(N.Attrs);
-    return " pt=" + LL(A.Top) + " pb=" + LL(A.Bottom) +
-           " pl=" + LL(A.Left) + " pr=" + LL(A.Right);
+    appendAttr(Out, "pt", A.Top);
+    appendAttr(Out, "pb", A.Bottom);
+    appendAttr(Out, "pl", A.Left);
+    appendAttr(Out, "pr", A.Right);
+    return;
   }
   case OpKind::Slice: {
     const SliceAttrs &A = std::get<SliceAttrs>(N.Attrs);
-    return " axis=" + LL(A.Axis) + " begin=" + LL(A.Begin) +
-           " end=" + LL(A.End);
+    appendAttr(Out, "axis", A.Axis);
+    appendAttr(Out, "begin", A.Begin);
+    appendAttr(Out, "end", A.End);
+    return;
   }
   case OpKind::Concat:
-    return " axis=" + LL(std::get<ConcatAttrs>(N.Attrs).Axis);
+    appendAttr(Out, "axis", std::get<ConcatAttrs>(N.Attrs).Axis);
+    return;
   case OpKind::LayerNorm:
-    return formatStr(" eps=%.9g",
-                     std::get<LayerNormAttrs>(N.Attrs).Epsilon);
+    appendEpsilon(Out, std::get<LayerNormAttrs>(N.Attrs).Epsilon);
+    return;
   case OpKind::MatMul:
-    return formatStr(" tb=%d",
-                     std::get<MatMulAttrs>(N.Attrs).TransposeB ? 1 : 0);
+    appendAttr(Out, "tb", std::get<MatMulAttrs>(N.Attrs).TransposeB ? 1 : 0);
+    return;
   default:
-    return std::string();
+    return;
   }
 }
 
@@ -192,16 +216,26 @@ std::vector<std::string> tokens(const std::string &Line) {
 } // namespace
 
 std::string pf::serializeGraph(const Graph &G) {
-  std::string Out = formatStr("%s %s\n", kMagic, G.name().c_str());
+  std::string Out = kMagic;
+  Out += ' ';
+  Out += G.name();
+  Out += '\n';
 
-  // Compact value renumbering: only values referenced by live structure.
-  std::unordered_map<ValueId, int> Renumber;
-  auto Touch = [&Renumber](ValueId Id) {
-    Renumber.emplace(Id, static_cast<int>(Renumber.size()));
+  // Compact value renumbering: only values referenced by live structure,
+  // numbered in first-touch order.
+  const std::vector<NodeId> Order = G.topoOrder();
+  std::vector<int> Renumber(G.numValues(), -1);
+  std::vector<ValueId> Ordered; // New id -> old id.
+  auto Touch = [&](ValueId Id) {
+    int &New = Renumber[static_cast<size_t>(Id)];
+    if (New < 0) {
+      New = static_cast<int>(Ordered.size());
+      Ordered.push_back(Id);
+    }
   };
   for (ValueId In : G.graphInputs())
     Touch(In);
-  for (NodeId Id : G.topoOrder()) {
+  for (NodeId Id : Order) {
     const Node &N = G.node(Id);
     for (ValueId In : N.Inputs)
       Touch(In);
@@ -210,48 +244,63 @@ std::string pf::serializeGraph(const Graph &G) {
   }
   for (ValueId O : G.graphOutputs())
     Touch(O);
+  auto Ref = [&](ValueId Id) {
+    Out += ' ';
+    appendInt(Out, Renumber[static_cast<size_t>(Id)]);
+  };
 
   // Emit values sorted by new id.
-  std::vector<ValueId> Ordered(Renumber.size(), InvalidValue);
-  for (const auto &[Old, New] : Renumber)
-    Ordered[static_cast<size_t>(New)] = Old;
   for (size_t I = 0; I < Ordered.size(); ++I) {
     const Value &V = G.value(Ordered[I]);
     PF_ASSERT(V.Name.find(' ') == std::string::npos,
               "value names must not contain spaces");
-    Out += formatStr("value %zu %s %s %s", I, V.Name.c_str(),
-                     dataTypeName(V.Type), V.IsParam ? "param" : "flow");
-    if (V.IsParam)
-      Out += formatStr(" %llu",
-                       static_cast<unsigned long long>(V.InitSeed));
-    for (int64_t D : V.Shape.dims())
-      Out += formatStr(" %lld", static_cast<long long>(D));
+    Out += "value ";
+    appendUint(Out, I);
+    Out += ' ';
+    Out += V.Name;
+    Out += ' ';
+    Out += dataTypeName(V.Type);
+    Out += V.IsParam ? " param" : " flow";
+    if (V.IsParam) {
+      Out += ' ';
+      appendUint(Out, V.InitSeed);
+    }
+    for (int64_t D : V.Shape.dims()) {
+      Out += ' ';
+      appendInt(Out, D);
+    }
     Out += '\n';
   }
 
   int NodeIdx = 0;
-  for (NodeId Id : G.topoOrder()) {
+  for (NodeId Id : Order) {
     const Node &N = G.node(Id);
     PF_ASSERT(N.Name.find(' ') == std::string::npos,
               "node names must not contain spaces");
-    Out += formatStr("node %d %s %s %s inputs", NodeIdx++,
-                     opKindName(N.Kind), N.Name.c_str(),
-                     deviceName(N.Dev));
+    Out += "node ";
+    appendInt(Out, NodeIdx++);
+    Out += ' ';
+    Out += opKindName(N.Kind);
+    Out += ' ';
+    Out += N.Name;
+    Out += ' ';
+    Out += deviceName(N.Dev);
+    Out += " inputs";
     for (ValueId In : N.Inputs)
-      Out += formatStr(" %d", Renumber.at(In));
+      Ref(In);
     Out += " outputs";
     for (ValueId O : N.Outputs)
-      Out += formatStr(" %d", Renumber.at(O));
-    Out += attrTokens(N);
+      Ref(O);
+    appendAttrs(Out, N);
     Out += '\n';
   }
 
   Out += "inputs";
   for (ValueId In : G.graphInputs())
-    Out += formatStr(" %d", Renumber.at(In));
+    Ref(In);
   Out += "\noutputs";
   for (ValueId O : G.graphOutputs())
-    Out += formatStr(" %d", Renumber.at(O));
+    Ref(O);
   Out += "\nend\n";
   return Out;
 }
@@ -260,7 +309,7 @@ std::variant<Graph, std::string> pf::parseGraph(const std::string &Text) {
   const std::vector<std::string> Lines = split(Text, '\n');
   if (Lines.empty() || !startsWith(Lines[0], kMagic))
     return std::string("missing pimflow-graph header");
-  const std::string Name = trim(Lines[0].substr(std::strlen(kMagic)));
+  const std::string Name(trim(Lines[0].substr(std::strlen(kMagic))));
   Graph G(Name.empty() ? "graph" : Name);
 
   std::vector<ValueId> ValueIds; // Serialized id -> graph value id.
@@ -271,7 +320,7 @@ std::variant<Graph, std::string> pf::parseGraph(const std::string &Text) {
   };
 
   for (size_t LineNo = 1; LineNo < Lines.size(); ++LineNo) {
-    const std::string Line = trim(Lines[LineNo]);
+    const std::string Line(trim(Lines[LineNo]));
     if (Line.empty())
       continue;
     const std::vector<std::string> T = tokens(Line);

@@ -6,7 +6,7 @@
 
 #include "ir/Tensor.h"
 
-#include "support/Format.h"
+#include "support/StringUtil.h"
 
 using namespace pf;
 
@@ -25,7 +25,7 @@ std::string TensorShape::toString() const {
   for (size_t I = 0; I < Dims.size(); ++I) {
     if (I != 0)
       Out += 'x';
-    Out += formatStr("%lld", static_cast<long long>(Dims[I]));
+    appendInt(Out, Dims[I]);
   }
   Out += ']';
   return Out;

@@ -86,25 +86,30 @@ size_t minInputsFor(OpKind Kind) {
   }
 }
 
-void checkName(const std::string &Name, const std::string &Ctx,
-               const char *What, DiagnosticEngine &DE) {
+/// Checks \p Name; \p Ctx() builds the diagnostic context, only once a
+/// check has failed (verify runs on every compile and replay, and a clean
+/// graph should cost no strings).
+template <typename CtxFn>
+void checkName(const std::string &Name, const CtxFn &Ctx, const char *What,
+               DiagnosticEngine &DE) {
   if (Name.empty()) {
-    DE.error(DiagCode::VerifyBadName, Ctx, formatStr("%s name is empty", What));
+    DE.error(DiagCode::VerifyBadName, Ctx(),
+             formatStr("%s name is empty", What));
     return;
   }
   if (Name.find_first_of(" \t\n\r") != std::string::npos)
-    DE.error(DiagCode::VerifyBadName, Ctx,
+    DE.error(DiagCode::VerifyBadName, Ctx(),
              formatStr("%s name contains whitespace, which the serializer "
                        "cannot round-trip",
                        What));
 }
 
 /// Shared legality checks for the conv/pool spatial window attributes.
-void checkWindowAttrs(const std::string &Ctx, int64_t KH, int64_t KW,
-                      int64_t SH, int64_t SW, int64_t PT, int64_t PB,
-                      int64_t PL, int64_t PR, DiagnosticEngine &DE) {
+void checkWindowAttrs(const Node &N, int64_t KH, int64_t KW, int64_t SH,
+                      int64_t SW, int64_t PT, int64_t PB, int64_t PL,
+                      int64_t PR, DiagnosticEngine &DE) {
   auto Bad = [&](const std::string &Msg) {
-    DE.error(DiagCode::VerifyIllegalAttrs, Ctx, Msg);
+    DE.error(DiagCode::VerifyIllegalAttrs, nodeContext(N), Msg);
   };
   if (KH < 1 || KW < 1)
     Bad(formatStr("kernel %lldx%lld must be positive",
@@ -129,15 +134,14 @@ void checkWindowAttrs(const std::string &Ctx, int64_t KH, int64_t KW,
 }
 
 /// Attribute legality for one node. Only called when attrsMatchKind() holds.
-void checkNodeAttrs(const Graph &G, const Node &N, const std::string &Ctx,
-                    DiagnosticEngine &DE) {
+void checkNodeAttrs(const Graph &G, const Node &N, DiagnosticEngine &DE) {
   auto Bad = [&](const std::string &Msg) {
-    DE.error(DiagCode::VerifyIllegalAttrs, Ctx, Msg);
+    DE.error(DiagCode::VerifyIllegalAttrs, nodeContext(N), Msg);
   };
   switch (N.Kind) {
   case OpKind::Conv2d: {
     const Conv2dAttrs &A = std::get<Conv2dAttrs>(N.Attrs);
-    checkWindowAttrs(Ctx, A.KernelH, A.KernelW, A.StrideH, A.StrideW,
+    checkWindowAttrs(N, A.KernelH, A.KernelW, A.StrideH, A.StrideW,
                      A.PadTop, A.PadBottom, A.PadLeft, A.PadRight, DE);
     if (A.Groups < 1)
       Bad(formatStr("groups %lld must be positive",
@@ -166,7 +170,7 @@ void checkNodeAttrs(const Graph &G, const Node &N, const std::string &Ctx,
   case OpKind::MaxPool:
   case OpKind::AvgPool: {
     const PoolAttrs &A = std::get<PoolAttrs>(N.Attrs);
-    checkWindowAttrs(Ctx, A.KernelH, A.KernelW, A.StrideH, A.StrideW,
+    checkWindowAttrs(N, A.KernelH, A.KernelW, A.StrideH, A.StrideW,
                      A.PadTop, A.PadBottom, A.PadLeft, A.PadRight, DE);
     break;
   }
@@ -268,7 +272,7 @@ bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
   // inconsistent links, shape inference over bad ids / mismatched attrs).
   bool Structural = false;
 
-  checkName(G.name(), "graph", "graph", DE);
+  checkName(G.name(), [] { return std::string("graph"); }, "graph", DE);
 
   // 1. Value table sanity.
   for (size_t I = 0; I < G.values().size(); ++I) {
@@ -279,18 +283,19 @@ bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
                          I));
       Structural = true;
     }
-    checkName(V.Name, formatStr("value #%zu", I), "value", DE);
+    checkName(V.Name, [I] { return formatStr("value #%zu", I); }, "value",
+              DE);
   }
 
   // 2-6. Per-node structure, dataflow uses, attributes, devices.
   for (const Node &N : G.nodes()) {
     if (N.Dead)
       continue;
-    const std::string Ctx = nodeContext(N);
+    auto Ctx = [&N] { return nodeContext(N); };
 
     if (N.Id < 0 || static_cast<size_t>(N.Id) >= G.nodes().size() ||
         &G.nodes()[static_cast<size_t>(N.Id)] != &N) {
-      DE.error(DiagCode::VerifyProducerLink, Ctx,
+      DE.error(DiagCode::VerifyProducerLink, Ctx(),
                formatStr("stored node id %d does not match its table slot",
                          N.Id));
       Structural = true;
@@ -301,27 +306,27 @@ bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
 
     const bool AttrsOk = attrsMatchKind(N.Kind, N.Attrs);
     if (!AttrsOk) {
-      DE.error(DiagCode::VerifyIllegalAttrs, Ctx,
+      DE.error(DiagCode::VerifyIllegalAttrs, Ctx(),
                formatStr("attribute struct does not match op kind '%s'",
                          opKindName(N.Kind)));
       Structural = true;
     }
 
     if (N.Inputs.size() < minInputsFor(N.Kind)) {
-      DE.error(DiagCode::VerifyIllegalAttrs, Ctx,
+      DE.error(DiagCode::VerifyIllegalAttrs, Ctx(),
                formatStr("%s expects at least %zu input(s), got %zu",
                          opKindName(N.Kind), minInputsFor(N.Kind),
                          N.Inputs.size()));
       Structural = true;
     }
     if (N.Outputs.empty()) {
-      DE.error(DiagCode::VerifyProducerLink, Ctx, "node produces no outputs");
+      DE.error(DiagCode::VerifyProducerLink, Ctx(), "node produces no outputs");
       Structural = true;
     }
 
     for (size_t I = 0; I < N.Inputs.size(); ++I)
       if (!validValueId(G, N.Inputs[I])) {
-        DE.error(DiagCode::VerifyDanglingValue, Ctx,
+        DE.error(DiagCode::VerifyDanglingValue, Ctx(),
                  formatStr("input #%zu references value id %d, but the graph "
                            "has %zu values",
                            I, N.Inputs[I], G.numValues()));
@@ -331,7 +336,7 @@ bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
     for (size_t I = 0; I < N.Outputs.size(); ++I) {
       const ValueId Out = N.Outputs[I];
       if (!validValueId(G, Out)) {
-        DE.error(DiagCode::VerifyDanglingValue, Ctx,
+        DE.error(DiagCode::VerifyDanglingValue, Ctx(),
                  formatStr("output #%zu references value id %d, but the "
                            "graph has %zu values",
                            I, Out, G.numValues()));
@@ -339,7 +344,7 @@ bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
         continue;
       }
       if (G.value(Out).IsParam) {
-        DE.error(DiagCode::VerifyProducerLink, Ctx,
+        DE.error(DiagCode::VerifyProducerLink, Ctx(),
                  formatStr("output #%zu is parameter '%s'; parameters cannot "
                            "be produced",
                            I, G.value(Out).Name.c_str()));
@@ -347,7 +352,7 @@ bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
       }
       const NodeId Prod = G.producer(Out);
       if (Prod != N.Id) {
-        DE.error(DiagCode::VerifyProducerLink, Ctx,
+        DE.error(DiagCode::VerifyProducerLink, Ctx(),
                  Prod == InvalidNode
                      ? formatStr("producer link for output '%s' is unset",
                                  G.value(Out).Name.c_str())
@@ -367,20 +372,20 @@ bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
         continue;
       const NodeId Prod = G.producer(In);
       if (Prod == InvalidNode)
-        DE.error(DiagCode::VerifyUseBeforeDef, Ctx,
+        DE.error(DiagCode::VerifyUseBeforeDef, Ctx(),
                  formatStr("consumes %s, which no live node produces",
                            valueContext(G, In).c_str()));
       else if (G.node(Prod).Dead)
-        DE.error(DiagCode::VerifyUseBeforeDef, Ctx,
+        DE.error(DiagCode::VerifyUseBeforeDef, Ctx(),
                  formatStr("consumes %s, produced only by dead node '%s'",
                            valueContext(G, In).c_str(),
                            G.node(Prod).Name.c_str()));
     }
 
     if (AttrsOk) {
-      checkNodeAttrs(G, N, Ctx, DE);
+      checkNodeAttrs(G, N, DE);
       if (N.Dev == Device::Pim && !isPimCandidate(N))
-        DE.error(DiagCode::VerifyDevice, Ctx,
+        DE.error(DiagCode::VerifyDevice, Ctx(),
                  formatStr("%s is assigned to PIM but is not a PIM-offload "
                            "candidate",
                            opKindName(N.Kind)));

@@ -7,12 +7,14 @@
 #include "obs/Json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "support/Assert.h"
 #include "support/Format.h"
+#include "support/StringUtil.h"
 
 using namespace pf;
 using namespace pf::obs;
@@ -113,6 +115,22 @@ JsonWriter &JsonWriter::value(const char *S) {
   return value(std::string(S));
 }
 
+namespace {
+
+/// Significant digits of \p D's shortest round-trip text (std::to_chars'
+/// shortest scientific form). No %.*g precision below it parses back to D.
+int shortestDigits(double D) {
+  char Buf[32];
+  const auto R = std::to_chars(Buf, Buf + sizeof(Buf), D,
+                               std::chars_format::scientific);
+  int Digits = 0;
+  for (const char *P = Buf; P != R.ptr && *P != 'e'; ++P)
+    Digits += *P >= '0' && *P <= '9';
+  return Digits;
+}
+
+} // namespace
+
 JsonWriter &JsonWriter::value(double D) {
   separate();
   if (!std::isfinite(D)) {
@@ -120,23 +138,30 @@ JsonWriter &JsonWriter::value(double D) {
     Out += "null";
     return *this;
   }
-  // %.17g round-trips every double; trim to the shortest representation
-  // that still parses back exactly.
-  std::string S = formatStr("%.17g", D);
-  for (int Prec = 1; Prec < 17; ++Prec) {
-    std::string Short = formatStr("%.*g", Prec, D);
-    if (std::strtod(Short.c_str(), nullptr) == D) {
-      S = std::move(Short);
-      break;
+  // The lowest %.*g precision whose text parses back exactly, %.17g (which
+  // always does) when none below 17 does. Precisions under the shortest
+  // round-trip digit count cannot succeed, so the search starts there; it
+  // may still need a digit more next to a power of two, where the nearest
+  // decimal of that many digits falls outside the narrower lower half of
+  // the rounding interval.
+  char Buf[32];
+  for (int Prec = shortestDigits(D); Prec < 17; ++Prec) {
+    const auto R = std::to_chars(Buf, Buf + sizeof(Buf), D,
+                                 std::chars_format::general, Prec);
+    double Back = 0.0;
+    const auto P = std::from_chars(Buf, R.ptr, Back);
+    if (P.ec == std::errc() && Back == D) {
+      Out.append(Buf, R.ptr);
+      return *this;
     }
   }
-  Out += S;
+  appendDouble(Out, D);
   return *this;
 }
 
 JsonWriter &JsonWriter::value(int64_t I) {
   separate();
-  Out += formatStr("%lld", static_cast<long long>(I));
+  appendInt(Out, I);
   return *this;
 }
 

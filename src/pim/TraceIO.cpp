@@ -157,7 +157,7 @@ pf::parseTrace(const std::string &Text) {
   CommandBlock *CurBlock = nullptr;
 
   for (size_t LineNo = 1; LineNo < Lines.size(); ++LineNo) {
-    const std::string Line = trim(Lines[LineNo]);
+    const std::string Line(trim(Lines[LineNo]));
     if (Line.empty())
       continue;
     const std::vector<std::string> T = tokens(Line);

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 
 #include "ir/GraphSerializer.h"
 #include "obs/Counters.h"
@@ -23,7 +24,7 @@ namespace {
 const char *kMagic = "pimflow-plan";
 const char *kVersion = "v1";
 
-std::optional<SegmentMode> segmentModeFromName(const std::string &Name) {
+std::optional<SegmentMode> segmentModeFromName(std::string_view Name) {
   for (SegmentMode M : {SegmentMode::GpuNode, SegmentMode::FullPim,
                         SegmentMode::MdDp, SegmentMode::Pipeline})
     if (Name == segmentModeName(M))
@@ -31,25 +32,20 @@ std::optional<SegmentMode> segmentModeFromName(const std::string &Name) {
   return std::nullopt;
 }
 
-/// %.17g: the shortest printf format that round-trips every finite double
-/// through strtod bit for bit, which is what makes serialize → parse →
-/// re-serialize byte-identical.
-std::string fmtNs(double X) { return formatStr("%.17g", X); }
-
-/// Splits \p S into whitespace-separated tokens (no empties).
-std::vector<std::string> tokens(const std::string &S) {
-  std::vector<std::string> Out;
+/// Splits \p S into space-separated tokens (no empties), as views into
+/// \p S, reusing \p Out's storage.
+void tokenize(std::string_view S, std::vector<std::string_view> &Out) {
+  Out.clear();
   size_t I = 0;
   while (I < S.size()) {
     while (I < S.size() && S[I] == ' ')
       ++I;
-    size_t Begin = I;
+    const size_t Begin = I;
     while (I < S.size() && S[I] != ' ')
       ++I;
     if (I > Begin)
       Out.push_back(S.substr(Begin, I - Begin));
   }
-  return Out;
 }
 
 /// Parser state shared by the record handlers: the corrupt() helper tags
@@ -113,80 +109,118 @@ PlanKey pf::makePlanKey(const Graph &Model, const SystemConfig &Config,
 }
 
 std::string PlanKey::digest() const {
-  return fnv1a64Hex(GraphHash + "|" + ConfigSig + "|" + SearchSig + "|" +
-                    formatStr("%d", FaultFloor));
+  std::string Joined = GraphHash + "|" + ConfigSig + "|" + SearchSig + "|";
+  appendInt(Joined, FaultFloor);
+  return fnv1a64Hex(Joined);
 }
 
 std::string pf::serializePlanArtifact(const PlanArtifact &A) {
   std::string Body;
-  Body += "graph " + A.Key.GraphHash + "\n";
-  Body += "config " + A.Key.ConfigSig + "\n";
-  Body += "search " + A.Key.SearchSig + "\n";
-  Body += formatStr("fault-floor %d\n", A.Key.FaultFloor);
-  Body += "predicted " + fmtNs(A.Plan.PredictedNs) + "\n";
+  // Every number is appended after its field label: times and ratios at
+  // %.17g (appendDouble's default), which round-trips every finite double
+  // through parseDouble bit for bit, so serialize → parse → re-serialize
+  // is byte-identical; ids and counts in decimal.
+  auto Ns = [&Body](const char *Label, double X) {
+    Body += Label;
+    appendDouble(Body, X);
+  };
+  auto Int = [&Body](const char *Label, int64_t V) {
+    Body += Label;
+    appendInt(Body, V);
+  };
+  Body += "graph ";
+  Body += A.Key.GraphHash;
+  Body += "\nconfig ";
+  Body += A.Key.ConfigSig;
+  Body += "\nsearch ";
+  Body += A.Key.SearchSig;
+  Int("\nfault-floor ", A.Key.FaultFloor);
+  Ns("\npredicted ", A.Plan.PredictedNs);
+  Body += '\n';
   for (const SegmentPlan &S : A.Plan.Segments) {
-    Body += formatStr("segment %s ratio %s stages %d pattern %d ns %s nodes",
-                      segmentModeName(S.Mode), fmtNs(S.RatioGpu).c_str(),
-                      S.Stages, static_cast<int>(S.Pattern),
-                      fmtNs(S.PredictedNs).c_str());
+    Body += "segment ";
+    Body += segmentModeName(S.Mode);
+    Ns(" ratio ", S.RatioGpu);
+    Int(" stages ", S.Stages);
+    Int(" pattern ", static_cast<int>(S.Pattern));
+    Ns(" ns ", S.PredictedNs);
+    Body += " nodes";
     for (NodeId Id : S.Nodes)
-      Body += formatStr(" %d", Id);
-    Body += "\n";
+      Int(" ", Id);
+    Body += '\n';
   }
-  for (const LayerProfile &L : A.Plan.Layers)
-    Body += formatStr("layer %d gpu %s pim %s mddp %s ratio %s\n", L.Id,
-                      fmtNs(L.GpuNs).c_str(), fmtNs(L.PimNs).c_str(),
-                      fmtNs(L.BestMdDpNs).c_str(),
-                      fmtNs(L.BestRatioGpu).c_str());
+  for (const LayerProfile &L : A.Plan.Layers) {
+    Int("layer ", L.Id);
+    Ns(" gpu ", L.GpuNs);
+    Ns(" pim ", L.PimNs);
+    Ns(" mddp ", L.BestMdDpNs);
+    Ns(" ratio ", L.BestRatioGpu);
+    Body += '\n';
+  }
   for (const SearchDecision &D : A.Plan.Decisions) {
-    Body += formatStr("decision %d cand %d chosen %s ratio %s ns %s "
-                      "gpuonly %s options",
-                      D.Id, D.PimCandidate ? 1 : 0,
-                      segmentModeName(D.ChosenMode),
-                      fmtNs(D.ChosenRatioGpu).c_str(),
-                      fmtNs(D.ChosenNs).c_str(), fmtNs(D.GpuOnlyNs).c_str());
-    for (const CandidateOption &C : D.Candidates)
-      Body += formatStr(" %s:%s:%s", segmentModeName(C.Mode),
-                        fmtNs(C.RatioGpu).c_str(), fmtNs(C.Ns).c_str());
-    Body += "\n";
+    Int("decision ", D.Id);
+    Int(" cand ", D.PimCandidate ? 1 : 0);
+    Body += " chosen ";
+    Body += segmentModeName(D.ChosenMode);
+    Ns(" ratio ", D.ChosenRatioGpu);
+    Ns(" ns ", D.ChosenNs);
+    Ns(" gpuonly ", D.GpuOnlyNs);
+    Body += " options";
+    for (const CandidateOption &C : D.Candidates) {
+      Body += ' ';
+      Body += segmentModeName(C.Mode);
+      Ns(":", C.RatioGpu);
+      Ns(":", C.Ns);
+    }
+    Body += '\n';
   }
   Body += "end\n";
-  return formatStr("%s %s bytes %zu checksum %s\n", kMagic, kVersion,
-                   Body.size(), fnv1a64Hex(Body).c_str()) +
-         Body;
+
+  std::string Out = kMagic;
+  Out += ' ';
+  Out += kVersion;
+  Out += " bytes ";
+  appendUint(Out, Body.size());
+  Out += " checksum ";
+  Out += fnv1a64Hex(Body);
+  Out += '\n';
+  Out += Body;
+  return Out;
 }
 
 std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
                                                   DiagnosticEngine &DE) {
   LineParser P{DE};
+  const std::string_view All(Text);
+  std::vector<std::string_view> T; // One line's tokens, views into Text.
 
-  const size_t HeaderEnd = Text.find('\n');
-  if (HeaderEnd == std::string::npos) {
+  const size_t HeaderEnd = All.find('\n');
+  if (HeaderEnd == std::string_view::npos) {
     P.corrupt("missing header line");
     return std::nullopt;
   }
-  const std::vector<std::string> H = tokens(Text.substr(0, HeaderEnd));
-  if (H.size() != 6 || H[0] != kMagic) {
+  tokenize(All.substr(0, HeaderEnd), T);
+  if (T.size() != 6 || T[0] != kMagic) {
     P.corrupt("not a pimflow-plan artifact (bad magic)");
     return std::nullopt;
   }
-  if (H[1] != kVersion) {
+  if (T[1] != kVersion) {
     DE.error(DiagCode::PlanVersion, "line 1",
              formatStr("unsupported plan format version '%s' (this build "
                        "reads %s)",
-                       H[1].c_str(), kVersion));
+                       std::string(T[1]).c_str(), kVersion));
     return std::nullopt;
   }
-  if (H[2] != "bytes" || H[4] != "checksum") {
+  if (T[2] != "bytes" || T[4] != "checksum") {
     P.corrupt("malformed header (expected 'bytes <n> checksum <hex>')");
     return std::nullopt;
   }
-  const std::optional<uint64_t> DeclaredBytes = parseUint(H[3]);
+  const std::optional<uint64_t> DeclaredBytes = parseUint(T[3]);
   if (!DeclaredBytes) {
-    P.corrupt(formatStr("bad byte count '%s'", H[3].c_str()));
+    P.corrupt(formatStr("bad byte count '%s'", std::string(T[3]).c_str()));
     return std::nullopt;
   }
-  const std::string Body = Text.substr(HeaderEnd + 1);
+  const std::string_view Body = All.substr(HeaderEnd + 1);
   if (Body.size() != *DeclaredBytes) {
     P.corrupt(formatStr("truncated or padded artifact: header declares %llu "
                         "payload bytes, file carries %zu",
@@ -194,10 +228,10 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
                         Body.size()));
     return std::nullopt;
   }
-  if (const std::string Sum = fnv1a64Hex(Body); Sum != H[5]) {
+  if (const std::string Sum = fnv1a64Hex(Body); Sum != T[5]) {
     P.corrupt(formatStr("checksum mismatch: header declares %s, payload "
                         "hashes to %s",
-                        H[5].c_str(), Sum.c_str()));
+                        std::string(T[5]).c_str(), Sum.c_str()));
     return std::nullopt;
   }
 
@@ -209,29 +243,29 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
   size_t Pos = 0;
   while (Pos < Body.size()) {
     const size_t Eol = Body.find('\n', Pos);
-    if (Eol == std::string::npos) {
+    if (Eol == std::string_view::npos) {
       P.LineNo += 1;
       P.corrupt("unterminated final line");
       return std::nullopt;
     }
-    const std::string Line = Body.substr(Pos, Eol - Pos);
+    const std::string_view Line = Body.substr(Pos, Eol - Pos);
     Pos = Eol + 1;
     P.LineNo += 1;
     if (SawEnd) {
       P.corrupt("content after 'end'");
       return std::nullopt;
     }
-    const std::vector<std::string> T = tokens(Line);
+    tokenize(Line, T);
     if (T.empty()) {
       P.corrupt("empty line");
       return std::nullopt;
     }
-    const std::string &Kw = T[0];
+    const std::string_view Kw = T[0];
     auto Need = [&](size_t N) {
       if (T.size() == N)
         return true;
       P.corrupt(formatStr("'%s' record expects %zu fields, got %zu",
-                          Kw.c_str(), N - 1, T.size() - 1));
+                          std::string(Kw).c_str(), N - 1, T.size() - 1));
       return false;
     };
     if (Kw == "graph") {
@@ -254,7 +288,7 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
         return std::nullopt;
       const std::optional<int64_t> V = parseInt(T[1]);
       if (!V || *V < 0 || *V > 1 << 20) {
-        P.corrupt(formatStr("bad fault floor '%s'", T[1].c_str()));
+        P.corrupt(formatStr("bad fault floor '%s'", std::string(T[1]).c_str()));
         return std::nullopt;
       }
       A.Key.FaultFloor = static_cast<int>(*V);
@@ -264,7 +298,8 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
         return std::nullopt;
       const std::optional<double> V = parseDouble(T[1]);
       if (!V) {
-        P.corrupt(formatStr("bad predicted time '%s'", T[1].c_str()));
+        P.corrupt(
+            formatStr("bad predicted time '%s'", std::string(T[1]).c_str()));
         return std::nullopt;
       }
       A.Plan.PredictedNs = *V;
@@ -292,10 +327,11 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
       S.Stages = static_cast<int>(*Stages);
       S.Pattern = static_cast<PipelinePattern>(*Pattern);
       S.PredictedNs = *Ns;
+      S.Nodes.reserve(T.size() - 11);
       for (size_t I = 11; I < T.size(); ++I) {
         const std::optional<int64_t> Id = parseInt(T[I]);
         if (!Id || *Id < 0 || *Id > INT32_MAX) {
-          P.corrupt(formatStr("bad node id '%s'", T[I].c_str()));
+          P.corrupt(formatStr("bad node id '%s'", std::string(T[I]).c_str()));
           return std::nullopt;
         }
         S.Nodes.push_back(static_cast<NodeId>(*Id));
@@ -352,22 +388,28 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
       D.ChosenRatioGpu = *Ratio;
       D.ChosenNs = *Ns;
       D.GpuOnlyNs = *GpuOnly;
+      D.Candidates.reserve(T.size() - 13);
       for (size_t I = 13; I < T.size(); ++I) {
-        const std::vector<std::string> Parts = split(T[I], ':');
-        if (Parts.size() != 3) {
+        // <mode>:<r>:<t>, split in place: exactly two colons.
+        const std::string_view Opt = T[I];
+        const size_t C1 = Opt.find(':');
+        const size_t C2 = C1 == std::string_view::npos
+                              ? C1
+                              : Opt.find(':', C1 + 1);
+        std::optional<SegmentMode> CM;
+        std::optional<double> CR, CNs;
+        if (C2 != std::string_view::npos &&
+            Opt.find(':', C2 + 1) == std::string_view::npos) {
+          CM = segmentModeFromName(Opt.substr(0, C1));
+          CR = parseDouble(Opt.substr(C1 + 1, C2 - C1 - 1));
+          CNs = parseDouble(Opt.substr(C2 + 1));
+        }
+        if (!CM || !CR || !CNs) {
           P.corrupt(formatStr("malformed candidate option '%s'",
-                              T[I].c_str()));
+                              std::string(Opt).c_str()));
           return std::nullopt;
         }
         CandidateOption C;
-        const std::optional<SegmentMode> CM = segmentModeFromName(Parts[0]);
-        const std::optional<double> CR = parseDouble(Parts[1]);
-        const std::optional<double> CNs = parseDouble(Parts[2]);
-        if (!CM || !CR || !CNs) {
-          P.corrupt(formatStr("malformed candidate option '%s'",
-                              T[I].c_str()));
-          return std::nullopt;
-        }
         C.Mode = *CM;
         C.RatioGpu = *CR;
         C.Ns = *CNs;
@@ -379,7 +421,7 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
         return std::nullopt;
       SawEnd = true;
     } else {
-      P.corrupt(formatStr("unknown record '%s'", Kw.c_str()));
+      P.corrupt(formatStr("unknown record '%s'", std::string(Kw).c_str()));
       return std::nullopt;
     }
   }

@@ -30,9 +30,11 @@
 /// before parsing a single record) and `checksum` is the FNV-1a 64-bit
 /// digest of those bytes (any bit flip below line 1 is detected; a flip
 /// inside line 1 breaks the magic, the version, or the digest itself).
-/// All times serialize at %.17g, so serialize → parse → re-serialize is
-/// byte-identical and a replayed plan carries exactly the costs the search
-/// chose.
+/// All times and ratios serialize at %.17g (appendDouble, on
+/// std::to_chars, byte-identical to printf's %.17g) and parse back with
+/// parseDouble (std::from_chars), which round-trips every finite double
+/// bit for bit: serialize → parse → re-serialize is byte-identical and a
+/// replayed plan carries exactly the costs the search chose.
 ///
 /// Failure discipline: parsing never crashes and never guesses. Malformed
 /// input produces `plan.corrupt` / `plan.version` diagnostics; an artifact

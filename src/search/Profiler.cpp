@@ -66,23 +66,31 @@ Profiler::Profiler(const SystemConfig &Config)
 
 std::string Profiler::signature(const Graph &G,
                                 const std::vector<NodeId> &Chain,
-                                const std::string &Mode) const {
-  std::string Sig = ConfigSig + "|" + Mode + "|";
+                                std::string_view Mode) const {
+  std::string Sig = ConfigSig;
+  Sig += '|';
+  Sig += Mode;
+  Sig += '|';
+  auto Attr = [&Sig](const char *Label, int64_t V) {
+    Sig += Label;
+    appendInt(Sig, V);
+  };
   for (NodeId Id : Chain) {
     const Node &N = G.node(Id);
     Sig += opKindName(N.Kind);
     if (N.Kind == OpKind::Conv2d) {
+      // [k<h>.<w> s<h>.<w> p<top>.<bottom>.<left>.<right> g<groups>]
       const Conv2dAttrs &A = N.conv();
-      Sig += formatStr("[k%lld.%lld s%lld.%lld p%lld.%lld.%lld.%lld g%lld]",
-                       static_cast<long long>(A.KernelH),
-                       static_cast<long long>(A.KernelW),
-                       static_cast<long long>(A.StrideH),
-                       static_cast<long long>(A.StrideW),
-                       static_cast<long long>(A.PadTop),
-                       static_cast<long long>(A.PadBottom),
-                       static_cast<long long>(A.PadLeft),
-                       static_cast<long long>(A.PadRight),
-                       static_cast<long long>(A.Groups));
+      Attr("[k", A.KernelH);
+      Attr(".", A.KernelW);
+      Attr(" s", A.StrideH);
+      Attr(".", A.StrideW);
+      Attr(" p", A.PadTop);
+      Attr(".", A.PadBottom);
+      Attr(".", A.PadLeft);
+      Attr(".", A.PadRight);
+      Attr(" g", A.Groups);
+      Sig += ']';
     }
     for (ValueId In : N.Inputs)
       Sig += G.value(In).Shape.toString();
@@ -93,25 +101,24 @@ std::string Profiler::signature(const Graph &G,
   return Sig;
 }
 
-Profiler::Shard &Profiler::shardFor(const std::string &Key) {
-  return Shards[std::hash<std::string>{}(Key) % NumShards];
+size_t Profiler::shardOf(const std::string &Key) {
+  return std::hash<std::string>{}(Key) % NumShards;
 }
 
 double Profiler::measure(const std::string &Key,
                          const std::function<double()> &Compute) {
-  Shard &S = shardFor(Key);
+  const size_t ShardIdx = shardOf(Key);
+  Shard &S = Shards[ShardIdx];
   std::shared_ptr<Entry> E;
   bool Owner = false;
   {
     std::lock_guard<std::mutex> Lock(S.Mu);
-    auto It = S.Map.find(Key);
-    if (It == S.Map.end()) {
-      E = std::make_shared<Entry>();
-      S.Map.emplace(Key, E);
+    auto [It, Inserted] = S.Map.try_emplace(Key);
+    if (Inserted) {
+      It->second = std::make_shared<Entry>();
       Owner = true;
-    } else {
-      E = It->second;
     }
+    E = It->second;
   }
 
   if (!Owner) {
@@ -120,8 +127,7 @@ double Profiler::measure(const std::string &Key,
     Hits.fetch_add(1, std::memory_order_relaxed);
     obs::addCounter("profiler.cache_hits");
     obs::flightEvent(obs::FlightEventKind::CacheHit, 0,
-                     static_cast<int32_t>(std::hash<std::string>{}(Key) %
-                                          NumShards));
+                     static_cast<int32_t>(ShardIdx));
     const double Ns = E->Ready.load(std::memory_order_acquire)
                           ? E->Ns
                           : (obs::addCounter("profiler.single_flight_waits"),
@@ -173,9 +179,7 @@ double Profiler::measure(const std::string &Key,
                                   obs::Tracer::instance().nowUs()),
                               Ns);
   obs::flightEvent(obs::FlightEventKind::CacheMiss, 0,
-                   static_cast<int32_t>(std::hash<std::string>{}(Key) %
-                                        NumShards),
-                   -1, Ns);
+                   static_cast<int32_t>(ShardIdx), -1, Ns);
   E->Ns = Ns;
   E->Ready.store(true, std::memory_order_release);
   E->Done.set_value(Ns);
@@ -206,7 +210,8 @@ double Profiler::mdDpNs(const Graph &G, NodeId Id, double RatioGpu) {
     return pimNodeNs(G, Id);
   if (RatioGpu >= 1.0)
     return gpuNodeNs(G, Id);
-  const std::string Mode = formatStr("mddp%.2f", RatioGpu);
+  std::string Mode = "mddp";
+  appendFixed(Mode, RatioGpu, 2);
   const std::vector<NodeId> Chain = withEpilogue(G, Id);
   return measure(signature(G, Chain, Mode), [&] {
     ExtractedGraph Micro = extractChain(G, Chain);
@@ -219,7 +224,8 @@ double Profiler::mdDpNs(const Graph &G, NodeId Id, double RatioGpu) {
 
 double Profiler::pipelineNs(const Graph &G, const std::vector<NodeId> &Chain,
                             int Stages) {
-  const std::string Mode = formatStr("pipe%d", Stages);
+  std::string Mode = "pipe";
+  appendInt(Mode, Stages);
   return measure(signature(G, Chain, Mode), [&]() -> double {
     ExtractedGraph Micro = extractChain(G, Chain);
     PipelineSpec Spec;
@@ -259,17 +265,26 @@ bool Profiler::saveCache(const std::string &Path) const {
         Rows.emplace_back(Key, E->Ns);
   }
   std::sort(Rows.begin(), Rows.end());
-  // %.17g round-trips doubles exactly through strtod, so a search resumed
-  // from the cache produces bit-identical plans (and byte-identical plan
-  // artifacts) to one that measured everything itself.
+  // %.17g round-trips doubles exactly through parseDouble, so a search
+  // resumed from the cache produces bit-identical plans (and byte-identical
+  // plan artifacts) to one that measured everything itself.
   std::string Body;
-  for (const auto &[Key, Ns] : Rows)
-    Body += Key + formatStr("\t%.17g\n", Ns);
-  return obs::writeTextFile(
-      Path, formatStr("%s %s bytes %zu checksum %s\n", kProfileMagic,
-                      kProfileVersion, Body.size(),
-                      fnv1a64Hex(Body).c_str()) +
-                Body);
+  for (const auto &[Key, Ns] : Rows) {
+    Body += Key;
+    Body += '\t';
+    appendDouble(Body, Ns);
+    Body += '\n';
+  }
+  std::string Text = kProfileMagic;
+  Text += ' ';
+  Text += kProfileVersion;
+  Text += " bytes ";
+  appendUint(Text, Body.size());
+  Text += " checksum ";
+  Text += fnv1a64Hex(Body);
+  Text += '\n';
+  Text += Body;
+  return obs::writeTextFile(Path, Text);
 }
 
 bool Profiler::loadCache(const std::string &Path) {
@@ -281,7 +296,7 @@ bool Profiler::loadCache(const std::string &Path) {
   if (HeaderEnd == std::string::npos)
     return false;
   const std::vector<std::string> H = split(Text->substr(0, HeaderEnd), ' ');
-  const std::string Body = Text->substr(HeaderEnd + 1);
+  const std::string_view Body = std::string_view(*Text).substr(HeaderEnd + 1);
   if (H.size() != 6 || H[0] != kProfileMagic || H[1] != kProfileVersion ||
       H[2] != "bytes" || H[4] != "checksum" ||
       parseUint(H[3]) != Body.size() || H[5] != fnv1a64Hex(Body))
@@ -290,12 +305,14 @@ bool Profiler::loadCache(const std::string &Path) {
   // a miss (nothing loaded), never a partial table steering the search.
   // Negative times are legal — failed pipeline probes cache -1.
   std::vector<std::pair<std::string, double>> Rows;
-  for (const std::string &Line : split(Body, '\n')) {
-    const std::string S = trim(Line);
+  for (size_t Pos = 0; Pos < Body.size();) {
+    const size_t Eol = std::min(Body.find('\n', Pos), Body.size());
+    const std::string_view S = trim(Body.substr(Pos, Eol - Pos));
+    Pos = Eol + 1;
     if (S.empty())
       continue;
     const size_t Tab = S.rfind('\t');
-    if (Tab == std::string::npos)
+    if (Tab == std::string_view::npos)
       return false;
     const std::optional<double> Ns = parseDouble(S.substr(Tab + 1));
     if (!Ns)
@@ -307,7 +324,7 @@ bool Profiler::loadCache(const std::string &Path) {
     E->Ns = Ns;
     E->Ready.store(true, std::memory_order_release);
     E->Done.set_value(Ns);
-    Shard &Sh = shardFor(Key);
+    Shard &Sh = Shards[shardOf(Key)];
     std::lock_guard<std::mutex> Lock(Sh.Mu);
     Sh.Map[Key] = std::move(E);
   }

@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -106,11 +107,13 @@ private:
   };
   static constexpr size_t NumShards = 16;
 
-  Shard &shardFor(const std::string &Key);
+  /// Index of \p Key's shard (also the flight recorder's cache-event tag).
+  static size_t shardOf(const std::string &Key);
 
-  /// Structural signature of a chain under this config.
+  /// Structural signature of a chain under this config: the memo key and
+  /// the profile log's row name.
   std::string signature(const Graph &G, const std::vector<NodeId> &Chain,
-                        const std::string &Mode) const;
+                        std::string_view Mode) const;
 
   /// Memoized, single-flight micrograph measurement.
   double measure(const std::string &Key,

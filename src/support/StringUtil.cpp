@@ -7,12 +7,10 @@
 #include "support/StringUtil.h"
 
 #include <cctype>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 
-#include "support/Format.h"
+#include "support/Assert.h"
 
 using namespace pf;
 
@@ -41,7 +39,7 @@ std::string pf::join(const std::vector<std::string> &Parts,
   return Out;
 }
 
-std::string pf::trim(const std::string &S) {
+std::string_view pf::trim(std::string_view S) {
   size_t Begin = 0;
   size_t End = S.size();
   while (Begin < End && std::isspace(static_cast<unsigned char>(S[Begin])))
@@ -61,8 +59,8 @@ bool pf::endsWith(const std::string &S, const std::string &Suffix) {
          S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
 }
 
-std::optional<int64_t> pf::parseInt(const std::string &S) {
-  const char *Begin = S.c_str();
+std::optional<int64_t> pf::parseInt(std::string_view S) {
+  const char *Begin = S.data();
   const char *End = Begin + S.size();
   // std::from_chars accepts '-' but not '+'; allow an explicit plus sign.
   if (Begin != End && *Begin == '+') {
@@ -77,8 +75,8 @@ std::optional<int64_t> pf::parseInt(const std::string &S) {
   return Out;
 }
 
-std::optional<uint64_t> pf::parseUint(const std::string &S) {
-  const char *Begin = S.c_str();
+std::optional<uint64_t> pf::parseUint(std::string_view S) {
+  const char *Begin = S.data();
   const char *End = Begin + S.size();
   uint64_t Out = 0;
   auto [Ptr, Ec] = std::from_chars(Begin, End, Out, 10);
@@ -87,22 +85,66 @@ std::optional<uint64_t> pf::parseUint(const std::string &S) {
   return Out;
 }
 
-std::optional<double> pf::parseDouble(const std::string &S) {
-  if (S.empty())
+std::optional<double> pf::parseDouble(std::string_view S) {
+  const char *Begin = S.data();
+  const char *End = Begin + S.size();
+  // As in parseInt: one optional '+' that from_chars itself does not take.
+  if (Begin != End && *Begin == '+') {
+    ++Begin;
+    if (Begin != End && *Begin == '-')
+      return std::nullopt;
+  }
+  double Out = 0.0;
+  auto [Ptr, Ec] = std::from_chars(Begin, End, Out);
+  if (Ec != std::errc() || Ptr != End || !std::isfinite(Out))
     return std::nullopt;
-  errno = 0;
-  char *End = nullptr;
-  const double V = std::strtod(S.c_str(), &End);
-  if (End != S.c_str() + S.size() || errno == ERANGE || !std::isfinite(V))
-    return std::nullopt;
-  return V;
+  return Out;
 }
 
-std::string pf::fnv1a64Hex(const std::string &Data) {
-  uint64_t H = 1469598103934665603ull; // FNV offset basis
+void pf::appendInt(std::string &Out, int64_t V) {
+  char Buf[24];
+  const auto R = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  Out.append(Buf, R.ptr);
+}
+
+void pf::appendUint(std::string &Out, uint64_t V) {
+  char Buf[24];
+  const auto R = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  Out.append(Buf, R.ptr);
+}
+
+void pf::appendDouble(std::string &Out, double X, int Precision) {
+  // std::to_chars with an explicit precision is specified as printf with
+  // that precision in the "C" locale: %.*g here.
+  PF_ASSERT(Precision >= 0 && Precision <= 40, "precision out of range");
+  char Buf[64];
+  const auto R = std::to_chars(Buf, Buf + sizeof(Buf), X,
+                               std::chars_format::general, Precision);
+  PF_ASSERT(R.ec == std::errc(), "to_chars buffer too small");
+  Out.append(Buf, R.ptr);
+}
+
+void pf::appendFixed(std::string &Out, double X, int Decimals) {
+  // DBL_MAX has 309 integer digits; %.*f never uses an exponent.
+  PF_ASSERT(Decimals >= 0 && Decimals <= 40, "decimals out of range");
+  char Buf[360];
+  const auto R = std::to_chars(Buf, Buf + sizeof(Buf), X,
+                               std::chars_format::fixed, Decimals);
+  PF_ASSERT(R.ec == std::errc(), "to_chars buffer too small");
+  Out.append(Buf, R.ptr);
+}
+
+std::string pf::fnv1a64Hex(std::string_view Data) {
+  // The published FNV-64 offset basis without its last digit. Every
+  // artifact checksum, plan-cache name and profile log on disk uses it.
+  uint64_t H = 1469598103934665603ull;
   for (unsigned char C : Data) {
     H ^= C;
     H *= 1099511628211ull; // FNV prime
   }
-  return formatStr("%016llx", static_cast<unsigned long long>(H));
+  static const char Hex[] = "0123456789abcdef";
+  std::string Out(16, '0');
+  for (size_t I = Out.size(); I-- > 0; H >>= 4)
+    Out[I] = Hex[H & 0xF];
+  return Out;
 }

@@ -44,20 +44,21 @@ bool pf::checkPieces(const Graph &G, const std::vector<HPiece> &Pieces,
   int64_t Expect = 0;
   for (size_t I = 0; I < Pieces.size(); ++I) {
     const HPiece &P = Pieces[I];
-    const std::string Ctx = formatStr("piece #%zu", I);
+    // Built only for a diagnostic: a clean piece list costs no strings.
+    auto Ctx = [I] { return formatStr("piece #%zu", I); };
     if (P.End <= P.Begin) {
-      DE.error(DiagCode::VerifyPieceGap, Ctx,
+      DE.error(DiagCode::VerifyPieceGap, Ctx(),
                formatStr("piece range [%lld,%lld) is empty or negative",
                          static_cast<long long>(P.Begin),
                          static_cast<long long>(P.End)));
     } else if (P.Begin < Expect) {
-      DE.error(DiagCode::VerifyPieceOverlap, Ctx,
+      DE.error(DiagCode::VerifyPieceOverlap, Ctx(),
                formatStr("piece begins at row %lld but rows up to %lld are "
                          "already covered",
                          static_cast<long long>(P.Begin),
                          static_cast<long long>(Expect)));
     } else if (P.Begin > Expect) {
-      DE.error(DiagCode::VerifyPieceGap, Ctx,
+      DE.error(DiagCode::VerifyPieceGap, Ctx(),
                formatStr("piece begins at row %lld, leaving rows [%lld,%lld) "
                          "uncovered",
                          static_cast<long long>(P.Begin),
@@ -67,7 +68,7 @@ bool pf::checkPieces(const Graph &G, const std::vector<HPiece> &Pieces,
     Expect = std::max(Expect, P.End);
 
     if (P.Id < 0 || static_cast<size_t>(P.Id) >= G.numValues()) {
-      DE.error(DiagCode::VerifyDanglingValue, Ctx,
+      DE.error(DiagCode::VerifyDanglingValue, Ctx(),
                formatStr("references value id %d, but the graph has %zu "
                          "values",
                          P.Id, G.numValues()));
@@ -75,11 +76,11 @@ bool pf::checkPieces(const Graph &G, const std::vector<HPiece> &Pieces,
     }
     const TensorShape &S = G.value(P.Id).Shape;
     if (S.rank() != 4)
-      DE.error(DiagCode::VerifyStaleShape, Ctx,
+      DE.error(DiagCode::VerifyStaleShape, Ctx(),
                formatStr("value '%s' is not rank-4 NHWC",
                          G.value(P.Id).Name.c_str()));
     else if (P.End > P.Begin && S.dim(1) != P.End - P.Begin)
-      DE.error(DiagCode::VerifyStaleShape, Ctx,
+      DE.error(DiagCode::VerifyStaleShape, Ctx(),
                formatStr("covers %lld rows but value '%s' has height %lld",
                          static_cast<long long>(P.End - P.Begin),
                          G.value(P.Id).Name.c_str(),

@@ -6,9 +6,14 @@
 
 #include "obs/Json.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "../support/DoubleSamples.h"
 
 using namespace pf;
 using obs::JsonValue;
@@ -47,6 +52,47 @@ TEST(JsonWriterTest, DoublesSurviveRoundTrip) {
     ASSERT_EQ(Doc->Array.size(), 1u);
     EXPECT_EQ(Doc->Array[0].Number, D);
   }
+}
+
+namespace {
+
+/// The writer's former number search, kept as the reference: the first of
+/// %.1g .. %.16g that strtod parses back exactly, else %.17g.
+std::string printfSearch(double D) {
+  char Buf[32];
+  for (int Prec = 1; Prec < 17; ++Prec) {
+    std::snprintf(Buf, sizeof(Buf), "%.*g", Prec, D);
+    if (std::strtod(Buf, nullptr) == D)
+      return Buf;
+  }
+  std::snprintf(Buf, sizeof(Buf), "%.17g", D);
+  return Buf;
+}
+
+} // namespace
+
+TEST(JsonWriterTest, ShortestTextMatchesPrintfSearch) {
+  size_t Checked = 0, Mismatches = 0;
+  JsonWriter W;
+  auto Check = [&](double D) {
+    W.value(D);
+    const std::string Got = W.take();
+    ++Checked;
+    if (Got != printfSearch(D) && ++Mismatches <= 5)
+      ADD_FAILURE() << "got " << Got << ", printf search "
+                    << printfSearch(D);
+  };
+  // Every power of two in +-1000: where the rounding interval is lopsided
+  // and the shortest digits can round-trip while the nearest decimal of
+  // as many digits does not.
+  for (int E = -1000; E <= 1000; ++E) {
+    Check(std::ldexp(1.0, E));
+    Check(-std::ldexp(1.0, E));
+  }
+  pf::Rng R(0x15011);
+  while (Checked < 1'000'000)
+    Check(pf::sampleDouble(R));
+  EXPECT_EQ(Mismatches, 0u) << "of " << Checked;
 }
 
 TEST(JsonParserTest, ParsesDocumentShapes) {

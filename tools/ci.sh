@@ -32,9 +32,10 @@
 #      exporter plans a kernel, so none adds to the counters), then a run
 #      remapped onto 14 surviving channels whose perf report and Chrome
 #      trace must validate and name no lane for the lost channels.
-#   7. The plan-artifact tier: compile -> replay determinism (a replayed
-#      plan reproduces the fresh run's execution line, skips the search,
-#      and hits the plan cache on a recompile), then the corruption
+#   7. The plan-artifact tier: toy and squeezenet-1.1 compiles
+#      byte-identical to their goldens, compile -> replay determinism (a
+#      replayed plan reproduces the fresh run's execution line, skips the
+#      search, and hits the plan cache on a recompile), then the corruption
 #      matrix (truncation, bit flip, version skew, wrong-model replay),
 #      each rejected non-zero with the right diagnostic slug.
 #   8. The serve tier: a seeded mixed-model `pimflow serve` run whose
@@ -52,11 +53,13 @@
 #      queued expiries shed and late completions classify.
 #  10. The memory/UB tier: the serve + runtime resilience suites, the
 #      PIM simulator + codegen suites (whose replicated-channel counts
-#      multiply per-channel totals) and the execution engine + scheduler
+#      multiply per-channel totals), the execution engine + scheduler
 #      suites (whose ready list and consumer index are NodeId/ValueId
-#      arithmetic) rebuilt and re-run under AddressSanitizer and
-#      UndefinedBehaviorSanitizer (PIMFLOW_SANITIZE=address|undefined;
-#      UBSan findings are fatal).
+#      arithmetic) and the number-text suites (the to_chars/from_chars
+#      writers and readers, the plan-artifact parser over string views and
+#      its re-checksummed mutation fuzz, the JSON writer) rebuilt and
+#      re-run under AddressSanitizer and UndefinedBehaviorSanitizer
+#      (PIMFLOW_SANITIZE=address|undefined; UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
 #      --trace-out + --trace-sample=tail whose Chrome trace must be
 #      byte-identical across --jobs values, pf_trace_check-clean (span
@@ -204,12 +207,15 @@ echo "== tier 7: plan artifacts — compile/replay determinism + corruption matr
 PLAN_DIR=build/plan-smoke
 rm -rf "$PLAN_DIR"
 mkdir -p "$PLAN_DIR"
-# Compile once, validate the artifact, and prove it matches the committed
-# golden byte for byte.
+# Compile once, validate the artifact, and prove it and a squeezenet-1.1
+# compile match the committed goldens byte for byte.
 ./build/tools/pimflow compile toy --dir="$PLAN_DIR" \
   --plan-out="$PLAN_DIR/toy.plan" > /dev/null
 ./build/tools/pf_plan_check "$PLAN_DIR/toy.plan" > /dev/null
 cmp "$PLAN_DIR/toy.plan" tools/testdata/toy.plan
+./build/tools/pimflow compile squeezenet-1.1 --dir="$PLAN_DIR" \
+  --plan-out="$PLAN_DIR/squeezenet-1.1.plan" > /dev/null
+cmp "$PLAN_DIR/squeezenet-1.1.plan" tools/testdata/squeezenet-1.1.plan
 # Replay determinism: the replayed run's execution line is byte-identical
 # to a fresh compile-and-run of the same model.
 ./build/tools/pimflow run toy --dir="$PLAN_DIR" \
@@ -347,17 +353,19 @@ grep -qE 'shed_reasons: queue_full=[0-9]+ deadline_expired=[1-9]' \
 grep -qE 'deadline: met=[1-9][0-9]* missed_run=[1-9][0-9]* expired_queued=[1-9]' \
   "$CHAOS_DIR/deadline.txt"
 
-echo "== tier 10: ASan + UBSan on the serve/runtime resilience, simulator, codegen and engine suites =="
+echo "== tier 10: ASan + UBSan on the serve/runtime resilience, simulator, codegen, engine and number-text suites =="
 cmake -B build-asan -S . -DPIMFLOW_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
-  --target serve_test serve_chaos_test engine_test pim_test codegen_test
+  --target serve_test serve_chaos_test engine_test pim_test codegen_test \
+  support_test search_test obs_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
-  --target serve_test serve_chaos_test engine_test pim_test codegen_test
+  --target serve_test serve_chaos_test engine_test pim_test codegen_test \
+  support_test search_test obs_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke
