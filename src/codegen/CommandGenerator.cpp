@@ -224,6 +224,7 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
   double BestNs = 0.0;
   bool HaveBest = false;
   ChannelTrace BestChannel, Channel;
+  int64_t Tried = 0, Pruned = 0;
 
   const int64_t B =
       std::min<int64_t>(Config.NumGlobalBuffers, Spec.NumVectors);
@@ -245,7 +246,7 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
         if (static_cast<int64_t>(Ck) * Config.elementsPerComp() > Spec.K &&
             Ck > 1)
           break;
-        obs::addCounter("codegen.mappings_tried");
+        ++Tried;
         const ChannelMapping Map{Cm, Cv, Ck, granularityOf(Cv, Ck)};
         const MappingExtras X = emitChannel(Spec, Map, Channel);
         if (HaveBest) {
@@ -260,7 +261,7 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
                   ? std::max(Busy.GwriteCycles, Busy.bankBusyCycles())
                   : Busy.busyCycles();
           if (priceNs(Map, X, Floor) >= BestNs) {
-            obs::addCounter("codegen.mappings_pruned");
+            ++Pruned;
             continue;
           }
         }
@@ -275,6 +276,8 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
       }
     }
   }
+  obs::addCounter("codegen.mappings_tried", Tried);
+  obs::addCounter("codegen.mappings_pruned", Pruned);
   PF_ASSERT(HaveBest, "no feasible PIM mapping found");
   PimKernelPlan Plan = priceMapping(Spec, Best, BestChannel, BestExtras);
   PF_ASSERT(Plan.Ns == BestNs,

@@ -14,11 +14,12 @@ using namespace pf::obs;
 namespace {
 
 template <typename T, typename... Args>
-T &findOrCreate(std::map<std::string, std::unique_ptr<T>> &Metrics,
-                const std::string &Name, Args... CtorArgs) {
+T &findOrCreate(std::map<std::string, std::unique_ptr<T>, std::less<>> &Metrics,
+                std::string_view Name, Args... CtorArgs) {
   auto It = Metrics.find(Name);
   if (It == Metrics.end())
-    It = Metrics.emplace(Name, std::make_unique<T>(CtorArgs...)).first;
+    It = Metrics.emplace(std::string(Name), std::make_unique<T>(CtorArgs...))
+             .first;
   return *It->second;
 }
 
@@ -29,22 +30,22 @@ Registry &Registry::instance() {
   return R;
 }
 
-Counter &Registry::counter(const std::string &Name) {
+Counter &Registry::counter(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(Mu);
   return findOrCreate(Counters, Name);
 }
 
-Gauge &Registry::gauge(const std::string &Name) {
+Gauge &Registry::gauge(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(Mu);
   return findOrCreate(Gauges, Name);
 }
 
-LogLinearHistogram &Registry::histogram(const std::string &Name) {
+LogLinearHistogram &Registry::histogram(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(Mu);
   return findOrCreate(Histograms, Name);
 }
 
-SlidingWindow &Registry::window(const std::string &Name, TickDomain D,
+SlidingWindow &Registry::window(std::string_view Name, TickDomain D,
                                 int64_t BucketWidth) {
   std::lock_guard<std::mutex> Lock(Mu);
   return findOrCreate(Windows, Name, D, BucketWidth);
@@ -111,7 +112,7 @@ void Registry::reset() {
   CycleClock.store(0, std::memory_order_relaxed);
 }
 
-void pf::obs::recordMetricWindowed(const char *Name, TickDomain D,
+void pf::obs::recordMetricWindowed(std::string_view Name, TickDomain D,
                                    int64_t BucketWidth, int64_t Tick,
                                    double X) {
   Registry &R = activeRegistry();

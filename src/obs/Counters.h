@@ -16,7 +16,11 @@
 ///
 /// Like the tracer, the registry is disabled by default and the recording
 /// helpers (`obs::addCounter`, `obs::recordMetric`, ...) early-out on one
-/// relaxed atomic load, so call sites can live in hot paths.
+/// relaxed atomic load, so call sites can live in hot paths. An enabled
+/// lookup takes the registry lock and a map search, so a hot path looks
+/// each metric up once per plan, execution, pass or replicated channel
+/// group and adds or records its whole batch there (docs/INTERNALS.md
+/// section 6).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/Metrics.h"
@@ -48,18 +53,20 @@ public:
     Enabled.store(On, std::memory_order_relaxed);
   }
 
-  /// Finds or creates the metric named \p Name. A window's domain and
-  /// width are fixed by its first registration.
-  Counter &counter(const std::string &Name);
-  Gauge &gauge(const std::string &Name);
-  LogLinearHistogram &histogram(const std::string &Name);
-  SlidingWindow &window(const std::string &Name, TickDomain D,
+  /// Finds or creates the metric named \p Name; finding one builds no
+  /// string. A window's domain and width are fixed by its first
+  /// registration.
+  Counter &counter(std::string_view Name);
+  Gauge &gauge(std::string_view Name);
+  LogLinearHistogram &histogram(std::string_view Name);
+  SlidingWindow &window(std::string_view Name, TickDomain D,
                         int64_t BucketWidth);
 
   /// The simulated-cycle logical clock (TickDomain::SimCycles). Advanced
   /// by the PIM simulator as it retires work; monotonic until reset().
-  void advanceCycles(int64_t N) {
-    CycleClock.fetch_add(N, std::memory_order_relaxed);
+  /// Returns the clock this advance took it to.
+  int64_t advanceCycles(int64_t N) {
+    return CycleClock.fetch_add(N, std::memory_order_relaxed) + N;
   }
   int64_t cycles() const {
     return CycleClock.load(std::memory_order_relaxed);
@@ -81,10 +88,12 @@ private:
   std::atomic<bool> Enabled{false};
   std::atomic<int64_t> CycleClock{0};
   mutable std::mutex Mu;
-  std::map<std::string, std::unique_ptr<Counter>> Counters;
-  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
-  std::map<std::string, std::unique_ptr<LogLinearHistogram>> Histograms;
-  std::map<std::string, std::unique_ptr<SlidingWindow>> Windows;
+  // Transparent comparators: lookups by string_view build no key.
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> Counters;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> Gauges;
+  std::map<std::string, std::unique_ptr<LogLinearHistogram>, std::less<>>
+      Histograms;
+  std::map<std::string, std::unique_ptr<SlidingWindow>, std::less<>> Windows;
 };
 
 /// The registry obs helpers route to on this thread: the installed
@@ -92,22 +101,16 @@ private:
 /// `Registry::instance()` otherwise. Defined in Scope.cpp.
 Registry &activeRegistry();
 
-/// Bumps counter \p Name by \p N when the active registry is enabled. The
-/// name is only materialized after the enabled check, so disabled call
-/// sites cost one thread-local read plus one atomic load.
-inline void addCounter(const char *Name, int64_t N = 1) {
-  Registry &R = activeRegistry();
-  if (R.enabled())
-    R.counter(Name).add(N);
-}
-inline void addCounter(const std::string &Name, int64_t N = 1) {
+/// Bumps counter \p Name by \p N when the active registry is enabled.
+/// Disabled call sites cost one thread-local read plus one atomic load.
+inline void addCounter(std::string_view Name, int64_t N = 1) {
   Registry &R = activeRegistry();
   if (R.enabled())
     R.counter(Name).add(N);
 }
 
 /// Records \p X into HDR histogram \p Name when the registry is enabled.
-inline void recordMetric(const char *Name, double X) {
+inline void recordMetric(std::string_view Name, double X) {
   Registry &R = activeRegistry();
   if (R.enabled())
     R.histogram(Name).record(X);
@@ -116,11 +119,11 @@ inline void recordMetric(const char *Name, double X) {
 /// Records \p X into both the HDR histogram \p Name and its sliding
 /// window (same name, domain \p D, \p BucketWidth ticks per bucket) at
 /// tick \p Tick.
-void recordMetricWindowed(const char *Name, TickDomain D, int64_t BucketWidth,
-                          int64_t Tick, double X);
+void recordMetricWindowed(std::string_view Name, TickDomain D,
+                          int64_t BucketWidth, int64_t Tick, double X);
 
 /// Sets gauge \p Name when the registry is enabled.
-inline void setGauge(const char *Name, double X) {
+inline void setGauge(std::string_view Name, double X) {
   Registry &R = activeRegistry();
   if (R.enabled())
     R.gauge(Name).set(X);

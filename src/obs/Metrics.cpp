@@ -6,6 +6,7 @@
 
 #include "obs/Metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -47,8 +48,8 @@ double bucketMid(int32_t Key) {
 
 } // namespace
 
-void LogLinearHistogram::record(double X) {
-  if (!std::isfinite(X))
+void LogLinearHistogram::record(double X, int64_t N) {
+  if (!std::isfinite(X) || N <= 0)
     return;
   std::lock_guard<std::mutex> Lock(Mu);
   if (Count == 0) {
@@ -57,12 +58,12 @@ void LogLinearHistogram::record(double X) {
     Min = X < Min ? X : Min;
     Max = X > Max ? X : Max;
   }
-  ++Count;
-  Sum += X;
+  Count += N;
+  Sum += X * static_cast<double>(N);
   if (X <= 0.0)
-    ++ZeroCount;
+    ZeroCount += N;
   else
-    ++Buckets[bucketKey(X)];
+    Buckets[bucketKey(X)] += N;
 }
 
 double LogLinearHistogram::quantileLocked(double Q) const {
@@ -129,18 +130,27 @@ SlidingWindow::SlidingWindow(TickDomain D, int64_t BucketWidth, int NumBuckets)
     : Dom(D), Width(BucketWidth > 0 ? BucketWidth : 1),
       Buckets(NumBuckets > 0 ? NumBuckets : 1) {}
 
-void SlidingWindow::record(int64_t Tick, double X) {
-  const int64_t Epoch = Tick / Width;
+void SlidingWindow::recordSeries(int64_t Start, int64_t Step, int64_t N,
+                                 double X) {
   std::lock_guard<std::mutex> Lock(Mu);
-  Bucket &B = Buckets[static_cast<size_t>(Epoch % static_cast<int64_t>(
-                          Buckets.size()))];
-  if (B.Epoch != Epoch) {
-    B.Epoch = Epoch;
-    B.Count = 0;
-    B.Sum = 0.0;
+  // The ticks never decrease, so the samples sharing an epoch are
+  // consecutive: add each run of them to its bucket at once, epochs in
+  // increasing order, as single records would visit them.
+  for (int64_t K = 1; K <= N;) {
+    const int64_t Epoch = (Start + K * Step) / Width;
+    const int64_t Last =
+        Step > 0 ? std::min(N, ((Epoch + 1) * Width - 1 - Start) / Step) : N;
+    Bucket &B = Buckets[static_cast<size_t>(
+        Epoch % static_cast<int64_t>(Buckets.size()))];
+    if (B.Epoch != Epoch) {
+      B.Epoch = Epoch;
+      B.Count = 0;
+      B.Sum = 0.0;
+    }
+    B.Count += Last - K + 1;
+    B.Sum += X * static_cast<double>(Last - K + 1);
+    K = Last + 1;
   }
-  ++B.Count;
-  B.Sum += X;
 }
 
 WindowStats SlidingWindow::stats(int64_t NowTick) const {

@@ -90,7 +90,11 @@ public:
   /// quantile error at 1/64 ≈ 1.6%.
   static constexpr int SubBucketsPerOctave = 32;
 
-  void record(double X);
+  /// Records \p N samples of value \p X (none when \p N <= 0). Count,
+  /// buckets, min and max come out as N single records would leave them;
+  /// so does Sum whenever X * k is exact for every k <= N, as it is for
+  /// integers whose partial sums stay below 2^53 (cycle counts).
+  void record(double X, int64_t N = 1);
   /// Quantile \p Q in [0, 1] under the rank rule `ceil(Q * Count)`;
   /// relative error vs. the true sample at that rank is at most
   /// relErrorBound(). Returns 0 when empty.
@@ -141,7 +145,12 @@ class SlidingWindow {
 public:
   SlidingWindow(TickDomain D, int64_t BucketWidth, int NumBuckets = 8);
 
-  void record(int64_t Tick, double X);
+  void record(int64_t Tick, double X) { recordSeries(Tick, 0, 1, X); }
+  /// Records \p N samples of value \p X at the ticks Start + k * Step for
+  /// k = 1..N (\p Step >= 0): the buckets, ring recycling included, end
+  /// up as the N single records in that order would leave them, with
+  /// Sum under LogLinearHistogram::record's exactness condition.
+  void recordSeries(int64_t Start, int64_t Step, int64_t N, double X);
   WindowStats stats(int64_t NowTick) const;
   TickDomain domain() const { return Dom; }
   void reset();

@@ -40,8 +40,12 @@ namespace pf::obs {
 
 /// A private observability namespace: one registry, constructed enabled (a
 /// scope exists to collect; the global on/off switch only governs the
-/// global registry). Scopes are cheap enough to create per request and
-/// must outlive any ScopeGuard installing them.
+/// global registry). Scopes are cheap enough to create per request: on a
+/// 4-vCPU host (median of 300 runs each), an engine run of materialized
+/// mobilenet-v2 or resnet-50 inside a fresh scope costs about 1.3x an
+/// unscoped one, creating, filling and destroying the scope included, and
+/// toy's 13 us run about 2x. A scope must outlive any ScopeGuard
+/// installing it.
 class Scope {
 public:
   Scope() { Reg.setEnabled(true); }

@@ -22,21 +22,21 @@ constexpr int64_t ChannelCycleBucket = 1'000'000;
 /// Streams the completions of \p Copies channels that each took \p Cycles
 /// into the telemetry registry: one `pim.channel_cycles` quantile
 /// histogram sample per channel plus its simulated-cycle window, keyed by
-/// the logical cycle clock the simulator advances. The two metrics are
-/// looked up once per call, not once per channel: this runs for every
-/// simulated channel, and each lookup takes the registry lock.
+/// the logical cycle clock the simulator advances. The copies retire one
+/// after another on that clock, so the group is one clock advance, one
+/// weighted histogram sample and one window series at the ticks the
+/// copies complete. Every sample is an integer cycle count and the sums
+/// stay below 2^53, so the weighted sums are exactly the per-copy ones.
 void recordChannelCycles(int64_t Cycles, int Copies = 1) {
   pf::obs::Registry &M = pf::obs::activeRegistry();
   if (!M.enabled())
     return;
-  pf::obs::LogLinearHistogram &H = M.histogram("pim.channel_cycles");
-  pf::obs::SlidingWindow &W = M.window(
-      "pim.channel_cycles", pf::obs::TickDomain::SimCycles, ChannelCycleBucket);
-  for (int I = 0; I < Copies; ++I) {
-    M.advanceCycles(Cycles);
-    H.record(static_cast<double>(Cycles));
-    W.record(M.cycles(), static_cast<double>(Cycles));
-  }
+  const int64_t End = M.advanceCycles(Copies * Cycles);
+  const double X = static_cast<double>(Cycles);
+  M.histogram("pim.channel_cycles").record(X, Copies);
+  M.window("pim.channel_cycles", pf::obs::TickDomain::SimCycles,
+           ChannelCycleBucket)
+      .recordSeries(End - Copies * Cycles, Cycles, Copies, X);
 }
 
 } // namespace

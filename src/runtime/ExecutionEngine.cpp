@@ -16,6 +16,7 @@
 #include "obs/Trace.h"
 #include "pim/PimSimulator.h"
 #include "support/Format.h"
+#include "support/StringUtil.h"
 
 using namespace pf;
 
@@ -82,19 +83,31 @@ struct PimPlanCache {
   }
 };
 
-/// Per-channel command-mix telemetry of one executed PIM kernel
-/// (`pim.<command>.ch<N>` counters). Every used channel carries the same
-/// stream, so each takes an equal share of the kernel's totals.
-void recordKernelCounters(const PimKernelRecord &K) {
-  const int Used = K.usedChannels();
-  for (int C = 0; C < Used; ++C) {
-    obs::addCounter(formatStr("pim.gwrite_bursts.ch%d", C),
-                    K.GwriteBursts / Used);
-    obs::addCounter(formatStr("pim.g_acts.ch%d", C), K.GActs / Used);
-    obs::addCounter(formatStr("pim.comp_columns.ch%d", C),
-                    K.CompColumns / Used);
-    obs::addCounter(formatStr("pim.read_res.ch%d", C), K.ReadResCmds / Used);
-  }
+/// Adds a run's per-channel command mix to its `pim.<command>.ch<N>`
+/// counters. Every used channel of a kernel carries the same stream, so
+/// each takes an equal share of the kernel's totals; the shares are summed
+/// over the run first, so each counter is looked up once.
+void recordCommandMix(obs::Registry &R,
+                      const std::vector<PimKernelRecord> &Kernels) {
+  constexpr std::pair<std::string_view, int64_t PimKernelRecord::*>
+      Families[] = {{"pim.gwrite_bursts.ch", &PimKernelRecord::GwriteBursts},
+                    {"pim.g_acts.ch", &PimKernelRecord::GActs},
+                    {"pim.comp_columns.ch", &PimKernelRecord::CompColumns},
+                    {"pim.read_res.ch", &PimKernelRecord::ReadResCmds}};
+  int Channels = 0;
+  for (const PimKernelRecord &K : Kernels)
+    Channels = std::max(Channels, K.usedChannels());
+  std::string Name;
+  for (const auto &[Prefix, Total] : Families)
+    for (int C = 0; C < Channels; ++C) {
+      int64_t Share = 0;
+      for (const PimKernelRecord &K : Kernels)
+        if (C < K.usedChannels())
+          Share += K.*Total / K.usedChannels();
+      Name = Prefix;
+      appendInt(Name, C);
+      R.counter(Name).add(Share);
+    }
 }
 
 } // namespace
@@ -195,6 +208,8 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
 
   PimPlanCache Cache;
   Cache.OfNode.assign(NumNodes, nullptr);
+  // Cross-device handoffs of the latest pass: only the final one counts.
+  int64_t Handoffs = 0;
 
   // One scheduling pass; \p GpuScale inflates GPU kernel durations (used by
   // the contention model's second pass). Nodes are dispatched to their
@@ -204,6 +219,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
   auto SchedulePass = [&](double GpuScale) -> std::optional<Timeline> {
     Timeline TL;
     TL.Nodes.reserve(Order.size());
+    Handoffs = 0;
 
     // Per-node properties, by NodeId (device annotations fix the producing
     // device of every value up front).
@@ -318,7 +334,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
           double Avail = End;
           if (CI.Dev != NI.Dev) {
             Avail += Config.SyncOverheadNs;
-            obs::addCounter("engine.cross_device_handoffs");
+            ++Handoffs;
           }
           CI.ReadyNs = std::max(CI.ReadyNs, Avail);
           if (--CI.Pending == 0) {
@@ -359,15 +375,10 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     TL.ContentionSlowdown = Slowdown;
   }
 
-  const bool Observed = obs::activeRegistry().enabled();
-  for (const NodeSchedule &S : TL.Nodes) {
-    if (S.Dev != Device::Pim)
-      continue;
-    TL.Kernels.push_back(
-        recordOf(S.Id, *Cache.OfNode[static_cast<size_t>(S.Id)]));
-    if (Observed)
-      recordKernelCounters(TL.Kernels.back());
-  }
+  for (const NodeSchedule &S : TL.Nodes)
+    if (S.Dev == Device::Pim)
+      TL.Kernels.push_back(
+          recordOf(S.Id, *Cache.OfNode[static_cast<size_t>(S.Id)]));
 
   // Kernel energies plus GPU static power while idle within the makespan
   // (the PIM kernels' energy already folds in their channels' background
@@ -378,17 +389,24 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
   Energy += Gpu.idleEnergyJ(std::max(0.0, TL.TotalNs - TL.GpuBusyNs));
   TL.EnergyJ = Energy;
 
-  // Streaming telemetry off the final timeline only (the contention model's
-  // first pass would double-count): per-node latency quantiles windowed
-  // over wall time, plus the completion event for the flight trace.
-  if (Observed) {
+  // Telemetry off the final timeline only (the contention model's first
+  // pass would double-count), each metric looked up once per run: the
+  // command mix, the handoffs and per-node latency quantiles windowed
+  // over wall time. Then the completion event for the flight trace.
+  obs::Registry &Reg = obs::activeRegistry();
+  if (Reg.enabled()) {
+    recordCommandMix(Reg, TL.Kernels);
+    Reg.counter("engine.cross_device_handoffs").add(Handoffs);
     const int64_t NowUs =
         static_cast<int64_t>(obs::Tracer::instance().nowUs());
-    for (const NodeSchedule &S : TL.Nodes)
-      obs::recordMetricWindowed("engine.node_duration_ns",
-                                obs::TickDomain::WallUs,
-                                /*BucketWidth=*/100'000, NowUs,
-                                S.EndNs - S.StartNs);
+    obs::LogLinearHistogram &H = Reg.histogram("engine.node_duration_ns");
+    obs::SlidingWindow &W = Reg.window("engine.node_duration_ns",
+                                       obs::TickDomain::WallUs,
+                                       /*BucketWidth=*/100'000);
+    for (const NodeSchedule &S : TL.Nodes) {
+      H.record(S.EndNs - S.StartNs);
+      W.record(NowUs, S.EndNs - S.StartNs);
+    }
   }
   obs::flightEvent(obs::FlightEventKind::ExecDone, 0,
                    static_cast<int32_t>(TL.Nodes.size()), -1, TL.TotalNs);

@@ -20,6 +20,7 @@
 
 #include "obs/Counters.h"
 #include "obs/Metrics.h"
+#include "support/Random.h"
 
 using namespace pf::obs;
 
@@ -138,6 +139,92 @@ TEST(SlidingWindow, StaleBucketsExcludedWithoutRewrite) {
   // Reading far in the future must not count the stale bucket even though
   // its slot was never rewritten.
   EXPECT_EQ(W.stats(10'000).Count, 0);
+}
+
+/// Everything a read of \p H can see: the exact stats, then the quantile
+/// at every rank, which pins how many samples each bucket holds.
+std::vector<double> histogramView(const LogLinearHistogram &H) {
+  const QuantileStats S = H.stats();
+  std::vector<double> V = {static_cast<double>(S.Count), S.Sum, S.Min, S.Max};
+  for (int64_t Rank = 1; Rank <= S.Count; ++Rank)
+    V.push_back(H.quantile((static_cast<double>(Rank) - 0.5) /
+                           static_cast<double>(S.Count)));
+  return V;
+}
+
+TEST(LogLinearHistogramTest, WeightedRecordMatchesRepeatedRecords) {
+  // Integer samples across many octaves (zeros included), the way the
+  // simulator records a replicated channel group's cycle counts.
+  pf::Rng Rng(19);
+  LogLinearHistogram Weighted, Repeated;
+  for (int Round = 0; Round < 300; ++Round) {
+    const double X = static_cast<double>(
+        Rng.nextBelow(uint64_t{1} << (Rng.nextBelow(32) + 1)));
+    const int64_t N = static_cast<int64_t>(Rng.nextBelow(64)) + 1;
+    Weighted.record(X, N);
+    for (int64_t I = 0; I < N; ++I) // The loop the weighted record replaces.
+      Repeated.record(X);
+  }
+  EXPECT_EQ(histogramView(Weighted), histogramView(Repeated));
+  Weighted.record(7.0, 0); // No samples: no change.
+  EXPECT_EQ(histogramView(Weighted), histogramView(Repeated));
+}
+
+/// Everything a read of \p W can see: its trailing-span count and sum at
+/// every epoch up to one span past \p LastTick, which tells each bucket's
+/// contents apart.
+std::vector<std::pair<int64_t, double>>
+windowView(const SlidingWindow &W, int64_t Width, int64_t LastTick) {
+  std::vector<std::pair<int64_t, double>> V;
+  for (int64_t Now = 0; Now <= LastTick + 9 * Width; Now += Width) {
+    const WindowStats S = W.stats(Now);
+    V.emplace_back(S.Count, S.Sum);
+  }
+  return V;
+}
+
+struct Series {
+  int64_t Start, Step, N;
+  double X;
+};
+
+/// Records \p Stream into a window once as series and once as the single
+/// records each series replaces, and compares what reads see.
+void expectSeriesMatchRecords(const std::vector<Series> &Stream) {
+  constexpr int64_t Width = 10; // 8 buckets: an 80-tick span.
+  SlidingWindow Batched(TickDomain::SimCycles, Width);
+  SlidingWindow Repeated(TickDomain::SimCycles, Width);
+  int64_t LastTick = 0;
+  for (const Series &S : Stream) {
+    Batched.recordSeries(S.Start, S.Step, S.N, S.X);
+    for (int64_t K = 1; K <= S.N; ++K)
+      Repeated.record(S.Start + K * S.Step, S.X);
+    LastTick = std::max(LastTick, S.Start + S.N * S.Step);
+  }
+  EXPECT_EQ(windowView(Batched, Width, LastTick),
+            windowView(Repeated, Width, LastTick))
+      << Stream.size() << " series from tick " << Stream.front().Start;
+}
+
+TEST(SlidingWindowTest, SeriesRecordMatchesRepeatedRecords) {
+  expectSeriesMatchRecords({{3, 4, 20, 4.0}});   // Crosses bucket boundaries.
+  expectSeriesMatchRecords({{0, 7, 100, 7.0}});  // 70 buckets: the ring wraps.
+  expectSeriesMatchRecords({{2, 25, 6, 25.0}});  // Steps skip whole epochs.
+  expectSeriesMatchRecords({{40, 0, 5, 3.0}});   // Step 0: one tick.
+  expectSeriesMatchRecords({{44, 9, 1, 9.0}});   // One sample.
+  expectSeriesMatchRecords({{50, 10, 3, 10.0}}); // On bucket boundaries.
+
+  // A seeded stream of groups on one advancing clock, as the simulator
+  // records replicated channels.
+  pf::Rng Rng(19);
+  std::vector<Series> Stream;
+  for (int64_t Clock = 0; Stream.size() < 200;) {
+    const int64_t Step = static_cast<int64_t>(Rng.nextBelow(30));
+    const int64_t N = static_cast<int64_t>(Rng.nextBelow(16)) + 1;
+    Stream.push_back({Clock, Step, N, static_cast<double>(Step)});
+    Clock += N * Step + static_cast<int64_t>(Rng.nextBelow(3));
+  }
+  expectSeriesMatchRecords(Stream);
 }
 
 class RegistryTest : public ::testing::Test {

@@ -335,3 +335,33 @@ TEST(ExecutionEngineTest, RepeatedKernelIsPlannedOnce) {
   EXPECT_FALSE(Actual.empty());
   EXPECT_EQ(Actual, Expected);
 }
+
+TEST(ExecutionEngineTest, ContentionCountsEachHandoffOnce) {
+  // The contention model schedules the graph twice; the counters describe
+  // the timeline it keeps, so the rescaled pass must not add the first
+  // pass's handoffs to its own.
+  Graph G = parallelPair();
+  for (NodeId Id : G.topoOrder())
+    if (G.node(Id).Kind == OpKind::Conv2d) {
+      G.node(Id).Dev = Device::Pim;
+      break;
+    }
+  auto HandoffsOf = [&G](bool Contention) {
+    SystemConfig Cfg = dualConfig();
+    Cfg.ModelContention = Contention;
+    obs::Scope Run;
+    {
+      obs::ScopeGuard Guard(Run);
+      const Timeline TL = ExecutionEngine(Cfg).execute(G);
+      EXPECT_EQ(TL.ContentionSlowdown > 1.0, Contention);
+    }
+    int64_t Handoffs = 0;
+    for (const auto &[Name, Value] : Run.registry().counterSnapshot())
+      if (Name == "engine.cross_device_handoffs")
+        Handoffs = Value;
+    return Handoffs;
+  };
+  const int64_t Plain = HandoffsOf(false);
+  EXPECT_EQ(Plain, 1); // The PIM conv's result feeds the GPU concat.
+  EXPECT_EQ(HandoffsOf(true), Plain);
+}

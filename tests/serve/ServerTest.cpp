@@ -11,12 +11,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "models/Zoo.h"
 #include "obs/Scope.h"
+#include "runtime/ExecutionEngine.h"
 #include "serve/ServeReport.h"
 #include "serve/Server.h"
 #include "support/Diagnostics.h"
@@ -110,6 +112,46 @@ TEST(ServerTest, ContentionReachesEveryOutcome) {
           Executions = V;
       EXPECT_EQ(Executions, 1);
     }
+  }
+}
+
+TEST(ServerTest, SessionScopeMatchesAStandaloneRun) {
+  // A session's scope holds exactly what one scoped engine run of its
+  // graph at its grant records, however many sessions run at once.
+  using Snapshot = std::vector<std::pair<std::string, int64_t>>;
+  for (int Jobs : {1, 4}) {
+    const ServerOptions SO = contendedOptions(Jobs);
+    Server S(twoTenants(), SO);
+    const ServeResult R = S.run(burstySpec());
+
+    // Both tenants serve toy: rebuild its two graphs as the server does.
+    PimFlow Flow(SO.Policy, SO.Flow);
+    const Graph Toy = buildToy();
+    const Graph Materialized = Flow.materialize(Toy, Flow.plan(Toy));
+    Graph Floor = Materialized;
+    for (const Node &N : Floor.nodes())
+      if (!N.Dead && N.Dev == Device::Pim)
+        Floor.node(N.Id).Dev = Device::Gpu;
+
+    std::map<int, Snapshot> Standalone; // By granted channel count.
+    for (const auto &SP : R.Sessions) {
+      if (!SP->ran())
+        continue;
+      const int C = SP->channelsGranted();
+      auto [It, Fresh] = Standalone.try_emplace(C);
+      if (Fresh) {
+        SystemConfig Config = Flow.config();
+        Config.Pim.Channels = C;
+        obs::Scope Run;
+        obs::ScopeGuard Guard(Run);
+        ExecutionEngine(Config).execute(C > 0 ? Materialized : Floor);
+        It->second = Run.registry().counterSnapshot();
+      }
+      EXPECT_EQ(SP->Scope.registry().counterSnapshot(), It->second)
+          << "jobs " << Jobs << ", request " << SP->Req.Id << " on " << C
+          << " channels";
+    }
+    EXPECT_GT(Standalone.size(), 2u); // Full, degraded and floor grants.
   }
 }
 

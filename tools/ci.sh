@@ -11,8 +11,9 @@
 #      ir/Verifier.h), so an invariant-breaking transform fails in CI even
 #      when no test inspects the intermediate graph.
 #   3. A ThreadSanitizer tree in build-tsan/ running the concurrency-facing
-#      suites (thread pool, profiler, search) to catch data races in the
-#      parallel candidate-profiling pre-pass.
+#      suites (thread pool, profiler, search, telemetry, concurrent serve
+#      sessions) to catch data races in the parallel candidate-profiling
+#      pre-pass and in sessions recording telemetry side by side.
 #   4. The chaos tier: the seeded fault-schedule suite (tests/chaos/) in the
 #      tier-1 tree, then again under TSan. The seeds are fixed inside the
 #      tests, so a failure always names a reproducible schedule; per-test
@@ -41,7 +42,9 @@
 #   8. The serve tier: a seeded mixed-model `pimflow serve` run whose
 #      summary must be byte-identical across --jobs values AND match the
 #      committed golden (outcomes are decided in virtual time, never by
-#      worker races), with the request-latency p50/p99 rows gated against
+#      worker races), whose counter families match across --jobs values
+#      too (bar the profiler's single-flight waits), with the
+#      request-latency p50/p99 rows gated against
 #      bench/baselines/BENCH_serve.json by pf_perf_diff and the serve.*
 #      metrics exposition validated by pf_metrics_check.
 #   9. The chaos-under-serve tier: the seeded (load spec x fault timeline)
@@ -57,7 +60,9 @@
 #      suites (whose ready list and consumer index are NodeId/ValueId
 #      arithmetic) and the number-text suites (the to_chars/from_chars
 #      writers and readers, the plan-artifact parser over string views and
-#      its re-checksummed mutation fuzz, the JSON writer) rebuilt and
+#      its re-checksummed mutation fuzz, the JSON writer) and the
+#      telemetry suites (the registry, its weighted histogram and window
+#      records, the pinned telemetry of scoped runs) rebuilt and
 #      re-run under AddressSanitizer and UndefinedBehaviorSanitizer
 #      (PIMFLOW_SANITIZE=address|undefined; UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
@@ -94,7 +99,7 @@ cmake -B build-tsan -S . -DPIMFLOW_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
   --target support_test search_test obs_test serve_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|Profiler|SearchEngine|SearchDeterminism|AlgorithmDp|LayerExtract|FlightRecorder|RegistryTest|CountersAggregateAcrossThreads|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure'
+  -R 'ThreadPool|Profiler|SearchEngine|SearchDeterminism|AlgorithmDp|LayerExtract|FlightRecorder|RegistryTest|CountersAggregateAcrossThreads|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure|PinnedTelemetry|SessionScopeMatches'
 
 echo "== tier 4: chaos fault-injection suite (fixed seeds), then under TSan =="
 ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Chaos'
@@ -281,9 +286,22 @@ SERVE_SPEC='count:24,seed:7,mean-gap-us:150,batch:1|4'
 # Reentrancy determinism: more worker threads change nothing, byte for byte.
 ./build/tools/pimflow serve toy mobilenet-v2 \
   --requests="$SERVE_SPEC" --max-inflight=3 --channel-pool=24 --jobs=4 \
-  --summary-out="$SERVE_DIR/serve.j4.txt" > /dev/null
+  --summary-out="$SERVE_DIR/serve.j4.txt" \
+  --metrics-out="$SERVE_DIR/serve.j4.metrics.txt" > /dev/null
 cmp "$SERVE_DIR/serve.j1.txt" "$SERVE_DIR/serve.j4.txt"
 cmp "$SERVE_DIR/serve.j1.txt" tools/testdata/serve_summary.golden
+# Sessions re-run on four workers record what they record on one: the
+# counter families match, apart from the profiler's single-flight waits,
+# which count concurrent cache lookups by design.
+serveCounters() { # <metrics file> <counters file>
+  sed -n '/^# TYPE .* counter$/{n;p}' "$1" |
+    grep -v '^pimflow_profiler_single_flight_waits ' > "$2"
+}
+serveCounters "$SERVE_DIR/serve.metrics.txt" "$SERVE_DIR/serve.j1.counters.txt"
+serveCounters "$SERVE_DIR/serve.j4.metrics.txt" \
+  "$SERVE_DIR/serve.j4.counters.txt"
+grep -q '^pimflow_engine_executions ' "$SERVE_DIR/serve.j1.counters.txt"
+cmp "$SERVE_DIR/serve.j1.counters.txt" "$SERVE_DIR/serve.j4.counters.txt"
 # The channel-pressure mix must actually exercise the ladder: full grants,
 # degraded grants, and GPU-floor fallbacks all appear in the golden run.
 grep -q 'outcome=served'   "$SERVE_DIR/serve.j1.txt"
@@ -353,19 +371,19 @@ grep -qE 'shed_reasons: queue_full=[0-9]+ deadline_expired=[1-9]' \
 grep -qE 'deadline: met=[1-9][0-9]* missed_run=[1-9][0-9]* expired_queued=[1-9]' \
   "$CHAOS_DIR/deadline.txt"
 
-echo "== tier 10: ASan + UBSan on the serve/runtime resilience, simulator, codegen, engine and number-text suites =="
+echo "== tier 10: ASan + UBSan on the serve/runtime resilience, simulator, codegen, engine, number-text and telemetry suites =="
 cmake -B build-asan -S . -DPIMFLOW_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
   support_test search_test obs_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
   support_test search_test obs_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke
