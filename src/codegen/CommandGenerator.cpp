@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "obs/Counters.h"
 #include "support/Format.h"
@@ -38,21 +39,164 @@ int64_t ceilDiv(int64_t A, int64_t B) {
   return (A + B - 1) / B;
 }
 
-/// All divisors of \p N in increasing order.
-std::vector<int> divisorsOf(int N) {
-  std::vector<int> Out;
-  for (int D = 1; D <= N; ++D)
-    if (N % D == 0)
-      Out.push_back(D);
-  return Out;
-}
-
 /// The Fig. 6 granularity a mapping with \p Cv vector partitions and
 /// \p Ck K-partitions needs.
 ScheduleGranularity granularityOf(int Cv, int Ck) {
   return Ck > 1   ? ScheduleGranularity::Comp
          : Cv > 1 ? ScheduleGranularity::ReadRes
                   : ScheduleGranularity::GAct;
+}
+
+/// Vectors buffered per pass: the largest supported GWRITE width (1/2/4)
+/// that the vector count can fill.
+int64_t buffersPerPass(const PimConfig &Config, const PimKernelSpec &Spec) {
+  const int64_t B =
+      std::min<int64_t>(Config.NumGlobalBuffers, Spec.NumVectors);
+  return B == 3 ? 2 : B;
+}
+
+/// Passes over all vectors, before the vector split shares them out.
+int64_t passesTotal(const PimConfig &Config, const PimKernelSpec &Spec) {
+  return ceilDiv(Spec.NumVectors, buffersPerPass(Config, Spec));
+}
+
+/// The commands of one K-tile.
+struct TileCommands {
+  /// GWRITE commands, each filling the pass's buffers with BurstsPerGwrite
+  /// bursts per buffer.
+  int64_t Gwrites = 1;
+  int64_t BurstsPerGwrite = 0;
+  int64_t GActs = 0;
+  int64_t CompColumns = 0;
+};
+
+/// One pass of one used channel under an (M, K) split: the tile
+/// description the emitter and the closed-form pass cost both read.
+struct PassShape {
+  /// Vectors buffered per pass (1, 2 or 4).
+  int64_t Buffers = 1;
+  int64_t NumTiles = 0;
+  /// Every tile but the last carries Full's commands.
+  TileCommands Full, Last;
+  /// Whether results drain after every tile instead of once per pass.
+  bool DrainPerTile = false;
+  /// READRES repetitions of one drain.
+  int64_t DrainReads = 0;
+  double MergeNs = 0.0;
+};
+
+PassShape shapeOf(const PimConfig &Config, const CodegenOptions &Options,
+                  const PimKernelSpec &Spec, int ChannelsForM,
+                  int ChannelsForK) {
+  PassShape S;
+  S.Buffers = buffersPerPass(Config, Spec);
+  // Work shares of one channel (ceil everywhere: every channel is priced as
+  // the worst-case channel, keeping the estimate conservative).
+  const int64_t RowsPerPart = ceilDiv(Spec.M, ChannelsForM);
+  // Matrix rows are interleaved across the channel's banks; the weight
+  // layout packs each bank's share densely, so one activated DRAM row
+  // serves ColumnIOsPerRow consecutive column computes regardless of how
+  // short the individual dot products are.
+  const int64_t RowsPerBank = ceilDiv(RowsPerPart, Config.BanksPerChannel);
+  const int64_t KPart = ceilDiv(Spec.K, ChannelsForK);
+  const int64_t BufElems = Config.bufferElements();
+  S.NumTiles = ceilDiv(KPart, BufElems);
+
+  auto TileOf = [&](int64_t TileElems) {
+    TileCommands T;
+    // Fetch the B input-vector tiles into the global buffers. Without the
+    // strided-GWRITE extension every contiguous segment of a conv window
+    // needs its own command (and pays the first-burst latency again).
+    const int64_t BurstsPerBuffer = ceilDiv(TileElems * 2, Config.BurstBytes);
+    T.BurstsPerGwrite = BurstsPerBuffer;
+    if (!Options.StridedGwrite && Spec.GwriteSegments != 1) {
+      T.Gwrites = std::min<int64_t>(Spec.GwriteSegments, BurstsPerBuffer);
+      T.BurstsPerGwrite = ceilDiv(BurstsPerBuffer, T.Gwrites);
+    }
+    // Stream this K-tile of every resident matrix row through the MAC
+    // trees: per bank, RowsPerBank dot-product segments of
+    // ceil(TileElems/16) column I/Os each. Activations are shared across
+    // the B buffered vectors — the multi-buffer G_ACT reuse.
+    const int64_t ColumnsPerBank =
+        RowsPerBank * ceilDiv(TileElems, Config.elementsPerComp());
+    T.GActs = ceilDiv(ColumnsPerBank, Config.ColumnIOsPerRow);
+    T.CompColumns = S.Buffers * ColumnsPerBank;
+    return T;
+  };
+  S.Last = TileOf(KPart - (S.NumTiles - 1) * BufElems);
+  S.Full = S.NumTiles > 1 ? TileOf(BufElems) : S.Last;
+
+  // Result-latch pressure: each bank accumulates RowsPerBank x B partial
+  // sums across the K-tiles. When that exceeds the latch count, partial
+  // results must drain after every tile and be merged outside the memory.
+  S.DrainPerTile = S.NumTiles > 1 &&
+                   RowsPerBank * S.Buffers > Config.ResultLatchesPerBank;
+  // Each 32B READRES carries 16 fp16 partial outputs; every buffered
+  // vector drains its RowsPerPart results.
+  S.DrainReads = S.Buffers * ceilDiv(RowsPerPart, Config.elementsPerComp());
+  // Partial sums — from COMP-granularity K-splits across channels and from
+  // latch-pressure per-tile drains — are merged by a lightweight
+  // elementwise add on the GPU side; charge the merge traffic at the
+  // cross-channel rate.
+  int64_t PartialCopies = ChannelsForK - 1;
+  if (S.DrainPerTile)
+    PartialCopies += S.NumTiles - 1;
+  if (PartialCopies > 0) {
+    const double MergeBytes = static_cast<double>(PartialCopies + 1) *
+                              static_cast<double>(Spec.M) *
+                              static_cast<double>(Spec.NumVectors) * 2.0;
+    S.MergeNs = MergeBytes / 100.0; // 100 GB/s crossbar -> ns per byte.
+  }
+  return S;
+}
+
+/// Writes the stream of \p Passes passes of \p Shape into \p Channel
+/// (reusing its storage); returns the GWRITE bursts it fetches.
+int64_t emitPasses(const PassShape &Shape, int64_t Passes,
+                   ChannelTrace &Channel) {
+  const int B = static_cast<int>(Shape.Buffers);
+  int64_t Bursts = 0;
+  Channel.Blocks.resize(1);
+  Channel.Blocks.front().Repeats = Passes;
+  std::vector<PimCommand> &Pattern = Channel.Blocks.front().Pattern;
+  Pattern.clear();
+  for (int64_t T = 0; T < Shape.NumTiles; ++T) {
+    const TileCommands &Tile = T + 1 < Shape.NumTiles ? Shape.Full : Shape.Last;
+    for (int64_t G = 0; G < Tile.Gwrites; ++G) {
+      Pattern.push_back(PimCommand::gwrite(Tile.BurstsPerGwrite, B));
+      Bursts += Passes * B * Tile.BurstsPerGwrite;
+    }
+    Pattern.push_back(PimCommand::gact(Tile.GActs));
+    Pattern.push_back(PimCommand::comp(Tile.CompColumns));
+    if (Shape.DrainPerTile)
+      Pattern.push_back(PimCommand::readRes(Shape.DrainReads));
+  }
+  if (!Shape.DrainPerTile)
+    Pattern.push_back(PimCommand::readRes(Shape.DrainReads));
+  return Bursts;
+}
+
+/// The cost of one pass of \p Shape, in closed form.
+PassCost costOf(const PimConfig &Config, const PassShape &Shape) {
+  const int B = static_cast<int>(Shape.Buffers);
+  PassCost Cost;
+  Cost.MergeNs = Shape.MergeNs;
+  auto AddTiles = [&](const TileCommands &Tile, int64_t Tiles) {
+    Cost.Phases.GwriteCycles +=
+        Tiles * Tile.Gwrites *
+        commandCycles(Config, PimCommand::gwrite(Tile.BurstsPerGwrite, B));
+    Cost.Phases.GactCycles +=
+        Tiles * commandCycles(Config, PimCommand::gact(Tile.GActs));
+    Cost.Phases.CompCycles +=
+        Tiles * commandCycles(Config, PimCommand::comp(Tile.CompColumns));
+    Cost.GwriteBursts += Tiles * Tile.Gwrites * B * Tile.BurstsPerGwrite;
+  };
+  AddTiles(Shape.Full, Shape.NumTiles - 1);
+  AddTiles(Shape.Last, 1);
+  Cost.Phases.ReadResCycles =
+      (Shape.DrainPerTile ? Shape.NumTiles : 1) *
+      commandCycles(Config, PimCommand::readRes(Shape.DrainReads));
+  return Cost;
 }
 
 } // namespace
@@ -79,95 +223,20 @@ PimCommandGenerator::emitChannel(const PimKernelSpec &Spec,
             "channel partition factors must be positive");
   PF_ASSERT(Map.usedChannels() <= Config.Channels,
             "channel partition exceeds the PIM channel count");
-
-  const int64_t Banks = Config.BanksPerChannel;
-  const int64_t ElemsPerComp = Config.elementsPerComp();
-  const int64_t BufElems = Config.bufferElements();
-
-  // Work shares of one channel (ceil everywhere: every channel is priced as
-  // the worst-case channel, keeping the estimate conservative).
-  const int64_t RowsPerPart = ceilDiv(Spec.M, Map.ChannelsForM);
-  // Matrix rows are interleaved across the channel's banks; the weight
-  // layout packs each bank's share densely, so one activated DRAM row
-  // serves ColumnIOsPerRow consecutive column computes regardless of how
-  // short the individual dot products are.
-  const int64_t RowsPerBank = ceilDiv(RowsPerPart, Banks);
-  // Buffers used per pass: the largest supported GWRITE width (1/2/4) that
-  // the vector count can fill.
-  int64_t B = std::min<int64_t>(Config.NumGlobalBuffers, Spec.NumVectors);
-  if (B == 3)
-    B = 2;
-  const int64_t PassesTotal = ceilDiv(Spec.NumVectors, B);
-  const int64_t PassesPerPart = ceilDiv(PassesTotal, Map.ChannelsForV);
-  const int64_t KPart = ceilDiv(Spec.K, Map.ChannelsForK);
-  const int64_t NumTiles = ceilDiv(KPart, BufElems);
-
-  // Result-latch pressure: each bank accumulates RowsPerBank x B partial
-  // sums across the K-tiles. When that exceeds the latch count, partial
-  // results must drain after every tile and be merged outside the memory.
-  const bool DrainPerTile =
-      NumTiles > 1 && RowsPerBank * B > Config.ResultLatchesPerBank;
-
-  // Build the per-pass command pattern of one channel.
+  const PassShape Shape =
+      shapeOf(Config, Options, Spec, Map.ChannelsForM, Map.ChannelsForK);
   MappingExtras X;
-  Channel.Blocks.resize(1);
-  Channel.Blocks.front().Repeats = PassesPerPart;
-  std::vector<PimCommand> &Pattern = Channel.Blocks.front().Pattern;
-  Pattern.clear();
-  for (int64_t T = 0; T < NumTiles; ++T) {
-    const int64_t TileElems =
-        T + 1 < NumTiles ? BufElems : KPart - (NumTiles - 1) * BufElems;
-    const int64_t BurstsPerBuffer =
-        ceilDiv(TileElems * 2, Config.BurstBytes);
-    // Fetch the B input-vector tiles into the global buffers. Without the
-    // strided-GWRITE extension every contiguous segment of a conv window
-    // needs its own command (and pays the first-burst latency again).
-    if (Options.StridedGwrite || Spec.GwriteSegments == 1) {
-      Pattern.push_back(
-          PimCommand::gwrite(BurstsPerBuffer, static_cast<int>(B)));
-      X.GwriteBursts += PassesPerPart * B * BurstsPerBuffer;
-    } else {
-      const int64_t Segments =
-          std::min<int64_t>(Spec.GwriteSegments, BurstsPerBuffer);
-      const int64_t BurstsPerSegment = ceilDiv(BurstsPerBuffer, Segments);
-      for (int64_t S = 0; S < Segments; ++S)
-        Pattern.push_back(
-            PimCommand::gwrite(BurstsPerSegment, static_cast<int>(B)));
-      X.GwriteBursts += PassesPerPart * Segments * B * BurstsPerSegment;
-    }
-    // Stream this K-tile of every resident matrix row through the MAC
-    // trees: per bank, RowsPerBank dot-product segments of
-    // ceil(TileElems/16) column I/Os each. Activations are shared across
-    // the B buffered vectors — the multi-buffer G_ACT reuse.
-    const int64_t ColumnsPerBank =
-        RowsPerBank * ceilDiv(TileElems, ElemsPerComp);
-    const int64_t GActs = ceilDiv(ColumnsPerBank, Config.ColumnIOsPerRow);
-    Pattern.push_back(PimCommand::gact(GActs));
-    Pattern.push_back(PimCommand::comp(B * ColumnsPerBank));
-    if (DrainPerTile)
-      Pattern.push_back(
-          PimCommand::readRes(B * ceilDiv(RowsPerPart, ElemsPerComp)));
-  }
-  // Drain the accumulated results: each 32B READRES carries 16 fp16
-  // partial outputs; every buffered vector drains its RowsPerPart results.
-  if (!DrainPerTile)
-    Pattern.push_back(
-        PimCommand::readRes(B * ceilDiv(RowsPerPart, ElemsPerComp)));
-
-  // Partial sums — from COMP-granularity K-splits across channels and from
-  // latch-pressure per-tile drains — are merged by a lightweight
-  // elementwise add on the GPU side; charge the merge traffic at the
-  // cross-channel rate.
-  int64_t PartialCopies = Map.ChannelsForK - 1;
-  if (DrainPerTile)
-    PartialCopies += NumTiles - 1;
-  if (PartialCopies > 0) {
-    const double MergeBytes = static_cast<double>(PartialCopies + 1) *
-                              static_cast<double>(Spec.M) *
-                              static_cast<double>(Spec.NumVectors) * 2.0;
-    X.MergeNs = MergeBytes / 100.0; // 100 GB/s crossbar -> ns per byte.
-  }
+  X.GwriteBursts = emitPasses(
+      Shape, ceilDiv(passesTotal(Config, Spec), Map.ChannelsForV), Channel);
+  X.MergeNs = Shape.MergeNs;
   return X;
+}
+
+PassCost PimCommandGenerator::passCost(const PimKernelSpec &Spec,
+                                       int ChannelsForM,
+                                       int ChannelsForK) const {
+  return costOf(Config,
+                shapeOf(Config, Options, Spec, ChannelsForM, ChannelsForK));
 }
 
 double PimCommandGenerator::priceNs(const ChannelMapping &Map,
@@ -212,65 +281,96 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
   return Plan;
 }
 
-PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
+PimKernelPlan PimCommandGenerator::search(const PimKernelSpec &Spec,
+                                          ChannelTrace &Kept) const {
   PF_ASSERT(Spec.valid(), "invalid PIM kernel spec");
 
-  // Every mapping is emitted as the one command stream its used channels
-  // all carry. A mapping whose lower bound reaches the best price so far
-  // cannot win and is skipped; the others are priced from one simulated
-  // channel. Only the kept mapping gets full run stats and a device trace.
+  // Every used channel of a mapping repeats one pass, whose cost depends
+  // on (Cm, Ck) alone, so a mapping's lower bound is its pass count times
+  // that cost. A mapping whose bound reaches the best price so far cannot
+  // win and is skipped; the others are emitted as the one command stream
+  // their used channels all carry and priced from one simulated channel.
+  // Only the kept mapping gets full run stats. Divisors are enumerated in
+  // increasing order, so the order is lexicographic in (Cm, Cv, Ck).
   ChannelMapping Best;
   MappingExtras BestExtras;
   double BestNs = 0.0;
   bool HaveBest = false;
-  ChannelTrace BestChannel, Channel;
+  ChannelTrace Channel;
   int64_t Tried = 0, Pruned = 0;
 
-  const int64_t B =
-      std::min<int64_t>(Config.NumGlobalBuffers, Spec.NumVectors);
-  const int64_t PassesTotal = ceilDiv(Spec.NumVectors, B);
-
-  for (int Cm : divisorsOf(Config.Channels)) {
+  const int Channels = Config.Channels;
+  const int64_t PassesTotal = passesTotal(Config, Spec);
+  // The passes of the current Cm's K splits and their costs, shared by
+  // its vector splits: one entry per divisor of Channels / Cm that may
+  // split K.
+  struct KSplit {
+    int Ck;
+    PassShape Shape;
+    PassCost Cost;
+  };
+  std::vector<KSplit> KSplits;
+  for (int Cm = 1; Cm <= Channels; ++Cm) {
     // More M-partitions than rows only idles channels.
     if (Cm > Spec.M)
+      break;
+    if (Channels % Cm != 0)
       continue;
-    for (int Cv : divisorsOf(Config.Channels / Cm)) {
+    const int PerM = Channels / Cm;
+    KSplits.clear();
+    for (int Ck = 1; Ck <= PerM; ++Ck) {
+      if (PerM % Ck != 0)
+        continue;
+      if (Ck > 1 && Options.MaxGranularity != ScheduleGranularity::Comp)
+        break;
+      // Splitting K below one COMP's worth of elements is pointless.
+      if (Ck > 1 && static_cast<int64_t>(Ck) * Config.elementsPerComp() >
+                        Spec.K)
+        break;
+      const PassShape Shape = shapeOf(Config, Options, Spec, Cm, Ck);
+      KSplits.push_back({Ck, Shape, costOf(Config, Shape)});
+    }
+    for (int Cv = 1; Cv <= PerM; ++Cv) {
+      if (PerM % Cv != 0)
+        continue;
       if (Cv > 1 && Options.MaxGranularity == ScheduleGranularity::GAct)
         break;
       if (Cv > PassesTotal)
         break;
-      for (int Ck : divisorsOf(Config.Channels / (Cm * Cv))) {
-        if (Ck > 1 && Options.MaxGranularity != ScheduleGranularity::Comp)
+      const int64_t Passes = ceilDiv(PassesTotal, Cv);
+      const int PerMV = PerM / Cv;
+      for (const KSplit &K : KSplits) {
+        if (K.Ck > PerMV)
           break;
-        // Splitting K below one COMP's worth of elements is pointless.
-        if (static_cast<int64_t>(Ck) * Config.elementsPerComp() > Spec.K &&
-            Ck > 1)
-          break;
+        if (PerMV % K.Ck != 0)
+          continue;
         ++Tried;
-        const ChannelMapping Map{Cm, Cv, Ck, granularityOf(Cv, Ck)};
-        const MappingExtras X = emitChannel(Spec, Map, Channel);
+        const ChannelMapping Map{Cm, Cv, K.Ck, granularityOf(Cv, K.Ck)};
+        const MappingExtras X{Passes * K.Cost.GwriteBursts, K.Cost.MergeNs};
         if (HaveBest) {
           // Admissible: both engines start at cycle 0, the fetch engine
           // runs the GWRITEs back to back, the bank engine the rest, and
           // the channel ends on a READRES after its last COMP, which
           // waits for the last GWRITE. Without latency hiding every
           // command serializes, so the summed bound is exact.
-          const ChannelPhaseCycles Busy = phaseCyclesOf(Config, Channel);
+          const ChannelPhaseCycles &Pass = K.Cost.Phases;
           const int64_t Floor =
               Config.GwriteLatencyHiding
-                  ? std::max(Busy.GwriteCycles, Busy.bankBusyCycles())
-                  : Busy.busyCycles();
+                  ? std::max(Passes * Pass.GwriteCycles,
+                             Passes * Pass.bankBusyCycles())
+                  : Passes * Pass.busyCycles();
           if (priceNs(Map, X, Floor) >= BestNs) {
             ++Pruned;
             continue;
           }
         }
+        emitPasses(K.Shape, Passes, Channel);
         const double Ns = priceNs(Map, X, Sim.simulateChannel(Channel));
         if (!HaveBest || Ns < BestNs) {
           Best = Map;
           BestExtras = X;
           BestNs = Ns;
-          std::swap(BestChannel, Channel);
+          std::swap(Kept, Channel);
           HaveBest = true;
         }
       }
@@ -279,10 +379,22 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
   obs::addCounter("codegen.mappings_tried", Tried);
   obs::addCounter("codegen.mappings_pruned", Pruned);
   PF_ASSERT(HaveBest, "no feasible PIM mapping found");
-  PimKernelPlan Plan = priceMapping(Spec, Best, BestChannel, BestExtras);
+  PimKernelPlan Plan = priceMapping(Spec, Best, Kept, BestExtras);
   PF_ASSERT(Plan.Ns == BestNs,
             "full-stats price of the kept mapping differs from its price");
-  Plan.Trace = replicate(BestChannel, Plan.usedChannels());
   obs::addCounter("codegen.plans");
   return Plan;
+}
+
+PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
+  ChannelTrace Kept;
+  PimKernelPlan Plan = search(Spec, Kept);
+  Plan.Trace = replicate(Kept, Plan.usedChannels());
+  return Plan;
+}
+
+PimKernelPlan
+PimCommandGenerator::planUntraced(const PimKernelSpec &Spec) const {
+  ChannelTrace Kept;
+  return search(Spec, Kept);
 }

@@ -23,7 +23,9 @@
 /// the mechanism's maximum granularity, prices each with the cycle
 /// simulator, and keeps the fastest — this is the paper's "command
 /// scheduling pass to distribute PIM commands across channels to fully
-/// utilize all PIM compute units".
+/// utilize all PIM compute units". A candidate's lower bound comes from
+/// the per-pass cost of its (M, K) split, so only the candidates that can
+/// still win are emitted and simulated.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,6 +103,20 @@ struct PimKernelRecord : ChannelMapping {
 /// The record of \p Plan executed as node \p Id.
 PimKernelRecord recordOf(NodeId Id, const PimKernelPlan &Plan);
 
+/// What one pass of a mapping's per-channel stream costs. Every used
+/// channel repeats one pass, which depends on the mapping's M and K splits
+/// only; the vector split sets how many passes it makes.
+struct PassCost {
+  /// Busy cycles of each phase of one pass (the fault-path, completion and
+  /// channel fields stay 0).
+  ChannelPhaseCycles Phases;
+  /// GWRITE bursts one pass fetches.
+  int64_t GwriteBursts = 0;
+  /// GPU-side merge time of the mapping's partial sums, in ns (once per
+  /// mapping, not per pass).
+  double MergeNs = 0.0;
+};
+
 /// Generates and schedules PIM command traces for lowered kernels.
 class PimCommandGenerator {
 public:
@@ -122,7 +138,11 @@ public:
   /// strictly faster mapping replaces it, so the first fastest one wins.
   PimKernelPlan plan(const PimKernelSpec &Spec) const;
 
-private:
+  /// plan() without the device trace: the same mapping, Ns, Stats and
+  /// EffectiveMacs and the same telemetry, with an empty Trace. For
+  /// callers that never read the trace.
+  PimKernelPlan planUntraced(const PimKernelSpec &Spec) const;
+
   /// What pricing a mapping needs besides the command stream each of its
   /// used channels carries.
   struct MappingExtras {
@@ -137,6 +157,18 @@ private:
   MappingExtras emitChannel(const PimKernelSpec &Spec,
                             const ChannelMapping &Map,
                             ChannelTrace &Channel) const;
+
+  /// The cost of one pass of the stream emitChannel() writes for a mapping
+  /// with \p ChannelsForM M-partitions and \p ChannelsForK K-partitions,
+  /// in closed form: what the search bounds candidates with.
+  PassCost passCost(const PimKernelSpec &Spec, int ChannelsForM,
+                    int ChannelsForK) const;
+
+private:
+  /// The search behind plan() and planUntraced(): the kept plan without
+  /// its Trace, and the stream each of its used channels carries in
+  /// \p Kept.
+  PimKernelPlan search(const PimKernelSpec &Spec, ChannelTrace &Kept) const;
 
   /// Kernel ns of \p Map when each used channel finishes at
   /// \p ChannelCycles: the makespan raised to the fetch-supply floor, plus

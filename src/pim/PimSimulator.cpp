@@ -188,29 +188,21 @@ ChannelPhaseCycles pf::phaseCyclesOf(const PimConfig &Config,
     if (B.Repeats <= 0)
       continue;
     for (const PimCommand &Cmd : B.Pattern) {
-      // Durations mirror step() exactly; only start times depend on state.
+      const int64_t Cycles = B.Repeats * commandCycles(Config, Cmd);
       switch (Cmd.Kind) {
       case PimCmdKind::Gwrite:
       case PimCmdKind::Gwrite2:
-      case PimCmdKind::Gwrite4: {
-        const int64_t Buffers = Cmd.Kind == PimCmdKind::Gwrite    ? 1
-                                : Cmd.Kind == PimCmdKind::Gwrite2 ? 2
-                                                                  : 4;
-        const int64_t Bursts = Cmd.Count * Buffers;
-        P.GwriteCycles +=
-            B.Repeats * (Config.TGwrite + (Bursts - 1) * Config.TCcdl);
+      case PimCmdKind::Gwrite4:
+        P.GwriteCycles += Cycles;
         break;
-      }
       case PimCmdKind::GAct:
-        P.GactCycles +=
-            B.Repeats * (Config.TGact + (Cmd.Count - 1) * Config.TRrd);
+        P.GactCycles += Cycles;
         break;
       case PimCmdKind::Comp:
-        P.CompCycles += B.Repeats * Cmd.Count * Config.TComp;
+        P.CompCycles += Cycles;
         break;
       case PimCmdKind::ReadRes:
-        P.ReadResCycles +=
-            B.Repeats * (Config.TReadRes + (Cmd.Count - 1) * Config.TCcdl);
+        P.ReadResCycles += Cycles;
         break;
       }
     }
@@ -412,8 +404,10 @@ PimRunStats PimSimulator::runReplicated(const ChannelTrace &Channel,
                                         int Copies) const {
   PF_ASSERT(Copies >= 0, "negative channel copy count");
   PimRunStats Stats;
-  if (!Channel.empty() && Copies > 0)
+  if (!Channel.empty() && Copies > 0) {
+    Stats.ChannelPhases.reserve(static_cast<size_t>(Copies));
     addChannels(Stats, simulateOne(*this, Channel), 0, Copies);
+  }
   finishRun(Config, Stats);
   return Stats;
 }

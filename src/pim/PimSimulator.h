@@ -69,6 +69,30 @@ struct ChannelPhaseCycles {
   ChannelPhaseCycles &operator+=(const ChannelPhaseCycles &O);
 };
 
+/// Cycles \p Cmd occupies its engine under \p Config's timing parameters.
+/// Durations are state-independent; only start times depend on engine
+/// occupancy. Mirrors the simulator's step() exactly, which keeps its own
+/// copy because it already switches on the command kind.
+inline int64_t commandCycles(const PimConfig &Config, const PimCommand &Cmd) {
+  switch (Cmd.Kind) {
+  case PimCmdKind::Gwrite:
+  case PimCmdKind::Gwrite2:
+  case PimCmdKind::Gwrite4: {
+    const int64_t Buffers = Cmd.Kind == PimCmdKind::Gwrite    ? 1
+                            : Cmd.Kind == PimCmdKind::Gwrite2 ? 2
+                                                              : 4;
+    return Config.TGwrite + (Cmd.Count * Buffers - 1) * Config.TCcdl;
+  }
+  case PimCmdKind::GAct:
+    return Config.TGact + (Cmd.Count - 1) * Config.TRrd;
+  case PimCmdKind::Comp:
+    return Cmd.Count * Config.TComp;
+  case PimCmdKind::ReadRes:
+    return Config.TReadRes + (Cmd.Count - 1) * Config.TCcdl;
+  }
+  pf_unreachable("unknown PIM command kind");
+}
+
 /// Per-phase busy cycles of \p Trace under \p Config's timing parameters
 /// (expanded over block repeats; no simulation needed since durations are
 /// state-independent).

@@ -65,6 +65,9 @@ bool isFusableEpilogue(OpKind Kind) {
 /// Per-execution cache of PIM kernel plans. Planning reads nothing but the
 /// kernel spec, so nodes that lower to equal specs share one plan.
 struct PimPlanCache {
+  /// Whether plans carry their device trace: only a fault-aware run
+  /// re-simulates it.
+  bool Traced = false;
   std::map<PimKernelSpec, PimKernelPlan> Plans;
   /// Each planned node's plan, by NodeId.
   std::vector<const PimKernelPlan *> OfNode;
@@ -76,7 +79,10 @@ struct PimPlanCache {
       const PimKernelSpec Spec = lowerToPimSpec(G, Id);
       auto It = Plans.find(Spec);
       if (It == Plans.end())
-        It = Plans.emplace(Spec, Gen.plan(Spec)).first;
+        It = Plans
+                 .emplace(Spec, Traced ? Gen.plan(Spec)
+                                       : Gen.planUntraced(Spec))
+                 .first;
       Plan = &It->second;
     }
     return *Plan;
@@ -207,6 +213,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
   }
 
   PimPlanCache Cache;
+  Cache.Traced = Faults && !Faults->empty();
   Cache.OfNode.assign(NumNodes, nullptr);
   // Cross-device handoffs of the latest pass: only the final one counts.
   int64_t Handoffs = 0;

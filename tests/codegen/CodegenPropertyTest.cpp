@@ -8,11 +8,13 @@
 /// Parameterized invariant sweeps over the command generator's (M, K, V)
 /// space: work conservation, input coverage, monotonicity, and mapping
 /// validity must hold for every lowered kernel shape, not just the ones
-/// the evaluated models produce.
+/// the evaluated models produce. The per-pass costs the search bounds
+/// candidates with must match the streams the emitter writes.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 
 #include "../pim/SimExpect.h"
 #include "codegen/CommandGenerator.h"
+#include "support/Random.h"
 
 using namespace pf;
 
@@ -74,11 +77,14 @@ std::vector<int> divisors(int N) {
 /// Every (Cm, Cv, Ck) mapping the command-scheduling pass may enumerate
 /// for \p S, in its lexicographic order: divisors of the channels left,
 /// the granularity ceiling, Cm <= M, Cv <= the vector passes, and
-/// Ck * elementsPerComp <= K.
+/// Ck * elementsPerComp <= K. A pass fills 1, 2 or 4 buffers, so three
+/// buffered vectors make a pass of two.
 std::vector<std::tuple<int, int, int>>
 enumerableMappings(const PimConfig &C, const CodegenOptions &O,
                    const PimKernelSpec &S) {
-  const int64_t B = std::min<int64_t>(C.NumGlobalBuffers, S.NumVectors);
+  int64_t B = std::min<int64_t>(C.NumGlobalBuffers, S.NumVectors);
+  if (B == 3)
+    B = 2;
   const int64_t Passes = (S.NumVectors + B - 1) / B;
   std::vector<std::tuple<int, int, int>> Out;
   for (int Cm : divisors(C.Channels)) {
@@ -98,6 +104,43 @@ enumerableMappings(const PimConfig &C, const CodegenOptions &O,
       }
     }
   }
+  return Out;
+}
+
+/// Configs for the pass-cost property: 1, 2 and 4 buffers and strided
+/// GWRITE on and off, at 4 to 64 channels, under the COMP ceiling (which
+/// enumerates every mapping the others do).
+std::vector<std::pair<PimConfig, CodegenOptions>> passCostConfigs() {
+  std::vector<std::pair<PimConfig, CodegenOptions>> Out;
+  for (int Channels : {4, 12, 16, 28, 64})
+    for (int Buffers : {1, 2, 4})
+      for (bool Strided : {false, true}) {
+        PimConfig C = PimConfig::newtonPlusPlus();
+        C.Channels = Channels;
+        C.NumGlobalBuffers = Buffers;
+        CodegenOptions O;
+        O.StridedGwrite = Strided;
+        Out.push_back({C, O});
+      }
+  return Out;
+}
+
+/// Seeded (M, K, V) shapes, log-uniform below 8192 rows, 32768 reduction
+/// elements and 8192 vectors.
+std::vector<std::tuple<int, int, int>> seededShapes() {
+  Rng R(0x5EED);
+  auto LogUniform = [&R](int Log2Max) {
+    const int Lo = 1 << R.nextBelow(static_cast<uint64_t>(Log2Max) + 1);
+    return Lo + static_cast<int>(R.nextBelow(static_cast<uint64_t>(Lo)));
+  };
+  std::vector<std::tuple<int, int, int>> Out;
+  for (int I = 0; I < 24; ++I) {
+    const int M = LogUniform(12);
+    const int K = LogUniform(14);
+    Out.emplace_back(M, K, LogUniform(12));
+  }
+  // Three vectors fill a pass of two buffers.
+  Out.emplace_back(64, 512, 3);
   return Out;
 }
 
@@ -186,11 +229,49 @@ TEST_P(CodegenSweep, InvariantsHold) {
   }
 }
 
+TEST_P(CodegenSweep, PassCostsMatchEmittedStreams) {
+  // The search bounds a mapping by its pass count times the closed-form
+  // cost of one pass. That must be exactly what the emitted stream costs:
+  // its phase cycles, its GWRITE bursts and its merge time, bit for bit.
+  for (const int64_t Segments : {1, 3, 7}) {
+    PimKernelSpec S = param();
+    S.GwriteSegments = Segments;
+    for (const auto &[C, O] : passCostConfigs()) {
+      const PimCommandGenerator Gen(C, O);
+      ChannelTrace Channel;
+      for (const auto &[Cm, Cv, Ck] : enumerableMappings(C, O, S)) {
+        SCOPED_TRACE(testing::Message()
+                     << "channels=" << C.Channels
+                     << " buffers=" << C.NumGlobalBuffers
+                     << " strided=" << O.StridedGwrite << " segments="
+                     << Segments << " m" << Cm << ".v" << Cv << ".k" << Ck);
+        const ChannelMapping Map{Cm, Cv, Ck};
+        const PimCommandGenerator::MappingExtras X =
+            Gen.emitChannel(S, Map, Channel);
+        const PassCost Cost = Gen.passCost(S, Cm, Ck);
+        ASSERT_EQ(Channel.Blocks.size(), 1u);
+        const int64_t Passes = Channel.Blocks.front().Repeats;
+        const ChannelPhaseCycles Emitted = phaseCyclesOf(C, Channel);
+        EXPECT_EQ(Passes * Cost.Phases.GwriteCycles, Emitted.GwriteCycles);
+        EXPECT_EQ(Passes * Cost.Phases.GactCycles, Emitted.GactCycles);
+        EXPECT_EQ(Passes * Cost.Phases.CompCycles, Emitted.CompCycles);
+        EXPECT_EQ(Passes * Cost.Phases.ReadResCycles, Emitted.ReadResCycles);
+        EXPECT_EQ(Passes * Cost.GwriteBursts, X.GwriteBursts);
+        EXPECT_EQ(std::bit_cast<uint64_t>(Cost.MergeNs),
+                  std::bit_cast<uint64_t>(X.MergeNs));
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     MkvGrid, CodegenSweep,
     ::testing::Combine(::testing::Values(1, 16, 144, 1000, 4096),
                        ::testing::Values(16, 24, 576, 25088),
                        ::testing::Values(1, 49, 3136)));
+
+INSTANTIATE_TEST_SUITE_P(Seeded, CodegenSweep,
+                         ::testing::ValuesIn(seededShapes()));
 
 TEST(CodegenMonotonicity, TimeGrowsWithEachDimension) {
   PimCommandGenerator Gen(PimConfig::newtonPlusPlus(), CodegenOptions{});

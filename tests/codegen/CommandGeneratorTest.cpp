@@ -199,3 +199,26 @@ TEST(CommandGeneratorTest, FcMuchFasterThanEquivalentGpuTraffic) {
   PimKernelPlan P = Gen.plan(spec(4096, 4096, 1));
   EXPECT_LT(P.Ns, 75000.0 / 5.0);
 }
+
+TEST(CommandGeneratorTest, ThreeVectorKernelsTryVectorSplits) {
+  // Three vectors fill two buffers per pass (GWRITE fills 1, 2 or 4), so
+  // a kernel of three vectors makes two passes and a vector split can
+  // halve them. The search must try it: no mapping that splits the
+  // vectors in two may beat the kept one.
+  PimCommandGenerator Gen = makeGen(true);
+  const int Channels = Gen.config().Channels;
+  for (const int64_t M : {16, 64, 256, 1000})
+    for (const int64_t K : {64, 512, 2048}) {
+      const PimKernelSpec S = spec(M, K, 3);
+      const PimKernelPlan P = Gen.plan(S);
+      for (int Cm = 1; Cm <= Channels / 2; Cm *= 2)
+        for (int Ck = 1; Cm * 2 * Ck <= Channels; Ck *= 2) {
+          if (Cm > M || Ck * Gen.config().elementsPerComp() > K)
+            continue;
+          EXPECT_LE(P.Ns, Gen.planWithMapping(S, Cm, 2, Ck).Ns)
+              << "M=" << M << " K=" << K << " kept " << P.describeMapping()
+              << " vs m" << Cm << ".v2.k" << Ck;
+        }
+    }
+  EXPECT_EQ(Gen.plan(spec(16, 64, 3)).describeMapping(), "m1.v2.k4@comp");
+}

@@ -34,7 +34,9 @@
 #      remapped onto 14 surviving channels whose perf report and Chrome
 #      trace must validate and name no lane for the lost channels.
 #   7. The plan-artifact tier: toy and squeezenet-1.1 compiles
-#      byte-identical to their goldens, compile -> replay determinism (a
+#      byte-identical to their goldens, toy's `pimflow trace` dumps (the
+#      emitted PIM command streams) byte-identical to theirs,
+#      compile -> replay determinism (a
 #      replayed plan reproduces the fresh run's execution line, skips the
 #      search, and hits the plan cache on a recompile), then the corruption
 #      matrix (truncation, bit flip, version skew, wrong-model replay),
@@ -60,9 +62,10 @@
 #      suites (whose ready list and consumer index are NodeId/ValueId
 #      arithmetic) and the number-text suites (the to_chars/from_chars
 #      writers and readers, the plan-artifact parser over string views and
-#      its re-checksummed mutation fuzz, the JSON writer) and the
+#      its re-checksummed mutation fuzz, the JSON writer), the
 #      telemetry suites (the registry, its weighted histogram and window
-#      records, the pinned telemetry of scoped runs) rebuilt and
+#      records, the pinned telemetry of scoped runs) and the pinned
+#      mapping search (its pass-cost arithmetic and kept plans) rebuilt and
 #      re-run under AddressSanitizer and UndefinedBehaviorSanitizer
 #      (PIMFLOW_SANITIZE=address|undefined; UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
@@ -221,6 +224,11 @@ cmp "$PLAN_DIR/toy.plan" tools/testdata/toy.plan
 ./build/tools/pimflow compile squeezenet-1.1 --dir="$PLAN_DIR" \
   --plan-out="$PLAN_DIR/squeezenet-1.1.plan" > /dev/null
 cmp "$PLAN_DIR/squeezenet-1.1.plan" tools/testdata/squeezenet-1.1.plan
+# The emitted PIM command streams match their goldens byte for byte.
+./build/tools/pimflow trace toy --dir="$PLAN_DIR" > /dev/null
+for KERNEL in conv2d_1 conv2d_4 conv2d_9.pim gemm_15; do
+  cmp "$PLAN_DIR/toy.$KERNEL.trace" "tools/testdata/toy.$KERNEL.trace"
+done
 # Replay determinism: the replayed run's execution line is byte-identical
 # to a fresh compile-and-run of the same model.
 ./build/tools/pimflow run toy --dir="$PLAN_DIR" \
@@ -377,13 +385,13 @@ cmake --build build-asan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
   support_test search_test obs_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
   support_test search_test obs_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke
