@@ -6,11 +6,29 @@
 
 #include "ir/Graph.h"
 
-#include <deque>
+#include <algorithm>
 
 #include "support/Format.h"
 
 using namespace pf;
+
+namespace {
+
+/// Inserts \p Id into the sorted \p List unless it is already there.
+void insertSorted(std::vector<NodeId> &List, NodeId Id) {
+  auto It = std::lower_bound(List.begin(), List.end(), Id);
+  if (It == List.end() || *It != Id)
+    List.insert(It, Id);
+}
+
+/// Erases \p Id from the sorted \p List if it is there.
+void eraseSorted(std::vector<NodeId> &List, NodeId Id) {
+  auto It = std::lower_bound(List.begin(), List.end(), Id);
+  if (It != List.end() && *It == Id)
+    List.erase(It);
+}
+
+} // namespace
 
 const char *pf::deviceName(Device Dev) {
   switch (Dev) {
@@ -95,6 +113,7 @@ ValueId Graph::addValue(const std::string &Name, TensorShape Shape,
   V.Type = Type;
   Values.push_back(std::move(V));
   ProducerOf.push_back(InvalidNode);
+  ConsumersOf.emplace_back();
   return Values.back().Id;
 }
 
@@ -132,6 +151,14 @@ NodeId Graph::addNode(OpKind Kind, const std::string &Name, OpAttrs Attrs,
   N.Outputs = std::move(NodeOutputs);
   for (ValueId Out : N.Outputs)
     ProducerOf[static_cast<size_t>(Out)] = N.Id;
+  for (ValueId In : N.Inputs) {
+    // The new node has the largest id, so appending keeps each list
+    // sorted, and a list it already ends is a value it reads twice.
+    std::vector<NodeId> &Users = ConsumersOf[static_cast<size_t>(In)];
+    if (Users.empty() || Users.back() != N.Id)
+      Users.push_back(N.Id);
+  }
+  ++LiveNodes;
   Nodes.push_back(std::move(N));
   return Nodes.back().Id;
 }
@@ -142,34 +169,48 @@ void Graph::removeNode(NodeId Id) {
   N.Dead = true;
   for (ValueId Out : N.Outputs)
     ProducerOf[static_cast<size_t>(Out)] = InvalidNode;
+  for (ValueId In : N.Inputs)
+    eraseSorted(ConsumersOf[static_cast<size_t>(In)], Id);
+  --LiveNodes;
 }
 
-size_t Graph::numNodes() const {
-  size_t Count = 0;
-  for (const Node &N : Nodes)
-    if (!N.Dead)
-      ++Count;
-  return Count;
+int Graph::replaceUses(ValueId From, ValueId To) {
+  PF_ASSERT(From >= 0 && static_cast<size_t>(From) < Values.size() &&
+                To >= 0 && static_cast<size_t>(To) < Values.size(),
+            "value id out of range");
+  std::vector<NodeId> &FromUsers = ConsumersOf[static_cast<size_t>(From)];
+  const std::vector<NodeId> Users = std::move(FromUsers);
+  FromUsers.clear();
+  int Rewritten = 0;
+  for (NodeId Id : Users) {
+    for (ValueId &In : Nodes[static_cast<size_t>(Id)].Inputs)
+      if (In == From) {
+        In = To;
+        ++Rewritten;
+      }
+    insertSorted(ConsumersOf[static_cast<size_t>(To)], Id);
+  }
+  return Rewritten;
+}
+
+void Graph::setInput(NodeId Id, size_t Slot, ValueId V) {
+  Node &N = node(Id);
+  PF_ASSERT(Slot < N.Inputs.size(), "input slot out of range");
+  PF_ASSERT(V >= 0 && static_cast<size_t>(V) < Values.size(),
+            "input value does not exist");
+  const ValueId Old = N.Inputs[Slot];
+  N.Inputs[Slot] = V;
+  if (N.Dead)
+    return;
+  if (std::find(N.Inputs.begin(), N.Inputs.end(), Old) == N.Inputs.end())
+    eraseSorted(ConsumersOf[static_cast<size_t>(Old)], Id);
+  insertSorted(ConsumersOf[static_cast<size_t>(V)], Id);
 }
 
 NodeId Graph::producer(ValueId Id) const {
   PF_ASSERT(Id >= 0 && static_cast<size_t>(Id) < ProducerOf.size(),
             "value id out of range");
   return ProducerOf[static_cast<size_t>(Id)];
-}
-
-std::vector<NodeId> Graph::consumers(ValueId Id) const {
-  std::vector<NodeId> Out;
-  for (const Node &N : Nodes) {
-    if (N.Dead)
-      continue;
-    for (ValueId In : N.Inputs)
-      if (In == Id) {
-        Out.push_back(N.Id);
-        break;
-      }
-  }
-  return Out;
 }
 
 std::vector<NodeId> Graph::topoOrder() const {
@@ -179,40 +220,30 @@ std::vector<NodeId> Graph::topoOrder() const {
 }
 
 std::vector<NodeId> Graph::tryTopoOrder() const {
-  // Kahn's algorithm: a node is ready once all of its non-parameter,
-  // non-graph-input inputs have been produced.
-  std::vector<int> PendingInputs(Nodes.size(), 0);
-  std::vector<std::vector<NodeId>> ValueConsumers(Values.size());
-  std::deque<NodeId> Ready;
-  size_t LiveCount = 0;
-
+  // Kahn's algorithm over the def-use lists: a node is ready once each
+  // distinct input with a producer has been produced. The FIFO is seeded
+  // in node-id order, and Order doubles as it: Order[Head..] are the ready
+  // nodes not yet expanded.
+  std::vector<int> Pending(Nodes.size(), 0);
+  std::vector<NodeId> Order;
+  Order.reserve(LiveNodes);
   for (const Node &N : Nodes) {
     if (N.Dead)
       continue;
-    ++LiveCount;
-    int Pending = 0;
-    for (ValueId In : N.Inputs) {
-      if (producer(In) == InvalidNode)
-        continue; // Parameter or graph input: always available.
-      ++Pending;
-      ValueConsumers[static_cast<size_t>(In)].push_back(N.Id);
-    }
-    PendingInputs[static_cast<size_t>(N.Id)] = Pending;
-    if (Pending == 0)
-      Ready.push_back(N.Id);
+    int Produced = 0;
+    for (auto In = N.Inputs.begin(); In != N.Inputs.end(); ++In)
+      if (producer(*In) != InvalidNode &&
+          std::find(N.Inputs.begin(), In, *In) == In)
+        ++Produced;
+    Pending[static_cast<size_t>(N.Id)] = Produced;
+    if (Produced == 0)
+      Order.push_back(N.Id);
   }
-
-  std::vector<NodeId> Order;
-  Order.reserve(LiveCount);
-  while (!Ready.empty()) {
-    NodeId Id = Ready.front();
-    Ready.pop_front();
-    Order.push_back(Id);
-    for (ValueId Out : node(Id).Outputs)
-      for (NodeId Consumer : ValueConsumers[static_cast<size_t>(Out)])
-        if (--PendingInputs[static_cast<size_t>(Consumer)] == 0)
-          Ready.push_back(Consumer);
-  }
+  for (size_t Head = 0; Head < Order.size(); ++Head)
+    for (ValueId Out : node(Order[Head]).Outputs)
+      for (NodeId Consumer : ConsumersOf[static_cast<size_t>(Out)])
+        if (--Pending[static_cast<size_t>(Consumer)] == 0)
+          Order.push_back(Consumer);
   // Cyclic dependency sets never become ready; the order is partial and
   // the caller decides how to fail (topoOrder asserts, the execution
   // engine and validate() diagnose).

@@ -92,6 +92,11 @@ bool isDepthwiseConv(const Node &N);
 /// exactly one producing node. Nodes are stored in insertion order and may
 /// be marked dead by passes; topoOrder() yields a topologically sorted view
 /// of the live nodes.
+///
+/// The graph owns its def-use index: each value's live consumers and the
+/// live-node count, kept current by every mutator below. Writing a node's
+/// Inputs or Dead flag through node() bypasses it; verify() reports the
+/// result as verify.stale-index.
 class Graph {
 public:
   explicit Graph(std::string Name = "graph") : Name(std::move(Name)) {}
@@ -116,6 +121,15 @@ public:
   /// as outputs of a replacement node.
   void removeNode(NodeId Id);
 
+  /// Rewrites every live node input equal to \p From to \p To. Returns the
+  /// number of input slots rewritten.
+  int replaceUses(ValueId From, ValueId To);
+
+  /// Rewrites input slot \p Slot of node \p Id to \p V. Unlike the other
+  /// mutators it may build malformed graphs (cycles, uses with no
+  /// producer), which the diagnostics tests need.
+  void setInput(NodeId Id, size_t Slot, ValueId V);
+
   Value &value(ValueId Id) {
     PF_ASSERT(Id >= 0 && static_cast<size_t>(Id) < Values.size(),
               "value id out of range");
@@ -138,7 +152,7 @@ public:
   size_t numNodesIncludingDead() const { return Nodes.size(); }
 
   /// Number of live nodes.
-  size_t numNodes() const;
+  size_t numNodes() const { return LiveNodes; }
 
   const std::vector<Value> &values() const { return Values; }
   const std::vector<Node> &nodes() const { return Nodes; }
@@ -151,8 +165,13 @@ public:
   /// Producer of \p Id, or InvalidNode for graph inputs and parameters.
   NodeId producer(ValueId Id) const;
 
-  /// Live nodes consuming \p Id.
-  std::vector<NodeId> consumers(ValueId Id) const;
+  /// Live nodes consuming \p Id, each once, in node-id order. The list is
+  /// the graph's own: any mutation may invalidate the reference.
+  const std::vector<NodeId> &consumers(ValueId Id) const {
+    PF_ASSERT(Id >= 0 && static_cast<size_t>(Id) < ConsumersOf.size(),
+              "value id out of range");
+    return ConsumersOf[static_cast<size_t>(Id)];
+  }
 
   /// Topologically sorted live node ids (Kahn). Aborts on cycles.
   std::vector<NodeId> topoOrder() const;
@@ -183,6 +202,9 @@ private:
   std::vector<ValueId> Outputs;
   /// Producer node of each value (InvalidNode if none).
   std::vector<NodeId> ProducerOf;
+  /// Live consumers of each value, each once, in node-id order.
+  std::vector<std::vector<NodeId>> ConsumersOf;
+  size_t LiveNodes = 0;
   std::unordered_map<ValueId, Tensor> ExplicitParamData;
 };
 

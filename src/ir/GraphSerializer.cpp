@@ -6,6 +6,7 @@
 
 #include "ir/GraphSerializer.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -127,6 +128,15 @@ int64_t attrInt(const AttrMap &M, const char *Key, int64_t Default = 0) {
   return It == M.end() ? Default : std::atoll(It->second.c_str());
 }
 
+/// An "eps" value: one number in parseDouble's grammar that stays finite
+/// as a float (IEEE conversion rounds "1e300" to inf).
+std::optional<float> parseEpsilon(const std::string &Val) {
+  const std::optional<double> Eps = parseDouble(Val);
+  if (!Eps || !std::isfinite(static_cast<float>(*Eps)))
+    return std::nullopt;
+  return static_cast<float>(*Eps);
+}
+
 OpAttrs attrsFromMap(OpKind Kind, const AttrMap &M) {
   switch (Kind) {
   case OpKind::Conv2d: {
@@ -164,7 +174,7 @@ OpAttrs attrsFromMap(OpKind Kind, const AttrMap &M) {
     BatchNormAttrs A;
     auto It = M.find("eps");
     if (It != M.end())
-      A.Epsilon = static_cast<float>(std::atof(It->second.c_str()));
+      A.Epsilon = *parseEpsilon(It->second);
     return A;
   }
   case OpKind::Pad: {
@@ -191,7 +201,7 @@ OpAttrs attrsFromMap(OpKind Kind, const AttrMap &M) {
     LayerNormAttrs A;
     auto It = M.find("eps");
     if (It != M.end())
-      A.Epsilon = static_cast<float>(std::atof(It->second.c_str()));
+      A.Epsilon = *parseEpsilon(It->second);
     return A;
   }
   case OpKind::MatMul: {
@@ -421,11 +431,9 @@ std::variant<Graph, std::string> pf::parseGraph(const std::string &Text) {
         // "eps" attrs are floats; everything else must be an integer
         // (atoi-style silent truncation used to accept "kh=3x" as 3).
         if (Key == "eps") {
-          char *End = nullptr;
-          std::strtod(Val.c_str(), &End);
-          if (Val.empty() || *End != '\0')
+          if (!parseEpsilon(Val))
             return Err("attribute " + Key + " value '" + Val +
-                       "' is not a number");
+                       "' is not a finite float");
         } else if (!parseInt(Val)) {
           return Err("attribute " + Key + " value '" + Val +
                      "' is not an integer");

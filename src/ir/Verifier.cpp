@@ -6,6 +6,8 @@
 
 #include "ir/Verifier.h"
 
+#include <algorithm>
+#include <cmath>
 #include <deque>
 #include <variant>
 
@@ -133,6 +135,9 @@ void checkWindowAttrs(const Node &N, int64_t KH, int64_t KW, int64_t SH,
                   static_cast<long long>(KW)));
 }
 
+/// False for NaN, infinities, zero and negatives.
+bool positiveFinite(float X) { return X > 0.0f && std::isfinite(X); }
+
 /// Attribute legality for one node. Only called when attrsMatchKind() holds.
 void checkNodeAttrs(const Graph &G, const Node &N, DiagnosticEngine &DE) {
   auto Bad = [&](const std::string &Msg) {
@@ -199,13 +204,13 @@ void checkNodeAttrs(const Graph &G, const Node &N, DiagnosticEngine &DE) {
     break;
   }
   case OpKind::BatchNorm: {
-    if (std::get<BatchNormAttrs>(N.Attrs).Epsilon <= 0.0f)
-      Bad("batchnorm epsilon must be positive");
+    if (!positiveFinite(std::get<BatchNormAttrs>(N.Attrs).Epsilon))
+      Bad("batchnorm epsilon must be positive and finite");
     break;
   }
   case OpKind::LayerNorm: {
-    if (std::get<LayerNormAttrs>(N.Attrs).Epsilon <= 0.0f)
-      Bad("layernorm epsilon must be positive");
+    if (!positiveFinite(std::get<LayerNormAttrs>(N.Attrs).Epsilon))
+      Bad("layernorm epsilon must be positive and finite");
     break;
   }
   default:
@@ -264,6 +269,65 @@ void checkAcyclic(const Graph &G, DiagnosticEngine &DE) {
                "participates in a dataflow cycle");
 }
 
+/// Renders node ids as "{1, 3}".
+std::string idList(const std::vector<NodeId> &Ids) {
+  std::string Out = "{";
+  for (size_t I = 0; I < Ids.size(); ++I) {
+    if (I > 0)
+      Out += ", ";
+    Out += std::to_string(Ids[I]);
+  }
+  return Out + "}";
+}
+
+/// Live nodes reading \p V, in node-id order, from the node table.
+std::vector<NodeId> liveReaders(const Graph &G, ValueId V) {
+  std::vector<NodeId> Out;
+  for (const Node &N : G.nodes())
+    if (!N.Dead && std::find(N.Inputs.begin(), N.Inputs.end(), V) !=
+                       N.Inputs.end())
+      Out.push_back(N.Id);
+  return Out;
+}
+
+/// The graph's def-use index against the node table: the live-node count
+/// must equal \p LiveNodes, and each value's consumer list must hold its
+/// live readers, each once, in node-id order. A list is checked entry by
+/// entry (strictly increasing, live, reading the value) and its length
+/// against a fresh count of distinct readers, so a clean graph builds no
+/// list of its own.
+void checkIndex(const Graph &G, size_t LiveNodes, DiagnosticEngine &DE) {
+  if (G.numNodes() != LiveNodes)
+    DE.error(DiagCode::VerifyStaleIndex, "graph",
+             formatStr("the index counts %zu live nodes, the node table %zu",
+                       G.numNodes(), LiveNodes));
+  std::vector<size_t> Readers(G.numValues(), 0);
+  for (const Node &N : G.nodes()) {
+    if (N.Dead)
+      continue;
+    for (auto In = N.Inputs.begin(); In != N.Inputs.end(); ++In)
+      if (validValueId(G, *In) && std::find(N.Inputs.begin(), In, *In) == In)
+        ++Readers[static_cast<size_t>(*In)];
+  }
+  for (size_t V = 0; V < G.numValues(); ++V) {
+    const ValueId Id = static_cast<ValueId>(V);
+    const std::vector<NodeId> &Listed = G.consumers(Id);
+    bool Fresh = Listed.size() == Readers[V];
+    for (size_t I = 0; Fresh && I < Listed.size(); ++I) {
+      const NodeId C = Listed[I];
+      Fresh = C >= 0 && static_cast<size_t>(C) < G.nodes().size() &&
+              (I == 0 || Listed[I - 1] < C) && !G.node(C).Dead &&
+              std::find(G.node(C).Inputs.begin(), G.node(C).Inputs.end(),
+                        Id) != G.node(C).Inputs.end();
+    }
+    if (!Fresh)
+      DE.error(DiagCode::VerifyStaleIndex, valueContext(G, Id),
+               formatStr("consumer list %s, but its live readers are %s",
+                         idList(Listed).c_str(),
+                         idList(liveReaders(G, Id)).c_str()));
+  }
+}
+
 } // namespace
 
 bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
@@ -288,9 +352,11 @@ bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
   }
 
   // 2-6. Per-node structure, dataflow uses, attributes, devices.
+  size_t LiveNodes = 0;
   for (const Node &N : G.nodes()) {
     if (N.Dead)
       continue;
+    ++LiveNodes;
     auto Ctx = [&N] { return nodeContext(N); };
 
     if (N.Id < 0 || static_cast<size_t>(N.Id) >= G.nodes().size() ||
@@ -425,9 +491,12 @@ bool pf::verify(const Graph &G, DiagnosticEngine &DE) {
                formatStr("graph output is produced only by dead node '%s'",
                          G.node(Prod).Name.c_str()));
   }
-  if (G.graphOutputs().empty() && G.numNodes() > 0)
+  if (G.graphOutputs().empty() && LiveNodes > 0)
     DE.error(DiagCode::VerifyGraphOutput, "graph",
              "graph has live nodes but no outputs");
+
+  // 8. The def-use index every toposort reads, so before shape inference.
+  checkIndex(G, LiveNodes, DE);
 
   // 3. Acyclicity, once the producer links are known consistent.
   if (!Structural)

@@ -27,6 +27,10 @@
 ///      and reproduce the stored shapes (stale-shape detection). Skipped
 ///      when any structural finding above fired, since inference would
 ///      trip on the same breakage.
+///   8. Def-use index: each value's consumer list and the live-node count
+///      equal a fresh scan of the node table (stale-index detection).
+///      Checks 1-6 keep their own scans; shape inference toposorts through
+///      the index, so check 7 also waits for this one to come out clean.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -180,36 +180,28 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
   // short — surface a diagnostic instead of silently scheduling a partial
   // graph (or spinning forever looking for a ready node).
   const std::vector<NodeId> Order = G.tryTopoOrder();
-  size_t LiveNodes = 0;
-  for (const Node &N : G.nodes())
-    LiveNodes += N.Dead ? 0 : 1;
-  if (Order.size() != LiveNodes) {
+  if (Order.size() != G.numNodes()) {
     DE.error(DiagCode::ExecUnschedulable, G.name(),
              formatStr("dependency cycle: only %zu of %zu live nodes are "
                        "schedulable",
-                       Order.size(), LiveNodes));
+                       Order.size(), G.numNodes()));
     FailExec("exec.unschedulable: dependency cycle");
     return std::nullopt;
   }
 
-  // The dataflow, indexed once: each node's topological index and count of
-  // distinct produced inputs, and each value's live consumers (each once,
-  // however often it reads the value).
+  // Each node's topological index and count of distinct produced inputs;
+  // each value's live consumers are the graph's own def-use lists.
   const size_t NumNodes = G.numNodesIncludingDead();
   std::vector<size_t> TopoIdx(NumNodes, 0);
   std::vector<int> ProducedInputs(NumNodes, 0);
-  std::vector<std::vector<NodeId>> Consumers(G.numValues());
   for (size_t I = 0; I < Order.size(); ++I) {
     const NodeId Id = Order[I];
     const std::vector<ValueId> &Inputs = G.node(Id).Inputs;
     TopoIdx[static_cast<size_t>(Id)] = I;
-    for (auto In = Inputs.begin(); In != Inputs.end(); ++In) {
-      if (G.producer(*In) == InvalidNode ||
-          std::find(Inputs.begin(), In, *In) != In)
-        continue;
-      ++ProducedInputs[static_cast<size_t>(Id)];
-      Consumers[static_cast<size_t>(*In)].push_back(Id);
-    }
+    for (auto In = Inputs.begin(); In != Inputs.end(); ++In)
+      if (G.producer(*In) != InvalidNode &&
+          std::find(Inputs.begin(), In, *In) == In)
+        ++ProducedInputs[static_cast<size_t>(Id)];
   }
 
   PimPlanCache Cache;
@@ -336,7 +328,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
       // result is read in place by the consumer through the channel
       // interconnect.
       for (ValueId Out : G.node(BestId).Outputs) {
-        for (NodeId Consumer : Consumers[static_cast<size_t>(Out)]) {
+        for (NodeId Consumer : G.consumers(Out)) {
           NodeInfo &CI = Info[static_cast<size_t>(Consumer)];
           double Avail = End;
           if (CI.Dev != NI.Dev) {

@@ -28,11 +28,10 @@ namespace {
 /// offloaded layer turns it into a standalone GPU kernel. Profiling the
 /// pair makes the samples price that asymmetry.
 std::vector<NodeId> withEpilogue(const Graph &G, NodeId Id) {
-  std::vector<NodeId> Chain = {Id};
   const ValueId Out = G.node(Id).Outputs[0];
-  const std::vector<NodeId> Users = G.consumers(Out);
+  const std::vector<NodeId> &Users = G.consumers(Out);
   if (Users.size() != 1)
-    return Chain;
+    return {Id};
   const Node &U = G.node(Users[0]);
   switch (U.Kind) {
   case OpKind::Relu:
@@ -42,12 +41,12 @@ std::vector<NodeId> withEpilogue(const Graph &G, NodeId Id) {
   case OpKind::Tanh:
   case OpKind::Gelu:
     if (U.Inputs[0] == Out)
-      Chain.push_back(U.Id);
+      return {Id, U.Id};
     break;
   default:
     break;
   }
-  return Chain;
+  return {Id};
 }
 
 } // namespace

@@ -46,6 +46,8 @@ const char *pf::diagCodeName(DiagCode Code) {
     return "verify.piece-overlap";
   case DiagCode::VerifyPieceGap:
     return "verify.piece-gap";
+  case DiagCode::VerifyStaleIndex:
+    return "verify.stale-index";
   case DiagCode::ConfigInvalid:
     return "config.invalid";
   case DiagCode::FaultBadSpec:

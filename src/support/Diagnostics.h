@@ -45,6 +45,7 @@ enum class DiagCode : uint8_t {
   VerifyDevice,         ///< verify.device: illegal device annotation.
   VerifyPieceOverlap,   ///< verify.piece-overlap: HPieces overlap.
   VerifyPieceGap,       ///< verify.piece-gap: HPieces not contiguous from 0.
+  VerifyStaleIndex,     ///< verify.stale-index: def-use lists != node table.
   // System-configuration validation.
   ConfigInvalid,        ///< config.invalid: SystemConfig field out of range.
   // Fault injection and recovery (pim/FaultModel, runtime/Recovery).

@@ -6,9 +6,6 @@
 
 #include "transform/Canonicalize.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 using namespace pf;
 
 namespace {
@@ -22,21 +19,6 @@ bool producesGraphOutput(const Graph &G, const Node &N) {
   return false;
 }
 
-/// Rewrites every live node input equal to \p From to \p To. Returns the
-/// number of uses rewritten.
-int replaceUses(Graph &G, ValueId From, ValueId To) {
-  int Rewritten = 0;
-  for (NodeId Id : G.topoOrder()) {
-    Node &N = G.node(Id);
-    for (ValueId &In : N.Inputs)
-      if (In == From) {
-        In = To;
-        ++Rewritten;
-      }
-  }
-  return Rewritten;
-}
-
 } // namespace
 
 int pf::eliminateDeadNodes(Graph &G) {
@@ -44,20 +26,15 @@ int pf::eliminateDeadNodes(Graph &G) {
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    // Collect all values consumed by live nodes.
-    std::unordered_set<ValueId> Consumed;
-    for (const Node &N : G.nodes()) {
-      if (N.Dead)
-        continue;
-      for (ValueId In : N.Inputs)
-        Consumed.insert(In);
-    }
-    for (const Node &N : G.nodes()) {
+    // Consumers mostly follow their producers, so sweeping from the last
+    // node frees most dead chains in one round.
+    for (size_t I = G.numNodesIncludingDead(); I-- > 0;) {
+      const Node &N = G.node(static_cast<NodeId>(I));
       if (N.Dead || producesGraphOutput(G, N))
         continue;
       bool Used = false;
       for (ValueId Out : N.Outputs)
-        Used |= Consumed.count(Out) > 0;
+        Used |= !G.consumers(Out).empty();
       if (!Used) {
         G.removeNode(N.Id);
         ++Removed;
@@ -74,7 +51,7 @@ int pf::foldIdentities(Graph &G) {
     const Node &N = G.node(Id);
     if (N.Kind != OpKind::Identity || producesGraphOutput(G, N))
       continue;
-    replaceUses(G, N.Outputs[0], N.Inputs[0]);
+    G.replaceUses(N.Outputs[0], N.Inputs[0]);
     G.removeNode(Id);
     ++Folded;
   }
@@ -110,7 +87,7 @@ int pf::cancelSliceOfConcat(Graph &G) {
     }
     if (Match == InvalidValue)
       continue;
-    replaceUses(G, N.Outputs[0], Match);
+    G.replaceUses(N.Outputs[0], Match);
     G.removeNode(Id);
     ++Cancelled;
   }

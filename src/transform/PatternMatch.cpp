@@ -53,7 +53,7 @@ bool isPointwiseConv(const Node &N) {
 /// Follows the single consumer of \p V, or returns InvalidNode when the
 /// value fans out or dead-ends.
 NodeId soleConsumer(const Graph &G, ValueId V) {
-  const std::vector<NodeId> Users = G.consumers(V);
+  const std::vector<NodeId> &Users = G.consumers(V);
   return Users.size() == 1 ? Users.front() : InvalidNode;
 }
 

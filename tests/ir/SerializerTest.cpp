@@ -274,6 +274,29 @@ TEST(SerializerTest, RejectsNonNumericEpsilon) {
                    "attribute eps value 'tiny'");
 }
 
+TEST(SerializerTest, RejectsNonFiniteOrHexEpsilon) {
+  // A serialized one-BatchNorm graph with its eps token swapped: the
+  // number grammar is parseDouble's, and the value must be a finite float.
+  GraphBuilder B("bn");
+  B.output(B.batchNorm(B.input("x", TensorShape{1, 4, 4, 2})));
+  const Graph G = B.take();
+  const std::string Good = serializeGraph(G);
+  const size_t At = Good.find(" eps=");
+  ASSERT_NE(At, std::string::npos);
+  const size_t End = Good.find('\n', At);
+  for (const char *Eps : {"nan", "inf", "-inf", "0x1p-10", "1e300"}) {
+    SCOPED_TRACE(Eps);
+    std::string Text = Good;
+    Text.replace(At, End - At, std::string(" eps=") + Eps);
+    expectParseError(Text, std::string("attribute eps value '") + Eps + "'");
+  }
+  // The writer's own token still reads back bit for bit.
+  const Graph R = roundTrip(G);
+  const NodeId Bn = R.producer(R.graphOutputs()[0]);
+  EXPECT_EQ(std::get<BatchNormAttrs>(R.node(Bn).Attrs).Epsilon,
+            BatchNormAttrs{}.Epsilon);
+}
+
 TEST(SerializerTest, RejectsNonIntegerInterfaceId) {
   expectParseError("pimflow-graph v1 g\n"
                    "value 0 x f16 flow 4\n"

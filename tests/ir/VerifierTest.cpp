@@ -13,6 +13,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <limits>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "ir/Builder.h"
@@ -204,6 +207,66 @@ TEST(VerifierTest, CatchesNodeWithoutOutputs) {
   const NodeId Relu = findNode(G, OpKind::Relu);
   G.node(Relu).Outputs.clear();
   EXPECT_TRUE(verifyAll(G).hasCode(DiagCode::VerifyProducerLink));
+}
+
+// The def-use index: an input rewritten behind the graph's back leaves its
+// consumer lists stale; the same rewrite through setInput keeps them fresh.
+TEST(VerifierTest, CatchesStaleIndex) {
+  Graph G = convGraph();
+  const NodeId Relu = findNode(G, OpKind::Relu);
+  const ValueId X = G.graphInputs()[0];
+  Graph Kept = G;
+  Kept.setInput(Relu, 0, X);
+  EXPECT_FALSE(verifyAll(Kept).hasCode(DiagCode::VerifyStaleIndex));
+
+  G.node(Relu).Inputs[0] = X;
+  const DiagnosticEngine DE = verifyAll(G);
+  EXPECT_TRUE(DE.hasCode(DiagCode::VerifyStaleIndex)) << DE.render();
+  EXPECT_NE(DE.render().find("its live readers are"), std::string::npos)
+      << DE.render();
+
+  // Two convs swapping weights keep every list's length; only the entries
+  // are stale.
+  Graph Swapped = convGraph();
+  std::vector<NodeId> Convs;
+  for (const Node &N : Swapped.nodes())
+    if (N.Kind == OpKind::Conv2d)
+      Convs.push_back(N.Id);
+  ASSERT_EQ(Convs.size(), 2u);
+  std::swap(Swapped.node(Convs[0]).Inputs[1], Swapped.node(Convs[1]).Inputs[1]);
+  EXPECT_TRUE(verifyAll(Swapped).hasCode(DiagCode::VerifyStaleIndex));
+}
+
+TEST(VerifierTest, CatchesStaleLiveCount) {
+  Graph G = convGraph();
+  // Killed behind the graph's back: the live-node count is stale too.
+  G.node(G.producer(G.graphOutputs()[0])).Dead = true;
+  const DiagnosticEngine DE = verifyAll(G);
+  EXPECT_TRUE(DE.hasCode(DiagCode::VerifyStaleIndex)) << DE.render();
+  EXPECT_NE(DE.render().find("live nodes"), std::string::npos)
+      << DE.render();
+}
+
+TEST(VerifierTest, CatchesNonFiniteEpsilon) {
+  const float Bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(), 0.0f, -1e-5f};
+  for (const float Eps : Bad) {
+    SCOPED_TRACE(testing::Message() << "eps=" << Eps);
+    GraphBuilder B("norms");
+    ValueId X = B.input("x", TensorShape{1, 4, 4, 8});
+    X = B.layerNorm(B.batchNorm(X));
+    B.output(X);
+    Graph BatchNormBad = B.take();
+    Graph LayerNormBad = BatchNormBad;
+    std::get<BatchNormAttrs>(
+        BatchNormBad.node(findNode(BatchNormBad, OpKind::BatchNorm)).Attrs)
+        .Epsilon = Eps;
+    std::get<LayerNormAttrs>(
+        LayerNormBad.node(findNode(LayerNormBad, OpKind::LayerNorm)).Attrs)
+        .Epsilon = Eps;
+    EXPECT_TRUE(verifyAll(BatchNormBad).hasCode(DiagCode::VerifyIllegalAttrs));
+    EXPECT_TRUE(verifyAll(LayerNormBad).hasCode(DiagCode::VerifyIllegalAttrs));
+  }
 }
 
 TEST(VerifierTest, CatchesWhitespaceInName) {

@@ -233,7 +233,7 @@ TEST(ExecutionEngineTest, DependencyCycleIsDiagnosedNotHung) {
   B.output(R2);
   Graph G = B.take();
   const NodeId First = G.topoOrder()[0];
-  G.node(First).Inputs[0] = R2;
+  G.setInput(First, 0, R2);
   ExecutionEngine E(dualConfig());
   DiagnosticEngine DE;
   EXPECT_FALSE(E.tryExecute(G, DE).has_value());

@@ -59,15 +59,17 @@
 #  10. The memory/UB tier: the serve + runtime resilience suites, the
 #      PIM simulator + codegen suites (whose replicated-channel counts
 #      multiply per-channel totals), the execution engine + scheduler
-#      suites (whose ready list and consumer index are NodeId/ValueId
-#      arithmetic) and the number-text suites (the to_chars/from_chars
+#      suites (whose ready list is NodeId arithmetic) and the number-text suites (the to_chars/from_chars
 #      writers and readers, the plan-artifact parser over string views and
 #      its re-checksummed mutation fuzz, the JSON writer), the
 #      telemetry suites (the registry, its weighted histogram and window
-#      records, the pinned telemetry of scoped runs) and the pinned
-#      mapping search (its pass-cost arithmetic and kept plans) rebuilt and
-#      re-run under AddressSanitizer and UndefinedBehaviorSanitizer
-#      (PIMFLOW_SANITIZE=address|undefined; UBSan findings are fatal).
+#      records, the pinned telemetry of scoped runs), the pinned
+#      mapping search (its pass-cost arithmetic and kept plans) and the
+#      graph and its readers and mutators (consumers() returns a reference
+#      into the def-use index, so one held across a mutation reads freed
+#      memory) rebuilt and re-run under AddressSanitizer and
+#      UndefinedBehaviorSanitizer (PIMFLOW_SANITIZE=address|undefined;
+#      UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
 #      --trace-out + --trace-sample=tail whose Chrome trace must be
 #      byte-identical across --jobs values, pf_trace_check-clean (span
@@ -379,19 +381,19 @@ grep -qE 'shed_reasons: queue_full=[0-9]+ deadline_expired=[1-9]' \
 grep -qE 'deadline: met=[1-9][0-9]* missed_run=[1-9][0-9]* expired_queued=[1-9]' \
   "$CHAOS_DIR/deadline.txt"
 
-echo "== tier 10: ASan + UBSan on the serve/runtime resilience, simulator, codegen, engine, number-text and telemetry suites =="
+echo "== tier 10: ASan + UBSan on the serve/runtime resilience, simulator, codegen, engine, number-text, telemetry and graph suites =="
 cmake -B build-asan -S . -DPIMFLOW_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
-  support_test search_test obs_test
+  support_test search_test obs_test ir_test transform_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
-  support_test search_test obs_test
+  support_test search_test obs_test ir_test transform_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke
