@@ -191,8 +191,8 @@ void recordDeterministicProxies() {
     //
     // A private scope instead of toggling and resetting the process
     // globals, which would also wipe whatever earlier iterations had
-    // accumulated there. SearchOptions::Jobs defaults to 1, so the serial
-    // search stays on this thread and the guard covers every record.
+    // accumulated there. The search runs on this thread, so the guard
+    // covers every record.
     obs::Scope Scoped;
     obs::ScopeGuard Guard(Scoped);
     const Graph G = buildMobileNetV2();

@@ -68,7 +68,6 @@ SearchOptions pf::searchOptionsFor(OffloadPolicy P,
   SearchOptions S;
   S.PipelineStages = O.PipelineStages;
   S.RefineRatios = O.AutoTuneRatios;
-  S.Jobs = O.SearchJobs;
   switch (P) {
   case OffloadPolicy::GpuOnly:
     S.AllowSplit = S.AllowPipeline = S.AllowFullOffload = false;

@@ -71,10 +71,6 @@ struct PimFlowOptions {
   /// Ablation override for the Fig.-6 command-scheduling granularity (the
   /// finest level the scheduler may use; default: COMP).
   std::optional<ScheduleGranularity> MaxGranularity;
-  /// Worker threads for the search's candidate-profiling pre-pass
-  /// (SearchOptions::Jobs): 1 = serial, 0 = all hardware threads, N = N
-  /// workers. The compile result is identical for every value.
-  int SearchJobs = 1;
   /// Run the graph verifier at every pass boundary (plan application,
   /// canonicalization) even in builds without PIMFLOW_CHECKED. The final
   /// transformed graph is always verified regardless of this flag.

@@ -49,8 +49,8 @@ enum class FlightEventKind : uint8_t {
   ChannelRemap,    ///< work remapped; A = from-channel, B = to-channel
   FloorFallback,   ///< whole plan demoted to the GPU floor
   NodeFallback,    ///< one node demoted to GPU; A = node id
-  CacheHit,        ///< profiler memo hit; A = shard
-  CacheMiss,       ///< profiler memo miss; A = shard, V = measure ns
+  CacheHit,        ///< profiler memo hit
+  CacheMiss,       ///< profiler memo miss; V = measure ns
   ExecStart,       ///< tryExecute entry; A = node count, B = channel count
   ExecDone,        ///< tryExecute success; V = makespan ns
   ExecError,       ///< tryExecute failure; Detail names the error

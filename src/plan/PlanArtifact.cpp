@@ -90,8 +90,6 @@ std::string pf::systemConfigPlanSig(const SystemConfig &C) {
 }
 
 std::string pf::searchOptionsPlanSig(const SearchOptions &S) {
-  // Jobs is excluded: the plan is byte-identical for every worker count
-  // (the SearchDeterminism contract), so it must not split the cache.
   return formatStr("sp%d/pl%d/fo%d/st%d/rs%.9g/rf%d/rr%.9g",
                    S.AllowSplit ? 1 : 0, S.AllowPipeline ? 1 : 0,
                    S.AllowFullOffload ? 1 : 0, S.PipelineStages, S.RatioStep,

@@ -93,9 +93,7 @@ std::string canonicalGraphHash(const Graph &G);
 /// options, interconnect and contention parameters). No spaces.
 std::string systemConfigPlanSig(const SystemConfig &C);
 
-/// Fingerprint of the SearchOptions fields that shape the plan. Jobs is
-/// deliberately excluded: the determinism contract makes the plan
-/// identical for every worker count.
+/// Fingerprint of every SearchOptions field (each one shapes the plan).
 std::string searchOptionsPlanSig(const SearchOptions &S);
 
 /// Builds the key a (model, config, options, floor) tuple addresses.

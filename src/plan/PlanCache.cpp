@@ -46,7 +46,7 @@ std::optional<ExecutionPlan> PlanCache::load(const PlanKey &Key) {
   const std::string Path = pathFor(Key);
   struct stat St;
   if (::stat(Path.c_str(), &St) != 0) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
+    ++Misses;
     obs::addCounter("plan_cache.miss");
     return std::nullopt;
   }
@@ -58,17 +58,14 @@ std::optional<ExecutionPlan> PlanCache::load(const PlanKey &Key) {
     PF_LOG_INFO("plan cache: invalid cached artifact %s (%s), recomputing",
                 Path.c_str(),
                 !A ? "corrupt" : "stored key disagrees with digest");
-    Misses.fetch_add(1, std::memory_order_relaxed);
+    ++Misses;
     obs::addCounter("plan_cache.miss");
     obs::addCounter("plan_cache.invalid");
     return std::nullopt;
   }
-  Hits.fetch_add(1, std::memory_order_relaxed);
+  ++Hits;
   obs::addCounter("plan_cache.hit");
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    touchLocked(Key.digest());
-  }
+  touch(Key.digest());
   return std::move(A->Plan);
 }
 
@@ -77,15 +74,14 @@ bool PlanCache::store(const PlanKey &Key, const ExecutionPlan &Plan) {
     return false;
   if (!savePlanArtifact({Key, Plan}, pathFor(Key)))
     return false;
-  Stores.fetch_add(1, std::memory_order_relaxed);
+  ++Stores;
   obs::addCounter("plan_cache.store");
-  std::lock_guard<std::mutex> Lock(Mu);
-  touchLocked(Key.digest());
-  evictOverCapacityLocked();
+  touch(Key.digest());
+  evictOverCapacity();
   return true;
 }
 
-void PlanCache::touchLocked(const std::string &Digest) {
+void PlanCache::touch(const std::string &Digest) {
   auto It = LruPos.find(Digest);
   if (It != LruPos.end())
     LruOrder.erase(It->second);
@@ -93,7 +89,7 @@ void PlanCache::touchLocked(const std::string &Digest) {
   LruPos[Digest] = std::prev(LruOrder.end());
 }
 
-void PlanCache::evictOverCapacityLocked() {
+void PlanCache::evictOverCapacity() {
   if (MaxEntries <= 0)
     return;
   while (LruOrder.size() > static_cast<size_t>(MaxEntries)) {
@@ -101,7 +97,7 @@ void PlanCache::evictOverCapacityLocked() {
     LruOrder.pop_front();
     LruPos.erase(Victim);
     std::remove((Dir + "/" + Victim + ".plan").c_str());
-    Evictions.fetch_add(1, std::memory_order_relaxed);
+    ++Evictions;
     obs::addCounter("plan_cache.evict");
   }
 }
@@ -109,52 +105,12 @@ void PlanCache::evictOverCapacityLocked() {
 ExecutionPlan
 PlanCache::getOrCompute(const PlanKey &Key,
                         const std::function<ExecutionPlan()> &Compute) {
-  const std::string Digest = Key.digest();
-  std::shared_ptr<Entry> E;
-  bool Owner = false;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = InFlight.find(Digest);
-    if (It == InFlight.end()) {
-      E = std::make_shared<Entry>();
-      InFlight.emplace(Digest, E);
-      Owner = true;
-    } else {
-      E = It->second;
-    }
-  }
-
-  if (!Owner) {
-    // Completed or in flight: either way this caller runs no search. The
-    // result is published through the shared future, so racing same-key
-    // compiles are single-flight like the profiler's memo table.
-    Hits.fetch_add(1, std::memory_order_relaxed);
-    obs::addCounter("plan_cache.hit");
-    return *E->Result.get();
-  }
-
-  try {
-    if (std::optional<ExecutionPlan> Cached = load(Key)) {
-      auto P = std::make_shared<const ExecutionPlan>(std::move(*Cached));
-      E->Done.set_value(P);
-      return *P;
-    }
-    // load() counted the miss; compute and persist for the next compile.
-    ExecutionPlan Fresh = Compute();
-    if (!store(Key, Fresh))
-      PF_LOG_INFO("plan cache: cannot write %s (caching skipped)",
-                  pathFor(Key).c_str());
-    auto P = std::make_shared<const ExecutionPlan>(std::move(Fresh));
-    E->Done.set_value(P);
-    return *P;
-  } catch (...) {
-    // Withdraw the slot so a later compile can retry, and propagate the
-    // failure to any waiter.
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      InFlight.erase(Digest);
-    }
-    E->Done.set_exception(std::current_exception());
-    throw;
-  }
+  if (std::optional<ExecutionPlan> Cached = load(Key))
+    return std::move(*Cached);
+  // load() counted the miss; compute and persist for the next compile.
+  ExecutionPlan Fresh = Compute();
+  if (!store(Key, Fresh))
+    PF_LOG_INFO("plan cache: cannot write %s (caching skipped)",
+                pathFor(Key).c_str());
+  return Fresh;
 }

@@ -12,12 +12,10 @@
 /// entirely; any key change (graph edit, config tweak, option change,
 /// floor change) addresses a different file and misses.
 ///
-/// getOrCompute is single-flight, the same discipline as the profiler's
-/// memo table: concurrent same-key compiles resolve to one search — the
-/// winner computes and stores, every loser blocks on the winner's shared
-/// future and counts a hit. An unreadable or corrupt cached file is a miss
-/// (recompute and overwrite), never a plan and never an error: the cache
-/// must not be able to change what a compile produces, only how fast.
+/// A PlanCache expects one caller at a time: one PimFlow owns one cache.
+/// An unreadable or corrupt cached file is a miss (recompute and
+/// overwrite), never a plan and never an error: the cache must not be able
+/// to change what a compile produces, only how fast.
 ///
 /// Observability: `plan_cache.{hit,miss,store,evict,invalid}` counters and
 /// the `plan.load_us` / `plan.validate_us` latency histograms (recorded by
@@ -29,13 +27,9 @@
 #ifndef PIMFLOW_PLAN_PLANCACHE_H
 #define PIMFLOW_PLAN_PLANCACHE_H
 
-#include <atomic>
 #include <functional>
-#include <future>
 #include <list>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 
 #include "plan/PlanArtifact.h"
@@ -62,47 +56,32 @@ public:
   /// Serializes \p Plan under \p Key, evicting over capacity.
   bool store(const PlanKey &Key, const ExecutionPlan &Plan);
 
-  /// The cache-through compile: load, or run \p Compute once and store.
-  /// Single-flight per digest — concurrent callers with the same key get
-  /// the one computed plan.
+  /// The cache-through compile: load, or run \p Compute and store.
   ExecutionPlan getOrCompute(const PlanKey &Key,
                              const std::function<ExecutionPlan()> &Compute);
 
   const std::string &dir() const { return Dir; }
-  size_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  size_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  size_t stores() const { return Stores.load(std::memory_order_relaxed); }
-  size_t evictions() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
+  size_t hits() const { return Hits; }
+  size_t misses() const { return Misses; }
+  size_t stores() const { return Stores; }
+  size_t evictions() const { return Evictions; }
 
 private:
-  /// One in-flight or completed compile, shared by racing callers.
-  struct Entry {
-    Entry() : Result(Done.get_future().share()) {}
-    std::promise<std::shared_ptr<const ExecutionPlan>> Done;
-    std::shared_future<std::shared_ptr<const ExecutionPlan>> Result;
-  };
-
   /// Moves \p Digest to most-recently-used and evicts over capacity.
-  /// Caller holds Mu.
-  void touchLocked(const std::string &Digest);
-  void evictOverCapacityLocked();
+  void touch(const std::string &Digest);
+  void evictOverCapacity();
 
   std::string Dir;
   int MaxEntries;
-  std::mutex Mu;
-  /// Single-flight table, keyed by digest.
-  std::map<std::string, std::shared_ptr<Entry>> InFlight;
   /// LRU order of digests this instance has stored or served (front =
   /// least recently used).
   std::list<std::string> LruOrder;
   std::map<std::string, std::list<std::string>::iterator> LruPos;
 
-  std::atomic<size_t> Hits{0};
-  std::atomic<size_t> Misses{0};
-  std::atomic<size_t> Stores{0};
-  std::atomic<size_t> Evictions{0};
+  size_t Hits = 0;
+  size_t Misses = 0;
+  size_t Stores = 0;
+  size_t Evictions = 0;
 };
 
 } // namespace pf

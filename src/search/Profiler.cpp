@@ -100,37 +100,13 @@ std::string Profiler::signature(const Graph &G,
   return Sig;
 }
 
-size_t Profiler::shardOf(const std::string &Key) {
-  return std::hash<std::string>{}(Key) % NumShards;
-}
-
 double Profiler::measure(const std::string &Key,
                          const std::function<double()> &Compute) {
-  const size_t ShardIdx = shardOf(Key);
-  Shard &S = Shards[ShardIdx];
-  std::shared_ptr<Entry> E;
-  bool Owner = false;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    auto [It, Inserted] = S.Map.try_emplace(Key);
-    if (Inserted) {
-      It->second = std::make_shared<Entry>();
-      Owner = true;
-    }
-    E = It->second;
-  }
-
-  if (!Owner) {
-    // Completed or in flight: either way this thread does not simulate, so
-    // the hit/miss totals match the serial sweep for any worker count.
-    Hits.fetch_add(1, std::memory_order_relaxed);
+  if (auto It = Memo.find(Key); It != Memo.end()) {
+    ++Hits;
     obs::addCounter("profiler.cache_hits");
-    obs::flightEvent(obs::FlightEventKind::CacheHit, 0,
-                     static_cast<int32_t>(ShardIdx));
-    const double Ns = E->Ready.load(std::memory_order_acquire)
-                          ? E->Ns
-                          : (obs::addCounter("profiler.single_flight_waits"),
-                             E->Result.get());
+    obs::flightEvent(obs::FlightEventKind::CacheHit, 0);
+    const double Ns = It->second;
     // Hits feed the same profile-latency distribution as fresh measures:
     // the simulated latency is deterministic and identical either way, so
     // the histogram describes the candidates this run evaluated no matter
@@ -145,23 +121,14 @@ double Profiler::measure(const std::string &Key,
     return Ns;
   }
 
-  Misses.fetch_add(1, std::memory_order_relaxed);
+  ++Misses;
   obs::addCounter("profiler.cache_misses");
   const bool Observed = obs::activeRegistry().enabled();
   const double StartUs = Observed ? obs::Tracer::instance().nowUs() : 0.0;
   double Ns;
-  try {
+  {
     PF_TRACE_SCOPE_CAT("profiler.measure", "profile");
     Ns = Compute();
-  } catch (...) {
-    // Withdraw the slot so a later call can retry, and wake any waiters
-    // with the failure.
-    {
-      std::lock_guard<std::mutex> Lock(S.Mu);
-      S.Map.erase(Key);
-    }
-    E->Done.set_exception(std::current_exception());
-    throw;
   }
   if (Observed)
     obs::recordMetric("profiler.measure_wall_us",
@@ -177,11 +144,8 @@ double Profiler::measure(const std::string &Key,
                               static_cast<int64_t>(
                                   obs::Tracer::instance().nowUs()),
                               Ns);
-  obs::flightEvent(obs::FlightEventKind::CacheMiss, 0,
-                   static_cast<int32_t>(ShardIdx), -1, Ns);
-  E->Ns = Ns;
-  E->Ready.store(true, std::memory_order_release);
-  E->Done.set_value(Ns);
+  obs::flightEvent(obs::FlightEventKind::CacheMiss, 0, -1, -1, Ns);
+  Memo.emplace(Key, Ns);
   return Ns;
 }
 
@@ -254,15 +218,7 @@ const char *kProfileVersion = "v1";
 } // namespace
 
 bool Profiler::saveCache(const std::string &Path) const {
-  // Collect only resolved entries (an in-flight measurement mid-save would
-  // mean saveCache raced the pre-pass; callers save after search returns).
-  std::vector<std::pair<std::string, double>> Rows;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    for (const auto &[Key, E] : S.Map)
-      if (E->Ready.load(std::memory_order_acquire))
-        Rows.emplace_back(Key, E->Ns);
-  }
+  std::vector<std::pair<std::string, double>> Rows(Memo.begin(), Memo.end());
   std::sort(Rows.begin(), Rows.end());
   // %.17g round-trips doubles exactly through parseDouble, so a search
   // resumed from the cache produces bit-identical plans (and byte-identical
@@ -318,14 +274,7 @@ bool Profiler::loadCache(const std::string &Path) {
       return false;
     Rows.emplace_back(S.substr(0, Tab), *Ns);
   }
-  for (auto &[Key, Ns] : Rows) {
-    auto E = std::make_shared<Entry>();
-    E->Ns = Ns;
-    E->Ready.store(true, std::memory_order_release);
-    E->Done.set_value(Ns);
-    Shard &Sh = Shards[shardOf(Key)];
-    std::lock_guard<std::mutex> Lock(Sh.Mu);
-    Sh.Map[Key] = std::move(E);
-  }
+  for (auto &[Key, Ns] : Rows)
+    Memo[std::move(Key)] = Ns;
   return true;
 }

@@ -15,22 +15,15 @@
 /// of profiling results: mobile CNNs repeat identical blocks many times, so
 /// the cache removes most of the (simulated-)hardware measurement cost.
 ///
-/// The memo table is thread-safe and single-flight: the search's candidate
-/// pre-pass (SearchOptions::Jobs > 1) profiles from a worker pool, and two
-/// workers racing on the same signature resolve to one simulation — the
-/// loser waits for the winner's result instead of re-measuring, so
-/// cacheHits()/cacheMisses() are identical for every worker count.
+/// A Profiler expects one caller at a time: the search profiles its
+/// candidates serially (docs/INTERNALS.md section 7).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIMFLOW_SEARCH_PROFILER_H
 #define PIMFLOW_SEARCH_PROFILER_H
 
-#include <atomic>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -67,15 +60,13 @@ public:
   /// Sum of per-node GPU times of \p Chain (the chain's baseline).
   double chainGpuNs(const Graph &G, const std::vector<NodeId> &Chain);
 
-  size_t cacheHits() const { return Hits.load(std::memory_order_relaxed); }
-  size_t cacheMisses() const {
-    return Misses.load(std::memory_order_relaxed);
-  }
+  size_t cacheHits() const { return Hits; }
+  size_t cacheMisses() const { return Misses; }
 
   /// Serializes the memo table to \p Path: a "pimflow-profile v1 bytes
   /// <n> checksum <fnv1a64>" header (the plan artifact's shape) over
-  /// "signature<TAB>ns" lines sorted by signature, so the file is
-  /// byte-identical for every worker count.
+  /// "signature<TAB>ns" lines sorted by signature, so the file does not
+  /// depend on the order the signatures were measured in.
   bool saveCache(const std::string &Path) const;
   /// Loads a memo table previously written by saveCache. All or nothing:
   /// when the file is missing, its header is missing or disagrees with
@@ -86,45 +77,22 @@ public:
   bool loadCache(const std::string &Path);
 
 private:
-  /// One memo slot. The owner (the thread that inserted the slot) runs the
-  /// simulation and publishes through Result; every other thread that finds
-  /// the slot counts a cache hit and, if the measurement is still in
-  /// flight, blocks on the shared future.
-  struct Entry {
-    Entry() : Result(Done.get_future().share()) {}
-    std::atomic<bool> Ready{false};
-    double Ns = 0.0;
-    std::promise<double> Done;
-    std::shared_future<double> Result;
-  };
-
-  /// A shard of the memo table. Sharding by signature hash keeps the
-  /// insert/lookup critical sections short under a concurrent pre-pass;
-  /// the simulation itself always runs outside the shard lock.
-  struct Shard {
-    mutable std::mutex Mu;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> Map;
-  };
-  static constexpr size_t NumShards = 16;
-
-  /// Index of \p Key's shard (also the flight recorder's cache-event tag).
-  static size_t shardOf(const std::string &Key);
-
   /// Structural signature of a chain under this config: the memo key and
   /// the profile log's row name.
   std::string signature(const Graph &G, const std::vector<NodeId> &Chain,
                         std::string_view Mode) const;
 
-  /// Memoized, single-flight micrograph measurement.
+  /// Memoized micrograph measurement.
   double measure(const std::string &Key,
                  const std::function<double()> &Compute);
 
   SystemConfig Config;
   ExecutionEngine Engine;
   std::string ConfigSig;
-  Shard Shards[NumShards];
-  std::atomic<size_t> Hits{0};
-  std::atomic<size_t> Misses{0};
+  /// Measured time by signature.
+  std::unordered_map<std::string, double> Memo;
+  size_t Hits = 0;
+  size_t Misses = 0;
 };
 
 } // namespace pf

@@ -8,13 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <map>
 
 #include "ir/Verifier.h"
 #include "obs/Counters.h"
 #include "obs/Trace.h"
-#include "support/ThreadPool.h"
 #include "transform/MdDpSplitPass.h"
 #include "transform/PipelinePass.h"
 
@@ -47,9 +45,8 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
   ExecutionPlan Plan;
   const bool HasPim = Prof.config().hasPim();
 
-  // The interior split-ratio grid, accumulated exactly like the serial
-  // sweep so the sampled ratios (and thus the profile signatures) are
-  // bit-identical to the single-threaded path.
+  // The interior split-ratio grid. The sampled ratios are part of the
+  // profile signatures, so this accumulation must stay as it is.
   std::vector<double> Grid;
   if (Options.AllowSplit)
     for (double R = Options.RatioStep; R < 1.0 - 1e-9; R += Options.RatioStep)
@@ -58,9 +55,8 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
   // Per-node profile slots (lines 1-7 and 16-22 of Algorithm 1), plus the
   // pipelining candidates (lines 8-15) whose chain occupies consecutive
   // positions in the sequence (the DP covers the sequence by contiguous
-  // segments). Enumerating every candidate up front lets the profiling
-  // pre-pass fill all slots concurrently; the decisions below then run
-  // serially over warm values, independent of profiling order.
+  // segments). The pre-pass below fills every slot; the decisions then run
+  // over warm values.
   struct NodeProfile {
     bool Candidate = false;
     double GpuNs = 0.0;
@@ -93,43 +89,24 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
     }
   }
 
-  // Candidate-profiling pre-pass: every slot is written by exactly one
-  // task, tasks share nothing else, and the profiler's memo cache is
-  // single-flight, so the filled slots are identical for every job count.
-  // Jobs == 1 runs the tasks inline in enumeration order — the serial path.
+  // Candidate-profiling pre-pass: per node its GPU sample, then for a
+  // candidate its PIM sample and the ratio grid; then every pipeline chain.
   {
     PF_TRACE_SCOPE_CAT("search.profile_candidates", "search");
-    std::vector<std::function<void()>> Tasks;
     for (size_t I = 0; I < N; ++I) {
-      Tasks.push_back([this, &G, &Profiles, &Seq, I] {
-        Profiles[I].GpuNs = Prof.gpuNodeNs(G, Seq[I]);
-        obs::addCounter("search.candidates_evaluated");
-      });
+      Profiles[I].GpuNs = Prof.gpuNodeNs(G, Seq[I]);
+      obs::addCounter("search.candidates_evaluated");
       if (!Profiles[I].Candidate)
         continue;
-      Tasks.push_back([this, &G, &Profiles, &Seq, I] {
-        Profiles[I].PimNs = Prof.pimNodeNs(G, Seq[I]);
+      Profiles[I].PimNs = Prof.pimNodeNs(G, Seq[I]);
+      obs::addCounter("search.candidates_evaluated");
+      for (size_t R = 0; R < Grid.size(); ++R) {
+        Profiles[I].SplitNs[R] = Prof.mdDpNs(G, Seq[I], Grid[R]);
         obs::addCounter("search.candidates_evaluated");
-      });
-      for (size_t R = 0; R < Grid.size(); ++R)
-        Tasks.push_back([this, &G, &Profiles, &Seq, &Grid, I, R] {
-          Profiles[I].SplitNs[R] = Prof.mdDpNs(G, Seq[I], Grid[R]);
-          obs::addCounter("search.candidates_evaluated");
-        });
+      }
     }
-    for (size_t P = 0; P < Pipes.size(); ++P)
-      Tasks.push_back([this, &G, &Pipes, P] {
-        Pipes[P].Ns =
-            Prof.pipelineNs(G, Pipes[P].Cand.Chain, Options.PipelineStages);
-      });
-    if (Options.Jobs != 1 && Tasks.size() > 1) {
-      ThreadPool Pool(Options.Jobs < 0 ? 0
-                                       : static_cast<unsigned>(Options.Jobs));
-      Pool.parallelFor(Tasks.size(), [&Tasks](size_t I) { Tasks[I](); });
-    } else {
-      for (const std::function<void()> &T : Tasks)
-        T();
-    }
+    for (PipeOption &P : Pipes)
+      P.Ns = Prof.pipelineNs(G, P.Cand.Chain, Options.PipelineStages);
   }
 
   // Chains that cannot pipeline at this stage count profiled negative.
@@ -137,9 +114,9 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
                              [](const PipeOption &P) { return P.Ns < 0.0; }),
               Pipes.end());
 
-  // Serial decision pass over the warm slots: the best single-node segment
-  // per node given the allowed option set. Comparison order matches the
-  // historical serial sweep, so ties break identically.
+  // Decision pass over the warm slots: the best single-node segment per
+  // node given the allowed option set. Comparison order matches the
+  // historical sweep, so ties break identically.
   struct NodeOption {
     SegmentMode Mode = SegmentMode::GpuNode;
     double RatioGpu = 1.0;
@@ -192,7 +169,7 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
         // Auto-tuning refinement (the paper's future work): sample around
         // the coarse optimum at the fine step instead of sweeping the
         // whole fine grid. The refinement centers depend on the coarse
-        // decision, so these samples profile here, serially.
+        // decision, so these samples profile here, not in the pre-pass.
         if (Options.RefineRatios && Opt.Mode == SegmentMode::MdDp) {
           auto TrySplit = [&](double R) {
             const double Ns = Prof.mdDpNs(G, Seq[I], R);

@@ -128,12 +128,6 @@ struct SearchOptions {
   /// grid).
   bool RefineRatios = false;
   double RefinedStep = 0.02;
-  /// Worker threads for the candidate-profiling pre-pass: 1 (default)
-  /// profiles serially on the caller, 0 uses every hardware thread, N > 1
-  /// uses N workers. The chosen plan, its costs, and the profiler's
-  /// hit/miss totals are identical for every value; only wall-clock time
-  /// changes (see docs/INTERNALS.md section 7).
-  int Jobs = 1;
 };
 
 /// Algorithm 1 driver.

@@ -22,16 +22,6 @@
 using namespace pf;
 using namespace pf::serve;
 
-namespace {
-
-/// Threads for the pricing pool and the request re-runs: --jobs, under the
-/// search's convention (0 = all hardware threads).
-unsigned jobsOf(const ServerOptions &O) {
-  return static_cast<unsigned>(std::max(0, O.Flow.SearchJobs));
-}
-
-} // namespace
-
 const char *pf::serve::outcomeName(RequestOutcome O) {
   switch (O) {
   case RequestOutcome::Served:
@@ -130,35 +120,22 @@ void Server::prepare() {
     PM.UnitTimelines.assign(static_cast<size_t>(Planned) + 1, Timeline{});
   }
 
-  // Price every reachable (model, granted-channels) pair once, in
-  // parallel: c = 0 is the GPU floor, c in [max(1, Floor), MaxGrant] the
-  // (possibly degraded) PIM grants — a grant never exceeds the smaller of
-  // the plan's want and the pool. Each entry runs under a throwaway
-  // scope so pricing never pollutes the caller's registries, and the
-  // result depends only on (graph, config) — not on evaluation order.
-  struct Entry {
-    size_t ModelIdx;
-    int Channels;
-  };
+  // Price every reachable (model, granted-channels) pair once: c = 0 is
+  // the GPU floor, c in [max(1, Floor), MaxGrant] the (possibly degraded)
+  // PIM grants — a grant never exceeds the smaller of the plan's want and
+  // the pool. Pricing runs under a throwaway scope so it never pollutes
+  // the caller's registries. The request trace replays each whole node
+  // schedule as the exec-phase span tree under each attempt.
   const int MaxGrant = std::min(Planned, Pool);
-  std::vector<Entry> Entries;
-  for (size_t M = 0; M < Models.size(); ++M) {
-    Entries.push_back({M, 0});
+  obs::Scope Throwaway;
+  obs::ScopeGuard Guard(Throwaway);
+  for (PreparedModel &PM : Models) {
+    PM.UnitTimelines[0] =
+        ExecutionEngine(configFor(0)).execute(PM.FloorDemoted);
     for (int C = std::max(1, Floor); C <= MaxGrant; ++C)
-      Entries.push_back({M, C});
+      PM.UnitTimelines[static_cast<size_t>(C)] =
+          ExecutionEngine(configFor(C)).execute(PM.Materialized);
   }
-  ThreadPool Pricers(jobsOf(Options));
-  Pricers.parallelFor(Entries.size(), [&](size_t I) {
-    const Entry &E = Entries[I];
-    PreparedModel &PM = Models[E.ModelIdx];
-    obs::Scope Throwaway;
-    obs::ScopeGuard Guard(Throwaway);
-    ExecutionEngine Engine(configFor(E.Channels));
-    // Keep the whole node schedule: the request trace replays it as the
-    // exec-phase span tree under each attempt.
-    PM.UnitTimelines[static_cast<size_t>(E.Channels)] =
-        Engine.execute(E.Channels > 0 ? PM.Materialized : PM.FloorDemoted);
-  });
 }
 
 const Timeline *Server::unitTimeline(int ModelIdx, int Channels) const {
@@ -232,7 +209,7 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
       Health.noteQuarantine(Ch, 0);
     }
 
-  ThreadPool Workers(jobsOf(Options));
+  ThreadPool Workers(static_cast<unsigned>(std::max(0, Options.Jobs)));
 
   // Each completed request's engine run, re-executed for real under the
   // session's private scope. The virtual completion time comes from the

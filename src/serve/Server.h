@@ -14,15 +14,14 @@
 /// Determinism contract: outcomes are decided by a discrete-event
 /// simulation over *virtual* nanoseconds, never by wall-clock races. The
 /// server first prices every (model, granted-channel-count) pair once —
-/// the duration table, computed concurrently but order-independently —
-/// and the single-threaded event loop then schedules admissions and
-/// completions from the table. Worker threads only re-execute each
-/// admitted request's engine run under its Session's private scope (the
+/// the duration table — and the single-threaded event loop then schedules
+/// admissions and completions from the table. Compiling and pricing run
+/// on the caller's thread. Worker threads only re-execute each admitted
+/// request's engine run under its Session's private scope (the
 /// reentrancy exercise, cross-checked against the table); they cannot
-/// influence admission order. --jobs (PimFlowOptions::SearchJobs) sizes
-/// the search, the pricing pool and those workers, so a given (models,
-/// spec, options) input yields byte-identical summaries for every
-/// --jobs=N.
+/// influence admission order. --jobs (ServerOptions::Jobs) sizes those
+/// workers, so a given (models, spec, options) input yields
+/// byte-identical summaries for every --jobs=N.
 ///
 /// Admission policy, in order, for a request at the head of the line:
 ///  1. In-flight bound reached -> wait in the FIFO queue (or shed when
@@ -83,6 +82,9 @@ struct ServerOptions {
   /// comment for why a pool larger than the planned count is the
   /// interesting multi-tenant configuration.
   int PoolChannels = 0;
+  /// Worker threads that re-execute admitted requests (--jobs): 1 runs
+  /// them on the caller, 0 uses every hardware thread.
+  int Jobs = 1;
 
   // Resilience knobs (docs/INTERNALS.md section 14).
 

@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dependency-free fixed-size worker pool for the compiler's embarrassingly
-/// parallel phases (candidate profiling, bench sweeps). Design goals, in
-/// order:
+/// A dependency-free fixed-size worker pool. Its one user is serve, which
+/// re-executes admitted requests on it (docs/INTERNALS.md section 7; the
+/// compile path is single-threaded). Design goals, in order:
 ///
 ///   1. Determinism by construction: parallelFor(N, Body) assigns every index
 ///      to exactly one invocation of Body, so any computation whose per-index
 ///      results are independent produces identical output for every worker
-///      count. The search relies on this (see docs/INTERNALS.md section 7).
+///      count.
 ///   2. Serial reproducibility: a pool of size 1 spawns no threads at all —
 ///      submit() and parallelFor() run inline on the caller, reproducing the
 ///      single-threaded path exactly.

@@ -9,7 +9,8 @@
 /// randomly generated CNN-like graphs: for any generated model, any random
 /// sequence of MD-DP splits and pipelining applications, and the full
 /// PIMFlow search itself, the transformed graph must validate and compute
-/// exactly the original outputs.
+/// exactly the original outputs; and a profiler memo shared across graphs
+/// never changes the plan the search chooses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,7 +86,7 @@ Graph randomCnn(uint64_t Seed) {
 }
 
 /// Full-precision serialization of a search result, for byte-wise
-/// parallel-vs-serial comparison (mirrors SearchDeterminismTest).
+/// plan comparison.
 std::string planFingerprint(const ExecutionPlan &Plan) {
   std::string S;
   for (const SegmentPlan &Seg : Plan.Segments) {
@@ -171,32 +172,28 @@ TEST_P(FuzzEquivalence, FullPimFlowPreservesSemantics) {
   expectEquivalent(Original, R.Transformed, Seed + 3);
 }
 
-TEST_P(FuzzEquivalence, ConcurrentProfilingMatchesSerialSearch) {
-  // Randomized cross-check of the search's jobs invariance: on any
-  // generated graph, profiling from a seeded number of workers chooses the
-  // same plan, at the same costs, with the same cache statistics, as the
-  // serial search.
+TEST_P(FuzzEquivalence, SharedProfilerMatchesFreshSearch) {
+  // The profiler's memo is keyed by structure, so identical layers of
+  // different graphs share one measurement. Warming the memo on another
+  // random graph first must not change this graph's plan: a hit returns
+  // only what a miss would have measured.
   const uint64_t Seed = GetParam();
   const Graph G = randomCnn(Seed);
-  struct Run {
-    std::string Fingerprint;
-    size_t Hits = 0;
-    size_t Misses = 0;
-  };
-  auto Search = [&](int Jobs) {
-    Profiler P(systemConfigFor(OffloadPolicy::PimFlow, {}));
-    SearchOptions S = searchOptionsFor(OffloadPolicy::PimFlow, {});
-    S.Jobs = Jobs;
-    const ExecutionPlan Plan = SearchEngine(P, S).search(G);
-    return Run{planFingerprint(Plan), P.cacheHits(), P.cacheMisses()};
-  };
-  const Run Serial = Search(1);
-  const int Workers = 2 + static_cast<int>(Seed % 7); // Seeded 2..8.
-  const Run Parallel = Search(Workers);
-  EXPECT_EQ(Parallel.Fingerprint, Serial.Fingerprint)
-      << "workers=" << Workers;
-  EXPECT_EQ(Parallel.Misses, Serial.Misses);
-  EXPECT_EQ(Parallel.Hits + Parallel.Misses, Serial.Hits + Serial.Misses);
+  const SystemConfig Config = systemConfigFor(OffloadPolicy::PimFlow, {});
+  const SearchOptions S = searchOptionsFor(OffloadPolicy::PimFlow, {});
+  Profiler Fresh(Config);
+  const std::string Expected =
+      planFingerprint(SearchEngine(Fresh, S).search(G));
+
+  Profiler Shared(Config);
+  SearchEngine(Shared, S).search(randomCnn(Seed + 100));
+  const size_t Hits = Shared.cacheHits();
+  const size_t Misses = Shared.cacheMisses();
+  EXPECT_EQ(planFingerprint(SearchEngine(Shared, S).search(G)), Expected);
+  const size_t NewHits = Shared.cacheHits() - Hits;
+  const size_t NewMisses = Shared.cacheMisses() - Misses;
+  EXPECT_EQ(NewHits + NewMisses, Fresh.cacheHits() + Fresh.cacheMisses());
+  EXPECT_LE(NewMisses, Fresh.cacheMisses());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalence,

@@ -22,8 +22,8 @@
 
 namespace pf {
 
-/// Serializes every decision and cost of \p Plan at full precision (the
-/// SearchDeterminismTest fingerprint, extended over the decision trail).
+/// Serializes every decision and cost of \p Plan at full precision,
+/// decision trail included.
 inline std::string planFingerprint(const ExecutionPlan &Plan) {
   std::string S;
   for (const SegmentPlan &Seg : Plan.Segments) {

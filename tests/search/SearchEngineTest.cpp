@@ -6,8 +6,13 @@
 
 #include "search/SearchEngine.h"
 
+#include <cstdio>
 #include <gtest/gtest.h>
+#include <map>
+#include <unistd.h>
 
+#include "PlanFingerprint.h"
+#include "core/PimFlow.h"
 #include "ir/Builder.h"
 #include "ir/ShapeInference.h"
 #include "models/Zoo.h"
@@ -24,7 +29,105 @@ SearchOptions optionsFor(bool Split, bool Pipeline, bool Offload) {
   return O;
 }
 
+/// The number of profiler measurements the search issues: one GPU sample
+/// per node, plus one PIM sample and the interior ratio grid per
+/// PIM-candidate layer, plus one sample per consecutive pipeline chain.
+size_t candidateCount(const Graph &G) {
+  const std::vector<NodeId> Seq = G.topoOrder();
+  size_t GridN = 0;
+  for (double R = 0.1; R < 1.0 - 1e-9; R += 0.1)
+    ++GridN;
+  size_t Count = Seq.size();
+  for (NodeId Id : Seq)
+    if (isPimCandidate(G.node(Id)))
+      Count += 1 + GridN;
+  std::map<NodeId, size_t> Pos;
+  for (size_t I = 0; I < Seq.size(); ++I)
+    Pos[Seq[I]] = I;
+  for (const PipelineCandidate &Cand : findPipelineCandidates(G)) {
+    const size_t Begin = Pos.at(Cand.Chain.front());
+    bool Consecutive = true;
+    for (size_t I = 0; I < Cand.Chain.size(); ++I)
+      Consecutive &=
+          Begin + I < Seq.size() && Seq[Begin + I] == Cand.Chain[I];
+    if (Consecutive)
+      ++Count;
+  }
+  return Count;
+}
+
 } // namespace
+
+/// The paper-model searches whose profiler bookkeeping is pinned below.
+class SearchEngineModels : public ::testing::TestWithParam<const char *> {
+protected:
+  Profiler P{systemConfigFor(OffloadPolicy::PimFlow, {})};
+  const SearchOptions Options = searchOptionsFor(OffloadPolicy::PimFlow, {});
+
+  std::string search(const Graph &G) {
+    return planFingerprint(SearchEngine(P, Options).search(G));
+  }
+};
+
+TEST_P(SearchEngineModels, EveryCandidateIsOneProfilerHitOrMiss) {
+  const Graph G = buildModel(GetParam());
+  search(G);
+  EXPECT_EQ(P.cacheHits() + P.cacheMisses(), candidateCount(G));
+}
+
+TEST_P(SearchEngineModels, WarmProfilerReplaysThePlanByteForByte) {
+  // A second search on the same profiler is served entirely from its memo
+  // and must choose the same plan at the same full-precision costs.
+  const Graph G = buildModel(GetParam());
+  const std::string Cold = search(G);
+  const size_t Misses = P.cacheMisses();
+  const size_t Hits = P.cacheHits();
+  EXPECT_EQ(search(G), Cold);
+  EXPECT_EQ(P.cacheMisses(), Misses);
+  EXPECT_EQ(P.cacheHits() - Hits, candidateCount(G));
+}
+
+TEST_P(SearchEngineModels, SavedProfileCacheReplaysThePlan) {
+  // The driver's profile_<net>.tsv round trip: a profiler that loads the
+  // cold search's saved memo measures nothing and chooses the same plan.
+  const Graph G = buildModel(GetParam());
+  const std::string Cold = search(G);
+  const std::string Path =
+      ::testing::TempDir() +
+      formatStr("pf_search_%s_%d.tsv", G.name().c_str(),
+                static_cast<int>(getpid()));
+  ASSERT_TRUE(P.saveCache(Path));
+  Profiler Warm(systemConfigFor(OffloadPolicy::PimFlow, {}));
+  ASSERT_TRUE(Warm.loadCache(Path));
+  std::remove(Path.c_str());
+  EXPECT_EQ(planFingerprint(SearchEngine(Warm, Options).search(G)), Cold);
+  EXPECT_EQ(Warm.cacheMisses(), 0u);
+  EXPECT_EQ(Warm.cacheHits(), candidateCount(G));
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, SearchEngineModels,
+                         ::testing::Values("toy", "mobilenet-v2",
+                                           "mnasnet-1.0", "squeezenet-1.1"),
+                         [](const auto &Info) {
+                           std::string Name = Info.param;
+                           for (char &C : Name)
+                             if (C == '-' || C == '.')
+                               C = '_';
+                           return Name;
+                         });
+
+TEST(SearchEngineTest, RefinedSearchReplaysOnAWarmProfiler) {
+  // --autotune's refinement samples go through the same memo as the
+  // coarse grid: a repeated refined search measures nothing new.
+  const Graph G = buildModel("toy");
+  Profiler P(systemConfigFor(OffloadPolicy::PimFlow, {}));
+  SearchOptions S = searchOptionsFor(OffloadPolicy::PimFlow, {});
+  S.RefineRatios = true;
+  const std::string Cold = planFingerprint(SearchEngine(P, S).search(G));
+  const size_t Misses = P.cacheMisses();
+  EXPECT_EQ(planFingerprint(SearchEngine(P, S).search(G)), Cold);
+  EXPECT_EQ(P.cacheMisses(), Misses);
+}
 
 TEST(SearchEngineTest, GpuOnlySearchKeepsEverythingOnGpu) {
   Graph G = buildToy();

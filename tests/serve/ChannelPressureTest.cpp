@@ -42,7 +42,7 @@ ServeResult runPressure(const Pressure &P) {
   SO.PoolChannels = P.Pool;
   SO.MaxInflight = P.MaxInflight;
   SO.MaxQueue = P.MaxQueue;
-  SO.Flow.SearchJobs = 2;
+  SO.Jobs = 2;
 
   LoadSpec Spec;
   Spec.Count = 24;

@@ -57,7 +57,7 @@ ServerOptions chaosOptions(int Jobs) {
   SO.PoolChannels = 12;
   SO.MaxInflight = 3;
   SO.MaxQueue = 2;
-  SO.Flow.SearchJobs = Jobs;
+  SO.Jobs = Jobs;
   SO.BreakerThreshold = 1;
   SO.BreakerCooldownUs = 100;
   SO.RetryBudget = 8;

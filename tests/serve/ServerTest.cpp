@@ -46,7 +46,7 @@ ServerOptions contendedOptions(int Jobs) {
   SO.PoolChannels = 12;
   SO.MaxInflight = 3;
   SO.MaxQueue = 1;
-  SO.Flow.SearchJobs = Jobs;
+  SO.Jobs = Jobs;
   return SO;
 }
 

@@ -52,7 +52,7 @@ ServerOptions chaosOptions(int Jobs, FaultModel Faults) {
   SO.PoolChannels = 12;
   SO.MaxInflight = 3;
   SO.MaxQueue = 2;
-  SO.Flow.SearchJobs = Jobs;
+  SO.Jobs = Jobs;
   SO.BreakerThreshold = 1;
   SO.BreakerCooldownUs = 100;
   SO.RetryBudget = 8;
@@ -261,7 +261,7 @@ TEST(ServeChaosTest, DeadlinesShedAndClassify) {
   SO.PoolChannels = 12;
   SO.MaxInflight = 2;
   SO.MaxQueue = 4;
-  SO.Flow.SearchJobs = 1;
+  SO.Jobs = 1;
   LoadSpec Spec;
   Spec.Count = 32;
   Spec.Seed = 9;

@@ -11,9 +11,11 @@
 #      ir/Verifier.h), so an invariant-breaking transform fails in CI even
 #      when no test inspects the intermediate graph.
 #   3. A ThreadSanitizer tree in build-tsan/ running the concurrency-facing
-#      suites (thread pool, profiler, search, telemetry, concurrent serve
-#      sessions) to catch data races in the parallel candidate-profiling
-#      pre-pass and in sessions recording telemetry side by side.
+#      suites (thread pool, telemetry, concurrent serve sessions) plus the
+#      search and plan suites, to catch data races in what still runs on
+#      several threads: serve's request re-run workers, sessions recording
+#      telemetry side by side, and the telemetry tests' own threads. The
+#      compile path itself is single-threaded.
 #   4. The chaos tier: the seeded fault-schedule suite (tests/chaos/) in the
 #      tier-1 tree, then again under TSan. The seeds are fixed inside the
 #      tests, so a failure always names a reproducible schedule; per-test
@@ -42,11 +44,11 @@
 #      matrix (truncation, bit flip, version skew, wrong-model replay),
 #      each rejected non-zero with the right diagnostic slug.
 #   8. The serve tier: a seeded mixed-model `pimflow serve` run whose
-#      summary must be byte-identical across --jobs values AND match the
+#      summary must be byte-identical across --jobs values (the width of
+#      serve's request re-run workers, the one pool left) AND match the
 #      committed golden (outcomes are decided in virtual time, never by
 #      worker races), whose counter families match across --jobs values
-#      too (bar the profiler's single-flight waits), with the
-#      request-latency p50/p99 rows gated against
+#      too, with the request-latency p50/p99 rows gated against
 #      bench/baselines/BENCH_serve.json by pf_perf_diff and the serve.*
 #      metrics exposition validated by pf_metrics_check.
 #   9. The chaos-under-serve tier: the seeded (load spec x fault timeline)
@@ -104,7 +106,7 @@ cmake -B build-tsan -S . -DPIMFLOW_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
   --target support_test search_test obs_test serve_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|Profiler|SearchEngine|SearchDeterminism|AlgorithmDp|LayerExtract|FlightRecorder|RegistryTest|CountersAggregateAcrossThreads|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure|PinnedTelemetry|SessionScopeMatches'
+  -R 'ThreadPool|Profiler|SearchEngine|AlgorithmDp|LayerExtract|FlightRecorder|RegistryTest|CountersAggregateAcrossThreads|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure|PinnedTelemetry|SessionScopeMatches'
 
 echo "== tier 4: chaos fault-injection suite (fixed seeds), then under TSan =="
 ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Chaos'
@@ -183,11 +185,11 @@ grep -q 'kind=exec-error' "$TEL_DIR/toy.crash.txt"
 # Exporters read the timeline's kernel records and plan nothing: with a
 # warm profile log, the counter families of a run are the same whichever
 # exports it writes.
-./build/tools/pimflow run toy --dir="$TEL_DIR" --jobs=1 > /dev/null
+./build/tools/pimflow run toy --dir="$TEL_DIR" > /dev/null
 counters() { # <name> <export flags...>
   local NAME="$1"
   shift
-  ./build/tools/pimflow run toy --dir="$TEL_DIR" --jobs=1 \
+  ./build/tools/pimflow run toy --dir="$TEL_DIR" \
     --metrics-out="$TEL_DIR/$NAME.metrics.txt" "$@" > /dev/null
   sed -n '/^# TYPE .* counter$/{n;p}' "$TEL_DIR/$NAME.metrics.txt" \
     > "$TEL_DIR/$NAME.counters.txt"
@@ -301,11 +303,9 @@ SERVE_SPEC='count:24,seed:7,mean-gap-us:150,batch:1|4'
 cmp "$SERVE_DIR/serve.j1.txt" "$SERVE_DIR/serve.j4.txt"
 cmp "$SERVE_DIR/serve.j1.txt" tools/testdata/serve_summary.golden
 # Sessions re-run on four workers record what they record on one: the
-# counter families match, apart from the profiler's single-flight waits,
-# which count concurrent cache lookups by design.
+# counter families match.
 serveCounters() { # <metrics file> <counters file>
-  sed -n '/^# TYPE .* counter$/{n;p}' "$1" |
-    grep -v '^pimflow_profiler_single_flight_waits ' > "$2"
+  sed -n '/^# TYPE .* counter$/{n;p}' "$1" > "$2"
 }
 serveCounters "$SERVE_DIR/serve.metrics.txt" "$SERVE_DIR/serve.j1.counters.txt"
 serveCounters "$SERVE_DIR/serve.j4.metrics.txt" \

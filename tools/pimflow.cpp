@@ -20,9 +20,9 @@
 /// --dir, default '.') so later steps reuse them, exactly as the artifact
 /// stores layerwise/pipeline measurements. Hardware knobs:
 ///   --pim-channels=N  --stages=N  --autotune  --no-memopt
-/// Compile-time knobs:
-///   --jobs=N  profiling worker threads (default: all hardware threads;
-///             --jobs=1 reproduces the serial search bit for bit)
+/// Serve knob:
+///   --jobs=N  threads re-executing admitted requests (default: all
+///             hardware threads); every other mode runs on one thread
 /// Verification knobs:
 ///   --verify        verify input/loaded graphs and every pass boundary;
 ///                   diagnostics go to stderr and exit non-zero
@@ -75,7 +75,6 @@
 #include "support/Format.h"
 #include "support/Log.h"
 #include "support/StringUtil.h"
-#include "support/ThreadPool.h"
 #include "support/Table.h"
 #include "transform/PatternMatch.h"
 
@@ -117,13 +116,8 @@ struct CliOptions {
   bool Verify = false; // --verify: run the graph verifier on inputs/outputs.
   bool ReportMetrics = false; // report --metrics: metrics section only.
   bool NoRecovery = false; // --no-recovery: faults bypass the ladder.
+  std::optional<int> Jobs; // serve --jobs=N re-run workers (unset: all).
   PimFlowOptions Flow;
-
-  CliOptions() {
-    // The driver defaults to every hardware thread; the library default
-    // stays serial so embedders opt in explicitly.
-    Flow.SearchJobs = 0;
-  }
 
   bool observed() const {
     return !TraceOut.empty() || !PerfReport.empty() || !MetricsOut.empty();
@@ -151,14 +145,14 @@ void usage() {
       "[--breaker-threshold=K] [--breaker-cooldown-us=N]\n"
       "               [--trace-sample=<all|tail|tail:K>]   (which requests "
       "keep full traces / report segments)\n"
+      "               [--jobs=N]   (threads re-executing admitted requests; "
+      "default all cores)\n"
       "               (serve --faults also takes windowed outages: "
       "dead@<t1>..<t2>:<ch> in virtual us)\n"
       "               [--gpu_only] [--policy=<mechanism>] [--dir=<path>]\n"
       "               [--graph=<solved.pimflow.graph>]\n"
       "               [--pim-channels=N] [--stages=N] [--autotune] "
       "[--no-memopt] [--stats]\n"
-      "               [--jobs=N]   (profiling and serve threads; default "
-      "all cores, 1 = serial)\n"
       "               [--verify] [--differential] [--max-errors=N]\n"
       "               [--faults=<spec|chaos>] [--fault-seed=N] "
       "[--max-retries=N] [--pim-floor=N] [--no-recovery]\n"
@@ -287,10 +281,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
                            O.Flow.PimChannels, DE);
     else if (startsWith(Arg, "--stages="))
       Ok &= parseIntOption(Arg, Val(), 2, 64, O.Flow.PipelineStages, DE);
-    else if (startsWith(Arg, "--jobs="))
+    else if (startsWith(Arg, "--jobs=")) {
       // 0 = all hardware threads.
-      Ok &= parseIntOption(Arg, Val(), 0, 4096, O.Flow.SearchJobs, DE);
-    else if (startsWith(Arg, "--max-errors="))
+      int Jobs = 0;
+      Ok &= parseIntOption(Arg, Val(), 0, 4096, Jobs, DE);
+      O.Jobs = Jobs;
+    } else if (startsWith(Arg, "--max-errors="))
       Ok &= parseIntOption(Arg, Val(), 1, 1 << 20, O.Flow.MaxVerifyErrors,
                            DE);
     else if (startsWith(Arg, "--faults="))
@@ -356,6 +352,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
     DE.error(DiagCode::BadOption, "--requests",
              "serve-only flags (--requests/--summary-out/--bench-json/"
              "--trace-sample) require the serve verb");
+    Ok = false;
+  }
+  if (O.Jobs && O.Mode != "serve") {
+    DE.error(DiagCode::BadOption, "--jobs",
+             "sizes serve's request re-run workers and requires the serve "
+             "verb (every other mode runs on one thread)");
     Ok = false;
   }
   if (O.Mode == "compile" &&
@@ -556,12 +558,8 @@ int runProfile(const CliOptions &O) {
   } else {
     const std::vector<PipelineCandidate> Cands =
         findPipelineCandidates(Model);
-    ThreadPool Pool(O.Flow.SearchJobs < 0
-                        ? 0
-                        : static_cast<unsigned>(O.Flow.SearchJobs));
-    Pool.parallelFor(Cands.size(), [&](size_t I) {
-      P.pipelineNs(Model, Cands[I].Chain, O.Flow.PipelineStages);
-    });
+    for (const PipelineCandidate &C : Cands)
+      P.pipelineNs(Model, C.Chain, O.Flow.PipelineStages);
     std::printf("profiled %zu pipelining candidate subgraphs (%d stages)\n",
                 Cands.size(), O.Flow.PipelineStages);
   }
@@ -918,8 +916,8 @@ int runReport(const CliOptions &O) {
 /// multi-tenant serving mode (docs/INTERNALS.md section 13). Compiles
 /// (or replays from --plan-cache-dir) every tenant's plan, then admits
 /// the deterministic request stream against the shared PIM channel
-/// group. --jobs sizes the search, the pricing pool and the request
-/// re-runs; the summary is byte-identical for every --jobs=N.
+/// group. --jobs sizes the request re-run workers; the summary is
+/// byte-identical for every --jobs=N.
 int runServe(const CliOptions &O) {
   DiagnosticEngine DE(O.Flow.MaxVerifyErrors);
   serve::LoadSpec Spec;
@@ -944,6 +942,7 @@ int runServe(const CliOptions &O) {
   SO.MaxInflight = O.MaxInflight;
   SO.MaxQueue = O.MaxQueue;
   SO.PoolChannels = O.ChannelPool;
+  SO.Jobs = O.Jobs.value_or(0);
   SO.DefaultDeadlineUs = O.DefaultDeadlineUs;
   SO.RetryBudget = O.RetryBudget;
   SO.BreakerThreshold = O.BreakerThreshold;
