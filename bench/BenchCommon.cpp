@@ -7,49 +7,16 @@
 #include "BenchCommon.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#include "obs/Counters.h"
 #include "obs/Json.h"
 
 namespace pf::bench {
 
 namespace {
 
-std::string &currentFigure() {
-  static std::string Figure;
-  return Figure;
-}
-
-std::vector<BenchResult> &results() {
-  static std::vector<BenchResult> Results;
-  return Results;
-}
-
-/// Installs (once) an atexit hook that dumps the results log to the path in
-/// PIMFLOW_BENCH_JSON, so every bench binary emits machine-readable data
-/// without per-main wiring.
-void armAutoDump() {
-  static bool Armed = false;
-  if (Armed)
-    return;
-  Armed = true;
-  if (!std::getenv("PIMFLOW_BENCH_JSON"))
-    return;
-  // Construct the log statics BEFORE registering the handler: destructors
-  // and atexit handlers run in reverse registration order, so this keeps
-  // the vector alive when the handler fires.
-  results();
-  currentFigure();
-  std::atexit([] {
-    const char *Path = std::getenv("PIMFLOW_BENCH_JSON");
-    if (!Path)
-      return;
-    if (!writeResultsJson(Path))
-      std::fprintf(stderr, "warning: cannot write bench JSON to %s\n", Path);
-  });
-}
+std::string CurrentFigure;
+std::vector<BenchResult> Results;
 
 } // namespace
 
@@ -60,28 +27,22 @@ CompileResult &cachedRun(const std::string &Key, const std::string &Model,
   auto It = Cache.find(Key);
   if (It != Cache.end())
     return It->second;
-  // Each fresh run starts from a clean registry, so the counters recorded
-  // with its result cover this iteration alone — a bench binary's JSON
-  // dump is then per-iteration, not cumulative across its sweep.
-  obs::resetAll();
   Graph G = buildModel(Model);
   PimFlow Flow(Policy, Options);
   CompileResult &R = Cache.emplace(Key, Flow.compileAndRun(G)).first->second;
   BenchResult BR;
-  BR.Figure = currentFigure();
+  BR.Figure = CurrentFigure;
   BR.Key = Key;
   BR.Model = Model;
   BR.Policy = policyName(Policy);
   BR.EndToEndNs = R.endToEndNs();
   BR.EnergyJ = R.energyJ();
-  BR.Counters = obs::Registry::instance().counterSnapshot();
   recordResult(BR);
   return R;
 }
 
 void printHeader(const char *Figure, const char *Caption) {
-  armAutoDump();
-  currentFigure() = Figure;
+  CurrentFigure = Figure;
   std::printf("=== %s ===\n%s\n\n", Figure, Caption);
 }
 
@@ -89,30 +50,20 @@ std::string norm(double Value, double Baseline) {
   return formatStr("%.3f", Baseline > 0.0 ? Value / Baseline : 0.0);
 }
 
-void recordResult(const BenchResult &R) {
-  armAutoDump();
-  results().push_back(R);
-}
+void recordResult(const BenchResult &R) { Results.push_back(R); }
 
 std::string renderResultsJson() {
   obs::JsonWriter W;
   W.beginObject().key("results").beginArray();
-  for (const BenchResult &R : results()) {
+  for (const BenchResult &R : Results)
     W.beginObject()
         .field("figure", R.Figure)
         .field("key", R.Key)
         .field("model", R.Model)
         .field("policy", R.Policy)
         .field("end_to_end_ns", R.EndToEndNs)
-        .field("energy_j", R.EnergyJ);
-    if (!R.Counters.empty()) {
-      W.key("counters").beginObject();
-      for (const auto &[Name, Value] : R.Counters)
-        W.field(Name, Value);
-      W.endObject();
-    }
-    W.endObject();
-  }
+        .field("energy_j", R.EnergyJ)
+        .endObject();
   W.endArray().endObject();
   return W.take();
 }

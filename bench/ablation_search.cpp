@@ -1,4 +1,4 @@
-//===- bench/bench_ablation_search.cpp - Design-choice ablations -*- C++ -*-=//
+//===- bench/ablation_search.cpp - Design-choice ablations --------*- C++ -*-=//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -24,7 +24,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::ablation_search(const FigureArgs &) {
   printHeader("Ablation: search & back-end design choices",
               "End-to-end PIMFlow time under degraded design choices, "
               "normalized to the full design");
@@ -96,5 +96,4 @@ int main() {
               "and rescues small-matrix layers; 2%% ratios buy ~1%%; "
               "disabling the layout optimizer erases much of the "
               "splitting gain (\"most splitting attempts futile\").\n");
-  return 0;
 }

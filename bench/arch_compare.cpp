@@ -1,4 +1,4 @@
-//===- bench/bench_arch_compare.cpp - PIM architecture study ----*- C++ -*-===//
+//===- bench/arch_compare.cpp - PIM architecture study ----------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -42,7 +42,7 @@ double runWithPim(const std::string &Model, const PimConfig &Pim) {
 
 } // namespace
 
-int main() {
+void pf::bench::arch_compare(const FigureArgs &) {
   printHeader("PIM architecture study",
               "Full PIMFlow retargeted to a different DRAM-PIM device "
               "through PimConfig alone (16 PIM channels each, normalized "
@@ -65,5 +65,4 @@ int main() {
               "~40%% of the AiM MAC rate per channel) retains only part "
               "of the gain, so compute-heavier models keep more of their "
               "speedup than bandwidth-bound mobile nets.\n");
-  return 0;
 }

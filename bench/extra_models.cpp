@@ -1,4 +1,4 @@
-//===- bench/bench_extra_models.cpp - Artifact A.7 study --------*- C++ -*-===//
+//===- bench/extra_models.cpp - Artifact A.7 study --------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -22,7 +22,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::extra_models(const FigureArgs &) {
   printHeader("Extended model study (artifact A.7)",
               "PIMFlow on models outside the paper's evaluation, "
               "normalized to the GPU baseline");
@@ -51,5 +51,4 @@ int main() {
               "from plain offloading; the 1x1-heavy SqueezeNet gains from "
               "MD-DP splits on top of its inherent branch parallelism; "
               "every model at least matches its Newton++ result.\n");
-  return 0;
 }

@@ -1,4 +1,4 @@
-//===- bench/bench_fig01_breakdown.cpp - Fig. 1 -----------------*- C++ -*-===//
+//===- bench/fig01_breakdown.cpp - Fig. 1 -----------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -42,7 +42,7 @@ const char *classOf(const Node &N) {
 
 } // namespace
 
-int main() {
+void pf::bench::fig01_breakdown(const FigureArgs &) {
   printHeader("Figure 1",
               "GPU runtime breakdown by operator class (RTX 2080 Ti-like) "
               "and arithmetic intensity of conv layer classes");
@@ -88,5 +88,4 @@ int main() {
   std::printf("Expected shape: 1x1 convolutions dominate mobile-CNN "
               "runtime; their arithmetic intensity sits far below dense "
               "conv and near FC.\n");
-  return 0;
 }

@@ -1,4 +1,4 @@
-//===- bench/bench_fig03_channels.cpp - Fig. 3 ------------------*- C++ -*-===//
+//===- bench/fig03_channels.cpp - Fig. 3 ------------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -19,7 +19,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::fig03_channels(const FigureArgs &) {
   printHeader("Figure 3",
               "GPU-only inference time vs memory channel count "
               "(normalized to 24 channels)");
@@ -53,5 +53,4 @@ int main() {
   std::printf("Expected shape: compute-bound models (ResNet-50, VGG-16 "
               "convs) degrade little down to ~16 channels; bandwidth-"
               "hungry models degrade more below that.\n");
-  return 0;
 }

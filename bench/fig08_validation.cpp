@@ -1,4 +1,4 @@
-//===- bench/bench_fig08_validation.cpp - Fig. 8 ----------------*- C++ -*-===//
+//===- bench/fig08_validation.cpp - Fig. 8 ----------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -22,7 +22,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::fig08_validation(const FigureArgs &) {
   printHeader("Figure 8",
               "Simulator validation: PIM speedup over GPU for "
               "matrix-vector kernels vs batch size (Titan-V-like GPU)");
@@ -66,5 +66,4 @@ int main() {
   std::printf("Expected shape: order-of-magnitude PIM speedup at batch 1 "
               "(paper: 20.4x reproduced vs 50x in the Newton paper and "
               "~10x in its follow-up), decaying as the batch grows.\n");
-  return 0;
 }

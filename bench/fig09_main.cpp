@@ -1,4 +1,4 @@
-//===- bench/bench_fig09_main.cpp - Fig. 9 ----------------------*- C++ -*-===//
+//===- bench/fig09_main.cpp - Fig. 9 ----------------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -10,30 +10,23 @@
 /// CNN models under every offloading mechanism, normalized to the GPU
 /// baseline. Pass --contention to include the Section-7 memory-controller
 /// contention model. Positional arguments select the models to sweep
-/// (default: the paper's five); ci.sh uses `toy resnet-18` for a fast,
-/// deterministic baseline.
+/// (default: the paper's five). Tier 1 gates the default sweep and
+/// `toy resnet-18` against bench/baselines/ byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <cstdio>
-#include <cstring>
 
 #include "BenchCommon.h"
 
 using namespace pf;
 using namespace pf::bench;
 
-int main(int Argc, char **Argv) {
+void pf::bench::fig09_main(const FigureArgs &Args) {
   PimFlowOptions Options;
-  std::vector<std::string> Models;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--contention") == 0)
-      Options.ModelContention = true;
-    else
-      Models.push_back(Argv[I]);
-  }
-  if (Models.empty())
-    Models = modelNames();
+  Options.ModelContention = Args.has("--contention");
+  const std::vector<std::string> Models =
+      Args.Models.empty() ? modelNames() : Args.Models;
 
   printHeader("Figure 9",
               "CONV-layer and end-to-end inference time per offloading "
@@ -82,5 +75,4 @@ int main(int Argc, char **Argv) {
               "to 82%%).\n",
               (1.0 / mean(FlowConv) - 1.0) * 100.0,
               (1.0 / mean(FlowE2e) - 1.0) * 100.0);
-  return 0;
 }

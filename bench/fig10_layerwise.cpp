@@ -1,4 +1,4 @@
-//===- bench/bench_fig10_layerwise.cpp - Fig. 10 ----------------*- C++ -*-===//
+//===- bench/fig10_layerwise.cpp - Fig. 10 ----------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -54,16 +54,12 @@ void runModel(const std::string &Model) {
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::vector<std::string> Models;
-  for (int I = 1; I < Argc; ++I)
-    Models.push_back(Argv[I]);
-  if (Models.empty())
-    Models.push_back("mobilenet-v2");
-  for (const std::string &Model : Models)
+void pf::bench::fig10_layerwise(const FigureArgs &Args) {
+  if (Args.Models.empty())
+    runModel("mobilenet-v2");
+  for (const std::string &Model : Args.Models)
     runModel(Model);
   std::printf("Expected shape: layers whose PIM time is within ~2x of GPU "
               "split at interior ratios and beat both devices; layers "
               "where PIM dominates offload fully (ratio 0%%).\n");
-  return 0;
 }

@@ -1,4 +1,4 @@
-//===- bench/bench_fig11_pipeline.cpp - Fig. 11 -----------------*- C++ -*-===//
+//===- bench/fig11_pipeline.cpp - Fig. 11 -----------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -24,7 +24,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::fig11_pipeline(const FigureArgs &) {
   printHeader("Figure 11",
               "Pipelining candidate subgraphs: per-node-best (MD-DP) vs "
               "pipelined time, by pattern type");
@@ -80,5 +80,4 @@ int main() {
               "(PIM 1x1 stages overlap GPU DW stages); patterns whose "
               "prologue/epilogue stages are expensive gain less or "
               "lose.\n");
-  return 0;
 }

@@ -1,4 +1,4 @@
-//===- bench/bench_fig12_energy.cpp - Fig. 12 -------------------*- C++ -*-===//
+//===- bench/fig12_energy.cpp - Fig. 12 -------------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -19,7 +19,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::fig12_energy(const FigureArgs &) {
   printHeader("Figure 12",
               "Inference energy per mechanism, normalized to the GPU "
               "baseline (lower is better)");
@@ -61,5 +61,4 @@ int main() {
   std::printf("\nExpected shape: Newton++ and PIMFlow below the baseline "
               "(paper: -18%% and -26%% average); models with small "
               "speedups see limited gains from GPU static power.\n");
-  return 0;
 }

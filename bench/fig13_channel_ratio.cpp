@@ -1,4 +1,4 @@
-//===- bench/bench_fig13_channel_ratio.cpp - Fig. 13 ------------*- C++ -*-===//
+//===- bench/fig13_channel_ratio.cpp - Fig. 13 ------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -19,7 +19,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::fig13_channel_ratio(const FigureArgs &) {
   printHeader("Figure 13",
               "End-to-end time vs PIM-enabled channel count in a "
               "32-channel memory (normalized to the 32-channel GPU "
@@ -61,5 +61,4 @@ int main() {
               "to ~16, then degrades as the GPU loses bandwidth; the "
               "negative side is steeper for Newton+/Newton++ and for "
               "ResNet-50's compute-heavy layers.\n");
-  return 0;
 }

@@ -1,4 +1,4 @@
-//===- bench/bench_fig14_cmd_opts.cpp - Fig. 14 -----------------*- C++ -*-===//
+//===- bench/fig14_cmd_opts.cpp - Fig. 14 -----------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -15,19 +15,13 @@
 //===----------------------------------------------------------------------===//
 
 #include <cstdio>
-#include <cstring>
 
 #include "BenchCommon.h"
 
 using namespace pf;
 using namespace pf::bench;
 
-int main(int Argc, char **Argv) {
-  bool ShowMemOpt = false;
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], "--no-memopt") == 0)
-      ShowMemOpt = true;
-
+void pf::bench::fig14_cmd_opts(const FigureArgs &Args) {
   printHeader("Figure 14",
               "PIM command-optimization ablation: CONV-layer time "
               "normalized to Newton+ (1 buffer, no hiding)");
@@ -80,7 +74,7 @@ int main(int Argc, char **Argv) {
               "they compose without interfering (paper: 9%% + 14%% -> "
               "22%%).\n");
 
-  if (ShowMemOpt) {
+  if (Args.has("--no-memopt")) {
     std::printf("\nMemory-layout optimizer ablation (PIMFlow-md "
                 "end-to-end, normalized to optimizer ON):\n");
     Table M;
@@ -98,5 +92,4 @@ int main(int Argc, char **Argv) {
     }
     std::printf("%s\n", M.render().c_str());
   }
-  return 0;
 }

@@ -1,4 +1,4 @@
-//===- bench/bench_fig15_stages.cpp - Fig. 15 -------------------*- C++ -*-===//
+//===- bench/fig15_stages.cpp - Fig. 15 -------------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -18,7 +18,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::fig15_stages(const FigureArgs &) {
   printHeader("Figure 15",
               "PIMFlow-pl end-to-end time vs pipeline stage count "
               "(normalized to 2 stages)");
@@ -51,5 +51,4 @@ int main() {
   std::printf("Expected shape: two stages are optimal; deeper pipelines "
               "pay more in launch/sync overhead than the extra overlap "
               "returns.\n");
-  return 0;
 }

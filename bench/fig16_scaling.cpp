@@ -1,4 +1,4 @@
-//===- bench/bench_fig16_scaling.cpp - Fig. 16 ------------------*- C++ -*-===//
+//===- bench/fig16_scaling.cpp - Fig. 16 ------------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -21,7 +21,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::fig16_scaling(const FigureArgs &) {
   printHeader("Figure 16", "Model type and size sensitivity");
 
   // (a) BERT sequence-length study.
@@ -91,5 +91,4 @@ int main() {
               "(paper: down to ~7%% at B6; our simulated crossover "
               "arrives earlier, around B4, because large activations "
               "punish the halved GPU channel count harder).\n");
-  return 0;
 }

@@ -1,4 +1,4 @@
-//===- bench/bench_prelim_parallelism.cpp - Section 3, obs. 1 ---*- C++ -*-===//
+//===- bench/prelim_parallelism.cpp - Section 3, obs. 1 ---------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -23,7 +23,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::prelim_parallelism(const FigureArgs &) {
   printHeader("Preliminary analysis (Section 3, observation 1)",
               "Inherent inter-node parallelism of the model graphs, and "
               "the parallelism PIMFlow's transformations create");
@@ -56,5 +56,4 @@ int main() {
               "MD-DP/pipelining transformations the fraction of nodes "
               "with an independent peer rises sharply — the parallelism "
               "is created, not found.\n");
-  return 0;
 }

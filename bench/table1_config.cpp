@@ -1,4 +1,4 @@
-//===- bench/bench_table1_config.cpp - Table 1 ------------------*- C++ -*-===//
+//===- bench/table1_config.cpp - Table 1 ------------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -19,7 +19,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::table1_config(const FigureArgs &) {
   printHeader("Table 1", "DRAM-PIM configuration");
   const PimConfig C = PimConfig::newtonPlusPlus();
 
@@ -57,5 +57,4 @@ int main() {
               C.Channels,
               static_cast<double>(C.macsPerComp()) / C.TComp * C.ClockGhz *
                   C.Channels / 1000.0);
-  return 0;
 }

@@ -1,4 +1,4 @@
-//===- bench/bench_table2_ratios.cpp - Table 2 ------------------*- C++ -*-===//
+//===- bench/table2_ratios.cpp - Table 2 ------------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -21,7 +21,7 @@
 using namespace pf;
 using namespace pf::bench;
 
-int main() {
+void pf::bench::table2_ratios(const FigureArgs &) {
   printHeader("Table 2",
               "Distribution of MD-DP split ratios to GPU over all "
               "PIM-candidate layers (0 = total offload)");
@@ -86,5 +86,4 @@ int main() {
               P.cacheMisses(), P.cacheHits(),
               100.0 * static_cast<double>(P.cacheHits()) /
                   static_cast<double>(P.cacheHits() + P.cacheMisses()));
-  return 0;
 }

@@ -143,11 +143,9 @@ bool observabilityEnabled();
 
 /// Clears every *global* observability store: the Tracer's spans, the
 /// Registry's metrics and cycle clock, and the FlightRecorder's
-/// per-thread rings. Used by tests, by the driver between independent
-/// compilations, and by the bench harness between iterations so JSON
-/// dumps are per-iteration rather than cumulative. Explicitly excluded:
-/// session scopes (obs/Scope.h) — a Scope's registry belongs to its owner
-/// and is reset via `registry().reset()`, never by this global sweep.
+/// per-thread rings, so a test starts clean. Explicitly excluded: session
+/// scopes (obs/Scope.h) — a Scope's registry belongs to its owner and is
+/// reset via `registry().reset()`, never by this global sweep.
 /// tests/obs/ResetTest.cpp asserts this coverage contract.
 void resetAll();
 

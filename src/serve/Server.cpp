@@ -17,7 +17,6 @@
 #include "obs/Json.h"
 #include "support/Format.h"
 #include "support/Log.h"
-#include "support/ThreadPool.h"
 
 using namespace pf;
 using namespace pf::serve;
@@ -157,11 +156,9 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
   const int MaxInflight = std::max(1, Options.MaxInflight);
   const int MaxQueue = std::max(0, Options.MaxQueue);
   const int64_t DefaultDeadlineNs = Options.DefaultDeadlineUs * 1000;
-  // Per-session fault retries default to the PR 4 ladder's per-run
-  // budget; the global budget bounds the whole stream.
-  const int SessionBudget = Options.SessionRetryBudget >= 0
-                                ? Options.SessionRetryBudget
-                                : std::max(0, Options.Flow.MaxRetries);
+  // Per-session fault retries are the recovery ladder's per-run budget
+  // (--max-retries); the global budget bounds the whole stream.
+  const int SessionBudget = std::max(0, Options.Flow.MaxRetries);
   int RetryBudgetLeft = std::max(0, Options.RetryBudget);
 
   ServeResult R;
@@ -209,7 +206,9 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
       Health.noteQuarantine(Ch, 0);
     }
 
-  ThreadPool Workers(static_cast<unsigned>(std::max(0, Options.Jobs)));
+  if (!Workers)
+    Workers = std::make_unique<ThreadPool>(
+        static_cast<unsigned>(std::max(0, Options.Jobs)));
 
   // Each completed request's engine run, re-executed for real under the
   // session's private scope. The virtual completion time comes from the
@@ -222,10 +221,20 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
     int MissingNodes = 0;
   };
   std::vector<std::pair<size_t, std::future<RunResult>>> Runs;
+  // The pool outlives this call but the runs reference its sessions: an
+  // exception leaving run() early still waits for every submitted run.
+  struct WaitForRuns {
+    decltype(Runs) &Pending;
+    ~WaitForRuns() {
+      for (auto &[Idx, Fut] : Pending)
+        if (Fut.valid())
+          Fut.wait();
+    }
+  } RunsGuard{Runs};
   auto submitRun = [&](Session &S) {
     const size_t Idx = static_cast<size_t>(S.Req.Id);
     const int C = S.channelsGranted();
-    Runs.emplace_back(Idx, Workers.submit([this, &S, C]() -> RunResult {
+    Runs.emplace_back(Idx, Workers->submit([this, &S, C]() -> RunResult {
       obs::ScopeGuard Guard(S.Scope);
       const PreparedModel &PM =
           Models[static_cast<size_t>(S.Req.ModelIdx)];

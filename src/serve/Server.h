@@ -62,6 +62,7 @@
 #include "runtime/ChannelScoreboard.h"
 #include "serve/RequestTrace.h"
 #include "serve/Session.h"
+#include "support/ThreadPool.h"
 
 namespace pf::serve {
 
@@ -97,9 +98,6 @@ struct ServerOptions {
   /// channels consumes one unit; once spent, interrupted requests demote
   /// straight to the GPU floor. 0 disables mid-run retries entirely.
   int RetryBudget = 256;
-  /// Per-session retry cap; -1 means Flow.MaxRetries (the PR 4 ladder's
-  /// per-run budget).
-  int SessionRetryBudget = -1;
   /// Consecutive failures that trip a channel's circuit breaker
   /// (--breaker-threshold); <= 0 disables tripping.
   int BreakerThreshold = 2;
@@ -265,6 +263,10 @@ private:
   PimFlow Flow;
   std::vector<PreparedModel> Models;
   bool Prepared = false;
+  /// The request re-run workers, started by the first run() and kept for
+  /// the server's lifetime: later runs reuse the same Jobs threads (and
+  /// their flight-recorder rings) instead of starting new ones.
+  std::unique_ptr<ThreadPool> Workers;
 };
 
 } // namespace pf::serve

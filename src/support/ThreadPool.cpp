@@ -1,4 +1,4 @@
-//===- support/ThreadPool.cpp - Fixed-size deterministic worker pool ------===//
+//===- support/ThreadPool.cpp - Fixed-size worker pool --------------------===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -7,18 +7,8 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 
 using namespace pf;
-
-namespace {
-
-/// The pool whose workerLoop owns the current thread (nullptr on external
-/// threads). Lets parallelFor detect nesting and degrade to inline
-/// execution instead of deadlocking on its own queue.
-thread_local const ThreadPool *CurrentPool = nullptr;
-
-} // namespace
 
 unsigned ThreadPool::defaultConcurrency() {
   return std::max(1u, std::thread::hardware_concurrency());
@@ -43,8 +33,6 @@ ThreadPool::~ThreadPool() {
     T.join();
 }
 
-bool ThreadPool::onWorkerThread() const { return CurrentPool == this; }
-
 void ThreadPool::enqueue(std::function<void()> Task) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -54,7 +42,6 @@ void ThreadPool::enqueue(std::function<void()> Task) {
 }
 
 void ThreadPool::workerLoop() {
-  CurrentPool = this;
   for (;;) {
     std::function<void()> Task;
     {
@@ -67,62 +54,4 @@ void ThreadPool::workerLoop() {
     }
     Task();
   }
-}
-
-void ThreadPool::parallelFor(size_t N,
-                             const std::function<void(size_t)> &Body) {
-  if (N == 0)
-    return;
-  if (NumWorkers <= 1 || N == 1 || onWorkerThread()) {
-    // Inline path. Still runs every index and rethrows the lowest failing
-    // one, so failure behavior is identical to the threaded path.
-    std::exception_ptr Err;
-    for (size_t I = 0; I < N; ++I) {
-      try {
-        Body(I);
-      } catch (...) {
-        if (!Err)
-          Err = std::current_exception();
-      }
-    }
-    if (Err)
-      std::rethrow_exception(Err);
-    return;
-  }
-
-  // Shared claim counter: each index is claimed by exactly one runner.
-  // Every index runs regardless of failures elsewhere; the lowest failing
-  // index's exception wins, so the outcome is worker-count independent.
-  struct State {
-    std::atomic<size_t> Next{0};
-    std::mutex ErrMu;
-    size_t ErrIndex;
-    std::exception_ptr Err;
-  };
-  State St;
-  St.ErrIndex = N;
-  auto Run = [&St, &Body, N] {
-    for (size_t I; (I = St.Next.fetch_add(1, std::memory_order_relaxed)) < N;) {
-      try {
-        Body(I);
-      } catch (...) {
-        std::lock_guard<std::mutex> Lock(St.ErrMu);
-        if (I < St.ErrIndex) {
-          St.ErrIndex = I;
-          St.Err = std::current_exception();
-        }
-      }
-    }
-  };
-
-  const size_t Runners = std::min<size_t>(NumWorkers, N) - 1;
-  std::vector<std::future<void>> Futs;
-  Futs.reserve(Runners);
-  for (size_t I = 0; I < Runners; ++I)
-    Futs.push_back(submit(Run));
-  Run(); // The caller is the last runner; keeps the queue draining.
-  for (std::future<void> &F : Futs)
-    F.get();
-  if (St.Err)
-    std::rethrow_exception(St.Err);
 }

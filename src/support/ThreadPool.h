@@ -1,4 +1,4 @@
-//===- support/ThreadPool.h - Fixed-size deterministic worker pool -*- C++ -*-//
+//===- support/ThreadPool.h - Fixed-size worker pool ------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -7,24 +7,16 @@
 /// \file
 /// A dependency-free fixed-size worker pool. Its one user is serve, which
 /// re-executes admitted requests on it (docs/INTERNALS.md section 7; the
-/// compile path is single-threaded). Design goals, in order:
+/// compile path is single-threaded).
 ///
-///   1. Determinism by construction: parallelFor(N, Body) assigns every index
-///      to exactly one invocation of Body, so any computation whose per-index
-///      results are independent produces identical output for every worker
-///      count.
-///   2. Serial reproducibility: a pool of size 1 spawns no threads at all —
-///      submit() and parallelFor() run inline on the caller, reproducing the
+///   1. Serial reproducibility: a pool of size 1 spawns no threads at all —
+///      submit() runs the task inline on the caller, reproducing the
 ///      single-threaded path exactly.
-///   3. Nesting safety: parallelFor() called from inside a worker task runs
-///      inline (no re-entry into the queue, no deadlock), and submit() from a
-///      worker only enqueues. The one unsupported pattern is a *task* that
-///      blocks on another task's future; wait on futures from outside the
-///      pool instead.
+///   2. Nesting safety: submit() from a worker only enqueues. The one
+///      unsupported pattern is a *task* that blocks on another task's
+///      future; wait on futures from outside the pool instead.
 ///
-/// Exceptions propagate: submit()'s future rethrows on get(), and
-/// parallelFor() runs every index, then rethrows the exception of the
-/// lowest failing index (again independent of the worker count).
+/// Exceptions propagate: submit()'s future rethrows on get().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,18 +65,9 @@ public:
     return Fut;
   }
 
-  /// Invokes Body(0) .. Body(N-1), each exactly once, and blocks until all
-  /// have completed. The calling thread participates, so the pool's queue
-  /// drains even when every worker is busy here. Every index runs even if
-  /// an earlier one threw; afterwards the exception of the lowest failing
-  /// index is rethrown. Runs inline when the pool is serial or when called
-  /// from inside one of this pool's own tasks.
-  void parallelFor(size_t N, const std::function<void(size_t)> &Body);
-
 private:
   void enqueue(std::function<void()> Task);
   void workerLoop();
-  bool onWorkerThread() const;
 
   unsigned NumWorkers;
   std::vector<std::thread> Threads;

@@ -56,10 +56,15 @@ TEST_F(FlightRecorderTest, MergedIsSeqSortedAcrossThreads) {
   FlightRecorder &FR = FlightRecorder::instance();
   ThreadPool Pool(4);
   const size_t N = 1000;
-  Pool.parallelFor(N, [&](size_t I) {
-    FR.record(FlightEventKind::RetryIssued, static_cast<int64_t>(I),
-              static_cast<int32_t>(I % 16));
-  });
+  std::vector<std::future<void>> Tasks;
+  for (size_t T = 0; T < 4; ++T)
+    Tasks.push_back(Pool.submit([&FR, T, N] {
+      for (size_t I = T; I < N; I += 4)
+        FR.record(FlightEventKind::RetryIssued, static_cast<int64_t>(I),
+                  static_cast<int32_t>(I % 16));
+    }));
+  for (std::future<void> &F : Tasks)
+    F.get();
   const auto Events = FR.merged();
   ASSERT_FALSE(Events.empty());
   EXPECT_LE(Events.size(), N);

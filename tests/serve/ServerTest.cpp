@@ -12,11 +12,13 @@
 //===----------------------------------------------------------------------===//
 
 #include <map>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "models/Zoo.h"
+#include "obs/FlightRecorder.h"
 #include "obs/Scope.h"
 #include "runtime/ExecutionEngine.h"
 #include "serve/ServeReport.h"
@@ -199,6 +201,22 @@ TEST(ServerTest, ReportAndBenchRowsRenderConsistently) {
   EXPECT_NE(Bench.find("serve/latency_p50"), std::string::npos);
   EXPECT_NE(Bench.find("serve/latency_p99"), std::string::npos);
   EXPECT_NE(Bench.find("\"model\":\"toy-a+toy-b\""), std::string::npos);
+}
+
+TEST(ServerTest, RepeatedRunsReuseOneWorkerPool) {
+  // Every worker thread that records an engine event registers a
+  // flight-recorder ring for the rest of the process, so one server's
+  // runs must share its Jobs workers rather than start new ones per run.
+  const int Jobs = 4;
+  Server S(twoTenants(), contendedOptions(Jobs));
+  obs::FlightRecorder::instance().clear();
+  for (int I = 0; I < 20; ++I)
+    (void)S.run(burstySpec());
+  std::set<uint32_t> Tids;
+  for (const obs::FlightEvent &E : obs::FlightRecorder::instance().merged())
+    Tids.insert(E.Tid);
+  ASSERT_FALSE(Tids.empty());
+  EXPECT_LE(Tids.size(), static_cast<size_t>(Jobs + 1));
 }
 
 TEST(ServerTest, GpuOnlyPolicyServesEverythingWithoutChannels) {

@@ -9,21 +9,8 @@
 #include <atomic>
 #include <gtest/gtest.h>
 #include <stdexcept>
-#include <string>
 
 using namespace pf;
-
-namespace {
-
-/// splitmix64: a cheap deterministic per-index value for ordering checks.
-uint64_t mix(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-} // namespace
 
 TEST(ThreadPoolTest, CompletesSubmittedTasks) {
   ThreadPool Pool(4);
@@ -49,11 +36,9 @@ TEST(ThreadPoolTest, DefaultSizeUsesHardwareConcurrency) {
 TEST(ThreadPoolTest, SerialPoolRunsInlineOnCaller) {
   ThreadPool Pool(1);
   const std::thread::id Caller = std::this_thread::get_id();
-  std::thread::id SubmitRan, ForRan;
+  std::thread::id SubmitRan;
   Pool.submit([&] { SubmitRan = std::this_thread::get_id(); }).get();
-  Pool.parallelFor(3, [&](size_t) { ForRan = std::this_thread::get_id(); });
   EXPECT_EQ(SubmitRan, Caller);
-  EXPECT_EQ(ForRan, Caller);
 }
 
 TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
@@ -63,46 +48,6 @@ TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
   EXPECT_THROW(Fut.get(), std::runtime_error);
   // The pool survives a failed task.
   EXPECT_EQ(Pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPoolTest, ParallelForRethrowsLowestFailingIndex) {
-  // Every index runs and the lowest failing one wins, so the observed
-  // exception is the same for any worker count.
-  for (unsigned Workers : {1u, 2u, 4u, 8u}) {
-    ThreadPool Pool(Workers);
-    try {
-      Pool.parallelFor(64, [](size_t I) {
-        if (I % 7 == 3)
-          throw std::out_of_range(std::to_string(I));
-      });
-      FAIL() << "expected an exception (workers=" << Workers << ")";
-    } catch (const std::out_of_range &E) {
-      EXPECT_STREQ(E.what(), "3") << "workers=" << Workers;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForRunsEveryIndexDespiteFailures) {
-  ThreadPool Pool(4);
-  std::atomic<int> Ran{0};
-  EXPECT_THROW(Pool.parallelFor(50,
-                                [&](size_t I) {
-                                  Ran.fetch_add(1);
-                                  if (I == 10)
-                                    throw std::runtime_error("one bad index");
-                                }),
-               std::runtime_error);
-  EXPECT_EQ(Ran.load(), 50);
-}
-
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
-  ThreadPool Pool(4);
-  std::atomic<int> Count{0};
-  // A worker re-entering parallelFor must not block on its own queue.
-  Pool.parallelFor(8, [&](size_t) {
-    Pool.parallelFor(8, [&](size_t) { Count.fetch_add(1); });
-  });
-  EXPECT_EQ(Count.load(), 64);
 }
 
 TEST(ThreadPoolTest, NestedSubmitIsSafe) {
@@ -119,24 +64,6 @@ TEST(ThreadPoolTest, NestedSubmitIsSafe) {
   for (std::future<void> &F : Outer.get())
     F.get();
   EXPECT_EQ(Inner.load(), 8);
-}
-
-TEST(ThreadPoolTest, ParallelForResultsAreOrderingIndependent) {
-  constexpr size_t N = 500;
-  std::vector<uint64_t> Expected(N);
-  for (size_t I = 0; I < N; ++I)
-    Expected[I] = mix(I);
-  for (unsigned Workers : {1u, 2u, 3u, 8u}) {
-    ThreadPool Pool(Workers);
-    std::vector<uint64_t> Out(N, 0);
-    Pool.parallelFor(N, [&Out](size_t I) { Out[I] = mix(I); });
-    EXPECT_EQ(Out, Expected) << "workers=" << Workers;
-  }
-}
-
-TEST(ThreadPoolTest, ZeroIterationParallelForIsANoOp) {
-  ThreadPool Pool(2);
-  Pool.parallelFor(0, [](size_t) { FAIL() << "body must not run"; });
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {

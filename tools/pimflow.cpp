@@ -418,6 +418,26 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
     DE.error(DiagCode::BadOption, "-t", "must be split or pipeline");
     Ok = false;
   }
+  // The spec is checked here, once for every verb, so a malformed one
+  // fails before any work runs.
+  if (!O.Flow.FaultSpec.empty()) {
+    if (O.Mode == "compile" || O.Mode == "profile" || O.Mode == "report") {
+      DE.error(DiagCode::BadOption, "--faults",
+               formatStr("%s executes nothing, so there is no run to "
+                         "inject faults into (use run or serve)",
+                         O.Mode.c_str()));
+      Ok = false;
+    } else if (O.Flow.FaultSpec != "chaos" &&
+               !FaultModel::parse(O.Flow.FaultSpec, DE)) {
+      Ok = false;
+    }
+  }
+  if (O.NoRecovery && O.GraphFile.empty()) {
+    DE.error(DiagCode::BadOption, "--no-recovery",
+             "executes a solved graph without the recovery ladder and "
+             "requires --graph=<file>");
+    Ok = false;
+  }
   return Ok;
 }
 
@@ -652,16 +672,11 @@ int runExecuteGraphFile(const CliOptions &O) {
     R.Schedule = Engine.execute(R.Transformed);
   } else {
     DiagnosticEngine DE;
-    FaultModel Faults;
-    if (O.Flow.FaultSpec == "chaos") {
-      Faults = FaultModel::chaos(O.Flow.FaultSeed, Config.Pim.Channels);
-    } else if (auto Parsed = FaultModel::parse(O.Flow.FaultSpec, DE)) {
-      Faults = *std::move(Parsed);
-    } else {
-      std::fprintf(stderr, "error: bad --faults spec:\n%s",
-                   DE.render().c_str());
-      return 2;
-    }
+    // parseArgs has checked the spec.
+    const FaultModel Faults =
+        O.Flow.FaultSpec == "chaos"
+            ? FaultModel::chaos(O.Flow.FaultSeed, Config.Pim.Channels)
+            : *FaultModel::parse(O.Flow.FaultSpec, DE);
     if (O.NoRecovery) {
       // Drive the engine directly against the fault schedule, bypassing
       // the retry -> remap -> floor ladder: any persistent fault reaches
@@ -963,12 +978,8 @@ int runServe(const CliOptions &O) {
           1e3);
       SO.Faults =
           FaultModel::chaosTimeline(O.Flow.FaultSeed, Pool, HorizonNs);
-    } else if (auto Parsed = FaultModel::parse(O.Flow.FaultSpec, DE)) {
-      SO.Faults = *std::move(Parsed);
     } else {
-      std::fprintf(stderr, "error: bad --faults spec:\n%s",
-                   DE.render().c_str());
-      return 2;
+      SO.Faults = *FaultModel::parse(O.Flow.FaultSpec, DE); // Checked.
     }
   }
   serve::Server Srv(std::move(Models), SO);
