@@ -8,8 +8,7 @@
 
 using namespace pf;
 
-DataMovementCost MemoryOptimizer::classify(const Graph &G, NodeId Id) const {
-  const Node &N = G.node(Id);
+DataMovementCost MemoryOptimizer::classify(const NodeView &N) const {
   switch (N.Kind) {
   case OpKind::Flatten:
   case OpKind::Identity:
@@ -21,10 +20,10 @@ DataMovementCost MemoryOptimizer::classify(const Graph &G, NodeId Id) const {
       return DataMovementCost::Copy;
     // Weight/bias slices (from MD-DP output-feature splits) are prepared at
     // compile time when parameters are placed, never copied at runtime.
-    if (G.value(N.Inputs[0]).IsParam)
+    if (N.input(0).IsParam)
       return DataMovementCost::Free;
-    const SliceAttrs &A = std::get<SliceAttrs>(N.Attrs);
-    const TensorShape &X = G.value(N.Inputs[0]).Shape;
+    const SliceAttrs &A = std::get<SliceAttrs>(*N.Attrs);
+    const TensorShape &X = N.input(0).Shape;
     // NHWC batch-1: an H-axis (axis 1) slice of a contiguous tensor is a
     // contiguous sub-range; so is a leading-axis slice of a rank-2 tensor.
     // Other axes interleave and need a gather.
@@ -42,8 +41,8 @@ DataMovementCost MemoryOptimizer::classify(const Graph &G, NodeId Id) const {
   case OpKind::Concat: {
     if (!Enabled)
       return DataMovementCost::Copy;
-    const ConcatAttrs &A = std::get<ConcatAttrs>(N.Attrs);
-    const TensorShape &Out = G.value(N.Outputs[0]).Shape;
+    const ConcatAttrs &A = std::get<ConcatAttrs>(*N.Attrs);
+    const TensorShape &Out = N.output().Shape;
     if (Out.rank() == 4 && Out.dim(0) == 1 && A.Axis == 1)
       return DataMovementCost::Free;
     if (Out.rank() == 2 && A.Axis == 0)
@@ -62,13 +61,20 @@ DataMovementCost MemoryOptimizer::classify(const Graph &G, NodeId Id) const {
   }
 }
 
-int64_t MemoryOptimizer::copyBytes(const Graph &G, NodeId Id) const {
-  if (classify(G, Id) != DataMovementCost::Copy)
+DataMovementCost MemoryOptimizer::classify(const Graph &G, NodeId Id) const {
+  return classify(GraphNodeView(G, Id));
+}
+
+int64_t MemoryOptimizer::copyBytes(const NodeView &N) const {
+  if (classify(N) != DataMovementCost::Copy)
     return 0;
-  const Node &N = G.node(Id);
   // A copy reads every input once and writes the output once.
-  int64_t Bytes = G.value(N.Outputs[0]).byteCount();
-  for (ValueId In : N.Inputs)
-    Bytes += G.value(In).byteCount();
+  int64_t Bytes = N.output().byteCount();
+  for (const Value *In : N.Inputs)
+    Bytes += In->byteCount();
   return Bytes;
+}
+
+int64_t MemoryOptimizer::copyBytes(const Graph &G, NodeId Id) const {
+  return copyBytes(GraphNodeView(G, Id));
 }

@@ -46,8 +46,15 @@ public:
 
   bool enabled() const { return Enabled; }
 
+  /// Classifies node \p N from its first input and its output: the
+  /// shape-level form.
+  DataMovementCost classify(const NodeView &N) const;
+
   /// Classifies node \p Id of \p G.
   DataMovementCost classify(const Graph &G, NodeId Id) const;
+
+  /// Bytes actually copied when executing node \p N (zero when free).
+  int64_t copyBytes(const NodeView &N) const;
 
   /// Bytes actually copied when executing node \p Id (zero when free).
   int64_t copyBytes(const Graph &G, NodeId Id) const;

@@ -8,14 +8,12 @@
 
 using namespace pf;
 
-PimKernelSpec pf::lowerToPimSpec(const Graph &G, NodeId Id) {
-  const Node &N = G.node(Id);
-  PF_ASSERT(isPimCandidate(N), "lowering a non-PIM-candidate node");
+PimKernelSpec pf::lowerToPimSpec(const NodeView &N) {
   PimKernelSpec Spec;
+  const TensorShape &X = N.input(0).Shape;
 
   if (N.Kind == OpKind::Gemm) {
-    const TensorShape &X = G.value(N.Inputs[0]).Shape;
-    const TensorShape &W = G.value(N.Inputs[1]).Shape;
+    const TensorShape &W = N.input(1).Shape;
     Spec.M = W.dim(1);
     Spec.K = W.dim(0);
     Spec.NumVectors = X.dim(0);
@@ -24,8 +22,7 @@ PimKernelSpec pf::lowerToPimSpec(const Graph &G, NodeId Id) {
   }
 
   const Conv2dAttrs &A = N.conv();
-  const TensorShape &X = G.value(N.Inputs[0]).Shape;
-  const TensorShape &O = G.value(N.Outputs[0]).Shape;
+  const TensorShape &O = N.output().Shape;
   Spec.M = O.dim(3);
   Spec.K = A.KernelH * A.KernelW * X.dim(3);
   Spec.NumVectors = O.dim(0) * O.dim(1) * O.dim(2);
@@ -33,4 +30,9 @@ PimKernelSpec pf::lowerToPimSpec(const Graph &G, NodeId Id) {
   // KH such segments.
   Spec.GwriteSegments = A.KernelH;
   return Spec;
+}
+
+PimKernelSpec pf::lowerToPimSpec(const Graph &G, NodeId Id) {
+  PF_ASSERT(isPimCandidate(G.node(Id)), "lowering a non-PIM-candidate node");
+  return lowerToPimSpec(GraphNodeView(G, Id));
 }

@@ -49,6 +49,10 @@ struct PimKernelSpec {
   auto operator<=>(const PimKernelSpec &) const = default;
 };
 
+/// Lowers node \p N to a PimKernelSpec from its input, weight and output
+/// shapes: the shape-level form. \p N must be a Gemm or a Conv2d.
+PimKernelSpec lowerToPimSpec(const NodeView &N);
+
 /// Lowers node \p Id to a PimKernelSpec. The node must be a PIM candidate
 /// (Gemm, or Conv2d with Groups == 1) with inferred shapes.
 PimKernelSpec lowerToPimSpec(const Graph &G, NodeId Id);

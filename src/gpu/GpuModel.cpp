@@ -55,17 +55,20 @@ GpuKernelTime GpuModel::kernelTime(const NodeMetrics &M, bool IsMacKernel,
   return T;
 }
 
-GpuKernelTime GpuModel::nodeTime(const Graph &G, NodeId Id) const {
-  const Node &N = G.node(Id);
+GpuKernelTime GpuModel::nodeTime(const NodeView &N) const {
   if (N.Kind == OpKind::Input || N.Kind == OpKind::Identity ||
       N.Kind == OpKind::Flatten)
     return GpuKernelTime{}; // Metadata-only; free at inference time.
 
-  const NodeMetrics M = computeMetrics(G, Id);
+  const NodeMetrics M = computeMetrics(N);
   const bool IsMacKernel =
       N.Kind == OpKind::Conv2d || N.Kind == OpKind::Gemm;
-  const bool F16 = G.value(N.Outputs[0]).Type == DataType::F16;
+  const bool F16 = N.output().Type == DataType::F16;
   return kernelTime(M, IsMacKernel, F16, /*SplitKCapable=*/N.Kind == OpKind::Gemm);
+}
+
+GpuKernelTime GpuModel::nodeTime(const Graph &G, NodeId Id) const {
+  return nodeTime(GraphNodeView(G, Id));
 }
 
 double GpuModel::kernelEnergyJ(const GpuKernelTime &T) const {

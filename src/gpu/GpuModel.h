@@ -40,6 +40,10 @@ public:
 
   const GpuConfig &config() const { return Config; }
 
+  /// Latency of executing node \p N as one GPU kernel: the shape-level
+  /// form.
+  GpuKernelTime nodeTime(const NodeView &N) const;
+
   /// Latency of executing node \p Id of \p G as one GPU kernel.
   GpuKernelTime nodeTime(const Graph &G, NodeId Id) const;
 

@@ -104,6 +104,22 @@ bool pf::isPimCandidate(const Node &N) {
   return N.Kind == OpKind::Conv2d && !isDepthwiseConv(N);
 }
 
+GraphNodeView::GraphNodeView(const Graph &G, NodeId Id) {
+  const Node &N = G.node(Id);
+  const size_t NumIn = N.Inputs.size();
+  const Value **Ops = Inline.data();
+  if (NumIn + N.Outputs.size() > Inline.size()) {
+    Spill.resize(NumIn + N.Outputs.size());
+    Ops = Spill.data();
+  }
+  for (size_t I = 0; I < NumIn; ++I)
+    Ops[I] = &G.value(N.Inputs[I]);
+  for (size_t I = 0; I < N.Outputs.size(); ++I)
+    Ops[NumIn + I] = &G.value(N.Outputs[I]);
+  View = NodeView{N.Kind, &N.Attrs, {Ops, NumIn},
+                  {Ops + NumIn, N.Outputs.size()}};
+}
+
 ValueId Graph::addValue(const std::string &Name, TensorShape Shape,
                         DataType Type) {
   Value V;

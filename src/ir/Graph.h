@@ -16,8 +16,10 @@
 #ifndef PIMFLOW_IR_GRAPH_H
 #define PIMFLOW_IR_GRAPH_H
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -77,6 +79,29 @@ struct Node {
     PF_ASSERT(Kind == OpKind::Gemm, "not a gemm node");
     return std::get<GemmAttrs>(Attrs);
   }
+};
+
+/// A node as the cost forms read it (ir/Metrics, gpu/GpuModel,
+/// codegen/PimKernelSpec, codegen/MemoryOptimizer and the execution
+/// engine's per-node durations): its kind, attributes and operand values,
+/// with no graph around it. The profiler prices nodes it never builds
+/// through these shape-level forms; each form's Graph overload describes a
+/// graph node with GraphNodeView and calls it.
+struct NodeView {
+  OpKind Kind = OpKind::Identity;
+  const OpAttrs *Attrs = nullptr;
+  std::span<const Value *const> Inputs;
+  std::span<const Value *const> Outputs;
+
+  const Value &input(size_t I) const {
+    PF_ASSERT(I < Inputs.size(), "node view input out of range");
+    return *Inputs[I];
+  }
+  const Value &output() const {
+    PF_ASSERT(!Outputs.empty(), "node view has no output");
+    return *Outputs[0];
+  }
+  const Conv2dAttrs &conv() const { return std::get<Conv2dAttrs>(*Attrs); }
 };
 
 /// Returns true if \p N is a PIM-offload candidate per the paper's rule:
@@ -206,6 +231,23 @@ private:
   std::vector<std::vector<NodeId>> ConsumersOf;
   size_t LiveNodes = 0;
   std::unordered_map<ValueId, Tensor> ExplicitParamData;
+};
+
+/// The NodeView of node \p Id of \p G. It holds the operand pointers the
+/// view spans, inline for up to six operands (every node but a wide
+/// concat), so it must outlive every use of the view.
+class GraphNodeView {
+public:
+  GraphNodeView(const Graph &G, NodeId Id);
+  GraphNodeView(const GraphNodeView &) = delete;
+  GraphNodeView &operator=(const GraphNodeView &) = delete;
+
+  operator const NodeView &() const { return View; }
+
+private:
+  std::array<const Value *, 6> Inline{};
+  std::vector<const Value *> Spill;
+  NodeView View;
 };
 
 } // namespace pf

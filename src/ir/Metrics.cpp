@@ -8,44 +8,41 @@
 
 using namespace pf;
 
-NodeMetrics pf::computeMetrics(const Graph &G, NodeId Id) {
-  const Node &N = G.node(Id);
+NodeMetrics pf::computeMetrics(const NodeView &N) {
   NodeMetrics M;
 
   int64_t InElems = 0;
-  for (ValueId In : N.Inputs) {
-    const Value &V = G.value(In);
-    M.BytesIn += V.byteCount();
-    InElems += V.Shape.numElements();
-    if (V.IsParam)
-      M.WeightBytes += V.byteCount();
+  for (const Value *V : N.Inputs) {
+    M.BytesIn += V->byteCount();
+    InElems += V->Shape.numElements();
+    if (V->IsParam)
+      M.WeightBytes += V->byteCount();
   }
   int64_t OutElems = 0;
-  for (ValueId Out : N.Outputs) {
-    const Value &V = G.value(Out);
-    M.BytesOut += V.byteCount();
-    OutElems += V.Shape.numElements();
+  for (const Value *V : N.Outputs) {
+    M.BytesOut += V->byteCount();
+    OutElems += V->Shape.numElements();
   }
   M.LdStElements = InElems + OutElems;
 
   switch (N.Kind) {
   case OpKind::Conv2d: {
     const Conv2dAttrs &A = N.conv();
-    const TensorShape &X = G.value(N.Inputs[0]).Shape;
-    const TensorShape &O = G.value(N.Outputs[0]).Shape;
+    const TensorShape &X = N.input(0).Shape;
+    const TensorShape &O = N.output().Shape;
     const int64_t CinPerGroup = X.dim(3) / A.Groups;
     M.Macs = O.numElements() * A.KernelH * A.KernelW * CinPerGroup;
     break;
   }
   case OpKind::Gemm: {
-    const TensorShape &X = G.value(N.Inputs[0]).Shape;
-    const TensorShape &W = G.value(N.Inputs[1]).Shape;
+    const TensorShape &X = N.input(0).Shape;
+    const TensorShape &W = N.input(1).Shape;
     M.Macs = X.dim(0) * X.dim(1) * W.dim(1);
     break;
   }
   case OpKind::MatMul: {
-    const TensorShape &X = G.value(N.Inputs[0]).Shape;
-    const TensorShape &O = G.value(N.Outputs[0]).Shape;
+    const TensorShape &X = N.input(0).Shape;
+    const TensorShape &O = N.output().Shape;
     M.Macs = X.dim(0) * X.dim(1) * O.dim(1);
     break;
   }
@@ -72,12 +69,12 @@ NodeMetrics pf::computeMetrics(const Graph &G, NodeId Id) {
     break;
   case OpKind::MaxPool:
   case OpKind::AvgPool: {
-    const PoolAttrs &A = std::get<PoolAttrs>(N.Attrs);
+    const PoolAttrs &A = std::get<PoolAttrs>(*N.Attrs);
     M.OtherOps = OutElems * A.KernelH * A.KernelW;
     break;
   }
   case OpKind::GlobalAvgPool: {
-    const TensorShape &X = G.value(N.Inputs[0]).Shape;
+    const TensorShape &X = N.input(0).Shape;
     M.OtherOps = X.numElements();
     break;
   }
@@ -90,6 +87,10 @@ NodeMetrics pf::computeMetrics(const Graph &G, NodeId Id) {
     break;
   }
   return M;
+}
+
+NodeMetrics pf::computeMetrics(const Graph &G, NodeId Id) {
+  return computeMetrics(GraphNodeView(G, Id));
 }
 
 NodeMetrics pf::computeGraphMetrics(const Graph &G) {

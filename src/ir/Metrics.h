@@ -48,6 +48,10 @@ struct NodeMetrics {
   int64_t flops() const { return 2 * Macs + OtherOps; }
 };
 
+/// Computes the metrics of node \p N from its operands' shapes, types and
+/// parameter flags: the shape-level form.
+NodeMetrics computeMetrics(const NodeView &N);
+
 /// Computes the metrics of node \p Id. Shapes must be inferred.
 NodeMetrics computeMetrics(const Graph &G, NodeId Id);
 

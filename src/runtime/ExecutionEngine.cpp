@@ -7,6 +7,7 @@
 #include "runtime/ExecutionEngine.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "codegen/PimKernelSpec.h"
@@ -116,32 +117,173 @@ void recordCommandMix(obs::Registry &R,
     }
 }
 
-} // namespace
+/// What the list scheduler knows of one node, by topological index.
+struct SchedNode {
+  Device Dev = Device::Gpu;
+  double Duration = 0.0;
+  int Pending = 0;      ///< Unscheduled producer nodes.
+  double ReadyNs = 0.0; ///< Max over scheduled deps (incl. handoffs).
+  double EnergyJ = 0.0; ///< What the timeline records; not scheduled on.
+};
 
-double ExecutionEngine::nodeLatencyNs(const Graph &G, NodeId Id) const {
-  const DataMovementCost DM = MemOpt.classify(G, Id);
-  if (DM == DataMovementCost::Free)
-    return 0.0;
-  if (DM == DataMovementCost::Copy) {
-    const double Bytes = static_cast<double>(MemOpt.copyBytes(G, Id));
-    return Bytes / Config.Gpu.memBandwidth() * 1e9 +
-           Config.Gpu.LightKernelLaunchNs;
+/// The engine's list scheduler over \p Nodes, indexed by topological index
+/// with their devices, durations and pending producer counts set. Nodes
+/// are dispatched to their device queues greedily by earliest start time,
+/// so independent GPU and PIM work (MD-DP halves, pipeline stages) overlaps
+/// as the hardware would run it rather than serializing in topological
+/// order. \p ForEachConsumer(I, Visit) calls Visit(J) with the topological
+/// index J of each consumer of node I, once per output it reads;
+/// \p Place(I, Start, End) records each placement, in schedule order.
+/// Returns how many nodes were left when none was ready: 0 once all are
+/// placed.
+template <typename ConsumersFn, typename PlaceFn>
+size_t listSchedule(std::vector<SchedNode> &Nodes, double SyncNs,
+                    int64_t &Handoffs, ConsumersFn &&ForEachConsumer,
+                    PlaceFn &&Place) {
+  // Topological indices of the nodes whose producers have all been
+  // scheduled, in increasing order.
+  std::vector<size_t> Ready;
+  for (size_t I = 0; I < Nodes.size(); ++I)
+    if (Nodes[I].Pending == 0)
+      Ready.push_back(I);
+
+  double GpuFree = 0.0, PimFree = 0.0;
+  for (size_t Remaining = Nodes.size(); Remaining > 0; --Remaining) {
+    if (Ready.empty())
+      return Remaining;
+    // Pick the ready node with the earliest achievable start; ties go to
+    // the lowest topological index for determinism.
+    size_t BestPos = 0;
+    double BestStart = 0.0;
+    for (size_t P = 0; P < Ready.size(); ++P) {
+      const SchedNode &NI = Nodes[Ready[P]];
+      const double Free = NI.Dev == Device::Pim ? PimFree : GpuFree;
+      const double Start = std::max(Free, NI.ReadyNs);
+      if (P == 0 || Start < BestStart)
+        BestPos = P, BestStart = Start;
+    }
+    const size_t Best = Ready[BestPos];
+    Ready.erase(Ready.begin() + static_cast<std::ptrdiff_t>(BestPos));
+
+    const SchedNode &NI = Nodes[Best];
+    const double End = BestStart + NI.Duration;
+    // Zero-duration nodes (fused elementwise, free data movement) do not
+    // occupy the device.
+    if (NI.Duration > 0.0)
+      (NI.Dev == Device::Pim ? PimFree : GpuFree) = End;
+    Place(Best, BestStart, End);
+
+    // Release consumers. Cross-device handoffs cost a synchronization
+    // only: GPU and PIM channels share one physical memory, so a PIM
+    // kernel's input fetch is modeled by its GWRITE commands and a PIM
+    // result is read in place by the consumer through the channel
+    // interconnect.
+    ForEachConsumer(Best, [&](size_t C) {
+      SchedNode &CI = Nodes[C];
+      double Avail = End;
+      if (CI.Dev != NI.Dev) {
+        Avail += SyncNs;
+        ++Handoffs;
+      }
+      CI.ReadyNs = std::max(CI.ReadyNs, Avail);
+      if (--CI.Pending == 0)
+        Ready.insert(std::lower_bound(Ready.begin(), Ready.end(), C), C);
+    });
   }
-  return Gpu.nodeTime(G, Id).Ns;
+  return 0;
 }
 
-double ExecutionEngine::nodeEnergyJ(const Graph &G, NodeId Id) const {
-  const DataMovementCost DM = MemOpt.classify(G, Id);
-  if (DM == DataMovementCost::Free)
-    return 0.0;
-  if (DM == DataMovementCost::Copy) {
+} // namespace
+
+double ExecutionEngine::gpuDurationNs(const NodeView &N) const {
+  return isFusableEpilogue(N.Kind) ? 0.0 : gpuCost(N).Ns;
+}
+
+ExecutionEngine::GpuCost
+ExecutionEngine::gpuCost(const NodeView &N) const {
+  switch (MemOpt.classify(N)) {
+  case DataMovementCost::Free:
+    return {};
+  case DataMovementCost::Copy: {
     // A copy is a pure-bandwidth kernel.
+    const double Bytes = static_cast<double>(MemOpt.copyBytes(N));
     GpuKernelTime T;
-    T.Ns = nodeLatencyNs(G, Id);
+    T.Ns = Bytes / Config.Gpu.memBandwidth() * 1e9 +
+           Config.Gpu.LightKernelLaunchNs;
     T.Utilization = 0.3;
-    return Gpu.kernelEnergyJ(T);
+    return {T.Ns, Gpu.kernelEnergyJ(T)};
   }
-  return Gpu.kernelEnergyJ(Gpu.nodeTime(G, Id));
+  case DataMovementCost::NotDataMovement:
+    break;
+  }
+  const GpuKernelTime T = Gpu.nodeTime(N);
+  return {T.Ns, Gpu.kernelEnergyJ(T)};
+}
+
+double ExecutionEngine::nodeLatencyNs(const Graph &G, NodeId Id) const {
+  return gpuCost(GraphNodeView(G, Id)).Ns;
+}
+
+double ExecutionEngine::contentionSlowdown(double FetchCycles,
+                                           double MakespanNs) const {
+  const double FetchNs =
+      Config.Pim.cyclesToNs(static_cast<int64_t>(FetchCycles));
+  const double Fraction = std::min(1.0, FetchNs / MakespanNs);
+  return 1.0 + Config.ContentionFactor * Fraction;
+}
+
+double ExecutionEngine::makespanNs(std::span<const ScheduleTask> Tasks) const {
+  const size_t NumTasks = Tasks.size();
+  PF_ASSERT(NumTasks <= 32, "a task list holds at most 32 tasks");
+  // Kahn's order as Graph::tryTopoOrder builds it: a FIFO seeded in
+  // node-id order, each node's consumers appended in node-id order.
+  std::vector<size_t> Order, TopoIdx(NumTasks);
+  std::vector<int> Pending(NumTasks);
+  for (size_t J = 0; J < NumTasks; ++J) {
+    Pending[J] = std::popcount(Tasks[J].Inputs);
+    if (Pending[J] == 0)
+      Order.push_back(J);
+  }
+  for (size_t Head = 0; Head < Order.size(); ++Head)
+    for (size_t J = 0; J < NumTasks; ++J)
+      if ((Tasks[J].Inputs >> Order[Head] & 1u) && --Pending[J] == 0)
+        Order.push_back(J);
+  PF_ASSERT(Order.size() == NumTasks, "task list has a dependency cycle");
+  for (size_t I = 0; I < NumTasks; ++I)
+    TopoIdx[Order[I]] = I;
+
+  auto Pass = [&](double GpuScale) {
+    std::vector<SchedNode> Nodes(NumTasks);
+    for (size_t I = 0; I < NumTasks; ++I) {
+      const ScheduleTask &T = Tasks[Order[I]];
+      Nodes[I].Dev = T.Dev;
+      Nodes[I].Duration = T.Dev == Device::Pim ? T.Ns : T.Ns * GpuScale;
+      Nodes[I].Pending = std::popcount(T.Inputs);
+    }
+    double Total = 0.0;
+    int64_t Handoffs = 0;
+    const size_t Left = listSchedule(
+        Nodes, Config.SyncOverheadNs, Handoffs,
+        [&](size_t I, auto &&Visit) {
+          for (size_t J = 0; J < NumTasks; ++J)
+            if (Tasks[J].Inputs >> Order[I] & 1u)
+              Visit(TopoIdx[J]);
+        },
+        [&](size_t, double, double End) { Total = std::max(Total, End); });
+    PF_ASSERT(Left == 0, "acyclic task list left unscheduled");
+    return Total;
+  };
+
+  double Total = Pass(1.0);
+  if (Config.ModelContention && Config.hasPim() && Total > 0.0) {
+    double FetchCycles = 0.0;
+    for (const ScheduleTask &T : Tasks)
+      if (T.Dev == Device::Pim)
+        FetchCycles += static_cast<double>(T.GwriteBursts) *
+                       static_cast<double>(Config.Pim.TCcdl);
+    Total = Pass(contentionSlowdown(FetchCycles, Total));
+  }
+  return Total;
 }
 
 Timeline ExecutionEngine::execute(const Graph &G) const {
@@ -189,19 +331,19 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     return std::nullopt;
   }
 
-  // Each node's topological index and count of distinct produced inputs;
-  // each value's live consumers are the graph's own def-use lists.
+  // Each node's topological index, and by that index its count of distinct
+  // produced inputs; each value's live consumers are the graph's own
+  // def-use lists.
   const size_t NumNodes = G.numNodesIncludingDead();
   std::vector<size_t> TopoIdx(NumNodes, 0);
-  std::vector<int> ProducedInputs(NumNodes, 0);
+  std::vector<int> ProducedInputs(Order.size(), 0);
   for (size_t I = 0; I < Order.size(); ++I) {
-    const NodeId Id = Order[I];
-    const std::vector<ValueId> &Inputs = G.node(Id).Inputs;
-    TopoIdx[static_cast<size_t>(Id)] = I;
+    const std::vector<ValueId> &Inputs = G.node(Order[I]).Inputs;
+    TopoIdx[static_cast<size_t>(Order[I])] = I;
     for (auto In = Inputs.begin(); In != Inputs.end(); ++In)
       if (G.producer(*In) != InvalidNode &&
           std::find(Inputs.begin(), In, *In) == In)
-        ++ProducedInputs[static_cast<size_t>(Id)];
+        ++ProducedInputs[I];
   }
 
   PimPlanCache Cache;
@@ -211,32 +353,19 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
   int64_t Handoffs = 0;
 
   // One scheduling pass; \p GpuScale inflates GPU kernel durations (used by
-  // the contention model's second pass). Nodes are dispatched to their
-  // device queues greedily by earliest start time, so independent GPU and
-  // PIM work (MD-DP halves, pipeline stages) overlaps as the hardware
-  // would run it rather than serializing in topological order.
+  // the contention model's second pass).
   auto SchedulePass = [&](double GpuScale) -> std::optional<Timeline> {
     Timeline TL;
     TL.Nodes.reserve(Order.size());
     Handoffs = 0;
 
-    // Per-node properties, by NodeId (device annotations fix the producing
-    // device of every value up front).
-    struct NodeInfo {
-      Device Dev = Device::Gpu;
-      double Duration = 0.0;
-      double EnergyJ = 0.0;
-      int Pending = 0;      ///< Unscheduled producer nodes.
-      double ReadyNs = 0.0; ///< Max over scheduled deps (incl. handoffs).
-    };
-    std::vector<NodeInfo> Info(NumNodes);
-    // Topological indices of the nodes whose producers have all been
-    // scheduled, in increasing order.
-    std::vector<size_t> Ready;
-
-    for (const NodeId Id : Order) {
+    // Per-node properties, by topological index (device annotations fix
+    // the producing device of every value up front).
+    std::vector<SchedNode> Info(Order.size());
+    for (size_t I = 0; I < Order.size(); ++I) {
+      const NodeId Id = Order[I];
       const Node &N = G.node(Id);
-      NodeInfo &NI = Info[static_cast<size_t>(Id)];
+      SchedNode &NI = Info[I];
       NI.Dev = N.Dev == Device::Pim ? Device::Pim : Device::Gpu;
       if (NI.Dev == Device::Pim) {
         if (!Config.hasPim()) {
@@ -272,77 +401,36 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
         NI.Duration = 0.0;
         NI.EnergyJ = 0.0;
       } else {
-        NI.Duration = nodeLatencyNs(G, Id) * GpuScale;
-        NI.EnergyJ = nodeEnergyJ(G, Id);
+        const GpuCost C = gpuCost(GraphNodeView(G, Id));
+        NI.Duration = C.Ns * GpuScale;
+        NI.EnergyJ = C.EnergyJ;
       }
-      NI.Pending = ProducedInputs[static_cast<size_t>(Id)];
-      if (NI.Pending == 0)
-        Ready.push_back(TopoIdx[static_cast<size_t>(Id)]);
+      NI.Pending = ProducedInputs[I];
     }
 
-    double GpuFree = 0.0, PimFree = 0.0;
-    for (size_t Remaining = Order.size(); Remaining > 0; --Remaining) {
-      if (Ready.empty()) {
-        // Unreachable for acyclic graphs (checked above), but a diagnostic
-        // beats an infinite loop if the invariant ever breaks.
-        DE.error(DiagCode::ExecUnschedulable, G.name(),
-                 formatStr("scheduler deadlock with %zu node(s) unscheduled",
-                           Remaining));
-        FailExec("exec.unschedulable: scheduler deadlock");
-        return std::nullopt;
-      }
-      // Pick the ready node with the earliest achievable start; ties go to
-      // the lowest topological index for determinism.
-      size_t BestPos = 0;
-      double BestStart = 0.0;
-      for (size_t P = 0; P < Ready.size(); ++P) {
-        const NodeInfo &NI = Info[static_cast<size_t>(Order[Ready[P]])];
-        const double Free = NI.Dev == Device::Pim ? PimFree : GpuFree;
-        const double Start = std::max(Free, NI.ReadyNs);
-        if (P == 0 || Start < BestStart)
-          BestPos = P, BestStart = Start;
-      }
-      const NodeId BestId = Order[Ready[BestPos]];
-      Ready.erase(Ready.begin() + static_cast<std::ptrdiff_t>(BestPos));
-
-      const NodeInfo &NI = Info[static_cast<size_t>(BestId)];
-      const double End = BestStart + NI.Duration;
-      // Zero-duration nodes (fused elementwise, free data movement) do not
-      // occupy the device.
-      if (NI.Duration > 0.0) {
-        if (NI.Dev == Device::Pim) {
-          PimFree = End;
-          TL.PimBusyNs += NI.Duration;
-        } else {
-          GpuFree = End;
-          TL.GpuBusyNs += NI.Duration;
-        }
-      }
-      TL.Nodes.push_back(NodeSchedule{BestId, NI.Dev, BestStart, End,
-                                      NI.EnergyJ});
-      TL.TotalNs = std::max(TL.TotalNs, End);
-
-      // Release consumers. Cross-device handoffs cost a synchronization
-      // only: GPU and PIM channels share one physical memory, so a PIM
-      // kernel's input fetch is modeled by its GWRITE commands and a PIM
-      // result is read in place by the consumer through the channel
-      // interconnect.
-      for (ValueId Out : G.node(BestId).Outputs) {
-        for (NodeId Consumer : G.consumers(Out)) {
-          NodeInfo &CI = Info[static_cast<size_t>(Consumer)];
-          double Avail = End;
-          if (CI.Dev != NI.Dev) {
-            Avail += Config.SyncOverheadNs;
-            ++Handoffs;
-          }
-          CI.ReadyNs = std::max(CI.ReadyNs, Avail);
-          if (--CI.Pending == 0) {
-            const size_t Idx = TopoIdx[static_cast<size_t>(Consumer)];
-            Ready.insert(std::lower_bound(Ready.begin(), Ready.end(), Idx),
-                         Idx);
-          }
-        }
-      }
+    const size_t Left = listSchedule(
+        Info, Config.SyncOverheadNs, Handoffs,
+        [&](size_t I, auto &&Visit) {
+          for (ValueId Out : G.node(Order[I]).Outputs)
+            for (NodeId Consumer : G.consumers(Out))
+              Visit(TopoIdx[static_cast<size_t>(Consumer)]);
+        },
+        [&](size_t I, double Start, double End) {
+          const SchedNode &NI = Info[I];
+          (NI.Dev == Device::Pim ? TL.PimBusyNs : TL.GpuBusyNs) +=
+              NI.Duration;
+          TL.Nodes.push_back(
+              NodeSchedule{Order[I], NI.Dev, Start, End, NI.EnergyJ});
+          TL.TotalNs = std::max(TL.TotalNs, End);
+        });
+    if (Left > 0) {
+      // Unreachable for acyclic graphs (checked above), but a diagnostic
+      // beats an infinite loop if the invariant ever breaks.
+      DE.error(DiagCode::ExecUnschedulable, G.name(),
+               formatStr("scheduler deadlock with %zu node(s) unscheduled",
+                         Left));
+      FailExec("exec.unschedulable: scheduler deadlock");
+      return std::nullopt;
     }
     return TL;
   };
@@ -360,10 +448,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
       if (Plan)
         FetchCycles += static_cast<double>(Plan->Stats.GwriteBursts) *
                        static_cast<double>(Config.Pim.TCcdl);
-    const double FetchNs = Config.Pim.cyclesToNs(
-        static_cast<int64_t>(FetchCycles));
-    const double Fraction = std::min(1.0, FetchNs / TL.TotalNs);
-    const double Slowdown = 1.0 + Config.ContentionFactor * Fraction;
+    const double Slowdown = contentionSlowdown(FetchCycles, TL.TotalNs);
     obs::addCounter("engine.contention_reschedules");
     // The first pass succeeded, so the rescaled pass cannot fail: scaling
     // GPU durations changes no schedulability property.

@@ -22,6 +22,7 @@
 #define PIMFLOW_RUNTIME_EXECUTIONENGINE_H
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "codegen/CommandGenerator.h"
@@ -70,6 +71,18 @@ struct Timeline {
   const NodeSchedule &scheduleOf(NodeId Id) const;
 };
 
+/// A node of a dataflow the engine schedules without a graph: what
+/// tryExecute knows of a live node once it has priced it.
+struct ScheduleTask {
+  Device Dev = Device::Gpu;
+  /// The node's duration; a GPU node's before contention scales it.
+  double Ns = 0.0;
+  /// GWRITE bursts of a PIM node's kernel plan (what contention prices).
+  int64_t GwriteBursts = 0;
+  /// Bit J is set when the node reads task J's output.
+  uint32_t Inputs = 0;
+};
+
 /// Dependency-driven two-resource scheduler over the timing models.
 class ExecutionEngine {
 public:
@@ -95,13 +108,32 @@ public:
                                      const FaultModel *Faults = nullptr,
                                      const RetryPolicy *Retry = nullptr) const;
 
+  /// The makespan tryExecute reports for a fault-free run of a graph whose
+  /// live nodes, in node-id order, are \p Tasks (at most 32): the same
+  /// topological order, list scheduler, handoff syncs and contention
+  /// re-pass, with no graph, plan or timeline built.
+  double makespanNs(std::span<const ScheduleTask> Tasks) const;
+
+  /// What a run charges node \p N on the GPU: nothing for an elementwise
+  /// node fused into its producer's epilogue, else its latency.
+  double gpuDurationNs(const NodeView &N) const;
+
   /// Latency of one node on the GPU in isolation (no transfers).
   double nodeLatencyNs(const Graph &G, NodeId Id) const;
 
-  /// Energy of one node on the GPU in isolation.
-  double nodeEnergyJ(const Graph &G, NodeId Id) const;
-
 private:
+  /// Latency and energy of one node on the GPU in isolation.
+  struct GpuCost {
+    double Ns = 0.0;
+    double EnergyJ = 0.0;
+  };
+  GpuCost gpuCost(const NodeView &N) const;
+
+  /// The contention model's GPU slowdown: PIM fetches of \p FetchCycles
+  /// occupy the shared memory controller for that share of a first pass
+  /// of \p MakespanNs.
+  double contentionSlowdown(double FetchCycles, double MakespanNs) const;
+
   SystemConfig Config;
   GpuModel Gpu;
   MemoryOptimizer MemOpt;

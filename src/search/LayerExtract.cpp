@@ -12,6 +12,28 @@
 
 using namespace pf;
 
+std::vector<NodeId> pf::sampleChain(const Graph &G, NodeId Id) {
+  const ValueId Out = G.node(Id).Outputs[0];
+  const std::vector<NodeId> &Users = G.consumers(Out);
+  if (Users.size() != 1)
+    return {Id};
+  const Node &U = G.node(Users[0]);
+  switch (U.Kind) {
+  case OpKind::Relu:
+  case OpKind::Relu6:
+  case OpKind::Sigmoid:
+  case OpKind::SiLU:
+  case OpKind::Tanh:
+  case OpKind::Gelu:
+    if (U.Inputs[0] == Out)
+      return {Id, U.Id};
+    break;
+  default:
+    break;
+  }
+  return {Id};
+}
+
 ExtractedGraph pf::extractChain(const Graph &Src,
                                 const std::vector<NodeId> &Chain) {
   PF_ASSERT(!Chain.empty(), "extracting an empty chain");

@@ -6,9 +6,12 @@
 ///
 /// \file
 /// Extracts single layers and linear chains into standalone micrographs for
-/// hardware-measurement-based profiling (Section 4.2.2): the search engine
-/// transforms and times these in isolation, exactly as the artifact's
-/// profiling step runs each candidate through the simulators.
+/// hardware-measurement-based profiling (Section 4.2.2), as the artifact's
+/// profiling step runs each candidate through the simulators in isolation.
+/// A micrograph defines what a profile sample is worth: the profiler times
+/// pipelined chains on theirs, and prices GPU, PIM and MD-DP samples from
+/// node specs to the value their micrographs would give (search/Profiler.h;
+/// a PIMFLOW_CHECKED build compares the two on every sample).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +29,12 @@ struct ExtractedGraph {
   Graph G{"micro"};
   std::vector<NodeId> Nodes;
 };
+
+/// The chain a GPU, PIM or MD-DP sample of node \p Id profiles: the node
+/// plus its trailing activation, when the node's only consumer is one. The
+/// activation is part of each sample's memo key and profile-log row; the
+/// engine fuses it on either device, so it adds no time.
+std::vector<NodeId> sampleChain(const Graph &G, NodeId Id);
 
 /// Clones node \p Id of \p Src into a fresh graph whose inputs are the
 /// node's non-parameter inputs; parameters are recreated with identical

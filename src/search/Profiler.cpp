@@ -7,11 +7,14 @@
 #include "search/Profiler.h"
 
 #include <algorithm>
+#include <bit>
 
+#include "codegen/PimKernelSpec.h"
 #include "obs/Counters.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
+#include "obs/Scope.h"
 #include "obs/Trace.h"
 #include "search/LayerExtract.h"
 #include "support/Format.h"
@@ -23,36 +26,36 @@ using namespace pf;
 
 namespace {
 
-/// The candidate layer plus its trailing elementwise epilogue (if any):
-/// when the layer stays on the GPU the epilogue fuses for free, but an
-/// offloaded layer turns it into a standalone GPU kernel. Profiling the
-/// pair makes the samples price that asymmetry.
-std::vector<NodeId> withEpilogue(const Graph &G, NodeId Id) {
-  const ValueId Out = G.node(Id).Outputs[0];
-  const std::vector<NodeId> &Users = G.consumers(Out);
-  if (Users.size() != 1)
-    return {Id};
-  const Node &U = G.node(Users[0]);
-  switch (U.Kind) {
-  case OpKind::Relu:
-  case OpKind::Relu6:
-  case OpKind::Sigmoid:
-  case OpKind::SiLU:
-  case OpKind::Tanh:
-  case OpKind::Gelu:
-    if (U.Inputs[0] == Out)
-      return {Id, U.Id};
-    break;
-  default:
-    break;
+#ifdef PIMFLOW_CHECKED
+constexpr bool CrossCheckPrices = true;
+#else
+constexpr bool CrossCheckPrices = false;
+#endif
+
+/// A value of a micrograph priced without building it: what the cost forms
+/// read of it, and the index of the node producing it (-1: none).
+struct TaskValue {
+  Value V;
+  int Producer = -1;
+
+  TaskValue() = default;
+  TaskValue(TensorShape Shape, DataType Type, bool IsParam, int Producer)
+      : Producer(Producer) {
+    V.Shape = std::move(Shape);
+    V.Type = Type;
+    V.IsParam = IsParam;
   }
-  return {Id};
-}
+};
+
+/// The bit of \p Producer in ScheduleTask::Inputs.
+uint32_t bitOf(int Producer) { return 1u << Producer; }
 
 } // namespace
 
 Profiler::Profiler(const SystemConfig &Config)
-    : Config(Config), Engine(Config) {
+    : Config(Config), Engine(Config),
+      Gen(Config.Pim.Channels > 0 ? Config.Pim : PimConfig::newtonPlus(),
+          Config.Codegen) {
   ConfigSig = formatStr(
       "gc%d/bw%.1f/pc%d/gb%d/lh%d/sg%d/gr%d/mo%d",
       Config.Gpu.MemChannels, Config.Gpu.ChannelBandwidthGBs,
@@ -149,22 +152,189 @@ double Profiler::measure(const std::string &Key,
   return Ns;
 }
 
+double Profiler::micrographNs(const Graph &G,
+                               const std::vector<NodeId> &Chain,
+                               const MicroTransform &Transform) const {
+  ExtractedGraph Micro = extractChain(G, Chain);
+  if (!Transform(Micro.G, Micro.Nodes))
+    return -1.0;
+  return Engine.execute(Micro.G).TotalNs;
+}
+
+double Profiler::crossChecked(const std::string &Key, double Priced,
+                              const Graph &G,
+                              const std::vector<NodeId> &Chain,
+                              const MicroTransform &Transform) const {
+  if constexpr (CrossCheckPrices) {
+    // The check's engine run records into a scope of its own, so a checked
+    // build records the same telemetry as any other.
+    obs::Scope Quiet;
+    obs::ScopeGuard Guard(Quiet);
+    const double Measured = micrographNs(G, Chain, Transform);
+    if (std::bit_cast<uint64_t>(Measured) != std::bit_cast<uint64_t>(Priced))
+      fatal(formatStr("profile sample '%s' is priced at %.17g ns but its "
+                      "micrograph runs in %.17g ns",
+                      Key.c_str(), Priced, Measured));
+  }
+  return Priced;
+}
+
+double Profiler::pricePim(const Graph &G, NodeId Id) const {
+  return (Config.SyncOverheadNs + Gen.planUntraced(lowerToPimSpec(G, Id)).Ns) +
+         Config.SyncOverheadNs;
+}
+
+double Profiler::priceMdDp(const Graph &G, const std::vector<NodeId> &Chain,
+                           double RatioGpu) const {
+  const NodeId Id = Chain[0];
+  const MdDpCut Cut = mdDpCut(G, Id, RatioGpu);
+  // A ratio that rounds to one device annotates the node instead.
+  if (Cut.allPim())
+    return pricePim(G, Id);
+  if (Cut.allGpu())
+    return Engine.gpuDurationNs(GraphNodeView(G, Id));
+
+  // The micrograph's live nodes in node-id order. extractChain stages each
+  // activation the candidate reads through a free GPU Identity (parameters
+  // stay parameters), then clones the candidate, which the split kills,
+  // and its activation, and appends the GPU sink.
+  const Node &N = G.node(Id);
+  std::vector<ScheduleTask> Tasks;
+  std::vector<TaskValue> Ins;
+  for (ValueId In : N.Inputs) {
+    const Value &V = G.value(In);
+    const int Stage = V.IsParam ? -1 : static_cast<int>(Tasks.size());
+    if (!V.IsParam)
+      Tasks.push_back(ScheduleTask{});
+    Ins.emplace_back(V.Shape, V.Type, V.IsParam, Stage);
+  }
+  // The activation fuses and the sink is free: both cost nothing on the
+  // GPU. What they read is set once the join exists.
+  const int Epilogue = Chain.size() > 1 ? static_cast<int>(Tasks.size()) : -1;
+  if (Epilogue >= 0)
+    Tasks.push_back(ScheduleTask{});
+  const int Sink = static_cast<int>(Tasks.size());
+  Tasks.push_back(ScheduleTask{});
+
+  // The split's nodes, in the order applyMdDpSplit creates them. Each
+  // value it creates has addValue's default type.
+  auto Add = [&](OpKind Kind, const OpAttrs &Attrs, Device Dev,
+                 std::initializer_list<const TaskValue *> Reads,
+                 TensorShape Shape, DataType Type = DataType::F16) {
+    PF_ASSERT(Reads.size() <= 3, "split nodes read at most three values");
+    TaskValue Out(std::move(Shape), Type, /*IsParam=*/false,
+                  static_cast<int>(Tasks.size()));
+    const Value *InV[3] = {};
+    const Value *OutV = &Out.V;
+    ScheduleTask T;
+    T.Dev = Dev;
+    size_t K = 0;
+    for (const TaskValue *R : Reads) {
+      InV[K++] = &R->V;
+      if (R->Producer >= 0)
+        T.Inputs |= bitOf(R->Producer);
+    }
+    const NodeView View{Kind, &Attrs, {InV, K}, {&OutV, 1}};
+    if (Dev == Device::Pim) {
+      const PimKernelPlan Plan = Gen.planUntraced(lowerToPimSpec(View));
+      T.Ns = Plan.Ns;
+      T.GwriteBursts = Plan.Stats.GwriteBursts;
+    } else {
+      T.Ns = Engine.gpuDurationNs(View);
+    }
+    Tasks.push_back(T);
+    return Out;
+  };
+  const bool HasBias = N.Inputs.size() > 2;
+  const TaskValue &X = Ins[0];
+  TaskValue GpuOut, PimOut;
+  if (N.Kind == OpKind::Conv2d) {
+    // PiecewiseTensor::range hands a part that reads every input row the
+    // input itself, and otherwise a Slice of its rows.
+    auto Rows = [&](const ConvInputReq &R) {
+      if (R.InBegin == 0 && R.InEnd == X.V.Shape.dim(1))
+        return X;
+      TensorShape S = X.V.Shape;
+      S.setDim(1, R.InEnd - R.InBegin);
+      return Add(OpKind::Slice, SliceAttrs{1, R.InBegin, R.InEnd},
+                 Device::Gpu, {&X}, std::move(S));
+    };
+    const TaskValue GpuIn = Rows(Cut.GpuRows);
+    const TaskValue PimIn = Rows(Cut.PimRows);
+    const TensorShape &O = G.value(N.Outputs[0]).Shape;
+    auto Part = [&](const TaskValue &In, const ConvInputReq &R, Device Dev,
+                    int64_t Height) {
+      Conv2dAttrs A = N.conv();
+      A.PadTop = R.PadTop;
+      A.PadBottom = R.PadBottom;
+      const TensorShape S{O.dim(0), Height, O.dim(2), O.dim(3)};
+      return HasBias ? Add(OpKind::Conv2d, A, Dev, {&In, &Ins[1], &Ins[2]}, S)
+                     : Add(OpKind::Conv2d, A, Dev, {&In, &Ins[1]}, S);
+    };
+    GpuOut = Part(GpuIn, Cut.GpuRows, Device::Gpu, Cut.Cut);
+    PimOut = Part(PimIn, Cut.PimRows, Device::Pim, Cut.Extent - Cut.Cut);
+  } else {
+    auto SliceOf = [&](const TaskValue &In, int64_t Axis, int64_t Begin,
+                       int64_t End) {
+      TensorShape S = In.V.Shape;
+      S.setDim(Axis, End - Begin);
+      return Add(OpKind::Slice, SliceAttrs{Axis, Begin, End}, Device::Gpu,
+                 {&In}, std::move(S));
+    };
+    const TaskValue WGpu = SliceOf(Ins[1], 1, 0, Cut.Cut);
+    const TaskValue WPim = SliceOf(Ins[1], 1, Cut.Cut, Cut.Extent);
+    TaskValue BGpu, BPim;
+    if (HasBias) {
+      BGpu = SliceOf(Ins[2], 0, 0, Cut.Cut);
+      BPim = SliceOf(Ins[2], 0, Cut.Cut, Cut.Extent);
+    }
+    GemmAttrs A = N.gemm();
+    A.HasBias = HasBias;
+    auto Part = [&](const TaskValue &W, const TaskValue &B, Device Dev,
+                    int64_t Features) {
+      const TensorShape S{X.V.Shape.dim(0), Features};
+      return HasBias ? Add(OpKind::Gemm, A, Dev, {&X, &W, &B}, S)
+                     : Add(OpKind::Gemm, A, Dev, {&X, &W}, S);
+    };
+    GpuOut = Part(WGpu, BGpu, Device::Gpu, Cut.Cut);
+    PimOut = Part(WPim, BPim, Device::Pim, Cut.Extent - Cut.Cut);
+  }
+  const Value &Out = G.value(N.Outputs[0]);
+  const TaskValue Join = Add(OpKind::Concat, ConcatAttrs{1}, Device::Gpu,
+                             {&GpuOut, &PimOut}, Out.Shape, Out.Type);
+  if (Epilogue >= 0) {
+    Tasks[static_cast<size_t>(Epilogue)].Inputs = bitOf(Join.Producer);
+    Tasks[static_cast<size_t>(Sink)].Inputs = bitOf(Epilogue);
+  } else {
+    Tasks[static_cast<size_t>(Sink)].Inputs = bitOf(Join.Producer);
+  }
+  return Engine.makespanNs(Tasks);
+}
+
 double Profiler::gpuNodeNs(const Graph &G, NodeId Id) {
-  const std::vector<NodeId> Chain = withEpilogue(G, Id);
-  return measure(signature(G, Chain, "gpu"), [&] {
-    ExtractedGraph Micro = extractChain(G, Chain);
-    Micro.G.node(Micro.Nodes[0]).Dev = Device::Gpu;
-    return Engine.execute(Micro.G).TotalNs;
+  const std::vector<NodeId> Chain = sampleChain(G, Id);
+  const std::string Key = signature(G, Chain, "gpu");
+  return measure(Key, [&] {
+    return crossChecked(
+        Key, Engine.gpuDurationNs(GraphNodeView(G, Id)), G, Chain,
+        [](Graph &Micro, const std::vector<NodeId> &Nodes) {
+          Micro.node(Nodes[0]).Dev = Device::Gpu;
+          return true;
+        });
   });
 }
 
 double Profiler::pimNodeNs(const Graph &G, NodeId Id) {
   PF_ASSERT(Config.hasPim(), "PIM profiling without PIM channels");
-  const std::vector<NodeId> Chain = withEpilogue(G, Id);
-  return measure(signature(G, Chain, "pim"), [&] {
-    ExtractedGraph Micro = extractChain(G, Chain);
-    Micro.G.node(Micro.Nodes[0]).Dev = Device::Pim;
-    return Engine.execute(Micro.G).TotalNs;
+  const std::vector<NodeId> Chain = sampleChain(G, Id);
+  const std::string Key = signature(G, Chain, "pim");
+  return measure(Key, [&] {
+    return crossChecked(
+        Key, pricePim(G, Id), G, Chain,
+        [](Graph &Micro, const std::vector<NodeId> &Nodes) {
+          Micro.node(Nodes[0]).Dev = Device::Pim;
+          return true;
+        });
   });
 }
 
@@ -175,13 +345,16 @@ double Profiler::mdDpNs(const Graph &G, NodeId Id, double RatioGpu) {
     return gpuNodeNs(G, Id);
   std::string Mode = "mddp";
   appendFixed(Mode, RatioGpu, 2);
-  const std::vector<NodeId> Chain = withEpilogue(G, Id);
-  return measure(signature(G, Chain, Mode), [&] {
-    ExtractedGraph Micro = extractChain(G, Chain);
-    auto Result = applyMdDpSplit(Micro.G, Micro.Nodes[0], RatioGpu);
-    // A degenerate ratio (rounds to 0/1) annotated the node instead.
-    (void)Result;
-    return Engine.execute(Micro.G).TotalNs;
+  const std::vector<NodeId> Chain = sampleChain(G, Id);
+  const std::string Key = signature(G, Chain, Mode);
+  return measure(Key, [&] {
+    return crossChecked(
+        Key, priceMdDp(G, Chain, RatioGpu), G, Chain,
+        [RatioGpu](Graph &Micro, const std::vector<NodeId> &Nodes) {
+          // A degenerate ratio (rounds to 0/1) annotates the node instead.
+          applyMdDpSplit(Micro, Nodes[0], RatioGpu);
+          return true;
+        });
   });
 }
 
@@ -189,23 +362,15 @@ double Profiler::pipelineNs(const Graph &G, const std::vector<NodeId> &Chain,
                             int Stages) {
   std::string Mode = "pipe";
   appendInt(Mode, Stages);
-  return measure(signature(G, Chain, Mode), [&]() -> double {
-    ExtractedGraph Micro = extractChain(G, Chain);
-    PipelineSpec Spec;
-    Spec.Chain = Micro.Nodes;
-    Spec.NumStages = Stages;
-    if (!applyPipeline(Micro.G, Spec))
-      return -1.0;
-    return Engine.execute(Micro.G).TotalNs;
+  return measure(signature(G, Chain, Mode), [&] {
+    return micrographNs(
+        G, Chain, [Stages](Graph &Micro, const std::vector<NodeId> &Nodes) {
+          PipelineSpec Spec;
+          Spec.Chain = Nodes;
+          Spec.NumStages = Stages;
+          return applyPipeline(Micro, Spec);
+        });
   });
-}
-
-double Profiler::chainGpuNs(const Graph &G,
-                            const std::vector<NodeId> &Chain) {
-  double Total = 0.0;
-  for (NodeId Id : Chain)
-    Total += gpuNodeNs(G, Id);
-  return Total;
 }
 
 namespace {

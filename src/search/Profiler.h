@@ -5,10 +5,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hardware-measurement-based profiling for the execution-mode and
-/// task-size search (Section 4.2.2): every candidate configuration — a
-/// layer at a GPU/PIM split ratio, or a pipelined chain — is extracted into
-/// a micrograph, transformed, and timed on the simulated system.
+/// Profiling for the execution-mode and task-size search (Section 4.2.2):
+/// the time of every candidate configuration — a layer on the GPU, on PIM
+/// or at a GPU/PIM split ratio, or a pipelined chain — on the simulated
+/// system, as the layer's micrograph (search/LayerExtract.h) transformed
+/// and run on the execution engine would report it.
+///
+/// Only pipeline samples build and run that micrograph. The others are
+/// priced from the source graph's node specs, by the engine's own rules:
+///  * a GPU sample is the engine's duration of the node (nothing for a
+///    fused epilogue, else its latency): the micrograph's stage, fused
+///    activation and sink cost nothing and share the GPU, so its makespan
+///    is that one duration;
+///  * a PIM sample is (sync + kernel plan ns) + sync: the staged input
+///    reaches the PIM node one handoff sync after time 0 and its result
+///    reaches the GPU-side activation or sink one sync after the kernel,
+///    and every GPU node is free, so contention's second pass changes
+///    nothing;
+///  * an MD-DP sample runs the engine's list scheduler (makespanNs) over
+///    the split micrograph's nodes in node-id order: stages, activation,
+///    sink, slices, the two parts and the join, each priced through the
+///    shape-level forms of the engine's per-node rules, with the split's
+///    geometry from transform/MdDpSplitPass.h's mdDpCut.
+/// Every price therefore equals the micrograph's time as a double; a
+/// PIMFLOW_CHECKED build also measures each priced sample on its
+/// micrograph and aborts on any bit difference.
 ///
 /// Results are memoized by a structural signature (layer shapes, attributes,
 /// mode, and system configuration), mirroring the artifact's metadata log
@@ -57,9 +78,6 @@ public:
   double pipelineNs(const Graph &G, const std::vector<NodeId> &Chain,
                     int Stages) override;
 
-  /// Sum of per-node GPU times of \p Chain (the chain's baseline).
-  double chainGpuNs(const Graph &G, const std::vector<NodeId> &Chain);
-
   size_t cacheHits() const { return Hits; }
   size_t cacheMisses() const { return Misses; }
 
@@ -82,12 +100,39 @@ private:
   std::string signature(const Graph &G, const std::vector<NodeId> &Chain,
                         std::string_view Mode) const;
 
-  /// Memoized micrograph measurement.
+  /// Memoized sample.
   double measure(const std::string &Key,
                  const std::function<double()> &Compute);
 
+  /// Rewrites a micrograph in place given the ids of its chain nodes;
+  /// false when the chain cannot take the rewrite.
+  using MicroTransform =
+      std::function<bool(Graph &, const std::vector<NodeId> &)>;
+
+  /// The engine's time of \p Chain's micrograph after \p Transform, or -1
+  /// when the transform declines.
+  double micrographNs(const Graph &G, const std::vector<NodeId> &Chain,
+                      const MicroTransform &Transform) const;
+
+  /// \p Priced, the sample \p Key of \p Chain. A PIMFLOW_CHECKED build
+  /// first measures the sample on its micrograph and aborts unless the two
+  /// agree bit for bit.
+  double crossChecked(const std::string &Key, double Priced,
+                      const Graph &G, const std::vector<NodeId> &Chain,
+                      const MicroTransform &Transform) const;
+
+  /// The PIM sample of candidate \p Id, priced from its spec.
+  double pricePim(const Graph &G, NodeId Id) const;
+
+  /// The MD-DP sample of \p Chain (a candidate and its epilogue, if any) at
+  /// \p RatioGpu, priced from the split's node specs.
+  double priceMdDp(const Graph &G, const std::vector<NodeId> &Chain,
+                   double RatioGpu) const;
+
   SystemConfig Config;
   ExecutionEngine Engine;
+  /// Plans PIM kernels as a fault-free engine run does.
+  PimCommandGenerator Gen;
   std::string ConfigSig;
   /// Measured time by signature.
   std::unordered_map<std::string, double> Memo;

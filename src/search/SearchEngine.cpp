@@ -34,6 +34,10 @@ const char *pf::segmentModeName(SegmentMode M) {
 
 ExecutionPlan SearchEngine::search(const Graph &G) {
   PF_TRACE_SCOPE_CAT("search", "search");
+  // The profiler prices samples from the graph's stored shapes, which are
+  // what its micrographs infer only in a well-formed graph: a checked
+  // build, which compares the two, verifies the search's input first.
+  PF_VERIFY_PASS(G, "before the search");
   const std::vector<NodeId> Seq = G.topoOrder();
   const size_t N = Seq.size();
   // Range hint (also calms GCC's alloc-size analysis on the DP arrays).

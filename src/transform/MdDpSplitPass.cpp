@@ -77,29 +77,13 @@ MdDpResult finishSplit(Graph &G, const Node &Orig, ValueId GpuOut,
   return R;
 }
 
-std::optional<MdDpResult> splitConv(Graph &G, NodeId Id, double RatioGpu) {
+MdDpResult splitConv(Graph &G, NodeId Id, const MdDpCut &Cut) {
   // Copy: node/value references would dangle across the insertions below.
   const Node N = G.node(Id);
-  const TensorShape &OutShape = G.value(N.Outputs[0]).Shape;
-  const int64_t Ho = OutShape.dim(1);
-  const int64_t HGpu = llround(RatioGpu * static_cast<double>(Ho));
-  if (HGpu <= 0) {
-    G.node(Id).Dev = Device::Pim;
-    return std::nullopt;
-  }
-  if (HGpu >= Ho) {
-    G.node(Id).Dev = Device::Gpu;
-    return std::nullopt;
-  }
-
-  const Conv2dAttrs Attrs = N.conv();
-  const int64_t InH = G.value(N.Inputs[0]).Shape.dim(1);
   PiecewiseTensor Input(G, N.Inputs[0]);
-
-  const ConvInputReq ReqGpu = convInputRowsFor(Attrs, InH, 0, HGpu);
-  const ConvInputReq ReqPim = convInputRowsFor(Attrs, InH, HGpu, Ho);
   // Note: the two input slices overlap by KernelH - StrideH rows; with the
   // memory optimizer both are zero-copy views.
+  const ConvInputReq &ReqGpu = Cut.GpuRows, &ReqPim = Cut.PimRows;
   ValueId GpuIn = Input.range(ReqGpu.InBegin, ReqGpu.InEnd, Device::Gpu);
   ValueId PimIn = Input.range(ReqPim.InBegin, ReqPim.InEnd, Device::Gpu);
   ValueId GpuOut = emitConvPart(G, N, GpuIn, ReqGpu, Device::Gpu, "gpu");
@@ -125,25 +109,10 @@ ValueId emitGemmPart(Graph &G, const Node &Orig, ValueId X, ValueId W,
   return Out;
 }
 
-std::optional<MdDpResult> splitGemm(Graph &G, NodeId Id, double RatioGpu) {
+MdDpResult splitGemm(Graph &G, NodeId Id, const MdDpCut &Cut) {
   const Node N = G.node(Id);
-  const TensorShape &WShape = G.value(N.Inputs[1]).Shape;
-  const int64_t M = WShape.dim(1);
+  const int64_t M = Cut.Extent, MGpu = Cut.Cut;
   const bool HasBias = N.Inputs.size() > 2;
-
-  // FC layers split along the output-feature axis, slicing the
-  // (compile-time prepared) weight matrix and bias: memory-bound FC time
-  // is dominated by weight traffic, so unlike a batch-row split this
-  // shrinks each device's share of the weight stream.
-  const int64_t MGpu = llround(RatioGpu * static_cast<double>(M));
-  if (MGpu <= 0) {
-    G.node(Id).Dev = Device::Pim;
-    return std::nullopt;
-  }
-  if (MGpu >= M) {
-    G.node(Id).Dev = Device::Gpu;
-    return std::nullopt;
-  }
   ValueId WGpu = emitSlice(G, N.Inputs[1], /*Axis=*/1, 0, MGpu, Device::Gpu,
                            "w.gpu");
   ValueId WPim = emitSlice(G, N.Inputs[1], /*Axis=*/1, MGpu, M, Device::Gpu,
@@ -164,13 +133,41 @@ std::optional<MdDpResult> splitGemm(Graph &G, NodeId Id, double RatioGpu) {
 
 } // namespace
 
+MdDpCut pf::mdDpCut(const Graph &G, NodeId Id, double RatioGpu) {
+  const Node &N = G.node(Id);
+  MdDpCut C;
+  // Convolutions split along the output-height axis. FC layers split along
+  // the output-feature axis, slicing the (compile-time prepared) weight
+  // matrix and bias: memory-bound FC time is dominated by weight traffic,
+  // so unlike a batch-row split this shrinks each device's share of the
+  // weight stream.
+  C.Extent = N.Kind == OpKind::Conv2d ? G.value(N.Outputs[0]).Shape.dim(1)
+                                      : G.value(N.Inputs[1]).Shape.dim(1);
+  C.Cut = llround(RatioGpu * static_cast<double>(C.Extent));
+  if (N.Kind == OpKind::Conv2d && !C.allPim() && !C.allGpu()) {
+    const int64_t InH = G.value(N.Inputs[0]).Shape.dim(1);
+    C.GpuRows = convInputRowsFor(N.conv(), InH, 0, C.Cut);
+    C.PimRows = convInputRowsFor(N.conv(), InH, C.Cut, C.Extent);
+  }
+  return C;
+}
+
 std::optional<MdDpResult> pf::applyMdDpSplit(Graph &G, NodeId Id,
                                              double RatioGpu) {
   const Node &N = G.node(Id);
   PF_ASSERT(!N.Dead, "splitting a dead node");
   PF_ASSERT(isPimCandidate(N), "MD-DP split target must be a PIM candidate");
   PF_ASSERT(RatioGpu >= 0.0 && RatioGpu <= 1.0, "ratio out of range");
+  const MdDpCut Cut = mdDpCut(G, Id, RatioGpu);
+  if (Cut.allPim()) {
+    G.node(Id).Dev = Device::Pim;
+    return std::nullopt;
+  }
+  if (Cut.allGpu()) {
+    G.node(Id).Dev = Device::Gpu;
+    return std::nullopt;
+  }
   if (N.Kind == OpKind::Conv2d)
-    return splitConv(G, Id, RatioGpu);
-  return splitGemm(G, Id, RatioGpu);
+    return splitConv(G, Id, Cut);
+  return splitGemm(G, Id, Cut);
 }

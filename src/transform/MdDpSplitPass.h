@@ -25,8 +25,27 @@
 #include <optional>
 
 #include "ir/Graph.h"
+#include "transform/SplitUtil.h"
 
 namespace pf {
+
+/// Where an MD-DP split at a ratio cuts a node: the GPU part computes
+/// output rows (convolution) or output features (FC) [0, Cut) of Extent,
+/// the PIM part [Cut, Extent). The split pass and the profiler, which
+/// prices splits without performing them, share it.
+struct MdDpCut {
+  int64_t Cut = 0;
+  int64_t Extent = 0;
+  /// A split convolution's input rows and residual padding per part.
+  ConvInputReq GpuRows, PimRows;
+
+  /// The ratio rounds to all-PIM or all-GPU: nothing to split.
+  bool allPim() const { return Cut <= 0; }
+  bool allGpu() const { return Cut >= Extent; }
+};
+
+/// The cut of PIM candidate \p Id of \p G at \p RatioGpu.
+MdDpCut mdDpCut(const Graph &G, NodeId Id, double RatioGpu);
 
 /// Nodes created by one MD-DP split.
 struct MdDpResult {

@@ -71,29 +71,44 @@ std::string printfSearch(double D) {
 
 } // namespace
 
-TEST(JsonWriterTest, ShortestTextMatchesPrintfSearch) {
-  size_t Checked = 0, Mismatches = 0;
+/// The shortest-text check covers a million doubles in a fixed order:
+/// every power of two in +-1000 (where the rounding interval is lopsided
+/// and the shortest digits can round-trip while the nearest decimal of as
+/// many digits does not), then seeded samples. Each shard regenerates the
+/// whole stream and checks its own slice of it, so ctest spreads the work.
+constexpr size_t kShortestTextDoubles = 1'000'000;
+constexpr int kShortestTextShards = 16;
+
+class JsonWriterShortestText : public ::testing::TestWithParam<int> {};
+
+TEST_P(JsonWriterShortestText, MatchesPrintfSearch) {
+  const size_t Shard = static_cast<size_t>(GetParam());
+  const size_t Begin = kShortestTextDoubles * Shard / kShortestTextShards;
+  const size_t End = kShortestTextDoubles * (Shard + 1) / kShortestTextShards;
+  size_t Index = 0, Mismatches = 0;
   JsonWriter W;
   auto Check = [&](double D) {
+    if (Index++ < Begin || Index > End)
+      return;
     W.value(D);
     const std::string Got = W.take();
-    ++Checked;
     if (Got != printfSearch(D) && ++Mismatches <= 5)
       ADD_FAILURE() << "got " << Got << ", printf search "
                     << printfSearch(D);
   };
-  // Every power of two in +-1000: where the rounding interval is lopsided
-  // and the shortest digits can round-trip while the nearest decimal of
-  // as many digits does not.
   for (int E = -1000; E <= 1000; ++E) {
     Check(std::ldexp(1.0, E));
     Check(-std::ldexp(1.0, E));
   }
   pf::Rng R(0x15011);
-  while (Checked < 1'000'000)
+  while (Index < End)
     Check(pf::sampleDouble(R));
-  EXPECT_EQ(Mismatches, 0u) << "of " << Checked;
+  EXPECT_EQ(Mismatches, 0u) << "of doubles [" << Begin << ", " << End
+                            << ")";
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, JsonWriterShortestText,
+                         ::testing::Range(0, kShortestTextShards));
 
 TEST(JsonParserTest, ParsesDocumentShapes) {
   const auto Doc = JsonValue::parse(

@@ -151,7 +151,11 @@ TEST(PinnedTelemetry, ColdPlan) {
     obs::ScopeGuard Guard(Run);
     PimFlow(OffloadPolicy::PimFlow, O).plan(M);
   }
+  // The profiler runs the engine for pipeline samples only and prices the
+  // rest, so the engine.* counters, engine.node_duration_ns and the
+  // per-channel pim command mix count those 32 runs; the codegen.*,
+  // pim.sim.* and profiler.* values count every sample.
   expectPinned("cold plan",
                telemetryText(Run.registry(), /*WallWindowCounts=*/false),
-               {3279u, "c3c8b25da2394779"});
+               {3289u, "45d416f42f784015"});
 }

@@ -8,12 +8,15 @@
 /// Byte-level pins on the text the compiler writes and hashes: the plan
 /// artifact of every paper model (plus resnet-18 and toy) under PIMFlow
 /// and PIMFlow-md, the canonical graph hash of every zoo model, and the
-/// profile log a resnet-50 search leaves behind (every memo key). The
-/// round-trip suites compare a writer with its own reader, so they cannot
-/// see a writer drift; these sizes and FNV-1a digests were recorded from
-/// the printf-based writers, so any change in how a number or a key is
-/// printed (precision, exponent form, sign of zero, field order) fails
-/// here, and committed goldens, plan caches and profile logs keep hitting.
+/// profile logs cold searches leave behind (every memo key and sample
+/// time). The round-trip suites compare a writer with its own reader, so
+/// they cannot see a writer drift; these sizes and FNV-1a digests were
+/// recorded from the printf-based writers, so any change in how a number
+/// or a key is printed (precision, exponent form, sign of zero, field
+/// order) fails here, and committed goldens, plan caches and profile logs
+/// keep hitting. The profile logs of the paper models and bert under four
+/// configurations were recorded while every sample still ran its
+/// micrograph, so they also pin the priced samples to those times.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,6 +108,98 @@ TEST(PinnedOutput, CanonicalGraphHashOfEveryZooModel) {
   };
   for (const auto &[Model, Hash] : Pins)
     EXPECT_EQ(canonicalGraphHash(buildModel(Model)), Hash) << Model;
+}
+
+namespace {
+
+/// A cold search's profile-log configuration: the policy, its PIM channels
+/// of 32, and the two system switches the default run leaves alone.
+struct ProfileConfig {
+  const char *Name;
+  OffloadPolicy Policy;
+  int PimChannels;
+  bool MemoryOptimizer;
+  bool ModelContention;
+};
+
+} // namespace
+
+TEST(PinnedOutput, ProfileLogs) {
+  // Every memo key and measured time a cold search writes, for the five
+  // paper models and bert under four configurations: the default, the
+  // pipeline-free Newton+ on few channels, MD-DP on many channels with the
+  // naive back-end (every slice and join copies), and the contention
+  // model's second scheduling pass.
+  const ProfileConfig Configs[] = {
+      {"pimflow-16", OffloadPolicy::PimFlow, 16, true, false},
+      {"newton+-4", OffloadPolicy::NewtonPlus, 4, true, false},
+      {"pimflow-md-28-no-memopt", OffloadPolicy::PimFlowMd, 28, false,
+       false},
+      {"pimflow-16-contention", OffloadPolicy::PimFlow, 16, true, true},
+  };
+  struct Pin {
+    const char *Config;
+    const char *Model;
+    size_t Bytes;
+    const char *Digest;
+  };
+  const Pin Pins[] = {
+      {"pimflow-16", "efficientnet-v1-b0", 66200, "a1ddfa627871dd9b"},
+      {"pimflow-16", "mobilenet-v2", 44735, "1704b4158431745a"},
+      {"pimflow-16", "mnasnet-1.0", 47163, "df8f6b5dec2ca649"},
+      {"pimflow-16", "resnet-50", 41462, "8725825f3cdf68cb"},
+      {"pimflow-16", "vgg-16", 21677, "c9175d3a0d8f688f"},
+      {"pimflow-16", "bert", 4217, "de355bb1ac2cf26b"},
+      {"newton+-4", "efficientnet-v1-b0", 16314, "fcd3c18d1253efcd"},
+      {"newton+-4", "mobilenet-v2", 8825, "4d64c8eed56e0cec"},
+      {"newton+-4", "mnasnet-1.0", 9496, "6549afa0ca64e43e"},
+      {"newton+-4", "resnet-50", 8677, "409a255af55e432a"},
+      {"newton+-4", "vgg-16", 4708, "c78e253dcc473b9e"},
+      {"newton+-4", "bert", 1179, "04c10069214d2ddb"},
+      {"pimflow-md-28-no-memopt", "efficientnet-v1-b0", 63584,
+       "7ca6a5963c872b26"},
+      {"pimflow-md-28-no-memopt", "mobilenet-v2", 36305, "716a848e76820b24"},
+      {"pimflow-md-28-no-memopt", "mnasnet-1.0", 38376, "809a6c5b04d8e7b0"},
+      {"pimflow-md-28-no-memopt", "resnet-50", 42166, "bfa9feb664d165ee"},
+      {"pimflow-md-28-no-memopt", "vgg-16", 22061, "f6a073337f5ba371"},
+      {"pimflow-md-28-no-memopt", "bert", 4207, "b7f260b7f3ff3fc4"},
+      {"pimflow-16-contention", "efficientnet-v1-b0", 66186,
+       "1ddf311b3b5b8d33"},
+      {"pimflow-16-contention", "mobilenet-v2", 44728, "c0c32f61f39b31d9"},
+      {"pimflow-16-contention", "mnasnet-1.0", 47154, "9dc651bcf01e8b02"},
+      {"pimflow-16-contention", "resnet-50", 41471, "7bf0113f7c71244c"},
+      {"pimflow-16-contention", "vgg-16", 21701, "dc4701e381dd5372"},
+      {"pimflow-16-contention", "bert", 4226, "662c105098fb24c7"},
+  };
+  size_t Checked = 0;
+  for (const ProfileConfig &C : Configs)
+    for (const char *Model : {"efficientnet-v1-b0", "mobilenet-v2",
+                              "mnasnet-1.0", "resnet-50", "vgg-16",
+                              "bert"}) {
+      PimFlowOptions O;
+      O.PimChannels = C.PimChannels;
+      O.MemoryOptimizer = C.MemoryOptimizer;
+      O.ModelContention = C.ModelContention;
+      PimFlow Flow(C.Policy, O);
+      Flow.plan(buildModel(Model));
+      const std::string Path = ::testing::TempDir() + "pf_pinned_" +
+                               C.Name + "_" + Model + ".tsv";
+      ASSERT_TRUE(Flow.profiler().saveCache(Path));
+      const std::optional<std::string> Text = obs::readTextFile(Path);
+      std::remove(Path.c_str());
+      ASSERT_TRUE(Text);
+      const std::string Digest = fnv1a64Hex(*Text);
+      const Pin *P = nullptr;
+      for (const Pin &Q : Pins)
+        if (std::string_view(Q.Config) == C.Name &&
+            std::string_view(Q.Model) == Model)
+          P = &Q;
+      EXPECT_TRUE(P && Text->size() == P->Bytes && Digest == P->Digest)
+          << "profile log drifted; now {\"" << C.Name << "\", \"" << Model
+          << "\", " << Text->size() << ", \"" << Digest << "\"},";
+      ++Checked;
+    }
+  EXPECT_EQ(Checked, std::size(Pins));
 }
 
 TEST(PinnedOutput, ProfileLogOfAResNet50Search) {

@@ -12,7 +12,9 @@
 #   2. A PIMFLOW_CHECKED tree in build-checked/ running the full suite with
 #      the graph verifier active at every pass boundary (PF_VERIFY_PASS in
 #      ir/Verifier.h), so an invariant-breaking transform fails in CI even
-#      when no test inspects the intermediate graph.
+#      when no test inspects the intermediate graph, and with the profiler
+#      measuring every sample it prices on the sample's micrograph and
+#      aborting on any bit difference.
 #   3. A ThreadSanitizer tree in build-tsan/ running the concurrency-facing
 #      suites (thread pool, telemetry, concurrent serve sessions) plus the
 #      search and plan suites, to catch data races in what still runs on
@@ -67,12 +69,13 @@
 #      its re-checksummed mutation fuzz, the JSON writer), the
 #      telemetry suites (the registry, its weighted histogram and window
 #      records, the pinned telemetry of scoped runs), the pinned
-#      mapping search (its pass-cost arithmetic and kept plans) and the
+#      mapping search (its pass-cost arithmetic and kept plans), the
 #      graph and its readers and mutators (consumers() returns a reference
 #      into the def-use index, so one held across a mutation reads freed
-#      memory) rebuilt and re-run under AddressSanitizer and
-#      UndefinedBehaviorSanitizer (PIMFLOW_SANITIZE=address|undefined;
-#      UBSan findings are fatal).
+#      memory) and the profiler's priced samples (node views point into
+#      the pricer's own values; task inputs are bit masks) rebuilt and
+#      re-run under AddressSanitizer and UndefinedBehaviorSanitizer
+#      (PIMFLOW_SANITIZE=address|undefined; UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
 #      --trace-out + --trace-sample=tail whose Chrome trace must be
 #      byte-identical across --jobs values, pf_trace_check-clean (span
@@ -378,13 +381,13 @@ cmake --build build-asan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
   support_test search_test obs_test ir_test transform_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract|SamplePricing'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
   support_test search_test obs_test ir_test transform_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract|SamplePricing'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke

@@ -432,10 +432,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
       Ok = false;
     }
   }
-  if (O.NoRecovery && O.GraphFile.empty()) {
+  if (O.NoRecovery && (O.GraphFile.empty() || O.Flow.FaultSpec.empty())) {
     DE.error(DiagCode::BadOption, "--no-recovery",
-             "executes a solved graph without the recovery ladder and "
-             "requires --graph=<file>");
+             "executes a solved graph under injected faults without the "
+             "recovery ladder and requires --graph=<file> and --faults");
     Ok = false;
   }
   return Ok;
