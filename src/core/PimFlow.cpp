@@ -223,43 +223,11 @@ CompileResult PimFlow::executePlan(const Graph &Model, ExecutionPlan Plan) {
     ExecutionEngine Engine(Config);
     R.Schedule = Engine.execute(R.Transformed);
   } else {
-    // Fault-injected execution: build the fault schedule, then let the
-    // recovery executor retry, remap, or fall back as needed. Recovery only
-    // flips device annotations, so the executed graph stays bit-identical
-    // to the transformed one.
     PF_TRACE_SCOPE_CAT("pimflow.execute_with_faults", "compile");
     DiagnosticEngine DE;
-    FaultModel Faults;
-    if (Options.FaultSpec == "chaos") {
-      Faults = FaultModel::chaos(Options.FaultSeed, Config.Pim.Channels);
-    } else if (auto Parsed = FaultModel::parse(Options.FaultSpec, DE)) {
-      Faults = *std::move(Parsed);
-    } else {
-      fatal(formatStr("bad --faults spec:\n%s", DE.render().c_str()));
-    }
-    PF_LOG_INFO("injecting faults: %s", Faults.describe().c_str());
-
-    RecoveryOptions RO;
-    RO.Retry.MaxRetries = Options.MaxRetries;
-    RO.PimFloor = Options.PimFloor;
-    RecoveryExecutor Exec(Config, Faults, RO);
-    RecoveryResult RR = Exec.run(R.Transformed, DE);
-    if (!RR.Ok)
+    if (!executeWithFaults(R, Options, DE))
       fatal(formatStr("fault recovery failed for '%s':\n%s",
                       R.Transformed.name().c_str(), DE.render().c_str()));
-    R.Transformed = std::move(RR.Executed);
-    R.Schedule = std::move(RR.Schedule);
-    R.Recovery.Active = true;
-    R.Recovery.Degraded = RR.Degraded;
-    R.Recovery.DeadChannels = RR.DeadChannels;
-    R.Recovery.StalledChannels = RR.StalledChannels;
-    R.Recovery.SurvivingChannels = RR.SurvivingChannels;
-    R.Recovery.NodesRemapped = RR.NodesRemapped;
-    R.Recovery.NodesFellBack = RR.NodesFellBack;
-    R.Recovery.TransientRetries = RR.TransientRetries;
-    R.Recovery.Notes = std::move(RR.Notes);
-    for (const std::string &Note : R.Recovery.Notes)
-      PF_LOG_INFO("recovery: %s", Note.c_str());
   }
   obs::addCounter("pimflow.compilations");
   PF_LOG_INFO("executed %s: %.2f us end-to-end, %.2f uJ",
@@ -302,4 +270,48 @@ CompileResult PimFlow::executePlan(const Graph &Model, ExecutionPlan Plan) {
       R.FcLayerNs += S.PredictedNs;
   }
   return R;
+}
+
+bool pf::executeWithFaults(CompileResult &R, const PimFlowOptions &O,
+                           DiagnosticEngine &DE, bool Recover) {
+  FaultModel Faults;
+  if (O.FaultSpec == "chaos") {
+    Faults = FaultModel::chaos(O.FaultSeed, R.Config.Pim.Channels);
+  } else if (auto Parsed = FaultModel::parse(O.FaultSpec, DE)) {
+    Faults = *std::move(Parsed);
+  } else {
+    return false;
+  }
+  PF_LOG_INFO("injecting faults: %s", Faults.describe().c_str());
+
+  if (!Recover) {
+    // Drive the engine directly against the fault schedule, bypassing the
+    // retry -> remap -> floor ladder: any persistent fault reaches
+    // tryExecute and fails the run with fault.unrecovered, the
+    // deterministic trigger of the flight recorder's auto-dump.
+    RetryPolicy Retry;
+    Retry.MaxRetries = O.MaxRetries;
+    auto TL = ExecutionEngine(R.Config).tryExecute(R.Transformed, DE,
+                                                   &Faults, &Retry);
+    if (!TL)
+      return false;
+    R.Schedule = std::move(*TL);
+    return true;
+  }
+
+  // Recovery only flips device annotations, so the executed graph stays
+  // bit-identical to the transformed one.
+  RecoveryOptions RO;
+  RO.Retry.MaxRetries = O.MaxRetries;
+  RO.PimFloor = O.PimFloor;
+  RecoveryResult RR =
+      RecoveryExecutor(R.Config, Faults, RO).run(R.Transformed, DE);
+  if (!RR.Ok)
+    return false;
+  R.Transformed = std::move(RR.Executed);
+  R.Schedule = std::move(RR.Schedule);
+  R.Recovery = std::move(static_cast<RecoverySummary &>(RR));
+  for (const std::string &Note : R.Recovery->Notes)
+    PF_LOG_INFO("recovery: %s", Note.c_str());
+  return true;
 }

@@ -27,6 +27,7 @@
 
 #include "plan/PlanCache.h"
 #include "runtime/ExecutionEngine.h"
+#include "runtime/Recovery.h"
 #include "search/SearchEngine.h"
 
 namespace pf {
@@ -106,22 +107,6 @@ SystemConfig systemConfigFor(OffloadPolicy P, const PimFlowOptions &O);
 /// Builds the search option set a policy is allowed to use.
 SearchOptions searchOptionsFor(OffloadPolicy P, const PimFlowOptions &O);
 
-/// Degradation summary of a fault-injected run (CompileResult::Recovery).
-struct RecoverySummary {
-  /// Fault injection was requested (FaultSpec non-empty).
-  bool Active = false;
-  /// Something degraded: channels lost, nodes remapped or demoted.
-  bool Degraded = false;
-  int DeadChannels = 0;
-  int StalledChannels = 0;
-  int SurvivingChannels = 0;
-  int NodesRemapped = 0;
-  int NodesFellBack = 0;
-  int TransientRetries = 0;
-  /// Human-readable degradation notes, one per event.
-  std::vector<std::string> Notes;
-};
-
 /// Outcome of compiling and executing one model under one policy.
 struct CompileResult {
   OffloadPolicy Policy = OffloadPolicy::GpuOnly;
@@ -142,9 +127,20 @@ struct CompileResult {
   /// Likewise for FC (Gemm) layers.
   double FcLayerNs = 0.0;
 
-  /// Degradation summary when the run was fault-injected (--faults).
-  RecoverySummary Recovery;
+  /// Degradation summary when the run went through the recovery ladder
+  /// (--faults without --no-recovery).
+  std::optional<RecoverySummary> Recovery;
 };
+
+/// Executes R.Transformed on R.Config under the faults of \p O: its
+/// FaultSpec, or the seeded chaos schedule when the spec is "chaos". With
+/// \p Recover, the recovery ladder retries, remaps or falls back, and
+/// R.Transformed, R.Schedule and R.Recovery become what ran and its
+/// summary. Without it the engine runs the graph directly, so a persistent
+/// fault fails the run (fault.unrecovered). Returns false, with the errors
+/// in \p DE, when the spec is malformed or the run failed.
+bool executeWithFaults(CompileResult &R, const PimFlowOptions &O,
+                       DiagnosticEngine &DE, bool Recover = true);
 
 /// The compiler-and-runtime facade.
 class PimFlow {

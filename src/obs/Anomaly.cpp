@@ -13,27 +13,25 @@ using namespace pf;
 using namespace pf::obs;
 
 int pf::obs::evaluateAnomalies(DiagnosticEngine &DE,
-                               const AttributionReport *A,
-                               const AnomalyRules &Rules) {
+                               const AttributionReport *A) {
   int Warnings = 0;
   Registry &R = activeRegistry();
 
   // Rule 1: tail-latency ratio per HDR histogram. Wall-clock histograms
   // are machine- and load-dependent (host scheduling alone makes 100x
-  // tails), so only simulated distributions are judged — the same
-  // exclusion perfDiff applies.
+  // tails), so only simulated distributions are judged.
   for (const auto &[Name, Q] : R.histogramSnapshot()) {
-    if (Q.Count < Rules.MinHistogramCount || Q.P50 <= 0.0 ||
+    if (Q.Count < AnomalyMinHistogramCount || Q.P50 <= 0.0 ||
         Name.find("wall") != std::string::npos)
       continue;
     const double Ratio = Q.P99 / Q.P50;
-    if (Ratio <= Rules.TailRatioMax)
+    if (Ratio <= AnomalyTailRatioMax)
       continue;
     ++Warnings;
     DE.warning(DiagCode::AnomalyTailLatency, Name,
                formatStr("p99/p50 ratio %.1f exceeds %.1f "
                          "(p50=%.0f, p99=%.0f over %lld samples)",
-                         Ratio, Rules.TailRatioMax, Q.P50, Q.P99,
+                         Ratio, AnomalyTailRatioMax, Q.P50, Q.P99,
                          static_cast<long long>(Q.Count)));
   }
 
@@ -44,13 +42,13 @@ int pf::obs::evaluateAnomalies(DiagnosticEngine &DE,
         continue; // a lane that ran nothing is unused, not anomalous
       const double Span = L.BusyNs + L.IdleNs;
       const double IdleFraction = Span > 0.0 ? L.IdleNs / Span : 0.0;
-      if (IdleFraction <= Rules.IdleGapFractionMax)
+      if (IdleFraction <= AnomalyIdleGapFractionMax)
         continue;
       ++Warnings;
       DE.warning(DiagCode::AnomalyIdleGap, L.Name,
                  formatStr("idle fraction %.2f exceeds %.2f "
                            "(%zu gap(s), busy %.0f ns of %.0f ns)",
-                           IdleFraction, Rules.IdleGapFractionMax,
+                           IdleFraction, AnomalyIdleGapFractionMax,
                            L.Gaps.size(), L.BusyNs, Span));
     }
   }
@@ -62,12 +60,12 @@ int pf::obs::evaluateAnomalies(DiagnosticEngine &DE,
     if (FaultRuns > 0) {
       const double Rate =
           static_cast<double>(Retries) / static_cast<double>(FaultRuns);
-      if (Rate > Rules.RetryRateMax) {
+      if (Rate > AnomalyRetryRateMax) {
         ++Warnings;
         DE.warning(DiagCode::AnomalyRetryRate, "pim.sim.retries",
                    formatStr("%.1f retries per faulted run exceeds %.1f "
                              "(%lld retries over %lld runs)",
-                             Rate, Rules.RetryRateMax,
+                             Rate, AnomalyRetryRateMax,
                              static_cast<long long>(Retries),
                              static_cast<long long>(FaultRuns)));
       }

@@ -6,9 +6,6 @@
 
 #include "obs/PerfReport.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/Counters.h"
 #include "search/SearchEngine.h"
 #include "support/Format.h"
@@ -180,16 +177,16 @@ std::string pf::obs::renderPerfReport(const CompileResult &R) {
       .field("gpu_weight_bytes", S.GpuWeightBytes)
       .endObject();
 
-  if (R.Recovery.Active) {
+  if (const auto &Rec = R.Recovery) {
     W.key("recovery")
         .beginObject()
-        .field("degraded", R.Recovery.Degraded)
-        .field("dead_channels", R.Recovery.DeadChannels)
-        .field("stalled_channels", R.Recovery.StalledChannels)
-        .field("surviving_channels", R.Recovery.SurvivingChannels)
-        .field("nodes_remapped", R.Recovery.NodesRemapped)
-        .field("node_fallbacks", R.Recovery.NodesFellBack)
-        .field("transient_retries", R.Recovery.TransientRetries)
+        .field("degraded", Rec->Degraded)
+        .field("dead_channels", Rec->DeadChannels)
+        .field("stalled_channels", Rec->StalledChannels)
+        .field("surviving_channels", Rec->SurvivingChannels)
+        .field("nodes_remapped", Rec->NodesRemapped)
+        .field("node_fallbacks", Rec->NodesFellBack)
+        .field("transient_retries", Rec->TransientRetries)
         .endObject();
   }
 
@@ -395,154 +392,5 @@ std::string pf::obs::renderPerfReportMetricsText(const JsonValue &Report) {
                 formatStr("%.1f", V.numberOr("mean", 0))});
     Out += T.render();
   }
-  return Out;
-}
-
-namespace {
-
-/// Gated metrics of a report document: (display name, path of keys).
-const std::pair<const char *, std::vector<std::string>> ReportMetrics[] = {
-    {"end_to_end_ns", {"end_to_end_ns"}},
-    {"energy_j", {"energy_j"}},
-    {"conv_layer_ns", {"conv_layer_ns"}},
-    {"fc_layer_ns", {"fc_layer_ns"}},
-    {"critical_path.length_ns", {"critical_path", "length_ns"}},
-    {"timeline.gpu_busy_ns", {"timeline", "gpu_busy_ns"}},
-    {"timeline.pim_busy_ns", {"timeline", "pim_busy_ns"}},
-};
-
-const JsonValue *lookupPath(const JsonValue &Doc,
-                            const std::vector<std::string> &Path) {
-  const JsonValue *V = &Doc;
-  for (const std::string &Key : Path) {
-    V = V->find(Key);
-    if (!V)
-      return nullptr;
-  }
-  return V;
-}
-
-void compareMetric(PerfDiffResult &R, const std::string &Name, double Base,
-                   double Cur, const PerfDiffOptions &Options) {
-  MetricDelta D;
-  D.Name = Name;
-  D.BaseValue = Base;
-  D.CurValue = Cur;
-  D.RelChange = Base != 0.0 ? (Cur - Base) / Base : 0.0;
-  // Relative rule with an absolute floor: for Base > AbsEpsilon this is
-  // exactly Cur > Base * (1 + threshold); for a zero/near-zero baseline
-  // the floor takes over, so 0 -> nonzero regresses instead of hiding
-  // behind a division by zero.
-  D.Regressed = Cur - Base > Options.RelThreshold *
-                                std::max(std::abs(Base), Options.AbsEpsilon);
-  R.HasRegression |= D.Regressed;
-  R.Deltas.push_back(std::move(D));
-}
-
-void diffBenchResults(PerfDiffResult &R, const JsonValue &Base,
-                      const JsonValue &Cur, const PerfDiffOptions &Options) {
-  const JsonValue *BaseRows = Base.find("results");
-  const JsonValue *CurRows = Cur.find("results");
-  auto rowKey = [](const JsonValue &Row) {
-    const JsonValue *Fig = Row.find("figure");
-    const JsonValue *Key = Row.find("key");
-    return (Fig && Fig->isString() ? Fig->Str : "?") + "/" +
-           (Key && Key->isString() ? Key->Str : "?");
-  };
-  for (const JsonValue &BRow : BaseRows->Array) {
-    const std::string K = rowKey(BRow);
-    const JsonValue *Match = nullptr;
-    if (CurRows && CurRows->isArray())
-      for (const JsonValue &CRow : CurRows->Array)
-        if (rowKey(CRow) == K) {
-          Match = &CRow;
-          break;
-        }
-    if (!Match) {
-      R.Notes.push_back(
-          formatStr("baseline row '%s' missing from current results",
-                    K.c_str()));
-      R.HasRegression = true;
-      continue;
-    }
-    compareMetric(R, K + ".end_to_end_ns", BRow.numberOr("end_to_end_ns", 0),
-                  Match->numberOr("end_to_end_ns", 0), Options);
-    compareMetric(R, K + ".energy_j", BRow.numberOr("energy_j", 0),
-                  Match->numberOr("energy_j", 0), Options);
-  }
-}
-
-/// Gates the p50/p99 of every baseline metrics.histograms entry whose name
-/// is not wall-clock derived (those are machine-dependent; everything else
-/// in the registry is simulated and deterministic).
-void diffHistogramRows(PerfDiffResult &R, const JsonValue &Base,
-                       const JsonValue &Cur, const PerfDiffOptions &Options) {
-  const JsonValue *BH = lookupPath(Base, {"metrics", "histograms"});
-  if (!BH || !BH->isObject())
-    return;
-  const JsonValue *CH = lookupPath(Cur, {"metrics", "histograms"});
-  for (const auto &[Name, BQ] : BH->Object) {
-    if (Name.find("wall") != std::string::npos)
-      continue;
-    const JsonValue *CQ =
-        CH && CH->isObject() ? CH->find(Name) : nullptr;
-    for (const char *Quant : {"p50", "p99"}) {
-      const JsonValue *BV = BQ.find(Quant);
-      if (!BV || !BV->isNumber())
-        continue;
-      const std::string Label = "metrics.histograms." + Name + "." + Quant;
-      const JsonValue *CV = CQ ? CQ->find(Quant) : nullptr;
-      if (!CV || !CV->isNumber()) {
-        R.Notes.push_back(
-            formatStr("metric '%s' missing from current report",
-                      Label.c_str()));
-        R.HasRegression = true;
-        continue;
-      }
-      compareMetric(R, Label, BV->Number, CV->Number, Options);
-    }
-  }
-}
-
-} // namespace
-
-PerfDiffResult pf::obs::perfDiff(const JsonValue &Base, const JsonValue &Cur,
-                                 const PerfDiffOptions &Options) {
-  PerfDiffResult R;
-  const JsonValue *BaseRows = Base.find("results");
-  if (BaseRows && BaseRows->isArray()) {
-    diffBenchResults(R, Base, Cur, Options);
-    return R;
-  }
-  for (const auto &[Name, Path] : ReportMetrics) {
-    const JsonValue *B = lookupPath(Base, Path);
-    if (!B || !B->isNumber())
-      continue; // Not in the baseline: nothing to gate.
-    const JsonValue *C = lookupPath(Cur, Path);
-    if (!C || !C->isNumber()) {
-      R.Notes.push_back(
-          formatStr("metric '%s' missing from current report", Name));
-      R.HasRegression = true;
-      continue;
-    }
-    compareMetric(R, Name, B->Number, C->Number, Options);
-  }
-  diffHistogramRows(R, Base, Cur, Options);
-  return R;
-}
-
-std::string pf::obs::renderPerfDiff(const PerfDiffResult &R) {
-  std::string Out;
-  Table T;
-  T.setHeader({"metric", "base", "current", "change", "status"});
-  for (const MetricDelta &D : R.Deltas)
-    T.addRow({D.Name, formatStr("%.6g", D.BaseValue),
-              formatStr("%.6g", D.CurValue),
-              formatStr("%+.1f%%", 100.0 * D.RelChange),
-              D.Regressed ? "REGRESSED" : "ok"});
-  Out += T.render();
-  for (const std::string &N : R.Notes)
-    Out += "note: " + N + "\n";
-  Out += R.HasRegression ? "result: REGRESSION\n" : "result: ok\n";
   return Out;
 }

@@ -12,9 +12,9 @@
 /// the timeline attribution (critical path, slack, lane utilization,
 /// per-channel phase cycles) and the search's decision trail.
 /// `renderPerfReportText` renders a parsed report for humans (`pimflow
-/// report`), and `perfDiff` compares two reports (or two bench-results
-/// dumps) with per-metric relative thresholds — the regression gate behind
-/// `pf_perf_diff` and ci.sh tier 5.
+/// report`). Every simulated number in it is deterministic, so regressions
+/// are gated by byte-for-byte equality elsewhere (plan goldens, the
+/// `pf_figures` baselines, the pinned-output tests), never by a threshold.
 ///
 /// Schema (version 2, lower-is-better metrics unless noted):
 ///   { schema_version, kind: "pimflow-perf-report", model, policy,
@@ -73,7 +73,6 @@
 #define PIMFLOW_OBS_PERFREPORT_H
 
 #include <string>
-#include <vector>
 
 #include "core/Report.h"
 #include "obs/Attribution.h"
@@ -106,55 +105,6 @@ std::string renderPerfReportText(const JsonValue &Report);
 /// gauges, windows) of a parsed report — the `pimflow report --metrics`
 /// view. Empty string when the report has no metrics section.
 std::string renderPerfReportMetricsText(const JsonValue &Report);
-
-/// Relative-threshold configuration of the diff gate.
-struct PerfDiffOptions {
-  /// A gated metric regresses when
-  ///   Cur - Base > RelThreshold * max(|Base|, AbsEpsilon),
-  /// i.e. the usual relative rule, with an absolute floor so a zero or
-  /// near-zero baseline still gates: 0 -> nonzero is a regression, not a
-  /// divide-by-zero blind spot.
-  double RelThreshold = 0.25;
-  /// Absolute floor substituted for |Base| in the rule above when the
-  /// baseline is smaller than this.
-  double AbsEpsilon = 1e-9;
-};
-
-/// One compared metric.
-struct MetricDelta {
-  std::string Name;
-  double BaseValue = 0.0;
-  double CurValue = 0.0;
-  /// (Cur - Base) / Base; 0 when Base is 0 (display only — the gating
-  /// rule uses the epsilon-floored form in PerfDiffOptions).
-  double RelChange = 0.0;
-  bool Regressed = false;
-};
-
-/// Outcome of comparing two report (or bench-results) documents.
-struct PerfDiffResult {
-  std::vector<MetricDelta> Deltas;
-  /// Structural problems (metric present in the baseline but missing from
-  /// the current document); these also count as regressions.
-  std::vector<std::string> Notes;
-  bool HasRegression = false;
-};
-
-/// Compares \p Cur against \p Base. Both documents must be the same
-/// format: a perf report (gates end_to_end_ns, energy_j, conv_layer_ns,
-/// fc_layer_ns, critical_path.length_ns, timeline.gpu_busy_ns,
-/// timeline.pim_busy_ns, plus the p50/p99 of every baseline
-/// metrics.histograms entry whose name does not contain "wall" —
-/// wall-clock distributions are machine-dependent and never gate) or a
-/// bench-results dump — detected by its "results" array — where every
-/// baseline (figure, key) row gates end_to_end_ns and energy_j. Rows only
-/// in \p Cur are new coverage and pass; rows missing from \p Cur are
-/// notes and fail.
-PerfDiffResult perfDiff(const JsonValue &Base, const JsonValue &Cur,
-                        const PerfDiffOptions &Options = {});
-
-/// Renders \p R as an aligned table plus notes.
-std::string renderPerfDiff(const PerfDiffResult &R);
 
 } // namespace pf::obs
 

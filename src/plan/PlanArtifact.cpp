@@ -92,8 +92,8 @@ std::string pf::systemConfigPlanSig(const SystemConfig &C) {
 std::string pf::searchOptionsPlanSig(const SearchOptions &S) {
   return formatStr("sp%d/pl%d/fo%d/st%d/rs%.9g/rf%d/rr%.9g",
                    S.AllowSplit ? 1 : 0, S.AllowPipeline ? 1 : 0,
-                   S.AllowFullOffload ? 1 : 0, S.PipelineStages, S.RatioStep,
-                   S.RefineRatios ? 1 : 0, S.RefinedStep);
+                   S.AllowFullOffload ? 1 : 0, S.PipelineStages,
+                   SplitRatioStep, S.RefineRatios ? 1 : 0, RefinedRatioStep);
 }
 
 PlanKey pf::makePlanKey(const Graph &Model, const SystemConfig &Config,

@@ -50,21 +50,11 @@ struct RecoveryOptions {
   int PimFloor = 1;
 };
 
-/// Outcome of one recovered execution.
-struct RecoveryResult {
-  /// A valid timeline was produced (recovery itself cannot fail for valid
-  /// inputs; Ok == false means the *input* was bad — invalid config or
-  /// unschedulable graph — and DE carries the errors).
-  bool Ok = false;
+/// Degradation summary of one recovered execution; a fault-injected
+/// compile carries it as CompileResult::Recovery.
+struct RecoverySummary {
   /// Something degraded: channels lost, nodes remapped or demoted.
   bool Degraded = false;
-
-  /// The graph actually executed. Differs from the input only in Device
-  /// annotations (GPU fallbacks); structure and numerics are untouched.
-  Graph Executed{"empty"};
-  /// The resulting schedule over the (possibly degraded) configuration.
-  Timeline Schedule;
-
   int DeadChannels = 0;
   int StalledChannels = 0;
   int SurvivingChannels = 0;
@@ -77,6 +67,20 @@ struct RecoveryResult {
 
   /// Human-readable degradation notes, one per event, in decision order.
   std::vector<std::string> Notes;
+};
+
+/// Outcome of one recovered execution: its summary plus what ran.
+struct RecoveryResult : RecoverySummary {
+  /// A valid timeline was produced (recovery itself cannot fail for valid
+  /// inputs; Ok == false means the *input* was bad — invalid config or
+  /// unschedulable graph — and DE carries the errors).
+  bool Ok = false;
+
+  /// The graph actually executed. Differs from the input only in Device
+  /// annotations (GPU fallbacks); structure and numerics are untouched.
+  Graph Executed{"empty"};
+  /// The resulting schedule over the (possibly degraded) configuration.
+  Timeline Schedule;
 };
 
 /// Executes graphs against a fault schedule with retry, remap, and fallback.

@@ -53,7 +53,7 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
   // profile signatures, so this accumulation must stay as it is.
   std::vector<double> Grid;
   if (Options.AllowSplit)
-    for (double R = Options.RatioStep; R < 1.0 - 1e-9; R += Options.RatioStep)
+    for (double R = SplitRatioStep; R < 1.0 - 1e-9; R += SplitRatioStep)
       Grid.push_back(R);
 
   // Per-node profile slots (lines 1-7 and 16-22 of Algorithm 1), plus the
@@ -183,8 +183,8 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
             Consider(R, Ns);
           };
           const double Center = Opt.RatioGpu;
-          for (double D = Options.RefinedStep;
-               D < Options.RatioStep - 1e-9; D += Options.RefinedStep) {
+          for (double D = RefinedRatioStep; D < SplitRatioStep - 1e-9;
+               D += RefinedRatioStep) {
             if (Center - D > 1e-9)
               TrySplit(Center - D);
             if (Center + D < 1.0 - 1e-9)

@@ -109,6 +109,13 @@ struct ExecutionPlan {
   double PredictedNs = 0.0;
 };
 
+/// Split-ratio grid step (the paper uses 10%; Section 5's footnote notes
+/// 2% gains only ~1%).
+inline constexpr double SplitRatioStep = 0.1;
+/// Step of SearchOptions::RefineRatios's local refinement around the
+/// coarse optimum.
+inline constexpr double RefinedRatioStep = 0.02;
+
 /// Option set available to the search (mechanism-dependent).
 struct SearchOptions {
   /// Permit MD-DP splits at the interior ratios (0.1 .. 0.9).
@@ -119,15 +126,11 @@ struct SearchOptions {
   bool AllowFullOffload = true;
   /// Pipeline stage count.
   int PipelineStages = 2;
-  /// Split-ratio grid step (the paper uses 10%; Section 5's footnote notes
-  /// 2% gains only ~1%).
-  double RatioStep = 0.1;
   /// The paper's future-work auto-tuning: after the coarse grid sweep,
-  /// locally refine the best ratio at RefinedStep granularity (one extra
-  /// round of samples around the coarse optimum instead of a full fine
-  /// grid).
+  /// locally refine the best ratio at RefinedRatioStep granularity (one
+  /// extra round of samples around the coarse optimum instead of a full
+  /// fine grid).
   bool RefineRatios = false;
-  double RefinedStep = 0.02;
 };
 
 /// Algorithm 1 driver.

@@ -14,7 +14,6 @@
 #include <queue>
 
 #include "obs/FlightRecorder.h"
-#include "obs/Json.h"
 #include "support/Format.h"
 #include "support/Log.h"
 
@@ -809,41 +808,4 @@ std::string pf::serve::renderServeSummary(const ServeResult &R) {
                    static_cast<long long>(R.QueueDelayP50Ns),
                    static_cast<long long>(R.QueueDelayP99Ns));
   return Out;
-}
-
-std::string pf::serve::renderServeBenchJson(const ServeResult &R) {
-  std::string Mix;
-  for (size_t I = 0; I < R.ModelNames.size(); ++I)
-    Mix += (I ? "+" : "") + R.ModelNames[I];
-
-  obs::JsonWriter W;
-  W.beginObject();
-  W.key("results").beginArray();
-  auto Row = [&](const char *Key, double EndToEndNs, double EnergyJ) {
-    W.beginObject()
-        .field("figure", "Serve")
-        .field("key", Key)
-        .field("model", Mix)
-        .field("policy", R.PolicyName)
-        .field("end_to_end_ns", EndToEndNs)
-        .field("energy_j", EnergyJ);
-    W.key("counters")
-        .beginObject()
-        .field("serve.served", static_cast<int64_t>(R.Served))
-        .field("serve.degraded", static_cast<int64_t>(R.Degraded))
-        .field("serve.floor_fallbacks",
-               static_cast<int64_t>(R.FloorFallbacks))
-        .field("serve.shed", static_cast<int64_t>(R.Shed))
-        .endObject();
-    W.endObject();
-  };
-  Row("serve/latency_p50", static_cast<double>(R.LatencyP50Ns),
-      R.TotalEnergyJ);
-  Row("serve/latency_p99", static_cast<double>(R.LatencyP99Ns),
-      R.TotalEnergyJ);
-  Row("serve/queue_delay_p50", static_cast<double>(R.QueueDelayP50Ns),
-      R.TotalEnergyJ);
-  W.endArray();
-  W.endObject();
-  return W.take();
 }

@@ -124,7 +124,7 @@ struct ServeResult {
   std::vector<std::string> ModelNames;
   std::vector<std::unique_ptr<Session>> Sessions;
 
-  /// Echoed configuration (summary header / bench rows).
+  /// Echoed configuration (summary header / serve report).
   std::string PolicyName;
   int PlannedChannels = 0;
   int PoolChannels = 0;
@@ -201,11 +201,6 @@ struct ServeResult {
 /// per request in id order, and the aggregate tail. Byte-deterministic
 /// for a given (models, spec, options) input.
 std::string renderServeSummary(const ServeResult &R);
-
-/// Renders the bench-format results dump (`{"results": [...]}`) with the
-/// pf_perf_diff-gated request-latency rows (serve/latency_p50 etc.) —
-/// the ci.sh tier-8 regression gate against bench/baselines/BENCH_serve.json.
-std::string renderServeBenchJson(const ServeResult &R);
 
 /// The serving engine. Construction compiles (or replays from the plan
 /// cache) every model's plan and materializes its transformed graph plus

@@ -192,3 +192,108 @@ TEST(PimFlowTest, FinalVerifyGateRejectsCorruptModel) {
   EXPECT_DEATH(PimFlow(OffloadPolicy::GpuOnly).compileAndRun(Model),
                "verify.illegal-attrs");
 }
+
+TEST(PimFlowTest, FaultFreeRunCarriesNoRecoverySummary) {
+  const CompileResult R =
+      PimFlow(OffloadPolicy::PimFlow).compileAndRun(buildToy());
+  EXPECT_FALSE(R.Recovery.has_value());
+}
+
+// executeWithFaults is the one faulted-run path: the facade calls it for
+// --faults, the CLI for a solved graph file (with or without recovery).
+namespace {
+
+/// A fault-free PIMFlow run of the toy model: a transformed graph with
+/// PIM nodes, ready to be re-executed under faults.
+CompileResult cleanToy() {
+  return PimFlow(OffloadPolicy::PimFlow).compileAndRun(buildToy());
+}
+
+PimFlowOptions withFaults(const std::string &Spec, uint64_t Seed = 1) {
+  PimFlowOptions O;
+  O.FaultSpec = Spec;
+  O.FaultSeed = Seed;
+  return O;
+}
+
+} // namespace
+
+TEST(ExecuteWithFaultsTest, MalformedSpecFailsAndLeavesTheResult) {
+  CompileResult R = cleanToy();
+  const double CleanNs = R.Schedule.TotalNs;
+  DiagnosticEngine DE;
+  EXPECT_FALSE(executeWithFaults(R, withFaults("dead:x"), DE));
+  EXPECT_TRUE(DE.hasCode(DiagCode::FaultBadSpec));
+  EXPECT_FALSE(R.Recovery.has_value());
+  EXPECT_EQ(R.Schedule.TotalNs, CleanNs);
+}
+
+TEST(ExecuteWithFaultsTest, RecoveredRunMatchesTheFacade) {
+  const PimFlowOptions O = withFaults("dead:3,dead:7");
+  const CompileResult F =
+      PimFlow(OffloadPolicy::PimFlow, O).compileAndRun(buildToy());
+  ASSERT_TRUE(F.Recovery.has_value());
+
+  CompileResult R = cleanToy();
+  DiagnosticEngine DE;
+  ASSERT_TRUE(executeWithFaults(R, O, DE)) << DE.render();
+  ASSERT_TRUE(R.Recovery.has_value());
+  EXPECT_EQ(R.Schedule.TotalNs, F.Schedule.TotalNs);
+  EXPECT_EQ(R.Recovery->Degraded, F.Recovery->Degraded);
+  EXPECT_EQ(R.Recovery->DeadChannels, F.Recovery->DeadChannels);
+  EXPECT_EQ(R.Recovery->SurvivingChannels, F.Recovery->SurvivingChannels);
+  EXPECT_EQ(R.Recovery->NodesRemapped, F.Recovery->NodesRemapped);
+  EXPECT_EQ(R.Recovery->NodesFellBack, F.Recovery->NodesFellBack);
+  EXPECT_EQ(R.Recovery->Notes, F.Recovery->Notes);
+}
+
+TEST(ExecuteWithFaultsTest, ChaosSummaryIsTheExecutorsOwn) {
+  // "chaos" draws its schedule from the seed over the run's PIM channels;
+  // the summary the result carries is the executor's, field for field.
+  const uint64_t Seed = 11;
+  CompileResult R = cleanToy();
+  const Graph Input = R.Transformed;
+  DiagnosticEngine DE;
+  ASSERT_TRUE(executeWithFaults(R, withFaults("chaos", Seed), DE))
+      << DE.render();
+  ASSERT_TRUE(R.Recovery.has_value());
+  EXPECT_TRUE(R.Recovery->Degraded);
+
+  DiagnosticEngine DX;
+  const RecoveryResult X =
+      RecoveryExecutor(R.Config,
+                       FaultModel::chaos(Seed, R.Config.Pim.Channels))
+          .run(Input, DX);
+  ASSERT_TRUE(X.Ok);
+  EXPECT_EQ(R.Schedule.TotalNs, X.Schedule.TotalNs);
+  EXPECT_EQ(R.Recovery->Degraded, X.Degraded);
+  EXPECT_EQ(R.Recovery->DeadChannels, X.DeadChannels);
+  EXPECT_EQ(R.Recovery->StalledChannels, X.StalledChannels);
+  EXPECT_EQ(R.Recovery->SurvivingChannels, X.SurvivingChannels);
+  EXPECT_EQ(R.Recovery->NodesRemapped, X.NodesRemapped);
+  EXPECT_EQ(R.Recovery->NodesFellBack, X.NodesFellBack);
+  EXPECT_EQ(R.Recovery->TransientRetries, X.TransientRetries);
+  EXPECT_EQ(R.Recovery->Notes, X.Notes);
+}
+
+TEST(ExecuteWithFaultsTest, NoRecoveryFailsOnADeadChannel) {
+  CompileResult R = cleanToy();
+  DiagnosticEngine DE;
+  EXPECT_FALSE(
+      executeWithFaults(R, withFaults("dead:0"), DE, /*Recover=*/false));
+  EXPECT_TRUE(DE.hasCode(DiagCode::FaultUnrecovered));
+  EXPECT_FALSE(R.Recovery.has_value());
+}
+
+TEST(ExecuteWithFaultsTest, NoRecoveryRunsASlowChannelWithoutASummary) {
+  // A slow channel is no persistent fault: the engine runs through it, and
+  // without the ladder there is no degradation summary to carry.
+  CompileResult R = cleanToy();
+  const double CleanNs = R.Schedule.TotalNs;
+  DiagnosticEngine DE;
+  ASSERT_TRUE(
+      executeWithFaults(R, withFaults("slow:0:4"), DE, /*Recover=*/false))
+      << DE.render();
+  EXPECT_FALSE(R.Recovery.has_value());
+  EXPECT_GE(R.Schedule.TotalNs, CleanNs);
+}

@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // One firing and one quiet case per watchdog rule, each against a private
-// scope so the process-wide registry never leaks in. The default
-// thresholds are the ones the driver runs with.
+// scope so the process-wide registry never leaks in.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,20 +47,18 @@ protected:
 } // namespace
 
 TEST_F(AnomalyTest, TailRuleFiresOnALongSimulatedTail) {
-  const AnomalyRules Rules;
   recordTail("engine.node_duration_ns",
-             static_cast<int>(Rules.MinHistogramCount), 1000.0);
-  EXPECT_EQ(evaluateAnomalies(DE, nullptr, Rules), 1);
+             static_cast<int>(AnomalyMinHistogramCount), 1000.0);
+  EXPECT_EQ(evaluateAnomalies(DE, nullptr), 1);
   ASSERT_TRUE(DE.hasCode(DiagCode::AnomalyTailLatency));
   EXPECT_EQ(DE.diagnostics()[0].Context, "engine.node_duration_ns");
   EXPECT_EQ(DE.diagnostics()[0].Severity, DiagSeverity::Warning);
 }
 
 TEST_F(AnomalyTest, TailRuleIgnoresTooFewSamples) {
-  const AnomalyRules Rules;
   recordTail("engine.node_duration_ns",
-             static_cast<int>(Rules.MinHistogramCount) - 1, 1000.0);
-  EXPECT_EQ(evaluateAnomalies(DE, nullptr, Rules), 0);
+             static_cast<int>(AnomalyMinHistogramCount) - 1, 1000.0);
+  EXPECT_EQ(evaluateAnomalies(DE, nullptr), 0);
   EXPECT_TRUE(DE.diagnostics().empty());
 }
 

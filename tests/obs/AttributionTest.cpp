@@ -377,7 +377,7 @@ TEST(AttributionTest, DecisionsCoverPlanSegments) {
 }
 
 // The JSON report reproduces the attribution invariants after a parse
-// round-trip (what pf_perf_diff and `pimflow report` consume).
+// round-trip (what `pimflow report` consumes).
 TEST(AttributionTest, PerfReportRoundTrip) {
   PimFlow Flow(OffloadPolicy::PimFlow);
   const CompileResult R = Flow.compileAndRun(buildToy());
@@ -424,92 +424,4 @@ TEST(AttributionTest, PerfReportRoundTrip) {
   EXPECT_NE(Text.find("critical path"), std::string::npos);
   EXPECT_NE(Text.find("lane"), std::string::npos);
   EXPECT_NE(Text.find("decision"), std::string::npos);
-}
-
-namespace {
-
-JsonValue parseOrDie(const std::string &Text) {
-  std::string Error;
-  auto Doc = JsonValue::parse(Text, &Error);
-  EXPECT_TRUE(Doc.has_value()) << Error;
-  return Doc ? *Doc : JsonValue{};
-}
-
-} // namespace
-
-TEST(PerfDiffTest, SelfDiffIsClean) {
-  const JsonValue Doc = parseOrDie(
-      R"({"kind":"pimflow-perf-report","end_to_end_ns":100.0,)"
-      R"("energy_j":2.0,"conv_layer_ns":60.0,"fc_layer_ns":10.0})");
-  const PerfDiffResult R = perfDiff(Doc, Doc);
-  EXPECT_FALSE(R.HasRegression);
-  EXPECT_TRUE(R.Notes.empty());
-  ASSERT_FALSE(R.Deltas.empty());
-  for (const MetricDelta &D : R.Deltas) {
-    EXPECT_FALSE(D.Regressed);
-    EXPECT_DOUBLE_EQ(D.RelChange, 0.0);
-  }
-}
-
-TEST(PerfDiffTest, FlagsRegressionBeyondThreshold) {
-  const JsonValue Base =
-      parseOrDie(R"({"end_to_end_ns":100.0,"energy_j":2.0})");
-  const JsonValue Cur =
-      parseOrDie(R"({"end_to_end_ns":200.0,"energy_j":2.0})");
-  const PerfDiffResult R = perfDiff(Base, Cur);
-  EXPECT_TRUE(R.HasRegression);
-  bool FoundE2e = false;
-  for (const MetricDelta &D : R.Deltas)
-    if (D.Name == "end_to_end_ns") {
-      FoundE2e = true;
-      EXPECT_TRUE(D.Regressed);
-      EXPECT_DOUBLE_EQ(D.RelChange, 1.0);
-    } else {
-      EXPECT_FALSE(D.Regressed);
-    }
-  EXPECT_TRUE(FoundE2e);
-
-  // A generous threshold lets the same delta through.
-  PerfDiffOptions Loose;
-  Loose.RelThreshold = 1.5;
-  EXPECT_FALSE(perfDiff(Base, Cur, Loose).HasRegression);
-}
-
-TEST(PerfDiffTest, ImprovementPasses) {
-  const JsonValue Base = parseOrDie(R"({"end_to_end_ns":100.0})");
-  const JsonValue Cur = parseOrDie(R"({"end_to_end_ns":10.0})");
-  EXPECT_FALSE(perfDiff(Base, Cur).HasRegression);
-}
-
-TEST(PerfDiffTest, MissingMetricIsARegression) {
-  const JsonValue Base =
-      parseOrDie(R"({"end_to_end_ns":100.0,"energy_j":2.0})");
-  const JsonValue Cur = parseOrDie(R"({"end_to_end_ns":100.0})");
-  const PerfDiffResult R = perfDiff(Base, Cur);
-  EXPECT_TRUE(R.HasRegression);
-  EXPECT_FALSE(R.Notes.empty());
-}
-
-TEST(PerfDiffTest, BenchFormatMatchesRowsByFigureAndKey) {
-  const JsonValue Base = parseOrDie(
-      R"({"results":[)"
-      R"({"figure":"F9","key":"a","end_to_end_ns":100.0,"energy_j":1.0},)"
-      R"({"figure":"F9","key":"b","end_to_end_ns":50.0,"energy_j":1.0}]})");
-  // Row "a" regresses; row "b" vanishes; a new row "c" is fine.
-  const JsonValue Cur = parseOrDie(
-      R"({"results":[)"
-      R"({"figure":"F9","key":"a","end_to_end_ns":150.0,"energy_j":1.0},)"
-      R"({"figure":"F9","key":"c","end_to_end_ns":9.0,"energy_j":1.0}]})");
-  const PerfDiffResult R = perfDiff(Base, Cur);
-  EXPECT_TRUE(R.HasRegression);
-  EXPECT_FALSE(R.Notes.empty());
-
-  bool RegressedA = false;
-  for (const MetricDelta &D : R.Deltas)
-    if (D.Name == "F9/a.end_to_end_ns")
-      RegressedA = D.Regressed;
-  EXPECT_TRUE(RegressedA);
-
-  // Identical dumps are clean.
-  EXPECT_FALSE(perfDiff(Base, Base).HasRegression);
 }

@@ -98,14 +98,14 @@ TEST(PerfReportTest, RecoverySectionOnlyWhenActive) {
   Options.FaultSpec = "dead:0";
   PimFlow Faulted(OffloadPolicy::PimFlow, Options);
   const CompileResult RF = Faulted.compileAndRun(buildToy());
-  ASSERT_TRUE(RF.Recovery.Active);
+  ASSERT_TRUE(RF.Recovery);
   const JsonValue Doc = reportOf(RF);
   const JsonValue *Rec = Doc.find("recovery");
   ASSERT_NE(Rec, nullptr);
   EXPECT_DOUBLE_EQ(Rec->numberOr("dead_channels", -1.0),
-                   RF.Recovery.DeadChannels);
+                   RF.Recovery->DeadChannels);
   EXPECT_DOUBLE_EQ(Rec->numberOr("surviving_channels", -1.0),
-                   RF.Recovery.SurvivingChannels);
+                   RF.Recovery->SurvivingChannels);
 }
 
 // A cold compile measures candidates and plans segments; the report's
@@ -172,8 +172,9 @@ TEST(PerfReportTest, RemappedRunExportsThePlanThatRan) {
   Options.FaultSpec = "dead:3,dead:7";
   const CompileResult R =
       PimFlow(OffloadPolicy::PimFlow, Options).compileAndRun(buildToy());
-  ASSERT_EQ(R.Recovery.SurvivingChannels, 14);
-  ASSERT_GT(R.Recovery.NodesRemapped, 0);
+  ASSERT_TRUE(R.Recovery);
+  ASSERT_EQ(R.Recovery->SurvivingChannels, 14);
+  ASSERT_GT(R.Recovery->NodesRemapped, 0);
 
   const AttributionReport A =
       attributeTimeline(R.Transformed, R.Schedule, R.Config);

@@ -152,6 +152,15 @@ TEST(PlanArtifact, SearchSigTracksEveryOption) {
   EXPECT_NE(searchOptionsPlanSig(A), searchOptionsPlanSig(B));
 }
 
+// The ratio grid steps are constants, but the key text keeps printing
+// them, so plans written before they stopped being options still load.
+TEST(PlanArtifact, SearchSigPrintsTheFixedRatioSteps) {
+  SearchOptions S = searchOptionsFor(OffloadPolicy::PimFlow, {});
+  EXPECT_EQ(searchOptionsPlanSig(S), "sp1/pl1/fo1/st2/rs0.1/rf0/rr0.02");
+  S.RefineRatios = true;
+  EXPECT_EQ(searchOptionsPlanSig(S), "sp1/pl1/fo1/st2/rs0.1/rf1/rr0.02");
+}
+
 TEST(PlanArtifact, ConfigSigTracksProfiledHardwareKnobs) {
   const SystemConfig A = systemConfigFor(OffloadPolicy::PimFlow, {});
   PimFlowOptions O;

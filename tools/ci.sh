@@ -25,9 +25,12 @@
 #      tier-1 tree, then again under TSan. The seeds are fixed inside the
 #      tests, so a failure always names a reproducible schedule; per-test
 #      ctest TIMEOUT properties turn any hang into a loud failure.
-#   5. The perf smoke tier: toy and resnet-18 perf reports must not
-#      regress against themselves under pf_perf_diff, and the gate must
-#      trip on a perturbed report.
+#   5. The perf smoke tier: the toy and resnet-18 perf reports must
+#      validate under pf_json_check and render with `pimflow report` and
+#      `pimflow report --metrics`. No threshold gates anything: every
+#      simulated number is deterministic and pinned by equality (tier 1's
+#      figure baselines and pinned-output tests, tier 7's plan goldens,
+#      tier 8's serve golden).
 #   6. The telemetry tier: a faulted chaos-seed run exporting the
 #      Prometheus metrics exposition (validated by pf_metrics_check, with
 #      quantile histograms required) and a flight-recorder dump (asserted
@@ -51,9 +54,10 @@
 #      serve's request re-run workers, the one pool left) AND match the
 #      committed golden (outcomes are decided in virtual time, never by
 #      worker races), whose counter families match across --jobs values
-#      too, with the request-latency p50/p99 rows gated against
-#      bench/baselines/BENCH_serve.json by pf_perf_diff and the serve.*
-#      metrics exposition validated by pf_metrics_check.
+#      too, and whose serve report and serve.* metrics exposition
+#      validate under pf_json_check and pf_metrics_check. The run's total
+#      energy, which the summary does not print, is pinned bit for bit by
+#      tier 1's ServerTest.TierEightRunPinsTotalEnergy.
 #   9. The chaos-under-serve tier: the seeded (load spec x fault timeline)
 #      matrix in tests/serve_chaos/ (conservation, quarantine exclusion,
 #      breaker lifecycle), then a CLI run with mid-stream channel outages,
@@ -117,25 +121,17 @@ ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Chaos'
 cmake --build build-tsan -j "$JOBS" --target chaos_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R 'Chaos'
 
-echo "== tier 5: perf smoke — report regression gate =="
+echo "== tier 5: perf smoke — reports validate and render =="
 PERF_DIR=build/perf-smoke
 mkdir -p "$PERF_DIR"
 for NET in toy resnet-18; do
   ./build/tools/pimflow run "$NET" --dir="$PERF_DIR" \
     --perf-report="$PERF_DIR/$NET.perf.json" > /dev/null
-  # A report never regresses against itself...
-  ./build/tools/pf_perf_diff --threshold=0.25 \
-    "$PERF_DIR/$NET.perf.json" "$PERF_DIR/$NET.perf.json" > /dev/null
+  ./build/tools/pf_json_check "$PERF_DIR/$NET.perf.json" > /dev/null
+  ./build/tools/pimflow report "$PERF_DIR/$NET.perf.json" > /dev/null
+  ./build/tools/pimflow report --metrics "$PERF_DIR/$NET.perf.json" \
+    > /dev/null
 done
-# ...and the gate must actually trip on a >threshold perturbation.
-sed 's/"end_to_end_ns":/"end_to_end_ns":9e99, "was_end_to_end_ns":/' \
-  "$PERF_DIR/toy.perf.json" > "$PERF_DIR/toy.perf.perturbed.json"
-if ./build/tools/pf_perf_diff --threshold=0.25 \
-  "$PERF_DIR/toy.perf.json" "$PERF_DIR/toy.perf.perturbed.json" \
-  > /dev/null; then
-  echo "error: pf_perf_diff did not flag a perturbed report" >&2
-  exit 1
-fi
 
 echo "== tier 6: telemetry — metrics exposition + flight recorder =="
 TEL_DIR=build/telemetry-smoke
@@ -277,16 +273,15 @@ if ./build/tools/pimflow run mnasnet-1.0 --dir="$PLAN_DIR" \
 fi
 grep -q 'plan\.mismatch' "$PLAN_DIR/mismatch.err"
 
-echo "== tier 8: serve — deterministic multi-tenant smoke + latency gate =="
+echo "== tier 8: serve — deterministic multi-tenant smoke =="
 SERVE_DIR=build/serve-smoke
 rm -rf "$SERVE_DIR"
 mkdir -p "$SERVE_DIR"
 SERVE_SPEC='count:24,seed:7,mean-gap-us:150,batch:1|4'
-# The full serve run: golden summary, bench rows, serve report, metrics.
+# The full serve run: golden summary, serve report, metrics.
 ./build/tools/pimflow serve toy mobilenet-v2 \
   --requests="$SERVE_SPEC" --max-inflight=3 --channel-pool=24 --jobs=1 \
   --summary-out="$SERVE_DIR/serve.j1.txt" \
-  --bench-json="$SERVE_DIR/BENCH_serve.json" \
   --perf-report="$SERVE_DIR/serve.perf.json" \
   --metrics-out="$SERVE_DIR/serve.metrics.txt" > /dev/null
 # Reentrancy determinism: more worker threads change nothing, byte for byte.
@@ -311,9 +306,6 @@ cmp "$SERVE_DIR/serve.j1.counters.txt" "$SERVE_DIR/serve.j4.counters.txt"
 grep -q 'outcome=served'   "$SERVE_DIR/serve.j1.txt"
 grep -q 'outcome=degraded' "$SERVE_DIR/serve.j1.txt"
 grep -q 'outcome=floor'    "$SERVE_DIR/serve.j1.txt"
-# Request-latency regression gate over the serve/latency_p50|p99 rows.
-./build/tools/pf_perf_diff --threshold=0.25 \
-  bench/baselines/BENCH_serve.json "$SERVE_DIR/BENCH_serve.json"
 # The serve report is valid schema-v3 JSON of the serve kind.
 ./build/tools/pf_json_check "$SERVE_DIR/serve.perf.json" > /dev/null
 grep -q '"kind":"pimflow-serve-report"' "$SERVE_DIR/serve.perf.json"

@@ -13,14 +13,16 @@
 ///
 /// Checks, line by line:
 ///   - every non-comment line is `name[{labels}] value` with a finite
-///     numeric value and a legal metric name ([a-zA-Z_:][a-zA-Z0-9_:]*);
+///     decimal value (parseDouble: no hex, no padding) and a legal metric
+///     name ([a-zA-Z_:][a-zA-Z0-9_:]*);
 ///   - every sample is preceded by a `# TYPE` line for its family
 ///     (suffixes `_sum`/`_count` and label-only variants
 ///     bind to their base family);
 ///   - no family is declared by two TYPE lines;
-///   - within a family, `quantile="Q"` samples appear with strictly
-///     increasing Q and non-decreasing values (a histogram whose p99 sorts
-///     below its p50 is corrupt, not just ugly).
+///   - within a family, `quantile="Q"` samples carry a decimal Q in
+///     [0, 1] and appear with strictly increasing Q and non-decreasing
+///     values (a histogram whose p99 sorts below its p50 is corrupt, not
+///     just ugly).
 ///
 /// `--min-quantile-metrics=N` additionally requires at least N summary
 /// families carrying quantile samples — the acceptance bar for a run that
@@ -30,12 +32,12 @@
 //===----------------------------------------------------------------------===//
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "obs/Json.h"
 #include "support/StringUtil.h"
@@ -87,16 +89,17 @@ struct QuantileState {
 
 int main(int Argc, char **Argv) {
   const char *Path = nullptr;
-  long MinQuantileMetrics = 0;
+  int64_t MinQuantileMetrics = 0;
   for (int I = 1; I < Argc; ++I) {
     if (std::strncmp(Argv[I], "--min-quantile-metrics=", 23) == 0) {
-      char *End = nullptr;
-      MinQuantileMetrics = std::strtol(Argv[I] + 23, &End, 10);
-      if (!End || *End != '\0' || MinQuantileMetrics < 0) {
+      const std::optional<int64_t> Min = parseInt(Argv[I] + 23);
+      if (!Min || *Min < 0) {
         std::fprintf(stderr, "error: --min-quantile-metrics expects a "
-                             "non-negative integer\n");
+                             "non-negative integer, got '%s'\n",
+                     Argv[I] + 23);
         return 2;
       }
+      MinQuantileMetrics = *Min;
     } else if (Argv[I][0] == '-') {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Argv[I]);
       return 2;
@@ -173,13 +176,10 @@ int main(int Argc, char **Argv) {
     }
     if (ValueStart >= Line.size() || Line[ValueStart] != ' ')
       return fail("missing space before value", Line);
-    const std::string ValueStr = Line.substr(ValueStart + 1);
-    char *End = nullptr;
-    const double Value = std::strtod(ValueStr.c_str(), &End);
-    if (!End || *End != '\0' || ValueStr.empty())
-      return fail("non-numeric sample value", Line);
-    if (!std::isfinite(Value))
-      return fail("non-finite sample value", Line);
+    const std::optional<double> Value =
+        parseDouble(std::string_view(Line).substr(ValueStart + 1));
+    if (!Value)
+      return fail("non-numeric or non-finite sample value", Line);
 
     const std::string Family = familyOf(Name, Declared);
     if (!Declared.count(Family))
@@ -194,17 +194,19 @@ int main(int Argc, char **Argv) {
       const size_t QEnd = Labels.find('"', QStart);
       if (QEnd == std::string::npos)
         return fail("unterminated quantile label", Line);
-      const double Q =
-          std::strtod(Labels.substr(QStart, QEnd - QStart).c_str(), nullptr);
-      if (Q < 0.0 || Q > 1.0)
+      const std::optional<double> Q = parseDouble(
+          std::string_view(Labels).substr(QStart, QEnd - QStart));
+      if (!Q)
+        return fail("non-numeric quantile label", Line);
+      if (*Q < 0.0 || *Q > 1.0)
         return fail("quantile outside [0, 1]", Line);
       QuantileState &S = Quantiles[Family];
-      if (S.Any && Q <= S.LastQ)
+      if (S.Any && *Q <= S.LastQ)
         return fail("quantiles not strictly increasing", Line);
-      if (S.Any && Value < S.LastValue)
+      if (S.Any && *Value < S.LastValue)
         return fail("quantile values not monotone", Line);
-      S.LastQ = Q;
-      S.LastValue = Value;
+      S.LastQ = *Q;
+      S.LastValue = *Value;
       S.Any = true;
     }
   }
@@ -213,11 +215,12 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: %s: no samples\n", Path);
     return 1;
   }
-  if (static_cast<long>(Quantiles.size()) < MinQuantileMetrics) {
+  if (static_cast<int64_t>(Quantiles.size()) < MinQuantileMetrics) {
     std::fprintf(stderr,
                  "error: %s: %zu quantile metric families, expected >= "
-                 "%ld\n",
-                 Path, Quantiles.size(), MinQuantileMetrics);
+                 "%lld\n",
+                 Path, Quantiles.size(),
+                 static_cast<long long>(MinQuantileMetrics));
     return 1;
   }
   std::printf("%s: valid exposition, %zu families, %zu samples, %zu with "

@@ -26,25 +26,27 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "obs/Json.h"
 #include "obs/TraceCheck.h"
+#include "support/StringUtil.h"
 
 using namespace pf;
 
 int main(int Argc, char **Argv) {
   const char *Path = nullptr;
-  long MinRequests = -1;
+  int64_t MinRequests = -1;
   for (int I = 1; I < Argc; ++I) {
     if (std::strncmp(Argv[I], "--min-requests=", 15) == 0) {
-      char *End = nullptr;
-      MinRequests = std::strtol(Argv[I] + 15, &End, 10);
-      if (!End || *End || MinRequests < 0) {
+      const std::optional<int64_t> Min = parseInt(Argv[I] + 15);
+      if (!Min || *Min < 0) {
         std::fprintf(stderr, "error: bad --min-requests value '%s'\n",
                      Argv[I] + 15);
         return 2;
       }
+      MinRequests = *Min;
     } else if (Argv[I][0] == '-') {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Argv[I]);
       return 2;
@@ -118,8 +120,8 @@ int main(int Argc, char **Argv) {
   if (MinRequests >= 0 &&
       RootsPerLane.size() < static_cast<size_t>(MinRequests)) {
     std::fprintf(stderr,
-                 "error: %s: %zu request lanes, want at least %ld\n", Path,
-                 RootsPerLane.size(), MinRequests);
+                 "error: %s: %zu request lanes, want at least %lld\n", Path,
+                 RootsPerLane.size(), static_cast<long long>(MinRequests));
     return 1;
   }
 

@@ -100,7 +100,6 @@ struct CliOptions {
   std::vector<std::string> ServeNets; // serve <net>...: the tenant list.
   std::string Requests;   // serve --requests=<spec>: load-generator spec.
   std::string SummaryOut; // serve --summary-out=<file>: golden summary.
-  std::string BenchJson;  // serve --bench-json=<file>: pf_perf_diff rows.
   std::string TraceSample; // serve --trace-sample=<all|tail|tail:K>.
   int ReportRequest = -1; // report --request=<id>: one request's segments.
   int MaxInflight = 4;    // serve --max-inflight=N admission bound.
@@ -140,7 +139,7 @@ void usage() {
       "               serve spec keys: count:N,seed:S,mean-gap-us:G,"
       "batch:B1|B2|...,deadline-us:D\n"
       "               [--max-inflight=N] [--max-queue=N] "
-      "[--channel-pool=N] [--summary-out=<file>] [--bench-json=<file>]\n"
+      "[--channel-pool=N] [--summary-out=<file>]\n"
       "               [--default-deadline-us=N] [--retry-budget=N] "
       "[--breaker-threshold=K] [--breaker-cooldown-us=N]\n"
       "               [--trace-sample=<all|tail|tail:K>]   (which requests "
@@ -245,8 +244,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
       O.Requests = Val();
     else if (startsWith(Arg, "--summary-out="))
       O.SummaryOut = Val();
-    else if (startsWith(Arg, "--bench-json="))
-      O.BenchJson = Val();
     else if (startsWith(Arg, "--trace-sample="))
       O.TraceSample = Val();
     else if (startsWith(Arg, "--request="))
@@ -348,10 +345,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
     if (O.ServeNets.empty())
       O.ServeNets.push_back(O.Net);
   } else if (!O.Requests.empty() || !O.SummaryOut.empty() ||
-             !O.BenchJson.empty() || !O.TraceSample.empty()) {
+             !O.TraceSample.empty()) {
     DE.error(DiagCode::BadOption, "--requests",
-             "serve-only flags (--requests/--summary-out/--bench-json/"
-             "--trace-sample) require the serve verb");
+             "serve-only flags (--requests/--summary-out/--trace-sample) "
+             "require the serve verb");
     Ok = false;
   }
   if (O.Jobs && O.Mode != "serve") {
@@ -541,10 +538,11 @@ int exportObservability(const CliOptions &O, const CompileResult &R) {
   return writeMetricsOut(O) ? 0 : 1;
 }
 
-/// Prints the degradation summary of a fault-injected run.
-void printRecovery(const RecoverySummary &R) {
-  if (!R.Active)
+/// Prints the degradation summary of a recovered run.
+void printRecovery(const std::optional<RecoverySummary> &Recovery) {
+  if (!Recovery)
     return;
+  const RecoverySummary &R = *Recovery;
   if (!R.Degraded) {
     std::printf("fault injection: no degradation (all faults absorbed)\n");
     return;
@@ -664,58 +662,20 @@ int runExecuteGraphFile(const CliOptions &O) {
   // No search ran: assemble the result the printers/exporters need by hand.
   CompileResult R;
   R.Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
-  const SystemConfig Config = systemConfigFor(R.Policy, O.Flow);
-  R.Config = Config;
+  R.Config = systemConfigFor(R.Policy, O.Flow);
   R.Transformed = std::move(*Loaded);
   if (O.Flow.FaultSpec.empty()) {
-    ExecutionEngine Engine(Config);
-    R.Schedule = Engine.execute(R.Transformed);
+    R.Schedule = ExecutionEngine(R.Config).execute(R.Transformed);
   } else {
+    // --no-recovery lets a persistent fault reach the engine and fail the
+    // run (ci.sh tier 6 relies on this to trigger the auto-dump).
     DiagnosticEngine DE;
-    // parseArgs has checked the spec.
-    const FaultModel Faults =
-        O.Flow.FaultSpec == "chaos"
-            ? FaultModel::chaos(O.Flow.FaultSeed, Config.Pim.Channels)
-            : *FaultModel::parse(O.Flow.FaultSpec, DE);
-    if (O.NoRecovery) {
-      // Drive the engine directly against the fault schedule, bypassing
-      // the retry -> remap -> floor ladder: any persistent fault reaches
-      // tryExecute and fails the run with fault.unrecovered — the
-      // deterministic trigger for the flight recorder's auto-dump
-      // (ci.sh tier 6 relies on this).
-      RetryPolicy Retry;
-      Retry.MaxRetries = O.Flow.MaxRetries;
-      ExecutionEngine Engine(Config);
-      auto TL = Engine.tryExecute(R.Transformed, DE, &Faults, &Retry);
-      if (!TL) {
-        std::fprintf(stderr, "error: execution failed under "
-                             "--no-recovery:\n%s",
-                     DE.render().c_str());
-        return 1;
-      }
-      R.Schedule = std::move(*TL);
-    } else {
-      RecoveryOptions RO;
-      RO.Retry.MaxRetries = O.Flow.MaxRetries;
-      RO.PimFloor = O.Flow.PimFloor;
-      RecoveryExecutor Exec(Config, Faults, RO);
-      RecoveryResult RR = Exec.run(R.Transformed, DE);
-      if (!RR.Ok) {
-        std::fprintf(stderr, "error: fault recovery failed:\n%s",
-                     DE.render().c_str());
-        return 1;
-      }
-      R.Transformed = std::move(RR.Executed);
-      R.Schedule = std::move(RR.Schedule);
-      R.Recovery.Active = true;
-      R.Recovery.Degraded = RR.Degraded;
-      R.Recovery.DeadChannels = RR.DeadChannels;
-      R.Recovery.StalledChannels = RR.StalledChannels;
-      R.Recovery.SurvivingChannels = RR.SurvivingChannels;
-      R.Recovery.NodesRemapped = RR.NodesRemapped;
-      R.Recovery.NodesFellBack = RR.NodesFellBack;
-      R.Recovery.TransientRetries = RR.TransientRetries;
-      R.Recovery.Notes = std::move(RR.Notes);
+    if (!executeWithFaults(R, O.Flow, DE, !O.NoRecovery)) {
+      std::fprintf(stderr, "error: %s:\n%s",
+                   O.NoRecovery ? "execution failed under --no-recovery"
+                                : "fault recovery failed",
+                   DE.render().c_str());
+      return 1;
     }
   }
   std::printf("%s (%zu nodes): %.2f us end-to-end, %.2f uJ\n",
@@ -995,13 +955,6 @@ int runServe(const CliOptions &O) {
       return 1;
     }
     std::printf("serve summary written to %s\n", O.SummaryOut.c_str());
-  }
-  if (!O.BenchJson.empty()) {
-    if (!obs::writeTextFile(O.BenchJson, serve::renderServeBenchJson(R))) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.BenchJson.c_str());
-      return 1;
-    }
-    std::printf("serve bench rows written to %s\n", O.BenchJson.c_str());
   }
   if (!O.PerfReport.empty()) {
     if (!serve::writeServeReport(R, O.PerfReport)) {
