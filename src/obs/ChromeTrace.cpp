@@ -15,12 +15,8 @@
 using namespace pf;
 using namespace pf::obs;
 
-namespace {
-
-constexpr int CompilePid = 1;
-constexpr int ExecutionPid = 2;
-
-void emitProcessName(JsonWriter &W, int Pid, const std::string &Name) {
+void pf::obs::emitProcessName(JsonWriter &W, int Pid,
+                              const std::string &Name) {
   W.beginObject()
       .field("name", "process_name")
       .field("ph", "M")
@@ -33,8 +29,8 @@ void emitProcessName(JsonWriter &W, int Pid, const std::string &Name) {
       .endObject();
 }
 
-void emitThreadName(JsonWriter &W, int Pid, int Tid,
-                    const std::string &Name) {
+void pf::obs::emitThreadName(JsonWriter &W, int Pid, int Tid,
+                             const std::string &Name) {
   W.beginObject()
       .field("name", "thread_name")
       .field("ph", "M")
@@ -46,6 +42,11 @@ void emitThreadName(JsonWriter &W, int Pid, int Tid,
       .endObject()
       .endObject();
 }
+
+namespace {
+
+constexpr int CompilePid = 1;
+constexpr int ExecutionPid = 2;
 
 void emitCompleteEvent(JsonWriter &W, int Pid, int Tid,
                        const std::string &Name, const std::string &Cat,

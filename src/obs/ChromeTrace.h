@@ -30,9 +30,16 @@
 #include <vector>
 
 #include "core/PimFlow.h"
+#include "obs/Json.h"
 #include "obs/Trace.h"
 
 namespace pf::obs {
+
+/// Metadata events naming process \p Pid and thread (\p Pid, \p Tid) in
+/// the viewer; shared by this exporter and the serve request trace.
+void emitProcessName(JsonWriter &W, int Pid, const std::string &Name);
+void emitThreadName(JsonWriter &W, int Pid, int Tid,
+                    const std::string &Name);
 
 /// Renders \p CompileSpans plus the execution timeline of (\p G, \p TL)
 /// as a Chrome trace JSON document.

@@ -47,8 +47,8 @@
 /// Version 3 added the serving mode: the counter/metric namespace now
 /// carries `serve.*` families (request latency / queue-delay histograms,
 /// served/degraded/shed counters), the sections snapshot the *active*
-/// observability scope (obs/Scope.h) so a session can report on itself,
-/// and `pimflow serve --perf-report` emits the sibling document kind
+/// observability scope (obs/Scope.h) so a scoped caller can report on
+/// itself, and `pimflow serve --perf-report` emits the sibling document kind
 /// `pimflow-serve-report` (src/serve/ServeReport.h) sharing this version
 /// and the counters/metrics sections. Every v2 key is unchanged.
 ///

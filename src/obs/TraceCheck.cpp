@@ -7,6 +7,7 @@
 #include "obs/TraceCheck.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <utility>
@@ -20,12 +21,19 @@ using namespace pf::obs;
 namespace {
 
 /// Lane key: (pid, tid) as integers. The checker already rejected
-/// non-numeric pids/tids before keys are built.
+/// pids/tids that are not exact integers before keys are built.
 using LaneKey = std::pair<long long, long long>;
 
 const JsonValue *numberField(const JsonValue &E, const char *Key) {
   const JsonValue *V = E.find(Key);
   return V && V->isNumber() ? V : nullptr;
+}
+
+/// Whether \p X is an integer within +-2^53, where a double holds every
+/// integer exactly and converts to `long long` without loss.
+bool isExactInteger(double X) {
+  constexpr double Limit = 9007199254740992.0; // 2^53
+  return X >= -Limit && X <= Limit && std::trunc(X) == X;
 }
 
 std::string eventName(const JsonValue &E) {
@@ -67,9 +75,13 @@ bool pf::obs::checkChromeTrace(const JsonValue &Doc, std::string &Error,
     const JsonValue *Pid = numberField(E, "pid");
     if (!Pid)
       return Fail(I, "missing numeric 'pid'");
+    if (!isExactInteger(Pid->Number))
+      return Fail(I, "'pid' is not an integer within +-2^53");
     const JsonValue *Tid = numberField(E, "tid");
     if (!Tid)
       return Fail(I, "missing numeric 'tid'");
+    if (!isExactInteger(Tid->Number))
+      return Fail(I, "'tid' is not an integer within +-2^53");
     const JsonValue *Ts = numberField(E, "ts");
     if (Ph->Str != "M") {
       if (!Ts)
@@ -96,6 +108,10 @@ bool pf::obs::checkChromeTrace(const JsonValue &Doc, std::string &Error,
         if (!IdStr || !IdStr->isString())
           return Fail(I, formatStr("flow event ('%s') missing 'id'",
                                    P.c_str()));
+      } else if (!isExactInteger(Id->Number)) {
+        return Fail(I, formatStr("flow event ('%s') 'id' is not an integer "
+                                 "within +-2^53",
+                                 P.c_str()));
       }
       // Flow ids may be numbers or strings; normalize numbers, and hash
       // nothing — the exporters only emit numeric ids.

@@ -7,9 +7,10 @@
 /// \file
 /// Semantic validation of Chrome trace-event documents, shared by the
 /// pf_json_check and pf_trace_check CTest/CI tools. Beyond per-event
-/// field presence (string `ph`, numeric `pid`/`tid`, a non-negative `ts`
-/// on every non-metadata event, non-negative `dur`), checkChromeTrace
-/// enforces the span algebra the exporters promise:
+/// field presence (string `ph`, `pid`/`tid` and numeric flow `id`s that
+/// are integers within +-2^53, a non-negative `ts` on every non-metadata
+/// event, non-negative `dur`), checkChromeTrace enforces the span algebra
+/// the exporters promise:
 ///
 ///  - per (pid, tid) lane, duration events nest: every `E` closes the
 ///    most recent open `B` (matching its name when the `E` carries one),

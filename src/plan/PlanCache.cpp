@@ -7,7 +7,6 @@
 #include "plan/PlanCache.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <sys/stat.h>
 #include <sys/types.h>
 
@@ -35,8 +34,7 @@ bool makeDirs(const std::string &Path) {
 
 } // namespace
 
-PlanCache::PlanCache(std::string Dir, int MaxEntries)
-    : Dir(std::move(Dir)), MaxEntries(MaxEntries) {}
+PlanCache::PlanCache(std::string Dir) : Dir(std::move(Dir)) {}
 
 std::string PlanCache::pathFor(const PlanKey &Key) const {
   return Dir + "/" + Key.digest() + ".plan";
@@ -65,7 +63,6 @@ std::optional<ExecutionPlan> PlanCache::load(const PlanKey &Key) {
   }
   ++Hits;
   obs::addCounter("plan_cache.hit");
-  touch(Key.digest());
   return std::move(A->Plan);
 }
 
@@ -76,30 +73,7 @@ bool PlanCache::store(const PlanKey &Key, const ExecutionPlan &Plan) {
     return false;
   ++Stores;
   obs::addCounter("plan_cache.store");
-  touch(Key.digest());
-  evictOverCapacity();
   return true;
-}
-
-void PlanCache::touch(const std::string &Digest) {
-  auto It = LruPos.find(Digest);
-  if (It != LruPos.end())
-    LruOrder.erase(It->second);
-  LruOrder.push_back(Digest);
-  LruPos[Digest] = std::prev(LruOrder.end());
-}
-
-void PlanCache::evictOverCapacity() {
-  if (MaxEntries <= 0)
-    return;
-  while (LruOrder.size() > static_cast<size_t>(MaxEntries)) {
-    const std::string Victim = LruOrder.front();
-    LruOrder.pop_front();
-    LruPos.erase(Victim);
-    std::remove((Dir + "/" + Victim + ".plan").c_str());
-    ++Evictions;
-    obs::addCounter("plan_cache.evict");
-  }
 }
 
 ExecutionPlan

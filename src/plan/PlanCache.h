@@ -17,7 +17,7 @@
 /// overwrite), never a plan and never an error: the cache must not be able
 /// to change what a compile produces, only how fast.
 ///
-/// Observability: `plan_cache.{hit,miss,store,evict,invalid}` counters and
+/// Observability: `plan_cache.{hit,miss,store,invalid}` counters and
 /// the `plan.load_us` / `plan.validate_us` latency histograms (recorded by
 /// the artifact layer) surface in `--perf-report` and the Prometheus
 /// exposition.
@@ -28,8 +28,6 @@
 #define PIMFLOW_PLAN_PLANCACHE_H
 
 #include <functional>
-#include <list>
-#include <map>
 #include <optional>
 
 #include "plan/PlanArtifact.h"
@@ -39,11 +37,8 @@ namespace pf {
 /// Content-addressed plan store under one directory.
 class PlanCache {
 public:
-  /// \p Dir is created on first store if missing. \p MaxEntries > 0 bounds
-  /// the number of cached artifacts: stores beyond the bound evict the
-  /// least-recently-used digest, tracked over what this instance stored or
-  /// served (files it never touched are left alone).
-  explicit PlanCache(std::string Dir, int MaxEntries = 0);
+  /// \p Dir is created on first store if missing.
+  explicit PlanCache(std::string Dir);
 
   /// The artifact path digest \p Key addresses (inside the cache dir).
   std::string pathFor(const PlanKey &Key) const;
@@ -53,7 +48,7 @@ public:
   /// stored key disagrees (counted under plan_cache.invalid).
   std::optional<ExecutionPlan> load(const PlanKey &Key);
 
-  /// Serializes \p Plan under \p Key, evicting over capacity.
+  /// Serializes \p Plan under \p Key.
   bool store(const PlanKey &Key, const ExecutionPlan &Plan);
 
   /// The cache-through compile: load, or run \p Compute and store.
@@ -64,24 +59,12 @@ public:
   size_t hits() const { return Hits; }
   size_t misses() const { return Misses; }
   size_t stores() const { return Stores; }
-  size_t evictions() const { return Evictions; }
 
 private:
-  /// Moves \p Digest to most-recently-used and evicts over capacity.
-  void touch(const std::string &Digest);
-  void evictOverCapacity();
-
   std::string Dir;
-  int MaxEntries;
-  /// LRU order of digests this instance has stored or served (front =
-  /// least recently used).
-  std::list<std::string> LruOrder;
-  std::map<std::string, std::list<std::string>::iterator> LruPos;
-
   size_t Hits = 0;
   size_t Misses = 0;
   size_t Stores = 0;
-  size_t Evictions = 0;
 };
 
 } // namespace pf

@@ -14,7 +14,7 @@
 /// serve loop quarantines it out of the ChannelAllocator, and the channel
 /// only returns to service after a successful cooldown probe (seeded
 /// jittered schedule on the deterministic virtual clock — never
-/// wall-clock, so summaries stay byte-identical for any --jobs=N).
+/// wall-clock, so summaries stay byte-identical from run to run).
 ///
 /// A failure on a channel whose breaker has not tripped is still a
 /// quarantine for the duration of the outage window; the breaker decides

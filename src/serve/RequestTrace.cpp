@@ -8,7 +8,7 @@
 // sampler, and Server::renderTrace — the serve-side Chrome trace exporter
 // (docs/INTERNALS.md section 15). Everything here consumes only
 // virtual-time session records, so the rendered document is byte-identical
-// for every --jobs=N.
+// from run to run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include <numeric>
 #include <utility>
 
+#include "obs/ChromeTrace.h"
 #include "obs/Json.h"
 #include "serve/Server.h"
 #include "support/Format.h"
@@ -126,6 +127,8 @@ std::vector<int> pf::serve::sampleRequests(const ServeResult &R,
 
 namespace {
 
+using obs::emitProcessName;
+using obs::emitThreadName;
 using obs::JsonWriter;
 
 /// Serve-trace process lanes; compile/execution exports own pids 1/2
@@ -144,33 +147,6 @@ double usOf(double Ns) { return Ns / 1000.0; }
 int64_t flowId(int ReqId, size_t Attempt) {
   return (static_cast<int64_t>(ReqId) << 8) |
          static_cast<int64_t>(Attempt & 0xFFu);
-}
-
-void emitProcessName(JsonWriter &W, int Pid, const std::string &Name) {
-  W.beginObject()
-      .field("name", "process_name")
-      .field("ph", "M")
-      .field("pid", Pid)
-      .field("tid", 0)
-      .key("args")
-      .beginObject()
-      .field("name", Name)
-      .endObject()
-      .endObject();
-}
-
-void emitThreadName(JsonWriter &W, int Pid, int Tid,
-                    const std::string &Name) {
-  W.beginObject()
-      .field("name", "thread_name")
-      .field("ph", "M")
-      .field("pid", Pid)
-      .field("tid", Tid)
-      .key("args")
-      .beginObject()
-      .field("name", Name)
-      .endObject()
-      .endObject();
 }
 
 /// Opens a trace event object through its common fields; the caller adds

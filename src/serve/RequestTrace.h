@@ -25,7 +25,7 @@
 /// Flow events (`ph:"s"`/`ph:"f"`, id = request<<8 | attempt) link each
 /// request-lane attempt to the channel lane it ran on. All timestamps
 /// are virtual nanoseconds scaled to microseconds — never wall clock —
-/// so the document is byte-identical for every `--jobs=N`.
+/// so the document is byte-identical from run to run.
 ///
 /// Sampling policy grammar (`--trace-sample=`):
 ///
@@ -89,7 +89,7 @@ struct TraceSamplePolicy {
 
 /// The sampled request-id set of \p R under \p P, sorted ascending.
 /// Decided entirely from the virtual-time session records, so the set is
-/// byte-identical across --jobs. Tail membership: shed requests,
+/// byte-identical from run to run. Tail membership: shed requests,
 /// deadline-missed (run-late or queue-expired) requests, faulted
 /// requests (any outage interrupt or fault-retry/retry-budget outcome),
 /// and the SlowestK highest-latency completed requests (latency ties

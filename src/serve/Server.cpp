@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <future>
 #include <map>
 #include <queue>
 
@@ -77,6 +76,7 @@ Server::Server(std::vector<std::pair<std::string, Graph>> InModels,
                                 : Planned),
       Flow(O.Policy, O.Flow) {
   PF_ASSERT(!InModels.empty(), "serve needs at least one model");
+  Muted.registry().setEnabled(false);
   for (auto &[Name, G] : InModels) {
     PreparedModel PM;
     PM.Name = Name;
@@ -121,12 +121,11 @@ void Server::prepare() {
   // Price every reachable (model, granted-channels) pair once: c = 0 is
   // the GPU floor, c in [max(1, Floor), MaxGrant] the (possibly degraded)
   // PIM grants — a grant never exceeds the smaller of the plan's want and
-  // the pool. Pricing runs under a throwaway scope so it never pollutes
+  // the pool. Pricing runs under the muted scope so it never pollutes
   // the caller's registries. The request trace replays each whole node
   // schedule as the exec-phase span tree under each attempt.
   const int MaxGrant = std::min(Planned, Pool);
-  obs::Scope Throwaway;
-  obs::ScopeGuard Guard(Throwaway);
+  obs::ScopeGuard Muting(Muted);
   for (PreparedModel &PM : Models) {
     PM.UnitTimelines[0] =
         ExecutionEngine(configFor(0)).execute(PM.FloorDemoted);
@@ -205,54 +204,46 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
       Health.noteQuarantine(Ch, 0);
     }
 
-  if (!Workers)
-    Workers = std::make_unique<ThreadPool>(
-        static_cast<unsigned>(std::max(0, Options.Jobs)));
-
-  // Each completed request's engine run, re-executed for real under the
-  // session's private scope. The virtual completion time comes from the
-  // duration table, so worker timing never reorders the event loop; the
-  // run result is cross-checked against the table below. Submission
-  // happens at *completion* time so an interrupted-and-retried session
-  // executes exactly once, under its final granted configuration.
-  struct RunResult {
-    double TotalNs = 0.0;
-    int MissingNodes = 0;
-  };
-  std::vector<std::pair<size_t, std::future<RunResult>>> Runs;
-  // The pool outlives this call but the runs reference its sessions: an
-  // exception leaving run() early still waits for every submitted run.
-  struct WaitForRuns {
-    decltype(Runs) &Pending;
-    ~WaitForRuns() {
-      for (auto &[Idx, Fut] : Pending)
-        if (Fut.valid())
-          Fut.wait();
-    }
-  } RunsGuard{Runs};
-  auto submitRun = [&](Session &S) {
-    const size_t Idx = static_cast<size_t>(S.Req.Id);
+  // Each completed request's engine run, re-executed under the muted
+  // scope and cross-checked against the duration table: it must price
+  // exactly like the pricing pass (same graph, same config, deterministic
+  // engine) or the table lied. It runs at *completion* time, so an
+  // interrupted-and-retried session executes exactly once, under its
+  // final granted configuration.
+  auto crossCheck = [&](const Session &S) {
     const int C = S.channelsGranted();
-    Runs.emplace_back(Idx, Workers->submit([this, &S, C]() -> RunResult {
-      obs::ScopeGuard Guard(S.Scope);
-      const PreparedModel &PM =
-          Models[static_cast<size_t>(S.Req.ModelIdx)];
-      const Graph &G = C > 0 ? PM.Materialized : PM.FloorDemoted;
-      ExecutionEngine Engine(configFor(C));
-      const Timeline TL = Engine.execute(G);
-      RunResult RR;
-      RR.TotalNs = TL.TotalNs;
-      // Partially-executed-timeline guard: every live node must have a
-      // schedule entry. Absence is a diagnostic (serve.timeline-gap),
-      // never a fatal() killing the server.
-      std::vector<char> Scheduled(G.numNodesIncludingDead(), 0);
-      for (const NodeSchedule &NS : TL.Nodes)
-        Scheduled[static_cast<size_t>(NS.Id)] = 1;
-      for (const Node &N : G.nodes())
-        if (!N.Dead && !Scheduled[static_cast<size_t>(N.Id)])
-          ++RR.MissingNodes;
-      return RR;
-    }));
+    const PreparedModel &PM = Models[static_cast<size_t>(S.Req.ModelIdx)];
+    const Graph &G = C > 0 ? PM.Materialized : PM.FloorDemoted;
+    const Timeline TL = [&] {
+      obs::ScopeGuard Muting(Muted);
+      return ExecutionEngine(configFor(C)).execute(G);
+    }();
+    if (std::abs(TL.TotalNs - S.UnitNs) >= 0.5) {
+      obs::addCounter("serve.internal_errors");
+      if (DE)
+        DE->error(DiagCode::ServeInternal,
+                  formatStr("request %d", S.Req.Id),
+                  "session run disagrees with the duration table");
+    }
+    // Partially-executed-timeline guard: every live node must have a
+    // schedule entry. Absence is a diagnostic (serve.timeline-gap), never
+    // a fatal() killing the server.
+    std::vector<char> Scheduled(G.numNodesIncludingDead(), 0);
+    for (const NodeSchedule &NS : TL.Nodes)
+      Scheduled[static_cast<size_t>(NS.Id)] = 1;
+    int MissingNodes = 0;
+    for (const Node &N : G.nodes())
+      if (!N.Dead && !Scheduled[static_cast<size_t>(N.Id)])
+        ++MissingNodes;
+    if (MissingNodes == 0)
+      return;
+    obs::addCounter("serve.timeline_gaps", MissingNodes);
+    if (DE)
+      DE->warning(DiagCode::ServeTimelineGap,
+                  formatStr("request %d", S.Req.Id),
+                  formatStr("%d node(s) missing from the executed "
+                            "timeline",
+                            MissingNodes));
   };
 
   // The discrete-event loop: single-threaded, over virtual nanoseconds.
@@ -424,7 +415,7 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
                      0.0, outcomeReasonName(S.Reason), S.Req.Id);
     // Replay semantics: the interrupted work is abandoned and the request
     // restarts from Now under its final configuration (only that final
-    // run is charged for energy and re-executed by a worker).
+    // run is charged for energy and cross-checked).
     price(S, C, Now);
   };
 
@@ -546,7 +537,7 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
                        S.channelsGranted(), S.Retries,
                        static_cast<double>(S.latencyNs()), nullptr,
                        S.Req.Id);
-      submitRun(S);
+      crossCheck(S);
       while (!Waiting.empty() && Inflight < MaxInflight) {
         Session &Next = *R.Sessions[static_cast<size_t>(Waiting.front())];
         Waiting.pop_front();
@@ -594,32 +585,6 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
                           "grants=%d, waiting=%d)",
                           Inflight, static_cast<int>(LiveGrants.size()),
                           static_cast<int>(Waiting.size())));
-  }
-
-  // Drain the real runs and cross-check them against the duration table:
-  // a session's engine run must price exactly like the pricing pass (same
-  // graph, same config, deterministic engine) or the table lied.
-  for (auto &[Idx, Fut] : Runs) {
-    const RunResult RR = Fut.get();
-    Session &S = *R.Sessions[Idx];
-    if (std::abs(RR.TotalNs - S.UnitNs) >= 0.5) {
-      obs::addCounter("serve.internal_errors");
-      if (DE)
-        DE->error(DiagCode::ServeInternal,
-                  formatStr("request %d", S.Req.Id),
-                  "session run disagrees with the duration table");
-    }
-    if (RR.MissingNodes == 0)
-      continue;
-    // Counted here, in the caller's scope: the session's scope is
-    // private to its run and no export reads it.
-    obs::addCounter("serve.timeline_gaps", RR.MissingNodes);
-    if (DE)
-      DE->warning(DiagCode::ServeTimelineGap,
-                  formatStr("request %d", S.Req.Id),
-                  formatStr("%d node(s) missing from the executed "
-                            "timeline",
-                            RR.MissingNodes));
   }
 
   // Aggregates + the serve.* families, recorded into the caller's scope
@@ -734,7 +699,7 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
 
   // Tail sampling runs after the whole stream settled: membership
   // depends only on the virtual-time session records, so the sampled
-  // set (like everything above) is byte-identical across --jobs.
+  // set (like everything above) is byte-identical from run to run.
   R.SamplePolicy = Options.Sample.describe();
   R.SampledRequests = sampleRequests(R, Options.Sample);
   for (int Id : R.SampledRequests)

@@ -14,14 +14,11 @@
 /// Determinism contract: outcomes are decided by a discrete-event
 /// simulation over *virtual* nanoseconds, never by wall-clock races. The
 /// server first prices every (model, granted-channel-count) pair once —
-/// the duration table — and the single-threaded event loop then schedules
-/// admissions and completions from the table. Compiling and pricing run
-/// on the caller's thread. Worker threads only re-execute each admitted
-/// request's engine run under its Session's private scope (the
-/// reentrancy exercise, cross-checked against the table); they cannot
-/// influence admission order. --jobs (ServerOptions::Jobs) sizes those
-/// workers, so a given (models, spec, options) input yields
-/// byte-identical summaries for every --jobs=N.
+/// the duration table — and the event loop then schedules admissions and
+/// completions from the table. Everything runs on the caller's thread:
+/// each completed request's engine run is re-executed inline, under a
+/// muted scope, only to cross-check the table. A given (models, spec,
+/// options) input therefore yields byte-identical summaries on every run.
 ///
 /// Admission policy, in order, for a request at the head of the line:
 ///  1. In-flight bound reached -> wait in the FIFO queue (or shed when
@@ -58,11 +55,11 @@
 #include <vector>
 
 #include "core/PimFlow.h"
+#include "obs/Scope.h"
 #include "pim/FaultModel.h"
 #include "runtime/ChannelScoreboard.h"
 #include "serve/RequestTrace.h"
 #include "serve/Session.h"
-#include "support/ThreadPool.h"
 
 namespace pf::serve {
 
@@ -83,9 +80,6 @@ struct ServerOptions {
   /// comment for why a pool larger than the planned count is the
   /// interesting multi-tenant configuration.
   int PoolChannels = 0;
-  /// Worker threads that re-execute admitted requests (--jobs): 1 runs
-  /// them on the caller, 0 uses every hardware thread.
-  int Jobs = 1;
 
   // Resilience knobs (docs/INTERNALS.md section 14).
 
@@ -221,7 +215,7 @@ public:
   /// Renders the per-request Chrome trace of \p R (which must have come
   /// from this server's run(): node-level exec-phase spans replay the
   /// prepared unit timelines). Only sampled requests get lanes; the
-  /// document is byte-identical for every --jobs=N
+  /// document is built from virtual-time records alone
   /// (docs/INTERNALS.md section 15).
   std::string renderTrace(const ServeResult &R) const;
 
@@ -258,10 +252,9 @@ private:
   PimFlow Flow;
   std::vector<PreparedModel> Models;
   bool Prepared = false;
-  /// The request re-run workers, started by the first run() and kept for
-  /// the server's lifetime: later runs reuse the same Jobs threads (and
-  /// their flight-recorder rings) instead of starting new ones.
-  std::unique_ptr<ThreadPool> Workers;
+  /// Where the engine runs no export reads record: prepare()'s pricing
+  /// and each request's cross-check run. Its registry stays disabled.
+  obs::Scope Muted;
 };
 
 } // namespace pf::serve

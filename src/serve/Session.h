@@ -6,12 +6,8 @@
 ///
 /// \file
 /// One admitted inference request's execution context (docs/INTERNALS.md
-/// section 13). A `Session` owns everything the request's engine run
-/// touches that used to be process-global: its observability scope (a
-/// private counter + metrics registry pair installed thread-locally while
-/// the run executes), its channel grant, and its outcome/timing record.
-/// Two sessions therefore never share mutable state — the reentrancy fix
-/// the serve tests and the tier-3 TSan gate pin down.
+/// section 13): its identity, its channel grant, and its outcome/timing
+/// record on the serve loop's virtual clock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/Scope.h"
 #include "runtime/ChannelAllocator.h"
 #include "serve/LoadGen.h"
 
@@ -90,8 +85,7 @@ struct ExecAttempt {
 };
 
 /// One request's session: identity, virtual-time bookkeeping from the
-/// serve event loop, the channel grant it ran under, and the private
-/// observability scope its engine run recorded into.
+/// serve event loop, and the channel grant it ran under.
 struct Session {
   Request Req;
   RequestOutcome Outcome = RequestOutcome::Shed;
@@ -127,8 +121,8 @@ struct Session {
   int Interrupts = 0;
 
   /// Stable trace correlation id: requestTraceId(Spec.Seed, Req.Id),
-  /// stamped at stream generation so it is identical across --jobs and
-  /// across reruns of the same (spec, options) input.
+  /// stamped at stream generation so it is identical across reruns of
+  /// the same (spec, options) input.
   uint64_t TraceId = 0;
 
   /// Whether the run's --trace-sample policy selected this request; only
@@ -144,10 +138,6 @@ struct Session {
   /// served this request; virtual service time is Batch * UnitNs.
   double UnitNs = 0.0;
   double UnitEnergyJ = 0.0;
-
-  /// The request's private stats scope; the engine run executes under a
-  /// ScopeGuard installing it.
-  obs::Scope Scope;
 
   int channelsGranted() const { return static_cast<int>(Channels.size()); }
   bool ran() const { return Outcome != RequestOutcome::Shed; }

@@ -6,12 +6,13 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/FlightRecorder.h"
 #include "support/Ring.h"
-#include "support/ThreadPool.h"
 
 using namespace pf;
 using namespace pf::obs;
@@ -54,17 +55,16 @@ TEST_F(FlightRecorderTest, WraparoundRetainsLastRingCapacity) {
 
 TEST_F(FlightRecorderTest, MergedIsSeqSortedAcrossThreads) {
   FlightRecorder &FR = FlightRecorder::instance();
-  ThreadPool Pool(4);
   const size_t N = 1000;
-  std::vector<std::future<void>> Tasks;
+  std::vector<std::thread> Writers;
   for (size_t T = 0; T < 4; ++T)
-    Tasks.push_back(Pool.submit([&FR, T, N] {
+    Writers.emplace_back([&FR, T, N] {
       for (size_t I = T; I < N; I += 4)
         FR.record(FlightEventKind::RetryIssued, static_cast<int64_t>(I),
                   static_cast<int32_t>(I % 16));
-    }));
-  for (std::future<void> &F : Tasks)
-    F.get();
+    });
+  for (std::thread &W : Writers)
+    W.join();
   const auto Events = FR.merged();
   ASSERT_FALSE(Events.empty());
   EXPECT_LE(Events.size(), N);

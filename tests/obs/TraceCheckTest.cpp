@@ -146,6 +146,35 @@ TEST(TraceCheckTest, KeepsTheFieldPresenceRules) {
             "");
 }
 
+TEST(TraceCheckTest, RejectsIdsThatAreNotExactIntegers) {
+  // Events on pids 1e300 and 2e300 are distinct lanes, so they must not
+  // convert to one long long: every id must be an integer within +-2^53,
+  // where the conversion is exact.
+  EXPECT_NE(
+      checkEvents(
+          "{\"name\":\"a\",\"ph\":\"B\",\"pid\":1e300,\"tid\":1,\"ts\":0},"
+          "{\"name\":\"a\",\"ph\":\"E\",\"pid\":2e300,\"tid\":1,\"ts\":5}")
+          .find("traceEvents[0]: 'pid' is not an integer"),
+      std::string::npos);
+  EXPECT_NE(checkEvents("{\"ph\":\"i\",\"pid\":1,\"tid\":1.5,\"ts\":0}")
+                .find("'tid' is not an integer"),
+            std::string::npos);
+  EXPECT_NE(checkEvents("{\"ph\":\"i\",\"pid\":-9007199254740994,"
+                        "\"tid\":1,\"ts\":0}")
+                .find("'pid' is not an integer"),
+            std::string::npos);
+  EXPECT_NE(checkEvents(std::string(kSpanPair) +
+                        ",{\"name\":\"f\",\"ph\":\"s\",\"pid\":1,"
+                        "\"tid\":1,\"ts\":0,\"id\":1e19}")
+                .find("traceEvents[2]: flow event ('s') 'id' is not an "
+                      "integer"),
+            std::string::npos);
+  // The bounds themselves are exact, so they pass.
+  EXPECT_EQ(checkEvents("{\"ph\":\"i\",\"pid\":9007199254740992,"
+                        "\"tid\":-9007199254740992,\"ts\":0}"),
+            "");
+}
+
 TEST(TraceCheckTest, RejectsEmptyDocuments) {
   std::string ParseError;
   const auto Doc = JsonValue::parse("{\"traceEvents\":[]}", &ParseError);

@@ -112,6 +112,21 @@ TEST_F(TraceTest, ResetZeroesButKeepsReferences) {
   EXPECT_EQ(obs::Registry::instance().counter("test.reset").value(), 2);
 }
 
+TEST_F(TraceTest, MetadataEventsNameProcessesAndThreads) {
+  // The run trace and the serve request trace share these two emitters,
+  // so this one rendering pins the viewer labels of both.
+  obs::JsonWriter W;
+  W.beginArray();
+  obs::emitProcessName(W, 3, "requests");
+  obs::emitThreadName(W, 3, 7, "request 7");
+  W.endArray();
+  EXPECT_EQ(W.str(),
+            "[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,\"tid\":0,"
+            "\"args\":{\"name\":\"requests\"}},"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":3,\"tid\":7,"
+            "\"args\":{\"name\":\"request 7\"}}]");
+}
+
 TEST_F(TraceTest, ChromeTraceOfToyRunIsValidAndMultiTrack) {
   CompileResult R =
       PimFlow(OffloadPolicy::PimFlow).compileAndRun(buildToy());

@@ -9,7 +9,8 @@
 /// (model, config, options, floor) hit; any key ingredient changing —
 /// graph edit, SystemConfig tweak, SearchOptions change, fault-floor
 /// change — MUST miss; a corrupt cached file is a miss and never a plan;
-/// and a cache-through compile searches once per key.
+/// a cache-through compile searches once per key; and the plan_cache.*
+/// counters mirror the hit, miss and store accessors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,11 +19,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <map>
 #include <unistd.h>
 
 #include "core/PimFlow.h"
 #include "models/Zoo.h"
+#include "obs/Scope.h"
 #include "support/Format.h"
+#include "support/StringUtil.h"
 
 using namespace pf;
 
@@ -123,21 +127,41 @@ TEST(PlanCache, CorruptCachedFileIsMissNeverAPlan) {
   EXPECT_TRUE(Cache.load(Key));
 }
 
-TEST(PlanCache, EvictionKeepsTheCacheBounded) {
+TEST(PlanCache, CountersMirrorTheAccessors) {
+  // The plan_cache.* counters are what --perf-report and the metrics
+  // exposition see of the cache: one per miss, store and hit, plus
+  // invalid for a corrupt file, and no other family.
   const Graph G = buildModel("toy");
+  const PlanKey Key = keyFor(G);
   const ExecutionPlan Plan = searchPlan(G);
-  PlanCache Cache(freshCacheDir("evict"), /*MaxEntries=*/2);
+  obs::Scope Run;
+  obs::ScopeGuard Guard(Run);
+  PlanCache Cache(freshCacheDir("counters"));
 
-  PlanKey A = keyFor(G), B = A, C = A;
-  B.FaultFloor = 2;
-  C.FaultFloor = 3;
-  ASSERT_TRUE(Cache.store(A, Plan));
-  ASSERT_TRUE(Cache.store(B, Plan));
-  ASSERT_TRUE(Cache.store(C, Plan)); // Evicts A, the least recently used.
-  EXPECT_EQ(Cache.evictions(), 1u);
-  EXPECT_FALSE(Cache.load(A));
-  EXPECT_TRUE(Cache.load(B));
-  EXPECT_TRUE(Cache.load(C));
+  EXPECT_FALSE(Cache.load(Key));
+  ASSERT_TRUE(Cache.store(Key, Plan));
+  EXPECT_TRUE(Cache.load(Key));
+  EXPECT_TRUE(Cache.load(Key));
+  std::FILE *F = std::fopen(Cache.pathFor(Key).c_str(), "r+b");
+  ASSERT_NE(F, nullptr);
+  std::fseek(F, -10, SEEK_END);
+  std::fputc('X', F);
+  std::fclose(F);
+  EXPECT_FALSE(Cache.load(Key));
+
+  std::map<std::string, int64_t> Counters;
+  for (const auto &[Name, V] : Run.registry().counterSnapshot())
+    if (startsWith(Name, "plan_cache."))
+      Counters[Name] = V;
+  const std::map<std::string, int64_t> Expected = {
+      {"plan_cache.hit", 2},
+      {"plan_cache.invalid", 1},
+      {"plan_cache.miss", 2},
+      {"plan_cache.store", 1}};
+  EXPECT_EQ(Counters, Expected);
+  EXPECT_EQ(Cache.hits(), 2u);
+  EXPECT_EQ(Cache.misses(), 2u);
+  EXPECT_EQ(Cache.stores(), 1u);
 }
 
 TEST(PlanCache, GetOrComputeRunsTheSearchOnce) {

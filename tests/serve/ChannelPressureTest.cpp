@@ -42,7 +42,6 @@ ServeResult runPressure(const Pressure &P) {
   SO.PoolChannels = P.Pool;
   SO.MaxInflight = P.MaxInflight;
   SO.MaxQueue = P.MaxQueue;
-  SO.Jobs = 2;
 
   LoadSpec Spec;
   Spec.Count = 24;

@@ -9,8 +9,9 @@
 //  - Span conservation: every admitted request owns exactly one root
 //    span; every request has exactly one queue span; shed requests have
 //    no exec span; sampled-out requests emit zero events.
-//  - Determinism: the rendered trace is byte-identical for --jobs=1 and
-//    --jobs=4, because it is built from virtual-time records alone.
+//  - Determinism: a second run of the same server renders a
+//    byte-identical trace, because it is built from virtual-time records
+//    alone.
 //  - Tail sampling covers exactly the interesting requests: shed,
 //    deadline-missed, faulted, and the slowest-K completions.
 //  - Correlation: flight-recorder request events and the serve report's
@@ -50,14 +51,13 @@ std::vector<std::pair<std::string, Graph>> tenants() {
 /// The serve_chaos baseline: a 12-channel pool under 8-channel plans, a
 /// hair-trigger breaker, and mid-stream outages on channel 0 — every
 /// outcome and the fault path reachable in one 24-request stream.
-ServerOptions chaosOptions(int Jobs) {
+ServerOptions chaosOptions() {
   ServerOptions SO;
   SO.Flow.PimChannels = 8;
   SO.Flow.PimFloor = 2;
   SO.PoolChannels = 12;
   SO.MaxInflight = 3;
   SO.MaxQueue = 2;
-  SO.Jobs = Jobs;
   SO.BreakerThreshold = 1;
   SO.BreakerCooldownUs = 100;
   SO.RetryBudget = 8;
@@ -158,7 +158,7 @@ TEST(RequestTraceTest, TraceObeysSpanConservationLaws) {
   // A one-deep admission with no wait line sheds the arrivals that land
   // mid-run, so the shed laws have something to bite on; the channel-0
   // outages still interrupt live grants.
-  ServerOptions SO = chaosOptions(1);
+  ServerOptions SO = chaosOptions();
   SO.MaxInflight = 1;
   SO.MaxQueue = 0;
   Server S(tenants(), SO);
@@ -199,7 +199,7 @@ TEST(RequestTraceTest, TraceObeysSpanConservationLaws) {
 }
 
 TEST(RequestTraceTest, SampledOutRequestsEmitZeroEvents) {
-  ServerOptions SO = chaosOptions(1);
+  ServerOptions SO = chaosOptions();
   DiagnosticEngine DE;
   ASSERT_TRUE(TraceSamplePolicy::parse("tail:2", SO.Sample, DE));
   Server S(tenants(), SO);
@@ -224,7 +224,7 @@ TEST(RequestTraceTest, SampledOutRequestsEmitZeroEvents) {
 }
 
 TEST(RequestTraceTest, TailSamplingCoversShedMissedAndFaulted) {
-  ServerOptions SO = chaosOptions(1);
+  ServerOptions SO = chaosOptions();
   DiagnosticEngine DE;
   ASSERT_TRUE(TraceSamplePolicy::parse("tail:0", SO.Sample, DE));
   Server S(tenants(), SO);
@@ -256,16 +256,13 @@ TEST(RequestTraceTest, TailSamplingCoversShedMissedAndFaulted) {
   }
 }
 
-TEST(RequestTraceTest, TraceIsByteIdenticalAcrossJobCounts) {
-  std::string Traces[2];
-  for (int I = 0; I < 2; ++I) {
-    ServerOptions SO = chaosOptions(I == 0 ? 1 : 4);
-    DiagnosticEngine DE;
-    ASSERT_TRUE(TraceSamplePolicy::parse("tail", SO.Sample, DE));
-    Server S(tenants(), SO);
-    Traces[I] = S.renderTrace(S.run(chaosSpec()));
-  }
-  EXPECT_EQ(Traces[0], Traces[1]);
+TEST(RequestTraceTest, SecondRunTraceIsByteIdentical) {
+  ServerOptions SO = chaosOptions();
+  DiagnosticEngine DE;
+  ASSERT_TRUE(TraceSamplePolicy::parse("tail", SO.Sample, DE));
+  Server S(tenants(), SO);
+  const std::string First = S.renderTrace(S.run(chaosSpec()));
+  EXPECT_EQ(S.renderTrace(S.run(chaosSpec())), First);
 }
 
 TEST(RequestTraceTest, FlightEventsCarryRequestIds) {
@@ -273,7 +270,7 @@ TEST(RequestTraceTest, FlightEventsCarryRequestIds) {
   FR.clear();
   FR.setEnabled(true);
 
-  Server S(tenants(), chaosOptions(1));
+  Server S(tenants(), chaosOptions());
   const ServeResult R = S.run(chaosSpec());
   ASSERT_GT(R.RetriesUsed, 0);
 
@@ -319,7 +316,7 @@ TEST(RequestTraceTest, FlightEventsCarryRequestIds) {
 }
 
 TEST(RequestTraceTest, HealthEventsAttributeTheTrippingRequest) {
-  Server S(tenants(), chaosOptions(1));
+  Server S(tenants(), chaosOptions());
   const ServeResult R = S.run(chaosSpec());
   ASSERT_GT(R.BreakerTrips, 0);
 
@@ -342,7 +339,7 @@ TEST(RequestTraceTest, HealthEventsAttributeTheTrippingRequest) {
 TEST(RequestTraceTest, ReportRendersRequestSegments) {
   obs::Scope Caller;
   obs::ScopeGuard Guard(Caller);
-  Server S(tenants(), chaosOptions(1));
+  Server S(tenants(), chaosOptions());
   const ServeResult R = S.run(chaosSpec());
 
   // Pick a faulted request: it has both an exec and a retry segment.

@@ -11,8 +11,8 @@
 //    state, and the shed / floor reason breakdowns tile their totals.
 //  - Quarantine exclusion: a channel between its quarantine and readmit
 //    events never appears in a grant.
-//  - Determinism: summaries are byte-identical for --jobs=1 and --jobs=4
-//    even with outages opening and closing mid-stream.
+//  - Determinism: a second run of the same server is byte-identical to
+//    the first even with outages opening and closing mid-stream.
 //  - Breaker lifecycle: the flight recorder sees trip -> probe ->
 //    (healthy) readmit in that order.
 //
@@ -45,14 +45,13 @@ std::vector<std::pair<std::string, Graph>> tenants() {
 /// The contended baseline of ServerTest plus the resilience knobs: a
 /// 12-channel pool under 16-channel plans, a breaker that trips on the
 /// first failure, and a cooldown short enough to probe mid-stream.
-ServerOptions chaosOptions(int Jobs, FaultModel Faults) {
+ServerOptions chaosOptions(FaultModel Faults) {
   ServerOptions SO;
   SO.Flow.PimChannels = 8;
   SO.Flow.PimFloor = 2;
   SO.PoolChannels = 12;
   SO.MaxInflight = 3;
   SO.MaxQueue = 2;
-  SO.Jobs = Jobs;
   SO.BreakerThreshold = 1;
   SO.BreakerCooldownUs = 100;
   SO.RetryBudget = 8;
@@ -167,7 +166,7 @@ TEST(ServeChaosTest, ConservationHoldsAcrossTheMatrix) {
     Timelines.push_back(FaultModel::chaosTimeline(Seed, 12, 2'000'000));
     Timelines.push_back(FaultModel()); // healthy machine control
     for (size_t TI = 0; TI < Timelines.size(); ++TI) {
-      Server S(tenants(), chaosOptions(2, Timelines[TI]));
+      Server S(tenants(), chaosOptions(Timelines[TI]));
       DiagnosticEngine DE;
       const ServeResult R = S.run(chaosSpec(Seed), &DE);
       SCOPED_TRACE("seed " + std::to_string(Seed) + " timeline " +
@@ -179,7 +178,7 @@ TEST(ServeChaosTest, ConservationHoldsAcrossTheMatrix) {
 }
 
 TEST(ServeChaosTest, QuarantinedChannelIsNeverGranted) {
-  Server S(tenants(), chaosOptions(1, midStreamOutages()));
+  Server S(tenants(), chaosOptions(midStreamOutages()));
   const ServeResult R = S.run(chaosSpec(7));
   ASSERT_FALSE(R.HealthEvents.empty());
   ASSERT_FALSE(R.Grants.empty());
@@ -227,19 +226,16 @@ TEST(ServeChaosTest, QuarantinedChannelIsNeverGranted) {
   EXPECT_GT(R.BreakerTrips, 0);
 }
 
-TEST(ServeChaosTest, SummariesAreByteIdenticalAcrossJobsUnderChaos) {
-  std::string Summaries[2];
-  for (int I = 0; I < 2; ++I) {
-    Server S(tenants(), chaosOptions(I == 0 ? 1 : 4, midStreamOutages()));
-    Summaries[I] = renderServeSummary(S.run(chaosSpec(7)));
-  }
-  EXPECT_EQ(Summaries[0], Summaries[1]);
+TEST(ServeChaosTest, SecondRunIsByteIdenticalUnderChaos) {
+  Server S(tenants(), chaosOptions(midStreamOutages()));
+  const std::string First = renderServeSummary(S.run(chaosSpec(7)));
+  EXPECT_EQ(renderServeSummary(S.run(chaosSpec(7))), First);
   // The run under comparison actually exercised the fault path.
-  EXPECT_NE(Summaries[0].find("reason=fault-retry"), std::string::npos);
+  EXPECT_NE(First.find("reason=fault-retry"), std::string::npos);
 }
 
 TEST(ServeChaosTest, SpentRetryBudgetDemotesToTheFloor) {
-  ServerOptions SO = chaosOptions(1, midStreamOutages());
+  ServerOptions SO = chaosOptions(midStreamOutages());
   SO.RetryBudget = 0;
   Server S(tenants(), SO);
   const ServeResult R = S.run(chaosSpec(7));
@@ -261,7 +257,6 @@ TEST(ServeChaosTest, DeadlinesShedAndClassify) {
   SO.PoolChannels = 12;
   SO.MaxInflight = 2;
   SO.MaxQueue = 4;
-  SO.Jobs = 1;
   LoadSpec Spec;
   Spec.Count = 32;
   Spec.Seed = 9;
@@ -309,7 +304,7 @@ TEST(ServeChaosTest, BreakerLifecycleIsOrderedInTheFlightRecorder) {
   FR.clear();
   FR.setEnabled(true);
 
-  Server S(tenants(), chaosOptions(1, midStreamOutages()));
+  Server S(tenants(), chaosOptions(midStreamOutages()));
   const ServeResult R = S.run(chaosSpec(7));
   ASSERT_GT(R.BreakerTrips, 0);
 
@@ -361,7 +356,7 @@ TEST(ServeChaosTest, BreakerLifecycleIsOrderedInTheFlightRecorder) {
 TEST(ServeChaosTest, StaticDeadChannelsStayQuarantinedForever) {
   FaultModel F;
   F.addDead(0);
-  Server S(tenants(), chaosOptions(1, F));
+  Server S(tenants(), chaosOptions(F));
   const ServeResult R = S.run(chaosSpec(3));
   checkConservation(R, 24);
   for (const ServeResult::GrantEvent &G : R.Grants)

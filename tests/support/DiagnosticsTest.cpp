@@ -75,7 +75,7 @@ TEST(DiagnosticsTest, NoSuppressionTrailerUnderTheCap) {
 
 TEST(DiagnosticsTest, CapClampsToAtLeastOne) {
   DiagnosticEngine DE(/*MaxErrors=*/-5);
-  DE.error(DiagCode::BadOption, "--jobs", "bad");
+  DE.error(DiagCode::BadOption, "--max-queue", "bad");
   DE.error(DiagCode::BadOption, "--stages", "bad");
   EXPECT_EQ(DE.diagnostics().size(), 1u);
   EXPECT_EQ(DE.errorCount(), 2u);

@@ -15,12 +15,14 @@
 #      when no test inspects the intermediate graph, and with the profiler
 #      measuring every sample it prices on the sample's micrograph and
 #      aborting on any bit difference.
-#   3. A ThreadSanitizer tree in build-tsan/ running the concurrency-facing
-#      suites (thread pool, telemetry, concurrent serve sessions) plus the
-#      search and plan suites, to catch data races in what still runs on
-#      several threads: serve's request re-run workers, sessions recording
-#      telemetry side by side, and the telemetry tests' own threads. The
-#      compile path itself is single-threaded.
+#   3. A ThreadSanitizer tree in build-tsan/ running the telemetry suites,
+#      the concurrent scoped-run suite (SessionReentrancy) and the serve,
+#      search and plan suites. The library starts no thread: every verb,
+#      serve included, runs on the caller's thread. What still runs on
+#      several threads is the telemetry tests' own threads and
+#      SessionReentrancy's engine runs side by side, which drive obs's
+#      locks, atomics, thread-local scope routing and per-thread
+#      flight-recorder rings.
 #   4. The chaos tier: the seeded fault-schedule suite (tests/chaos/) in the
 #      tier-1 tree, then again under TSan. The seeds are fixed inside the
 #      tests, so a failure always names a reproducible schedule; per-test
@@ -50,19 +52,18 @@
 #      matrix (truncation, bit flip, version skew, wrong-model replay),
 #      each rejected non-zero with the right diagnostic slug.
 #   8. The serve tier: a seeded mixed-model `pimflow serve` run whose
-#      summary must be byte-identical across --jobs values (the width of
-#      serve's request re-run workers, the one pool left) AND match the
-#      committed golden (outcomes are decided in virtual time, never by
-#      worker races), whose counter families match across --jobs values
-#      too, and whose serve report and serve.* metrics exposition
-#      validate under pf_json_check and pf_metrics_check. The run's total
-#      energy, which the summary does not print, is pinned bit for bit by
-#      tier 1's ServerTest.TierEightRunPinsTotalEnergy.
+#      summary must be byte-identical to a second, identical run's AND
+#      match the committed golden (outcomes are decided in virtual time),
+#      whose counter families match the second run's too, and whose serve
+#      report and serve.* metrics exposition validate under pf_json_check
+#      and pf_metrics_check. The run's total energy, which the summary
+#      does not print, is pinned bit for bit by tier 1's
+#      ServerTest.TierEightRunPinsTotalEnergy.
 #   9. The chaos-under-serve tier: the seeded (load spec x fault timeline)
 #      matrix in tests/serve_chaos/ (conservation, quarantine exclusion,
 #      breaker lifecycle), then a CLI run with mid-stream channel outages,
 #      deadlines, and a tight retry budget whose summary must stay
-#      byte-identical across --jobs values while the breaker demonstrably
+#      byte-identical from one run to the next while the breaker demonstrably
 #      trips, probes, and re-admits; plus a tight-deadline burst proving
 #      queued expiries shed and late completions classify.
 #  10. The memory/UB tier: the serve + runtime resilience suites, the
@@ -82,7 +83,7 @@
 #      (PIMFLOW_SANITIZE=address|undefined; UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
 #      --trace-out + --trace-sample=tail whose Chrome trace must be
-#      byte-identical across --jobs values, pf_trace_check-clean (span
+#      byte-identical from one run to the next, pf_trace_check-clean (span
 #      nesting, flow resolution, one root per lane), and must carry shed,
 #      deadline-missed, fault, and breaker events; then `pimflow report
 #      --request=` on a deadline-missed id must render its segment
@@ -114,7 +115,7 @@ cmake -B build-tsan -S . -DPIMFLOW_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
   --target support_test search_test obs_test serve_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|Profiler|SearchEngine|AlgorithmDp|LayerExtract|FlightRecorder|RegistryTest|CountersAggregateAcrossThreads|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure|PinnedTelemetry|SessionScopeMatches'
+  -R 'Profiler|SearchEngine|AlgorithmDp|LayerExtract|FlightRecorder|RegistryTest|CountersAggregateAcrossThreads|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure|PinnedTelemetry'
 
 echo "== tier 4: chaos fault-injection suite (fixed seeds), then under TSan =="
 ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Chaos'
@@ -280,32 +281,33 @@ mkdir -p "$SERVE_DIR"
 SERVE_SPEC='count:24,seed:7,mean-gap-us:150,batch:1|4'
 # The full serve run: golden summary, serve report, metrics.
 ./build/tools/pimflow serve toy mobilenet-v2 \
-  --requests="$SERVE_SPEC" --max-inflight=3 --channel-pool=24 --jobs=1 \
-  --summary-out="$SERVE_DIR/serve.j1.txt" \
+  --requests="$SERVE_SPEC" --max-inflight=3 --channel-pool=24 \
+  --summary-out="$SERVE_DIR/serve.1.txt" \
   --perf-report="$SERVE_DIR/serve.perf.json" \
   --metrics-out="$SERVE_DIR/serve.metrics.txt" > /dev/null
-# Reentrancy determinism: more worker threads change nothing, byte for byte.
+# Determinism from one process to the next: an identical second run
+# reproduces the summary byte for byte.
 ./build/tools/pimflow serve toy mobilenet-v2 \
-  --requests="$SERVE_SPEC" --max-inflight=3 --channel-pool=24 --jobs=4 \
-  --summary-out="$SERVE_DIR/serve.j4.txt" \
-  --metrics-out="$SERVE_DIR/serve.j4.metrics.txt" > /dev/null
-cmp "$SERVE_DIR/serve.j1.txt" "$SERVE_DIR/serve.j4.txt"
-cmp "$SERVE_DIR/serve.j1.txt" tools/testdata/serve_summary.golden
-# Sessions re-run on four workers record what they record on one: the
-# counter families match.
+  --requests="$SERVE_SPEC" --max-inflight=3 --channel-pool=24 \
+  --summary-out="$SERVE_DIR/serve.2.txt" \
+  --metrics-out="$SERVE_DIR/serve.2.metrics.txt" > /dev/null
+cmp "$SERVE_DIR/serve.1.txt" "$SERVE_DIR/serve.2.txt"
+cmp "$SERVE_DIR/serve.1.txt" tools/testdata/serve_summary.golden
+# The second run records what the first recorded: the counter families
+# match.
 serveCounters() { # <metrics file> <counters file>
   sed -n '/^# TYPE .* counter$/{n;p}' "$1" > "$2"
 }
-serveCounters "$SERVE_DIR/serve.metrics.txt" "$SERVE_DIR/serve.j1.counters.txt"
-serveCounters "$SERVE_DIR/serve.j4.metrics.txt" \
-  "$SERVE_DIR/serve.j4.counters.txt"
-grep -q '^pimflow_engine_executions ' "$SERVE_DIR/serve.j1.counters.txt"
-cmp "$SERVE_DIR/serve.j1.counters.txt" "$SERVE_DIR/serve.j4.counters.txt"
+serveCounters "$SERVE_DIR/serve.metrics.txt" "$SERVE_DIR/serve.1.counters.txt"
+serveCounters "$SERVE_DIR/serve.2.metrics.txt" \
+  "$SERVE_DIR/serve.2.counters.txt"
+grep -q '^pimflow_engine_executions ' "$SERVE_DIR/serve.1.counters.txt"
+cmp "$SERVE_DIR/serve.1.counters.txt" "$SERVE_DIR/serve.2.counters.txt"
 # The channel-pressure mix must actually exercise the ladder: full grants,
 # degraded grants, and GPU-floor fallbacks all appear in the golden run.
-grep -q 'outcome=served'   "$SERVE_DIR/serve.j1.txt"
-grep -q 'outcome=degraded' "$SERVE_DIR/serve.j1.txt"
-grep -q 'outcome=floor'    "$SERVE_DIR/serve.j1.txt"
+grep -q 'outcome=served'   "$SERVE_DIR/serve.1.txt"
+grep -q 'outcome=degraded' "$SERVE_DIR/serve.1.txt"
+grep -q 'outcome=floor'    "$SERVE_DIR/serve.1.txt"
 # The serve report is valid schema-v3 JSON of the serve kind.
 ./build/tools/pf_json_check "$SERVE_DIR/serve.perf.json" > /dev/null
 grep -q '"kind":"pimflow-serve-report"' "$SERVE_DIR/serve.perf.json"
@@ -323,31 +325,31 @@ mkdir -p "$CHAOS_DIR"
 CHAOS_SPEC='count:24,seed:7,mean-gap-us:50,batch:1|4,deadline-us:4000'
 CHAOS_FAULTS='dead@200..700:0,dead@900..1600:0'
 # Mid-stream outages under load: outcomes are still decided entirely in
-# virtual time, so the summary is byte-identical across worker counts.
+# virtual time, so an identical second run reproduces the summary.
 ./build/tools/pimflow serve toy mobilenet-v2 \
   --requests="$CHAOS_SPEC" --max-inflight=3 --max-queue=2 \
-  --channel-pool=12 --jobs=1 \
+  --channel-pool=12 \
   --faults="$CHAOS_FAULTS" --breaker-threshold=1 \
   --breaker-cooldown-us=100 --retry-budget=8 \
-  --summary-out="$CHAOS_DIR/chaos.j1.txt" \
+  --summary-out="$CHAOS_DIR/chaos.1.txt" \
   --metrics-out="$CHAOS_DIR/chaos.metrics.txt" \
   --perf-report="$CHAOS_DIR/chaos.perf.json" > /dev/null
 ./build/tools/pimflow serve toy mobilenet-v2 \
   --requests="$CHAOS_SPEC" --max-inflight=3 --max-queue=2 \
-  --channel-pool=12 --jobs=4 \
+  --channel-pool=12 \
   --faults="$CHAOS_FAULTS" --breaker-threshold=1 \
   --breaker-cooldown-us=100 --retry-budget=8 \
-  --summary-out="$CHAOS_DIR/chaos.j4.txt" > /dev/null
-cmp "$CHAOS_DIR/chaos.j1.txt" "$CHAOS_DIR/chaos.j4.txt"
+  --summary-out="$CHAOS_DIR/chaos.2.txt" > /dev/null
+cmp "$CHAOS_DIR/chaos.1.txt" "$CHAOS_DIR/chaos.2.txt"
 # The outages actually bit: mid-run interrupts retried onto live channels,
 # and the flapping channel tripped its breaker and was later re-admitted.
-grep -q 'reason=fault-retry' "$CHAOS_DIR/chaos.j1.txt"
+grep -q 'reason=fault-retry' "$CHAOS_DIR/chaos.1.txt"
 grep -qE 'resilience: interrupts=[1-9][0-9]* retries=[1-9]' \
-  "$CHAOS_DIR/chaos.j1.txt"
-grep -qE 'trips=[1-9]' "$CHAOS_DIR/chaos.j1.txt"
-grep -qE 'readmits=[1-9]' "$CHAOS_DIR/chaos.j1.txt"
-grep -q 'shed_reasons: ' "$CHAOS_DIR/chaos.j1.txt"
-grep -q 'floor_reasons: ' "$CHAOS_DIR/chaos.j1.txt"
+  "$CHAOS_DIR/chaos.1.txt"
+grep -qE 'trips=[1-9]' "$CHAOS_DIR/chaos.1.txt"
+grep -qE 'readmits=[1-9]' "$CHAOS_DIR/chaos.1.txt"
+grep -q 'shed_reasons: ' "$CHAOS_DIR/chaos.1.txt"
+grep -q 'floor_reasons: ' "$CHAOS_DIR/chaos.1.txt"
 # Breaker counters reach the Prometheus exposition and the serve report.
 ./build/tools/pf_metrics_check --min-quantile-metrics=3 \
   "$CHAOS_DIR/chaos.metrics.txt"
@@ -360,7 +362,7 @@ grep -qE '"breaker_trips":[1-9]' "$CHAOS_DIR/chaos.perf.json"
 # late completions classify as missed, and on-time ones still count met.
 ./build/tools/pimflow serve toy mobilenet-v2 \
   --requests='count:32,seed:9,mean-gap-us:2,batch:1|4,deadline-us:30' \
-  --max-inflight=2 --max-queue=4 --channel-pool=24 --jobs=1 \
+  --max-inflight=2 --max-queue=4 --channel-pool=24 \
   --summary-out="$CHAOS_DIR/deadline.txt" > /dev/null
 grep -qE 'shed_reasons: queue_full=[0-9]+ deadline_expired=[1-9]' \
   "$CHAOS_DIR/deadline.txt"
@@ -391,32 +393,32 @@ TRACE_FAULTS='dead@200..700:0,dead@900..1600:0'
 # every shed/missed/faulted request plus the slowest completions.
 ./build/tools/pimflow serve toy mobilenet-v2 \
   --requests="$TRACE_SPEC" --max-inflight=3 --max-queue=2 \
-  --channel-pool=12 --jobs=1 \
+  --channel-pool=12 \
   --faults="$TRACE_FAULTS" --breaker-threshold=1 \
   --breaker-cooldown-us=100 --retry-budget=8 \
-  --trace-sample=tail --trace-out="$TRACE_DIR/trace.j1.json" \
+  --trace-sample=tail --trace-out="$TRACE_DIR/trace.1.json" \
   --perf-report="$TRACE_DIR/trace.perf.json" \
   --summary-out="$TRACE_DIR/trace.summary.txt" > /dev/null
-# The trace is built from virtual-time records alone, so more workers
-# change nothing, byte for byte.
+# The trace is built from virtual-time records alone, so an identical
+# second run reproduces it byte for byte.
 ./build/tools/pimflow serve toy mobilenet-v2 \
   --requests="$TRACE_SPEC" --max-inflight=3 --max-queue=2 \
-  --channel-pool=12 --jobs=4 \
+  --channel-pool=12 \
   --faults="$TRACE_FAULTS" --breaker-threshold=1 \
   --breaker-cooldown-us=100 --retry-budget=8 \
-  --trace-sample=tail --trace-out="$TRACE_DIR/trace.j4.json" > /dev/null
-cmp "$TRACE_DIR/trace.j1.json" "$TRACE_DIR/trace.j4.json"
+  --trace-sample=tail --trace-out="$TRACE_DIR/trace.2.json" > /dev/null
+cmp "$TRACE_DIR/trace.1.json" "$TRACE_DIR/trace.2.json"
 # Structural validity: Chrome field rules, balanced span nesting, resolved
 # flow ids, exactly one root span per request lane.
-./build/tools/pf_json_check --chrome "$TRACE_DIR/trace.j1.json" > /dev/null
-./build/tools/pf_trace_check --min-requests=100 "$TRACE_DIR/trace.j1.json"
+./build/tools/pf_json_check --chrome "$TRACE_DIR/trace.1.json" > /dev/null
+./build/tools/pf_trace_check --min-requests=100 "$TRACE_DIR/trace.1.json"
 # The tail classes are all present in the sampled trace: shed instants,
 # deadline-missed roots, fault interrupts, and breaker lifecycle events.
-grep -q '"cat":"serve.shed"'    "$TRACE_DIR/trace.j1.json"
-grep -q '"deadline":"missed"'   "$TRACE_DIR/trace.j1.json"
-grep -q '"cat":"serve.fault"'   "$TRACE_DIR/trace.j1.json"
-grep -q '"cat":"serve.breaker"' "$TRACE_DIR/trace.j1.json"
-grep -q '"cat":"serve.flow"'    "$TRACE_DIR/trace.j1.json"
+grep -q '"cat":"serve.shed"'    "$TRACE_DIR/trace.1.json"
+grep -q '"deadline":"missed"'   "$TRACE_DIR/trace.1.json"
+grep -q '"cat":"serve.fault"'   "$TRACE_DIR/trace.1.json"
+grep -q '"cat":"serve.breaker"' "$TRACE_DIR/trace.1.json"
+grep -q '"cat":"serve.flow"'    "$TRACE_DIR/trace.1.json"
 # Drill into one deadline-missed request: the report renderer must break
 # its latency into queue-wait + exec segments with the exec-phase split.
 MISSED_ID=$(grep -o '{"id":[0-9]*,[^{]*"deadline":"missed"' \

@@ -88,6 +88,7 @@ int main(int Argc, char **Argv) {
     if (!Ph || Ph->Str != "B" || !Cat || !Cat->isString() ||
         Cat->Str != "serve.request")
       continue;
+    // checkChromeTrace admitted only integer tids within +-2^53.
     const long long Tid =
         static_cast<long long>(E.numberOr("tid", -1.0));
     ++RootsPerLane[Tid];

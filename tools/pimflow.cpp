@@ -20,9 +20,6 @@
 /// --dir, default '.') so later steps reuse them, exactly as the artifact
 /// stores layerwise/pipeline measurements. Hardware knobs:
 ///   --pim-channels=N  --stages=N  --autotune  --no-memopt
-/// Serve knob:
-///   --jobs=N  threads re-executing admitted requests (default: all
-///             hardware threads); every other mode runs on one thread
 /// Verification knobs:
 ///   --verify        verify input/loaded graphs and every pass boundary;
 ///                   diagnostics go to stderr and exit non-zero
@@ -115,7 +112,6 @@ struct CliOptions {
   bool Verify = false; // --verify: run the graph verifier on inputs/outputs.
   bool ReportMetrics = false; // report --metrics: metrics section only.
   bool NoRecovery = false; // --no-recovery: faults bypass the ladder.
-  std::optional<int> Jobs; // serve --jobs=N re-run workers (unset: all).
   PimFlowOptions Flow;
 
   bool observed() const {
@@ -144,8 +140,6 @@ void usage() {
       "[--breaker-threshold=K] [--breaker-cooldown-us=N]\n"
       "               [--trace-sample=<all|tail|tail:K>]   (which requests "
       "keep full traces / report segments)\n"
-      "               [--jobs=N]   (threads re-executing admitted requests; "
-      "default all cores)\n"
       "               (serve --faults also takes windowed outages: "
       "dead@<t1>..<t2>:<ch> in virtual us)\n"
       "               [--gpu_only] [--policy=<mechanism>] [--dir=<path>]\n"
@@ -278,12 +272,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
                            O.Flow.PimChannels, DE);
     else if (startsWith(Arg, "--stages="))
       Ok &= parseIntOption(Arg, Val(), 2, 64, O.Flow.PipelineStages, DE);
-    else if (startsWith(Arg, "--jobs=")) {
-      // 0 = all hardware threads.
-      int Jobs = 0;
-      Ok &= parseIntOption(Arg, Val(), 0, 4096, Jobs, DE);
-      O.Jobs = Jobs;
-    } else if (startsWith(Arg, "--max-errors="))
+    else if (startsWith(Arg, "--max-errors="))
       Ok &= parseIntOption(Arg, Val(), 1, 1 << 20, O.Flow.MaxVerifyErrors,
                            DE);
     else if (startsWith(Arg, "--faults="))
@@ -349,12 +338,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
     DE.error(DiagCode::BadOption, "--requests",
              "serve-only flags (--requests/--summary-out/--trace-sample) "
              "require the serve verb");
-    Ok = false;
-  }
-  if (O.Jobs && O.Mode != "serve") {
-    DE.error(DiagCode::BadOption, "--jobs",
-             "sizes serve's request re-run workers and requires the serve "
-             "verb (every other mode runs on one thread)");
     Ok = false;
   }
   if (O.Mode == "compile" &&
@@ -891,8 +874,7 @@ int runReport(const CliOptions &O) {
 /// multi-tenant serving mode (docs/INTERNALS.md section 13). Compiles
 /// (or replays from --plan-cache-dir) every tenant's plan, then admits
 /// the deterministic request stream against the shared PIM channel
-/// group. --jobs sizes the request re-run workers; the summary is
-/// byte-identical for every --jobs=N.
+/// group, all on this thread.
 int runServe(const CliOptions &O) {
   DiagnosticEngine DE(O.Flow.MaxVerifyErrors);
   serve::LoadSpec Spec;
@@ -917,7 +899,6 @@ int runServe(const CliOptions &O) {
   SO.MaxInflight = O.MaxInflight;
   SO.MaxQueue = O.MaxQueue;
   SO.PoolChannels = O.ChannelPool;
-  SO.Jobs = O.Jobs.value_or(0);
   SO.DefaultDeadlineUs = O.DefaultDeadlineUs;
   SO.RetryBudget = O.RetryBudget;
   SO.BreakerThreshold = O.BreakerThreshold;
