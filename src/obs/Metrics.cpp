@@ -6,7 +6,6 @@
 
 #include "obs/Metrics.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -113,70 +112,6 @@ void LogLinearHistogram::reset() {
 }
 
 //===----------------------------------------------------------------------===//
-// SlidingWindow
-//===----------------------------------------------------------------------===//
-
-const char *pf::obs::tickDomainName(TickDomain D) {
-  switch (D) {
-  case TickDomain::WallUs:
-    return "wall_us";
-  case TickDomain::SimCycles:
-    return "sim_cycles";
-  }
-  return "unknown";
-}
-
-SlidingWindow::SlidingWindow(TickDomain D, int64_t BucketWidth, int NumBuckets)
-    : Dom(D), Width(BucketWidth > 0 ? BucketWidth : 1),
-      Buckets(NumBuckets > 0 ? NumBuckets : 1) {}
-
-void SlidingWindow::recordSeries(int64_t Start, int64_t Step, int64_t N,
-                                 double X) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  // The ticks never decrease, so the samples sharing an epoch are
-  // consecutive: add each run of them to its bucket at once, epochs in
-  // increasing order, as single records would visit them.
-  for (int64_t K = 1; K <= N;) {
-    const int64_t Epoch = (Start + K * Step) / Width;
-    const int64_t Last =
-        Step > 0 ? std::min(N, ((Epoch + 1) * Width - 1 - Start) / Step) : N;
-    Bucket &B = Buckets[static_cast<size_t>(
-        Epoch % static_cast<int64_t>(Buckets.size()))];
-    if (B.Epoch != Epoch) {
-      B.Epoch = Epoch;
-      B.Count = 0;
-      B.Sum = 0.0;
-    }
-    B.Count += Last - K + 1;
-    B.Sum += X * static_cast<double>(Last - K + 1);
-    K = Last + 1;
-  }
-}
-
-WindowStats SlidingWindow::stats(int64_t NowTick) const {
-  WindowStats R;
-  R.Domain = Dom;
-  R.BucketWidth = Width;
-  const int64_t NowEpoch = NowTick / Width;
-  std::lock_guard<std::mutex> Lock(Mu);
-  R.SpanTicks = Width * static_cast<int64_t>(Buckets.size());
-  const int64_t Oldest = NowEpoch - static_cast<int64_t>(Buckets.size()) + 1;
-  for (const Bucket &B : Buckets) {
-    if (B.Epoch < Oldest || B.Epoch > NowEpoch)
-      continue; // stale (not yet recycled) or from a reset clock
-    R.Count += B.Count;
-    R.Sum += B.Sum;
-  }
-  return R;
-}
-
-void SlidingWindow::reset() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (Bucket &B : Buckets)
-    B = Bucket{};
-}
-
-//===----------------------------------------------------------------------===//
 // Prometheus text exposition
 //===----------------------------------------------------------------------===//
 
@@ -222,12 +157,6 @@ std::string pf::obs::renderPrometheus() {
     appendSample(Out, P, static_cast<double>(V));
   }
 
-  for (const auto &[Name, V] : Reg.gaugeSnapshot()) {
-    const std::string P = promName(Name);
-    Out += "# TYPE " + P + " gauge\n";
-    appendSample(Out, P, V);
-  }
-
   // HDR histograms: full summaries with bounded-error quantiles.
   for (const auto &[Name, Q] : Reg.histogramSnapshot()) {
     const std::string P = promName(Name);
@@ -240,19 +169,6 @@ std::string pf::obs::renderPrometheus() {
     appendSample(Out, P + "{quantile=\"0.999\"}", Q.P999);
     appendSample(Out, P + "_sum", Q.Sum);
     appendSample(Out, P + "_count", static_cast<double>(Q.Count));
-  }
-
-  // Sliding windows: trailing-span count/sum gauges, labeled with the
-  // tick domain so readers know which clock the span is over.
-  for (const auto &[Name, W] : Reg.windowSnapshot()) {
-    const std::string P = promName(Name) + "_window";
-    const std::string Label = std::string("{domain=\"") +
-                              tickDomainName(W.Domain) + "\",span=\"" +
-                              std::to_string(W.SpanTicks) + "\"}";
-    Out += "# TYPE " + P + "_count gauge\n";
-    appendSample(Out, P + "_count" + Label, static_cast<double>(W.Count));
-    Out += "# TYPE " + P + "_sum gauge\n";
-    appendSample(Out, P + "_sum" + Label, W.Sum);
   }
 
   return Out;

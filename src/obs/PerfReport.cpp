@@ -224,23 +224,6 @@ void pf::obs::emitObsSections(JsonWriter &W) {
         .endObject();
   }
   W.endObject();
-  W.key("gauges").beginObject();
-  for (const auto &[Name, V] : Reg.gaugeSnapshot())
-    W.field(Name, V);
-  W.endObject();
-  W.key("windows").beginObject();
-  for (const auto &[Name, WS] : Reg.windowSnapshot()) {
-    W.key(Name)
-        .beginObject()
-        .field("domain", tickDomainName(WS.Domain))
-        .field("bucket_width", WS.BucketWidth)
-        .field("span_ticks", WS.SpanTicks)
-        .field("count", WS.Count)
-        .field("sum", WS.Sum)
-        .field("mean", WS.mean())
-        .endObject();
-  }
-  W.endObject();
   W.endObject();
 }
 
@@ -367,29 +350,6 @@ std::string pf::obs::renderPerfReportMetricsText(const JsonValue &Report) {
                 formatStr("%.1f", Q.numberOr("p999", 0)),
                 formatStr("%.1f", Q.numberOr("max", 0)),
                 formatStr("%.2g", Q.numberOr("rel_error_bound", 0))});
-    Out += T.render();
-  }
-
-  if (const JsonValue *G = M->find("gauges");
-      G && G->isObject() && !G->Object.empty()) {
-    Out += "\ngauges:\n";
-    Table T;
-    T.setHeader({"gauge", "value"});
-    for (const auto &[Name, V] : G->Object)
-      T.addRow({Name, formatStr("%.6g", V.isNumber() ? V.Number : 0.0)});
-    Out += T.render();
-  }
-
-  if (const JsonValue *Ws = M->find("windows");
-      Ws && Ws->isObject() && !Ws->Object.empty()) {
-    Out += "\nsliding windows (trailing span):\n";
-    Table T;
-    T.setHeader({"window", "domain", "span", "count", "mean"});
-    for (const auto &[Name, V] : Ws->Object)
-      T.addRow({Name, strOr(V, "domain", "?"),
-                formatStr("%.0f", V.numberOr("span_ticks", 0)),
-                formatStr("%.0f", V.numberOr("count", 0)),
-                formatStr("%.1f", V.numberOr("mean", 0))});
     Out += T.render();
   }
   return Out;

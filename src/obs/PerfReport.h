@@ -16,7 +16,7 @@
 /// are gated by byte-for-byte equality elsewhere (plan goldens, the
 /// `pf_figures` baselines, the pinned-output tests), never by a threshold.
 ///
-/// Schema (version 2, lower-is-better metrics unless noted):
+/// Schema (version 5, lower-is-better metrics unless noted):
 ///   { schema_version, kind: "pimflow-perf-report", model, policy,
 ///     end_to_end_ns, energy_j, conv_layer_ns, fc_layer_ns,
 ///     timeline:{total_ns, gpu_busy_ns, pim_busy_ns, energy_j,
@@ -35,10 +35,7 @@
 ///     segments:{gpu,pim,md_dp,pipeline}, stats:{...},
 ///     recovery:{...} (only when fault recovery ran), counters:{...},
 ///     metrics:{histograms:{<name>:{count,sum,min,max,mean,p50,p90,p99,
-///                                  p999,rel_error_bound}},
-///              gauges:{<name>:value},
-///              windows:{<name>:{domain,bucket_width,span_ticks,count,
-///                               sum,mean}}} }
+///                                  p999,rel_error_bound}}} }
 ///
 /// Version 2 added the `metrics` section (obs/Metrics: bounded-error
 /// quantile histograms, gauges, sliding windows); every v1 key is
@@ -67,6 +64,14 @@
 /// remapped run reports the plans that ran, PIM lane k being the k-th
 /// surviving channel. No key changed.
 ///
+/// Version 5 removed `metrics.gauges` and `metrics.windows`, because the
+/// registry no longer keeps gauges, sliding windows or a simulated-cycle
+/// clock. Each only re-reported a number the report already carried:
+/// every window sample also landed in its same-named histogram, which
+/// stays in `metrics.histograms`, and the one gauge,
+/// `recovery.surviving_channels`, repeated `recovery.surviving_channels`.
+/// Every other v4 key is unchanged.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIMFLOW_OBS_PERFREPORT_H
@@ -81,7 +86,7 @@
 namespace pf::obs {
 
 /// Current report schema version.
-inline constexpr int PerfReportSchemaVersion = 4;
+inline constexpr int PerfReportSchemaVersion = 5;
 
 /// Renders the full performance report of \p R as JSON.
 std::string renderPerfReport(const CompileResult &R);
@@ -101,9 +106,9 @@ bool writePerfReport(const CompileResult &R, const std::string &Path);
 /// tables).
 std::string renderPerfReportText(const JsonValue &Report);
 
-/// Renders only the schema-v2 `metrics` section (histogram quantiles,
-/// gauges, windows) of a parsed report — the `pimflow report --metrics`
-/// view. Empty string when the report has no metrics section.
+/// Renders only the `metrics` section (histogram quantiles) of a parsed
+/// report — the `pimflow report --metrics` view. Empty string when the
+/// report has no metrics section.
 std::string renderPerfReportMetricsText(const JsonValue &Report);
 
 } // namespace pf::obs

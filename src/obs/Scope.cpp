@@ -6,6 +6,8 @@
 
 #include "obs/Scope.h"
 
+#include "obs/Trace.h"
+
 namespace pf::obs {
 
 namespace {
@@ -22,6 +24,11 @@ Registry &activeRegistry() {
   if (Scope *S = CurrentScope)
     return S->registry();
   return Registry::instance();
+}
+
+bool scopeMuted() {
+  const Scope *S = CurrentScope;
+  return S && !S->registry().enabled();
 }
 
 } // namespace pf::obs

@@ -7,15 +7,15 @@
 /// \file
 /// Caller-owned observability scopes (docs/INTERNALS.md section 13). The
 /// process-wide `Registry` singleton makes the engine non-reentrant: two
-/// `PimFlow` runs interleave their counters, quantiles, and gauges into
-/// one shared namespace, so neither run can be attributed afterwards. A
+/// `PimFlow` runs interleave their counters and histograms into one
+/// shared namespace, so neither run can be attributed afterwards. A
 /// `Scope` is a private registry a caller (a bench iteration, a test, the
 /// `pimflow trace` dump rebuilding command streams, the serve server's
 /// muted scope) owns outright; installing it with a `ScopeGuard` reroutes
-/// every `obs::addCounter` / `obs::recordMetric` / `obs::setGauge` /
-/// `obs::advanceSimCycles` call on the *current thread* into the scope
-/// instead of the global registry. A scope whose registry is disabled
-/// (`registry().setEnabled(false)`) mutes what runs under it: serve's
+/// every `obs::addCounter` / `obs::recordMetric` call on the *current
+/// thread* into the scope instead of the global registry. A scope whose
+/// registry is disabled (`registry().setEnabled(false)`) mutes what runs
+/// under it, its tracer spans included (`obs::scopeMuted`): serve's
 /// pricing and cross-check engine runs record there.
 ///
 /// Routing is thread-local by design: scoped runs on different threads
@@ -24,9 +24,9 @@
 /// existing one-shot CLI path is unchanged.
 ///
 /// Deliberately global (documented exclusions, see `resetAll()`):
-///  - `Tracer`: an append-only, mutex-guarded span log whose `nowUs()`
-///    epoch is also the wall-tick domain for sliding windows; splitting it
-///    per scope would desynchronize timestamps across scopes.
+///  - `Tracer`: an append-only, mutex-guarded span log with one `nowUs()`
+///    epoch; splitting it per scope would desynchronize timestamps across
+///    scopes. A muted scope only suppresses its spans.
 ///  - `FlightRecorder`: crash forensics. Its per-thread bounded rings are
 ///    already race-free, and a post-mortem wants the interleaved history
 ///    of *all* scoped runs, not one.

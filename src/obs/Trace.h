@@ -77,13 +77,18 @@ private:
   std::vector<TraceEvent> Events;
 };
 
+/// True when the obs scope installed on this thread (obs/Scope.h) has a
+/// disabled registry, i.e. mutes what runs under it. Defined in Scope.cpp.
+bool scopeMuted();
+
 /// RAII span: measures construction-to-destruction and records it on the
-/// tracer when tracing is enabled. Cheap no-op otherwise.
+/// tracer when tracing is enabled and no muted scope is installed. Cheap
+/// no-op otherwise: a disabled tracer costs one relaxed atomic load.
 class TraceScope {
 public:
   explicit TraceScope(const char *Name, const char *Category = "compile") {
     Tracer &T = Tracer::instance();
-    if (!T.enabled())
+    if (!T.enabled() || scopeMuted())
       return;
     Active = true;
     this->Name = Name;
@@ -93,7 +98,7 @@ public:
   /// Dynamic-name variant for per-item spans.
   explicit TraceScope(std::string Name, const char *Category = "compile") {
     Tracer &T = Tracer::instance();
-    if (!T.enabled())
+    if (!T.enabled() || scopeMuted())
       return;
     Active = true;
     DynName = std::move(Name);

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "support/Format.h"
@@ -23,6 +24,16 @@ namespace {
 /// Lane key: (pid, tid) as integers. The checker already rejected
 /// pids/tids that are not exact integers before keys are built.
 using LaneKey = std::pair<long long, long long>;
+
+/// Flow key: a numeric or a string `id`, keyed by type and value, so a
+/// string id matches only the same string and never a number.
+using FlowId = std::variant<long long, std::string>;
+
+std::string flowIdText(const FlowId &Id) {
+  if (const long long *N = std::get_if<long long>(&Id))
+    return formatStr("%lld", *N);
+  return "\"" + std::get<std::string>(Id) + "\"";
+}
 
 const JsonValue *numberField(const JsonValue &E, const char *Key) {
   const JsonValue *V = E.find(Key);
@@ -62,7 +73,7 @@ bool pf::obs::checkChromeTrace(const JsonValue &Doc, std::string &Error,
 
   // Pass 1: per-event field checks, lane grouping, flow id collection.
   std::map<LaneKey, std::vector<size_t>> LaneEvents;
-  std::set<long long> FlowStarts, FlowFinishes;
+  std::set<FlowId> FlowStarts, FlowFinishes;
   size_t FirstFinishNoStart = 0;
   bool SawFinishNoStartCandidate = false;
   for (size_t I = 0; I < Events->Array.size(); ++I) {
@@ -102,21 +113,17 @@ bool pf::obs::checkChromeTrace(const JsonValue &Doc, std::string &Error,
     else if (P == "i")
       ++S.Instants;
     else if (P == "s" || P == "f" || P == "t") {
-      const JsonValue *Id = numberField(E, "id");
-      if (!Id) {
-        const JsonValue *IdStr = E.find("id");
-        if (!IdStr || !IdStr->isString())
-          return Fail(I, formatStr("flow event ('%s') missing 'id'",
-                                   P.c_str()));
-      } else if (!isExactInteger(Id->Number)) {
+      const JsonValue *Id = E.find("id");
+      if (!Id || (!Id->isNumber() && !Id->isString()))
+        return Fail(I, formatStr("flow event ('%s') missing 'id'",
+                                 P.c_str()));
+      if (Id->isNumber() && !isExactInteger(Id->Number))
         return Fail(I, formatStr("flow event ('%s') 'id' is not an integer "
                                  "within +-2^53",
                                  P.c_str()));
-      }
-      // Flow ids may be numbers or strings; normalize numbers, and hash
-      // nothing — the exporters only emit numeric ids.
-      const long long IdVal =
-          Id ? static_cast<long long>(Id->Number) : -1;
+      const FlowId IdVal =
+          Id->isNumber() ? FlowId(static_cast<long long>(Id->Number))
+                         : FlowId(Id->Str);
       if (P == "s")
         FlowStarts.insert(IdVal);
       else {
@@ -143,18 +150,19 @@ bool pf::obs::checkChromeTrace(const JsonValue &Doc, std::string &Error,
 
   // Flow resolution: every finish needs a start somewhere in the file,
   // every start a finish.
-  for (long long Id : FlowFinishes)
+  for (const FlowId &Id : FlowFinishes)
     if (!FlowStarts.count(Id)) {
-      Error = formatStr("flow finish id %lld has no matching start ('s') "
+      Error = formatStr("flow finish id %s has no matching start ('s') "
                         "event (near traceEvents[%d])",
-                        Id, static_cast<int>(FirstFinishNoStart));
+                        flowIdText(Id).c_str(),
+                        static_cast<int>(FirstFinishNoStart));
       return false;
     }
-  for (long long Id : FlowStarts)
+  for (const FlowId &Id : FlowStarts)
     if (!FlowFinishes.count(Id)) {
-      Error = formatStr("flow start id %lld has no matching finish ('f') "
+      Error = formatStr("flow start id %s has no matching finish ('f') "
                         "event",
-                        Id);
+                        flowIdText(Id).c_str());
       return false;
     }
   S.FlowChains = FlowStarts.size();

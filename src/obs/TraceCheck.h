@@ -18,7 +18,8 @@
 ///  - `X` complete events are exempt from nesting (exec-phase spans
 ///    deliberately overlap their enclosing attempt span);
 ///  - flow events resolve: every flow id seen on a finish (`f`) was
-///    started (`s`), and no start is left dangling.
+///    started (`s`), and no start is left dangling. Ids are numbers or
+///    strings, matched by type and value: `"7"` does not match `7`.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,28 +15,15 @@ using namespace pf;
 
 namespace {
 
-/// Sliding-window bucket width for per-channel completion metrics, in
-/// simulated cycles (the registry's SimCycles clock).
-constexpr int64_t ChannelCycleBucket = 1'000'000;
-
-/// Streams the completions of \p Copies channels that each took \p Cycles
-/// into the telemetry registry: one `pim.channel_cycles` quantile
-/// histogram sample per channel plus its simulated-cycle window, keyed by
-/// the logical cycle clock the simulator advances. The copies retire one
-/// after another on that clock, so the group is one clock advance, one
-/// weighted histogram sample and one window series at the ticks the
-/// copies complete. Every sample is an integer cycle count and the sums
-/// stay below 2^53, so the weighted sums are exactly the per-copy ones.
+/// Records that \p Copies channels each took \p Cycles: one
+/// `pim.channel_cycles` histogram sample per channel, as one weighted
+/// record. Every sample is an integer cycle count and the sums stay below
+/// 2^53, so the weighted sum is exactly the per-copy one.
 void recordChannelCycles(int64_t Cycles, int Copies = 1) {
   pf::obs::Registry &M = pf::obs::activeRegistry();
-  if (!M.enabled())
-    return;
-  const int64_t End = M.advanceCycles(Copies * Cycles);
-  const double X = static_cast<double>(Cycles);
-  M.histogram("pim.channel_cycles").record(X, Copies);
-  M.window("pim.channel_cycles", pf::obs::TickDomain::SimCycles,
-           ChannelCycleBucket)
-      .recordSeries(End - Copies * Cycles, Cycles, Copies, X);
+  if (M.enabled())
+    M.histogram("pim.channel_cycles")
+        .record(static_cast<double>(Cycles), Copies);
 }
 
 } // namespace

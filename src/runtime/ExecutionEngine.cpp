@@ -475,22 +475,15 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
 
   // Telemetry off the final timeline only (the contention model's first
   // pass would double-count), each metric looked up once per run: the
-  // command mix, the handoffs and per-node latency quantiles windowed
-  // over wall time. Then the completion event for the flight trace.
+  // command mix, the handoffs and per-node latency quantiles. Then the
+  // completion event for the flight trace.
   obs::Registry &Reg = obs::activeRegistry();
   if (Reg.enabled()) {
     recordCommandMix(Reg, TL.Kernels);
     Reg.counter("engine.cross_device_handoffs").add(Handoffs);
-    const int64_t NowUs =
-        static_cast<int64_t>(obs::Tracer::instance().nowUs());
     obs::LogLinearHistogram &H = Reg.histogram("engine.node_duration_ns");
-    obs::SlidingWindow &W = Reg.window("engine.node_duration_ns",
-                                       obs::TickDomain::WallUs,
-                                       /*BucketWidth=*/100'000);
-    for (const NodeSchedule &S : TL.Nodes) {
+    for (const NodeSchedule &S : TL.Nodes)
       H.record(S.EndNs - S.StartNs);
-      W.record(NowUs, S.EndNs - S.StartNs);
-    }
   }
   obs::flightEvent(obs::FlightEventKind::ExecDone, 0,
                    static_cast<int32_t>(TL.Nodes.size()), -1, TL.TotalNs);

@@ -175,8 +175,6 @@ RecoveryResult RecoveryExecutor::run(const Graph &G,
     }
   }
 
-  obs::setGauge("recovery.surviving_channels",
-                static_cast<double>(R.SurvivingChannels));
   ExecutionEngine Engine(Degraded);
   std::optional<Timeline> TL = Engine.tryExecute(
       R.Executed, DE, Local.empty() ? nullptr : &Local, &Options.Retry);

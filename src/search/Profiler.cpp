@@ -115,12 +115,7 @@ double Profiler::measure(const std::string &Key,
     // the histogram describes the candidates this run evaluated no matter
     // how warm the cache was.
     if (Ns >= 0.0)
-      obs::recordMetricWindowed("profiler.profile_sim_ns",
-                                obs::TickDomain::WallUs,
-                                /*BucketWidth=*/100'000,
-                                static_cast<int64_t>(
-                                    obs::Tracer::instance().nowUs()),
-                                Ns);
+      obs::recordMetric("profiler.profile_sim_ns", Ns);
     return Ns;
   }
 
@@ -141,12 +136,7 @@ double Profiler::measure(const std::string &Key,
   // (wall time stays in the histogram above, which no gate judges). Failed pipeline
   // probes return a negative sentinel and are not latencies.
   if (Ns >= 0.0)
-    obs::recordMetricWindowed("profiler.profile_sim_ns",
-                              obs::TickDomain::WallUs,
-                              /*BucketWidth=*/100'000,
-                              static_cast<int64_t>(
-                                  obs::Tracer::instance().nowUs()),
-                              Ns);
+    obs::recordMetric("profiler.profile_sim_ns", Ns);
   obs::flightEvent(obs::FlightEventKind::CacheMiss, 0, -1, -1, Ns);
   Memo.emplace(Key, Ns);
   return Ns;

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving sibling of obs/PerfReport: a schema-v4 JSON document of
-/// kind `pimflow-serve-report` carrying the per-request outcome table
-/// (with trace ids and, for sampled requests, virtual-time segment
-/// lists), exact request-latency / queue-delay percentiles, and the
-/// shared counters/metrics sections (obs::emitObsSections) snapshotted
+/// The serving sibling of obs/PerfReport: a JSON document of kind
+/// `pimflow-serve-report`, versioned by obs::PerfReportSchemaVersion,
+/// carrying the per-request outcome table (with trace ids and, for
+/// sampled requests, virtual-time segment lists), exact request-latency
+/// / queue-delay percentiles, and the shared counters/metrics sections (obs::emitObsSections) snapshotted
 /// from the caller's scope — where the serve.* histogram families
 /// recorded by Server::run live. `pimflow serve --perf-report=<path>`
 /// writes it; `pimflow report --request=<id>` renders one request's

@@ -113,34 +113,6 @@ TEST(LogLinearHistogram, QuantilesClampedToObservedRange) {
   EXPECT_DOUBLE_EQ(H.quantile(0.999), 100.0);
 }
 
-TEST(SlidingWindow, TrailingSpanAndRecycling) {
-  SlidingWindow W(TickDomain::SimCycles, 10, 4); // span = 40 ticks
-  W.record(5, 1.0);
-  W.record(15, 2.0);
-  W.record(25, 3.0);
-  W.record(35, 4.0);
-  WindowStats S = W.stats(35);
-  EXPECT_EQ(S.Count, 4);
-  EXPECT_DOUBLE_EQ(S.Sum, 10.0);
-  EXPECT_EQ(S.SpanTicks, 40);
-
-  // Jump far ahead: the slot holding tick 35's bucket is recycled and the
-  // older epochs age out of the trailing span.
-  W.record(75, 5.0);
-  S = W.stats(75);
-  EXPECT_EQ(S.Count, 1);
-  EXPECT_DOUBLE_EQ(S.Sum, 5.0);
-}
-
-TEST(SlidingWindow, StaleBucketsExcludedWithoutRewrite) {
-  SlidingWindow W(TickDomain::WallUs, 100, 2); // span = 200 ticks
-  W.record(50, 7.0);
-  EXPECT_EQ(W.stats(50).Count, 1);
-  // Reading far in the future must not count the stale bucket even though
-  // its slot was never rewritten.
-  EXPECT_EQ(W.stats(10'000).Count, 0);
-}
-
 /// Everything a read of \p H can see: the exact stats, then the quantile
 /// at every rank, which pins how many samples each bucket holds.
 std::vector<double> histogramView(const LogLinearHistogram &H) {
@@ -168,63 +140,6 @@ TEST(LogLinearHistogramTest, WeightedRecordMatchesRepeatedRecords) {
   EXPECT_EQ(histogramView(Weighted), histogramView(Repeated));
   Weighted.record(7.0, 0); // No samples: no change.
   EXPECT_EQ(histogramView(Weighted), histogramView(Repeated));
-}
-
-/// Everything a read of \p W can see: its trailing-span count and sum at
-/// every epoch up to one span past \p LastTick, which tells each bucket's
-/// contents apart.
-std::vector<std::pair<int64_t, double>>
-windowView(const SlidingWindow &W, int64_t Width, int64_t LastTick) {
-  std::vector<std::pair<int64_t, double>> V;
-  for (int64_t Now = 0; Now <= LastTick + 9 * Width; Now += Width) {
-    const WindowStats S = W.stats(Now);
-    V.emplace_back(S.Count, S.Sum);
-  }
-  return V;
-}
-
-struct Series {
-  int64_t Start, Step, N;
-  double X;
-};
-
-/// Records \p Stream into a window once as series and once as the single
-/// records each series replaces, and compares what reads see.
-void expectSeriesMatchRecords(const std::vector<Series> &Stream) {
-  constexpr int64_t Width = 10; // 8 buckets: an 80-tick span.
-  SlidingWindow Batched(TickDomain::SimCycles, Width);
-  SlidingWindow Repeated(TickDomain::SimCycles, Width);
-  int64_t LastTick = 0;
-  for (const Series &S : Stream) {
-    Batched.recordSeries(S.Start, S.Step, S.N, S.X);
-    for (int64_t K = 1; K <= S.N; ++K)
-      Repeated.record(S.Start + K * S.Step, S.X);
-    LastTick = std::max(LastTick, S.Start + S.N * S.Step);
-  }
-  EXPECT_EQ(windowView(Batched, Width, LastTick),
-            windowView(Repeated, Width, LastTick))
-      << Stream.size() << " series from tick " << Stream.front().Start;
-}
-
-TEST(SlidingWindowTest, SeriesRecordMatchesRepeatedRecords) {
-  expectSeriesMatchRecords({{3, 4, 20, 4.0}});   // Crosses bucket boundaries.
-  expectSeriesMatchRecords({{0, 7, 100, 7.0}});  // 70 buckets: the ring wraps.
-  expectSeriesMatchRecords({{2, 25, 6, 25.0}});  // Steps skip whole epochs.
-  expectSeriesMatchRecords({{40, 0, 5, 3.0}});   // Step 0: one tick.
-  expectSeriesMatchRecords({{44, 9, 1, 9.0}});   // One sample.
-  expectSeriesMatchRecords({{50, 10, 3, 10.0}}); // On bucket boundaries.
-
-  // A seeded stream of groups on one advancing clock, as the simulator
-  // records replicated channels.
-  pf::Rng Rng(19);
-  std::vector<Series> Stream;
-  for (int64_t Clock = 0; Stream.size() < 200;) {
-    const int64_t Step = static_cast<int64_t>(Rng.nextBelow(30));
-    const int64_t N = static_cast<int64_t>(Rng.nextBelow(16)) + 1;
-    Stream.push_back({Clock, Step, N, static_cast<double>(Step)});
-    Clock += N * Step + static_cast<int64_t>(Rng.nextBelow(3));
-  }
-  expectSeriesMatchRecords(Stream);
 }
 
 class RegistryTest : public ::testing::Test {
@@ -255,36 +170,13 @@ TEST_F(RegistryTest, SnapshotsAreNameSorted) {
 TEST_F(RegistryTest, DisabledRecordingIsDropped) {
   Registry::instance().setEnabled(false);
   recordMetric("unit.gated", 1.0);
-  setGauge("unit.gated_gauge", 1.0);
   Registry::instance().setEnabled(true);
   EXPECT_TRUE(Registry::instance().histogramSnapshot().empty());
-  EXPECT_TRUE(Registry::instance().gaugeSnapshot().empty());
-}
-
-TEST_F(RegistryTest, WindowedRecordFeedsBothViews) {
-  recordMetricWindowed("unit.windowed", TickDomain::SimCycles, 100,
-                       /*Tick=*/50, 42.0);
-  const auto Hists = Registry::instance().histogramSnapshot();
-  ASSERT_EQ(Hists.size(), 1u);
-  EXPECT_EQ(Hists[0].second.Count, 1);
-  const auto Wins = Registry::instance().windowSnapshot();
-  ASSERT_EQ(Wins.size(), 1u);
-  EXPECT_EQ(Wins[0].second.Count, 1);
-  EXPECT_DOUBLE_EQ(Wins[0].second.Sum, 42.0);
-}
-
-TEST_F(RegistryTest, CycleClockAdvancesAndResets) {
-  advanceSimCycles(123);
-  advanceSimCycles(77);
-  EXPECT_EQ(Registry::instance().cycles(), 200);
-  Registry::instance().reset();
-  EXPECT_EQ(Registry::instance().cycles(), 0);
 }
 
 TEST_F(RegistryTest, PrometheusRenderCarriesQuantileSamples) {
   for (int I = 1; I <= 100; ++I)
     recordMetric("unit.render-latency", static_cast<double>(I));
-  setGauge("unit.render_gauge", 3.5);
   const std::string Text = renderPrometheus();
   EXPECT_NE(Text.find("# TYPE pimflow_unit_render_latency summary"),
             std::string::npos);
@@ -293,8 +185,6 @@ TEST_F(RegistryTest, PrometheusRenderCarriesQuantileSamples) {
   EXPECT_NE(Text.find("pimflow_unit_render_latency{quantile=\"0.999\"}"),
             std::string::npos);
   EXPECT_NE(Text.find("pimflow_unit_render_latency_count 100"),
-            std::string::npos);
-  EXPECT_NE(Text.find("# TYPE pimflow_unit_render_gauge gauge"),
             std::string::npos);
   // Sanitizer: dots and dashes never reach the exposition.
   EXPECT_EQ(Text.find("unit.render"), std::string::npos);

@@ -35,15 +35,12 @@ JsonValue reportOf(const CompileResult &R) {
   return Doc ? *Doc : JsonValue{};
 }
 
-/// What a scope has recorded, minus the wall-clock windows (whose trailing
-/// span moves with time): counters, histogram totals and the cycle clock.
+/// What a scope has recorded: counters and histogram totals.
 struct Recorded {
   std::vector<std::pair<std::string, int64_t>> Counters;
   std::vector<std::tuple<std::string, int64_t, double>> Histograms;
-  int64_t Cycles = 0;
 
-  explicit Recorded(const Registry &Reg)
-      : Counters(Reg.counterSnapshot()), Cycles(Reg.cycles()) {
+  explicit Recorded(const Registry &Reg) : Counters(Reg.counterSnapshot()) {
     for (const auto &[Name, Q] : Reg.histogramSnapshot())
       Histograms.emplace_back(Name, Q.Count, Q.Sum);
   }
@@ -161,7 +158,6 @@ TEST(PerfReportTest, ExportersRecordNothingIntoTheRun) {
   const Recorded After(Run.registry());
   EXPECT_EQ(After.Counters, Before.Counters);
   EXPECT_EQ(After.Histograms, Before.Histograms);
-  EXPECT_EQ(After.Cycles, Before.Cycles);
 }
 
 // Recovery remaps the kernels of a run with dead channels onto the

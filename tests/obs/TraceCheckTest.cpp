@@ -122,6 +122,41 @@ TEST(TraceCheckTest, ResolvesFlowPairsAndRejectsDanglers) {
   EXPECT_NE(Error.find("no matching start"), std::string::npos) << Error;
 }
 
+TEST(TraceCheckTest, MatchesFlowIdsByTypeAndValue) {
+  // A string id resolves only against the same string.
+  TraceCheckSummary S;
+  EXPECT_EQ(
+      checkEvents(std::string(kSpanPair) +
+                      ",{\"name\":\"f\",\"ph\":\"s\",\"pid\":1,\"tid\":1,"
+                      "\"ts\":0,\"id\":\"left\"}"
+                      ",{\"name\":\"f\",\"ph\":\"f\",\"pid\":1,\"tid\":1,"
+                      "\"ts\":1,\"id\":\"left\"}",
+                  &S),
+      "");
+  EXPECT_EQ(S.FlowChains, 1u);
+
+  std::string Error = checkEvents(
+      std::string(kSpanPair) +
+      ",{\"name\":\"f\",\"ph\":\"s\",\"pid\":1,\"tid\":1,\"ts\":0,"
+      "\"id\":\"left\"}"
+      ",{\"name\":\"f\",\"ph\":\"f\",\"pid\":1,\"tid\":1,\"ts\":1,"
+      "\"id\":\"right\"}");
+  EXPECT_NE(Error.find("flow finish id \"right\" has no matching start"),
+            std::string::npos)
+      << Error;
+
+  // The number 7 and the string "7" are different ids.
+  Error = checkEvents(
+      std::string(kSpanPair) +
+      ",{\"name\":\"f\",\"ph\":\"s\",\"pid\":1,\"tid\":1,\"ts\":0,"
+      "\"id\":7}"
+      ",{\"name\":\"f\",\"ph\":\"f\",\"pid\":1,\"tid\":1,\"ts\":1,"
+      "\"id\":\"7\"}");
+  EXPECT_NE(Error.find("flow finish id \"7\" has no matching start"),
+            std::string::npos)
+      << Error;
+}
+
 TEST(TraceCheckTest, KeepsTheFieldPresenceRules) {
   EXPECT_NE(checkEvents("{\"ph\":\"i\",\"tid\":1,\"ts\":0}").find(
                 "missing numeric 'pid'"),

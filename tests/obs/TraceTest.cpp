@@ -15,6 +15,7 @@
 #include "obs/ChromeTrace.h"
 #include "obs/Counters.h"
 #include "obs/Json.h"
+#include "obs/Scope.h"
 
 using namespace pf;
 
@@ -44,6 +45,29 @@ TEST_F(TraceTest, DisabledScopeRecordsNothing) {
   }
   EXPECT_EQ(obs::Tracer::instance().numEvents(), 0u);
   EXPECT_TRUE(obs::Registry::instance().counterSnapshot().empty());
+}
+
+TEST_F(TraceTest, MutedScopeRecordsNoSpan) {
+  // A scope whose registry is disabled mutes its spans as well as its
+  // metrics; an enabled scope and no scope at all leave spans on.
+  obs::Scope Muted, Collecting;
+  Muted.registry().setEnabled(false);
+  {
+    obs::ScopeGuard Guard(Muted);
+    PF_TRACE_SCOPE("muted");
+  }
+  EXPECT_EQ(obs::Tracer::instance().numEvents(), 0u);
+  {
+    obs::ScopeGuard Guard(Collecting);
+    PF_TRACE_SCOPE("scoped");
+  }
+  {
+    PF_TRACE_SCOPE(std::string("unscoped"));
+  }
+  const auto Events = obs::Tracer::instance().snapshot();
+  ASSERT_EQ(Events.size(), 2u);
+  EXPECT_EQ(Events[0].Name, "scoped");
+  EXPECT_EQ(Events[1].Name, "unscoped");
 }
 
 TEST_F(TraceTest, NestedSpansAreContained) {

@@ -90,7 +90,6 @@ struct RunTelemetry {
   std::vector<std::pair<std::string, int64_t>> Counters;
   int64_t ChannelSamples = 0;
   double ChannelCycleSum = 0.0;
-  int64_t SimCycles = 0;
 };
 
 template <typename Fn> RunTelemetry telemetryOf(Fn &&Run) {
@@ -106,7 +105,6 @@ template <typename Fn> RunTelemetry telemetryOf(Fn &&Run) {
       T.ChannelSamples = Q.Count;
       T.ChannelCycleSum = Q.Sum;
     }
-  T.SimCycles = S.registry().cycles();
   return T;
 }
 
@@ -304,7 +302,6 @@ TEST(PimSimulatorTest, ReplicatedChannelMatchesRunOnCopies) {
       EXPECT_EQ(GotT.ChannelSamples, Copies);
       EXPECT_EQ(GotT.ChannelSamples, WantT.ChannelSamples);
       EXPECT_EQ(GotT.ChannelCycleSum, WantT.ChannelCycleSum);
-      EXPECT_EQ(GotT.SimCycles, WantT.SimCycles);
       // The floored case must actually be bound by the fetch supply.
       if (C.FetchSupplyGBs == 1.0) {
         EXPECT_GT(Got.Ns, C.cyclesToNs(Sim.simulateChannel(Channel)));

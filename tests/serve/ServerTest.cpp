@@ -19,6 +19,7 @@
 #include "models/Zoo.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Scope.h"
+#include "obs/Trace.h"
 #include "serve/ServeReport.h"
 #include "serve/Server.h"
 #include "support/Diagnostics.h"
@@ -188,7 +189,7 @@ TEST(ServerTest, ReportRendersTheServeKind) {
   const std::string Report = renderServeReport(R);
   EXPECT_NE(Report.find("\"kind\":\"pimflow-serve-report\""),
             std::string::npos);
-  EXPECT_NE(Report.find("\"schema_version\":4"), std::string::npos);
+  EXPECT_NE(Report.find("\"schema_version\":5"), std::string::npos);
   EXPECT_NE(Report.find("serve.requests"), std::string::npos);
 }
 
@@ -238,6 +239,22 @@ TEST(ServerTest, RepeatedRunsRecordOnOneThread) {
   }
   EXPECT_EQ(Tids.size(), 1u);
   EXPECT_TRUE(SawExec);
+}
+
+TEST(ServerTest, CrossCheckRunsRecordNoSpan) {
+  // The cross-check engine runs execute under the muted scope, which
+  // mutes their spans too: with the tracer on, a second run() of a
+  // prepared server adds no span.
+  Server S(twoTenants(), contendedOptions());
+  obs::Tracer &T = obs::Tracer::instance();
+  const bool WasEnabled = T.enabled();
+  T.setEnabled(true);
+  (void)S.run(burstySpec());
+  const size_t Before = T.numEvents();
+  (void)S.run(burstySpec());
+  EXPECT_EQ(T.numEvents(), Before);
+  T.setEnabled(WasEnabled);
+  T.clear();
 }
 
 TEST(ServerTest, GpuOnlyPolicyServesEverythingWithoutChannels) {

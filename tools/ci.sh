@@ -72,8 +72,8 @@
 #      suites (whose ready list is NodeId arithmetic) and the number-text suites (the to_chars/from_chars
 #      writers and readers, the plan-artifact parser over string views and
 #      its re-checksummed mutation fuzz, the JSON writer), the
-#      telemetry suites (the registry, its weighted histogram and window
-#      records, the pinned telemetry of scoped runs), the pinned
+#      telemetry suites (the registry, its weighted histogram records,
+#      the pinned telemetry of scoped runs), the pinned
 #      mapping search (its pass-cost arithmetic and kept plans), the
 #      graph and its readers and mutators (consumers() returns a reference
 #      into the def-use index, so one held across a mutation reads freed
@@ -115,7 +115,7 @@ cmake -B build-tsan -S . -DPIMFLOW_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
   --target support_test search_test obs_test serve_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Profiler|SearchEngine|AlgorithmDp|LayerExtract|FlightRecorder|RegistryTest|CountersAggregateAcrossThreads|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure|PinnedTelemetry'
+  -R 'Profiler|SearchEngine|AlgorithmDp|LayerExtract|FlightRecorder|RegistryTest|CountersAggregateAcrossThreads|LogLinearHistogram|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure|PinnedTelemetry'
 
 echo "== tier 4: chaos fault-injection suite (fixed seeds), then under TSan =="
 ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Chaos'
@@ -308,7 +308,7 @@ cmp "$SERVE_DIR/serve.1.counters.txt" "$SERVE_DIR/serve.2.counters.txt"
 grep -q 'outcome=served'   "$SERVE_DIR/serve.1.txt"
 grep -q 'outcome=degraded' "$SERVE_DIR/serve.1.txt"
 grep -q 'outcome=floor'    "$SERVE_DIR/serve.1.txt"
-# The serve report is valid schema-v3 JSON of the serve kind.
+# The serve report is valid JSON of the serve kind.
 ./build/tools/pf_json_check "$SERVE_DIR/serve.perf.json" > /dev/null
 grep -q '"kind":"pimflow-serve-report"' "$SERVE_DIR/serve.perf.json"
 # And the serve.* families made it into the Prometheus exposition.
@@ -375,13 +375,13 @@ cmake --build build-asan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
   support_test search_test obs_test ir_test transform_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract|SamplePricing'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract|SamplePricing'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test codegen_test \
   support_test search_test obs_test ir_test transform_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|SlidingWindow|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract|SamplePricing'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|PimSimulator|CodegenSweep|CodegenMonotonicity|CommandGenerator|ExecutionEngine|SchedulerProperty|StringUtil|PlanArtifact|PlanCorruption|Json|Registry|Counters|Scope|LogLinearHistogram|PinnedTelemetry|PinnedPlans|GraphTest|GraphIndex|VerifierTest|Serializer|Canonicalize|PatternMatch|Pipeline|MdDp|MemoryPlanner|Parallelism|Attribution|LayerExtract|SamplePricing'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke

@@ -203,11 +203,58 @@ bool parsePolicyOption(const std::string &Val, OffloadPolicy &Out,
   return false;
 }
 
+/// The verbs that read each verb-specific flag (named up to its '='). Any
+/// other verb rejects the flag as cli.bad-option instead of ignoring it.
+constexpr std::pair<const char *, const char *> FlagVerbs[] = {
+    {"-t", "profile"},
+    {"--graph", "run"},
+    {"--plan", "run"},
+    {"--stats", "run"},
+    {"--plan-out", "compile"},
+    {"--metrics", "report"},
+    {"--request", "report"},
+    {"--requests", "serve"},
+    {"--summary-out", "serve"},
+    {"--trace-sample", "serve"},
+    {"--max-inflight", "serve"},
+    {"--max-queue", "serve"},
+    {"--channel-pool", "serve"},
+    {"--default-deadline-us", "serve"},
+    {"--retry-budget", "serve"},
+    {"--breaker-threshold", "serve"},
+    {"--breaker-cooldown-us", "serve"},
+    {"--dir", "profile solve run trace compile"},
+    {"--policy", "solve run trace compile serve"},
+    {"--gpu_only", "solve run trace compile serve"},
+};
+
+/// Rejects each flag of \p Flags that the verb \p Mode does not read.
+bool checkFlagVerbs(const std::vector<std::string> &Flags,
+                    const std::string &Mode, DiagnosticEngine &DE) {
+  bool Ok = true;
+  for (const std::string &Flag : Flags)
+    for (const auto &[Name, Verbs] : FlagVerbs) {
+      if (Flag != Name)
+        continue;
+      const std::vector<std::string> Readers = split(Verbs, ' ');
+      if (std::find(Readers.begin(), Readers.end(), Mode) == Readers.end()) {
+        DE.error(DiagCode::BadOption, Flag,
+                 formatStr("is not read by %s (only by: %s)", Mode.c_str(),
+                           Verbs));
+        Ok = false;
+      }
+    }
+  return Ok;
+}
+
 bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
   bool Ok = true;
+  std::vector<std::string> Flags;
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
     auto Val = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
+    if (startsWith(Arg, "-"))
+      Flags.push_back(Arg.substr(0, Arg.find('=')));
     if (startsWith(Arg, "-t="))
       O.ProfileTarget = Val();
     else if (startsWith(Arg, "--dir="))
@@ -327,19 +374,13 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
     DE.error(DiagCode::BadOption, "<verb>",
              "must be profile, solve, run, trace, compile, report or serve");
     Ok = false;
+  } else {
+    Ok &= checkFlagVerbs(Flags, O.Mode, DE);
   }
-  if (O.Mode == "serve") {
-    // With no tenant given, serve the default net so smoke runs stay
-    // one-liners.
-    if (O.ServeNets.empty())
-      O.ServeNets.push_back(O.Net);
-  } else if (!O.Requests.empty() || !O.SummaryOut.empty() ||
-             !O.TraceSample.empty()) {
-    DE.error(DiagCode::BadOption, "--requests",
-             "serve-only flags (--requests/--summary-out/--trace-sample) "
-             "require the serve verb");
-    Ok = false;
-  }
+  // With no tenant given, serve the default net so smoke runs stay
+  // one-liners.
+  if (O.Mode == "serve" && O.ServeNets.empty())
+    O.ServeNets.push_back(O.Net);
   if (O.Mode == "compile" &&
       (!O.TraceOut.empty() || !O.PerfReport.empty())) {
     DE.error(DiagCode::BadOption, "compile",
@@ -361,11 +402,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
              "here");
     Ok = false;
   }
-  if (O.ReportRequest >= 0 && O.Mode != "report") {
-    DE.error(DiagCode::BadOption, "--request",
-             "is only meaningful with report (render one serve request)");
-    Ok = false;
-  }
   if (O.ReportRequest >= 0 && O.ReportMetrics) {
     DE.error(DiagCode::BadOption, "--request",
              "cannot be combined with --metrics (pick one view)");
@@ -375,11 +411,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
       O.Flow.PlanCacheDir.empty()) {
     DE.error(DiagCode::BadOption, "compile",
              "expects --plan-out=<file> and/or --plan-cache-dir=<dir>");
-    Ok = false;
-  }
-  if (!O.PlanIn.empty() && O.Mode != "run") {
-    DE.error(DiagCode::BadOption, "--plan",
-             "is only meaningful with run (replay a compiled plan)");
     Ok = false;
   }
   if (!O.PlanIn.empty() && !O.GraphFile.empty()) {
@@ -419,6 +450,11 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
     Ok = false;
   }
   return Ok;
+}
+
+/// The mechanism a verb compiles under: --gpu_only overrides --policy.
+OffloadPolicy policyOf(const CliOptions &O) {
+  return O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
 }
 
 /// --verify support: runs the graph verifier over \p G and renders every
@@ -589,7 +625,7 @@ int runSolve(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  PimFlow Flow(O.Policy, O.Flow);
+  PimFlow Flow(policyOf(O), O.Flow);
   Flow.profiler().loadCache(cachePath(O));
   CompileResult R = Flow.compileAndRun(Model);
 
@@ -644,11 +680,20 @@ int runExecuteGraphFile(const CliOptions &O) {
     return Rc;
   // No search ran: assemble the result the printers/exporters need by hand.
   CompileResult R;
-  R.Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
+  R.Policy = policyOf(O);
   R.Config = systemConfigFor(R.Policy, O.Flow);
   R.Transformed = std::move(*Loaded);
   if (O.Flow.FaultSpec.empty()) {
-    R.Schedule = ExecutionEngine(R.Config).execute(R.Transformed);
+    // The graph is the user's: an unschedulable one is a diagnostic.
+    DiagnosticEngine DE;
+    std::optional<Timeline> TL =
+        ExecutionEngine(R.Config).tryExecute(R.Transformed, DE);
+    if (!TL) {
+      std::fprintf(stderr, "error: cannot execute %s:\n%s",
+                   O.GraphFile.c_str(), DE.render().c_str());
+      return 1;
+    }
+    R.Schedule = *std::move(TL);
   } else {
     // --no-recovery lets a persistent fault reach the engine and fail the
     // run (ci.sh tier 6 relies on this to trigger the auto-dump).
@@ -682,7 +727,7 @@ int runCompile(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  const OffloadPolicy Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
+  const OffloadPolicy Policy = policyOf(O);
   PimFlow Flow(Policy, O.Flow);
   Flow.profiler().loadCache(cachePath(O));
   const ExecutionPlan Plan = Flow.plan(Model);
@@ -700,10 +745,18 @@ int runCompile(const CliOptions &O) {
                 "--plan=%s`)\n",
                 O.PlanOut.c_str(), O.Net.c_str(), O.PlanOut.c_str());
   }
-  if (PlanCache *Cache = Flow.planCache())
+  if (PlanCache *Cache = Flow.planCache()) {
     std::printf("plan cache %s: %zu hit(s), %zu miss(es), %zu store(s)\n",
                 Cache->dir().c_str(), Cache->hits(), Cache->misses(),
                 Cache->stores());
+    // The cache may be the verb's only output: one that neither hit nor
+    // stored was not written.
+    if (Cache->hits() == 0 && Cache->stores() == 0) {
+      std::fprintf(stderr, "error: cannot write %s\n",
+                   Cache->pathFor(Key).c_str());
+      return 1;
+    }
+  }
   if (!saveProfileLog(Flow.profiler(), O))
     return 1;
   return writeMetricsOut(O) ? 0 : 1;
@@ -721,7 +774,7 @@ int runReplay(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  const OffloadPolicy Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
+  const OffloadPolicy Policy = policyOf(O);
   PimFlow Flow(Policy, O.Flow);
 
   DiagnosticEngine DE;
@@ -761,7 +814,7 @@ int runExecute(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  const OffloadPolicy Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
+  const OffloadPolicy Policy = policyOf(O);
   PimFlow Flow(Policy, O.Flow);
   Flow.profiler().loadCache(cachePath(O));
   CompileResult R = Flow.compileAndRun(Model);
@@ -795,7 +848,7 @@ int runTrace(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  PimFlow Flow(O.Policy, O.Flow);
+  PimFlow Flow(policyOf(O), O.Flow);
   Flow.profiler().loadCache(cachePath(O));
   CompileResult R = Flow.compileAndRun(Model);
 
@@ -894,7 +947,7 @@ int runServe(const CliOptions &O) {
   }
 
   serve::ServerOptions SO;
-  SO.Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
+  SO.Policy = policyOf(O);
   SO.Flow = O.Flow;
   SO.MaxInflight = O.MaxInflight;
   SO.MaxQueue = O.MaxQueue;
