@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/Json.h"
+#include "support/TextFile.h"
 
 namespace pf::bench {
 
@@ -69,7 +70,7 @@ std::string renderResultsJson() {
 }
 
 bool writeResultsJson(const std::string &Path) {
-  return obs::writeTextFile(Path, renderResultsJson());
+  return writeTextFile(Path, renderResultsJson());
 }
 
 } // namespace pf::bench

@@ -14,6 +14,7 @@
 
 #include "support/Format.h"
 #include "support/StringUtil.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 
@@ -477,31 +478,18 @@ std::variant<Graph, std::string> pf::parseGraph(const std::string &Text) {
 }
 
 bool pf::saveGraph(const Graph &G, const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  const std::string Text = serializeGraph(G);
-  const bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) ==
-                  Text.size();
-  std::fclose(F);
-  return Ok;
+  return writeTextFile(Path, serializeGraph(G));
 }
 
 std::optional<Graph> pf::loadGraph(const std::string &Path,
                                    std::string *Error) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
+  const std::optional<std::string> Text = readTextFile(Path);
+  if (!Text) {
     if (Error)
       *Error = "cannot open " + Path;
     return std::nullopt;
   }
-  std::string Text;
-  char Buf[4096];
-  size_t Read;
-  while ((Read = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, Read);
-  std::fclose(F);
-  auto Result = parseGraph(Text);
+  auto Result = parseGraph(*Text);
   if (std::holds_alternative<std::string>(Result)) {
     if (Error)
       *Error = std::get<std::string>(Result);

@@ -11,6 +11,7 @@
 
 #include "obs/Json.h"
 #include "support/Format.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 using namespace pf::obs;

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "obs/Json.h"
+#include "support/TextFile.h"
 
 using namespace pf::obs;
 

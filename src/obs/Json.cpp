@@ -9,7 +9,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "support/Assert.h"
@@ -438,33 +437,4 @@ std::optional<JsonValue> JsonValue::parse(const std::string &Text,
     return std::nullopt;
   }
   return V;
-}
-
-//===----------------------------------------------------------------------===//
-// File helpers
-//===----------------------------------------------------------------------===//
-
-bool pf::obs::writeTextFile(const std::string &Path,
-                            const std::string &Content) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  const size_t Written = std::fwrite(Content.data(), 1, Content.size(), F);
-  const bool Ok = Written == Content.size() && std::fclose(F) == 0;
-  if (Written != Content.size())
-    std::fclose(F);
-  return Ok;
-}
-
-std::optional<std::string> pf::obs::readTextFile(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "r");
-  if (!F)
-    return std::nullopt;
-  std::string Out;
-  char Buf[4096];
-  size_t N = 0;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return Out;
 }

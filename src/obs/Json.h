@@ -98,12 +98,6 @@ struct JsonValue {
                                         std::string *Error = nullptr);
 };
 
-/// Writes \p Content to \p Path; false on I/O failure.
-bool writeTextFile(const std::string &Path, const std::string &Content);
-
-/// Reads all of \p Path; nullopt on I/O failure.
-std::optional<std::string> readTextFile(const std::string &Path);
-
 } // namespace pf::obs
 
 #endif // PIMFLOW_OBS_JSON_H

@@ -11,6 +11,7 @@
 
 #include "obs/Counters.h"
 #include "obs/Json.h"
+#include "support/TextFile.h"
 
 using namespace pf::obs;
 

@@ -10,6 +10,7 @@
 #include "search/SearchEngine.h"
 #include "support/Format.h"
 #include "support/Table.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 using namespace pf::obs;
@@ -118,10 +119,9 @@ void emitDecisions(JsonWriter &W, const CompileResult &R) {
 
 } // namespace
 
-std::string pf::obs::renderPerfReport(const CompileResult &R) {
+std::string pf::obs::renderPerfReport(const CompileResult &R,
+                                      const AttributionReport &A) {
   const ExecutionStats S = computeStats(R);
-  const AttributionReport A =
-      attributeTimeline(R.Transformed, R.Schedule, R.Config);
 
   JsonWriter W;
   W.beginObject();
@@ -228,8 +228,9 @@ void pf::obs::emitObsSections(JsonWriter &W) {
 }
 
 bool pf::obs::writePerfReport(const CompileResult &R,
+                              const AttributionReport &A,
                               const std::string &Path) {
-  return writeTextFile(Path, renderPerfReport(R));
+  return writeTextFile(Path, renderPerfReport(R, A));
 }
 
 namespace {

@@ -88,8 +88,10 @@ namespace pf::obs {
 /// Current report schema version.
 inline constexpr int PerfReportSchemaVersion = 5;
 
-/// Renders the full performance report of \p R as JSON.
-std::string renderPerfReport(const CompileResult &R);
+/// Renders the full performance report of \p R, whose timeline \p A
+/// attributes (attributeTimeline), as JSON.
+std::string renderPerfReport(const CompileResult &R,
+                             const AttributionReport &A);
 
 /// Emits the shared `counters` and `metrics` report sections (snapshotted
 /// from the active observability scope, name-sorted for byte-stable
@@ -98,8 +100,9 @@ std::string renderPerfReport(const CompileResult &R);
 /// kinds stay field-compatible.
 void emitObsSections(JsonWriter &W);
 
-/// Writes renderPerfReport(R) to \p Path; false on I/O failure.
-bool writePerfReport(const CompileResult &R, const std::string &Path);
+/// Writes renderPerfReport(R, A) to \p Path; false on I/O failure.
+bool writePerfReport(const CompileResult &R, const AttributionReport &A,
+                     const std::string &Path);
 
 /// Renders a parsed report document as human-readable text (summary lines
 /// plus critical-path / lane-utilization / phase / metric / decision

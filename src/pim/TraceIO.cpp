@@ -6,11 +6,11 @@
 
 #include "pim/TraceIO.h"
 
-#include <cstdio>
 #include <cstring>
 
 #include "support/Format.h"
 #include "support/StringUtil.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 
@@ -222,12 +222,5 @@ pf::parseTrace(const std::string &Text) {
 }
 
 bool pf::saveTrace(const DeviceTrace &Trace, const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  const std::string Text = dumpTrace(Trace);
-  const bool Ok =
-      std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  std::fclose(F);
-  return Ok;
+  return writeTextFile(Path, dumpTrace(Trace));
 }

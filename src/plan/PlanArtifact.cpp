@@ -7,7 +7,6 @@
 #include "plan/PlanArtifact.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <string_view>
 
@@ -16,6 +15,7 @@
 #include "obs/Trace.h"
 #include "support/Format.h"
 #include "support/StringUtil.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 
@@ -432,31 +432,19 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
 }
 
 bool pf::savePlanArtifact(const PlanArtifact &A, const std::string &Path) {
-  const std::string Text = serializePlanArtifact(A);
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  const size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  const bool Ok = std::fclose(F) == 0 && Written == Text.size();
-  return Ok;
+  return writeTextFile(Path, serializePlanArtifact(A));
 }
 
 std::optional<PlanArtifact> pf::loadPlanArtifact(const std::string &Path,
                                                  DiagnosticEngine &DE) {
   const double StartUs = obs::Tracer::instance().nowUs();
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
+  const std::optional<std::string> Text = readTextFile(Path);
+  if (!Text) {
     DE.error(DiagCode::PlanCorrupt, Path,
              formatStr("cannot read plan artifact: %s", std::strerror(errno)));
     return std::nullopt;
   }
-  std::string Text;
-  char Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
-  auto A = parsePlanArtifact(Text, DE);
+  auto A = parsePlanArtifact(*Text, DE);
   obs::recordMetric("plan.load_us", obs::Tracer::instance().nowUs() - StartUs);
   return A;
 }

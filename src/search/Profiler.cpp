@@ -19,6 +19,7 @@
 #include "search/LayerExtract.h"
 #include "support/Format.h"
 #include "support/StringUtil.h"
+#include "support/TextFile.h"
 #include "transform/MdDpSplitPass.h"
 #include "transform/PipelinePass.h"
 
@@ -394,11 +395,11 @@ bool Profiler::saveCache(const std::string &Path) const {
   Text += fnv1a64Hex(Body);
   Text += '\n';
   Text += Body;
-  return obs::writeTextFile(Path, Text);
+  return writeTextFile(Path, Text);
 }
 
 bool Profiler::loadCache(const std::string &Path) {
-  const std::optional<std::string> Text = obs::readTextFile(Path);
+  const std::optional<std::string> Text = readTextFile(Path);
   // The header authenticates the rows: a missing header, a byte count or
   // checksum that disagrees (a flipped digit that still parses), or a
   // foreign version is a miss.

@@ -23,6 +23,7 @@
 #include "serve/Server.h"
 #include "support/Format.h"
 #include "support/StringUtil.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 using namespace pf::serve;
@@ -386,5 +387,5 @@ std::string Server::renderTrace(const ServeResult &R) const {
 
 bool Server::writeTrace(const ServeResult &R,
                         const std::string &Path) const {
-  return obs::writeTextFile(Path, renderTrace(R));
+  return writeTextFile(Path, renderTrace(R));
 }

@@ -8,6 +8,7 @@
 
 #include "obs/PerfReport.h"
 #include "support/Format.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 using namespace pf::serve;
@@ -162,7 +163,7 @@ std::string pf::serve::renderServeReport(const ServeResult &R) {
 
 bool pf::serve::writeServeReport(const ServeResult &R,
                                  const std::string &Path) {
-  return obs::writeTextFile(Path, renderServeReport(R));
+  return writeTextFile(Path, renderServeReport(R));
 }
 
 //===----------------------------------------------------------------------===//

@@ -77,7 +77,8 @@ TEST(ReportTest, PerfReportStatsMatchComputeStats) {
   CompileResult R = PimFlow(OffloadPolicy::PimFlow).compileAndRun(buildToy());
   const ExecutionStats S = computeStats(R);
 
-  const auto Doc = obs::JsonValue::parse(obs::renderPerfReport(R));
+  const auto Doc = obs::JsonValue::parse(obs::renderPerfReport(
+      R, obs::attributeTimeline(R.Transformed, R.Schedule, R.Config)));
   ASSERT_TRUE(Doc.has_value());
   EXPECT_EQ(Doc->find("model")->Str, R.Transformed.name());
   EXPECT_EQ(Doc->find("policy")->Str, policyName(R.Policy));

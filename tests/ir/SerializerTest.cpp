@@ -7,6 +7,7 @@
 #include "ir/GraphSerializer.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <gtest/gtest.h>
 
 #include "core/PimFlow.h"
@@ -117,6 +118,14 @@ TEST(SerializerTest, SaveLoadFile) {
   ASSERT_TRUE(Loaded.has_value()) << Error;
   expectStructurallyEqual(G, *Loaded);
   std::remove(Path.c_str());
+}
+
+// A buffered write to a full device succeeds and only the flush at close
+// fails, so a save that ignores fclose reports success.
+TEST(SerializerTest, SaveToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this host";
+  EXPECT_FALSE(saveGraph(buildToy(), "/dev/full"));
 }
 
 TEST(SerializerTest, MissingFileReportsError) {

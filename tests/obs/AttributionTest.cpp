@@ -381,7 +381,8 @@ TEST(AttributionTest, DecisionsCoverPlanSegments) {
 TEST(AttributionTest, PerfReportRoundTrip) {
   PimFlow Flow(OffloadPolicy::PimFlow);
   const CompileResult R = Flow.compileAndRun(buildToy());
-  const std::string Json = renderPerfReport(R);
+  const std::string Json = renderPerfReport(
+      R, attributeTimeline(R.Transformed, R.Schedule, R.Config));
 
   std::string Error;
   const auto Doc = JsonValue::parse(Json, &Error);

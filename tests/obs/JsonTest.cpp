@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "../support/DoubleSamples.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 using obs::JsonValue;
@@ -146,10 +147,10 @@ TEST(JsonParserTest, RejectsMalformedInput) {
 
 TEST(JsonFileTest, WriteReadRoundTrip) {
   const std::string Path = "pf_json_test_tmp.json";
-  ASSERT_TRUE(obs::writeTextFile(Path, "{\"x\":1}"));
-  const auto Text = obs::readTextFile(Path);
+  ASSERT_TRUE(writeTextFile(Path, "{\"x\":1}"));
+  const auto Text = readTextFile(Path);
   ASSERT_TRUE(Text.has_value());
   EXPECT_EQ(*Text, "{\"x\":1}");
   std::remove(Path.c_str());
-  EXPECT_FALSE(obs::readTextFile(Path).has_value());
+  EXPECT_FALSE(readTextFile(Path).has_value());
 }

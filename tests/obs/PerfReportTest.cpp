@@ -30,7 +30,10 @@ namespace {
 
 JsonValue reportOf(const CompileResult &R) {
   std::string Error;
-  auto Doc = JsonValue::parse(renderPerfReport(R), &Error);
+  auto Doc = JsonValue::parse(
+      renderPerfReport(
+          R, attributeTimeline(R.Transformed, R.Schedule, R.Config)),
+      &Error);
   EXPECT_TRUE(Doc.has_value()) << Error;
   return Doc ? *Doc : JsonValue{};
 }
@@ -150,8 +153,9 @@ TEST(PerfReportTest, ExportersRecordNothingIntoTheRun) {
 
   (void)computeStats(R);
   (void)renderReport(R);
-  (void)attributeTimeline(R.Transformed, R.Schedule, R.Config);
-  (void)renderPerfReport(R);
+  const AttributionReport A =
+      attributeTimeline(R.Transformed, R.Schedule, R.Config);
+  (void)renderPerfReport(R, A);
   (void)renderChromeTrace(R);
   (void)renderPrometheus();
 

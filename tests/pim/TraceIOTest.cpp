@@ -6,6 +6,8 @@
 
 #include "pim/TraceIO.h"
 
+#include <filesystem>
+
 #include <gtest/gtest.h>
 
 #include "codegen/CommandGenerator.h"
@@ -90,6 +92,14 @@ TEST(TraceIOTest, DumpParseRoundTrip) {
   EXPECT_EQ(Sim.run(P).CompColumns, Sim.run(T).CompColumns);
   // And the dump itself is stable.
   EXPECT_EQ(dumpTrace(P), dumpTrace(T));
+}
+
+// A buffered write to a full device succeeds and only the flush at close
+// fails, so a save that ignores fclose reports success.
+TEST(TraceIOTest, SaveToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this host";
+  EXPECT_FALSE(saveTrace(sampleTrace(), "/dev/full"));
 }
 
 TEST(TraceIOTest, GeneratedKernelTraceRoundTrips) {

@@ -30,6 +30,7 @@
 #include "models/Zoo.h"
 #include "obs/Json.h"
 #include "support/Format.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 
@@ -185,7 +186,7 @@ TEST(PinnedOutput, ProfileLogs) {
       const std::string Path = ::testing::TempDir() + "pf_pinned_" +
                                C.Name + "_" + Model + ".tsv";
       ASSERT_TRUE(Flow.profiler().saveCache(Path));
-      const std::optional<std::string> Text = obs::readTextFile(Path);
+      const std::optional<std::string> Text = readTextFile(Path);
       std::remove(Path.c_str());
       ASSERT_TRUE(Text);
       const std::string Digest = fnv1a64Hex(*Text);
@@ -208,7 +209,7 @@ TEST(PinnedOutput, ProfileLogOfAResNet50Search) {
   Flow.plan(M);
   const std::string Path = ::testing::TempDir() + "pf_pinned_profile.tsv";
   ASSERT_TRUE(Flow.profiler().saveCache(Path));
-  const std::optional<std::string> Text = obs::readTextFile(Path);
+  const std::optional<std::string> Text = readTextFile(Path);
   std::remove(Path.c_str());
   ASSERT_TRUE(Text);
   EXPECT_EQ(Text->size(), 41462u);

@@ -27,6 +27,7 @@
 
 #include "obs/Json.h"
 #include "obs/TraceCheck.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 
@@ -48,7 +49,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  const auto Text = obs::readTextFile(Path);
+  const auto Text = readTextFile(Path);
   if (!Text) {
     std::fprintf(stderr, "error: cannot read %s\n", Path);
     return 1;

@@ -36,6 +36,7 @@
 
 #include "plan/PlanArtifact.h"
 #include "support/StringUtil.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 
@@ -112,16 +113,12 @@ int main(int Argc, char **Argv) {
   if (Path.empty())
     return usage();
 
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
+  const std::optional<std::string> Read = readTextFile(Path);
+  if (!Read) {
     std::fprintf(stderr, "pf_plan_check: cannot read %s\n", Path.c_str());
     return 2;
   }
-  std::string Text;
-  char Buf[4096];
-  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
-    Text.append(Buf, N);
-  std::fclose(F);
+  const std::string &Text = *Read;
 
   DiagnosticEngine DE;
   auto A = parsePlanArtifact(Text, DE);

@@ -14,35 +14,29 @@
 ///   Step 2: compute the optimal graph from the profiles
 ///     pimflow solve <net>
 ///   Step 3: execute the transformed model
-///     pimflow run <net> [--gpu_only] [--policy=<mech>]
+///     pimflow run <net> [--gpu_only | --policy=<mech>]
 ///
 /// Profiling results persist in a metadata log (profile_<net>.tsv in
 /// --dir, default '.') so later steps reuse them, exactly as the artifact
-/// stores layerwise/pipeline measurements. Hardware knobs:
-///   --pim-channels=N  --stages=N  --autotune  --no-memopt
-/// Verification knobs:
-///   --verify        verify input/loaded graphs and every pass boundary;
-///                   diagnostics go to stderr and exit non-zero
-///   --differential  cross-run the interpreter on original vs. transformed
-///                   graphs at each pass boundary (slow; debugging aid)
-///   --max-errors=N  cap collected diagnostics (default 64)
-/// Fault-injection knobs (robustness testing):
-///   --faults=<spec>   inject PIM channel faults; spec is comma-separated
-///                     dead:<ch> | stall:<ch> | slow:<ch>:<mult> |
-///                     comp:<ch>:<ord>:<fails> | readres:<ch>:<ord>:<fails>,
-///                     or the literal 'chaos' for a seeded random schedule
-///   --fault-seed=N    seed for --faults=chaos (default 0)
-///   --max-retries=N   retry budget for transient command faults (default 3)
-///   --pim-floor=N     minimum surviving PIM channels before whole-graph
-///                     GPU fallback (default 1)
+/// stores layerwise/pipeline measurements.
+///
+/// Every flag is one row of the Flags table below: its spelling, the verbs
+/// that read it, its value kind, the option field it sets and its help
+/// line. Parsing, the verb check and the usage text all read that table,
+/// so a verb rejects each flag it does not read, and each default lives
+/// only in the options struct that the flag sets.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/PimFlow.h"
@@ -73,121 +67,246 @@
 #include "support/Log.h"
 #include "support/StringUtil.h"
 #include "support/Table.h"
+#include "support/TextFile.h"
 #include "transform/PatternMatch.h"
 
 using namespace pf;
+using serve::ServerOptions;
 
 namespace {
 
 struct CliOptions {
-  std::string Mode;            // profile | solve | run | trace | compile
-  std::string ProfileTarget;   // split | pipeline
-  std::string Net = "toy";
-  bool NetSet = false; // a positional net was given explicitly
+  std::string Mode; // The verb.
+  /// The positional arguments: the net (serve: the tenant list) or the
+  /// file `report` renders.
+  std::vector<std::string> Positionals;
+  std::string ProfileTarget; // split | pipeline
   std::string Dir = ".";
-  OffloadPolicy Policy = OffloadPolicy::PimFlow;
-  std::string GraphFile; // run --graph=<file>: skip search, execute.
-  std::string TraceOut;  // --trace-out=<file>: Chrome trace-event JSON.
-  std::string PerfReport; // --perf-report=<file>: attribution report JSON.
-  std::string ReportFile; // `pimflow report <file>`: report to render.
-  std::string MetricsOut; // --metrics-out=<file>: Prometheus exposition.
-  std::string FlightDump; // --flight-dump=<file>: flight-recorder dump.
-  std::string PlanOut;    // compile --plan-out=<file>: plan artifact.
-  std::string PlanIn;     // run --plan=<file>: replay a plan, skip search.
-  std::vector<std::string> ServeNets; // serve <net>...: the tenant list.
-  std::string Requests;   // serve --requests=<spec>: load-generator spec.
-  std::string SummaryOut; // serve --summary-out=<file>: golden summary.
-  std::string TraceSample; // serve --trace-sample=<all|tail|tail:K>.
-  int ReportRequest = -1; // report --request=<id>: one request's segments.
-  int MaxInflight = 4;    // serve --max-inflight=N admission bound.
-  int MaxQueue = 8;       // serve --max-queue=N wait-line bound.
-  int ChannelPool = 0;    // serve --channel-pool=N arbitrated PIM group.
-  int DefaultDeadlineUs = 0; // serve --default-deadline-us=N (0 = none).
-  int RetryBudget = 256;     // serve --retry-budget=N mid-run retry cap.
-  int BreakerThreshold = 2;  // serve --breaker-threshold=K trip point.
-  int BreakerCooldownUs = 500; // serve --breaker-cooldown-us=N probe gap.
-  int Verbose = 0;
-  bool GpuOnly = false;
+  std::string GraphFile;  // A solved graph to execute without a search.
+  std::string PlanIn;     // A plan artifact to replay without a search.
+  std::string PlanOut;    // Where compile writes its plan artifact.
+  std::string TraceOut;   // Chrome trace-event JSON.
+  std::string PerfReport; // Attribution report JSON.
+  std::string MetricsOut; // Prometheus exposition.
+  std::string FlightDump; // Flight-recorder dump.
+  std::string Requests;   // serve: load-generator spec.
+  std::string SummaryOut; // serve: golden summary.
+  std::string TraceSample; // serve: all | tail | tail:K.
+  int ReportRequest = -1;  // report: one request's segments.
+  LogLevel Verbosity = LogLevel::Silent;
   bool Stats = false;
-  bool Verify = false; // --verify: run the graph verifier on inputs/outputs.
-  bool ReportMetrics = false; // report --metrics: metrics section only.
-  bool NoRecovery = false; // --no-recovery: faults bypass the ladder.
-  PimFlowOptions Flow;
+  bool ReportMetrics = false; // report: the metrics section only.
+  bool NoRecovery = false;    // Faults bypass the recovery ladder.
+  /// Serve's options. Their Policy and Flow configure every verb.
+  ServerOptions Serve;
 
+  const PimFlowOptions &flow() const { return Serve.Flow; }
+  /// The models to load, zoo names or graph files; toy when none is given.
+  std::vector<std::string> nets() const {
+    return Positionals.empty() ? std::vector<std::string>{"toy"}
+                               : Positionals;
+  }
+  std::string net() const { return nets().front(); }
   bool observed() const {
     return !TraceOut.empty() || !PerfReport.empty() || !MetricsOut.empty();
   }
 };
 
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: pimflow <profile|solve|run|trace> <net|graph-file> "
-      "[-t=<split|pipeline>]   (net may be a .graph path)\n"
-      "       pimflow compile <net> --plan-out=<file> [--plan-cache-dir=<"
-      "dir>]\n"
-      "       pimflow run <net> --plan=<file>   (replay a compiled plan; "
-      "search is skipped)\n"
-      "       pimflow report <perf-report.json> [--metrics] "
-      "[--request=<id>]   (render a saved report)\n"
-      "       pimflow serve <net>... --requests=<spec>   (closed-loop "
-      "multi-tenant serving)\n"
-      "               serve spec keys: count:N,seed:S,mean-gap-us:G,"
-      "batch:B1|B2|...,deadline-us:D\n"
-      "               [--max-inflight=N] [--max-queue=N] "
-      "[--channel-pool=N] [--summary-out=<file>]\n"
-      "               [--default-deadline-us=N] [--retry-budget=N] "
-      "[--breaker-threshold=K] [--breaker-cooldown-us=N]\n"
-      "               [--trace-sample=<all|tail|tail:K>]   (which requests "
-      "keep full traces / report segments)\n"
-      "               (serve --faults also takes windowed outages: "
-      "dead@<t1>..<t2>:<ch> in virtual us)\n"
-      "               [--gpu_only] [--policy=<mechanism>] [--dir=<path>]\n"
-      "               [--graph=<solved.pimflow.graph>]\n"
-      "               [--pim-channels=N] [--stages=N] [--autotune] "
-      "[--no-memopt] [--stats]\n"
-      "               [--verify] [--differential] [--max-errors=N]\n"
-      "               [--faults=<spec|chaos>] [--fault-seed=N] "
-      "[--max-retries=N] [--pim-floor=N] [--no-recovery]\n"
-      "               [--trace-out=<file>] [--perf-report=<file>] "
-      "[-v|-vv]\n"
-      "               [--metrics-out=<file>] [--flight-dump=<file>]\n"
-      "nets: efficientnet-v1-b0 mobilenet-v2 mnasnet-1.0 resnet-50 vgg-16 "
-      "bert toy\n"
-      "mechanisms: Baseline Newton+ Newton++ PIMFlow-md PIMFlow-pl "
-      "PIMFlow\n");
+/// How a flag takes its value.
+enum class Kind {
+  Switch, ///< `--flag`: stores the row's Min.
+  Int,    ///< `--flag=N`: an integer within [Min, Max].
+  Text,   ///< `--flag=<Meta>`: stored as given.
+  Names,  ///< `--flag=<Meta>`: one of the '|'-separated names in Meta, or
+          ///< for a policy field, a mechanism name.
+};
+
+/// The option field a flag sets: a field of CliOptions, of the serve
+/// options it holds, or of the compile options those hold.
+using Field = std::variant<
+    bool CliOptions::*, int CliOptions::*, LogLevel CliOptions::*,
+    std::string CliOptions::*, int ServerOptions::*,
+    int64_t ServerOptions::*, OffloadPolicy ServerOptions::*,
+    bool PimFlowOptions::*, int PimFlowOptions::*, uint64_t PimFlowOptions::*,
+    std::string PimFlowOptions::*>;
+
+struct Flag {
+  const char *Name;  ///< The spelling, up to any '='.
+  const char *Verbs; ///< The verbs that read it, space-separated.
+  Kind K;
+  Field Target;
+  int64_t Min, Max; ///< See Kind.
+  const char *Meta; ///< The value's placeholder in the usage text.
+  const char *Help; ///< One line of usage text.
+};
+
+template <class V = bool>
+Flag sw(const char *Name, const char *Verbs, Field Target, const char *Help,
+        V Value = true) {
+  const auto Stored = static_cast<int64_t>(Value);
+  return {Name, Verbs, Kind::Switch, Target, Stored, Stored, "", Help};
+}
+Flag num(const char *Name, const char *Verbs, Field Target, int64_t Min,
+         int64_t Max, const char *Help) {
+  return {Name, Verbs, Kind::Int, Target, Min, Max, "N", Help};
+}
+Flag text(const char *Name, const char *Verbs, Field Target,
+          const char *Meta, const char *Help) {
+  return {Name, Verbs, Kind::Text, Target, 0, 0, Meta, Help};
+}
+Flag names(const char *Name, const char *Verbs, Field Target,
+           const char *Meta, const char *Help) {
+  return {Name, Verbs, Kind::Names, Target, 0, 0, Meta, Help};
+}
+
+constexpr const char *AllVerbs = "profile solve run trace compile report serve";
+// The verbs that load a model, that compile one and that execute one.
+constexpr const char *Loads = "profile solve run trace compile serve";
+constexpr const char *Compiles = "solve run trace compile serve";
+constexpr const char *Executes = "solve run trace serve";
+
+const Flag Flags[] = {
+    names("-t", "profile", &CliOptions::ProfileTarget, "split|pipeline",
+          "profile MD-DP split candidates or pipelining subgraphs"),
+    text("--dir", "profile solve run trace compile", &CliOptions::Dir, "path",
+         "directory of the profile log, solved graph and kernel traces"),
+    names("--policy", Compiles, &ServerOptions::Policy, "mechanism",
+          "offloading mechanism"),
+    sw("--gpu_only", Compiles, &ServerOptions::Policy,
+       "the GPU-only baseline, as --policy=Baseline", OffloadPolicy::GpuOnly),
+    text("--graph", "run", &CliOptions::GraphFile, "file",
+         "execute a solved <net>.pimflow.graph; the search is skipped"),
+    text("--plan", "run", &CliOptions::PlanIn, "file",
+         "replay a compiled plan; the search is skipped"),
+    sw("--stats", "run", &CliOptions::Stats, "print execution statistics"),
+    sw("--no-recovery", "run", &CliOptions::NoRecovery,
+       "run a --graph under --faults without the recovery ladder"),
+    text("--plan-out", "compile", &CliOptions::PlanOut, "file",
+         "write the plan artifact"),
+    text("--plan-cache-dir", Compiles, &PimFlowOptions::PlanCacheDir, "dir",
+         "content-addressed plan cache"),
+    sw("--metrics", "report", &CliOptions::ReportMetrics,
+       "render the metrics section only"),
+    num("--request", "report", &CliOptions::ReportRequest, 0, 1 << 30,
+        "render one serve request's segments"),
+    text("--requests", "serve", &CliOptions::Requests, "spec",
+         "count:N,seed:S,mean-gap-us:G,batch:B1|B2|...,deadline-us:D"),
+    text("--summary-out", "serve", &CliOptions::SummaryOut, "file",
+         "write the serve summary"),
+    text("--trace-sample", "serve", &CliOptions::TraceSample,
+         "all|tail|tail:K", "requests that keep traces and report segments"),
+    num("--max-inflight", "serve", &ServerOptions::MaxInflight, 1, 4096,
+        "admission bound"),
+    num("--max-queue", "serve", &ServerOptions::MaxQueue, 0, 1 << 20,
+        "wait-line bound; later arrivals are shed"),
+    num("--channel-pool", "serve", &ServerOptions::PoolChannels, 1, 4096,
+        "shared PIM channel group (default: the planned count)"),
+    num("--default-deadline-us", "serve", &ServerOptions::DefaultDeadlineUs,
+        0, 1'000'000'000, "deadline of requests whose spec sets none"),
+    num("--retry-budget", "serve", &ServerOptions::RetryBudget, 0, 1 << 20,
+        "mid-run fault retries of the whole stream"),
+    num("--breaker-threshold", "serve", &ServerOptions::BreakerThreshold, 0,
+        1 << 20, "failures that trip a channel's breaker; 0 never trips"),
+    num("--breaker-cooldown-us", "serve", &ServerOptions::BreakerCooldownUs,
+        1, 1'000'000'000, "virtual us between a tripped channel's probes"),
+    // SystemConfig::dual requires 0 < PimChannels < TotalChannels.
+    num("--pim-channels", Loads, &PimFlowOptions::PimChannels, 1,
+        PimFlowOptions().TotalChannels - 1, "PIM-enabled channels"),
+    num("--stages", Loads, &PimFlowOptions::PipelineStages, 2, 64,
+        "pipeline stages"),
+    sw("--autotune", Loads, &PimFlowOptions::AutoTuneRatios,
+       "refine MD-DP split ratios at 2% granularity"),
+    sw("--no-memopt", Loads, &PimFlowOptions::MemoryOptimizer,
+       "disable the PIM memory-layout optimizer", false),
+    sw("--verify", Loads, &PimFlowOptions::VerifyPasses,
+       "verify the model and every pass boundary"),
+    sw("--differential", Executes, &PimFlowOptions::DifferentialCheck,
+       "cross-run the interpreter at each pass boundary (slow)"),
+    num("--max-errors", Loads, &PimFlowOptions::MaxVerifyErrors, 1, 1 << 20,
+        "cap on collected verifier diagnostics"),
+    text("--faults", Executes, &PimFlowOptions::FaultSpec, "spec|chaos",
+         "inject PIM channel faults: dead:<ch>, stall:<ch>, "
+         "slow:<ch>:<mult>, comp:<ch>:<ord>:<fails>, "
+         "readres:<ch>:<ord>:<fails>; serve also takes dead@<t1>..<t2>:<ch> "
+         "in virtual us"),
+    num("--fault-seed", Executes, &PimFlowOptions::FaultSeed, 0,
+        std::numeric_limits<int64_t>::max(), "seed of --faults=chaos"),
+    num("--max-retries", Executes, &PimFlowOptions::MaxRetries, 0, 100,
+        "retries of a transient fault (serve: per request)"),
+    num("--pim-floor", Compiles, &PimFlowOptions::PimFloor, 0, 4096,
+        "surviving PIM channels below which the graph runs GPU-only"),
+    text("--trace-out", "profile solve run trace serve", &CliOptions::TraceOut,
+         "file", "write a Chrome trace"),
+    text("--perf-report", Executes, &CliOptions::PerfReport, "file",
+         "write the perf report (render with `pimflow report`)"),
+    text("--metrics-out", Loads, &CliOptions::MetricsOut, "file",
+         "write the Prometheus exposition"),
+    text("--flight-dump", Loads, &CliOptions::FlightDump, "file",
+         "dump the flight recorder at exit or on a failure"),
+    sw("-v", Compiles, &CliOptions::Verbosity, "log phases", LogLevel::Info),
+    sw("-vv", Compiles, &CliOptions::Verbosity, "log debug detail",
+       LogLevel::Debug),
+};
+
+bool contains(const char *List, const std::string &Word, char Sep = ' ') {
+  const std::vector<std::string> Words = split(List, Sep);
+  return std::find(Words.begin(), Words.end(), Word) != Words.end();
+}
+
+const Flag *findFlag(const std::string &Name) {
+  for (const Flag &F : Flags)
+    if (Name == F.Name)
+      return &F;
+  return nullptr;
+}
+
+/// The spelling of the flag that sets \p Target.
+const char *nameOf(const Field &Target) {
+  for (const Flag &F : Flags)
+    if (F.Target == Target)
+      return F.Name;
+  return "?";
+}
+
+/// The field \p M within \p O.
+template <class S, class T> T &fieldOf(CliOptions &O, T S::*M) {
+  if constexpr (std::is_same_v<S, CliOptions>)
+    return O.*M;
+  else if constexpr (std::is_same_v<S, ServerOptions>)
+    return O.Serve.*M;
+  else
+    return O.Serve.Flow.*M;
 }
 
 /// Parses the value of an `--opt=N` argument as a bounded integer.
 /// Malformed or out-of-range values become cli.bad-option diagnostics
 /// instead of std::atoi's silent 0 (which used to configure 0 PIM channels
 /// from `--pim-channels=abc` and run the whole flow on garbage).
-bool parseIntOption(const std::string &Arg, const std::string &Val,
-                    int64_t Min, int64_t Max, int &Out,
+bool parseIntOption(const Flag &F, const std::string &Val, int64_t &Out,
                     DiagnosticEngine &DE) {
-  const std::string Name = Arg.substr(0, Arg.find('='));
   const std::optional<int64_t> Parsed = parseInt(Val);
   if (!Parsed) {
-    DE.error(DiagCode::BadOption, Name,
+    DE.error(DiagCode::BadOption, F.Name,
              formatStr("expects an integer, got '%s'", Val.c_str()));
     return false;
   }
-  if (*Parsed < Min || *Parsed > Max) {
-    DE.error(DiagCode::BadOption, Name,
+  if (*Parsed < F.Min || *Parsed > F.Max) {
+    DE.error(DiagCode::BadOption, F.Name,
              formatStr("value %lld is outside the legal range [%lld, %lld]",
                        static_cast<long long>(*Parsed),
-                       static_cast<long long>(Min),
-                       static_cast<long long>(Max)));
+                       static_cast<long long>(F.Min),
+                       static_cast<long long>(F.Max)));
     return false;
   }
-  Out = static_cast<int>(*Parsed);
+  Out = *Parsed;
   return true;
 }
 
-/// Parses a `--policy=` value. A misspelled mechanism is a cli.bad-option
-/// error naming the accepted spellings, never a silent fallback.
-bool parsePolicyOption(const std::string &Val, OffloadPolicy &Out,
-                       DiagnosticEngine &DE) {
+/// Parses the mechanism name \p Val of flag \p F. A misspelled mechanism
+/// is a cli.bad-option error naming the accepted spellings, never a silent
+/// fallback.
+bool parsePolicyOption(const Flag &F, const std::string &Val,
+                       OffloadPolicy &Out, DiagnosticEngine &DE) {
   std::string Names;
   for (OffloadPolicy P : allPolicies()) {
     if (Val == policyName(P)) {
@@ -197,273 +316,158 @@ bool parsePolicyOption(const std::string &Val, OffloadPolicy &Out,
     Names += Names.empty() ? "" : ", ";
     Names += policyName(P);
   }
-  DE.error(DiagCode::BadOption, "--policy",
+  DE.error(DiagCode::BadOption, F.Name,
            formatStr("unknown mechanism '%s' (expected one of: %s)",
                      Val.c_str(), Names.c_str()));
   return false;
 }
 
-/// The verbs that read each verb-specific flag (named up to its '='). Any
-/// other verb rejects the flag as cli.bad-option instead of ignoring it.
-constexpr std::pair<const char *, const char *> FlagVerbs[] = {
-    {"-t", "profile"},
-    {"--graph", "run"},
-    {"--plan", "run"},
-    {"--stats", "run"},
-    {"--plan-out", "compile"},
-    {"--metrics", "report"},
-    {"--request", "report"},
-    {"--requests", "serve"},
-    {"--summary-out", "serve"},
-    {"--trace-sample", "serve"},
-    {"--max-inflight", "serve"},
-    {"--max-queue", "serve"},
-    {"--channel-pool", "serve"},
-    {"--default-deadline-us", "serve"},
-    {"--retry-budget", "serve"},
-    {"--breaker-threshold", "serve"},
-    {"--breaker-cooldown-us", "serve"},
-    {"--dir", "profile solve run trace compile"},
-    {"--policy", "solve run trace compile serve"},
-    {"--gpu_only", "solve run trace compile serve"},
-};
+/// Stores the value \p Val of flag \p F into its field of \p O.
+bool setFlag(const Flag &F, const std::string &Val, CliOptions &O,
+             DiagnosticEngine &DE) {
+  return std::visit(
+      [&](auto M) {
+        auto &Field = fieldOf(O, M);
+        using T = std::remove_reference_t<decltype(Field)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          if (F.K == Kind::Names && !contains(F.Meta, Val, '|')) {
+            DE.error(DiagCode::BadOption, F.Name,
+                     "must be " + join(split(F.Meta, '|'), " or "));
+            return false;
+          }
+          Field = Val;
+        } else if (F.K == Kind::Switch) {
+          Field = static_cast<T>(F.Min);
+        } else if constexpr (std::is_same_v<T, OffloadPolicy>) {
+          return parsePolicyOption(F, Val, Field, DE);
+        } else {
+          int64_t N = 0;
+          if (!parseIntOption(F, Val, N, DE))
+            return false;
+          Field = static_cast<T>(N);
+        }
+        return true;
+      },
+      F.Target);
+}
 
-/// Rejects each flag of \p Flags that the verb \p Mode does not read.
-bool checkFlagVerbs(const std::vector<std::string> &Flags,
-                    const std::string &Mode, DiagnosticEngine &DE) {
-  bool Ok = true;
-  for (const std::string &Flag : Flags)
-    for (const auto &[Name, Verbs] : FlagVerbs) {
-      if (Flag != Name)
-        continue;
-      const std::vector<std::string> Readers = split(Verbs, ' ');
-      if (std::find(Readers.begin(), Readers.end(), Mode) == Readers.end()) {
-        DE.error(DiagCode::BadOption, Flag,
-                 formatStr("is not read by %s (only by: %s)", Mode.c_str(),
-                           Verbs));
-        Ok = false;
-      }
-    }
-  return Ok;
+void usage() {
+  std::string Text =
+      "usage: pimflow <profile|solve|run|trace|compile> <net|graph-file> "
+      "[flags]\n"
+      "       pimflow serve <net|graph-file>... [flags]\n"
+      "       pimflow report <perf-report.json> [flags]\n"
+      "flags, each read only by the verbs in brackets:\n";
+  for (const Flag &F : Flags) {
+    std::string Spelling = F.Name;
+    if (F.K == Kind::Int)
+      Spelling += std::string("=") + F.Meta;
+    else if (F.K != Kind::Switch)
+      Spelling += formatStr("=<%s>", F.Meta);
+    Text += formatStr("  %-32s %s [%s]\n", Spelling.c_str(), F.Help, F.Verbs);
+  }
+  std::vector<std::string> Mechanisms;
+  for (OffloadPolicy P : allPolicies())
+    Mechanisms.push_back(policyName(P));
+  Text += "nets: " + join(modelNames(), " ") + " " +
+          join(extraModelNames(), " ") + " bert toy\n";
+  Text += "mechanisms: " + join(Mechanisms, " ") + "\n";
+  std::fputs(Text.c_str(), stderr);
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
   bool Ok = true;
-  std::vector<std::string> Flags;
+  auto Fail = [&](const char *Name, const std::string &Message) {
+    DE.error(DiagCode::BadOption, Name, Message);
+    Ok = false;
+  };
+  std::vector<const Flag *> Given;
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
-    auto Val = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (startsWith(Arg, "-"))
-      Flags.push_back(Arg.substr(0, Arg.find('=')));
-    if (startsWith(Arg, "-t="))
-      O.ProfileTarget = Val();
-    else if (startsWith(Arg, "--dir="))
-      O.Dir = Val();
-    else if (startsWith(Arg, "--policy="))
-      Ok &= parsePolicyOption(Val(), O.Policy, DE);
-    else if (Arg == "--gpu_only")
-      O.GpuOnly = true;
-    else if (Arg == "--stats")
-      O.Stats = true;
-    else if (startsWith(Arg, "--graph="))
-      O.GraphFile = Val();
-    else if (startsWith(Arg, "--trace-out="))
-      O.TraceOut = Val();
-    else if (startsWith(Arg, "--perf-report="))
-      O.PerfReport = Val();
-    else if (startsWith(Arg, "--metrics-out="))
-      O.MetricsOut = Val();
-    else if (startsWith(Arg, "--flight-dump="))
-      O.FlightDump = Val();
-    else if (startsWith(Arg, "--plan-out="))
-      O.PlanOut = Val();
-    else if (startsWith(Arg, "--plan="))
-      O.PlanIn = Val();
-    else if (startsWith(Arg, "--plan-cache-dir="))
-      O.Flow.PlanCacheDir = Val();
-    else if (startsWith(Arg, "--requests="))
-      O.Requests = Val();
-    else if (startsWith(Arg, "--summary-out="))
-      O.SummaryOut = Val();
-    else if (startsWith(Arg, "--trace-sample="))
-      O.TraceSample = Val();
-    else if (startsWith(Arg, "--request="))
-      Ok &= parseIntOption(Arg, Val(), 0, 1 << 30, O.ReportRequest, DE);
-    else if (startsWith(Arg, "--max-inflight="))
-      Ok &= parseIntOption(Arg, Val(), 1, 4096, O.MaxInflight, DE);
-    else if (startsWith(Arg, "--max-queue="))
-      Ok &= parseIntOption(Arg, Val(), 0, 1 << 20, O.MaxQueue, DE);
-    else if (startsWith(Arg, "--channel-pool="))
-      Ok &= parseIntOption(Arg, Val(), 1, 4096, O.ChannelPool, DE);
-    else if (startsWith(Arg, "--default-deadline-us="))
-      Ok &= parseIntOption(Arg, Val(), 0, 1'000'000'000,
-                           O.DefaultDeadlineUs, DE);
-    else if (startsWith(Arg, "--retry-budget="))
-      Ok &= parseIntOption(Arg, Val(), 0, 1 << 20, O.RetryBudget, DE);
-    else if (startsWith(Arg, "--breaker-threshold="))
-      Ok &= parseIntOption(Arg, Val(), 0, 1 << 20, O.BreakerThreshold, DE);
-    else if (startsWith(Arg, "--breaker-cooldown-us="))
-      Ok &= parseIntOption(Arg, Val(), 1, 1'000'000'000,
-                           O.BreakerCooldownUs, DE);
-    else if (Arg == "--metrics")
-      O.ReportMetrics = true;
-    else if (Arg == "--no-recovery")
-      O.NoRecovery = true;
-    else if (Arg == "-v" || Arg == "--verbose")
-      O.Verbose = std::max(O.Verbose, 1);
-    else if (Arg == "-vv")
-      O.Verbose = 2;
-    else if (startsWith(Arg, "--pim-channels="))
-      // SystemConfig::dual requires 0 < PimChannels < TotalChannels.
-      Ok &= parseIntOption(Arg, Val(), 1, O.Flow.TotalChannels - 1,
-                           O.Flow.PimChannels, DE);
-    else if (startsWith(Arg, "--stages="))
-      Ok &= parseIntOption(Arg, Val(), 2, 64, O.Flow.PipelineStages, DE);
-    else if (startsWith(Arg, "--max-errors="))
-      Ok &= parseIntOption(Arg, Val(), 1, 1 << 20, O.Flow.MaxVerifyErrors,
-                           DE);
-    else if (startsWith(Arg, "--faults="))
-      O.Flow.FaultSpec = Val();
-    else if (startsWith(Arg, "--fault-seed=")) {
-      const std::optional<int64_t> Seed = parseInt(Val());
-      if (!Seed || *Seed < 0) {
-        DE.error(DiagCode::BadOption, "--fault-seed",
-                 formatStr("expects a non-negative integer, got '%s'",
-                           Val().c_str()));
-        Ok = false;
-      } else {
-        O.Flow.FaultSeed = static_cast<uint64_t>(*Seed);
-      }
-    } else if (startsWith(Arg, "--max-retries="))
-      Ok &= parseIntOption(Arg, Val(), 0, 100, O.Flow.MaxRetries, DE);
-    else if (startsWith(Arg, "--pim-floor="))
-      Ok &= parseIntOption(Arg, Val(), 0, 4096, O.Flow.PimFloor, DE);
-    else if (Arg == "--verify") {
-      O.Verify = true;
-      O.Flow.VerifyPasses = true;
-    } else if (Arg == "--differential")
-      O.Flow.DifferentialCheck = true;
-    else if (Arg == "--autotune")
-      O.Flow.AutoTuneRatios = true;
-    else if (Arg == "--no-memopt")
-      O.Flow.MemoryOptimizer = false;
-    else if (O.Mode.empty() && !startsWith(Arg, "-") &&
-             (Arg == "profile" || Arg == "solve" || Arg == "run" ||
-              Arg == "trace" || Arg == "compile" || Arg == "report" ||
-              Arg == "serve"))
-      O.Mode = Arg;
-    else if (O.Mode == "report" && O.ReportFile.empty() &&
-             !startsWith(Arg, "-"))
-      O.ReportFile = Arg;
-    else if (O.Mode == "serve" && !startsWith(Arg, "-"))
-      // serve admits a tenant LIST: every positional is another model.
-      O.ServeNets.push_back(Arg);
-    else if (!O.Mode.empty() && O.Mode != "report" && !O.NetSet &&
-             !startsWith(Arg, "-")) {
-      // Positional net: a zoo model name or a serialized graph file.
-      O.Net = Arg;
-      O.NetSet = true;
-    } else {
-      DE.error(DiagCode::BadOption, Arg, "unknown argument");
-      Ok = false;
+    if (!startsWith(Arg, "-")) {
+      if (O.Mode.empty() && contains(AllVerbs, Arg))
+        O.Mode = Arg;
+      else if (!O.Mode.empty() &&
+               (O.Mode == "serve" || O.Positionals.empty()))
+        // serve admits a tenant LIST: every positional is another model.
+        O.Positionals.push_back(Arg);
+      else
+        Fail(Argv[I], "unknown argument");
+      continue;
     }
+    const size_t Eq = Arg.find('=');
+    const Flag *F = findFlag(Arg.substr(0, Eq));
+    if (!F || (F->K == Kind::Switch) != (Eq == std::string::npos)) {
+      Fail(Argv[I], "unknown argument");
+      continue;
+    }
+    // One setting, one flag: a second flag for the same field would
+    // override the first by argument order.
+    for (const Flag *Prev : Given)
+      if (Prev->Target == F->Target)
+        Fail(F->Name, Prev == F ? "is given twice"
+                                : formatStr("cannot be combined with %s",
+                                            Prev->Name));
+    Given.push_back(F);
+    if (!setFlag(*F, Eq == std::string::npos ? "" : Arg.substr(Eq + 1), O,
+                 DE))
+      Ok = false;
   }
-  if (O.Mode != "profile" && O.Mode != "solve" && O.Mode != "run" &&
-      O.Mode != "trace" && O.Mode != "compile" && O.Mode != "report" &&
-      O.Mode != "serve") {
-    DE.error(DiagCode::BadOption, "<verb>",
-             "must be profile, solve, run, trace, compile, report or serve");
-    Ok = false;
-  } else {
-    Ok &= checkFlagVerbs(Flags, O.Mode, DE);
+  if (!contains(AllVerbs, O.Mode)) {
+    Fail("<verb>",
+         "must be profile, solve, run, trace, compile, report or serve");
+    return false;
   }
-  // With no tenant given, serve the default net so smoke runs stay
-  // one-liners.
-  if (O.Mode == "serve" && O.ServeNets.empty())
-    O.ServeNets.push_back(O.Net);
-  if (O.Mode == "compile" &&
-      (!O.TraceOut.empty() || !O.PerfReport.empty())) {
-    DE.error(DiagCode::BadOption, "compile",
-             "runs no execution, so --trace-out/--perf-report have nothing "
-             "to export (use run, or serve for request traces)");
-    Ok = false;
-  }
-  if (O.Mode == "profile" && !O.PerfReport.empty()) {
-    DE.error(DiagCode::BadOption, "profile",
-             "runs no execution, so --perf-report has nothing to report "
-             "(use run)");
-    Ok = false;
-  }
-  if (O.Mode == "report" &&
-      (O.observed() || !O.FlightDump.empty())) {
-    DE.error(DiagCode::BadOption, "report",
-             "renders an existing document; output flags (--trace-out/"
-             "--perf-report/--metrics-out/--flight-dump) are meaningless "
-             "here");
-    Ok = false;
-  }
-  if (O.ReportRequest >= 0 && O.ReportMetrics) {
-    DE.error(DiagCode::BadOption, "--request",
-             "cannot be combined with --metrics (pick one view)");
-    Ok = false;
-  }
-  if (O.Mode == "compile" && O.PlanOut.empty() &&
-      O.Flow.PlanCacheDir.empty()) {
-    DE.error(DiagCode::BadOption, "compile",
-             "expects --plan-out=<file> and/or --plan-cache-dir=<dir>");
-    Ok = false;
-  }
-  if (!O.PlanIn.empty() && !O.GraphFile.empty()) {
-    DE.error(DiagCode::BadOption, "--plan",
-             "cannot be combined with --graph (a solved graph already "
-             "embeds its plan)");
-    Ok = false;
-  }
-  if (O.Mode == "report" && O.ReportFile.empty()) {
-    DE.error(DiagCode::BadOption, "report",
-             "expects the path of a --perf-report JSON file");
-    Ok = false;
-  }
-  if (O.Mode == "profile" && O.ProfileTarget != "split" &&
-      O.ProfileTarget != "pipeline") {
-    DE.error(DiagCode::BadOption, "-t", "must be split or pipeline");
-    Ok = false;
-  }
+  for (const Flag *F : Given)
+    if (!contains(F->Verbs, O.Mode))
+      Fail(F->Name, formatStr("is not read by %s (only by: %s)",
+                              O.Mode.c_str(), F->Verbs));
+  auto GivenFlag = [&](const Field &Target) {
+    return std::any_of(Given.begin(), Given.end(),
+                       [&](const Flag *F) { return F->Target == Target; });
+  };
+  const PimFlowOptions &Flow = O.flow();
+  if (O.ReportRequest >= 0 && O.ReportMetrics)
+    Fail(nameOf(&CliOptions::ReportRequest),
+         "cannot be combined with --metrics (pick one view)");
+  if (O.Mode == "compile" && O.PlanOut.empty() && Flow.PlanCacheDir.empty())
+    Fail("compile", "expects --plan-out=<file> and/or --plan-cache-dir=<dir>");
+  if (!O.PlanIn.empty() && !O.GraphFile.empty())
+    Fail(nameOf(&CliOptions::PlanIn),
+         "cannot be combined with --graph (a solved graph already embeds "
+         "its plan)");
+  if (O.Mode == "report" && O.Positionals.empty())
+    Fail("report", "expects the path of a --perf-report JSON file");
+  if (O.Mode == "profile" && !GivenFlag(&CliOptions::ProfileTarget))
+    Fail(nameOf(&CliOptions::ProfileTarget), "must be split or pipeline");
   // The spec is checked here, once for every verb, so a malformed one
   // fails before any work runs.
-  if (!O.Flow.FaultSpec.empty()) {
-    if (O.Mode == "compile" || O.Mode == "profile" || O.Mode == "report") {
-      DE.error(DiagCode::BadOption, "--faults",
-               formatStr("%s executes nothing, so there is no run to "
-                         "inject faults into (use run or serve)",
-                         O.Mode.c_str()));
-      Ok = false;
-    } else if (O.Flow.FaultSpec != "chaos" &&
-               !FaultModel::parse(O.Flow.FaultSpec, DE)) {
-      Ok = false;
-    }
-  }
-  if (O.NoRecovery && (O.GraphFile.empty() || O.Flow.FaultSpec.empty())) {
-    DE.error(DiagCode::BadOption, "--no-recovery",
-             "executes a solved graph under injected faults without the "
-             "recovery ladder and requires --graph=<file> and --faults");
+  if (!Flow.FaultSpec.empty() && Flow.FaultSpec != "chaos" &&
+      !FaultModel::parse(Flow.FaultSpec, DE))
     Ok = false;
-  }
+  if (O.NoRecovery && (O.GraphFile.empty() || Flow.FaultSpec.empty()))
+    Fail(nameOf(&CliOptions::NoRecovery),
+         "executes a solved graph under injected faults without the "
+         "recovery ladder and requires --graph=<file> and --faults");
+  // The fault knobs tune injected faults; without them they do nothing.
+  if (GivenFlag(&PimFlowOptions::FaultSeed) && Flow.FaultSpec != "chaos")
+    Fail(nameOf(&PimFlowOptions::FaultSeed),
+         "seeds --faults=chaos and does nothing without it");
+  if (GivenFlag(&PimFlowOptions::MaxRetries) && Flow.FaultSpec.empty() &&
+      O.Mode != "serve")
+    Fail(nameOf(&PimFlowOptions::MaxRetries),
+         "bounds the retries of injected faults and does nothing without "
+         "--faults (outside serve)");
   return Ok;
-}
-
-/// The mechanism a verb compiles under: --gpu_only overrides --policy.
-OffloadPolicy policyOf(const CliOptions &O) {
-  return O.GpuOnly ? OffloadPolicy::GpuOnly : O.Policy;
 }
 
 /// --verify support: runs the graph verifier over \p G and renders every
 /// finding to stderr. Returns non-zero when diagnostics were produced so
 /// callers can exit instead of computing on a broken graph.
 int verifyGraphCli(const Graph &G, const CliOptions &O, const char *What) {
-  if (!O.Verify)
+  if (!O.flow().VerifyPasses)
     return 0;
-  DiagnosticEngine DE(O.Flow.MaxVerifyErrors);
+  DiagnosticEngine DE(O.flow().MaxVerifyErrors);
   if (verify(G, DE))
     return 0;
   std::fprintf(stderr, "error: %s '%s' failed verification:\n%s", What,
@@ -471,48 +475,56 @@ int verifyGraphCli(const Graph &G, const CliOptions &O, const char *What) {
   return 1;
 }
 
+/// Loads the model \p NameOrPath names, a zoo model or a serialized graph
+/// file (`pimflow compile m.graph`), into \p Out and checks it under
+/// --verify. Returns the exit code to stop with: 2 when it is neither, 1
+/// when it fails verification, 0 when it loaded.
+int loadModel(const std::string &NameOrPath, const CliOptions &O,
+              Graph &Out) {
+  std::optional<Graph> G = tryBuildModel(NameOrPath);
+  std::string Error;
+  if (!G)
+    G = loadGraph(NameOrPath, &Error);
+  if (!G) {
+    std::fprintf(stderr,
+                 "error: '%s' is neither a zoo model nor a loadable graph "
+                 "file (%s)\n",
+                 NameOrPath.c_str(), Error.c_str());
+    return 2;
+  }
+  Out = std::move(*G);
+  return verifyGraphCli(Out, O, "model");
+}
+
 std::string cachePath(const CliOptions &O) {
   // The net may be a graph-file path; flatten separators so the profile
   // log still lands inside --dir.
-  std::string Net = O.Net;
+  std::string Net = O.net();
   for (char &C : Net)
     if (C == '/' || C == '\\')
       C = '_';
   return O.Dir + "/profile_" + Net + ".tsv";
 }
 
-/// Writes the profile log to cachePath(O). A failed write is an error in
-/// every mode that writes one.
-bool saveProfileLog(const Profiler &P, const CliOptions &O) {
-  if (P.saveCache(cachePath(O)))
-    return true;
-  std::fprintf(stderr, "error: cannot write %s\n", cachePath(O).c_str());
-  return false;
+/// Returns \p Ok, the outcome of writing \p Path, and reports a failure.
+/// A write a mode cannot make fails the mode.
+bool wrote(bool Ok, const std::string &Path) {
+  if (!Ok)
+    std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
+  return Ok;
 }
 
-/// Resolves the positional net argument: a model-zoo name, or a
-/// path to a serialized graph file (`pimflow compile m.graph`).
-std::optional<Graph> resolveModel(const std::string &NameOrPath) {
-  if (auto G = tryBuildModel(NameOrPath))
-    return G;
-  std::string Error;
-  if (auto G = loadGraph(NameOrPath, &Error))
-    return G;
-  std::fprintf(stderr,
-               "error: '%s' is neither a zoo model nor a loadable graph "
-               "file (%s)\n",
-               NameOrPath.c_str(), Error.c_str());
-  return std::nullopt;
+/// Writes the profile log to cachePath(O).
+bool saveProfileLog(const Profiler &P, const CliOptions &O) {
+  return wrote(P.saveCache(cachePath(O)), cachePath(O));
 }
 
 /// Writes the Prometheus exposition to --metrics-out, when given.
 bool writeMetricsOut(const CliOptions &O) {
   if (O.MetricsOut.empty())
     return true;
-  if (!obs::writeMetricsText(O.MetricsOut)) {
-    std::fprintf(stderr, "error: cannot write %s\n", O.MetricsOut.c_str());
+  if (!wrote(obs::writeMetricsText(O.MetricsOut), O.MetricsOut))
     return false;
-  }
   std::printf("metrics exposition written to %s\n", O.MetricsOut.c_str());
   return true;
 }
@@ -521,14 +533,16 @@ bool writeMetricsOut(const CliOptions &O) {
 /// compile. The exporters read the timeline's kernel records and plan
 /// nothing, so the telemetry is the same whichever of them run.
 int exportObservability(const CliOptions &O, const CompileResult &R) {
-  // With telemetry collected, attribute the timeline once: record its
-  // critical-path and phase counters for this run, then run the in-run
-  // anomaly watchdog (tail-latency ratios, lane idle gaps, retry rates)
-  // before anything is exported, so the warnings land next to the run
-  // they describe.
-  if (obs::Registry::instance().enabled() && !R.Schedule.Nodes.empty()) {
-    const obs::AttributionReport A =
-        obs::attributeTimeline(R.Transformed, R.Schedule, R.Config);
+  if (!O.observed())
+    return 0;
+  // Attribute the timeline once. Record its critical-path and phase
+  // counters for this run, then run the in-run anomaly watchdog
+  // (tail-latency ratios, lane idle gaps, retry rates) before anything is
+  // exported, so the warnings land next to the run they describe; the perf
+  // report reuses the same attribution.
+  const obs::AttributionReport A =
+      obs::attributeTimeline(R.Transformed, R.Schedule, R.Config);
+  if (!R.Schedule.Nodes.empty()) {
     obs::addCounter("attrib.critical_steps",
                     static_cast<int64_t>(A.Critical.Steps.size()));
     obs::exportPhaseCounters(A.Phases);
@@ -537,19 +551,15 @@ int exportObservability(const CliOptions &O, const CompileResult &R) {
       std::fprintf(stderr, "%s", ADE.render().c_str());
   }
   if (!O.PerfReport.empty()) {
-    if (!obs::writePerfReport(R, O.PerfReport)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.PerfReport.c_str());
+    if (!wrote(obs::writePerfReport(R, A, O.PerfReport), O.PerfReport))
       return 1;
-    }
     std::printf("perf report written to %s (render with `pimflow report "
                 "%s`)\n",
                 O.PerfReport.c_str(), O.PerfReport.c_str());
   }
   if (!O.TraceOut.empty()) {
-    if (!obs::writeChromeTrace(R, O.TraceOut)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.TraceOut.c_str());
+    if (!wrote(obs::writeChromeTrace(R, O.TraceOut), O.TraceOut))
       return 1;
-    }
     std::printf("Chrome trace written to %s (load in chrome://tracing or "
                 "ui.perfetto.dev)\n",
                 O.TraceOut.c_str());
@@ -577,28 +587,27 @@ void printRecovery(const std::optional<RecoverySummary> &Recovery) {
 }
 
 int runProfile(const CliOptions &O) {
-  auto Maybe = resolveModel(O.Net);
-  if (!Maybe)
-    return 2;
-  Graph Model = std::move(*Maybe);
-  Profiler P(systemConfigFor(OffloadPolicy::PimFlow, O.Flow));
+  Graph Model;
+  if (const int Rc = loadModel(O.net(), O, Model))
+    return Rc;
+  Profiler P(systemConfigFor(OffloadPolicy::PimFlow, O.flow()));
   P.loadCache(cachePath(O)); // Resume previous profiling if present.
 
   if (O.ProfileTarget == "split") {
-    SearchOptions S = searchOptionsFor(OffloadPolicy::PimFlowMd, O.Flow);
-    S.RefineRatios = O.Flow.AutoTuneRatios;
+    SearchOptions S = searchOptionsFor(OffloadPolicy::PimFlowMd, O.flow());
+    S.RefineRatios = O.flow().AutoTuneRatios;
     SearchEngine Engine(P, S);
     ExecutionPlan Plan = Engine.search(Model);
     std::printf("profiled %zu PIM-candidate layers at %s ratio "
                 "granularity\n",
-                Plan.Layers.size(), O.Flow.AutoTuneRatios ? "2%" : "10%");
+                Plan.Layers.size(), O.flow().AutoTuneRatios ? "2%" : "10%");
   } else {
     const std::vector<PipelineCandidate> Cands =
         findPipelineCandidates(Model);
     for (const PipelineCandidate &C : Cands)
-      P.pipelineNs(Model, C.Chain, O.Flow.PipelineStages);
+      P.pipelineNs(Model, C.Chain, O.flow().PipelineStages);
     std::printf("profiled %zu pipelining candidate subgraphs (%d stages)\n",
-                Cands.size(), O.Flow.PipelineStages);
+                Cands.size(), O.flow().PipelineStages);
   }
   std::printf("measurements: %zu new, %zu from cache\n", P.cacheMisses(),
               P.cacheHits());
@@ -607,29 +616,24 @@ int runProfile(const CliOptions &O) {
   std::printf("profile log written to %s\n", cachePath(O).c_str());
   if (!O.TraceOut.empty()) {
     // No execution timeline in profile mode: export the compile spans only.
-    if (!obs::writeTextFile(
-            O.TraceOut,
-            obs::renderCompileTrace(obs::Tracer::instance().snapshot()))) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.TraceOut.c_str());
+    const std::string Trace =
+        obs::renderCompileTrace(obs::Tracer::instance().snapshot());
+    if (!wrote(writeTextFile(O.TraceOut, Trace), O.TraceOut))
       return 1;
-    }
     std::printf("Chrome trace written to %s\n", O.TraceOut.c_str());
   }
   return writeMetricsOut(O) ? 0 : 1;
 }
 
 int runSolve(const CliOptions &O) {
-  auto Maybe = resolveModel(O.Net);
-  if (!Maybe)
-    return 2;
-  Graph Model = std::move(*Maybe);
-  if (const int Rc = verifyGraphCli(Model, O, "model"))
+  Graph Model;
+  if (const int Rc = loadModel(O.net(), O, Model))
     return Rc;
-  PimFlow Flow(policyOf(O), O.Flow);
+  PimFlow Flow(O.Serve.Policy, O.flow());
   Flow.profiler().loadCache(cachePath(O));
   CompileResult R = Flow.compileAndRun(Model);
 
-  std::printf("optimal execution plan for %s (%s):\n", O.Net.c_str(),
+  std::printf("optimal execution plan for %s (%s):\n", O.net().c_str(),
               policyName(R.Policy));
   Table T;
   T.setHeader({"mode", "nodes", "detail", "time (us)"});
@@ -652,11 +656,9 @@ int runSolve(const CliOptions &O) {
   }
   std::printf("%s", T.render().c_str());
 
-  const std::string GraphPath = O.Dir + "/" + O.Net + ".pimflow.graph";
-  if (!saveGraph(R.Transformed, GraphPath)) {
-    std::fprintf(stderr, "error: cannot write %s\n", GraphPath.c_str());
+  const std::string GraphPath = O.Dir + "/" + O.net() + ".pimflow.graph";
+  if (!wrote(saveGraph(R.Transformed, GraphPath), GraphPath))
     return 1;
-  }
   std::printf("\ntransformed graph written to %s (reload with "
               "pf::loadGraph)\n",
               GraphPath.c_str());
@@ -680,10 +682,10 @@ int runExecuteGraphFile(const CliOptions &O) {
     return Rc;
   // No search ran: assemble the result the printers/exporters need by hand.
   CompileResult R;
-  R.Policy = policyOf(O);
-  R.Config = systemConfigFor(R.Policy, O.Flow);
+  R.Policy = O.Serve.Policy;
+  R.Config = systemConfigFor(R.Policy, O.flow());
   R.Transformed = std::move(*Loaded);
-  if (O.Flow.FaultSpec.empty()) {
+  if (O.flow().FaultSpec.empty()) {
     // The graph is the user's: an unschedulable one is a diagnostic.
     DiagnosticEngine DE;
     std::optional<Timeline> TL =
@@ -698,7 +700,7 @@ int runExecuteGraphFile(const CliOptions &O) {
     // --no-recovery lets a persistent fault reach the engine and fail the
     // run (ci.sh tier 6 relies on this to trigger the auto-dump).
     DiagnosticEngine DE;
-    if (!executeWithFaults(R, O.Flow, DE, !O.NoRecovery)) {
+    if (!executeWithFaults(R, O.flow(), DE, !O.NoRecovery)) {
       std::fprintf(stderr, "error: %s:\n%s",
                    O.NoRecovery ? "execution failed under --no-recovery"
                                 : "fault recovery failed",
@@ -712,38 +714,31 @@ int runExecuteGraphFile(const CliOptions &O) {
   std::printf("device busy: GPU %.1f us, PIM %.1f us\n",
               R.Schedule.GpuBusyNs / 1e3, R.Schedule.PimBusyNs / 1e3);
   printRecovery(R.Recovery);
-  if (O.observed())
-    return exportObservability(O, R);
-  return 0;
+  return exportObservability(O, R);
 }
 
 /// `pimflow compile <net> --plan-out=<file>`: run the search, serialize
 /// the plan artifact, and stop — no transform and no execution. With
 /// --plan-cache-dir the result is also (or only) stored content-addressed.
 int runCompile(const CliOptions &O) {
-  auto Maybe = resolveModel(O.Net);
-  if (!Maybe)
-    return 2;
-  Graph Model = std::move(*Maybe);
-  if (const int Rc = verifyGraphCli(Model, O, "model"))
+  Graph Model;
+  if (const int Rc = loadModel(O.net(), O, Model))
     return Rc;
-  const OffloadPolicy Policy = policyOf(O);
-  PimFlow Flow(Policy, O.Flow);
+  const OffloadPolicy Policy = O.Serve.Policy;
+  PimFlow Flow(Policy, O.flow());
   Flow.profiler().loadCache(cachePath(O));
   const ExecutionPlan Plan = Flow.plan(Model);
   const PlanKey Key = Flow.planKey(Model);
   std::printf("compiled %s under %s: %zu segments, %.2f us predicted\n",
-              O.Net.c_str(), policyName(Policy), Plan.Segments.size(),
+              O.net().c_str(), policyName(Policy), Plan.Segments.size(),
               Plan.PredictedNs / 1e3);
   std::printf("plan key: %s\n", Key.digest().c_str());
   if (!O.PlanOut.empty()) {
-    if (!savePlanArtifact({Key, Plan}, O.PlanOut)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.PlanOut.c_str());
+    if (!wrote(savePlanArtifact({Key, Plan}, O.PlanOut), O.PlanOut))
       return 1;
-    }
     std::printf("plan artifact written to %s (replay with `pimflow run %s "
                 "--plan=%s`)\n",
-                O.PlanOut.c_str(), O.Net.c_str(), O.PlanOut.c_str());
+                O.PlanOut.c_str(), O.net().c_str(), O.PlanOut.c_str());
   }
   if (PlanCache *Cache = Flow.planCache()) {
     std::printf("plan cache %s: %zu hit(s), %zu miss(es), %zu store(s)\n",
@@ -751,11 +746,9 @@ int runCompile(const CliOptions &O) {
                 Cache->stores());
     // The cache may be the verb's only output: one that neither hit nor
     // stored was not written.
-    if (Cache->hits() == 0 && Cache->stores() == 0) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   Cache->pathFor(Key).c_str());
+    if (!wrote(Cache->hits() > 0 || Cache->stores() > 0,
+               Cache->pathFor(Key)))
       return 1;
-    }
   }
   if (!saveProfileLog(Flow.profiler(), O))
     return 1;
@@ -768,14 +761,11 @@ int runCompile(const CliOptions &O) {
 /// a hard error: silently re-searching would hide that the artifact no
 /// longer describes this compile.
 int runReplay(const CliOptions &O) {
-  auto Maybe = resolveModel(O.Net);
-  if (!Maybe)
-    return 2;
-  Graph Model = std::move(*Maybe);
-  if (const int Rc = verifyGraphCli(Model, O, "model"))
+  Graph Model;
+  if (const int Rc = loadModel(O.net(), O, Model))
     return Rc;
-  const OffloadPolicy Policy = policyOf(O);
-  PimFlow Flow(Policy, O.Flow);
+  const OffloadPolicy Policy = O.Serve.Policy;
+  PimFlow Flow(Policy, O.flow());
 
   DiagnosticEngine DE;
   auto Artifact = loadPlanArtifact(O.PlanIn, DE);
@@ -794,7 +784,7 @@ int runReplay(const CliOptions &O) {
   CompileResult R = Flow.executePlan(Model, std::move(Artifact->Plan));
 
   std::printf("%s on %s: %.2f us end-to-end, %.2f uJ\n",
-              policyName(Policy), O.Net.c_str(), R.endToEndNs() / 1e3,
+              policyName(Policy), O.net().c_str(), R.endToEndNs() / 1e3,
               R.energyJ() * 1e6);
   std::printf("replayed plan %s (search skipped)\n", O.PlanIn.c_str());
   printRecovery(R.Recovery);
@@ -808,19 +798,16 @@ int runExecute(const CliOptions &O) {
     return runReplay(O);
   if (!O.GraphFile.empty())
     return runExecuteGraphFile(O);
-  auto Maybe = resolveModel(O.Net);
-  if (!Maybe)
-    return 2;
-  Graph Model = std::move(*Maybe);
-  if (const int Rc = verifyGraphCli(Model, O, "model"))
+  Graph Model;
+  if (const int Rc = loadModel(O.net(), O, Model))
     return Rc;
-  const OffloadPolicy Policy = policyOf(O);
-  PimFlow Flow(Policy, O.Flow);
+  const OffloadPolicy Policy = O.Serve.Policy;
+  PimFlow Flow(Policy, O.flow());
   Flow.profiler().loadCache(cachePath(O));
   CompileResult R = Flow.compileAndRun(Model);
 
   std::printf("%s on %s: %.2f us end-to-end, %.2f uJ\n",
-              policyName(Policy), O.Net.c_str(), R.endToEndNs() / 1e3,
+              policyName(Policy), O.net().c_str(), R.endToEndNs() / 1e3,
               R.energyJ() * 1e6);
   printRecovery(R.Recovery);
   if (O.Stats)
@@ -830,8 +817,8 @@ int runExecute(const CliOptions &O) {
   // run being reported.
   if (const int Rc = exportObservability(O, R))
     return Rc;
-  if (!O.GpuOnly) {
-    PimFlow Base(OffloadPolicy::GpuOnly, O.Flow);
+  if (Policy != OffloadPolicy::GpuOnly) {
+    PimFlow Base(OffloadPolicy::GpuOnly, O.flow());
     CompileResult BR = Base.compileAndRun(Model);
     std::printf("GPU baseline: %.2f us -> %.2fx speedup\n",
                 BR.endToEndNs() / 1e3, BR.endToEndNs() / R.endToEndNs());
@@ -842,13 +829,10 @@ int runExecute(const CliOptions &O) {
 /// Dumps the PIM command trace of every offloaded kernel of the solved
 /// graph — the artifact's generated DRAM-PIM simulator inputs.
 int runTrace(const CliOptions &O) {
-  auto Maybe = resolveModel(O.Net);
-  if (!Maybe)
-    return 2;
-  Graph Model = std::move(*Maybe);
-  if (const int Rc = verifyGraphCli(Model, O, "model"))
+  Graph Model;
+  if (const int Rc = loadModel(O.net(), O, Model))
     return Rc;
-  PimFlow Flow(policyOf(O), O.Flow);
+  PimFlow Flow(O.Serve.Policy, O.flow());
   Flow.profiler().loadCache(cachePath(O));
   CompileResult R = Flow.compileAndRun(Model);
 
@@ -867,12 +851,10 @@ int runTrace(const CliOptions &O) {
                                  K.ChannelsForK);
     }
     const std::string Path =
-        formatStr("%s/%s.%s.trace", O.Dir.c_str(), O.Net.c_str(),
+        formatStr("%s/%s.%s.trace", O.Dir.c_str(), O.net().c_str(),
                   N.Name.c_str());
-    if (!saveTrace(Plan.Trace, Path)) {
-      std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
+    if (!wrote(saveTrace(Plan.Trace, Path), Path))
       return 1;
-    }
     std::printf("%-28s %-14s %8.2f us -> %s\n", N.Name.c_str(),
                 K.describeMapping().c_str(), Plan.Ns / 1e3, Path.c_str());
     ++Dumped;
@@ -884,16 +866,17 @@ int runTrace(const CliOptions &O) {
 /// `pimflow report <file>`: renders a saved --perf-report document as
 /// human-readable text.
 int runReport(const CliOptions &O) {
-  const auto Text = obs::readTextFile(O.ReportFile);
+  const std::string &File = O.Positionals.front();
+  const auto Text = readTextFile(File);
   if (!Text) {
-    std::fprintf(stderr, "error: cannot read %s\n", O.ReportFile.c_str());
+    std::fprintf(stderr, "error: cannot read %s\n", File.c_str());
     return 1;
   }
   std::string Error;
   const auto Doc = obs::JsonValue::parse(*Text, &Error);
   if (!Doc) {
     std::fprintf(stderr, "error: %s does not parse as JSON: %s\n",
-                 O.ReportFile.c_str(), Error.c_str());
+                 File.c_str(), Error.c_str());
     return 1;
   }
   if (O.ReportRequest >= 0) {
@@ -901,7 +884,7 @@ int runReport(const CliOptions &O) {
     const std::string Text =
         serve::renderServeRequestText(*Doc, O.ReportRequest, &RequestError);
     if (Text.empty()) {
-      std::fprintf(stderr, "error: %s: %s\n", O.ReportFile.c_str(),
+      std::fprintf(stderr, "error: %s: %s\n", File.c_str(),
                    RequestError.c_str());
       return 1;
     }
@@ -913,7 +896,7 @@ int runReport(const CliOptions &O) {
     if (Text.empty()) {
       std::fprintf(stderr,
                    "error: %s has no metrics section (schema v1 report?)\n",
-                   O.ReportFile.c_str());
+                   File.c_str());
       return 1;
     }
     std::printf("%s", Text.c_str());
@@ -929,7 +912,8 @@ int runReport(const CliOptions &O) {
 /// the deterministic request stream against the shared PIM channel
 /// group, all on this thread.
 int runServe(const CliOptions &O) {
-  DiagnosticEngine DE(O.Flow.MaxVerifyErrors);
+  ServerOptions SO = O.Serve;
+  DiagnosticEngine DE(SO.Flow.MaxVerifyErrors);
   serve::LoadSpec Spec;
   if (!serve::LoadSpec::parse(O.Requests, Spec, DE)) {
     std::fprintf(stderr, "%s", DE.render().c_str());
@@ -937,33 +921,22 @@ int runServe(const CliOptions &O) {
   }
 
   std::vector<std::pair<std::string, Graph>> Models;
-  for (const std::string &Net : O.ServeNets) {
-    auto Maybe = resolveModel(Net);
-    if (!Maybe)
-      return 1;
-    if (int Rc = verifyGraphCli(*Maybe, O, "serve model"))
+  for (const std::string &Net : O.nets()) {
+    Graph Model;
+    if (const int Rc = loadModel(Net, O, Model))
       return Rc;
-    Models.emplace_back(Net, std::move(*Maybe));
+    Models.emplace_back(Net, std::move(Model));
   }
 
-  serve::ServerOptions SO;
-  SO.Policy = policyOf(O);
-  SO.Flow = O.Flow;
-  SO.MaxInflight = O.MaxInflight;
-  SO.MaxQueue = O.MaxQueue;
-  SO.PoolChannels = O.ChannelPool;
-  SO.DefaultDeadlineUs = O.DefaultDeadlineUs;
-  SO.RetryBudget = O.RetryBudget;
-  SO.BreakerThreshold = O.BreakerThreshold;
-  SO.BreakerCooldownUs = O.BreakerCooldownUs;
   if (!O.TraceSample.empty() &&
       !serve::TraceSamplePolicy::parse(O.TraceSample, SO.Sample, DE)) {
     std::fprintf(stderr, "%s", DE.render().c_str());
     return 2;
   }
-  if (!O.Flow.FaultSpec.empty()) {
-    const int Pool = O.ChannelPool > 0 ? O.ChannelPool : O.Flow.PimChannels;
-    if (O.Flow.FaultSpec == "chaos") {
+  if (!SO.Flow.FaultSpec.empty()) {
+    const int Pool =
+        SO.PoolChannels > 0 ? SO.PoolChannels : SO.Flow.PimChannels;
+    if (SO.Flow.FaultSpec == "chaos") {
       // Deterministic horizon from the spec alone: twice the expected
       // span of the arrival stream, so the timeline scales with the load
       // but never depends on the run.
@@ -971,9 +944,9 @@ int runServe(const CliOptions &O) {
           std::max(1, Spec.Count) * std::max(1.0, Spec.MeanGapUs) * 2.0 *
           1e3);
       SO.Faults =
-          FaultModel::chaosTimeline(O.Flow.FaultSeed, Pool, HorizonNs);
+          FaultModel::chaosTimeline(SO.Flow.FaultSeed, Pool, HorizonNs);
     } else {
-      SO.Faults = *FaultModel::parse(O.Flow.FaultSpec, DE); // Checked.
+      SO.Faults = *FaultModel::parse(SO.Flow.FaultSpec, DE); // Checked.
     }
   }
   serve::Server Srv(std::move(Models), SO);
@@ -984,27 +957,21 @@ int runServe(const CliOptions &O) {
   const std::string Summary = serve::renderServeSummary(R);
   std::printf("%s", Summary.c_str());
   if (!O.SummaryOut.empty()) {
-    if (!obs::writeTextFile(O.SummaryOut, Summary)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.SummaryOut.c_str());
+    if (!wrote(writeTextFile(O.SummaryOut, Summary), O.SummaryOut))
       return 1;
-    }
     std::printf("serve summary written to %s\n", O.SummaryOut.c_str());
   }
   if (!O.PerfReport.empty()) {
-    if (!serve::writeServeReport(R, O.PerfReport)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.PerfReport.c_str());
+    if (!wrote(serve::writeServeReport(R, O.PerfReport), O.PerfReport))
       return 1;
-    }
     std::printf("serve report written to %s\n", O.PerfReport.c_str());
   }
   if (!O.TraceOut.empty()) {
     // The serve sibling of the run modes' Chrome trace: request lanes,
     // channel lanes, and the sampled per-attempt span trees. Used to be
     // silently ignored in serve mode.
-    if (!Srv.writeTrace(R, O.TraceOut)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.TraceOut.c_str());
+    if (!wrote(Srv.writeTrace(R, O.TraceOut), O.TraceOut))
       return 1;
-    }
     std::printf("serve request trace written to %s (%zu of %zu requests "
                 "sampled under --trace-sample=%s)\n",
                 O.TraceOut.c_str(), R.SampledRequests.size(),
@@ -1025,9 +992,7 @@ int main(int Argc, char **Argv) {
     usage();
     return 2;
   }
-  setLogLevel(O.Verbose >= 2   ? LogLevel::Debug
-              : O.Verbose == 1 ? LogLevel::Info
-                               : LogLevel::Silent);
+  setLogLevel(O.Verbosity);
   // serve always observes: its serve.* counter/histogram families back
   // the summary's exports and the tier-8 metrics gate.
   if (O.observed() || O.Mode == "serve")
@@ -1054,13 +1019,11 @@ int main(int Argc, char **Argv) {
     Rc = runExecute(O);
   // The exit-time dump overwrites any mid-run auto-dump with the most
   // recent window of events — the one containing whatever went wrong.
-  if (!O.FlightDump.empty() && O.Mode != "report") {
-    if (!obs::FlightRecorder::instance().dump(
-            O.FlightDump, Rc == 0 ? "cli: run complete" : "cli: run failed"))
-      std::fprintf(stderr, "error: cannot write %s\n", O.FlightDump.c_str());
-    else
-      std::printf("flight recorder dump written to %s\n",
-                  O.FlightDump.c_str());
-  }
+  if (!O.FlightDump.empty() &&
+      wrote(obs::FlightRecorder::instance().dump(
+                O.FlightDump,
+                Rc == 0 ? "cli: run complete" : "cli: run failed"),
+            O.FlightDump))
+    std::printf("flight recorder dump written to %s\n", O.FlightDump.c_str());
   return Rc;
 }
