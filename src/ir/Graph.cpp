@@ -8,7 +8,10 @@
 
 #include <algorithm>
 
+#include "ir/GraphSerializer.h"
+#include "support/Diagnostics.h"
 #include "support/Format.h"
+#include "support/StringUtil.h"
 
 using namespace pf;
 
@@ -122,6 +125,7 @@ GraphNodeView::GraphNodeView(const Graph &G, NodeId Id) {
 
 ValueId Graph::addValue(const std::string &Name, TensorShape Shape,
                         DataType Type) {
+  Digest.reset();
   Value V;
   V.Id = static_cast<ValueId>(Values.size());
   V.Name = Name;
@@ -147,6 +151,7 @@ ValueId Graph::addParam(const std::string &Name, TensorShape Shape,
 NodeId Graph::addNode(OpKind Kind, const std::string &Name, OpAttrs Attrs,
                       std::vector<ValueId> NodeInputs,
                       std::vector<ValueId> NodeOutputs) {
+  Digest.reset();
   for (ValueId In : NodeInputs)
     PF_ASSERT(In >= 0 && static_cast<size_t>(In) < Values.size(),
               "node input value does not exist");
@@ -155,7 +160,8 @@ NodeId Graph::addNode(OpKind Kind, const std::string &Name, OpAttrs Attrs,
               "node output value does not exist");
     PF_ASSERT(ProducerOf[static_cast<size_t>(Out)] == InvalidNode,
               "node output already has a producer");
-    PF_ASSERT(!value(Out).IsParam, "parameters cannot be node outputs");
+    PF_ASSERT(!Values[static_cast<size_t>(Out)].IsParam,
+              "parameters cannot be node outputs");
   }
 
   Node N;
@@ -180,7 +186,7 @@ NodeId Graph::addNode(OpKind Kind, const std::string &Name, OpAttrs Attrs,
 }
 
 void Graph::removeNode(NodeId Id) {
-  Node &N = node(Id);
+  Node &N = node(Id); // Drops the digest.
   PF_ASSERT(!N.Dead, "node already removed");
   N.Dead = true;
   for (ValueId Out : N.Outputs)
@@ -194,6 +200,7 @@ int Graph::replaceUses(ValueId From, ValueId To) {
   PF_ASSERT(From >= 0 && static_cast<size_t>(From) < Values.size() &&
                 To >= 0 && static_cast<size_t>(To) < Values.size(),
             "value id out of range");
+  Digest.reset();
   std::vector<NodeId> &FromUsers = ConsumersOf[static_cast<size_t>(From)];
   const std::vector<NodeId> Users = std::move(FromUsers);
   FromUsers.clear();
@@ -210,7 +217,7 @@ int Graph::replaceUses(ValueId From, ValueId To) {
 }
 
 void Graph::setInput(NodeId Id, size_t Slot, ValueId V) {
-  Node &N = node(Id);
+  Node &N = node(Id); // Drops the digest.
   PF_ASSERT(Slot < N.Inputs.size(), "input slot out of range");
   PF_ASSERT(V >= 0 && static_cast<size_t>(V) < Values.size(),
             "input value does not exist");
@@ -301,10 +308,24 @@ void Graph::setParamData(ValueId Id, Tensor Data) {
   PF_ASSERT(value(Id).IsParam, "setParamData on a non-parameter value");
   PF_ASSERT(Data.shape() == value(Id).Shape,
             "explicit parameter data shape mismatch");
+  Digest.reset();
   ExplicitParamData[Id] = std::move(Data);
 }
 
 const Tensor *Graph::paramData(ValueId Id) const {
   auto It = ExplicitParamData.find(Id);
   return It == ExplicitParamData.end() ? nullptr : &It->second;
+}
+
+uint64_t Graph::contentDigest() const {
+#ifdef PIMFLOW_CHECKED
+  if (Digest && *Digest != fnv1a64(serializeGraph(*this)))
+    fatal(formatStr("graph '%s' changed behind its content digest: a write "
+                    "through a Node & or Value & taken before the digest "
+                    "was read",
+                    Name.c_str()));
+#endif
+  if (!Digest)
+    Digest = fnv1a64(serializeGraph(*this));
+  return *Digest;
 }

@@ -122,12 +122,19 @@ bool isDepthwiseConv(const Node &N);
 /// live-node count, kept current by every mutator below. Writing a node's
 /// Inputs or Dead flag through node() bypasses it; verify() reports the
 /// result as verify.stale-index.
+///
+/// It also keeps its content digest (contentDigest()) once computed. Every
+/// mutator and the non-const node() and value() drop it, and a copy keeps
+/// its source's.
 class Graph {
 public:
   explicit Graph(std::string Name = "graph") : Name(std::move(Name)) {}
 
   const std::string &name() const { return Name; }
-  void setName(std::string N) { Name = std::move(N); }
+  void setName(std::string N) {
+    Digest.reset();
+    Name = std::move(N);
+  }
 
   /// Creates a flowing (activation) value.
   ValueId addValue(const std::string &Name, TensorShape Shape,
@@ -155,23 +162,19 @@ public:
   /// producer), which the diagnostics tests need.
   void setInput(NodeId Id, size_t Slot, ValueId V);
 
+  /// The non-const accessors drop the content digest: the caller may
+  /// write through the reference.
   Value &value(ValueId Id) {
-    PF_ASSERT(Id >= 0 && static_cast<size_t>(Id) < Values.size(),
-              "value id out of range");
-    return Values[static_cast<size_t>(Id)];
+    Digest.reset();
+    return Values[valueSlot(Id)];
   }
-  const Value &value(ValueId Id) const {
-    return const_cast<Graph *>(this)->value(Id);
-  }
+  const Value &value(ValueId Id) const { return Values[valueSlot(Id)]; }
 
   Node &node(NodeId Id) {
-    PF_ASSERT(Id >= 0 && static_cast<size_t>(Id) < Nodes.size(),
-              "node id out of range");
-    return Nodes[static_cast<size_t>(Id)];
+    Digest.reset();
+    return Nodes[nodeSlot(Id)];
   }
-  const Node &node(NodeId Id) const {
-    return const_cast<Graph *>(this)->node(Id);
-  }
+  const Node &node(NodeId Id) const { return Nodes[nodeSlot(Id)]; }
 
   size_t numValues() const { return Values.size(); }
   size_t numNodesIncludingDead() const { return Nodes.size(); }
@@ -182,8 +185,14 @@ public:
   const std::vector<Value> &values() const { return Values; }
   const std::vector<Node> &nodes() const { return Nodes; }
 
-  void setGraphInputs(std::vector<ValueId> Ids) { Inputs = std::move(Ids); }
-  void setGraphOutputs(std::vector<ValueId> Ids) { Outputs = std::move(Ids); }
+  void setGraphInputs(std::vector<ValueId> Ids) {
+    Digest.reset();
+    Inputs = std::move(Ids);
+  }
+  void setGraphOutputs(std::vector<ValueId> Ids) {
+    Digest.reset();
+    Outputs = std::move(Ids);
+  }
   const std::vector<ValueId> &graphInputs() const { return Inputs; }
   const std::vector<ValueId> &graphOutputs() const { return Outputs; }
 
@@ -219,7 +228,26 @@ public:
   /// Explicit data for \p Id if previously attached.
   const Tensor *paramData(ValueId Id) const;
 
+  /// FNV-1a 64 of serializeGraph(*this), the canonical graph hash of plan
+  /// keys. Computed on the first call and kept until the graph changes, so
+  /// a model keyed many times is serialized once. A write through a Node &
+  /// or Value & taken before that call goes unseen; a PIMFLOW_CHECKED
+  /// build recomputes the digest on every call and aborts when the kept
+  /// one differs. Not synchronized: one thread hashes a graph at a time.
+  uint64_t contentDigest() const;
+
 private:
+  size_t valueSlot(ValueId Id) const {
+    PF_ASSERT(Id >= 0 && static_cast<size_t>(Id) < Values.size(),
+              "value id out of range");
+    return static_cast<size_t>(Id);
+  }
+  size_t nodeSlot(NodeId Id) const {
+    PF_ASSERT(Id >= 0 && static_cast<size_t>(Id) < Nodes.size(),
+              "node id out of range");
+    return static_cast<size_t>(Id);
+  }
+
   std::string Name;
   std::vector<Value> Values;
   std::vector<Node> Nodes;
@@ -231,6 +259,8 @@ private:
   std::vector<std::vector<NodeId>> ConsumersOf;
   size_t LiveNodes = 0;
   std::unordered_map<ValueId, Tensor> ExplicitParamData;
+  /// contentDigest(), once computed and until the next change.
+  mutable std::optional<uint64_t> Digest;
 };
 
 /// The NodeView of node \p Id of \p G. It holds the operand pointers the

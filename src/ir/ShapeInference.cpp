@@ -6,6 +6,8 @@
 
 #include "ir/ShapeInference.h"
 
+#include <utility>
+
 #include "support/Format.h"
 
 using namespace pf;
@@ -19,20 +21,20 @@ std::optional<std::string> fail(const Node &N, const std::string &Why) {
 
 } // namespace
 
-std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
-  Node &N = G.node(Id);
+std::optional<std::string> pf::inferNodeShapes(const Graph &G, NodeId Id,
+                                               TensorShape &Out) {
+  const Node &N = G.node(Id);
+  PF_ASSERT(!N.Outputs.empty(), "node has no output");
   auto In = [&](size_t I) -> const TensorShape & {
     PF_ASSERT(I < N.Inputs.size(), "node input index out of range");
     return G.value(N.Inputs[I]).Shape;
   };
-  auto SetOut = [&](size_t I, TensorShape Shape) {
-    PF_ASSERT(I < N.Outputs.size(), "node output index out of range");
-    G.value(N.Outputs[I]).Shape = std::move(Shape);
-  };
+  auto SetOut = [&Out](TensorShape Shape) { Out = std::move(Shape); };
 
   switch (N.Kind) {
   case OpKind::Input:
-    return std::nullopt; // Shape fixed at construction.
+    SetOut(G.value(N.Outputs[0]).Shape); // Shape fixed at construction.
+    return std::nullopt;
 
   case OpKind::Conv2d: {
     if (N.Inputs.size() < 2)
@@ -60,7 +62,7 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
                                      A.PadLeft, A.PadRight);
     if (Ho <= 0 || Wo <= 0)
       return fail(N, "non-positive output spatial extent");
-    SetOut(0, TensorShape{X.dim(0), Ho, Wo, Cout});
+    SetOut(TensorShape{X.dim(0), Ho, Wo, Cout});
     return std::nullopt;
   }
 
@@ -73,7 +75,7 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
       return fail(N, "gemm expects rank-2 operands");
     if (X.dim(1) != W.dim(0))
       return fail(N, "inner dimension mismatch");
-    SetOut(0, TensorShape{X.dim(0), W.dim(1)});
+    SetOut(TensorShape{X.dim(0), W.dim(1)});
     return std::nullopt;
   }
 
@@ -85,7 +87,7 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
   case OpKind::Gelu:
   case OpKind::Softmax:
   case OpKind::Identity:
-    SetOut(0, In(0));
+    SetOut(In(0));
     return std::nullopt;
 
   case OpKind::Add:
@@ -94,11 +96,11 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
     const TensorShape &B = In(1);
     // Same shape, or B broadcast over all but the last (channel) axis.
     if (A == B) {
-      SetOut(0, A);
+      SetOut(A);
       return std::nullopt;
     }
     if (B.numElements() == A.dim(A.rank() - 1)) {
-      SetOut(0, A);
+      SetOut(A);
       return std::nullopt;
     }
     return fail(N, formatStr("incompatible shapes %s vs %s",
@@ -109,7 +111,7 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
     const TensorShape &X = In(0);
     if (X.rank() != 4)
       return fail(N, "batchnorm expects rank-4 input");
-    SetOut(0, X);
+    SetOut(X);
     return std::nullopt;
   }
 
@@ -125,7 +127,7 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
                                      A.PadLeft, A.PadRight);
     if (Ho <= 0 || Wo <= 0)
       return fail(N, "non-positive pooled extent");
-    SetOut(0, TensorShape{X.dim(0), Ho, Wo, X.dim(3)});
+    SetOut(TensorShape{X.dim(0), Ho, Wo, X.dim(3)});
     return std::nullopt;
   }
 
@@ -133,7 +135,7 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
     const TensorShape &X = In(0);
     if (X.rank() != 4)
       return fail(N, "globalavgpool expects rank-4 input");
-    SetOut(0, TensorShape{X.dim(0), 1, 1, X.dim(3)});
+    SetOut(TensorShape{X.dim(0), 1, 1, X.dim(3)});
     return std::nullopt;
   }
 
@@ -142,7 +144,7 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
     const TensorShape &X = In(0);
     if (X.rank() != 4)
       return fail(N, "pad expects rank-4 input");
-    SetOut(0, TensorShape{X.dim(0), X.dim(1) + A.Top + A.Bottom,
+    SetOut(TensorShape{X.dim(0), X.dim(1) + A.Top + A.Bottom,
                           X.dim(2) + A.Left + A.Right, X.dim(3)});
     return std::nullopt;
   }
@@ -158,7 +160,7 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
                                static_cast<long long>(A.End),
                                static_cast<long long>(X.dim(A.Axis))));
     X.setDim(A.Axis, A.End - A.Begin);
-    SetOut(0, X);
+    SetOut(X);
     return std::nullopt;
   }
 
@@ -166,27 +168,27 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
     const ConcatAttrs &A = std::get<ConcatAttrs>(N.Attrs);
     if (N.Inputs.empty())
       return fail(N, "concat expects at least one input");
-    TensorShape Out = In(0);
-    if (A.Axis < 0 || A.Axis >= Out.rank())
+    TensorShape Joined = In(0);
+    if (A.Axis < 0 || A.Axis >= Joined.rank())
       return fail(N, "concat axis out of range");
-    int64_t Total = Out.dim(A.Axis);
+    int64_t Total = Joined.dim(A.Axis);
     for (size_t I = 1; I < N.Inputs.size(); ++I) {
       const TensorShape &X = In(I);
-      if (X.rank() != Out.rank())
+      if (X.rank() != Joined.rank())
         return fail(N, "concat rank mismatch");
-      for (int64_t D = 0; D < Out.rank(); ++D)
-        if (D != A.Axis && X.dim(D) != Out.dim(D))
+      for (int64_t D = 0; D < Joined.rank(); ++D)
+        if (D != A.Axis && X.dim(D) != Joined.dim(D))
           return fail(N, "concat non-axis extent mismatch");
       Total += X.dim(A.Axis);
     }
-    Out.setDim(A.Axis, Total);
-    SetOut(0, Out);
+    Joined.setDim(A.Axis, Total);
+    SetOut(Joined);
     return std::nullopt;
   }
 
   case OpKind::Flatten: {
     const TensorShape &X = In(0);
-    SetOut(0, TensorShape{X.dim(0), X.numElements() / X.dim(0)});
+    SetOut(TensorShape{X.dim(0), X.numElements() / X.dim(0)});
     return std::nullopt;
   }
 
@@ -197,7 +199,7 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
     const TensorShape &Scale = In(1);
     if (Scale.numElements() != X.dim(X.rank() - 1))
       return fail(N, "layernorm scale must match the last axis");
-    SetOut(0, X);
+    SetOut(X);
     return std::nullopt;
   }
 
@@ -211,11 +213,19 @@ std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
     const int64_t M = A.TransposeB ? Y.dim(0) : Y.dim(1);
     if (X.dim(1) != KY)
       return fail(N, "matmul inner dimension mismatch");
-    SetOut(0, TensorShape{X.dim(0), M});
+    SetOut(TensorShape{X.dim(0), M});
     return std::nullopt;
   }
   }
   pf_unreachable("unknown op kind in shape inference");
+}
+
+std::optional<std::string> pf::inferNodeShapes(Graph &G, NodeId Id) {
+  TensorShape Out;
+  if (auto Err = inferNodeShapes(std::as_const(G), Id, Out))
+    return Err;
+  G.value(G.node(Id).Outputs[0]).Shape = std::move(Out);
+  return std::nullopt;
 }
 
 std::optional<std::string> pf::inferShapes(Graph &G) {

@@ -21,9 +21,13 @@
 
 namespace pf {
 
-/// Computes the output shape(s) of \p N given its current input shapes and
-/// writes them into the graph. Returns an error string on inconsistent
-/// inputs.
+/// Computes the output shape of node \p Id from its current input shapes
+/// into \p Out, leaving the graph as it is (an Input node's is its stored
+/// shape). Returns an error string on inconsistent inputs.
+std::optional<std::string> inferNodeShapes(const Graph &G, NodeId Id,
+                                           TensorShape &Out);
+
+/// As above, but writes the shape into the node's output value.
 std::optional<std::string> inferNodeShapes(Graph &G, NodeId Id);
 
 /// Runs inferNodeShapes over all live nodes in topological order.

@@ -26,7 +26,8 @@
 ///   7. Shape consistency: shape inference re-run on a copy must succeed
 ///      and reproduce the stored shapes (stale-shape detection). Skipped
 ///      when any structural finding above fired, since inference would
-///      trip on the same breakage.
+///      trip on the same breakage. The copy is made only when
+///      storedShapesHold() fails; on a clean graph nothing is copied.
 ///   8. Def-use index: each value's consumer list and the live-node count
 ///      equal a fresh scan of the node table (stale-index detection).
 ///      Checks 1-6 keep their own scans; shape inference toposorts through
@@ -53,6 +54,12 @@ bool verify(const Graph &G, DiagnosticEngine &DE);
 /// Convenience wrapper: returns the rendered diagnostics on failure, or
 /// std::nullopt when \p G verifies clean.
 std::optional<std::string> verify(const Graph &G);
+
+/// Check 7 without a copy: true when every live node of \p G has the inputs
+/// its kind reads and an output, and inference from its stored input shapes
+/// succeeds and equals its stored output shape. Reads each node once, in
+/// any order. When it is false, verify() reports why.
+bool storedShapesHold(const Graph &G);
 
 /// Verifies \p G and aborts via fatal() with the rendered diagnostics when
 /// it is broken. \p When names the pipeline point for the message (e.g.

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <string_view>
 
-#include "ir/GraphSerializer.h"
 #include "obs/Counters.h"
 #include "obs/Trace.h"
 #include "support/Format.h"
@@ -62,7 +61,7 @@ struct LineParser {
 } // namespace
 
 std::string pf::canonicalGraphHash(const Graph &G) {
-  return fnv1a64Hex(serializeGraph(G));
+  return hex16(G.contentDigest());
 }
 
 std::string pf::systemConfigPlanSig(const SystemConfig &C) {

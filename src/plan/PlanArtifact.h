@@ -86,6 +86,8 @@ struct PlanKey {
 /// Canonical hash of \p G: the FNV-1a 64 digest of its textual
 /// serialization (ir/GraphSerializer), which is deterministic and covers
 /// name, values, shapes, attributes, topology, and device annotations.
+/// It is G.contentDigest() in hex, so the graph is serialized only when it
+/// changed since its last hash.
 std::string canonicalGraphHash(const Graph &G);
 
 /// Fingerprint of every SystemConfig field that feeds the profiled

@@ -134,7 +134,7 @@ void pf::appendFixed(std::string &Out, double X, int Decimals) {
   Out.append(Buf, R.ptr);
 }
 
-std::string pf::fnv1a64Hex(std::string_view Data) {
+uint64_t pf::fnv1a64(std::string_view Data) {
   // The published FNV-64 offset basis without its last digit. Every
   // artifact checksum, plan-cache name and profile log on disk uses it.
   uint64_t H = 1469598103934665603ull;
@@ -142,9 +142,17 @@ std::string pf::fnv1a64Hex(std::string_view Data) {
     H ^= C;
     H *= 1099511628211ull; // FNV prime
   }
+  return H;
+}
+
+std::string pf::hex16(uint64_t X) {
   static const char Hex[] = "0123456789abcdef";
   std::string Out(16, '0');
-  for (size_t I = Out.size(); I-- > 0; H >>= 4)
-    Out[I] = Hex[H & 0xF];
+  for (size_t I = Out.size(); I-- > 0; X >>= 4)
+    Out[I] = Hex[X & 0xF];
   return Out;
+}
+
+std::string pf::fnv1a64Hex(std::string_view Data) {
+  return hex16(fnv1a64(Data));
 }

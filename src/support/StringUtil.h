@@ -83,8 +83,14 @@ void appendDouble(std::string &Out, double X, int Precision = 17);
 /// printf("%.*f", Decimals, X) produces.
 void appendFixed(std::string &Out, double X, int Decimals);
 
-/// FNV-1a 64-bit digest of \p Data, as 16 lower-case hex digits (the
-/// checksum of plan artifacts and profile logs).
+/// FNV-1a 64-bit digest of \p Data.
+uint64_t fnv1a64(std::string_view Data);
+
+/// \p X as 16 lower-case hex digits.
+std::string hex16(uint64_t X);
+
+/// fnv1a64(Data) as 16 lower-case hex digits (the checksum of plan
+/// artifacts and profile logs).
 std::string fnv1a64Hex(std::string_view Data);
 
 } // namespace pf

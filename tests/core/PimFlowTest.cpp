@@ -6,6 +6,9 @@
 
 #include "core/PimFlow.h"
 
+#include <cctype>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "models/Zoo.h"
@@ -297,3 +300,50 @@ TEST(ExecuteWithFaultsTest, NoRecoveryRunsASlowChannelWithoutASummary) {
   EXPECT_FALSE(R.Recovery.has_value());
   EXPECT_GE(R.Schedule.TotalNs, CleanNs);
 }
+
+namespace {
+
+/// A zoo model and the bound on the DP's relative prediction error there.
+struct PredictionCase {
+  const char *Model;
+  double Bound;
+};
+
+class DpPrediction : public testing::TestWithParam<PredictionCase> {};
+
+} // namespace
+
+// The DP's predicted end-to-end time stays close to what the engine then
+// executes: |PredictedNs - executed| / executed under a per-model bound,
+// each the error the current plans show rounded up to the next 0.05
+// percentage point (0.34%, 1.39%, 0.43%, 0.08%, 0.02%, 0.94%, 1.67% and
+// 7.95% in the order below).
+TEST_P(DpPrediction, StaysWithinItsBound) {
+  const PredictionCase &C = GetParam();
+  PimFlow Flow(OffloadPolicy::PimFlow);
+  const CompileResult R = Flow.compileAndRun(buildModel(C.Model));
+  const double Executed = R.endToEndNs();
+  ASSERT_GT(Executed, 0.0);
+  const double Error = std::abs(R.Plan.PredictedNs - Executed) / Executed;
+  EXPECT_LT(Error, C.Bound) << C.Model << ": predicted "
+                            << R.Plan.PredictedNs << " ns, executed "
+                            << Executed << " ns";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ZooModels, DpPrediction,
+    testing::Values(PredictionCase{"efficientnet-v1-b0", 0.0035},
+                    PredictionCase{"mobilenet-v2", 0.014},
+                    PredictionCase{"mnasnet-1.0", 0.0045},
+                    PredictionCase{"resnet-50", 0.001},
+                    PredictionCase{"vgg-16", 0.0003},
+                    PredictionCase{"resnet-18", 0.0095},
+                    PredictionCase{"squeezenet-1.1", 0.017},
+                    PredictionCase{"toy", 0.08}),
+    [](const testing::TestParamInfo<PredictionCase> &I) {
+      std::string Name = I.param.Model;
+      for (char &Ch : Name)
+        if (!std::isalnum(static_cast<unsigned char>(Ch)))
+          Ch = '_';
+      return Name;
+    });

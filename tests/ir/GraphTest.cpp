@@ -6,7 +6,13 @@
 
 #include "ir/Graph.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
+
+#include "ir/GraphSerializer.h"
+#include "plan/PlanArtifact.h"
+#include "support/StringUtil.h"
 
 using namespace pf;
 
@@ -23,6 +29,20 @@ Graph makeChain() {
   G.setGraphInputs({In});
   G.setGraphOutputs({Out});
   return G;
+}
+
+/// Hashes \p G, so that it keeps its digest, applies \p Mutate, and checks
+/// that the hash is a fresh serialization's, that a copy keeps it, and
+/// whether the mutation moved it (\p Changes).
+void expectHashTracks(void (*Mutate)(Graph &), bool Changes = true,
+                      Graph G = makeChain()) {
+  const std::string Before = canonicalGraphHash(G);
+  Mutate(G);
+  const std::string Fresh = fnv1a64Hex(serializeGraph(G));
+  EXPECT_EQ(canonicalGraphHash(G), Fresh);
+  EXPECT_EQ(Before != Fresh, Changes);
+  const Graph Copy = G;
+  EXPECT_EQ(canonicalGraphHash(Copy), Fresh);
 }
 
 } // namespace
@@ -137,3 +157,84 @@ TEST(GraphTest, ExplicitParamData) {
   ASSERT_NE(G.paramData(W), nullptr);
   EXPECT_EQ(G.paramData(W)->at(3), 1.5f);
 }
+
+// The kept content digest follows every way to change a graph: each
+// mutator, and writes through the non-const node() and value().
+TEST(GraphTest, DigestTracksSetName) {
+  expectHashTracks([](Graph &G) { G.setName("renamed"); });
+}
+
+TEST(GraphTest, DigestTracksAddValue) {
+  // A value no live node or interface reads is not serialized.
+  expectHashTracks(
+      [](Graph &G) { G.addValue("extra", TensorShape{1, 4, 4, 2}); }, false);
+}
+
+TEST(GraphTest, DigestTracksAddParam) {
+  expectHashTracks([](Graph &G) { G.addParam("w", TensorShape{2, 2}); },
+                   false);
+}
+
+TEST(GraphTest, DigestTracksAddNode) {
+  Graph Chain = makeChain();
+  Chain.addValue("extra", TensorShape{1, 4, 4, 2}); // Value 3.
+  expectHashTracks(
+      [](Graph &G) {
+        G.addNode(OpKind::Relu, "r3", std::monostate{}, {2}, {3});
+      },
+      true, std::move(Chain));
+}
+
+TEST(GraphTest, DigestTracksRemoveNode) {
+  expectHashTracks([](Graph &G) { G.removeNode(1); });
+}
+
+TEST(GraphTest, DigestTracksReplaceUses) {
+  expectHashTracks([](Graph &G) { G.replaceUses(1, 0); });
+}
+
+TEST(GraphTest, DigestTracksSetInput) {
+  expectHashTracks([](Graph &G) { G.setInput(1, 0, 0); });
+}
+
+TEST(GraphTest, DigestTracksSetGraphInputs) {
+  expectHashTracks([](Graph &G) { G.setGraphInputs({}); });
+}
+
+TEST(GraphTest, DigestTracksSetGraphOutputs) {
+  expectHashTracks([](Graph &G) { G.setGraphOutputs({1}); });
+}
+
+TEST(GraphTest, DigestTracksSetParamData) {
+  // Explicit parameter data is not serialized.
+  Graph Chain = makeChain();
+  Chain.addParam("w", TensorShape{2, 2}); // Value 3.
+  expectHashTracks(
+      [](Graph &G) { G.setParamData(3, Tensor(TensorShape{2, 2})); }, false,
+      std::move(Chain));
+}
+
+TEST(GraphTest, DigestTracksWriteThroughNodeDev) {
+  expectHashTracks([](Graph &G) { G.node(0).Dev = Device::Gpu; });
+}
+
+TEST(GraphTest, DigestTracksWriteThroughNodeInputs) {
+  expectHashTracks([](Graph &G) { G.node(1).Inputs[0] = 0; });
+}
+
+TEST(GraphTest, DigestTracksWriteThroughValueShape) {
+  expectHashTracks(
+      [](Graph &G) { G.value(2).Shape = TensorShape{1, 4, 4, 3}; });
+}
+
+#ifdef PIMFLOW_CHECKED
+// A write through a reference taken before a hash leaves the kept digest
+// stale; the checked build recomputes it on every read and stops there.
+TEST(GraphDeathTest, WriteThroughHeldReferenceAbortsTheNextHash) {
+  Graph G = makeChain();
+  Node &R1 = G.node(0);
+  canonicalGraphHash(G);
+  R1.Dev = Device::Gpu;
+  EXPECT_DEATH(canonicalGraphHash(G), "changed behind its content digest");
+}
+#endif

@@ -45,6 +45,11 @@ NodeId findNode(const Graph &G, OpKind Kind) {
   return InvalidNode;
 }
 
+/// The stored output shape of the first relu: the middle of convGraph.
+TensorShape &reluOut(Graph &G) {
+  return G.value(G.node(findNode(G, OpKind::Relu)).Outputs[0]).Shape;
+}
+
 /// Runs the verifier and returns the engine for code inspection.
 DiagnosticEngine verifyAll(const Graph &G) {
   DiagnosticEngine DE;
@@ -65,6 +70,17 @@ TEST(VerifierTest, CleanGraphVerifies) {
 TEST(VerifierTest, ZooModelsVerifyClean) {
   EXPECT_FALSE(verify(buildToy()).has_value());
   EXPECT_FALSE(verify(buildMobileNetV2()).has_value());
+}
+
+TEST(VerifierTest, StoredShapesHoldOnlyWhenInferenceAgrees) {
+  EXPECT_TRUE(storedShapesHold(buildToy()));
+  EXPECT_TRUE(storedShapesHold(convGraph()));
+  Graph Stale = convGraph();
+  reluOut(Stale).setDim(1, 7);
+  EXPECT_FALSE(storedShapesHold(Stale));
+  Graph Short = convGraph();
+  Short.node(findNode(Short, OpKind::Conv2d)).Inputs.pop_back();
+  EXPECT_FALSE(storedShapesHold(Short));
 }
 
 // Mutation 1/5: dangling ValueId.
@@ -330,4 +346,60 @@ TEST(VerifierTest, VerifyStringWrapperRendersCodes) {
 TEST(VerifierTest, EmptyGraphVerifies) {
   // No nodes, no outputs: legal (the serializer round-trips it).
   EXPECT_FALSE(verify(Graph("empty")).has_value());
+}
+
+// Check 7's reports, byte for byte: each stored shape is compared with
+// inference from its node's stored inputs, and any disagreement re-infers
+// a copy of the whole graph, so every finding keeps its text, order and
+// count, whether the stale value is the output, sits upstream of a node
+// whose stored shapes are right, or makes that node's own inference fail.
+TEST(VerifierTest, ShapeReportsArePinned) {
+  struct Case {
+    const char *What;
+    void (*Mutate)(Graph &);
+    const char *Report;
+  };
+  const Case Cases[] = {
+      {"stale output (CatchesStaleShape)",
+       [](Graph &G) { G.value(G.graphOutputs()[0]).Shape.setDim(3, 999); },
+       "error[verify.stale-shape] value 'conv2d_4.out': stored shape "
+       "[1x8x8x999] but inference computes [1x8x8x4]\n"},
+      {"inference rejects a weight (CatchesShapeInferenceRejection)",
+       [](Graph &G) {
+         const NodeId Conv = findNode(G, OpKind::Conv2d);
+         G.value(G.node(Conv).Inputs[1]).Shape.setDim(0, 2);
+       },
+       "error[verify.shape-infer] graph: shape inference failed at node "
+       "'conv2d_1' (conv2d): weight kernel extent mismatch\n"},
+      {"stale value upstream of a consistent node",
+       [](Graph &G) { reluOut(G).setDim(1, 7); },
+       "error[verify.stale-shape] value 'relu_2.out': stored shape "
+       "[1x7x8x8] but inference computes [1x8x8x8]\n"},
+      {"stale value the next node cannot infer from",
+       [](Graph &G) { reluOut(G).setDim(3, 9); },
+       "error[verify.stale-shape] value 'relu_2.out': stored shape "
+       "[1x8x8x9] but inference computes [1x8x8x8]\n"},
+      {"two stale values, in topological order",
+       [](Graph &G) {
+         reluOut(G).setDim(1, 7);
+         G.value(G.graphOutputs()[0]).Shape.setDim(3, 999);
+       },
+       "error[verify.stale-shape] value 'relu_2.out': stored shape "
+       "[1x7x8x8] but inference computes [1x8x8x8]\n"
+       "error[verify.stale-shape] value 'conv2d_4.out': stored shape "
+       "[1x8x8x999] but inference computes [1x8x8x4]\n"},
+      {"inference fails downstream of a stale value",
+       [](Graph &G) {
+         reluOut(G).setDim(1, 7);
+         const NodeId Last = G.producer(G.graphOutputs()[0]);
+         G.value(G.node(Last).Inputs[1]).Shape.setDim(2, 5);
+       },
+       "error[verify.shape-infer] graph: shape inference failed at node "
+       "'conv2d_4' (conv2d): group/channel mismatch: W.Cin=5 G=1 X.C=8\n"},
+  };
+  for (const Case &C : Cases) {
+    Graph G = convGraph();
+    C.Mutate(G);
+    EXPECT_EQ(verify(G).value_or("<clean>"), C.Report) << C.What;
+  }
 }

@@ -161,7 +161,7 @@ grep -qE 'kind=(retry|channel-remap|floor-fallback|node-fallback|channel-dead|wa
 ./build/tools/pimflow solve toy --dir="$TEL_DIR" > /dev/null
 rm -f "$TEL_DIR/toy.crash.txt"
 if ./build/tools/pimflow run toy \
-  --graph="$TEL_DIR/toy.pimflow.graph" --dir="$TEL_DIR" \
+  --graph="$TEL_DIR/toy.pimflow.graph" \
   --faults=dead:0 --no-recovery \
   --flight-dump="$TEL_DIR/toy.crash.txt" > /dev/null 2>&1; then
   echo "error: --no-recovery run with a dead channel did not fail" >&2
@@ -228,7 +228,7 @@ done
 # to a fresh compile-and-run of the same model.
 ./build/tools/pimflow run toy --dir="$PLAN_DIR" \
   | grep 'us end-to-end' > "$PLAN_DIR/fresh.out"
-./build/tools/pimflow run toy --dir="$PLAN_DIR" \
+./build/tools/pimflow run toy \
   --plan="$PLAN_DIR/toy.plan" \
   --metrics-out="$PLAN_DIR/replay.metrics.txt" \
   | grep 'us end-to-end' > "$PLAN_DIR/replay.out"
@@ -250,7 +250,7 @@ grep -q '^pimflow_plan_cache_hit 1' "$PLAN_DIR/cached.metrics.txt"
 # Corruption matrix: every damaged artifact is rejected non-zero with the
 # right diagnostic slug, never executed and never silently re-searched.
 reject() { # <slug> <artifact>
-  if ./build/tools/pimflow run toy --dir="$PLAN_DIR" --plan="$2" \
+  if ./build/tools/pimflow run toy --plan="$2" \
     > /dev/null 2> "$PLAN_DIR/reject.err"; then
     echo "error: corrupted artifact $2 was accepted" >&2
     exit 1
@@ -267,7 +267,7 @@ sed '2s/./X/' "$PLAN_DIR/toy.plan" > "$PLAN_DIR/flipped.plan"
 reject 'plan\.corrupt' "$PLAN_DIR/flipped.plan"
 sed '1s/ v1 / v99 /' "$PLAN_DIR/toy.plan" > "$PLAN_DIR/skewed.plan"
 reject 'plan\.version' "$PLAN_DIR/skewed.plan"
-if ./build/tools/pimflow run mnasnet-1.0 --dir="$PLAN_DIR" \
+if ./build/tools/pimflow run mnasnet-1.0 \
   --plan="$PLAN_DIR/toy.plan" > /dev/null 2> "$PLAN_DIR/mismatch.err"; then
   echo "error: wrong-model replay was accepted" >&2
   exit 1

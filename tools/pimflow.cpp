@@ -160,26 +160,36 @@ Flag names(const char *Name, const char *Verbs, Field Target,
 }
 
 constexpr const char *AllVerbs = "profile solve run trace compile report serve";
-// The verbs that load a model, that compile one and that execute one.
-constexpr const char *Loads = "profile solve run trace compile serve";
+// A flag's list names verbs, and run by its mode: run searches, run:graph
+// executes a solved --graph file as it is and run:plan replays a --plan
+// artifact. The modes that load a model, that set up a simulated system
+// and log (all but profile), that search or key a plan, that compile and
+// that execute.
+constexpr const char *Loads =
+    "profile solve run run:graph run:plan trace compile serve";
+constexpr const char *Configures =
+    "solve run run:graph run:plan trace compile serve";
+constexpr const char *Searches =
+    "profile solve run run:plan trace compile serve";
 constexpr const char *Compiles = "solve run trace compile serve";
-constexpr const char *Executes = "solve run trace serve";
+constexpr const char *Executes = "solve run run:graph run:plan trace serve";
 
 const Flag Flags[] = {
     names("-t", "profile", &CliOptions::ProfileTarget, "split|pipeline",
           "profile MD-DP split candidates or pipelining subgraphs"),
     text("--dir", "profile solve run trace compile", &CliOptions::Dir, "path",
          "directory of the profile log, solved graph and kernel traces"),
-    names("--policy", Compiles, &ServerOptions::Policy, "mechanism",
+    names("--policy", Configures, &ServerOptions::Policy, "mechanism",
           "offloading mechanism"),
-    sw("--gpu_only", Compiles, &ServerOptions::Policy,
+    sw("--gpu_only", Configures, &ServerOptions::Policy,
        "the GPU-only baseline, as --policy=Baseline", OffloadPolicy::GpuOnly),
-    text("--graph", "run", &CliOptions::GraphFile, "file",
+    text("--graph", "run:graph", &CliOptions::GraphFile, "file",
          "execute a solved <net>.pimflow.graph; the search is skipped"),
-    text("--plan", "run", &CliOptions::PlanIn, "file",
+    text("--plan", "run:plan", &CliOptions::PlanIn, "file",
          "replay a compiled plan; the search is skipped"),
-    sw("--stats", "run", &CliOptions::Stats, "print execution statistics"),
-    sw("--no-recovery", "run", &CliOptions::NoRecovery,
+    sw("--stats", "run run:plan", &CliOptions::Stats,
+       "print execution statistics"),
+    sw("--no-recovery", "run:graph", &CliOptions::NoRecovery,
        "run a --graph under --faults without the recovery ladder"),
     text("--plan-out", "compile", &CliOptions::PlanOut, "file",
          "write the plan artifact"),
@@ -212,15 +222,17 @@ const Flag Flags[] = {
     // SystemConfig::dual requires 0 < PimChannels < TotalChannels.
     num("--pim-channels", Loads, &PimFlowOptions::PimChannels, 1,
         PimFlowOptions().TotalChannels - 1, "PIM-enabled channels"),
-    num("--stages", Loads, &PimFlowOptions::PipelineStages, 2, 64,
+    num("--stages", Searches, &PimFlowOptions::PipelineStages, 2, 64,
         "pipeline stages"),
-    sw("--autotune", Loads, &PimFlowOptions::AutoTuneRatios,
+    sw("--autotune", Searches, &PimFlowOptions::AutoTuneRatios,
        "refine MD-DP split ratios at 2% granularity"),
     sw("--no-memopt", Loads, &PimFlowOptions::MemoryOptimizer,
        "disable the PIM memory-layout optimizer", false),
     sw("--verify", Loads, &PimFlowOptions::VerifyPasses,
        "verify the model and every pass boundary"),
-    sw("--differential", Executes, &PimFlowOptions::DifferentialCheck,
+    // run:graph executes its graph untransformed.
+    sw("--differential", "solve run run:plan trace serve",
+       &PimFlowOptions::DifferentialCheck,
        "cross-run the interpreter at each pass boundary (slow)"),
     num("--max-errors", Loads, &PimFlowOptions::MaxVerifyErrors, 1, 1 << 20,
         "cap on collected verifier diagnostics"),
@@ -233,18 +245,18 @@ const Flag Flags[] = {
         std::numeric_limits<int64_t>::max(), "seed of --faults=chaos"),
     num("--max-retries", Executes, &PimFlowOptions::MaxRetries, 0, 100,
         "retries of a transient fault (serve: per request)"),
-    num("--pim-floor", Compiles, &PimFlowOptions::PimFloor, 0, 4096,
+    num("--pim-floor", Configures, &PimFlowOptions::PimFloor, 0, 4096,
         "surviving PIM channels below which the graph runs GPU-only"),
-    text("--trace-out", "profile solve run trace serve", &CliOptions::TraceOut,
-         "file", "write a Chrome trace"),
+    text("--trace-out", "profile solve run run:graph run:plan trace serve",
+         &CliOptions::TraceOut, "file", "write a Chrome trace"),
     text("--perf-report", Executes, &CliOptions::PerfReport, "file",
          "write the perf report (render with `pimflow report`)"),
     text("--metrics-out", Loads, &CliOptions::MetricsOut, "file",
          "write the Prometheus exposition"),
     text("--flight-dump", Loads, &CliOptions::FlightDump, "file",
          "dump the flight recorder at exit or on a failure"),
-    sw("-v", Compiles, &CliOptions::Verbosity, "log phases", LogLevel::Info),
-    sw("-vv", Compiles, &CliOptions::Verbosity, "log debug detail",
+    sw("-v", Configures, &CliOptions::Verbosity, "log phases", LogLevel::Info),
+    sw("-vv", Configures, &CliOptions::Verbosity, "log debug detail",
        LogLevel::Debug),
 };
 
@@ -357,7 +369,8 @@ void usage() {
       "[flags]\n"
       "       pimflow serve <net|graph-file>... [flags]\n"
       "       pimflow report <perf-report.json> [flags]\n"
-      "flags, each read only by the verbs in brackets:\n";
+      "flags, each read only by the verbs in brackets (run:graph and "
+      "run:plan are run with --graph or --plan):\n";
   for (const Flag &F : Flags) {
     std::string Spelling = F.Name;
     if (F.K == Kind::Int)
@@ -418,10 +431,15 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
          "must be profile, solve, run, trace, compile, report or serve");
     return false;
   }
+  std::string Mode = O.Mode;
+  if (Mode == "run" && !O.PlanIn.empty())
+    Mode = "run:plan";
+  else if (Mode == "run" && !O.GraphFile.empty())
+    Mode = "run:graph";
   for (const Flag *F : Given)
-    if (!contains(F->Verbs, O.Mode))
+    if (!contains(F->Verbs, Mode))
       Fail(F->Name, formatStr("is not read by %s (only by: %s)",
-                              O.Mode.c_str(), F->Verbs));
+                              Mode.c_str(), F->Verbs));
   auto GivenFlag = [&](const Field &Target) {
     return std::any_of(Given.begin(), Given.end(),
                        [&](const Flag *F) { return F->Target == Target; });
@@ -432,10 +450,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
          "cannot be combined with --metrics (pick one view)");
   if (O.Mode == "compile" && O.PlanOut.empty() && Flow.PlanCacheDir.empty())
     Fail("compile", "expects --plan-out=<file> and/or --plan-cache-dir=<dir>");
-  if (!O.PlanIn.empty() && !O.GraphFile.empty())
-    Fail(nameOf(&CliOptions::PlanIn),
-         "cannot be combined with --graph (a solved graph already embeds "
-         "its plan)");
   if (O.Mode == "report" && O.Positionals.empty())
     Fail("report", "expects the path of a --perf-report JSON file");
   if (O.Mode == "profile" && !GivenFlag(&CliOptions::ProfileTarget))
@@ -445,10 +459,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
   if (!Flow.FaultSpec.empty() && Flow.FaultSpec != "chaos" &&
       !FaultModel::parse(Flow.FaultSpec, DE))
     Ok = false;
-  if (O.NoRecovery && (O.GraphFile.empty() || Flow.FaultSpec.empty()))
+  if (O.NoRecovery && Flow.FaultSpec.empty())
     Fail(nameOf(&CliOptions::NoRecovery),
          "executes a solved graph under injected faults without the "
-         "recovery ladder and requires --graph=<file> and --faults");
+         "recovery ladder and requires --faults");
   // The fault knobs tune injected faults; without them they do nothing.
   if (GivenFlag(&PimFlowOptions::FaultSeed) && Flow.FaultSpec != "chaos")
     Fail(nameOf(&PimFlowOptions::FaultSeed),
@@ -461,11 +475,17 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
   return Ok;
 }
 
-/// --verify support: runs the graph verifier over \p G and renders every
-/// finding to stderr. Returns non-zero when diagnostics were produced so
-/// callers can exit instead of computing on a broken graph.
-int verifyGraphCli(const Graph &G, const CliOptions &O, const char *What) {
-  if (!O.flow().VerifyPasses)
+/// Runs the graph verifier over \p G under --verify, and over a graph
+/// \p FromFile whose stored shapes disagree with inference whether or not
+/// --verify is given: a hand-edited shape would otherwise abort the search
+/// or the engine, and the copy-free shape check costs one pass over the
+/// nodes. Renders every finding to stderr and returns non-zero when the
+/// graph fails, so callers can exit instead of computing on it.
+int verifyGraphCli(const Graph &G, const CliOptions &O, const char *What,
+                   bool FromFile) {
+  const bool Check =
+      O.flow().VerifyPasses || (FromFile && !storedShapesHold(G));
+  if (!Check)
     return 0;
   DiagnosticEngine DE(O.flow().MaxVerifyErrors);
   if (verify(G, DE))
@@ -476,14 +496,15 @@ int verifyGraphCli(const Graph &G, const CliOptions &O, const char *What) {
 }
 
 /// Loads the model \p NameOrPath names, a zoo model or a serialized graph
-/// file (`pimflow compile m.graph`), into \p Out and checks it under
-/// --verify. Returns the exit code to stop with: 2 when it is neither, 1
-/// when it fails verification, 0 when it loaded.
+/// file (`pimflow compile m.graph`), into \p Out and checks it with
+/// verifyGraphCli. Returns the exit code to stop with: 2 when it is
+/// neither, 1 when it fails verification, 0 when it loaded.
 int loadModel(const std::string &NameOrPath, const CliOptions &O,
               Graph &Out) {
   std::optional<Graph> G = tryBuildModel(NameOrPath);
+  const bool FromFile = !G;
   std::string Error;
-  if (!G)
+  if (FromFile)
     G = loadGraph(NameOrPath, &Error);
   if (!G) {
     std::fprintf(stderr,
@@ -493,7 +514,7 @@ int loadModel(const std::string &NameOrPath, const CliOptions &O,
     return 2;
   }
   Out = std::move(*G);
-  return verifyGraphCli(Out, O, "model");
+  return verifyGraphCli(Out, O, "model", FromFile);
 }
 
 std::string cachePath(const CliOptions &O) {
@@ -677,8 +698,7 @@ int runExecuteGraphFile(const CliOptions &O) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
-  // Graph files are hand-editable: verify before executing when asked.
-  if (const int Rc = verifyGraphCli(*Loaded, O, "graph file"))
+  if (const int Rc = verifyGraphCli(*Loaded, O, "graph file", true))
     return Rc;
   // No search ran: assemble the result the printers/exporters need by hand.
   CompileResult R;
