@@ -51,6 +51,101 @@ struct TaskValue {
 /// The bit of \p Producer in ScheduleTask::Inputs.
 uint32_t bitOf(int Producer) { return 1u << Producer; }
 
+/// Appends \p V to \p Out as a base-128 varint, low bits first.
+void putVarint(std::string &Out, uint64_t V) {
+  for (; V >= 0x80; V >>= 7)
+    Out += static_cast<char>((V & 0x7F) | 0x80);
+  Out += static_cast<char>(V);
+}
+
+/// Reads the varint at \p Pos of \p K and moves \p Pos past it.
+uint64_t getVarint(std::string_view K, size_t &Pos) {
+  uint64_t V = 0;
+  for (unsigned Shift = 0;; Shift += 7) {
+    const auto Byte = static_cast<uint8_t>(K[Pos++]);
+    V |= static_cast<uint64_t>(Byte & 0x7F) << Shift;
+    if (Byte < 0x80)
+      return V;
+  }
+}
+
+void putShape(std::string &Out, const TensorShape &S) {
+  putVarint(Out, S.dims().size());
+  for (int64_t D : S.dims())
+    putVarint(Out, static_cast<uint64_t>(D));
+}
+
+/// Renders the shape at \p Pos of \p K as TensorShape::toString does.
+void appendShape(std::string &Row, std::string_view K, size_t &Pos) {
+  Row += '[';
+  for (uint64_t I = 0, Rank = getVarint(K, Pos); I < Rank; ++I) {
+    if (I != 0)
+      Row += 'x';
+    appendInt(Row, static_cast<int64_t>(getVarint(K, Pos)));
+  }
+  Row += ']';
+}
+
+/// The mode names rows print, by Profiler::Mode.
+constexpr const char *ModeNames[] = {"gpu", "pim", "mddp", "pipe"};
+
+/// The labels a row prints before each window field, as
+/// [k<h>.<w> s<h>.<w> p<top>.<bottom>.<left>.<right> g<groups>] (a pool's
+/// window stops before the groups).
+constexpr const char *WindowLabels[] = {"[k", ".", " s", ".", " p",
+                                        ".",  ".", ".",  " g"};
+
+/// How many window fields a row prints for a node of \p Kind: a Conv2d's
+/// nine, a pool's eight (no groups; ir/Metrics prices a pool by its
+/// kernel), none for other kinds.
+size_t windowArity(OpKind Kind) {
+  switch (Kind) {
+  case OpKind::Conv2d:
+    return 9;
+  case OpKind::MaxPool:
+  case OpKind::AvgPool:
+    return 8;
+  default:
+    return 0;
+  }
+}
+
+/// Packs the windowArity(N.Kind) window fields of \p N.
+void putWindow(std::string &Out, const Node &N) {
+  if (N.Kind == OpKind::Conv2d) {
+    const Conv2dAttrs &A = N.conv();
+    for (int64_t F : {A.KernelH, A.KernelW, A.StrideH, A.StrideW, A.PadTop,
+                      A.PadBottom, A.PadLeft, A.PadRight, A.Groups})
+      putVarint(Out, static_cast<uint64_t>(F));
+  } else if (windowArity(N.Kind) != 0) {
+    const PoolAttrs &A = std::get<PoolAttrs>(N.Attrs);
+    for (int64_t F : {A.KernelH, A.KernelW, A.StrideH, A.StrideW, A.PadTop,
+                      A.PadBottom, A.PadLeft, A.PadRight})
+      putVarint(Out, static_cast<uint64_t>(F));
+  }
+}
+
+/// \p Ratio, in (0, 1), in hundredths as appendFixed(.., 2) prints it: its
+/// exact binary value rounded to the nearest hundredth, ties to even.
+uint64_t hundredths(double Ratio) {
+  PF_ASSERT(Ratio > 0.0 && Ratio < 1.0, "split ratio out of range");
+  // Ratio == Mant / 2^Shift exactly: the IEEE significand over its scale (a
+  // subnormal has no implicit bit), with Shift >= 53 as Ratio < 1.
+  const auto Bits = std::bit_cast<uint64_t>(Ratio);
+  const auto Exp = static_cast<int>(Bits >> 52);
+  const uint64_t Mant = (Bits & ((uint64_t(1) << 52) - 1)) |
+                        (Exp != 0 ? uint64_t(1) << 52 : 0);
+  const int Shift = 1075 - std::max(Exp, 1);
+  // 100 * Mant < 2^60, so below 2^-8 the ratio rounds to 0.00.
+  if (Shift > 60)
+    return 0;
+  const uint64_t Scaled = 100 * Mant;
+  const uint64_t Half = uint64_t(1) << (Shift - 1);
+  const uint64_t Rem = Scaled & (2 * Half - 1);
+  const uint64_t Q = Scaled >> Shift;
+  return Q + (Rem > Half || (Rem == Half && (Q & 1)) ? 1 : 0);
+}
+
 } // namespace
 
 Profiler::Profiler(const SystemConfig &Config)
@@ -67,46 +162,69 @@ Profiler::Profiler(const SystemConfig &Config)
       Config.MemoryOptimizer ? 1 : 0);
 }
 
-std::string Profiler::signature(const Graph &G,
-                                const std::vector<NodeId> &Chain,
-                                std::string_view Mode) const {
-  std::string Sig = ConfigSig;
-  Sig += '|';
-  Sig += Mode;
-  Sig += '|';
-  auto Attr = [&Sig](const char *Label, int64_t V) {
-    Sig += Label;
-    appendInt(Sig, V);
-  };
+void Profiler::packKey(const Graph &G, const std::vector<NodeId> &Chain,
+                       Mode M, uint64_t Arg) {
+  Key.clear();
+  Key += static_cast<char>(M);
+  if (M == Mode::MdDp || M == Mode::Pipeline)
+    putVarint(Key, Arg);
   for (NodeId Id : Chain) {
     const Node &N = G.node(Id);
-    Sig += opKindName(N.Kind);
-    if (N.Kind == OpKind::Conv2d) {
-      // [k<h>.<w> s<h>.<w> p<top>.<bottom>.<left>.<right> g<groups>]
-      const Conv2dAttrs &A = N.conv();
-      Attr("[k", A.KernelH);
-      Attr(".", A.KernelW);
-      Attr(" s", A.StrideH);
-      Attr(".", A.StrideW);
-      Attr(" p", A.PadTop);
-      Attr(".", A.PadBottom);
-      Attr(".", A.PadLeft);
-      Attr(".", A.PadRight);
-      Attr(" g", A.Groups);
-      Sig += ']';
-    }
+    Key += static_cast<char>(N.Kind);
+    putWindow(Key, N);
+    putVarint(Key, N.Inputs.size());
     for (ValueId In : N.Inputs)
-      Sig += G.value(In).Shape.toString();
-    Sig += "->";
-    Sig += G.value(N.Outputs[0]).Shape.toString();
-    Sig += ';';
+      putShape(Key, G.value(In).Shape);
+    putShape(Key, G.value(N.Outputs[0]).Shape);
   }
-  return Sig;
 }
 
-double Profiler::measure(const std::string &Key,
-                         const std::function<double()> &Compute) {
-  if (auto It = Memo.find(Key); It != Memo.end()) {
+std::string Profiler::rowOf(std::string_view K) const {
+  std::string Row = ConfigSig;
+  Row += '|';
+  size_t Pos = 0;
+  const auto M = static_cast<Mode>(K[Pos++]);
+  Row += ModeNames[static_cast<size_t>(M)];
+  if (M == Mode::MdDp) {
+    const uint64_t Q = getVarint(K, Pos);
+    appendUint(Row, Q / 100);
+    Row += '.';
+    Row += static_cast<char>('0' + Q / 10 % 10);
+    Row += static_cast<char>('0' + Q % 10);
+  } else if (M == Mode::Pipeline) {
+    appendInt(Row, static_cast<int64_t>(getVarint(K, Pos)));
+  }
+  Row += '|';
+  while (Pos < K.size()) {
+    const auto Kind = static_cast<OpKind>(K[Pos++]);
+    Row += opKindName(Kind);
+    if (const size_t Fields = windowArity(Kind)) {
+      for (size_t I = 0; I < Fields; ++I) {
+        Row += WindowLabels[I];
+        appendInt(Row, static_cast<int64_t>(getVarint(K, Pos)));
+      }
+      Row += ']';
+    }
+    for (uint64_t I = 0, Inputs = getVarint(K, Pos); I < Inputs; ++I)
+      appendShape(Row, K, Pos);
+    Row += "->";
+    appendShape(Row, K, Pos);
+    Row += ';';
+  }
+  return Row;
+}
+
+template <typename ComputeFn>
+double Profiler::measure(const ComputeFn &Compute) {
+  auto It = Memo.find(Key);
+  if (It == Memo.end() && !Loaded.empty()) {
+    // A loaded row this sample prints as becomes its memo entry.
+    if (auto Row = Loaded.find(rowOf(Key)); Row != Loaded.end()) {
+      It = Memo.emplace(Key, Row->second).first;
+      Loaded.erase(Row);
+    }
+  }
+  if (It != Memo.end()) {
     ++Hits;
     obs::addCounter("profiler.cache_hits");
     obs::flightEvent(obs::FlightEventKind::CacheHit, 0);
@@ -152,8 +270,7 @@ double Profiler::micrographNs(const Graph &G,
   return Engine.execute(Micro.G).TotalNs;
 }
 
-double Profiler::crossChecked(const std::string &Key, double Priced,
-                              const Graph &G,
+double Profiler::crossChecked(double Priced, const Graph &G,
                               const std::vector<NodeId> &Chain,
                               const MicroTransform &Transform) const {
   if constexpr (CrossCheckPrices) {
@@ -165,7 +282,7 @@ double Profiler::crossChecked(const std::string &Key, double Priced,
     if (std::bit_cast<uint64_t>(Measured) != std::bit_cast<uint64_t>(Priced))
       fatal(formatStr("profile sample '%s' is priced at %.17g ns but its "
                       "micrograph runs in %.17g ns",
-                      Key.c_str(), Priced, Measured));
+                      rowOf(Key).c_str(), Priced, Measured));
   }
   return Priced;
 }
@@ -304,10 +421,10 @@ double Profiler::priceMdDp(const Graph &G, const std::vector<NodeId> &Chain,
 
 double Profiler::gpuNodeNs(const Graph &G, NodeId Id) {
   const std::vector<NodeId> Chain = sampleChain(G, Id);
-  const std::string Key = signature(G, Chain, "gpu");
-  return measure(Key, [&] {
+  packKey(G, Chain, Mode::Gpu);
+  return measure([&] {
     return crossChecked(
-        Key, Engine.gpuDurationNs(GraphNodeView(G, Id)), G, Chain,
+        Engine.gpuDurationNs(GraphNodeView(G, Id)), G, Chain,
         [](Graph &Micro, const std::vector<NodeId> &Nodes) {
           Micro.node(Nodes[0]).Dev = Device::Gpu;
           return true;
@@ -318,10 +435,10 @@ double Profiler::gpuNodeNs(const Graph &G, NodeId Id) {
 double Profiler::pimNodeNs(const Graph &G, NodeId Id) {
   PF_ASSERT(Config.hasPim(), "PIM profiling without PIM channels");
   const std::vector<NodeId> Chain = sampleChain(G, Id);
-  const std::string Key = signature(G, Chain, "pim");
-  return measure(Key, [&] {
+  packKey(G, Chain, Mode::Pim);
+  return measure([&] {
     return crossChecked(
-        Key, pricePim(G, Id), G, Chain,
+        pricePim(G, Id), G, Chain,
         [](Graph &Micro, const std::vector<NodeId> &Nodes) {
           Micro.node(Nodes[0]).Dev = Device::Pim;
           return true;
@@ -334,13 +451,11 @@ double Profiler::mdDpNs(const Graph &G, NodeId Id, double RatioGpu) {
     return pimNodeNs(G, Id);
   if (RatioGpu >= 1.0)
     return gpuNodeNs(G, Id);
-  std::string Mode = "mddp";
-  appendFixed(Mode, RatioGpu, 2);
   const std::vector<NodeId> Chain = sampleChain(G, Id);
-  const std::string Key = signature(G, Chain, Mode);
-  return measure(Key, [&] {
+  packKey(G, Chain, Mode::MdDp, hundredths(RatioGpu));
+  return measure([&] {
     return crossChecked(
-        Key, priceMdDp(G, Chain, RatioGpu), G, Chain,
+        priceMdDp(G, Chain, RatioGpu), G, Chain,
         [RatioGpu](Graph &Micro, const std::vector<NodeId> &Nodes) {
           // A degenerate ratio (rounds to 0/1) annotates the node instead.
           applyMdDpSplit(Micro, Nodes[0], RatioGpu);
@@ -351,9 +466,8 @@ double Profiler::mdDpNs(const Graph &G, NodeId Id, double RatioGpu) {
 
 double Profiler::pipelineNs(const Graph &G, const std::vector<NodeId> &Chain,
                             int Stages) {
-  std::string Mode = "pipe";
-  appendInt(Mode, Stages);
-  return measure(signature(G, Chain, Mode), [&] {
+  packKey(G, Chain, Mode::Pipeline, static_cast<uint64_t>(Stages));
+  return measure([&] {
     return micrographNs(
         G, Chain, [Stages](Graph &Micro, const std::vector<NodeId> &Nodes) {
           PipelineSpec Spec;
@@ -374,14 +488,20 @@ const char *kProfileVersion = "v1";
 } // namespace
 
 bool Profiler::saveCache(const std::string &Path) const {
-  std::vector<std::pair<std::string, double>> Rows(Memo.begin(), Memo.end());
+  // No memo key prints as a row still in Loaded: measure and loadCache
+  // move a row into the memo once a sample prints as it.
+  std::vector<std::pair<std::string, double>> Rows(Loaded.begin(),
+                                                   Loaded.end());
+  Rows.reserve(Rows.size() + Memo.size());
+  for (const auto &[K, Ns] : Memo)
+    Rows.emplace_back(rowOf(K), Ns);
   std::sort(Rows.begin(), Rows.end());
   // %.17g round-trips doubles exactly through parseDouble, so a search
   // resumed from the cache produces bit-identical plans (and byte-identical
   // plan artifacts) to one that measured everything itself.
   std::string Body;
-  for (const auto &[Key, Ns] : Rows) {
-    Body += Key;
+  for (const auto &[Row, Ns] : Rows) {
+    Body += Row;
     Body += '\t';
     appendDouble(Body, Ns);
     Body += '\n';
@@ -430,7 +550,13 @@ bool Profiler::loadCache(const std::string &Path) {
       return false;
     Rows.emplace_back(S.substr(0, Tab), *Ns);
   }
-  for (auto &[Key, Ns] : Rows)
-    Memo[std::move(Key)] = Ns;
+  for (auto &[Row, Ns] : Rows)
+    Loaded[std::move(Row)] = Ns;
+  // A loaded row replaces the time of a sample measured under its name.
+  for (auto &[K, Ns] : Memo)
+    if (auto Row = Loaded.find(rowOf(K)); Row != Loaded.end()) {
+      Ns = Row->second;
+      Loaded.erase(Row);
+    }
   return true;
 }

@@ -31,10 +31,21 @@
 /// PIMFLOW_CHECKED build also measures each priced sample on its
 /// micrograph and aborts on any bit difference.
 ///
-/// Results are memoized by a structural signature (layer shapes, attributes,
-/// mode, and system configuration), mirroring the artifact's metadata log
-/// of profiling results: mobile CNNs repeat identical blocks many times, so
-/// the cache removes most of the (simulated-)hardware measurement cost.
+/// Results are memoized by a structural key, mirroring the artifact's
+/// metadata log of profiling results: mobile CNNs repeat identical blocks
+/// many times, so the memo removes most of the (simulated-)hardware
+/// measurement cost. The key packs, as varints, exactly what the sample's
+/// profile-log row prints after the configuration (constant per profiler):
+/// the mode (gpu, pim, the MD-DP GPU share at the two decimals the row
+/// prints, or the pipeline stage count) and, per chain node, its kind,
+/// Conv2d or pool window and input and output shapes. Two samples share
+/// an entry exactly when their rows are equal. The key is built in a
+/// buffer the profiler reuses, so a hit allocates nothing for it. Row text
+/// ("<config>|<mode>|<nodes>") is rendered from a key only to write the
+/// log, to name a sample a checked build rejects, and to look a sample up
+/// among the rows a loaded log holds, which stay text: a log may hold
+/// other configurations' rows and arbitrary rows, and saveCache writes
+/// them back unchanged.
 ///
 /// A Profiler expects one caller at a time: the search profiles its
 /// candidates serially (docs/INTERNALS.md section 7).
@@ -44,6 +55,7 @@
 #ifndef PIMFLOW_SEARCH_PROFILER_H
 #define PIMFLOW_SEARCH_PROFILER_H
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -83,26 +95,35 @@ public:
 
   /// Serializes the memo table to \p Path: a "pimflow-profile v1 bytes
   /// <n> checksum <fnv1a64>" header (the plan artifact's shape) over
-  /// "signature<TAB>ns" lines sorted by signature, so the file does not
-  /// depend on the order the signatures were measured in.
+  /// "row<TAB>ns" lines sorted by row name, so the file does not depend on
+  /// the order the samples were measured in. Loaded rows no sample printed
+  /// as are written back as they were read.
   bool saveCache(const std::string &Path) const;
   /// Loads a memo table previously written by saveCache. All or nothing:
   /// when the file is missing, its header is missing or disagrees with
   /// the rows' byte count or checksum, or any non-blank row lacks a tab or
   /// has a time that is not a full-token finite number, nothing is loaded
   /// and the result is false (a damaged cache is a miss, like the plan
-  /// cache's corrupt files).
+  /// cache's corrupt files). A loaded row replaces the time of a sample
+  /// already measured under the same row name.
   bool loadCache(const std::string &Path);
 
 private:
-  /// Structural signature of a chain under this config: the memo key and
-  /// the profile log's row name.
-  std::string signature(const Graph &G, const std::vector<NodeId> &Chain,
-                        std::string_view Mode) const;
+  /// What a sample measures: the mode field of its key and row.
+  enum class Mode : uint8_t { Gpu, Pim, MdDp, Pipeline };
 
-  /// Memoized sample.
-  double measure(const std::string &Key,
-                 const std::function<double()> &Compute);
+  /// Packs into Key the memo key of \p Chain sampled in mode \p M, whose
+  /// argument \p Arg is the MD-DP GPU share in hundredths or the pipeline
+  /// stage count.
+  void packKey(const Graph &G, const std::vector<NodeId> &Chain, Mode M,
+               uint64_t Arg = 0);
+
+  /// The profile-log row name of packed key \p K.
+  std::string rowOf(std::string_view K) const;
+
+  /// The sample keyed by Key: its memo entry, else the loaded row it
+  /// prints as, else \p Compute() stored under Key.
+  template <typename ComputeFn> double measure(const ComputeFn &Compute);
 
   /// Rewrites a micrograph in place given the ids of its chain nodes;
   /// false when the chain cannot take the rewrite.
@@ -114,11 +135,11 @@ private:
   double micrographNs(const Graph &G, const std::vector<NodeId> &Chain,
                       const MicroTransform &Transform) const;
 
-  /// \p Priced, the sample \p Key of \p Chain. A PIMFLOW_CHECKED build
-  /// first measures the sample on its micrograph and aborts unless the two
-  /// agree bit for bit.
-  double crossChecked(const std::string &Key, double Priced,
-                      const Graph &G, const std::vector<NodeId> &Chain,
+  /// \p Priced, the sample Key of \p Chain. A PIMFLOW_CHECKED build first
+  /// measures the sample on its micrograph and aborts unless the two agree
+  /// bit for bit.
+  double crossChecked(double Priced, const Graph &G,
+                      const std::vector<NodeId> &Chain,
                       const MicroTransform &Transform) const;
 
   /// The PIM sample of candidate \p Id, priced from its spec.
@@ -133,9 +154,14 @@ private:
   ExecutionEngine Engine;
   /// Plans PIM kernels as a fault-free engine run does.
   PimCommandGenerator Gen;
+  /// The configuration part of every row name.
   std::string ConfigSig;
-  /// Measured time by signature.
+  /// The key of the sample being measured.
+  std::string Key;
+  /// Measured time by packed key.
   std::unordered_map<std::string, double> Memo;
+  /// Rows loadCache read that no sample has printed as yet, by row name.
+  std::unordered_map<std::string, double> Loaded;
   size_t Hits = 0;
   size_t Misses = 0;
 };

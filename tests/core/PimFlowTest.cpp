@@ -347,3 +347,41 @@ INSTANTIATE_TEST_SUITE_P(
           Ch = '_';
       return Name;
     });
+
+// Toy's prediction gap is exactly its two graph-boundary handoffs. A PIM
+// sample is (sync + kernel) + sync: its micrograph stages the input on the
+// GPU and reads the result there. Toy's first node, conv2d_1, reads the
+// graph input, so its kernel starts at 0; its last, gemm_15, produces the
+// graph output, so its kernel ends the run. Each of the two segments
+// (1,071 ns and 619.8 ns) carries one sync the schedule never pays.
+TEST(DpPredictionGap, ToyIsItsTwoGraphBoundaryHandoffs) {
+  PimFlow Flow(OffloadPolicy::PimFlow);
+  const Graph M = buildModel("toy");
+  const CompileResult R = Flow.compileAndRun(M);
+  const double Sync = R.Config.SyncOverheadNs;
+  auto SegmentOf = [&](const char *Name) -> const SegmentPlan & {
+    for (const SegmentPlan &S : R.Plan.Segments)
+      if (M.node(S.Nodes[0]).Name == Name)
+        return S;
+    ADD_FAILURE() << "no segment starts at " << Name;
+    return R.Plan.Segments.front();
+  };
+
+  const SegmentPlan &First = SegmentOf("conv2d_1");
+  const NodeSchedule &In = R.Schedule.scheduleOf(First.Nodes[0]);
+  EXPECT_EQ(First.Mode, SegmentMode::FullPim);
+  EXPECT_EQ(First.PredictedNs, 1071.0);
+  EXPECT_EQ(In.StartNs, 0.0);
+  EXPECT_EQ(First.PredictedNs, (Sync + In.durationNs()) + Sync);
+
+  const SegmentPlan &Last = SegmentOf("gemm_15");
+  const NodeSchedule &Out = R.Schedule.scheduleOf(Last.Nodes[0]);
+  EXPECT_EQ(Last.Mode, SegmentMode::FullPim);
+  EXPECT_NEAR(Last.PredictedNs, 619.8, 1e-9);
+  EXPECT_EQ(Out.EndNs, R.endToEndNs());
+  EXPECT_NEAR(Last.PredictedNs, (Sync + Out.durationNs()) + Sync, 1e-9);
+
+  // Predicted 8,148.27 ns, executed 7,548.27 ns: nothing else differs.
+  EXPECT_NEAR(R.Plan.PredictedNs, 8148.27, 0.005);
+  EXPECT_NEAR(R.Plan.PredictedNs - R.endToEndNs(), 2 * Sync, 1e-9);
+}

@@ -16,7 +16,9 @@
 /// order) fails here, and committed goldens, plan caches and profile logs
 /// keep hitting. The profile logs of the paper models and bert under four
 /// configurations were recorded while every sample still ran its
-/// micrograph, so they also pin the priced samples to those times.
+/// micrograph, so they also pin the priced samples to those times. The
+/// resnet-50 and vgg-16 logs were re-recorded when pool rows gained their
+/// window: only their MaxPool row names changed, no time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -148,28 +150,28 @@ TEST(PinnedOutput, ProfileLogs) {
       {"pimflow-16", "efficientnet-v1-b0", 66200, "a1ddfa627871dd9b"},
       {"pimflow-16", "mobilenet-v2", 44735, "1704b4158431745a"},
       {"pimflow-16", "mnasnet-1.0", 47163, "df8f6b5dec2ca649"},
-      {"pimflow-16", "resnet-50", 41462, "8725825f3cdf68cb"},
-      {"pimflow-16", "vgg-16", 21677, "c9175d3a0d8f688f"},
+      {"pimflow-16", "resnet-50", 41482, "3fbef134703313ce"},
+      {"pimflow-16", "vgg-16", 21777, "789e8ba66aa3d17d"},
       {"pimflow-16", "bert", 4217, "de355bb1ac2cf26b"},
       {"newton+-4", "efficientnet-v1-b0", 16314, "fcd3c18d1253efcd"},
       {"newton+-4", "mobilenet-v2", 8825, "4d64c8eed56e0cec"},
       {"newton+-4", "mnasnet-1.0", 9496, "6549afa0ca64e43e"},
-      {"newton+-4", "resnet-50", 8677, "409a255af55e432a"},
-      {"newton+-4", "vgg-16", 4708, "c78e253dcc473b9e"},
+      {"newton+-4", "resnet-50", 8697, "2acafeb32d0439b8"},
+      {"newton+-4", "vgg-16", 4808, "631ba4eae89edd8f"},
       {"newton+-4", "bert", 1179, "04c10069214d2ddb"},
       {"pimflow-md-28-no-memopt", "efficientnet-v1-b0", 63584,
        "7ca6a5963c872b26"},
       {"pimflow-md-28-no-memopt", "mobilenet-v2", 36305, "716a848e76820b24"},
       {"pimflow-md-28-no-memopt", "mnasnet-1.0", 38376, "809a6c5b04d8e7b0"},
-      {"pimflow-md-28-no-memopt", "resnet-50", 42166, "bfa9feb664d165ee"},
-      {"pimflow-md-28-no-memopt", "vgg-16", 22061, "f6a073337f5ba371"},
+      {"pimflow-md-28-no-memopt", "resnet-50", 42186, "9ef52e9416d7d2f8"},
+      {"pimflow-md-28-no-memopt", "vgg-16", 22161, "9e39785a4ce4cd0f"},
       {"pimflow-md-28-no-memopt", "bert", 4207, "b7f260b7f3ff3fc4"},
       {"pimflow-16-contention", "efficientnet-v1-b0", 66186,
        "1ddf311b3b5b8d33"},
       {"pimflow-16-contention", "mobilenet-v2", 44728, "c0c32f61f39b31d9"},
       {"pimflow-16-contention", "mnasnet-1.0", 47154, "9dc651bcf01e8b02"},
-      {"pimflow-16-contention", "resnet-50", 41471, "7bf0113f7c71244c"},
-      {"pimflow-16-contention", "vgg-16", 21701, "dc4701e381dd5372"},
+      {"pimflow-16-contention", "resnet-50", 41491, "d832b6df41bda7e7"},
+      {"pimflow-16-contention", "vgg-16", 21801, "2ac33df1da32c1d7"},
       {"pimflow-16-contention", "bert", 4226, "662c105098fb24c7"},
   };
   size_t Checked = 0;
@@ -212,6 +214,6 @@ TEST(PinnedOutput, ProfileLogOfAResNet50Search) {
   const std::optional<std::string> Text = readTextFile(Path);
   std::remove(Path.c_str());
   ASSERT_TRUE(Text);
-  EXPECT_EQ(Text->size(), 41462u);
-  EXPECT_EQ(fnv1a64Hex(*Text), "8725825f3cdf68cb");
+  EXPECT_EQ(Text->size(), 41482u);
+  EXPECT_EQ(fnv1a64Hex(*Text), "3fbef134703313ce");
 }
