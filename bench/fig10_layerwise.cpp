@@ -36,16 +36,16 @@ void runModel(const std::string &Model) {
   Table T;
   T.setHeader({"layer (MxKxV)", "gpu", "pim", "md-dp", "ratio->gpu"});
   int Shown = 0;
-  for (const LayerProfile &L : R.Plan.Layers) {
-    const Node &N = G.node(L.Id);
-    if (N.Kind != OpKind::Conv2d)
+  for (const SearchDecision &D : R.Plan.Decisions) {
+    if (!D.pimCandidate() || G.node(D.Id).Kind != OpKind::Conv2d)
       continue;
-    const PimKernelSpec S = lowerToPimSpec(G, L.Id);
+    const PimKernelSpec S = lowerToPimSpec(G, D.Id);
+    const CandidateOption &Best = D.bestMdDp();
     T.addRow({formatStr("%lldx%lldx%lld", (long long)S.M, (long long)S.K,
                         (long long)S.NumVectors),
-              "1.000", norm(L.PimNs, L.GpuNs),
-              norm(L.BestMdDpNs, L.GpuNs),
-              formatStr("%.0f%%", L.BestRatioGpu * 100.0)});
+              "1.000", norm(D.pimNs(), D.gpuOnlyNs()),
+              norm(Best.Ns, D.gpuOnlyNs()),
+              formatStr("%.0f%%", Best.RatioGpu * 100.0)});
     ++Shown;
   }
   std::printf("%s\n(%d candidate CONV layers)\n", T.render().c_str(),

@@ -132,7 +132,7 @@ ExecutionPlan PimFlow::plan(const Graph &Model) {
     return P;
   };
   if (Cache)
-    return Cache->getOrCompute(planKey(Model), Fresh);
+    return Cache->getOrCompute(planKey(Model), Model, Fresh);
   return Fresh();
 }
 
@@ -236,11 +236,11 @@ CompileResult PimFlow::executePlan(const Graph &Model, ExecutionPlan Plan) {
 
   // Per-layer-class attribution reads GPU-baseline times out of the plan's
   // decision trail rather than the profiler: every covered node carries its
-  // GpuOnlyNs, so a deserialized plan attributes identically to a fresh
+  // GPU option, so a deserialized plan attributes identically to a fresh
   // search without a single profiler query.
   std::map<NodeId, double> GpuBaselineNs;
   for (const SearchDecision &D : R.Plan.Decisions)
-    GpuBaselineNs[D.Id] = D.GpuOnlyNs;
+    GpuBaselineNs[D.Id] = D.gpuOnlyNs();
   for (const SegmentPlan &S : R.Plan.Segments) {
     bool HasConv = false, HasFc = false;
     for (NodeId Id : S.Nodes) {

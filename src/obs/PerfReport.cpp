@@ -98,11 +98,11 @@ void emitDecisions(JsonWriter &W, const CompileResult &R) {
     W.beginObject()
         .field("node", R.Transformed.node(D.Id).Name)
         .field("id", static_cast<int64_t>(D.Id))
-        .field("pim_candidate", D.PimCandidate)
+        .field("pim_candidate", D.pimCandidate())
         .field("chosen_mode", segmentModeName(D.ChosenMode))
         .field("chosen_ratio_gpu", D.ChosenRatioGpu)
         .field("chosen_ns", D.ChosenNs)
-        .field("gpu_only_ns", D.GpuOnlyNs)
+        .field("gpu_only_ns", D.gpuOnlyNs())
         .field("gain_ns", D.gainNs());
     W.key("candidates").beginArray();
     for (const CandidateOption &C : D.Candidates) {

@@ -21,7 +21,7 @@ using namespace pf;
 namespace {
 
 const char *kMagic = "pimflow-plan";
-const char *kVersion = "v1";
+const char *kVersion = "v2";
 
 std::optional<SegmentMode> segmentModeFromName(std::string_view Name) {
   for (SegmentMode M : {SegmentMode::GpuNode, SegmentMode::FullPim,
@@ -62,30 +62,6 @@ struct LineParser {
 
 std::string pf::canonicalGraphHash(const Graph &G) {
   return hex16(G.contentDigest());
-}
-
-std::string pf::systemConfigPlanSig(const SystemConfig &C) {
-  // Every field that feeds a profiled timing or the generated commands.
-  // Compiled-in Table-1 constants that no option can change are covered by
-  // the binary, not the signature.
-  std::string S = formatStr(
-      "tc%d/gmc%d/gbw%.9g/gclk%.9g/gf16%.9g/gsm%d/glan%d/gco%.9g",
-      C.TotalChannels, C.Gpu.MemChannels, C.Gpu.ChannelBandwidthGBs,
-      C.Gpu.ClockGhz, C.Gpu.Fp16Multiplier, C.Gpu.NumSms, C.Gpu.LanesPerSm,
-      C.Gpu.CoherenceSlowdown);
-  S += formatStr(
-      "/pc%d/pb%d/pm%d/pgb%d/prl%d/pclk%.9g/pfs%.9g/ngb%d/lh%d",
-      C.Pim.Channels, C.Pim.BanksPerChannel, C.Pim.MultipliersPerBank,
-      C.Pim.GlobalBufferBytes, C.Pim.ResultLatchesPerBank, C.Pim.ClockGhz,
-      C.Pim.FetchSupplyGBs, C.Pim.NumGlobalBuffers,
-      C.Pim.GwriteLatencyHiding ? 1 : 0);
-  S += formatStr(
-      "/sg%d/gr%d/mo%d/xb%.9g/sy%.9g/mc%d/cf%.9g",
-      C.Codegen.StridedGwrite ? 1 : 0,
-      static_cast<int>(C.Codegen.MaxGranularity), C.MemoryOptimizer ? 1 : 0,
-      C.CrossChannelGBs, C.SyncOverheadNs, C.ModelContention ? 1 : 0,
-      C.ContentionFactor);
-  return S;
 }
 
 std::string pf::searchOptionsPlanSig(const SearchOptions &S) {
@@ -132,7 +108,6 @@ std::string pf::serializePlanArtifact(const PlanArtifact &A) {
   Body += "\nsearch ";
   Body += A.Key.SearchSig;
   Int("\nfault-floor ", A.Key.FaultFloor);
-  Ns("\npredicted ", A.Plan.PredictedNs);
   Body += '\n';
   for (const SegmentPlan &S : A.Plan.Segments) {
     Body += "segment ";
@@ -146,22 +121,8 @@ std::string pf::serializePlanArtifact(const PlanArtifact &A) {
       Int(" ", Id);
     Body += '\n';
   }
-  for (const LayerProfile &L : A.Plan.Layers) {
-    Int("layer ", L.Id);
-    Ns(" gpu ", L.GpuNs);
-    Ns(" pim ", L.PimNs);
-    Ns(" mddp ", L.BestMdDpNs);
-    Ns(" ratio ", L.BestRatioGpu);
-    Body += '\n';
-  }
   for (const SearchDecision &D : A.Plan.Decisions) {
     Int("decision ", D.Id);
-    Int(" cand ", D.PimCandidate ? 1 : 0);
-    Body += " chosen ";
-    Body += segmentModeName(D.ChosenMode);
-    Ns(" ratio ", D.ChosenRatioGpu);
-    Ns(" ns ", D.ChosenNs);
-    Ns(" gpuonly ", D.GpuOnlyNs);
     Body += " options";
     for (const CandidateOption &C : D.Candidates) {
       Body += ' ';
@@ -236,7 +197,9 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
   // as plan.corrupt (a forged checksum is as corrupt as a flipped bit).
   PlanArtifact A;
   bool SawGraph = false, SawConfig = false, SawSearch = false,
-       SawFloor = false, SawPredicted = false, SawEnd = false;
+       SawFloor = false, SawEnd = false;
+  // The segment nodes in order: the k-th decision must be the k-th's.
+  std::vector<NodeId> SegmentNodes;
   size_t Pos = 0;
   while (Pos < Body.size()) {
     const size_t Eol = Body.find('\n', Pos);
@@ -290,17 +253,6 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
       }
       A.Key.FaultFloor = static_cast<int>(*V);
       SawFloor = true;
-    } else if (Kw == "predicted") {
-      if (!Need(2))
-        return std::nullopt;
-      const std::optional<double> V = parseDouble(T[1]);
-      if (!V) {
-        P.corrupt(
-            formatStr("bad predicted time '%s'", std::string(T[1]).c_str()));
-        return std::nullopt;
-      }
-      A.Plan.PredictedNs = *V;
-      SawPredicted = true;
     } else if (Kw == "segment") {
       // segment <mode> ratio <r> stages <s> pattern <p> ns <t> nodes <id...>
       if (T.size() < 12 || T[2] != "ratio" || T[4] != "stages" ||
@@ -333,60 +285,30 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
         }
         S.Nodes.push_back(static_cast<NodeId>(*Id));
       }
+      SegmentNodes.insert(SegmentNodes.end(), S.Nodes.begin(), S.Nodes.end());
       A.Plan.Segments.push_back(std::move(S));
-    } else if (Kw == "layer") {
-      // layer <id> gpu <t> pim <t> mddp <t> ratio <r>
-      if (T.size() != 10 || T[2] != "gpu" || T[4] != "pim" ||
-          T[6] != "mddp" || T[8] != "ratio") {
-        P.corrupt("malformed layer record");
-        return std::nullopt;
-      }
-      LayerProfile L;
-      const std::optional<int64_t> Id = parseInt(T[1]);
-      const std::optional<double> Gpu = parseDouble(T[3]);
-      const std::optional<double> Pim = parseDouble(T[5]);
-      const std::optional<double> MdDp = parseDouble(T[7]);
-      const std::optional<double> Ratio = parseDouble(T[9]);
-      if (!Id || *Id < 0 || *Id > INT32_MAX || !Gpu || !Pim || !MdDp ||
-          !Ratio) {
-        P.corrupt("malformed layer fields");
-        return std::nullopt;
-      }
-      L.Id = static_cast<NodeId>(*Id);
-      L.GpuNs = *Gpu;
-      L.PimNs = *Pim;
-      L.BestMdDpNs = *MdDp;
-      L.BestRatioGpu = *Ratio;
-      A.Plan.Layers.push_back(L);
     } else if (Kw == "decision") {
-      // decision <id> cand <0|1> chosen <mode> ratio <r> ns <t> gpuonly <t>
-      //          options <mode>:<r>:<t> ...
-      if (T.size() < 13 || T[2] != "cand" || T[4] != "chosen" ||
-          T[6] != "ratio" || T[8] != "ns" || T[10] != "gpuonly" ||
-          T[12] != "options") {
+      // decision <id> options <mode>:<r>:<t> ...
+      if (T.size() < 4 || T[2] != "options") {
         P.corrupt("malformed decision record");
         return std::nullopt;
       }
-      SearchDecision D;
       const std::optional<int64_t> Id = parseInt(T[1]);
-      const std::optional<int64_t> Cand = parseInt(T[3]);
-      const std::optional<SegmentMode> M = segmentModeFromName(T[5]);
-      const std::optional<double> Ratio = parseDouble(T[7]);
-      const std::optional<double> Ns = parseDouble(T[9]);
-      const std::optional<double> GpuOnly = parseDouble(T[11]);
-      if (!Id || *Id < 0 || *Id > INT32_MAX || !Cand ||
-          (*Cand != 0 && *Cand != 1) || !M || !Ratio || !Ns || !GpuOnly) {
-        P.corrupt("malformed decision fields");
+      const size_t K = A.Plan.Decisions.size();
+      if (K == SegmentNodes.size() || Id != SegmentNodes[K]) {
+        P.corrupt(K == SegmentNodes.size()
+                      ? formatStr("decision '%s' follows the last segment "
+                                  "node",
+                                  std::string(T[1]).c_str())
+                      : formatStr("decision '%s' is not segment node %d's",
+                                  std::string(T[1]).c_str(),
+                                  SegmentNodes[K]));
         return std::nullopt;
       }
-      D.Id = static_cast<NodeId>(*Id);
-      D.PimCandidate = *Cand == 1;
-      D.ChosenMode = *M;
-      D.ChosenRatioGpu = *Ratio;
-      D.ChosenNs = *Ns;
-      D.GpuOnlyNs = *GpuOnly;
-      D.Candidates.reserve(T.size() - 13);
-      for (size_t I = 13; I < T.size(); ++I) {
+      SearchDecision D;
+      D.Id = SegmentNodes[K];
+      D.Candidates.reserve(T.size() - 3);
+      for (size_t I = 3; I < T.size(); ++I) {
         // <mode>:<r>:<t>, split in place: exactly two colons.
         const std::string_view Opt = T[I];
         const size_t C1 = Opt.find(':');
@@ -406,11 +328,22 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
                               std::string(Opt).c_str()));
           return std::nullopt;
         }
-        CandidateOption C;
-        C.Mode = *CM;
-        C.RatioGpu = *CR;
-        C.Ns = *CNs;
-        D.Candidates.push_back(C);
+        // The GPU option, then a candidate's full-PIM option, then MD-DP
+        // samples: the order the search profiles them in.
+        const size_t Index = I - 3;
+        const bool InPlace =
+            Index == 0   ? *CM == SegmentMode::GpuNode && *CR == 1.0
+            : Index == 1 ? *CM == SegmentMode::FullPim && *CR == 0.0
+                         : *CM == SegmentMode::MdDp;
+        if (!InPlace) {
+          P.corrupt(formatStr("option %zu of node %d is '%s', not %s", Index,
+                              D.Id, std::string(Opt).c_str(),
+                              Index == 0   ? "gpu:1"
+                              : Index == 1 ? "pim:0"
+                                           : "an md-dp sample"));
+          return std::nullopt;
+        }
+        D.Candidates.push_back(CandidateOption{*CM, *CR, *CNs});
       }
       A.Plan.Decisions.push_back(std::move(D));
     } else if (Kw == "end") {
@@ -422,11 +355,16 @@ std::optional<PlanArtifact> pf::parsePlanArtifact(const std::string &Text,
       return std::nullopt;
     }
   }
-  if (!SawEnd || !SawGraph || !SawConfig || !SawSearch || !SawFloor ||
-      !SawPredicted) {
+  if (!SawEnd || !SawGraph || !SawConfig || !SawSearch || !SawFloor) {
     P.corrupt("incomplete artifact (missing header records or 'end')");
     return std::nullopt;
   }
+  if (const size_t K = A.Plan.Decisions.size(); K != SegmentNodes.size()) {
+    P.corrupt(formatStr("segment node %d has no decision record",
+                        SegmentNodes[K]));
+    return std::nullopt;
+  }
+  derivePlan(A.Plan);
   return A;
 }
 

@@ -7,23 +7,27 @@
 /// \file
 /// On-disk serialization of `search::ExecutionPlan` (docs/INTERNALS.md
 /// section 12): the compile-once / replay-many half of the plan cache. An
-/// artifact stores the full search result — segments, per-layer profiles,
-/// the complete `SearchDecision` trail, and the DP objective — together
-/// with the key that identifies what it was computed for:
+/// artifact stores the search's two records, the segment covering and
+/// every covered node's profiled options, together with the key that
+/// identifies what it was computed for:
 ///
 /// ```
-/// pimflow-plan v1 bytes <N> checksum <fnv64-hex>
+/// pimflow-plan v2 bytes <N> checksum <fnv64-hex>
 /// graph <canonical graph hash>
 /// config <SystemConfig fingerprint>
 /// search <SearchOptions fingerprint>
 /// fault-floor <n>
-/// predicted <ns>
 /// segment <mode> ratio <r> stages <s> pattern <p> ns <t> nodes <id...>
-/// layer <id> gpu <t> pim <t> mddp <t> ratio <r>
-/// decision <id> cand <0|1> chosen <mode> ratio <r> ns <t> gpuonly <t>
-///          options <mode>:<r>:<t> ...        (one physical line)
+/// decision <id> options <mode>:<r>:<t> ...
 /// end
 /// ```
+///
+/// There is one `decision` per segment node, in segment order, and its
+/// options list gpu:1 first, then a candidate's pim:0, then MD-DP samples;
+/// the parser rejects any other order as plan.corrupt. Everything else the
+/// plan carries (each node's chosen mode, ratio and time share, and the
+/// predicted total) is not stored: parsing derives it (derivePlan) exactly
+/// as the search does.
 ///
 /// The first line covers everything after it: `bytes` is the exact byte
 /// count of the remainder (any truncation or concatenation is detected
@@ -37,11 +41,14 @@
 /// replayed plan carries exactly the costs the search chose.
 ///
 /// Failure discipline: parsing never crashes and never guesses. Malformed
-/// input produces `plan.corrupt` / `plan.version` diagnostics; an artifact
-/// whose key disagrees with the live (graph, config, search options, fault
-/// floor) produces `plan.mismatch` via validatePlanKey. Callers decide
-/// whether to exit (the CLI) or fall back to a fresh search (the cache —
-/// which treats any invalid cached file as a miss, never as a plan).
+/// input produces `plan.corrupt` / `plan.version` diagnostics (a v1
+/// artifact is plan.version: no older format is read); an artifact whose
+/// key disagrees with the live (graph, config, search options, fault
+/// floor) produces `plan.mismatch` via validatePlanKey, and so does a plan
+/// that does not fit the live model (SearchEngine::canApply). Callers
+/// decide whether to exit (the CLI) or fall back to a fresh search (the
+/// cache, which treats any invalid cached file as a miss, never as a
+/// plan).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,7 +71,8 @@ namespace pf {
 struct PlanKey {
   /// canonicalGraphHash of the input model graph.
   std::string GraphHash;
-  /// systemConfigPlanSig of the configuration profiled against.
+  /// systemConfigPlanSig (runtime/SystemConfig.h) of the configuration
+  /// profiled against.
   std::string ConfigSig;
   /// searchOptionsPlanSig of the option set the DP chose from.
   std::string SearchSig;
@@ -89,11 +97,6 @@ struct PlanKey {
 /// It is G.contentDigest() in hex, so the graph is serialized only when it
 /// changed since its last hash.
 std::string canonicalGraphHash(const Graph &G);
-
-/// Fingerprint of every SystemConfig field that feeds the profiled
-/// timings (channel grouping, bandwidths, PIM command options, codegen
-/// options, interconnect and contention parameters). No spaces.
-std::string systemConfigPlanSig(const SystemConfig &C);
 
 /// Fingerprint of every SearchOptions field (each one shapes the plan).
 std::string searchOptionsPlanSig(const SearchOptions &S);

@@ -40,7 +40,8 @@ std::string PlanCache::pathFor(const PlanKey &Key) const {
   return Dir + "/" + Key.digest() + ".plan";
 }
 
-std::optional<ExecutionPlan> PlanCache::load(const PlanKey &Key) {
+std::optional<ExecutionPlan> PlanCache::load(const PlanKey &Key,
+                                             const Graph &Model) {
   const std::string Path = pathFor(Key);
   struct stat St;
   if (::stat(Path.c_str(), &St) != 0) {
@@ -52,10 +53,12 @@ std::optional<ExecutionPlan> PlanCache::load(const PlanKey &Key) {
   // the compile falls through to a fresh search and overwrites it.
   DiagnosticEngine DE;
   auto A = loadPlanArtifact(Path, DE);
-  if (!A || A->Key != Key) {
+  if (!A || A->Key != Key || !SearchEngine::canApply(Model, A->Plan, DE)) {
     PF_LOG_INFO("plan cache: invalid cached artifact %s (%s), recomputing",
                 Path.c_str(),
-                !A ? "corrupt" : "stored key disagrees with digest");
+                !A                ? "corrupt"
+                : A->Key != Key   ? "stored key disagrees with digest"
+                                  : "plan does not fit the model");
     ++Misses;
     obs::addCounter("plan_cache.miss");
     obs::addCounter("plan_cache.invalid");
@@ -77,9 +80,9 @@ bool PlanCache::store(const PlanKey &Key, const ExecutionPlan &Plan) {
 }
 
 ExecutionPlan
-PlanCache::getOrCompute(const PlanKey &Key,
+PlanCache::getOrCompute(const PlanKey &Key, const Graph &Model,
                         const std::function<ExecutionPlan()> &Compute) {
-  if (std::optional<ExecutionPlan> Cached = load(Key))
+  if (std::optional<ExecutionPlan> Cached = load(Key, Model))
     return std::move(*Cached);
   // load() counted the miss; compute and persist for the next compile.
   ExecutionPlan Fresh = Compute();

@@ -13,9 +13,10 @@
 /// floor change) addresses a different file and misses.
 ///
 /// A PlanCache expects one caller at a time: one PimFlow owns one cache.
-/// An unreadable or corrupt cached file is a miss (recompute and
-/// overwrite), never a plan and never an error: the cache must not be able
-/// to change what a compile produces, only how fast.
+/// An unreadable or corrupt cached file, an older format's, or one whose
+/// plan does not fit the model is a miss (recompute and overwrite), never
+/// a plan and never an error: the cache must not be able to change what a
+/// compile produces, only how fast.
 ///
 /// Observability: `plan_cache.{hit,miss,store,invalid}` counters and
 /// the `plan.load_us` / `plan.validate_us` latency histograms (recorded by
@@ -43,16 +44,19 @@ public:
   /// The artifact path digest \p Key addresses (inside the cache dir).
   std::string pathFor(const PlanKey &Key) const;
 
-  /// Loads the cached plan for \p Key. Returns std::nullopt on miss —
-  /// including a present-but-corrupt file or a digest collision whose
-  /// stored key disagrees (counted under plan_cache.invalid).
-  std::optional<ExecutionPlan> load(const PlanKey &Key);
+  /// Loads the cached plan for \p Key, the key of \p Model. Returns
+  /// std::nullopt on miss, including a present-but-corrupt file, a digest
+  /// collision whose stored key disagrees, and a plan that does not fit
+  /// \p Model (SearchEngine::canApply), each counted under
+  /// plan_cache.invalid.
+  std::optional<ExecutionPlan> load(const PlanKey &Key, const Graph &Model);
 
   /// Serializes \p Plan under \p Key.
   bool store(const PlanKey &Key, const ExecutionPlan &Plan);
 
-  /// The cache-through compile: load, or run \p Compute and store.
-  ExecutionPlan getOrCompute(const PlanKey &Key,
+  /// The cache-through compile of \p Model: load, or run \p Compute and
+  /// store.
+  ExecutionPlan getOrCompute(const PlanKey &Key, const Graph &Model,
                              const std::function<ExecutionPlan()> &Compute);
 
   const std::string &dir() const { return Dir; }

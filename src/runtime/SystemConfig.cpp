@@ -70,3 +70,27 @@ bool pf::validateSystemConfig(const SystemConfig &C, DiagnosticEngine &DE) {
   }
   return DE.errorCount() == Before;
 }
+
+std::string pf::systemConfigPlanSig(const SystemConfig &C) {
+  // Every field that feeds a profiled timing or the generated commands.
+  // Compiled-in Table-1 constants that no option can change are covered by
+  // the binary, not the signature.
+  std::string S = formatStr(
+      "tc%d/gmc%d/gbw%.9g/gclk%.9g/gf16%.9g/gsm%d/glan%d/gco%.9g",
+      C.TotalChannels, C.Gpu.MemChannels, C.Gpu.ChannelBandwidthGBs,
+      C.Gpu.ClockGhz, C.Gpu.Fp16Multiplier, C.Gpu.NumSms, C.Gpu.LanesPerSm,
+      C.Gpu.CoherenceSlowdown);
+  S += formatStr(
+      "/pc%d/pb%d/pm%d/pgb%d/prl%d/pclk%.9g/pfs%.9g/ngb%d/lh%d",
+      C.Pim.Channels, C.Pim.BanksPerChannel, C.Pim.MultipliersPerBank,
+      C.Pim.GlobalBufferBytes, C.Pim.ResultLatchesPerBank, C.Pim.ClockGhz,
+      C.Pim.FetchSupplyGBs, C.Pim.NumGlobalBuffers,
+      C.Pim.GwriteLatencyHiding ? 1 : 0);
+  S += formatStr(
+      "/sg%d/gr%d/mo%d/xb%.9g/sy%.9g/mc%d/cf%.9g",
+      C.Codegen.StridedGwrite ? 1 : 0,
+      static_cast<int>(C.Codegen.MaxGranularity), C.MemoryOptimizer ? 1 : 0,
+      C.CrossChannelGBs, C.SyncOverheadNs, C.ModelContention ? 1 : 0,
+      C.ContentionFactor);
+  return S;
+}

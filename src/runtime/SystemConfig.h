@@ -14,6 +14,8 @@
 #ifndef PIMFLOW_RUNTIME_SYSTEMCONFIG_H
 #define PIMFLOW_RUNTIME_SYSTEMCONFIG_H
 
+#include <string>
+
 #include "codegen/CommandGenerator.h"
 #include "gpu/GpuConfig.h"
 #include "pim/PimConfig.h"
@@ -91,6 +93,13 @@ struct SystemConfig {
 /// always produce valid configs — this gate catches hand-assembled ones
 /// before they silently yield nonsense timelines.
 bool validateSystemConfig(const SystemConfig &C, DiagnosticEngine &DE);
+
+/// Fingerprint of every SystemConfig field that feeds the profiled
+/// timings (channel grouping, bandwidths, PIM command options, codegen
+/// options, interconnect and contention parameters), with no spaces, tabs
+/// or '|': a plan key's configuration field and the prefix of every
+/// profile-log row.
+std::string systemConfigPlanSig(const SystemConfig &C);
 
 } // namespace pf
 

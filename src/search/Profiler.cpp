@@ -151,16 +151,7 @@ uint64_t hundredths(double Ratio) {
 Profiler::Profiler(const SystemConfig &Config)
     : Config(Config), Engine(Config),
       Gen(Config.Pim.Channels > 0 ? Config.Pim : PimConfig::newtonPlus(),
-          Config.Codegen) {
-  ConfigSig = formatStr(
-      "gc%d/bw%.1f/pc%d/gb%d/lh%d/sg%d/gr%d/mo%d",
-      Config.Gpu.MemChannels, Config.Gpu.ChannelBandwidthGBs,
-      Config.Pim.Channels, Config.Pim.NumGlobalBuffers,
-      Config.Pim.GwriteLatencyHiding ? 1 : 0,
-      Config.Codegen.StridedGwrite ? 1 : 0,
-      static_cast<int>(Config.Codegen.MaxGranularity),
-      Config.MemoryOptimizer ? 1 : 0);
-}
+          Config.Codegen) {}
 
 void Profiler::packKey(const Graph &G, const std::vector<NodeId> &Chain,
                        Mode M, uint64_t Arg) {
@@ -180,6 +171,8 @@ void Profiler::packKey(const Graph &G, const std::vector<NodeId> &Chain,
 }
 
 std::string Profiler::rowOf(std::string_view K) const {
+  if (ConfigSig.empty())
+    ConfigSig = systemConfigPlanSig(Config);
   std::string Row = ConfigSig;
   Row += '|';
   size_t Pos = 0;

@@ -35,7 +35,9 @@
 /// metadata log of profiling results: mobile CNNs repeat identical blocks
 /// many times, so the memo removes most of the (simulated-)hardware
 /// measurement cost. The key packs, as varints, exactly what the sample's
-/// profile-log row prints after the configuration (constant per profiler):
+/// profile-log row prints after the configuration, which is constant per
+/// profiler and prints as the plan key's systemConfigPlanSig, so rows of
+/// two configurations that price any sample differently never match:
 /// the mode (gpu, pim, the MD-DP GPU share at the two decimals the row
 /// prints, or the pipeline stage count) and, per chain node, its kind,
 /// Conv2d or pool window and input and output shapes. Two samples share
@@ -154,8 +156,9 @@ private:
   ExecutionEngine Engine;
   /// Plans PIM kernels as a fault-free engine run does.
   PimCommandGenerator Gen;
-  /// The configuration part of every row name.
-  std::string ConfigSig;
+  /// The configuration part of every row name: systemConfigPlanSig of
+  /// Config, rendered with the first row.
+  mutable std::string ConfigSig;
   /// The key of the sample being measured.
   std::string Key;
   /// Measured time by packed key.

@@ -7,12 +7,13 @@
 #include "search/SearchEngine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
+#include <optional>
 
 #include "ir/Verifier.h"
 #include "obs/Counters.h"
 #include "obs/Trace.h"
+#include "support/Format.h"
 #include "transform/MdDpSplitPass.h"
 #include "transform/PipelinePass.h"
 
@@ -56,24 +57,11 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
     for (double R = SplitRatioStep; R < 1.0 - 1e-9; R += SplitRatioStep)
       Grid.push_back(R);
 
-  // Per-node profile slots (lines 1-7 and 16-22 of Algorithm 1), plus the
-  // pipelining candidates (lines 8-15) whose chain occupies consecutive
-  // positions in the sequence (the DP covers the sequence by contiguous
-  // segments). The pre-pass below fills every slot; the decisions then run
-  // over warm values.
-  struct NodeProfile {
-    bool Candidate = false;
-    double GpuNs = 0.0;
-    double PimNs = 0.0;
-    std::vector<double> SplitNs; ///< Parallel to Grid.
-  };
-  std::vector<NodeProfile> Profiles(N);
-  for (size_t I = 0; I < N; ++I) {
-    Profiles[I].Candidate = isPimCandidate(G.node(Seq[I])) && HasPim;
-    if (Profiles[I].Candidate)
-      Profiles[I].SplitNs.assign(Grid.size(), 0.0);
-  }
-
+  // One decision per node, in sequence order, collects the node's profiled
+  // options (lines 1-7 and 16-22 of Algorithm 1); the pipelining candidates
+  // (lines 8-15) are those whose chain occupies consecutive positions in
+  // the sequence (the DP covers the sequence by contiguous segments).
+  Plan.Decisions.resize(N);
   struct PipeOption {
     PipelineCandidate Cand;
     size_t Begin = 0;
@@ -98,16 +86,18 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
   {
     PF_TRACE_SCOPE_CAT("search.profile_candidates", "search");
     for (size_t I = 0; I < N; ++I) {
-      Profiles[I].GpuNs = Prof.gpuNodeNs(G, Seq[I]);
-      obs::addCounter("search.candidates_evaluated");
-      if (!Profiles[I].Candidate)
-        continue;
-      Profiles[I].PimNs = Prof.pimNodeNs(G, Seq[I]);
-      obs::addCounter("search.candidates_evaluated");
-      for (size_t R = 0; R < Grid.size(); ++R) {
-        Profiles[I].SplitNs[R] = Prof.mdDpNs(G, Seq[I], Grid[R]);
+      SearchDecision &D = Plan.Decisions[I];
+      D.Id = Seq[I];
+      auto Sample = [&](SegmentMode Mode, double RatioGpu, double Ns) {
+        D.Candidates.push_back(CandidateOption{Mode, RatioGpu, Ns});
         obs::addCounter("search.candidates_evaluated");
-      }
+      };
+      Sample(SegmentMode::GpuNode, 1.0, Prof.gpuNodeNs(G, Seq[I]));
+      if (!HasPim || !isPimCandidate(G.node(Seq[I])))
+        continue;
+      Sample(SegmentMode::FullPim, 0.0, Prof.pimNodeNs(G, Seq[I]));
+      for (double R : Grid)
+        Sample(SegmentMode::MdDp, R, Prof.mdDpNs(G, Seq[I], R));
     }
     for (PipeOption &P : Pipes)
       P.Ns = Prof.pipelineNs(G, P.Cand.Chain, Options.PipelineStages);
@@ -118,83 +108,46 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
                              [](const PipeOption &P) { return P.Ns < 0.0; }),
               Pipes.end());
 
-  // Decision pass over the warm slots: the best single-node segment per
-  // node given the allowed option set. Comparison order matches the
-  // historical sweep, so ties break identically.
-  struct NodeOption {
-    SegmentMode Mode = SegmentMode::GpuNode;
-    double RatioGpu = 1.0;
-    double Ns = 0.0;
-  };
-  std::vector<NodeOption> BestNode(N);
-  // Refined-ratio samples profiled during selection (only the auto-tuning
-  // path adds any); they join the decision records so every profiled point
-  // is explainable, not just the coarse grid.
-  std::vector<std::vector<CandidateOption>> Refined(N);
-
+  // Decision pass over the profiled options: the best single-node segment
+  // per node given the allowed option set, the first option no later
+  // allowed one beats strictly (the options list in sweep order, so ties
+  // break as the sweep does).
+  std::vector<CandidateOption> BestNode(N);
   {
   PF_TRACE_SCOPE_CAT("search.select_nodes", "search");
   for (size_t I = 0; I < N; ++I) {
-    NodeOption Opt;
-    Opt.Ns = Profiles[I].GpuNs;
-    Opt.Mode = SegmentMode::GpuNode;
-
-    if (Profiles[I].Candidate) {
-      LayerProfile LP;
-      LP.Id = Seq[I];
-      LP.GpuNs = Opt.Ns;
-      LP.PimNs = Profiles[I].PimNs;
-      LP.BestMdDpNs = LP.GpuNs;
-      LP.BestRatioGpu = 1.0;
-
-      if (Options.AllowFullOffload && LP.PimNs < Opt.Ns) {
-        Opt.Ns = LP.PimNs;
-        Opt.Mode = SegmentMode::FullPim;
-        Opt.RatioGpu = 0.0;
+    std::vector<CandidateOption> &C = Plan.Decisions[I].Candidates;
+    size_t Best = 0;
+    auto Scan = [&](size_t From) {
+      for (size_t K = From; K < C.size(); ++K)
+        if ((C[K].Mode != SegmentMode::FullPim || Options.AllowFullOffload) &&
+            C[K].Ns < C[Best].Ns)
+          Best = K;
+    };
+    Scan(1);
+    // Auto-tuning refinement (the paper's future work): sample around the
+    // coarse optimum at the fine step instead of sweeping the whole fine
+    // grid. The refinement centers depend on the coarse decision, so these
+    // samples profile here, not in the pre-pass, and join the node's
+    // options so every profiled point is explainable.
+    if (Options.RefineRatios && C[Best].Mode == SegmentMode::MdDp) {
+      const size_t Coarse = C.size();
+      const double Center = C[Best].RatioGpu;
+      auto TrySplit = [&](double R) {
+        C.push_back(CandidateOption{SegmentMode::MdDp, R,
+                                    Prof.mdDpNs(G, Seq[I], R)});
+        obs::addCounter("search.candidates_evaluated");
+      };
+      for (double D = RefinedRatioStep; D < SplitRatioStep - 1e-9;
+           D += RefinedRatioStep) {
+        if (Center - D > 1e-9)
+          TrySplit(Center - D);
+        if (Center + D < 1.0 - 1e-9)
+          TrySplit(Center + D);
       }
-      if (LP.PimNs < LP.BestMdDpNs) {
-        LP.BestMdDpNs = LP.PimNs;
-        LP.BestRatioGpu = 0.0;
-      }
-      if (Options.AllowSplit) {
-        auto Consider = [&](double R, double Ns) {
-          if (Ns < LP.BestMdDpNs) {
-            LP.BestMdDpNs = Ns;
-            LP.BestRatioGpu = R;
-          }
-          if (Ns < Opt.Ns) {
-            Opt.Ns = Ns;
-            Opt.Mode = SegmentMode::MdDp;
-            Opt.RatioGpu = R;
-          }
-        };
-        for (size_t R = 0; R < Grid.size(); ++R)
-          Consider(Grid[R], Profiles[I].SplitNs[R]);
-        // Auto-tuning refinement (the paper's future work): sample around
-        // the coarse optimum at the fine step instead of sweeping the
-        // whole fine grid. The refinement centers depend on the coarse
-        // decision, so these samples profile here, not in the pre-pass.
-        if (Options.RefineRatios && Opt.Mode == SegmentMode::MdDp) {
-          auto TrySplit = [&](double R) {
-            const double Ns = Prof.mdDpNs(G, Seq[I], R);
-            obs::addCounter("search.candidates_evaluated");
-            Refined[I].push_back(
-                CandidateOption{SegmentMode::MdDp, R, Ns});
-            Consider(R, Ns);
-          };
-          const double Center = Opt.RatioGpu;
-          for (double D = RefinedRatioStep; D < SplitRatioStep - 1e-9;
-               D += RefinedRatioStep) {
-            if (Center - D > 1e-9)
-              TrySplit(Center - D);
-            if (Center + D < 1.0 - 1e-9)
-              TrySplit(Center + D);
-          }
-        }
-      }
-      Plan.Layers.push_back(LP);
+      Scan(Coarse);
     }
-    BestNode[I] = Opt;
+    BestNode[I] = C[Best];
   }
   } // search.select_nodes
 
@@ -225,78 +178,74 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
     }
   }
 
-  // Reconstruct the segment covering, recording one decision per node as
-  // we go: what was profiled, what the DP chose, and the chosen option's
-  // cost — the report's explainability trail.
-  auto BaseDecision = [&](size_t I) {
-    SearchDecision D;
-    D.Id = Seq[I];
-    D.PimCandidate = Profiles[I].Candidate;
-    D.GpuOnlyNs = Profiles[I].GpuNs;
-    D.Candidates.push_back(
-        CandidateOption{SegmentMode::GpuNode, 1.0, Profiles[I].GpuNs});
-    if (Profiles[I].Candidate) {
-      D.Candidates.push_back(
-          CandidateOption{SegmentMode::FullPim, 0.0, Profiles[I].PimNs});
-      for (size_t R = 0; R < Grid.size(); ++R)
-        D.Candidates.push_back(
-            CandidateOption{SegmentMode::MdDp, Grid[R],
-                            Profiles[I].SplitNs[R]});
-      D.Candidates.insert(D.Candidates.end(), Refined[I].begin(),
-                          Refined[I].end());
-    }
-    return D;
-  };
+  // Reconstruct the segment covering; derivePlan then reads each node's
+  // choice off it.
   for (size_t I = 0; I < N;) {
+    SegmentPlan S;
     if (Chosen[I].IsPipe) {
       const PipeOption &P = Pipes[Chosen[I].PipeIdx];
-      SegmentPlan S;
       S.Mode = SegmentMode::Pipeline;
       S.Nodes = P.Cand.Chain;
       S.Stages = Options.PipelineStages;
       S.Pattern = P.Cand.Pattern;
       S.PredictedNs = P.Ns;
-      // The pipelined segment's time covers the whole chain; split it over
-      // the chain proportionally to GPU-baseline times (the CONV-layer
-      // metric's attribution rule) so per-node gains stay comparable.
-      double ChainGpuNs = 0.0;
-      for (size_t Off = 0; Off < P.Len; ++Off)
-        ChainGpuNs += Profiles[I + Off].GpuNs;
-      for (size_t Off = 0; Off < P.Len; ++Off) {
-        SearchDecision D = BaseDecision(I + Off);
-        D.ChosenMode = SegmentMode::Pipeline;
-        D.ChosenNs = ChainGpuNs > 0.0
-                         ? P.Ns * Profiles[I + Off].GpuNs / ChainGpuNs
-                         : P.Ns / static_cast<double>(P.Len);
-        Plan.Decisions.push_back(std::move(D));
-      }
-      Plan.Segments.push_back(std::move(S));
-      I += P.Len;
-      continue;
+    } else {
+      S.Mode = BestNode[I].Mode;
+      S.Nodes = {Seq[I]};
+      S.RatioGpu = BestNode[I].RatioGpu;
+      S.PredictedNs = BestNode[I].Ns;
     }
-    const NodeOption &O = BestNode[I];
-    SegmentPlan S;
-    S.Mode = O.Mode;
-    S.Nodes = {Seq[I]};
-    S.RatioGpu = O.RatioGpu;
-    S.PredictedNs = O.Ns;
-    SearchDecision D = BaseDecision(I);
-    D.ChosenMode = O.Mode;
-    D.ChosenRatioGpu = O.RatioGpu;
-    D.ChosenNs = O.Ns;
-    Plan.Decisions.push_back(std::move(D));
+    I += S.Nodes.size();
     Plan.Segments.push_back(std::move(S));
-    ++I;
   }
+  derivePlan(Plan);
+  PF_ASSERT(Plan.PredictedNs == Best[0],
+            "derived plan total disagrees with the DP");
   obs::addCounter("search.decisions",
                   static_cast<int64_t>(Plan.Decisions.size()));
-  Plan.PredictedNs = Best[0];
   obs::addCounter("search.segments",
                   static_cast<int64_t>(Plan.Segments.size()));
   if (obs::activeRegistry().enabled())
     for (const SegmentPlan &S : Plan.Segments)
       obs::recordMetric("search.segment_predicted_us", S.PredictedNs / 1e3);
   return Plan;
+}
+
+const CandidateOption &SearchDecision::bestMdDp() const {
+  const CandidateOption *Best = &Candidates.front();
+  for (const CandidateOption &C : Candidates)
+    if (C.Ns < Best->Ns)
+      Best = &C;
+  return *Best;
+}
+
+void pf::derivePlan(ExecutionPlan &Plan) {
+  size_t Next = 0;
+  for (const SegmentPlan &S : Plan.Segments) {
+    const size_t Len = S.Nodes.size();
+    // A pipelined segment's time covers the whole chain; split it over the
+    // chain proportionally to GPU-baseline times (the CONV-layer metric's
+    // attribution rule) so per-node gains stay comparable.
+    double ChainGpuNs = 0.0;
+    for (size_t Off = 0; Off < Len; ++Off)
+      ChainGpuNs += Plan.Decisions[Next + Off].gpuOnlyNs();
+    for (size_t Off = 0; Off < Len; ++Off) {
+      SearchDecision &D = Plan.Decisions[Next + Off];
+      D.ChosenMode = S.Mode;
+      D.ChosenRatioGpu = S.RatioGpu;
+      if (S.Mode != SegmentMode::Pipeline)
+        D.ChosenNs = S.PredictedNs;
+      else if (ChainGpuNs > 0.0)
+        D.ChosenNs = S.PredictedNs * D.gpuOnlyNs() / ChainGpuNs;
+      else
+        D.ChosenNs = S.PredictedNs / static_cast<double>(Len);
+    }
+    Next += Len;
+  }
+  // The DP's sum, Best[I] = segment + Best[next], from the last segment.
+  Plan.PredictedNs = 0.0;
+  for (auto S = Plan.Segments.rbegin(); S != Plan.Segments.rend(); ++S)
+    Plan.PredictedNs = S->PredictedNs + Plan.PredictedNs;
 }
 
 void SearchEngine::apply(Graph &G, const ExecutionPlan &Plan) {
@@ -328,4 +277,66 @@ void SearchEngine::apply(Graph &G, const ExecutionPlan &Plan) {
     }
     }
   }
+}
+
+bool SearchEngine::canApply(const Graph &G, const ExecutionPlan &Plan,
+                            DiagnosticEngine &DE) {
+  const size_t Errors = DE.errorCount();
+  auto Mismatch = [&](NodeId Id, const std::string &Message) {
+    DE.error(DiagCode::PlanMismatch, formatStr("node %d", Id), Message);
+  };
+  auto Splits = [&](NodeId Id, double RatioGpu) {
+    if (!(RatioGpu > 0.0 && RatioGpu < 1.0)) // NaN included.
+      return false;
+    const MdDpCut Cut = mdDpCut(G, Id, RatioGpu);
+    return !Cut.allPim() && !Cut.allGpu();
+  };
+  std::vector<int> Covered(G.numNodesIncludingDead(), 0);
+  std::optional<std::vector<PipelineCandidate>> Pipelines; // On demand.
+  for (const SegmentPlan &S : Plan.Segments) {
+    bool Live = true;
+    for (NodeId Id : S.Nodes) {
+      if (Id < 0 || static_cast<size_t>(Id) >= Covered.size() ||
+          G.node(Id).Dead) {
+        Mismatch(Id, "the model has no live node with this id");
+        Live = false;
+      } else if (++Covered[static_cast<size_t>(Id)] == 2) {
+        Mismatch(Id, "the node lies in more than one segment");
+      }
+    }
+    const char *Mode = segmentModeName(S.Mode);
+    const NodeId First = S.Nodes.empty() ? InvalidNode : S.Nodes[0];
+    if (!Live) {
+      continue;
+    } else if (S.Mode == SegmentMode::Pipeline) {
+      if (!Pipelines)
+        Pipelines = findPipelineCandidates(G);
+      if (std::none_of(Pipelines->begin(), Pipelines->end(),
+                       [&](const PipelineCandidate &C) {
+                         return C.Chain == S.Nodes && C.Pattern == S.Pattern;
+                       }))
+        Mismatch(First, formatStr("the pipeline segment is no %s chain the "
+                                  "model offers for pipelining",
+                                  pipelinePatternName(S.Pattern)));
+      else if (!canPipeline(G, PipelineSpec{S.Nodes, S.Stages}))
+        Mismatch(First, formatStr("the chain does not pipeline in %d stages",
+                                  S.Stages));
+    } else if (S.Nodes.size() != 1) {
+      Mismatch(First, formatStr("%s segments hold one node, this one %zu",
+                                Mode, S.Nodes.size()));
+    } else if (S.Mode != SegmentMode::GpuNode &&
+               !isPimCandidate(G.node(First))) {
+      Mismatch(First, formatStr("%s segments hold PIM candidates only, and "
+                                "'%s' is none",
+                                Mode, G.node(First).Name.c_str()));
+    } else if (S.Mode == SegmentMode::MdDp && !Splits(First, S.RatioGpu)) {
+      Mismatch(First, formatStr("md-dp ratio %.17g does not split '%s' "
+                                "across both devices",
+                                S.RatioGpu, G.node(First).Name.c_str()));
+    }
+  }
+  for (const Node &N : G.nodes())
+    if (!N.Dead && Covered[static_cast<size_t>(N.Id)] == 0)
+      Mismatch(N.Id, formatStr("'%s' lies in no segment", N.Name.c_str()));
+  return DE.errorCount() == Errors;
 }

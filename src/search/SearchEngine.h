@@ -17,6 +17,11 @@
 /// PIMFlow-md adds the split ratios, PIMFlow-pl adds pipelining instead,
 /// and PIMFlow allows everything.
 ///
+/// A plan keeps the search's two records, the segment covering and every
+/// covered node's profiled options; derivePlan computes the rest from them
+/// for a fresh search and a parsed artifact alike, so the two cannot
+/// disagree.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIMFLOW_SEARCH_SEARCHENGINE_H
@@ -26,6 +31,7 @@
 
 #include "search/CostProvider.h"
 #include "search/Profiler.h"
+#include "support/Diagnostics.h"
 #include "transform/PatternMatch.h"
 
 namespace pf {
@@ -54,21 +60,12 @@ struct SegmentPlan {
   double PredictedNs = 0.0;
 };
 
-/// Per-candidate-layer profile, kept for the evaluation's layerwise
-/// breakdowns (Fig. 10) and the ratio distribution (Table 2).
-struct LayerProfile {
-  NodeId Id = InvalidNode;
-  double GpuNs = 0.0;
-  double PimNs = 0.0;
-  double BestMdDpNs = 0.0;
-  double BestRatioGpu = 1.0; ///< Over the profiled 10% grid.
-};
-
 /// One profiled option of a node (search explainability): what the
 /// candidate-profiling pre-pass measured before the DP chose.
 struct CandidateOption {
   SegmentMode Mode = SegmentMode::GpuNode;
-  /// MD-DP candidates: the sampled GPU fraction.
+  /// The GPU fraction: 1 for the GPU option, 0 for full PIM, the sampled
+  /// share for an MD-DP option.
   double RatioGpu = 1.0;
   /// Profiled time of the node under this option, in isolation.
   double Ns = 0.0;
@@ -78,36 +75,50 @@ struct CandidateOption {
 /// chose — the raw material of the perf report's `decisions` array.
 struct SearchDecision {
   NodeId Id = InvalidNode;
-  /// The node was a PIM-offloading candidate (profiled beyond GPU-only).
-  bool PimCandidate = false;
-  /// Every option profiled for this node (GPU first, then full-PIM, then
-  /// the MD-DP ratio grid in sweep order). Non-candidates have only the
-  /// GPU entry.
+  /// Every option profiled for this node: the GPU option (gpu:1) first,
+  /// then, for a PIM candidate, full PIM (pim:0) and the MD-DP ratio grid
+  /// in sweep order, auto-tuning's refined ratios last. Every other field
+  /// is derived (derivePlan).
   std::vector<CandidateOption> Candidates;
-  /// What the DP's segment covering assigned to this node.
+  /// What the DP's segment covering assigned to this node: its segment's
+  /// mode and GPU fraction.
   SegmentMode ChosenMode = SegmentMode::GpuNode;
   double ChosenRatioGpu = 1.0;
   /// The chosen option's time share for this node (a pipeline segment's
   /// time is split over its chain proportionally to GPU-baseline times,
   /// the same attribution rule the CONV-layer metric uses).
   double ChosenNs = 0.0;
-  /// The GPU-only reference cost.
-  double GpuOnlyNs = 0.0;
+
+  /// The node was a PIM-offloading candidate (profiled beyond GPU-only).
+  bool pimCandidate() const { return Candidates.size() > 1; }
+  /// The GPU-only reference cost: the GPU option's time.
+  double gpuOnlyNs() const { return Candidates.front().Ns; }
+  /// A candidate's full-PIM time: its second option's.
+  double pimNs() const { return Candidates[1].Ns; }
+  /// A candidate's best option over the whole ratio range, full GPU and
+  /// full PIM included, whatever the DP was allowed to choose: the first
+  /// option no later one beats strictly (Fig. 10's per-layer view).
+  const CandidateOption &bestMdDp() const;
 
   /// Marginal gain of the chosen option vs. running this node on the GPU
   /// (positive when the DP found something faster).
-  double gainNs() const { return GpuOnlyNs - ChosenNs; }
+  double gainNs() const { return gpuOnlyNs() - ChosenNs; }
 };
 
 /// The search result.
 struct ExecutionPlan {
   std::vector<SegmentPlan> Segments;
-  std::vector<LayerProfile> Layers;
-  /// One decision record per covered node, in topological order.
+  /// One decision record per covered node, in segment order (which is
+  /// topological order).
   std::vector<SearchDecision> Decisions;
-  /// DP objective: sum of profiled segment times.
+  /// DP objective: the segment times summed from the last to the first.
   double PredictedNs = 0.0;
 };
+
+/// Derives each decision's Chosen* fields from its node's segment, and
+/// PredictedNs. \p Plan holds one decision per segment node, in segment
+/// order, each with its GPU option first (parsePlanArtifact enforces it).
+void derivePlan(ExecutionPlan &Plan);
 
 /// Split-ratio grid step (the paper uses 10%; Section 5's footnote notes
 /// 2% gains only ~1%).
@@ -143,8 +154,18 @@ public:
   ExecutionPlan search(const Graph &G);
 
   /// Applies \p Plan to \p G in place: annotates devices and runs the
-  /// MD-DP / pipelining passes. \p Plan must have been computed on \p G.
+  /// MD-DP / pipelining passes. \p Plan must have been computed on \p G,
+  /// or pass canApply.
   static void apply(Graph &G, const ExecutionPlan &Plan);
+
+  /// Whether apply can take \p Plan on \p G: every live node lies in
+  /// exactly one segment; a pim or md-dp segment holds one PIM candidate;
+  /// an md-dp ratio splits it across both devices (mdDpCut); a pipeline
+  /// segment is a chain, with its pattern, that findPipelineCandidates
+  /// returns and canPipeline accepts. Reports each violation as
+  /// plan.mismatch into \p DE. Replays check a plan from disk with it.
+  static bool canApply(const Graph &G, const ExecutionPlan &Plan,
+                       DiagnosticEngine &DE);
 
 private:
   CostProvider &Prof;

@@ -331,23 +331,33 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
     S.Attempts.push_back(std::move(A));
   };
 
-  auto start = [&](Session &S, int64_t Now) {
-    S.StartNs = Now;
-    int C = 0;
-    if (auto Grant = Alloc.tryAcquire(Planned, Floor)) {
-      C = Grant->granted();
-      S.Outcome = Grant->degraded() ? RequestOutcome::Degraded
-                                    : RequestOutcome::Served;
-      S.Reason = Grant->degraded() ? OutcomeReason::Contention
-                                   : OutcomeReason::None;
-      S.Channels = Grant->Channels;
-      if (!S.Channels.empty())
-        R.Grants.push_back({Now, S.Req.Id, S.Channels});
-      LiveGrants.emplace(S.Req.Id, std::move(*Grant));
-    } else {
+  // Grants S the planned channels, or as many as the pool can spare down
+  // to the floor, and records the grant; returns the granted count (0: the
+  // GPU floor). A degraded admission's reason is contention; a re-grant's
+  // is the fault that forced it.
+  auto grant = [&](Session &S, int64_t Now, bool Regrant) {
+    std::optional<ChannelGrant> Grant = Alloc.tryAcquire(Planned, Floor);
+    if (!Grant) {
       S.Outcome = RequestOutcome::FloorFallback;
       S.Reason = OutcomeReason::BelowFloor;
+      return 0;
     }
+    const int C = Grant->granted();
+    S.Outcome =
+        Grant->degraded() ? RequestOutcome::Degraded : RequestOutcome::Served;
+    S.Reason = Regrant            ? OutcomeReason::FaultRetry
+               : Grant->degraded() ? OutcomeReason::Contention
+                                   : OutcomeReason::None;
+    S.Channels = Grant->Channels;
+    if (!S.Channels.empty())
+      R.Grants.push_back({Now, S.Req.Id, S.Channels});
+    LiveGrants.emplace(S.Req.Id, std::move(*Grant));
+    return C;
+  };
+
+  auto start = [&](Session &S, int64_t Now) {
+    S.StartNs = Now;
+    const int C = grant(S, Now, /*Regrant=*/false);
     recordAttempt(S, Now);
     obs::flightEvent(obs::FlightEventKind::RequestAdmit, Now, C, Planned,
                      0.0, outcomeName(S.Outcome), S.Req.Id);
@@ -392,19 +402,7 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
       --RetryBudgetLeft;
       ++S.Retries;
       ++R.RetriesUsed;
-      if (auto Grant = Alloc.tryAcquire(Planned, Floor)) {
-        C = Grant->granted();
-        S.Outcome = Grant->degraded() ? RequestOutcome::Degraded
-                                      : RequestOutcome::Served;
-        S.Reason = OutcomeReason::FaultRetry;
-        S.Channels = Grant->Channels;
-        if (!S.Channels.empty())
-          R.Grants.push_back({Now, S.Req.Id, S.Channels});
-        LiveGrants.emplace(S.Req.Id, std::move(*Grant));
-      } else {
-        S.Outcome = RequestOutcome::FloorFallback;
-        S.Reason = OutcomeReason::BelowFloor;
-      }
+      C = grant(S, Now, /*Regrant=*/true);
     } else {
       ++R.RetryBudgetDenied;
       S.Outcome = RequestOutcome::FloorFallback;

@@ -223,8 +223,6 @@ public:
   bool writeTrace(const ServeResult &R, const std::string &Path) const;
 
   const ServerOptions &options() const { return Options; }
-  int plannedChannels() const { return Planned; }
-  int poolChannels() const { return Pool; }
 
 private:
   struct PreparedModel {

@@ -7,6 +7,7 @@
 #include "transform/PipelinePass.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "ir/ShapeInference.h"
 #include "support/Format.h"
@@ -40,6 +41,51 @@ int64_t producibleRows(const Conv2dAttrs &A, int64_t InRows, int64_t OutH) {
   return std::clamp<int64_t>(B, 0, OutH);
 }
 
+/// Each chain node's stage boundaries (Bounds[I][J] is where node I's stage
+/// J begins; its last entry is the node's height), or std::nullopt when
+/// \p Spec's chain cannot be pipelined at its stage count.
+std::optional<std::vector<std::vector<int64_t>>>
+stageBounds(const Graph &G, const PipelineSpec &Spec) {
+  if (Spec.NumStages < 2 || !isPipelineableChain(G, Spec.Chain))
+    return std::nullopt;
+  const size_t Len = Spec.Chain.size();
+  const int64_t S = Spec.NumStages;
+
+  // Node 0 is split evenly; each later node's stage j ends at the last
+  // output row computable from its producer's stages 0..j.
+  std::vector<std::vector<int64_t>> Bounds(Len);
+  {
+    const Node &First = G.node(Spec.Chain[0]);
+    const int64_t H0 = G.value(First.Outputs[0]).Shape.dim(1);
+    if (H0 < S)
+      return std::nullopt;
+    Bounds[0].assign(1, 0);
+    for (auto [Begin, End] : splitRange(H0, S)) {
+      (void)Begin;
+      Bounds[0].push_back(End);
+    }
+  }
+  for (size_t I = 1; I < Len; ++I) {
+    const Node &N = G.node(Spec.Chain[I]);
+    const int64_t OutH = G.value(N.Outputs[0]).Shape.dim(1);
+    Bounds[I].assign(1, 0);
+    for (int64_t J = 0; J < S; ++J) {
+      int64_t End;
+      if (J == S - 1) {
+        End = OutH; // Final stage covers the remainder.
+      } else if (N.Kind == OpKind::Conv2d) {
+        End = producibleRows(N.conv(), Bounds[I - 1][J + 1], OutH);
+      } else {
+        End = std::min(Bounds[I - 1][J + 1], OutH);
+      }
+      if (End <= Bounds[I].back())
+        return std::nullopt; // A stage would be empty: reject this chain.
+      Bounds[I].push_back(End);
+    }
+  }
+  return Bounds;
+}
+
 } // namespace
 
 bool pf::isPipelineableChain(const Graph &G,
@@ -68,46 +114,17 @@ bool pf::isPipelineableChain(const Graph &G,
   return true;
 }
 
+bool pf::canPipeline(const Graph &G, const PipelineSpec &Spec) {
+  return stageBounds(G, Spec).has_value();
+}
+
 bool pf::applyPipeline(Graph &G, const PipelineSpec &Spec) {
   PF_ASSERT(Spec.NumStages >= 2, "pipelining needs at least two stages");
-  if (!isPipelineableChain(G, Spec.Chain))
+  const auto Bounds = stageBounds(G, Spec);
+  if (!Bounds)
     return false;
   const size_t Len = Spec.Chain.size();
   const int64_t S = Spec.NumStages;
-
-  // Compute per-node stage boundaries forward through the chain. Node 0 is
-  // split evenly; each later node's stage j ends at the last output row
-  // computable from its producer's stages 0..j.
-  std::vector<std::vector<int64_t>> Bounds(Len);
-  {
-    const Node &First = G.node(Spec.Chain[0]);
-    const int64_t H0 = G.value(First.Outputs[0]).Shape.dim(1);
-    if (H0 < S)
-      return false;
-    Bounds[0].assign(1, 0);
-    for (auto [Begin, End] : splitRange(H0, S)) {
-      (void)Begin;
-      Bounds[0].push_back(End);
-    }
-  }
-  for (size_t I = 1; I < Len; ++I) {
-    const Node &N = G.node(Spec.Chain[I]);
-    const int64_t OutH = G.value(N.Outputs[0]).Shape.dim(1);
-    Bounds[I].assign(1, 0);
-    for (int64_t J = 0; J < S; ++J) {
-      int64_t End;
-      if (J == S - 1) {
-        End = OutH; // Final stage covers the remainder.
-      } else if (N.Kind == OpKind::Conv2d) {
-        End = producibleRows(N.conv(), Bounds[I - 1][J + 1], OutH);
-      } else {
-        End = std::min(Bounds[I - 1][J + 1], OutH);
-      }
-      if (End <= Bounds[I].back())
-        return false; // A stage would be empty: reject this candidate.
-      Bounds[I].push_back(End);
-    }
-  }
 
   // Rewrite the chain node by node.
   PiecewiseTensor Current(G, G.node(Spec.Chain[0]).Inputs[0]);
@@ -121,8 +138,8 @@ bool pf::applyPipeline(Graph &G, const PipelineSpec &Spec) {
                                                       : Device::Gpu;
     std::vector<HPiece> Pieces;
     for (int64_t J = 0; J < S; ++J) {
-      const int64_t Begin = Bounds[I][J];
-      const int64_t End = Bounds[I][J + 1];
+      const int64_t Begin = (*Bounds)[I][J];
+      const int64_t End = (*Bounds)[I][J + 1];
       const std::string Name =
           formatStr("%s.stage%lld", N.Name.c_str(), static_cast<long long>(J));
       ValueId Out = G.addValue(Name + ".out", TensorShape{});
@@ -164,7 +181,7 @@ bool pf::applyPipeline(Graph &G, const PipelineSpec &Spec) {
   std::vector<ValueId> StageOuts;
   for (int64_t J = 0; J < S; ++J)
     StageOuts.push_back(
-        Current.range(Bounds[Len - 1][J], Bounds[Len - 1][J + 1]));
+        Current.range((*Bounds)[Len - 1][J], (*Bounds)[Len - 1][J + 1]));
   const std::string Name =
       formatStr("%s.pipe.join", G.node(Spec.Chain.back()).Name.c_str());
   NodeId Concat = G.addNode(OpKind::Concat, Name, A, StageOuts, {FinalOut});

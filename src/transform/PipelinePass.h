@@ -42,6 +42,10 @@ struct PipelineSpec {
 /// node i-1's sole output, and intermediates have exactly one consumer.
 bool isPipelineableChain(const Graph &G, const std::vector<NodeId> &Chain);
 
+/// Returns true if applyPipeline would rewrite \p Spec's chain: it is
+/// pipelineable, has at least two stages, and no stage would end up empty.
+bool canPipeline(const Graph &G, const PipelineSpec &Spec);
+
 /// Applies the pipelining transformation in place. Returns false (leaving
 /// the graph untouched) when the chain cannot be pipelined with the
 /// requested stage count (e.g. a stage would end up empty).

@@ -368,9 +368,9 @@ TEST(AttributionTest, DecisionsCoverPlanSegments) {
       // candidates lead with it.
       ASSERT_FALSE(D->Candidates.empty());
       EXPECT_EQ(D->Candidates.front().Mode, SegmentMode::GpuNode);
-      EXPECT_DOUBLE_EQ(D->Candidates.front().Ns, D->GpuOnlyNs);
-      if (D->PimCandidate) {
-        EXPECT_GT(D->Candidates.size(), 1u);
+      EXPECT_DOUBLE_EQ(D->Candidates.front().Ns, D->gpuOnlyNs());
+      if (D->pimCandidate()) {
+        EXPECT_EQ(D->Candidates[1].Mode, SegmentMode::FullPim);
       }
     }
   }

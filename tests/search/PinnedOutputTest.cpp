@@ -18,7 +18,10 @@
 /// configurations were recorded while every sample still ran its
 /// micrograph, so they also pin the priced samples to those times. The
 /// resnet-50 and vgg-16 logs were re-recorded when pool rows gained their
-/// window: only their MaxPool row names changed, no time.
+/// window: only their MaxPool row names changed, no time. Every log was
+/// re-recorded when rows took the plan key's configuration signature as
+/// their prefix, and every artifact when the format became v2 (no derived
+/// records): only the prefixes and the dropped records changed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,22 +61,22 @@ std::string row(const PinnedPlan &P, size_t Bytes, const std::string &Digest) {
 
 TEST(PinnedOutput, PlanArtifactBytes) {
   const PinnedPlan Pins[] = {
-      {"efficientnet-v1-b0", OffloadPolicy::PimFlow, 16, 60303,
-       "c68a4b410cbd7cb1"},
-      {"mobilenet-v2", OffloadPolicy::PimFlow, 16, 32723, "fac95974219d65cd"},
-      {"mnasnet-1.0", OffloadPolicy::PimFlow, 16, 32657, "31f8c9150e740535"},
-      {"resnet-50", OffloadPolicy::PimFlow, 16, 44132, "cc99b6edec4d3fcf"},
-      {"vgg-16", OffloadPolicy::PimFlow, 16, 13330, "5b7c287260f35e00"},
-      {"resnet-18", OffloadPolicy::PimFlow, 16, 17688, "87647200ec5c3877"},
-      {"toy", OffloadPolicy::PimFlow, 16, 3807, "5adfe254fb67d0e1"},
-      {"efficientnet-v1-b0", OffloadPolicy::PimFlowMd, 8, 59726,
-       "03c475fa5dd6663f"},
-      {"mobilenet-v2", OffloadPolicy::PimFlowMd, 8, 32595, "ea0b68356784f790"},
-      {"mnasnet-1.0", OffloadPolicy::PimFlowMd, 8, 32614, "0e4af608bcb3f19c"},
-      {"resnet-50", OffloadPolicy::PimFlowMd, 8, 42354, "6d53b16b3f98b1ed"},
-      {"vgg-16", OffloadPolicy::PimFlowMd, 8, 13294, "a00faefdca634ee4"},
-      {"resnet-18", OffloadPolicy::PimFlowMd, 8, 17198, "e0b71df7634f0347"},
-      {"toy", OffloadPolicy::PimFlowMd, 8, 3859, "86c2ef7994e53101"},
+      {"efficientnet-v1-b0", OffloadPolicy::PimFlow, 16, 43912,
+       "079efd5271b08f99"},
+      {"mobilenet-v2", OffloadPolicy::PimFlow, 16, 23334, "8f40eaeb1fc0b0e9"},
+      {"mnasnet-1.0", OffloadPolicy::PimFlow, 16, 23232, "7d7796d0bbbd4024"},
+      {"resnet-50", OffloadPolicy::PimFlow, 16, 31977, "072207961ee266dc"},
+      {"vgg-16", OffloadPolicy::PimFlow, 16, 9645, "9fabf3121eda11a9"},
+      {"resnet-18", OffloadPolicy::PimFlow, 16, 12971, "9a0b4b89aad1f99b"},
+      {"toy", OffloadPolicy::PimFlow, 16, 2881, "1e2c20b828b3c58b"},
+      {"efficientnet-v1-b0", OffloadPolicy::PimFlowMd, 8, 43146,
+       "08c61da3d59396aa"},
+      {"mobilenet-v2", OffloadPolicy::PimFlowMd, 8, 23207, "bf21160298789822"},
+      {"mnasnet-1.0", OffloadPolicy::PimFlowMd, 8, 23045, "cdebb763cc82c550"},
+      {"resnet-50", OffloadPolicy::PimFlowMd, 8, 30411, "ed69303f2c3792a6"},
+      {"vgg-16", OffloadPolicy::PimFlowMd, 8, 9516, "8e73705c3a297712"},
+      {"resnet-18", OffloadPolicy::PimFlowMd, 8, 12451, "68c4f07adaa651c5"},
+      {"toy", OffloadPolicy::PimFlowMd, 8, 2860, "fa881455a0fa9d93"},
   };
   for (const PinnedPlan &P : Pins) {
     const Graph M = buildModel(P.Model);
@@ -147,32 +150,32 @@ TEST(PinnedOutput, ProfileLogs) {
     const char *Digest;
   };
   const Pin Pins[] = {
-      {"pimflow-16", "efficientnet-v1-b0", 66200, "a1ddfa627871dd9b"},
-      {"pimflow-16", "mobilenet-v2", 44735, "1704b4158431745a"},
-      {"pimflow-16", "mnasnet-1.0", 47163, "df8f6b5dec2ca649"},
-      {"pimflow-16", "resnet-50", 41482, "3fbef134703313ce"},
-      {"pimflow-16", "vgg-16", 21777, "789e8ba66aa3d17d"},
-      {"pimflow-16", "bert", 4217, "de355bb1ac2cf26b"},
-      {"newton+-4", "efficientnet-v1-b0", 16314, "fcd3c18d1253efcd"},
-      {"newton+-4", "mobilenet-v2", 8825, "4d64c8eed56e0cec"},
-      {"newton+-4", "mnasnet-1.0", 9496, "6549afa0ca64e43e"},
-      {"newton+-4", "resnet-50", 8697, "2acafeb32d0439b8"},
-      {"newton+-4", "vgg-16", 4808, "631ba4eae89edd8f"},
-      {"newton+-4", "bert", 1179, "04c10069214d2ddb"},
-      {"pimflow-md-28-no-memopt", "efficientnet-v1-b0", 63584,
-       "7ca6a5963c872b26"},
-      {"pimflow-md-28-no-memopt", "mobilenet-v2", 36305, "716a848e76820b24"},
-      {"pimflow-md-28-no-memopt", "mnasnet-1.0", 38376, "809a6c5b04d8e7b0"},
-      {"pimflow-md-28-no-memopt", "resnet-50", 42186, "9ef52e9416d7d2f8"},
-      {"pimflow-md-28-no-memopt", "vgg-16", 22161, "9e39785a4ce4cd0f"},
-      {"pimflow-md-28-no-memopt", "bert", 4207, "b7f260b7f3ff3fc4"},
-      {"pimflow-16-contention", "efficientnet-v1-b0", 66186,
-       "1ddf311b3b5b8d33"},
-      {"pimflow-16-contention", "mobilenet-v2", 44728, "c0c32f61f39b31d9"},
-      {"pimflow-16-contention", "mnasnet-1.0", 47154, "9dc651bcf01e8b02"},
-      {"pimflow-16-contention", "resnet-50", 41491, "d832b6df41bda7e7"},
-      {"pimflow-16-contention", "vgg-16", 21801, "2ac33df1da32c1d7"},
-      {"pimflow-16-contention", "bert", 4226, "662c105098fb24c7"},
+      {"pimflow-16", "efficientnet-v1-b0", 114145, "1a4f9ac04174575f"},
+      {"pimflow-16", "mobilenet-v2", 75103, "3b70b3a357e485e3"},
+      {"pimflow-16", "mnasnet-1.0", 79195, "cb50449a6b109a81"},
+      {"pimflow-16", "resnet-50", 70914, "4291f5ed5a4cff58"},
+      {"pimflow-16", "vgg-16", 36753, "f0a39e6be07991a4"},
+      {"pimflow-16", "bert", 8273, "8baea9011a213a5b"},
+      {"newton+-4", "efficientnet-v1-b0", 30354, "b1bf859a32e8841e"},
+      {"newton+-4", "mobilenet-v2", 16210, "b8a957e4d2f9e36a"},
+      {"newton+-4", "mnasnet-1.0", 17401, "37f1557d6dcec1f3"},
+      {"newton+-4", "resnet-50", 15666, "e5a8504ff7eeace9"},
+      {"newton+-4", "vgg-16", 8552, "acf3bcf256950413"},
+      {"newton+-4", "bert", 2427, "6a4ce0840e747a23"},
+      {"pimflow-md-28-no-memopt", "efficientnet-v1-b0", 110385,
+       "2da9bbd9f00489ed"},
+      {"pimflow-md-28-no-memopt", "mobilenet-v2", 63345, "2a692eb3d98d2579"},
+      {"pimflow-md-28-no-memopt", "mnasnet-1.0", 66872, "66d60ea715d15203"},
+      {"pimflow-md-28-no-memopt", "resnet-50", 71618, "42782db8056e4cc6"},
+      {"pimflow-md-28-no-memopt", "vgg-16", 37137, "1f1f4f53d26fcfd8"},
+      {"pimflow-md-28-no-memopt", "bert", 8263, "be5a326699aaa7a1"},
+      {"pimflow-16-contention", "efficientnet-v1-b0", 114131,
+       "927427d84ced115c"},
+      {"pimflow-16-contention", "mobilenet-v2", 75096, "9678249acfacc8fc"},
+      {"pimflow-16-contention", "mnasnet-1.0", 79186, "6f0ce05a1329e5b1"},
+      {"pimflow-16-contention", "resnet-50", 70923, "fd078e7a85f34884"},
+      {"pimflow-16-contention", "vgg-16", 36777, "f903de4c42046c78"},
+      {"pimflow-16-contention", "bert", 8282, "d01d2e492c276123"},
   };
   size_t Checked = 0;
   for (const ProfileConfig &C : Configs)
@@ -214,6 +217,6 @@ TEST(PinnedOutput, ProfileLogOfAResNet50Search) {
   const std::optional<std::string> Text = readTextFile(Path);
   std::remove(Path.c_str());
   ASSERT_TRUE(Text);
-  EXPECT_EQ(Text->size(), 41482u);
-  EXPECT_EQ(fnv1a64Hex(*Text), "3fbef134703313ce");
+  EXPECT_EQ(Text->size(), 70914u);
+  EXPECT_EQ(fnv1a64Hex(*Text), "4291f5ed5a4cff58");
 }

@@ -100,6 +100,41 @@ INSTANTIATE_TEST_SUITE_P(Models, PlanArtifactRoundTrip,
                            return Name;
                          });
 
+TEST(PlanArtifact, V2RoundTripsTheZooUnderEveryPolicy) {
+  // Every zoo model under PIMFlow, PIMFlow-md, the GPU baseline and
+  // auto-tuned PIMFlow: the artifact re-serializes byte for byte, parsing
+  // derives exactly what the search derived, and the plan fits its model.
+  struct Variant {
+    OffloadPolicy Policy;
+    bool AutoTune;
+  };
+  std::vector<std::string> Models = modelNames();
+  for (const std::string &Extra : extraModelNames())
+    Models.push_back(Extra);
+  for (const std::string &Model : Models) {
+    const Graph G = buildModel(Model);
+    for (const Variant V : {Variant{OffloadPolicy::PimFlow, false},
+                            Variant{OffloadPolicy::PimFlowMd, false},
+                            Variant{OffloadPolicy::GpuOnly, false},
+                            Variant{OffloadPolicy::PimFlow, true}}) {
+      PimFlowOptions O;
+      O.AutoTuneRatios = V.AutoTune;
+      PimFlow Flow(V.Policy, O);
+      const ExecutionPlan Plan = Flow.plan(G);
+      const std::string What = Model + " under " + policyName(V.Policy) +
+                               (V.AutoTune ? " --autotune" : "");
+      const std::string Text = serializePlanArtifact({Flow.planKey(G), Plan});
+      DiagnosticEngine DE;
+      const auto Parsed = parsePlanArtifact(Text, DE);
+      ASSERT_TRUE(Parsed) << What << ":\n" << DE.render();
+      EXPECT_EQ(serializePlanArtifact(*Parsed), Text) << What;
+      EXPECT_EQ(planFingerprint(Parsed->Plan), planFingerprint(Plan)) << What;
+      EXPECT_TRUE(SearchEngine::canApply(G, Parsed->Plan, DE))
+          << What << ":\n" << DE.render();
+    }
+  }
+}
+
 TEST(PlanArtifact, SaveLoadRoundTripsThroughDisk) {
   const PlanArtifact A = compileArtifact("toy");
   const std::string Path = ::testing::TempDir() + "pf_plan_roundtrip.plan";

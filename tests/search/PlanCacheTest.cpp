@@ -27,6 +27,7 @@
 #include "obs/Scope.h"
 #include "support/Format.h"
 #include "support/StringUtil.h"
+#include "support/TextFile.h"
 
 using namespace pf;
 
@@ -64,13 +65,13 @@ TEST(PlanCache, MissThenStoreThenHit) {
   const PlanKey Key = keyFor(G);
   PlanCache Cache(freshCacheDir("miss_store_hit"));
 
-  EXPECT_FALSE(Cache.load(Key));
+  EXPECT_FALSE(Cache.load(Key, G));
   EXPECT_EQ(Cache.misses(), 1u);
 
   ASSERT_TRUE(Cache.store(Key, searchPlan(G)));
   EXPECT_EQ(Cache.stores(), 1u);
 
-  const auto Cached = Cache.load(Key);
+  const auto Cached = Cache.load(Key, G);
   ASSERT_TRUE(Cached);
   EXPECT_EQ(Cache.hits(), 1u);
   EXPECT_EQ(Cached->Segments.size(), searchPlan(G).Segments.size());
@@ -82,30 +83,31 @@ TEST(PlanCache, EveryKeyIngredientInvalidates) {
   ASSERT_TRUE(Cache.store(keyFor(G), searchPlan(G)));
 
   // Graph edit: a different model misses.
-  EXPECT_FALSE(Cache.load(keyFor(buildModel("mnasnet-1.0"))));
+  const Graph Other = buildModel("mnasnet-1.0");
+  EXPECT_FALSE(Cache.load(keyFor(Other), Other));
   // SystemConfig tweak: channel split misses.
   PimFlowOptions Channels;
   Channels.PimChannels = 8;
-  EXPECT_FALSE(Cache.load(keyFor(G, Channels)));
+  EXPECT_FALSE(Cache.load(keyFor(G, Channels), G));
   // SystemConfig tweak: memory optimizer off misses.
   PimFlowOptions MemOpt;
   MemOpt.MemoryOptimizer = false;
-  EXPECT_FALSE(Cache.load(keyFor(G, MemOpt)));
+  EXPECT_FALSE(Cache.load(keyFor(G, MemOpt), G));
   // SearchOptions change: stage count misses.
   PimFlowOptions Stages;
   Stages.PipelineStages = 4;
-  EXPECT_FALSE(Cache.load(keyFor(G, Stages)));
+  EXPECT_FALSE(Cache.load(keyFor(G, Stages), G));
   // SearchOptions change: autotune refinement misses.
   PimFlowOptions Refine;
   Refine.AutoTuneRatios = true;
-  EXPECT_FALSE(Cache.load(keyFor(G, Refine)));
+  EXPECT_FALSE(Cache.load(keyFor(G, Refine), G));
   // Fault-floor change misses even though the search ignores it.
   PimFlowOptions Floor;
   Floor.PimFloor = 3;
-  EXPECT_FALSE(Cache.load(keyFor(G, Floor)));
+  EXPECT_FALSE(Cache.load(keyFor(G, Floor), G));
 
   // ... and the original key still hits.
-  EXPECT_TRUE(Cache.load(keyFor(G)));
+  EXPECT_TRUE(Cache.load(keyFor(G), G));
 }
 
 TEST(PlanCache, CorruptCachedFileIsMissNeverAPlan) {
@@ -121,10 +123,10 @@ TEST(PlanCache, CorruptCachedFileIsMissNeverAPlan) {
   std::fputc('X', F);
   std::fclose(F);
 
-  EXPECT_FALSE(Cache.load(Key));
+  EXPECT_FALSE(Cache.load(Key, G));
   // A recompute-and-store overwrites the damage and hits again.
   ASSERT_TRUE(Cache.store(Key, searchPlan(G)));
-  EXPECT_TRUE(Cache.load(Key));
+  EXPECT_TRUE(Cache.load(Key, G));
 }
 
 TEST(PlanCache, CountersMirrorTheAccessors) {
@@ -138,16 +140,16 @@ TEST(PlanCache, CountersMirrorTheAccessors) {
   obs::ScopeGuard Guard(Run);
   PlanCache Cache(freshCacheDir("counters"));
 
-  EXPECT_FALSE(Cache.load(Key));
+  EXPECT_FALSE(Cache.load(Key, G));
   ASSERT_TRUE(Cache.store(Key, Plan));
-  EXPECT_TRUE(Cache.load(Key));
-  EXPECT_TRUE(Cache.load(Key));
+  EXPECT_TRUE(Cache.load(Key, G));
+  EXPECT_TRUE(Cache.load(Key, G));
   std::FILE *F = std::fopen(Cache.pathFor(Key).c_str(), "r+b");
   ASSERT_NE(F, nullptr);
   std::fseek(F, -10, SEEK_END);
   std::fputc('X', F);
   std::fclose(F);
-  EXPECT_FALSE(Cache.load(Key));
+  EXPECT_FALSE(Cache.load(Key, G));
 
   std::map<std::string, int64_t> Counters;
   for (const auto &[Name, V] : Run.registry().counterSnapshot())
@@ -164,6 +166,52 @@ TEST(PlanCache, CountersMirrorTheAccessors) {
   EXPECT_EQ(Cache.stores(), 1u);
 }
 
+TEST(PlanCache, PlanThatDoesNotFitItsModelIsAnInvalidMiss) {
+  // A cached plan with an honest key and checksum that leaves a node
+  // uncovered is a miss, counted as invalid, and is overwritten.
+  const Graph G = buildModel("toy");
+  const PlanKey Key = keyFor(G);
+  ExecutionPlan Unfit = searchPlan(G);
+  Unfit.Segments.erase(Unfit.Segments.begin() + 1);
+  Unfit.Decisions.erase(Unfit.Decisions.begin() + 1);
+  obs::Scope Run;
+  obs::ScopeGuard Guard(Run);
+  PlanCache Cache(freshCacheDir("unfit"));
+  ASSERT_TRUE(Cache.store(Key, Unfit));
+
+  int Computes = 0;
+  const ExecutionPlan Plan = Cache.getOrCompute(Key, G, [&] {
+    ++Computes;
+    return searchPlan(G);
+  });
+  EXPECT_EQ(Computes, 1);
+  EXPECT_EQ(Plan.Segments.size(), searchPlan(G).Segments.size());
+  EXPECT_EQ(Run.registry().counter("plan_cache.invalid").value(), 1);
+  EXPECT_TRUE(Cache.load(Key, G));
+}
+
+TEST(PlanCache, OlderFormatIsAMissAndOverwritten) {
+  const Graph G = buildModel("toy");
+  const PlanKey Key = keyFor(G);
+  PlanCache Cache(freshCacheDir("older_format"));
+  ASSERT_TRUE(Cache.store(Key, searchPlan(G)));
+  // The same payload under the v1 header: plan.version, so a miss.
+  std::string Text = serializePlanArtifact({Key, searchPlan(G)});
+  Text.replace(Text.find(" v2 "), 4, " v1 ");
+  ASSERT_TRUE(writeTextFile(Cache.pathFor(Key), Text));
+
+  int Computes = 0;
+  Cache.getOrCompute(Key, G, [&] {
+    ++Computes;
+    return searchPlan(G);
+  });
+  EXPECT_EQ(Computes, 1);
+  const std::optional<std::string> Rewritten =
+      readTextFile(Cache.pathFor(Key));
+  ASSERT_TRUE(Rewritten);
+  EXPECT_TRUE(startsWith(*Rewritten, "pimflow-plan v2 "));
+}
+
 TEST(PlanCache, GetOrComputeRunsTheSearchOnce) {
   const Graph G = buildModel("toy");
   const PlanKey Key = keyFor(G);
@@ -174,20 +222,20 @@ TEST(PlanCache, GetOrComputeRunsTheSearchOnce) {
     return searchPlan(G);
   };
 
-  const ExecutionPlan First = Cache.getOrCompute(Key, Compute);
+  const ExecutionPlan First = Cache.getOrCompute(Key, G, Compute);
   EXPECT_EQ(Computes, 1);
   EXPECT_EQ(Cache.misses(), 1u);
   EXPECT_EQ(Cache.stores(), 1u);
 
   // Second call on the same instance: a disk hit on the file the first
   // call stored.
-  const ExecutionPlan Second = Cache.getOrCompute(Key, Compute);
+  const ExecutionPlan Second = Cache.getOrCompute(Key, G, Compute);
   EXPECT_EQ(Computes, 1);
   EXPECT_EQ(Second.Segments.size(), First.Segments.size());
 
   // A brand-new cache instance over the same directory: served from disk.
   PlanCache Fresh(Cache.dir());
-  const ExecutionPlan Third = Fresh.getOrCompute(Key, Compute);
+  const ExecutionPlan Third = Fresh.getOrCompute(Key, G, Compute);
   EXPECT_EQ(Computes, 1);
   EXPECT_EQ(Fresh.hits(), 1u);
   EXPECT_EQ(Third.Segments.size(), First.Segments.size());
@@ -207,7 +255,7 @@ TEST(PlanCache, DistinctKeysEachSearchOnce) {
     for (int I = 0; I < kKeys; ++I) {
       PlanKey Key = keyFor(G);
       Key.FaultFloor = I + 1; // Distinct content address.
-      Cache.getOrCompute(Key, Compute);
+      Cache.getOrCompute(Key, G, Compute);
     }
   // The first pass searched and stored every key; the second hit them all.
   EXPECT_EQ(Computes, kKeys);

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "PlanFingerprint.h"
 #include "core/PimFlow.h"
 #include "models/Zoo.h"
@@ -106,7 +108,7 @@ TEST(PlanCorruption, RandomGarbageIsRejected) {
 
 TEST(PlanCorruption, VersionSkewIsPlanVersionNotCorrupt) {
   std::string Mutated = artifactText();
-  const size_t Pos = Mutated.find(" v1 ");
+  const size_t Pos = Mutated.find(" v2 ");
   ASSERT_NE(Pos, std::string::npos);
   Mutated.replace(Pos, 4, " v9 ");
   DiagnosticEngine DE;
@@ -181,7 +183,7 @@ namespace {
 /// Re-headers \p Body with its true byte count and checksum, so a mutation
 /// below the header reaches the record parser instead of the payload guard.
 std::string reheader(const std::string &Body) {
-  return formatStr("pimflow-plan v1 bytes %zu checksum %s\n", Body.size(),
+  return formatStr("pimflow-plan v2 bytes %zu checksum %s\n", Body.size(),
                    fnv1a64Hex(Body).c_str()) +
          Body;
 }
@@ -254,9 +256,10 @@ std::string mutateBody(const std::string &Body, Rng &R) {
 } // namespace
 
 TEST(PlanCorruption, RechecksummedMutationsMatchTheParent) {
-  // The digest below was recorded from the printf/strtod-based reader this
-  // parser replaced: every mutation must be accepted or rejected exactly as
-  // it was, and every accepted one must yield the same key and plan.
+  // The digest below pins every mutation's outcome: whether it is accepted
+  // and, if so, the key and plan it yields. It was recorded from the
+  // printf/strtod-based reader of the v1 format and re-recorded when the
+  // format became v2 (the bodies mutated are v2's).
   const std::string Texts[] = {artifactText(),
                                compileArtifactText("squeezenet-1.1")};
   Rng R(0x5EC0DE11);
@@ -285,6 +288,97 @@ TEST(PlanCorruption, RechecksummedMutationsMatchTheParent) {
   // Both outcomes occur, so the digest pins accept-set and values alike.
   EXPECT_GT(Accepted, 100u);
   EXPECT_GT(Rejected, 100u);
-  EXPECT_EQ(fnv1a64Hex(Record), "300ca34017c042bd")
+  EXPECT_EQ(fnv1a64Hex(Record), "3b470ba238e8385e")
       << Accepted << " accepted, " << Rejected << " rejected";
+}
+
+namespace {
+
+/// artifactText() with \p Edit applied to its body lines, re-headered.
+std::string editedArtifact(
+    const std::function<void(std::vector<std::string> &)> &Edit) {
+  const std::string &Text = artifactText();
+  std::vector<std::string> Lines = split(Text.substr(Text.find('\n') + 1),
+                                         '\n');
+  Lines.pop_back(); // The body ends in a newline.
+  Edit(Lines);
+  return reheader(join(Lines, "\n") + "\n");
+}
+
+/// The index of the line of \p Lines that starts with \p Prefix.
+size_t lineStarting(const std::vector<std::string> &Lines,
+                    const std::string &Prefix) {
+  for (size_t I = 0; I < Lines.size(); ++I)
+    if (startsWith(Lines[I], Prefix))
+      return I;
+  ADD_FAILURE() << "no line starts with '" << Prefix << "'";
+  return 0;
+}
+
+/// Parses \p Text, expecting plan.corrupt naming \p Fragment.
+void expectCorrupt(const std::string &Text, const char *Fragment) {
+  DiagnosticEngine DE;
+  EXPECT_FALSE(parsePlanArtifact(Text, DE)) << Fragment;
+  EXPECT_TRUE(DE.hasCode(DiagCode::PlanCorrupt)) << DE.render();
+  EXPECT_NE(DE.render().find(Fragment), std::string::npos) << DE.render();
+}
+
+} // namespace
+
+TEST(PlanCorruption, DecisionsFollowTheSegmentNodesInOrder) {
+  // Decisions 1 and 2 swapped: the second decision is not node 1's.
+  expectCorrupt(editedArtifact([](std::vector<std::string> &L) {
+                  std::swap(L[lineStarting(L, "decision 1 ")],
+                            L[lineStarting(L, "decision 2 ")]);
+                }),
+                "is not segment node 1's");
+  // Node 1's decision missing: node 2's takes its place.
+  expectCorrupt(editedArtifact([](std::vector<std::string> &L) {
+                  L.erase(L.begin() + static_cast<long>(
+                                          lineStarting(L, "decision 1 ")));
+                }),
+                "is not segment node 1's");
+  // The last node's decision missing.
+  expectCorrupt(editedArtifact([](std::vector<std::string> &L) {
+                  L.erase(L.begin() + static_cast<long>(
+                                          lineStarting(L, "decision 9 ")));
+                }),
+                "segment node 9 has no decision record");
+  // A decision beyond the last segment node.
+  expectCorrupt(editedArtifact([](std::vector<std::string> &L) {
+                  L.insert(L.end() - 1, "decision 10 options gpu:1:0");
+                }),
+                "follows the last segment node");
+}
+
+TEST(PlanCorruption, OptionsLeadWithGpuThenPim) {
+  // A first option that is not gpu:1.
+  expectCorrupt(editedArtifact([](std::vector<std::string> &L) {
+                  L[lineStarting(L, "decision 1 ")] =
+                      "decision 1 options gpu:0.5:0";
+                }),
+                "not gpu:1");
+  expectCorrupt(editedArtifact([](std::vector<std::string> &L) {
+                  L[lineStarting(L, "decision 1 ")] = "decision 1 options";
+                }),
+                "malformed decision record");
+  // A candidate whose second option is not pim:0: node 0 without its PIM
+  // sample.
+  expectCorrupt(editedArtifact([](std::vector<std::string> &L) {
+                  std::string &D = L[lineStarting(L, "decision 0 ")];
+                  const size_t Pim = D.find(" pim:0:");
+                  D.erase(Pim, D.find(' ', Pim + 1) - Pim);
+                }),
+                "not pim:0");
+}
+
+TEST(PlanCorruption, AV1ArtifactIsOnlyPlanVersion) {
+  // The v1 format stored derived records this build no longer reads; it
+  // is rejected for its version alone, before any record is read.
+  std::string V1 = artifactText();
+  V1.replace(V1.find(" v2 "), 4, " v1 ");
+  DiagnosticEngine DE;
+  EXPECT_FALSE(parsePlanArtifact(V1, DE));
+  EXPECT_EQ(DE.errorCount(), 1u) << DE.render();
+  EXPECT_TRUE(DE.hasCode(DiagCode::PlanVersion)) << DE.render();
 }

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A full-precision fingerprint of an ExecutionPlan (segments, per-layer
-/// profiles, the decision trail and the DP objective), printed through
-/// printf independently of the artifact writer, so tests can compare two
-/// plans without trusting the format under test.
+/// A full-precision fingerprint of an ExecutionPlan (segments, each
+/// candidate layer's best-MD-DP view, the decision trail with its derived
+/// fields, and the DP objective), printed through printf independently of
+/// the artifact writer, so tests can compare two plans without trusting
+/// the format under test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,16 +35,17 @@ inline std::string planFingerprint(const ExecutionPlan &Plan) {
                    static_cast<int>(Seg.Pattern), Seg.PredictedNs);
   }
   S += "|layers:";
-  for (const LayerProfile &L : Plan.Layers)
-    S += formatStr("n%lld g%.17g p%.17g m%.17g r%.17g;",
-                   static_cast<long long>(L.Id), L.GpuNs, L.PimNs,
-                   L.BestMdDpNs, L.BestRatioGpu);
+  for (const SearchDecision &D : Plan.Decisions)
+    if (D.pimCandidate())
+      S += formatStr("n%lld g%.17g p%.17g m%.17g r%.17g;",
+                     static_cast<long long>(D.Id), D.gpuOnlyNs(), D.pimNs(),
+                     D.bestMdDp().Ns, D.bestMdDp().RatioGpu);
   S += "|decisions:";
   for (const SearchDecision &D : Plan.Decisions) {
     S += formatStr("n%lld c%d m%s r%.17g ns%.17g g%.17g[",
-                   static_cast<long long>(D.Id), D.PimCandidate ? 1 : 0,
+                   static_cast<long long>(D.Id), D.pimCandidate() ? 1 : 0,
                    segmentModeName(D.ChosenMode), D.ChosenRatioGpu,
-                   D.ChosenNs, D.GpuOnlyNs);
+                   D.ChosenNs, D.gpuOnlyNs());
     for (const CandidateOption &C : D.Candidates)
       S += formatStr("%s:%.17g:%.17g,", segmentModeName(C.Mode), C.RatioGpu,
                      C.Ns);

@@ -524,11 +524,16 @@ TEST(ProfilerTest, RatiosShareAnEntryExactlyWhenTheyPrintAlike) {
 
 TEST(ProfilerTest, RowsPrintAsTheTextSignatureDid) {
   // Rows of a cold mobilenet-v2 search under PIMFlow's defaults, recorded
-  // when the memo was keyed by the row text itself.
+  // when the memo was keyed by the row text itself; the configuration
+  // prefix is the plan key's (the artifact's `config` line).
   PimFlow Flow(OffloadPolicy::PimFlow);
   Flow.plan(buildModel("mobilenet-v2"));
   const std::string Log = savedText(Flow.profiler());
-  const std::string Config = "gc16/bw14.0/pc16/gb4/lh1/sg1/gr2/mo1|";
+  const std::string Config =
+      "tc32/gmc16/gbw14/gclk1.68/gf166/gsm30/glan64/gco1.028/pc16/pb16/pm16/"
+      "pgb4096/prl16/pclk2/pfs200/ngb4/lh1/sg1/gr2/mo1/xb100/sy300/mc0/"
+      "cf0.003|";
+  EXPECT_EQ(Config, systemConfigPlanSig(Flow.config()) + "|");
   for (const char *Row : {
            "mddp0.30|conv2d[k1.1 s1.1 p0.0.0.0 g1][1x112x112x16][1x1x16x96]"
            "->[1x112x112x96];relu6[1x112x112x96]->[1x112x112x96];\t9508",
@@ -543,6 +548,28 @@ TEST(ProfilerTest, RowsPrintAsTheTextSignatureDid) {
        })
     EXPECT_NE(Log.find('\n' + Config + Row + '\n'), std::string::npos)
         << Row;
+}
+
+TEST(ProfilerTest, ContentionRowsNeverServeAnotherConfiguration) {
+  // The contention model reschedules an MD-DP sample, so a log written
+  // without it must not answer a profiler with it: every field of the
+  // plan key's configuration prints in the row prefix.
+  const Graph G = buildToy();
+  const NodeId Conv = firstConv(G);
+  SystemConfig Plain = systemConfigFor(OffloadPolicy::PimFlow, {});
+  SystemConfig Contended = Plain;
+  Contended.ModelContention = true;
+  Profiler Without(Plain);
+  Profiler With(Contended);
+  const double Off = Without.mdDpNs(G, Conv, 0.5);
+  const double On = With.mdDpNs(G, Conv, 0.5);
+  ASSERT_NE(On, Off);
+
+  Profiler Loaded(Contended);
+  ASSERT_TRUE(loadCacheText(Loaded, savedText(Without)));
+  EXPECT_EQ(Loaded.mdDpNs(G, Conv, 0.5), On);
+  EXPECT_EQ(Loaded.cacheHits(), 0u);
+  EXPECT_EQ(Loaded.cacheMisses(), 1u);
 }
 
 TEST(ProfilerTest, LoadedRowsOfOtherConfigurationsSaveBackUnchanged) {

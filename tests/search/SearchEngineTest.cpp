@@ -136,7 +136,9 @@ TEST(SearchEngineTest, GpuOnlySearchKeepsEverythingOnGpu) {
   ExecutionPlan Plan = S.search(G);
   for (const SegmentPlan &Seg : Plan.Segments)
     EXPECT_EQ(Seg.Mode, SegmentMode::GpuNode);
-  EXPECT_TRUE(Plan.Layers.empty()); // No PIM -> no candidate profiles.
+  // No PIM -> no candidate profiles: every node has only its GPU option.
+  for (const SearchDecision &D : Plan.Decisions)
+    EXPECT_FALSE(D.pimCandidate());
 }
 
 TEST(SearchEngineTest, SegmentsCoverAllNodesExactlyOnce) {
@@ -190,15 +192,20 @@ TEST(SearchEngineTest, LayerProfilesRecorded) {
   SearchEngine S(P, optionsFor(true, false, true));
   ExecutionPlan Plan = S.search(G);
   // Toy has 2 pointwise convs + 1 regular conv + 1 FC as candidates.
-  EXPECT_EQ(Plan.Layers.size(), 4u);
-  for (const LayerProfile &L : Plan.Layers) {
-    EXPECT_GT(L.GpuNs, 0.0);
-    EXPECT_GT(L.PimNs, 0.0);
-    EXPECT_LE(L.BestMdDpNs, L.GpuNs);
-    EXPECT_LE(L.BestMdDpNs, L.PimNs);
-    EXPECT_GE(L.BestRatioGpu, 0.0);
-    EXPECT_LE(L.BestRatioGpu, 1.0);
+  size_t Layers = 0;
+  for (const SearchDecision &D : Plan.Decisions) {
+    if (!D.pimCandidate())
+      continue;
+    ++Layers;
+    const CandidateOption &Best = D.bestMdDp();
+    EXPECT_GT(D.gpuOnlyNs(), 0.0);
+    EXPECT_GT(D.pimNs(), 0.0);
+    EXPECT_LE(Best.Ns, D.gpuOnlyNs());
+    EXPECT_LE(Best.Ns, D.pimNs());
+    EXPECT_GE(Best.RatioGpu, 0.0);
+    EXPECT_LE(Best.RatioGpu, 1.0);
   }
+  EXPECT_EQ(Layers, 4u);
 }
 
 TEST(SearchEngineTest, ApplyProducesValidAnnotatedGraph) {

@@ -49,8 +49,9 @@
 #      compile -> replay determinism (a
 #      replayed plan reproduces the fresh run's execution line, skips the
 #      search, and hits the plan cache on a recompile), then the corruption
-#      matrix (truncation, bit flip, version skew, wrong-model replay),
-#      each rejected non-zero with the right diagnostic slug.
+#      matrix (truncation, bit flip, version skew, a plan that leaves a
+#      node uncovered, wrong-model replay), each rejected non-zero with the
+#      right diagnostic slug.
 #   8. The serve tier: a seeded mixed-model `pimflow serve` run whose
 #      summary must be byte-identical to a second, identical run's AND
 #      match the committed golden (outcomes are decided in virtual time),
@@ -265,8 +266,10 @@ head -c 200 "$PLAN_DIR/toy.plan" > "$PLAN_DIR/truncated.plan"
 reject 'plan\.corrupt' "$PLAN_DIR/truncated.plan"
 sed '2s/./X/' "$PLAN_DIR/toy.plan" > "$PLAN_DIR/flipped.plan"
 reject 'plan\.corrupt' "$PLAN_DIR/flipped.plan"
-sed '1s/ v1 / v99 /' "$PLAN_DIR/toy.plan" > "$PLAN_DIR/skewed.plan"
+sed '1s/ v2 / v99 /' "$PLAN_DIR/toy.plan" > "$PLAN_DIR/skewed.plan"
 reject 'plan\.version' "$PLAN_DIR/skewed.plan"
+# An honest artifact whose segments leave a node of the model uncovered.
+reject 'plan\.mismatch' tools/testdata/toy.mismatch-uncovered-node.plan
 if ./build/tools/pimflow run mnasnet-1.0 \
   --plan="$PLAN_DIR/toy.plan" > /dev/null 2> "$PLAN_DIR/mismatch.err"; then
   echo "error: wrong-model replay was accepted" >&2

@@ -13,13 +13,10 @@
 ///
 /// Checks:
 ///   - the artifact parses: magic, version, byte count, checksum, and
-///     every record (the full corruption surface of the format);
+///     every record, decisions in segment order included (the full
+///     corruption surface of the format);
 ///   - re-serializing the parsed artifact reproduces the file byte for
-///     byte (the round-trip invariant the test suite relies on);
-///   - the plan is internally coherent: at least one segment, PredictedNs
-///     equal to the sum of segment times (within float tolerance), every
-///     decision carrying at least one candidate, and every segment node
-///     covered by exactly one decision.
+///     byte (the round-trip invariant the test suite relies on).
 ///
 /// `--digest=<hex>` additionally requires the artifact's content address
 /// (PlanKey::digest) to match — how ctest pins a golden fixture to the
@@ -28,10 +25,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include <cmath>
-#include <cstdarg>
 #include <cstdio>
-#include <map>
 #include <string>
 
 #include "plan/PlanArtifact.h"
@@ -46,53 +40,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: pf_plan_check [--digest=<hex>] <artifact.plan>\n");
   return 2;
-}
-
-bool fail(const char *Fmt, ...) {
-  va_list Args;
-  va_start(Args, Fmt);
-  std::fprintf(stderr, "pf_plan_check: ");
-  std::vfprintf(stderr, Fmt, Args);
-  std::fprintf(stderr, "\n");
-  va_end(Args);
-  return false;
-}
-
-/// The coherence checks beyond "it parses": the properties every plan the
-/// search engine emits hold, so an artifact violating one was corrupted
-/// in a way that kept the checksum intact (i.e. regenerated dishonestly).
-bool checkCoherent(const PlanArtifact &A) {
-  const ExecutionPlan &P = A.Plan;
-  if (P.Segments.empty())
-    return fail("plan has no segments");
-  double SumNs = 0.0;
-  for (const SegmentPlan &S : P.Segments) {
-    if (S.Nodes.empty())
-      return fail("segment with no nodes");
-    SumNs += S.PredictedNs;
-  }
-  const double Tol = 1e-6 * std::max(1.0, std::fabs(P.PredictedNs));
-  if (std::fabs(SumNs - P.PredictedNs) > Tol)
-    return fail("predicted %.17g ns disagrees with segment sum %.17g ns",
-                P.PredictedNs, SumNs);
-  std::map<NodeId, int> DecisionCount;
-  for (const SearchDecision &D : P.Decisions) {
-    if (D.Candidates.empty())
-      return fail("decision for node %d has no candidates",
-                  static_cast<int>(D.Id));
-    ++DecisionCount[D.Id];
-  }
-  for (const SegmentPlan &S : P.Segments)
-    for (NodeId Id : S.Nodes) {
-      auto It = DecisionCount.find(Id);
-      if (It == DecisionCount.end())
-        return fail("segment node %d has no decision record",
-                    static_cast<int>(Id));
-      if (It->second != 1)
-        return fail("segment node %d has %d decision records",
-                    static_cast<int>(Id), It->second);
-    }
-  return true;
 }
 
 } // namespace
@@ -133,8 +80,6 @@ int main(int Argc, char **Argv) {
                  Path.c_str());
     return 1;
   }
-  if (!checkCoherent(*A))
-    return 1;
   if (!WantDigest.empty() && A->Key.digest() != WantDigest) {
     std::fprintf(stderr,
                  "pf_plan_check: %s has content address %s, expected %s\n",

@@ -46,7 +46,6 @@
 #include "runtime/Recovery.h"
 #include "codegen/CommandGenerator.h"
 #include "pim/TraceIO.h"
-#include "ir/GraphPrinter.h"
 #include "ir/GraphSerializer.h"
 #include "ir/Verifier.h"
 #include "models/Zoo.h"
@@ -621,7 +620,10 @@ int runProfile(const CliOptions &O) {
     ExecutionPlan Plan = Engine.search(Model);
     std::printf("profiled %zu PIM-candidate layers at %s ratio "
                 "granularity\n",
-                Plan.Layers.size(), O.flow().AutoTuneRatios ? "2%" : "10%");
+                static_cast<size_t>(std::count_if(
+                    Plan.Decisions.begin(), Plan.Decisions.end(),
+                    [](const SearchDecision &D) { return D.pimCandidate(); })),
+                O.flow().AutoTuneRatios ? "2%" : "10%");
   } else {
     const std::vector<PipelineCandidate> Cands =
         findPipelineCandidates(Model);
@@ -776,10 +778,11 @@ int runCompile(const CliOptions &O) {
 }
 
 /// `pimflow run <net> --plan=<file>`: replay a compiled plan artifact —
-/// validate its key against the live (model, config, options) and execute
-/// without running the search or touching the profiler. A key mismatch is
-/// a hard error: silently re-searching would hide that the artifact no
-/// longer describes this compile.
+/// validate its key against the live (model, config, options), check that
+/// its segments fit the model, and execute without running the search or
+/// touching the profiler. Either mismatch is a hard error: silently
+/// re-searching would hide that the artifact no longer describes this
+/// compile.
 int runReplay(const CliOptions &O) {
   Graph Model;
   if (const int Rc = loadModel(O.net(), O, Model))
@@ -794,7 +797,8 @@ int runReplay(const CliOptions &O) {
                  DE.render().c_str());
     return 1;
   }
-  if (!validatePlanKey(Artifact->Key, Flow.planKey(Model), DE)) {
+  if (!validatePlanKey(Artifact->Key, Flow.planKey(Model), DE) ||
+      !SearchEngine::canApply(Model, Artifact->Plan, DE)) {
     std::fprintf(stderr,
                  "error: plan %s does not match this compile:\n%s",
                  O.PlanIn.c_str(), DE.render().c_str());
