@@ -7,10 +7,12 @@
 #include "codegen/CommandGenerator.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 #include <vector>
 
 #include "obs/Counters.h"
+#include "support/Diagnostics.h"
 #include "support/Format.h"
 
 using namespace pf;
@@ -199,6 +201,42 @@ PassCost costOf(const PimConfig &Config, const PassShape &Shape) {
   return Cost;
 }
 
+#ifdef PIMFLOW_CHECKED
+constexpr bool CheckSearches = true;
+#else
+constexpr bool CheckSearches = false;
+#endif
+
+/// One (Cm, Ck) split's pass and its cost, shared by that Cm's vector
+/// splits.
+struct KSplit {
+  int Ck;
+  PassShape Shape;
+  PassCost Cost;
+};
+
+/// One enumerated mapping and its closed-form lower bound.
+struct Candidate {
+  ChannelMapping Map;
+  /// Index of the mapping's (Cm, Ck) split in the split table.
+  size_t Split;
+  /// Passes each used channel makes.
+  int64_t Passes;
+  PimCommandGenerator::MappingExtras Extras;
+  double BoundNs;
+};
+
+/// What the search rebuilds for every plan, kept per thread so that its
+/// storage is reused: in steady state a search allocates nothing. Not per
+/// generator: the engine builds a generator for every run.
+struct SearchScratch {
+  std::vector<KSplit> Splits;
+  /// Every candidate, in enumeration order.
+  std::vector<Candidate> Candidates;
+  /// The stream of the candidate being priced, and of the best so far.
+  ChannelTrace Channel, Kept;
+};
+
 } // namespace
 
 PimKernelRecord pf::recordOf(NodeId Id, const PimKernelPlan &Plan) {
@@ -282,34 +320,20 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
 }
 
 PimKernelPlan PimCommandGenerator::search(const PimKernelSpec &Spec,
-                                          ChannelTrace &Kept) const {
+                                          bool Traced) const {
   PF_ASSERT(Spec.valid(), "invalid PIM kernel spec");
 
   // Every used channel of a mapping repeats one pass, whose cost depends
   // on (Cm, Ck) alone, so a mapping's lower bound is its pass count times
-  // that cost. A mapping whose bound reaches the best price so far cannot
-  // win and is skipped; the others are emitted as the one command stream
-  // their used channels all carry and priced from one simulated channel.
-  // Only the kept mapping gets full run stats. Divisors are enumerated in
-  // increasing order, so the order is lexicographic in (Cm, Cv, Ck).
-  ChannelMapping Best;
-  MappingExtras BestExtras;
-  double BestNs = 0.0;
-  bool HaveBest = false;
-  ChannelTrace Channel;
-  int64_t Tried = 0, Pruned = 0;
-
+  // that cost. The candidates are enumerated into one table with their
+  // bounds; divisors are enumerated in increasing order, so the table is
+  // lexicographic in (Cm, Cv, Ck).
+  thread_local SearchScratch S;
+  S.Splits.clear();
+  S.Candidates.clear();
   const int Channels = Config.Channels;
   const int64_t PassesTotal = passesTotal(Config, Spec);
-  // The passes of the current Cm's K splits and their costs, shared by
-  // its vector splits: one entry per divisor of Channels / Cm that may
-  // split K.
-  struct KSplit {
-    int Ck;
-    PassShape Shape;
-    PassCost Cost;
-  };
-  std::vector<KSplit> KSplits;
+  size_t Least = 0;
   for (int Cm = 1; Cm <= Channels; ++Cm) {
     // More M-partitions than rows only idles channels.
     if (Cm > Spec.M)
@@ -317,7 +341,8 @@ PimKernelPlan PimCommandGenerator::search(const PimKernelSpec &Spec,
     if (Channels % Cm != 0)
       continue;
     const int PerM = Channels / Cm;
-    KSplits.clear();
+    // This Cm's K splits: one entry per divisor of PerM that may split K.
+    const size_t FirstSplit = S.Splits.size();
     for (int Ck = 1; Ck <= PerM; ++Ck) {
       if (PerM % Ck != 0)
         continue;
@@ -328,7 +353,7 @@ PimKernelPlan PimCommandGenerator::search(const PimKernelSpec &Spec,
                         Spec.K)
         break;
       const PassShape Shape = shapeOf(Config, Options, Spec, Cm, Ck);
-      KSplits.push_back({Ck, Shape, costOf(Config, Shape)});
+      S.Splits.push_back({Ck, Shape, costOf(Config, Shape)});
     }
     for (int Cv = 1; Cv <= PerM; ++Cv) {
       if (PerM % Cv != 0)
@@ -339,62 +364,100 @@ PimKernelPlan PimCommandGenerator::search(const PimKernelSpec &Spec,
         break;
       const int64_t Passes = ceilDiv(PassesTotal, Cv);
       const int PerMV = PerM / Cv;
-      for (const KSplit &K : KSplits) {
+      for (size_t I = FirstSplit; I < S.Splits.size(); ++I) {
+        const KSplit &K = S.Splits[I];
         if (K.Ck > PerMV)
           break;
         if (PerMV % K.Ck != 0)
           continue;
-        ++Tried;
         const ChannelMapping Map{Cm, Cv, K.Ck, granularityOf(Cv, K.Ck)};
         const MappingExtras X{Passes * K.Cost.GwriteBursts, K.Cost.MergeNs};
-        if (HaveBest) {
-          // Admissible: both engines start at cycle 0, the fetch engine
-          // runs the GWRITEs back to back, the bank engine the rest, and
-          // the channel ends on a READRES after its last COMP, which
-          // waits for the last GWRITE. Without latency hiding every
-          // command serializes, so the summed bound is exact.
-          const ChannelPhaseCycles &Pass = K.Cost.Phases;
-          const int64_t Floor =
-              Config.GwriteLatencyHiding
-                  ? std::max(Passes * Pass.GwriteCycles,
-                             Passes * Pass.bankBusyCycles())
-                  : Passes * Pass.busyCycles();
-          if (priceNs(Map, X, Floor) >= BestNs) {
-            ++Pruned;
-            continue;
-          }
-        }
-        emitPasses(K.Shape, Passes, Channel);
-        const double Ns = priceNs(Map, X, Sim.simulateChannel(Channel));
-        if (!HaveBest || Ns < BestNs) {
-          Best = Map;
-          BestExtras = X;
-          BestNs = Ns;
-          std::swap(Kept, Channel);
-          HaveBest = true;
-        }
+        // Admissible: both engines start at cycle 0, the fetch engine runs
+        // the GWRITEs back to back, the bank engine the rest, and the
+        // channel ends on a READRES after its last COMP, which waits for
+        // the last GWRITE. Without latency hiding every command
+        // serializes, so the summed bound is exact.
+        const ChannelPhaseCycles &Pass = K.Cost.Phases;
+        const int64_t Floor =
+            Config.GwriteLatencyHiding
+                ? std::max(Passes * Pass.GwriteCycles,
+                           Passes * Pass.bankBusyCycles())
+                : Passes * Pass.busyCycles();
+        S.Candidates.push_back({Map, I, Passes, X, priceNs(Map, X, Floor)});
+        if (S.Candidates.back().BoundNs < S.Candidates[Least].BoundNs)
+          Least = S.Candidates.size() - 1;
       }
     }
   }
+  PF_ASSERT(!S.Candidates.empty(), "no feasible PIM mapping found");
+
+  // Best bound first: the least-bound candidate (the earliest of equal
+  // bounds) is emitted and priced from one simulated channel first, so the
+  // bound prunes from the start. The walk in enumeration order then prices
+  // only candidates that can still win: one whose bound is below the best
+  // price, or equal to it and earlier than the best, which wins a tie.
+  // The kept mapping is therefore the first fastest in enumeration order.
+  auto Price = [&](const Candidate &C, ChannelTrace &Channel) {
+    emitPasses(S.Splits[C.Split].Shape, C.Passes, Channel);
+    return priceNs(C.Map, C.Extras, Sim.simulateChannel(Channel));
+  };
+  size_t Best = Least;
+  double BestNs = Price(S.Candidates[Least], S.Kept);
+  int64_t Simulated = 1;
+  for (size_t I = 0; I < S.Candidates.size(); ++I) {
+    const double Bound = S.Candidates[I].BoundNs;
+    if (I == Least || Bound > BestNs || (Bound == BestNs && I > Best))
+      continue;
+    const double Ns = Price(S.Candidates[I], S.Channel);
+    ++Simulated;
+    if (Ns < BestNs || (Ns == BestNs && I < Best)) {
+      Best = I;
+      BestNs = Ns;
+      std::swap(S.Kept, S.Channel);
+    }
+  }
+  const int64_t Tried = static_cast<int64_t>(S.Candidates.size());
   obs::addCounter("codegen.mappings_tried", Tried);
-  obs::addCounter("codegen.mappings_pruned", Pruned);
-  PF_ASSERT(HaveBest, "no feasible PIM mapping found");
-  PimKernelPlan Plan = priceMapping(Spec, Best, Kept, BestExtras);
+  obs::addCounter("codegen.mappings_pruned", Tried - Simulated);
+
+  if constexpr (CheckSearches) {
+    // The exhaustive definition the pruning must reproduce: price every
+    // candidate and keep the first strictly fastest. Simulating a channel
+    // records nothing, so a checked build records the same telemetry.
+    size_t Fastest = 0;
+    double FastestNs = 0.0;
+    for (size_t I = 0; I < S.Candidates.size(); ++I) {
+      const double Ns = Price(S.Candidates[I], S.Channel);
+      if (I == 0 || Ns < FastestNs) {
+        Fastest = I;
+        FastestNs = Ns;
+      }
+    }
+    if (Fastest != Best ||
+        std::bit_cast<uint64_t>(FastestNs) != std::bit_cast<uint64_t>(BestNs))
+      fatal(formatStr("PIM mapping search kept %s at %.17g ns, but %s at "
+                      "%.17g ns is the first fastest of %zu candidates",
+                      S.Candidates[Best].Map.describeMapping().c_str(),
+                      BestNs,
+                      S.Candidates[Fastest].Map.describeMapping().c_str(),
+                      FastestNs, S.Candidates.size()));
+  }
+
+  const Candidate &Kept = S.Candidates[Best];
+  PimKernelPlan Plan = priceMapping(Spec, Kept.Map, S.Kept, Kept.Extras);
   PF_ASSERT(Plan.Ns == BestNs,
             "full-stats price of the kept mapping differs from its price");
   obs::addCounter("codegen.plans");
+  if (Traced)
+    Plan.Trace = replicate(S.Kept, Plan.usedChannels());
   return Plan;
 }
 
 PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
-  ChannelTrace Kept;
-  PimKernelPlan Plan = search(Spec, Kept);
-  Plan.Trace = replicate(Kept, Plan.usedChannels());
-  return Plan;
+  return search(Spec, /*Traced=*/true);
 }
 
 PimKernelPlan
 PimCommandGenerator::planUntraced(const PimKernelSpec &Spec) const {
-  ChannelTrace Kept;
-  return search(Spec, Kept);
+  return search(Spec, /*Traced=*/false);
 }

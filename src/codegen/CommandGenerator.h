@@ -24,8 +24,10 @@
 /// simulator, and keeps the fastest — this is the paper's "command
 /// scheduling pass to distribute PIM commands across channels to fully
 /// utilize all PIM compute units". A candidate's lower bound comes from
-/// the per-pass cost of its (M, K) split, so only the candidates that can
-/// still win are emitted and simulated.
+/// the per-pass cost of its (M, K) split. The search prices the
+/// least-bound candidate first and then only the candidates whose bound
+/// can still beat the best price, so most are never emitted or simulated.
+/// Its tables and streams are per-thread scratch reused across plans.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,10 +134,11 @@ public:
   PimKernelPlan planWithMapping(const PimKernelSpec &Spec, int ChannelsForM,
                                 int ChannelsForV, int ChannelsForK) const;
 
-  /// Command-scheduling pass: tries every mapping the configured
-  /// granularity permits and returns the fastest plan. A mapping whose
-  /// lower bound cannot beat the fastest so far is skipped; only a
-  /// strictly faster mapping replaces it, so the first fastest one wins.
+  /// Command-scheduling pass: returns the fastest plan of the mappings the
+  /// configured granularity permits, the first fastest in enumeration
+  /// order (lexicographic in Cm, Cv, Ck). The least-bound mapping is priced
+  /// first; a mapping whose lower bound cannot beat the best so far (or
+  /// tie it from an earlier place) is skipped.
   PimKernelPlan plan(const PimKernelSpec &Spec) const;
 
   /// plan() without the device trace: the same mapping, Ns, Stats and
@@ -165,10 +168,9 @@ public:
                     int ChannelsForK) const;
 
 private:
-  /// The search behind plan() and planUntraced(): the kept plan without
-  /// its Trace, and the stream each of its used channels carries in
-  /// \p Kept.
-  PimKernelPlan search(const PimKernelSpec &Spec, ChannelTrace &Kept) const;
+  /// The search behind plan() and planUntraced(): the kept plan, with its
+  /// device trace when \p Traced.
+  PimKernelPlan search(const PimKernelSpec &Spec, bool Traced) const;
 
   /// Kernel ns of \p Map when each used channel finishes at
   /// \p ChannelCycles: the makespan raised to the fetch-supply floor, plus

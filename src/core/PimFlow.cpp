@@ -100,8 +100,7 @@ PimFlow::PimFlow(OffloadPolicy Policy, PimFlowOptions Options)
 }
 
 PlanKey PimFlow::planKey(const Graph &Model) const {
-  return makePlanKey(Model, Config, searchOptionsFor(Policy, Options),
-                     Options.PimFloor);
+  return makePlanKey(Model, Config, searchOptions(), Options.PimFloor);
 }
 
 CompileResult PimFlow::compileAndRun(const Graph &Model) {
@@ -122,9 +121,9 @@ ExecutionPlan PimFlow::plan(const Graph &Model) {
       fatal(formatStr("invalid system configuration:\n%s",
                       DE.render().c_str()));
   }
+  const SearchOptions Search = searchOptions();
   auto Fresh = [&] {
-    SearchEngine Search(Prof, searchOptionsFor(Policy, Options));
-    ExecutionPlan P = Search.search(Model);
+    ExecutionPlan P = SearchEngine(Prof, Search).search(Model);
     PF_LOG_INFO("search: %zu segments, %.2f us predicted (%zu/%zu profile "
                 "cache hits)",
                 P.Segments.size(), P.PredictedNs / 1e3, Prof.cacheHits(),
@@ -132,7 +131,7 @@ ExecutionPlan PimFlow::plan(const Graph &Model) {
     return P;
   };
   if (Cache)
-    return Cache->getOrCompute(planKey(Model), Model, Fresh);
+    return Cache->getOrCompute(planKey(Model), Model, Config, Search, Fresh);
   return Fresh();
 }
 

@@ -149,6 +149,10 @@ public:
 
   OffloadPolicy policy() const { return Policy; }
   const SystemConfig &config() const { return Config; }
+  /// The option set the search chooses from (searchOptionsFor).
+  SearchOptions searchOptions() const {
+    return searchOptionsFor(Policy, Options);
+  }
 
   /// Runs the full flow on \p Model: search (or cache hit), transform,
   /// validate, execute. Equivalent to executePlan(Model, plan(Model)).

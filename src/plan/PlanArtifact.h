@@ -45,7 +45,8 @@
 /// artifact is plan.version: no older format is read); an artifact whose
 /// key disagrees with the live (graph, config, search options, fault
 /// floor) produces `plan.mismatch` via validatePlanKey, and so does a plan
-/// that does not fit the live model (SearchEngine::canApply). Callers
+/// that does not fit the live model, configuration or search options
+/// (SearchEngine::canApply). Callers
 /// decide whether to exit (the CLI) or fall back to a fresh search (the
 /// cache, which treats any invalid cached file as a miss, never as a
 /// plan).

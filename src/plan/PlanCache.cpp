@@ -41,7 +41,9 @@ std::string PlanCache::pathFor(const PlanKey &Key) const {
 }
 
 std::optional<ExecutionPlan> PlanCache::load(const PlanKey &Key,
-                                             const Graph &Model) {
+                                             const Graph &Model,
+                                             const SystemConfig &Config,
+                                             const SearchOptions &Search) {
   const std::string Path = pathFor(Key);
   struct stat St;
   if (::stat(Path.c_str(), &St) != 0) {
@@ -53,12 +55,14 @@ std::optional<ExecutionPlan> PlanCache::load(const PlanKey &Key,
   // the compile falls through to a fresh search and overwrites it.
   DiagnosticEngine DE;
   auto A = loadPlanArtifact(Path, DE);
-  if (!A || A->Key != Key || !SearchEngine::canApply(Model, A->Plan, DE)) {
+  if (!A || A->Key != Key ||
+      !SearchEngine::canApply(Model, A->Plan, Config, Search, DE)) {
     PF_LOG_INFO("plan cache: invalid cached artifact %s (%s), recomputing",
                 Path.c_str(),
                 !A                ? "corrupt"
                 : A->Key != Key   ? "stored key disagrees with digest"
-                                  : "plan does not fit the model");
+                                  : "plan does not fit the model or "
+                                    "configuration");
     ++Misses;
     obs::addCounter("plan_cache.miss");
     obs::addCounter("plan_cache.invalid");
@@ -81,8 +85,10 @@ bool PlanCache::store(const PlanKey &Key, const ExecutionPlan &Plan) {
 
 ExecutionPlan
 PlanCache::getOrCompute(const PlanKey &Key, const Graph &Model,
+                        const SystemConfig &Config,
+                        const SearchOptions &Search,
                         const std::function<ExecutionPlan()> &Compute) {
-  if (std::optional<ExecutionPlan> Cached = load(Key, Model))
+  if (std::optional<ExecutionPlan> Cached = load(Key, Model, Config, Search))
     return std::move(*Cached);
   // load() counted the miss; compute and persist for the next compile.
   ExecutionPlan Fresh = Compute();

@@ -44,12 +44,15 @@ public:
   /// The artifact path digest \p Key addresses (inside the cache dir).
   std::string pathFor(const PlanKey &Key) const;
 
-  /// Loads the cached plan for \p Key, the key of \p Model. Returns
-  /// std::nullopt on miss, including a present-but-corrupt file, a digest
-  /// collision whose stored key disagrees, and a plan that does not fit
-  /// \p Model (SearchEngine::canApply), each counted under
+  /// Loads the cached plan for \p Key, the key of \p Model under
+  /// \p Config and \p Search. Returns std::nullopt on miss, including a
+  /// present-but-corrupt file, a digest collision whose stored key
+  /// disagrees, and a plan that does not fit \p Model, \p Config or
+  /// \p Search (SearchEngine::canApply), each counted under
   /// plan_cache.invalid.
-  std::optional<ExecutionPlan> load(const PlanKey &Key, const Graph &Model);
+  std::optional<ExecutionPlan> load(const PlanKey &Key, const Graph &Model,
+                                    const SystemConfig &Config,
+                                    const SearchOptions &Search);
 
   /// Serializes \p Plan under \p Key.
   bool store(const PlanKey &Key, const ExecutionPlan &Plan);
@@ -57,6 +60,8 @@ public:
   /// The cache-through compile of \p Model: load, or run \p Compute and
   /// store.
   ExecutionPlan getOrCompute(const PlanKey &Key, const Graph &Model,
+                             const SystemConfig &Config,
+                             const SearchOptions &Search,
                              const std::function<ExecutionPlan()> &Compute);
 
   const std::string &dir() const { return Dir; }

@@ -280,6 +280,8 @@ void SearchEngine::apply(Graph &G, const ExecutionPlan &Plan) {
 }
 
 bool SearchEngine::canApply(const Graph &G, const ExecutionPlan &Plan,
+                            const SystemConfig &Config,
+                            const SearchOptions &Search,
                             DiagnosticEngine &DE) {
   const size_t Errors = DE.errorCount();
   auto Mismatch = [&](NodeId Id, const std::string &Message) {
@@ -306,8 +308,20 @@ bool SearchEngine::canApply(const Graph &G, const ExecutionPlan &Plan,
     }
     const char *Mode = segmentModeName(S.Mode);
     const NodeId First = S.Nodes.empty() ? InvalidNode : S.Nodes[0];
+    const bool Allowed =
+        S.Mode == SegmentMode::FullPim    ? Search.AllowFullOffload
+        : S.Mode == SegmentMode::MdDp     ? Search.AllowSplit
+        : S.Mode == SegmentMode::Pipeline ? Search.AllowPipeline
+                                          : true;
     if (!Live) {
       continue;
+    } else if (S.Mode != SegmentMode::GpuNode && !Config.hasPim()) {
+      Mismatch(First, formatStr("%s segments need PIM channels, and the "
+                                "configuration has none",
+                                Mode));
+    } else if (!Allowed) {
+      Mismatch(First,
+               formatStr("the search options exclude %s segments", Mode));
     } else if (S.Mode == SegmentMode::Pipeline) {
       if (!Pipelines)
         Pipelines = findPipelineCandidates(G);

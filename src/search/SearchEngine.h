@@ -158,14 +158,18 @@ public:
   /// or pass canApply.
   static void apply(Graph &G, const ExecutionPlan &Plan);
 
-  /// Whether apply can take \p Plan on \p G: every live node lies in
-  /// exactly one segment; a pim or md-dp segment holds one PIM candidate;
-  /// an md-dp ratio splits it across both devices (mdDpCut); a pipeline
-  /// segment is a chain, with its pattern, that findPipelineCandidates
-  /// returns and canPipeline accepts. Reports each violation as
-  /// plan.mismatch into \p DE. Replays check a plan from disk with it.
+  /// Whether apply can take \p Plan on \p G, for a run under \p Config
+  /// whose search chose from \p Search: every live node lies in exactly
+  /// one segment; a pim, md-dp or pipeline segment needs PIM channels in
+  /// \p Config and a mode \p Search allows (full offload, splits,
+  /// pipelines); a pim or md-dp segment holds one PIM candidate; an md-dp
+  /// ratio splits it across both devices (mdDpCut); a pipeline segment is
+  /// a chain, with its pattern, that findPipelineCandidates returns and
+  /// canPipeline accepts. Reports each violation as plan.mismatch into
+  /// \p DE. Replays check a plan from disk with it.
   static bool canApply(const Graph &G, const ExecutionPlan &Plan,
-                       DiagnosticEngine &DE);
+                       const SystemConfig &Config,
+                       const SearchOptions &Search, DiagnosticEngine &DE);
 
 private:
   CostProvider &Prof;

@@ -15,10 +15,16 @@
 #define PIMFLOW_SUPPORT_FORMAT_H
 
 #include <cstdarg>
+#include <cstddef>
 #include <cstdio>
 #include <string>
 
 namespace pf {
+
+/// Bytes formatStr() formats into on the stack. Text of up to
+/// FormatStackBytes - 1 characters is formatted once; longer text is
+/// formatted a second time, straight into the returned string.
+inline constexpr size_t FormatStackBytes = 256;
 
 /// Formats \p Fmt with printf semantics into a std::string.
 #if defined(__GNUC__)
@@ -30,10 +36,13 @@ formatStr(const char *Fmt, ...) {
   va_start(Args, Fmt);
   va_list ArgsCopy;
   va_copy(ArgsCopy, Args);
-  int Needed = std::vsnprintf(nullptr, 0, Fmt, Args);
+  char Buf[FormatStackBytes];
+  const int Needed = std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
   va_end(Args);
   std::string Out;
-  if (Needed > 0) {
+  if (Needed > 0 && static_cast<size_t>(Needed) < sizeof(Buf)) {
+    Out.assign(Buf, static_cast<size_t>(Needed));
+  } else if (Needed > 0) {
     Out.resize(static_cast<size_t>(Needed) + 1);
     std::vsnprintf(Out.data(), Out.size(), Fmt, ArgsCopy);
     Out.resize(static_cast<size_t>(Needed));

@@ -22,8 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "../pim/SimExpect.h"
-#include "codegen/CommandGenerator.h"
-#include "support/Random.h"
+#include "Mappings.h"
 
 using namespace pf;
 
@@ -63,47 +62,6 @@ std::vector<std::pair<PimConfig, CodegenOptions>> sweepConfigs() {
   PimConfig Serialized = PimConfig::newtonPlusPlus();
   Serialized.GwriteLatencyHiding = false;
   Out.push_back({Serialized, CodegenOptions{}});
-  return Out;
-}
-
-std::vector<int> divisors(int N) {
-  std::vector<int> Out;
-  for (int D = 1; D <= N; ++D)
-    if (N % D == 0)
-      Out.push_back(D);
-  return Out;
-}
-
-/// Every (Cm, Cv, Ck) mapping the command-scheduling pass may enumerate
-/// for \p S, in its lexicographic order: divisors of the channels left,
-/// the granularity ceiling, Cm <= M, Cv <= the vector passes, and
-/// Ck * elementsPerComp <= K. A pass fills 1, 2 or 4 buffers, so three
-/// buffered vectors make a pass of two.
-std::vector<std::tuple<int, int, int>>
-enumerableMappings(const PimConfig &C, const CodegenOptions &O,
-                   const PimKernelSpec &S) {
-  int64_t B = std::min<int64_t>(C.NumGlobalBuffers, S.NumVectors);
-  if (B == 3)
-    B = 2;
-  const int64_t Passes = (S.NumVectors + B - 1) / B;
-  std::vector<std::tuple<int, int, int>> Out;
-  for (int Cm : divisors(C.Channels)) {
-    if (Cm > S.M)
-      continue;
-    for (int Cv : divisors(C.Channels / Cm)) {
-      if (Cv > 1 && O.MaxGranularity == ScheduleGranularity::GAct)
-        break;
-      if (Cv > Passes)
-        break;
-      for (int Ck : divisors(C.Channels / (Cm * Cv))) {
-        if (Ck > 1 && O.MaxGranularity != ScheduleGranularity::Comp)
-          break;
-        if (Ck > 1 && static_cast<int64_t>(Ck) * C.elementsPerComp() > S.K)
-          break;
-        Out.emplace_back(Cm, Cv, Ck);
-      }
-    }
-  }
   return Out;
 }
 

@@ -6,9 +6,15 @@
 
 #include "codegen/CommandGenerator.h"
 
+#include <bit>
+#include <thread>
+
 #include <gtest/gtest.h>
 
+#include "../pim/SimExpect.h"
+#include "Mappings.h"
 #include "ir/Builder.h"
+#include "obs/Scope.h"
 
 using namespace pf;
 
@@ -221,4 +227,149 @@ TEST(CommandGeneratorTest, ThreeVectorKernelsTryVectorSplits) {
         }
     }
   EXPECT_EQ(Gen.plan(spec(16, 64, 3)).describeMapping(), "m1.v2.k4@comp");
+}
+
+namespace {
+
+/// Expects \p Got to equal \p Want field for field: the mapping, the bits
+/// of Ns, the MACs, the stats and every channel of the trace.
+void expectSamePlan(const PimKernelPlan &Got, const PimKernelPlan &Want) {
+  EXPECT_EQ(Got.describeMapping(), Want.describeMapping());
+  EXPECT_EQ(std::bit_cast<uint64_t>(Got.Ns), std::bit_cast<uint64_t>(Want.Ns));
+  EXPECT_EQ(Got.EffectiveMacs, Want.EffectiveMacs);
+  expectSameRunStats(Got.Stats, Want.Stats);
+  ASSERT_EQ(Got.Trace.Channels.size(), Want.Trace.Channels.size());
+  for (size_t Ch = 0; Ch < Got.Trace.Channels.size(); ++Ch) {
+    SCOPED_TRACE(testing::Message() << "channel " << Ch);
+    expectSameChannel(Got.Trace.Channels[Ch], Want.Trace.Channels[Ch]);
+  }
+}
+
+} // namespace
+
+TEST(CommandGeneratorTest, KeepsTheFirstFastestWhenTheLeastBoundLoses) {
+  // The search prices the least-bound mapping first. Over the pinned
+  // sweep, take the pairs where that mapping is not the one kept: the plan
+  // must keep the first fastest mapping in enumeration order, with the
+  // same Ns bits.
+  Rng R(SweepSeed);
+  int Drawn = 0, Checked = 0;
+  while (Drawn < SweepPairs && Checked < 20) {
+    const std::optional<SweepPair> P = drawSweepPair(R);
+    if (!P)
+      continue;
+    ++Drawn;
+    const PimCommandGenerator Gen(P->Config, P->Options);
+    const auto Mappings = enumerableMappings(P->Config, P->Options, P->Spec);
+    size_t Least = 0;
+    for (size_t I = 1; I < Mappings.size(); ++I) {
+      const auto &[Cm, Cv, Ck] = Mappings[I];
+      const auto &[LCm, LCv, LCk] = Mappings[Least];
+      if (mappingBoundNs(Gen, P->Spec, Cm, Cv, Ck) <
+          mappingBoundNs(Gen, P->Spec, LCm, LCv, LCk))
+        Least = I;
+    }
+    const PimKernelPlan Plan = Gen.plan(P->Spec);
+    const auto &[LCm, LCv, LCk] = Mappings[Least];
+    if (LCm == Plan.ChannelsForM && LCv == Plan.ChannelsForV &&
+        LCk == Plan.ChannelsForK)
+      continue;
+    size_t Fastest = 0;
+    double FastestNs = 0.0;
+    for (size_t I = 0; I < Mappings.size(); ++I) {
+      const auto &[Cm, Cv, Ck] = Mappings[I];
+      const double Ns = Gen.planWithMapping(P->Spec, Cm, Cv, Ck).Ns;
+      if (I == 0 || Ns < FastestNs) {
+        Fastest = I;
+        FastestNs = Ns;
+      }
+    }
+    const auto &[FCm, FCv, FCk] = Mappings[Fastest];
+    SCOPED_TRACE(testing::Message()
+                 << "pair " << Drawn << ": least bound m" << LCm << ".v"
+                 << LCv << ".k" << LCk << ", first fastest m" << FCm << ".v"
+                 << FCv << ".k" << FCk << ", kept "
+                 << Plan.describeMapping());
+    EXPECT_EQ(Plan.ChannelsForM, FCm);
+    EXPECT_EQ(Plan.ChannelsForV, FCv);
+    EXPECT_EQ(Plan.ChannelsForK, FCk);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Plan.Ns),
+              std::bit_cast<uint64_t>(FastestNs));
+    ++Checked;
+  }
+  EXPECT_EQ(Checked, 20);
+}
+
+TEST(CommandGeneratorTest, EqualPriceKeepsTheEarlierMapping) {
+  // m4.v1.k2 has the least bound and is priced first, and the earlier
+  // m2.v1.k4 has the same price: the tie goes to the earlier mapping, so
+  // the search must price it and replace the first one.
+  PimConfig C = PimConfig::newtonPlusPlus();
+  C.Channels = 8;
+  C.NumGlobalBuffers = 2;
+  CodegenOptions O;
+  O.StridedGwrite = false;
+  const PimCommandGenerator Gen(C, O);
+  const PimKernelSpec S = spec(120, 3830, 5, 7);
+  for (const auto &[Cm, Cv, Ck] : enumerableMappings(C, O, S))
+    EXPECT_GE(mappingBoundNs(Gen, S, Cm, Cv, Ck),
+              mappingBoundNs(Gen, S, 4, 1, 2))
+        << "m" << Cm << ".v" << Cv << ".k" << Ck;
+  EXPECT_EQ(Gen.planWithMapping(S, 4, 1, 2).Ns,
+            Gen.planWithMapping(S, 2, 1, 4).Ns);
+  const PimKernelPlan P = Gen.plan(S);
+  EXPECT_EQ(P.describeMapping(), "m2.v1.k4@comp");
+  EXPECT_EQ(P.Ns, Gen.planWithMapping(S, 2, 1, 4).Ns);
+}
+
+TEST(CommandGeneratorTest, ReusedScratchLeaksNothing) {
+  // The search's tables and channel streams are per-thread scratch that
+  // every plan reuses. A generator that plans a small spec, then a larger
+  // one, then the small one again must return, both times, what a fresh
+  // generator on a fresh thread (fresh scratch) returns.
+  const PimKernelSpec Small = spec(16, 64, 3);
+  const PimKernelSpec Large = spec(4096, 25088, 3136, 3);
+  PimKernelPlan Fresh, FreshUntraced;
+  std::thread([&] {
+    const PimCommandGenerator Gen = makeGen(true);
+    Fresh = Gen.plan(Small);
+    FreshUntraced = Gen.planUntraced(Small);
+  }).join();
+
+  const PimCommandGenerator Gen = makeGen(true);
+  const PimKernelPlan First = Gen.plan(Small);
+  const PimKernelPlan Big = Gen.plan(Large);
+  EXPECT_GT(Big.Stats.GwriteCmds, First.Stats.GwriteCmds);
+  EXPECT_GT(Big.Trace.Channels.front().Blocks.front().Pattern.size(),
+            First.Trace.Channels.front().Blocks.front().Pattern.size());
+  const PimKernelPlan Again = Gen.plan(Small);
+  const PimKernelPlan AgainUntraced = Gen.planUntraced(Small);
+  {
+    SCOPED_TRACE("before the larger spec");
+    expectSamePlan(First, Fresh);
+  }
+  {
+    SCOPED_TRACE("after the larger spec");
+    expectSamePlan(Again, Fresh);
+  }
+  {
+    SCOPED_TRACE("untraced, after the larger spec");
+    EXPECT_TRUE(AgainUntraced.Trace.Channels.empty());
+    expectSamePlan(AgainUntraced, FreshUntraced);
+  }
+}
+
+TEST(CommandGeneratorTest, PinnedMappingCounts) {
+  // mappings_tried counts every enumerated candidate and mappings_pruned
+  // those the search never simulated: here 5 of 21 are simulated.
+  const PimCommandGenerator Gen = makeGen(true);
+  obs::Scope Run;
+  {
+    obs::ScopeGuard Guard(Run);
+    EXPECT_EQ(Gen.plan(spec(16, 64, 3)).describeMapping(), "m1.v2.k4@comp");
+  }
+  obs::Registry &R = Run.registry();
+  EXPECT_EQ(R.counter("codegen.mappings_tried").value(), 21);
+  EXPECT_EQ(R.counter("codegen.mappings_pruned").value(), 16);
+  EXPECT_EQ(R.counter("codegen.plans").value(), 1);
 }

@@ -129,7 +129,8 @@ TEST(PlanArtifact, V2RoundTripsTheZooUnderEveryPolicy) {
       ASSERT_TRUE(Parsed) << What << ":\n" << DE.render();
       EXPECT_EQ(serializePlanArtifact(*Parsed), Text) << What;
       EXPECT_EQ(planFingerprint(Parsed->Plan), planFingerprint(Plan)) << What;
-      EXPECT_TRUE(SearchEngine::canApply(G, Parsed->Plan, DE))
+      EXPECT_TRUE(SearchEngine::canApply(G, Parsed->Plan, Flow.config(),
+                                         Flow.searchOptions(), DE))
           << What << ":\n" << DE.render();
     }
   }

@@ -52,6 +52,11 @@ ExecutionPlan searchPlan(const Graph &G) {
       .search(G);
 }
 
+/// The configuration and search options of keyFor's default key.
+const SystemConfig DefaultConfig = systemConfigFor(OffloadPolicy::PimFlow, {});
+const SearchOptions DefaultSearch =
+    searchOptionsFor(OffloadPolicy::PimFlow, {});
+
 PlanKey keyFor(const Graph &G, const PimFlowOptions &O = {}) {
   return makePlanKey(G, systemConfigFor(OffloadPolicy::PimFlow, O),
                      searchOptionsFor(OffloadPolicy::PimFlow, O),
@@ -65,13 +70,13 @@ TEST(PlanCache, MissThenStoreThenHit) {
   const PlanKey Key = keyFor(G);
   PlanCache Cache(freshCacheDir("miss_store_hit"));
 
-  EXPECT_FALSE(Cache.load(Key, G));
+  EXPECT_FALSE(Cache.load(Key, G, DefaultConfig, DefaultSearch));
   EXPECT_EQ(Cache.misses(), 1u);
 
   ASSERT_TRUE(Cache.store(Key, searchPlan(G)));
   EXPECT_EQ(Cache.stores(), 1u);
 
-  const auto Cached = Cache.load(Key, G);
+  const auto Cached = Cache.load(Key, G, DefaultConfig, DefaultSearch);
   ASSERT_TRUE(Cached);
   EXPECT_EQ(Cache.hits(), 1u);
   EXPECT_EQ(Cached->Segments.size(), searchPlan(G).Segments.size());
@@ -84,30 +89,31 @@ TEST(PlanCache, EveryKeyIngredientInvalidates) {
 
   // Graph edit: a different model misses.
   const Graph Other = buildModel("mnasnet-1.0");
-  EXPECT_FALSE(Cache.load(keyFor(Other), Other));
+  EXPECT_FALSE(Cache.load(keyFor(Other), Other, DefaultConfig, DefaultSearch));
   // SystemConfig tweak: channel split misses.
   PimFlowOptions Channels;
   Channels.PimChannels = 8;
-  EXPECT_FALSE(Cache.load(keyFor(G, Channels), G));
+  EXPECT_FALSE(
+      Cache.load(keyFor(G, Channels), G, DefaultConfig, DefaultSearch));
   // SystemConfig tweak: memory optimizer off misses.
   PimFlowOptions MemOpt;
   MemOpt.MemoryOptimizer = false;
-  EXPECT_FALSE(Cache.load(keyFor(G, MemOpt), G));
+  EXPECT_FALSE(Cache.load(keyFor(G, MemOpt), G, DefaultConfig, DefaultSearch));
   // SearchOptions change: stage count misses.
   PimFlowOptions Stages;
   Stages.PipelineStages = 4;
-  EXPECT_FALSE(Cache.load(keyFor(G, Stages), G));
+  EXPECT_FALSE(Cache.load(keyFor(G, Stages), G, DefaultConfig, DefaultSearch));
   // SearchOptions change: autotune refinement misses.
   PimFlowOptions Refine;
   Refine.AutoTuneRatios = true;
-  EXPECT_FALSE(Cache.load(keyFor(G, Refine), G));
+  EXPECT_FALSE(Cache.load(keyFor(G, Refine), G, DefaultConfig, DefaultSearch));
   // Fault-floor change misses even though the search ignores it.
   PimFlowOptions Floor;
   Floor.PimFloor = 3;
-  EXPECT_FALSE(Cache.load(keyFor(G, Floor), G));
+  EXPECT_FALSE(Cache.load(keyFor(G, Floor), G, DefaultConfig, DefaultSearch));
 
   // ... and the original key still hits.
-  EXPECT_TRUE(Cache.load(keyFor(G), G));
+  EXPECT_TRUE(Cache.load(keyFor(G), G, DefaultConfig, DefaultSearch));
 }
 
 TEST(PlanCache, CorruptCachedFileIsMissNeverAPlan) {
@@ -123,10 +129,10 @@ TEST(PlanCache, CorruptCachedFileIsMissNeverAPlan) {
   std::fputc('X', F);
   std::fclose(F);
 
-  EXPECT_FALSE(Cache.load(Key, G));
+  EXPECT_FALSE(Cache.load(Key, G, DefaultConfig, DefaultSearch));
   // A recompute-and-store overwrites the damage and hits again.
   ASSERT_TRUE(Cache.store(Key, searchPlan(G)));
-  EXPECT_TRUE(Cache.load(Key, G));
+  EXPECT_TRUE(Cache.load(Key, G, DefaultConfig, DefaultSearch));
 }
 
 TEST(PlanCache, CountersMirrorTheAccessors) {
@@ -140,16 +146,16 @@ TEST(PlanCache, CountersMirrorTheAccessors) {
   obs::ScopeGuard Guard(Run);
   PlanCache Cache(freshCacheDir("counters"));
 
-  EXPECT_FALSE(Cache.load(Key, G));
+  EXPECT_FALSE(Cache.load(Key, G, DefaultConfig, DefaultSearch));
   ASSERT_TRUE(Cache.store(Key, Plan));
-  EXPECT_TRUE(Cache.load(Key, G));
-  EXPECT_TRUE(Cache.load(Key, G));
+  EXPECT_TRUE(Cache.load(Key, G, DefaultConfig, DefaultSearch));
+  EXPECT_TRUE(Cache.load(Key, G, DefaultConfig, DefaultSearch));
   std::FILE *F = std::fopen(Cache.pathFor(Key).c_str(), "r+b");
   ASSERT_NE(F, nullptr);
   std::fseek(F, -10, SEEK_END);
   std::fputc('X', F);
   std::fclose(F);
-  EXPECT_FALSE(Cache.load(Key, G));
+  EXPECT_FALSE(Cache.load(Key, G, DefaultConfig, DefaultSearch));
 
   std::map<std::string, int64_t> Counters;
   for (const auto &[Name, V] : Run.registry().counterSnapshot())
@@ -180,14 +186,51 @@ TEST(PlanCache, PlanThatDoesNotFitItsModelIsAnInvalidMiss) {
   ASSERT_TRUE(Cache.store(Key, Unfit));
 
   int Computes = 0;
-  const ExecutionPlan Plan = Cache.getOrCompute(Key, G, [&] {
-    ++Computes;
-    return searchPlan(G);
-  });
+  const ExecutionPlan Plan =
+      Cache.getOrCompute(Key, G, DefaultConfig, DefaultSearch, [&] {
+        ++Computes;
+        return searchPlan(G);
+      });
   EXPECT_EQ(Computes, 1);
   EXPECT_EQ(Plan.Segments.size(), searchPlan(G).Segments.size());
   EXPECT_EQ(Run.registry().counter("plan_cache.invalid").value(), 1);
-  EXPECT_TRUE(Cache.load(Key, G));
+  EXPECT_TRUE(Cache.load(Key, G, DefaultConfig, DefaultSearch));
+}
+
+TEST(PlanCache, PlanThatDoesNotFitItsConfigurationIsAnInvalidMiss) {
+  // A Baseline plan (no PIM channels; sp0/pl0/fo0) with an honest key and
+  // checksum whose node 0 is edited into a pim segment fits the model but
+  // not the configuration or the search options: a miss, counted as
+  // invalid, and overwritten.
+  const Graph G = buildModel("toy");
+  const SystemConfig Config = systemConfigFor(OffloadPolicy::GpuOnly, {});
+  const SearchOptions Search = searchOptionsFor(OffloadPolicy::GpuOnly, {});
+  const PlanKey Key = makePlanKey(G, Config, Search, 1);
+  auto Baseline = [&] {
+    Profiler P(Config);
+    return SearchEngine(P, Search).search(G);
+  };
+  ExecutionPlan Forged = Baseline();
+  ASSERT_EQ(Forged.Segments[0].Mode, SegmentMode::GpuNode);
+  ASSERT_EQ(Forged.Decisions[0].Id, Forged.Segments[0].Nodes[0]);
+  Forged.Segments[0].Mode = SegmentMode::FullPim;
+  Forged.Segments[0].RatioGpu = 0.0;
+  Forged.Decisions[0].Candidates.push_back(
+      CandidateOption{SegmentMode::FullPim, 0.0, 1000.0});
+  obs::Scope Run;
+  obs::ScopeGuard Guard(Run);
+  PlanCache Cache(freshCacheDir("unfit_config"));
+  ASSERT_TRUE(Cache.store(Key, Forged));
+
+  int Computes = 0;
+  const ExecutionPlan Plan = Cache.getOrCompute(Key, G, Config, Search, [&] {
+    ++Computes;
+    return Baseline();
+  });
+  EXPECT_EQ(Computes, 1);
+  EXPECT_EQ(Plan.Segments[0].Mode, SegmentMode::GpuNode);
+  EXPECT_EQ(Run.registry().counter("plan_cache.invalid").value(), 1);
+  EXPECT_TRUE(Cache.load(Key, G, Config, Search));
 }
 
 TEST(PlanCache, OlderFormatIsAMissAndOverwritten) {
@@ -201,7 +244,7 @@ TEST(PlanCache, OlderFormatIsAMissAndOverwritten) {
   ASSERT_TRUE(writeTextFile(Cache.pathFor(Key), Text));
 
   int Computes = 0;
-  Cache.getOrCompute(Key, G, [&] {
+  Cache.getOrCompute(Key, G, DefaultConfig, DefaultSearch, [&] {
     ++Computes;
     return searchPlan(G);
   });
@@ -222,20 +265,23 @@ TEST(PlanCache, GetOrComputeRunsTheSearchOnce) {
     return searchPlan(G);
   };
 
-  const ExecutionPlan First = Cache.getOrCompute(Key, G, Compute);
+  const ExecutionPlan First =
+      Cache.getOrCompute(Key, G, DefaultConfig, DefaultSearch, Compute);
   EXPECT_EQ(Computes, 1);
   EXPECT_EQ(Cache.misses(), 1u);
   EXPECT_EQ(Cache.stores(), 1u);
 
   // Second call on the same instance: a disk hit on the file the first
   // call stored.
-  const ExecutionPlan Second = Cache.getOrCompute(Key, G, Compute);
+  const ExecutionPlan Second =
+      Cache.getOrCompute(Key, G, DefaultConfig, DefaultSearch, Compute);
   EXPECT_EQ(Computes, 1);
   EXPECT_EQ(Second.Segments.size(), First.Segments.size());
 
   // A brand-new cache instance over the same directory: served from disk.
   PlanCache Fresh(Cache.dir());
-  const ExecutionPlan Third = Fresh.getOrCompute(Key, G, Compute);
+  const ExecutionPlan Third =
+      Fresh.getOrCompute(Key, G, DefaultConfig, DefaultSearch, Compute);
   EXPECT_EQ(Computes, 1);
   EXPECT_EQ(Fresh.hits(), 1u);
   EXPECT_EQ(Third.Segments.size(), First.Segments.size());
@@ -255,7 +301,7 @@ TEST(PlanCache, DistinctKeysEachSearchOnce) {
     for (int I = 0; I < kKeys; ++I) {
       PlanKey Key = keyFor(G);
       Key.FaultFloor = I + 1; // Distinct content address.
-      Cache.getOrCompute(Key, G, Compute);
+      Cache.getOrCompute(Key, G, DefaultConfig, DefaultSearch, Compute);
     }
   // The first pass searched and stored every key; the second hit them all.
   EXPECT_EQ(Computes, kKeys);

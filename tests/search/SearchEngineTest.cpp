@@ -6,6 +6,7 @@
 
 #include "search/SearchEngine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <gtest/gtest.h>
 #include <map>
@@ -261,4 +262,41 @@ TEST(SearchEngineTest, MnasNetDistributionHasSplitsAndOffloads) {
   }
   EXPECT_GT(FullPim + Split, 10);
   EXPECT_GT(Split, 0);
+}
+
+TEST(SearchEngineTest, CanApplyChecksTheConfigurationAndSearchOptions) {
+  // A plan may use only what the configuration and search options of its
+  // key allow: without PIM channels no pim, md-dp or pipeline segment, and
+  // no segment of a mode the options exclude. Each offending segment is
+  // one plan.mismatch.
+  const Graph G = buildMobileNetV2();
+  const SystemConfig Config = SystemConfig::dual();
+  Profiler P(Config);
+  const SearchOptions All = optionsFor(true, true, true);
+  const ExecutionPlan Plan = SearchEngine(P, All).search(G);
+  auto Segments = [&](SegmentMode M) {
+    return static_cast<size_t>(
+        std::count_if(Plan.Segments.begin(), Plan.Segments.end(),
+                      [&](const SegmentPlan &S) { return S.Mode == M; }));
+  };
+  const size_t Pim = Segments(SegmentMode::FullPim);
+  const size_t MdDp = Segments(SegmentMode::MdDp);
+  const size_t Pipelines = Segments(SegmentMode::Pipeline);
+  ASSERT_GT(Pim, 0u);
+  ASSERT_GT(MdDp, 0u);
+  ASSERT_GT(Pipelines, 0u);
+  auto Mismatches = [&](const SystemConfig &C, const SearchOptions &S) {
+    DiagnosticEngine DE;
+    const bool Fits = SearchEngine::canApply(G, Plan, C, S, DE);
+    EXPECT_EQ(Fits, DE.errorCount() == 0);
+    for (const Diagnostic &D : DE.diagnostics())
+      EXPECT_EQ(D.Code, DiagCode::PlanMismatch);
+    return DE.errorCount();
+  };
+  EXPECT_EQ(Mismatches(Config, All), 0u);
+  EXPECT_EQ(Mismatches(Config, optionsFor(false, true, true)), MdDp);
+  EXPECT_EQ(Mismatches(Config, optionsFor(true, false, true)), Pipelines);
+  EXPECT_EQ(Mismatches(Config, optionsFor(true, true, false)), Pim);
+  EXPECT_EQ(Mismatches(SystemConfig::gpuOnly(), All),
+            Pim + MdDp + Pipelines);
 }

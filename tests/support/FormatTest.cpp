@@ -31,3 +31,29 @@ TEST(FormatTest, LongOutput) {
 TEST(FormatTest, MixedArguments) {
   EXPECT_EQ(formatStr("%s/%d/%.1f", "a", 1, 2.5), "a/1/2.5");
 }
+
+namespace {
+
+/// Formats text of exactly \p Size characters three ways.
+void expectFormatsAt(size_t Size) {
+  const std::string Text(Size, 'x');
+  EXPECT_EQ(formatStr("%s", Text.c_str()), Text);
+  // A conversion that straddles the end of the stack buffer.
+  const std::string Head(Size - 3, 'y');
+  EXPECT_EQ(formatStr("%s%d", Head.c_str(), 123), Head + "123");
+  EXPECT_EQ(formatStr("%.*s|%s", 2, "abc", Head.c_str()), "ab|" + Head);
+}
+
+} // namespace
+
+// One character short of the buffer fits with its terminator; from the
+// buffer size on, the text is formatted again into the string.
+TEST(FormatTest, OneShortOfTheStackBuffer) {
+  expectFormatsAt(FormatStackBytes - 1);
+}
+
+TEST(FormatTest, StackBufferSize) { expectFormatsAt(FormatStackBytes); }
+
+TEST(FormatTest, OnePastTheStackBuffer) {
+  expectFormatsAt(FormatStackBytes + 1);
+}

@@ -12,9 +12,12 @@
 #   2. A PIMFLOW_CHECKED tree in build-checked/ running the full suite with
 #      the graph verifier active at every pass boundary (PF_VERIFY_PASS in
 #      ir/Verifier.h), so an invariant-breaking transform fails in CI even
-#      when no test inspects the intermediate graph, and with the profiler
+#      when no test inspects the intermediate graph, with the profiler
 #      measuring every sample it prices on the sample's micrograph and
-#      aborting on any bit difference.
+#      aborting on any bit difference, and with the codegen oracle:
+#      after each PIM mapping search, every candidate is simulated, and
+#      the run aborts unless the first strictly fastest one is the kept
+#      mapping with the same Ns bits.
 #   3. A ThreadSanitizer tree in build-tsan/ running the telemetry suites,
 #      the concurrent scoped-run suite (SessionReentrancy) and the serve,
 #      search and plan suites. The library starts no thread: every verb,

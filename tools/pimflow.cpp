@@ -798,7 +798,8 @@ int runReplay(const CliOptions &O) {
     return 1;
   }
   if (!validatePlanKey(Artifact->Key, Flow.planKey(Model), DE) ||
-      !SearchEngine::canApply(Model, Artifact->Plan, DE)) {
+      !SearchEngine::canApply(Model, Artifact->Plan, Flow.config(),
+                              Flow.searchOptions(), DE)) {
     std::fprintf(stderr,
                  "error: plan %s does not match this compile:\n%s",
                  O.PlanIn.c_str(), DE.render().c_str());
