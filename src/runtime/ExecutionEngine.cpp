@@ -37,7 +37,10 @@ const NodeSchedule &Timeline::scheduleOf(NodeId Id) const {
 }
 
 ExecutionEngine::ExecutionEngine(const SystemConfig &Config)
-    : Config(Config), Gpu(Config.Gpu), MemOpt(Config.MemoryOptimizer) {}
+    : Config(Config), Gpu(Config.Gpu), MemOpt(Config.MemoryOptimizer),
+      Gen(Config.Pim.Channels > 0 ? Config.Pim : PimConfig::newtonPlus(),
+          Config.Codegen),
+      Sim(Config.Pim) {}
 
 namespace {
 
@@ -62,33 +65,6 @@ bool isFusableEpilogue(OpKind Kind) {
     return false;
   }
 }
-
-/// Per-execution cache of PIM kernel plans. Planning reads nothing but the
-/// kernel spec, so nodes that lower to equal specs share one plan.
-struct PimPlanCache {
-  /// Whether plans carry their device trace: only a fault-aware run
-  /// re-simulates it.
-  bool Traced = false;
-  std::map<PimKernelSpec, PimKernelPlan> Plans;
-  /// Each planned node's plan, by NodeId.
-  std::vector<const PimKernelPlan *> OfNode;
-
-  const PimKernelPlan &planFor(const Graph &G, NodeId Id,
-                               const PimCommandGenerator &Gen) {
-    const PimKernelPlan *&Plan = OfNode[static_cast<size_t>(Id)];
-    if (!Plan) {
-      const PimKernelSpec Spec = lowerToPimSpec(G, Id);
-      auto It = Plans.find(Spec);
-      if (It == Plans.end())
-        It = Plans
-                 .emplace(Spec, Traced ? Gen.plan(Spec)
-                                       : Gen.planUntraced(Spec))
-                 .first;
-      Plan = &It->second;
-    }
-    return *Plan;
-  }
-};
 
 /// Adds a run's per-channel command mix to its `pim.<command>.ch<N>`
 /// counters. Every used channel of a kernel carries the same stream, so
@@ -286,7 +262,7 @@ double ExecutionEngine::makespanNs(std::span<const ScheduleTask> Tasks) const {
   return Total;
 }
 
-Timeline ExecutionEngine::execute(const Graph &G) const {
+Timeline ExecutionEngine::execute(const Graph &G) {
   DiagnosticEngine DE;
   std::optional<Timeline> TL = tryExecute(G, DE);
   if (!TL)
@@ -298,7 +274,7 @@ Timeline ExecutionEngine::execute(const Graph &G) const {
 std::optional<Timeline>
 ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
                             const FaultModel *Faults,
-                            const RetryPolicy *Retry) const {
+                            const RetryPolicy *Retry) {
   PF_TRACE_SCOPE_CAT("engine.execute", "execute");
   PF_ASSERT(!Faults || Retry, "fault-aware execution needs a retry policy");
   obs::addCounter("engine.executions");
@@ -312,11 +288,6 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     obs::flightEvent(obs::FlightEventKind::ExecError, 0, -1, -1, 0.0, What);
     obs::FlightRecorder::instance().autoDump(What);
   };
-  PimCommandGenerator Gen(Config.Pim.Channels > 0
-                              ? Config.Pim
-                              : PimConfig::newtonPlus(),
-                          Config.Codegen);
-  PimSimulator Sim(Config.Pim);
 
   // A cyclic dependency set never becomes ready, so Kahn's order comes up
   // short — surface a diagnostic instead of silently scheduling a partial
@@ -346,9 +317,40 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
         ++ProducedInputs[I];
   }
 
-  PimPlanCache Cache;
-  Cache.Traced = Faults && !Faults->empty();
-  Cache.OfNode.assign(NumNodes, nullptr);
+  // Each PIM node's kept plan, by NodeId. Planning reads nothing but the
+  // kernel spec, so nodes of equal specs share one entry, in this run and
+  // in every later run of this engine. A fault-aware run also plans each
+  // of its kernels with the trace, for this run only: runWithFaults
+  // re-simulates the trace, and a kept entry has none. Where the engine
+  // keeps no entry yet, the traced plan's becomes it.
+  const bool FaultAware = Faults && !Faults->empty();
+  std::vector<const KeptPlan *> KeptOf(NumNodes, nullptr);
+  std::map<PimKernelSpec, PimKernelPlan> Traced;
+  std::vector<const PimKernelPlan *> TracedOf(FaultAware ? NumNodes : 0,
+                                              nullptr);
+  auto Keep = [&](const PimKernelPlan &Plan) {
+    return KeptPlan{Plan.Ns, Sim.energyJ(Plan.Stats, Plan.EffectiveMacs),
+                    recordOf(InvalidNode, Plan)};
+  };
+  auto KeptFor = [&](NodeId Id) -> const KeptPlan & {
+    const size_t I = static_cast<size_t>(Id);
+    if (KeptOf[I])
+      return *KeptOf[I];
+    const PimKernelSpec Spec = lowerToPimSpec(G, Id);
+    auto It = KeptPlans.find(Spec);
+    if (FaultAware) {
+      auto T = Traced.find(Spec);
+      if (T == Traced.end())
+        T = Traced.emplace(Spec, Gen.plan(Spec)).first;
+      TracedOf[I] = &T->second;
+      if (It == KeptPlans.end())
+        It = KeptPlans.emplace(Spec, Keep(T->second)).first;
+    } else if (It == KeptPlans.end()) {
+      It = KeptPlans.emplace(Spec, Keep(Gen.planUntraced(Spec))).first;
+    }
+    return *(KeptOf[I] = &It->second);
+  };
+
   // Cross-device handoffs of the latest pass: only the final one counts.
   int64_t Handoffs = 0;
 
@@ -375,8 +377,9 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
           FailExec("exec.no-pim-channels");
           return std::nullopt;
         }
-        const PimKernelPlan &Plan = Cache.planFor(G, Id, Gen);
-        if (Faults && !Faults->empty()) {
+        const KeptPlan &Kept = KeptFor(Id);
+        if (FaultAware) {
+          const PimKernelPlan &Plan = *TracedOf[static_cast<size_t>(Id)];
           const FaultyRunStats FS =
               Sim.runWithFaults(Plan.Trace, *Faults, *Retry);
           if (FS.anyPersistent()) {
@@ -392,8 +395,8 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
           NI.Duration = FS.Stats.Ns;
           NI.EnergyJ = Sim.energyJ(FS.Stats, Plan.EffectiveMacs);
         } else {
-          NI.Duration = Plan.Ns;
-          NI.EnergyJ = Sim.energyJ(Plan.Stats, Plan.EffectiveMacs);
+          NI.Duration = Kept.Ns;
+          NI.EnergyJ = Kept.EnergyJ;
         }
       } else if (isFusableEpilogue(N.Kind)) {
         // Elementwise nodes fuse into their producer's epilogue (GPU) or
@@ -444,9 +447,9 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     // PIM fetch traffic occupies the shared memory controller; GPU kernels
     // overlapping it slow down proportionally to the fetch-busy fraction.
     double FetchCycles = 0.0;
-    for (const PimKernelPlan *Plan : Cache.OfNode)
-      if (Plan)
-        FetchCycles += static_cast<double>(Plan->Stats.GwriteBursts) *
+    for (const KeptPlan *Kept : KeptOf)
+      if (Kept)
+        FetchCycles += static_cast<double>(Kept->Record.GwriteBursts) *
                        static_cast<double>(Config.Pim.TCcdl);
     const double Slowdown = contentionSlowdown(FetchCycles, TL.TotalNs);
     obs::addCounter("engine.contention_reschedules");
@@ -459,10 +462,13 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     TL.ContentionSlowdown = Slowdown;
   }
 
-  for (const NodeSchedule &S : TL.Nodes)
-    if (S.Dev == Device::Pim)
-      TL.Kernels.push_back(
-          recordOf(S.Id, *Cache.OfNode[static_cast<size_t>(S.Id)]));
+  for (const NodeSchedule &S : TL.Nodes) {
+    if (S.Dev != Device::Pim)
+      continue;
+    PimKernelRecord &K =
+        TL.Kernels.emplace_back(KeptOf[static_cast<size_t>(S.Id)]->Record);
+    K.Id = S.Id;
+  }
 
   // Kernel energies plus GPU static power while idle within the makespan
   // (the PIM kernels' energy already folds in their channels' background

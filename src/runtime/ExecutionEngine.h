@@ -16,11 +16,17 @@
 /// nodes with the right dataflow edges), so plain dependency-driven list
 /// scheduling realizes the overlap.
 ///
+/// An engine plans each distinct PIM kernel once in its lifetime and keeps
+/// what a fault-free run reads of the plan, so a caller that runs many
+/// graphs on one configuration keeps one engine (serve keeps one per
+/// granted channel count, the profiler one for its pipeline samples).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIMFLOW_RUNTIME_EXECUTIONENGINE_H
 #define PIMFLOW_RUNTIME_EXECUTIONENGINE_H
 
+#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -56,7 +62,7 @@ struct Timeline {
   /// GPU slowdown applied by the contention model (1.0 = none).
   double ContentionSlowdown = 1.0;
   /// One record per node scheduled on PIM, in schedule order, from the
-  /// fault-free plan the engine priced: what exporters read instead of
+  /// fault-free plan the engine keeps: what exporters read instead of
   /// planning the kernels again.
   std::vector<PimKernelRecord> Kernels;
 
@@ -83,7 +89,9 @@ struct ScheduleTask {
   uint32_t Inputs = 0;
 };
 
-/// Dependency-driven two-resource scheduler over the timing models.
+/// Dependency-driven two-resource scheduler over the timing models. It
+/// keeps the PIM kernels it planned, so one engine expects one caller at a
+/// time (docs/INTERNALS.md section 7).
 class ExecutionEngine {
 public:
   explicit ExecutionEngine(const SystemConfig &Config);
@@ -94,7 +102,7 @@ public:
   /// Aborts through fatal() on unschedulable inputs (dependency cycle, PIM
   /// annotation without PIM channels); use tryExecute to get a diagnostic
   /// instead.
-  Timeline execute(const Graph &G) const;
+  Timeline execute(const Graph &G);
 
   /// Like execute, but unschedulable inputs produce coded diagnostics in
   /// \p DE (exec.unschedulable, exec.no-pim-channels) and nullopt instead
@@ -104,9 +112,14 @@ public:
   /// persistent fault reaching the engine is an error (fault.unrecovered)
   /// — recovery must remap or fall back first, so a silently wrong
   /// timeline is impossible.
+  ///
+  /// A PIM kernel whose spec an earlier run planned is not planned again:
+  /// the run reads the engine's kept entry, and returns the timeline a
+  /// fresh engine would. A fault-aware run still plans each of its kernels
+  /// with the device trace, for that run only.
   std::optional<Timeline> tryExecute(const Graph &G, DiagnosticEngine &DE,
                                      const FaultModel *Faults = nullptr,
-                                     const RetryPolicy *Retry = nullptr) const;
+                                     const RetryPolicy *Retry = nullptr);
 
   /// The makespan tryExecute reports for a fault-free run of a graph whose
   /// live nodes, in node-id order, are \p Tasks (at most 32): the same
@@ -122,6 +135,16 @@ public:
   double nodeLatencyNs(const Graph &G, NodeId Id) const;
 
 private:
+  /// What a fault-free run reads of one PIM kernel's plan. It holds no
+  /// trace and one channel's phases, so an engine keeps one per distinct
+  /// spec cheaply.
+  struct KeptPlan {
+    double Ns = 0.0;
+    double EnergyJ = 0.0;
+    /// The plan's record; each executed node gets a copy with its own Id.
+    PimKernelRecord Record;
+  };
+
   /// Latency and energy of one node on the GPU in isolation.
   struct GpuCost {
     double Ns = 0.0;
@@ -137,6 +160,10 @@ private:
   SystemConfig Config;
   GpuModel Gpu;
   MemoryOptimizer MemOpt;
+  PimCommandGenerator Gen;
+  PimSimulator Sim;
+  /// Every PIM kernel this engine planned, by spec.
+  std::map<PimKernelSpec, KeptPlan> KeptPlans;
 };
 
 } // namespace pf

@@ -254,24 +254,26 @@ double Profiler::measure(const ComputeFn &Compute) {
   return Ns;
 }
 
-double Profiler::micrographNs(const Graph &G,
+double Profiler::micrographNs(ExecutionEngine &E, const Graph &G,
                                const std::vector<NodeId> &Chain,
-                               const MicroTransform &Transform) const {
+                               const MicroTransform &Transform) {
   ExtractedGraph Micro = extractChain(G, Chain);
   if (!Transform(Micro.G, Micro.Nodes))
     return -1.0;
-  return Engine.execute(Micro.G).TotalNs;
+  return E.execute(Micro.G).TotalNs;
 }
 
 double Profiler::crossChecked(double Priced, const Graph &G,
                               const std::vector<NodeId> &Chain,
                               const MicroTransform &Transform) const {
   if constexpr (CrossCheckPrices) {
-    // The check's engine run records into a scope of its own, so a checked
-    // build records the same telemetry as any other.
+    // The check's engine run records into a scope of its own, and plans on
+    // an engine of its own, so a checked build records the same telemetry
+    // as any other: the profiler's engine keeps no plan the check made.
     obs::Scope Quiet;
     obs::ScopeGuard Guard(Quiet);
-    const double Measured = micrographNs(G, Chain, Transform);
+    ExecutionEngine Own(Config);
+    const double Measured = micrographNs(Own, G, Chain, Transform);
     if (std::bit_cast<uint64_t>(Measured) != std::bit_cast<uint64_t>(Priced))
       fatal(formatStr("profile sample '%s' is priced at %.17g ns but its "
                       "micrograph runs in %.17g ns",
@@ -462,7 +464,8 @@ double Profiler::pipelineNs(const Graph &G, const std::vector<NodeId> &Chain,
   packKey(G, Chain, Mode::Pipeline, static_cast<uint64_t>(Stages));
   return measure([&] {
     return micrographNs(
-        G, Chain, [Stages](Graph &Micro, const std::vector<NodeId> &Nodes) {
+        Engine, G, Chain,
+        [Stages](Graph &Micro, const std::vector<NodeId> &Nodes) {
           PipelineSpec Spec;
           Spec.Chain = Nodes;
           Spec.NumStages = Stages;

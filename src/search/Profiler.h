@@ -132,14 +132,15 @@ private:
   using MicroTransform =
       std::function<bool(Graph &, const std::vector<NodeId> &)>;
 
-  /// The engine's time of \p Chain's micrograph after \p Transform, or -1
-  /// when the transform declines.
-  double micrographNs(const Graph &G, const std::vector<NodeId> &Chain,
-                      const MicroTransform &Transform) const;
+  /// \p E's time of \p Chain's micrograph after \p Transform, or -1 when
+  /// the transform declines.
+  static double micrographNs(ExecutionEngine &E, const Graph &G,
+                             const std::vector<NodeId> &Chain,
+                             const MicroTransform &Transform);
 
   /// \p Priced, the sample Key of \p Chain. A PIMFLOW_CHECKED build first
-  /// measures the sample on its micrograph and aborts unless the two agree
-  /// bit for bit.
+  /// measures the sample on its micrograph, on an engine of its own, and
+  /// aborts unless the two agree bit for bit.
   double crossChecked(double Priced, const Graph &G,
                       const std::vector<NodeId> &Chain,
                       const MicroTransform &Transform) const;
@@ -153,6 +154,7 @@ private:
                    double RatioGpu) const;
 
   SystemConfig Config;
+  /// Runs the pipeline samples, planning each distinct PIM kernel once.
   ExecutionEngine Engine;
   /// Plans PIM kernels as a fault-free engine run does.
   PimCommandGenerator Gen;

@@ -7,6 +7,7 @@
 #include "serve/Server.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -118,6 +119,10 @@ void Server::prepare() {
     PM.UnitTimelines.assign(static_cast<size_t>(Planned) + 1, Timeline{});
   }
 
+  Engines.reserve(static_cast<size_t>(Planned) + 1);
+  for (int C = 0; C <= Planned; ++C)
+    Engines.emplace_back(configFor(C));
+
   // Price every reachable (model, granted-channels) pair once: c = 0 is
   // the GPU floor, c in [max(1, Floor), MaxGrant] the (possibly degraded)
   // PIM grants — a grant never exceeds the smaller of the plan's want and
@@ -127,11 +132,10 @@ void Server::prepare() {
   const int MaxGrant = std::min(Planned, Pool);
   obs::ScopeGuard Muting(Muted);
   for (PreparedModel &PM : Models) {
-    PM.UnitTimelines[0] =
-        ExecutionEngine(configFor(0)).execute(PM.FloorDemoted);
+    PM.UnitTimelines[0] = Engines[0].execute(PM.FloorDemoted);
     for (int C = std::max(1, Floor); C <= MaxGrant; ++C)
       PM.UnitTimelines[static_cast<size_t>(C)] =
-          ExecutionEngine(configFor(C)).execute(PM.Materialized);
+          Engines[static_cast<size_t>(C)].execute(PM.Materialized);
   }
 }
 
@@ -205,9 +209,10 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
     }
 
   // Each completed request's engine run, re-executed under the muted
-  // scope and cross-checked against the duration table: it must price
-  // exactly like the pricing pass (same graph, same config, deterministic
-  // engine) or the table lied. It runs at *completion* time, so an
+  // scope on the engine that priced its grant, over the plans that engine
+  // keeps, and cross-checked against the duration table: the same graph
+  // on the same engine must price bit for bit like the pricing pass, or
+  // the table lied. It runs at *completion* time, so an
   // interrupted-and-retried session executes exactly once, under its
   // final granted configuration.
   auto crossCheck = [&](const Session &S) {
@@ -216,14 +221,22 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
     const Graph &G = C > 0 ? PM.Materialized : PM.FloorDemoted;
     const Timeline TL = [&] {
       obs::ScopeGuard Muting(Muted);
-      return ExecutionEngine(configFor(C)).execute(G);
+      return Engines[static_cast<size_t>(C)].execute(G);
     }();
-    if (std::abs(TL.TotalNs - S.UnitNs) >= 0.5) {
+    auto Differs = [](double A, double B) {
+      return std::bit_cast<uint64_t>(A) != std::bit_cast<uint64_t>(B);
+    };
+    const char *Field = Differs(TL.TotalNs, S.UnitNs)        ? "TotalNs"
+                        : Differs(TL.EnergyJ, S.UnitEnergyJ) ? "EnergyJ"
+                                                             : nullptr;
+    if (Field) {
       obs::addCounter("serve.internal_errors");
       if (DE)
         DE->error(DiagCode::ServeInternal,
                   formatStr("request %d", S.Req.Id),
-                  "session run disagrees with the duration table");
+                  formatStr("session run's %s disagrees with the duration "
+                            "table",
+                            Field));
     }
     // Partially-executed-timeline guard: every live node must have a
     // schedule entry. Absence is a diagnostic (serve.timeline-gap), never

@@ -17,8 +17,9 @@
 /// the duration table — and the event loop then schedules admissions and
 /// completions from the table. Everything runs on the caller's thread:
 /// each completed request's engine run is re-executed inline, under a
-/// muted scope, only to cross-check the table. A given (models, spec,
-/// options) input therefore yields byte-identical summaries on every run.
+/// muted scope and on the engine that priced its grant, only to
+/// cross-check the table bit for bit. A given (models, spec, options)
+/// input therefore yields byte-identical summaries on every run.
 ///
 /// Admission policy, in order, for a request at the head of the line:
 ///  1. In-flight bound reached -> wait in the FIFO queue (or shed when
@@ -196,9 +197,12 @@ struct ServeResult {
 /// for a given (models, spec, options) input.
 std::string renderServeSummary(const ServeResult &R);
 
-/// The serving engine. Construction compiles (or replays from the plan
-/// cache) every model's plan and materializes its transformed graph plus
-/// the GPU-floor demotion; run() executes request streams against them.
+/// The serving engine. Construction only stores the models; the first
+/// run() prepares them: it compiles (or replays from the plan cache) every
+/// model's plan, materializes its transformed graph plus the GPU-floor
+/// demotion, and prices the duration table. Every run() executes its
+/// request stream against what that first run prepared, so a caller that
+/// times runs warms the server with one run first.
 class Server {
 public:
   Server(std::vector<std::pair<std::string, Graph>> Models,
@@ -239,6 +243,8 @@ private:
   };
 
   SystemConfig configFor(int GrantedChannels) const;
+  /// Compiles and materializes every model, builds the engines and prices
+  /// the duration table; a no-op once done.
   void prepare();
   /// The priced unit timeline for (model, granted channels); nullptr
   /// when unprepared or the entry was never priced.
@@ -249,6 +255,11 @@ private:
   int Pool = 0;
   PimFlow Flow;
   std::vector<PreparedModel> Models;
+  /// The engine of granted channel count c in [0, Planned], configured by
+  /// configFor(c). It prices every model's unit run at c and re-runs every
+  /// request granted c, so each distinct PIM kernel is planned once per
+  /// grant and the cross-check runs plan nothing.
+  std::vector<ExecutionEngine> Engines;
   bool Prepared = false;
   /// Where the engine runs no export reads record: prepare()'s pricing
   /// and each request's cross-check run. Its registry stays disabled.

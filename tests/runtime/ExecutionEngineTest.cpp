@@ -6,12 +6,18 @@
 
 #include "runtime/ExecutionEngine.h"
 
+#include <functional>
 #include <map>
+#include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "codegen/CommandGenerator.h"
+#include "codegen/PimKernelSpec.h"
+#include "core/PimFlow.h"
 #include "ir/Builder.h"
+#include "models/Zoo.h"
 #include "obs/Scope.h"
 #include "support/Format.h"
 
@@ -29,6 +35,60 @@ Graph parallelPair() {
   ValueId C = B.conv2d(X, 32, 1, 1, 0);
   B.output(B.concat({A, C}, 1));
   return B.take();
+}
+
+/// mobilenet-v2 planned and materialized under PIMFlow on 16 of 32
+/// channels: PIM, MD-DP and pipeline segments, many kernels of one spec.
+struct Materialized {
+  SystemConfig Config;
+  Graph G;
+};
+
+Materialized materializedMobileNet() {
+  const Graph M = buildModel("mobilenet-v2");
+  PimFlowOptions O;
+  O.PimChannels = 16;
+  PimFlow Flow(OffloadPolicy::PimFlow, O);
+  return {Flow.config(), Flow.materialize(M, Flow.plan(M))};
+}
+
+/// The `codegen.plans` count of what \p Run records.
+int64_t plansRecordedBy(const std::function<void()> &Run) {
+  obs::Scope S;
+  {
+    obs::ScopeGuard Guard(S);
+    Run();
+  }
+  for (const auto &[Name, Value] : S.registry().counterSnapshot())
+    if (Name == "codegen.plans")
+      return Value;
+  return 0;
+}
+
+/// Expects \p A and \p B to be one timeline, field for field.
+void expectSameTimeline(const Timeline &A, const Timeline &B) {
+  auto Row = [](const NodeSchedule &S) {
+    return std::tie(S.Id, S.Dev, S.StartNs, S.EndNs, S.EnergyJ);
+  };
+  ASSERT_EQ(A.Nodes.size(), B.Nodes.size());
+  for (size_t I = 0; I < A.Nodes.size(); ++I)
+    EXPECT_EQ(Row(A.Nodes[I]), Row(B.Nodes[I])) << "schedule entry " << I;
+  auto Record = [](const PimKernelRecord &K) {
+    const ChannelPhaseCycles &P = K.ChannelPhases;
+    return std::tie(K.Id, K.ChannelsForM, K.ChannelsForV, K.ChannelsForK,
+                    K.Granularity, K.GwriteBursts, K.GActs, K.CompColumns,
+                    K.ReadResCmds, P.Channel, P.GwriteCycles, P.GactCycles,
+                    P.CompCycles, P.ReadResCycles, P.RetryCycles,
+                    P.StallCycles, P.CompletionCycles);
+  };
+  ASSERT_EQ(A.Kernels.size(), B.Kernels.size());
+  for (size_t I = 0; I < A.Kernels.size(); ++I)
+    EXPECT_EQ(Record(A.Kernels[I]), Record(B.Kernels[I])) << "kernel " << I;
+  EXPECT_EQ(A.TotalNs, B.TotalNs);
+  EXPECT_EQ(A.EnergyJ, B.EnergyJ);
+  EXPECT_EQ(A.GpuBusyNs, B.GpuBusyNs);
+  EXPECT_EQ(A.PimBusyNs, B.PimBusyNs);
+  EXPECT_EQ(A.ContentionSlowdown, B.ContentionSlowdown);
 }
 
 } // namespace
@@ -364,4 +424,62 @@ TEST(ExecutionEngineTest, ContentionCountsEachHandoffOnce) {
   const int64_t Plain = HandoffsOf(false);
   EXPECT_EQ(Plain, 1); // The PIM conv's result feeds the GPU concat.
   EXPECT_EQ(HandoffsOf(true), Plain);
+}
+
+TEST(ExecutionEngineTest, SecondRunPlansNothing) {
+  // An engine keeps every PIM kernel it planned: the first run plans each
+  // distinct kernel spec once, the second plans none and still returns
+  // what a fresh engine returns, contention's re-pass included.
+  const Materialized M = materializedMobileNet();
+  std::set<PimKernelSpec> Specs;
+  for (const Node &N : M.G.nodes())
+    if (!N.Dead && N.Dev == Device::Pim)
+      Specs.insert(lowerToPimSpec(M.G, N.Id));
+  ASSERT_GT(Specs.size(), 1u);
+
+  for (const bool Contention : {false, true}) {
+    SCOPED_TRACE(Contention ? "contention" : "no contention");
+    SystemConfig Config = M.Config;
+    Config.ModelContention = Contention;
+    ExecutionEngine E(Config);
+    Timeline First, Second;
+    EXPECT_EQ(plansRecordedBy([&] { First = E.execute(M.G); }),
+              static_cast<int64_t>(Specs.size()));
+    EXPECT_EQ(plansRecordedBy([&] { Second = E.execute(M.G); }), 0);
+    EXPECT_EQ(First.ContentionSlowdown > 1.0, Contention);
+    expectSameTimeline(First, ExecutionEngine(Config).execute(M.G));
+    expectSameTimeline(Second, First);
+  }
+}
+
+TEST(ExecutionEngineTest, FaultAwareRunsMixWithKeptPlans) {
+  // A fault-aware run plans its kernels with their traces for itself, so
+  // a fault-free and a fault-aware run on one engine, in either order,
+  // each return what a fresh engine returns.
+  const Materialized M = materializedMobileNet();
+  DiagnosticEngine DE;
+  const std::optional<FaultModel> Slow = FaultModel::parse("slow:2:4.0", DE);
+  ASSERT_TRUE(Slow) << DE.render();
+  const RetryPolicy Retry;
+  auto Run = [&](ExecutionEngine &E, bool Faulty) {
+    DiagnosticEngine RunDE;
+    std::optional<Timeline> TL =
+        E.tryExecute(M.G, RunDE, Faulty ? &*Slow : nullptr,
+                     Faulty ? &Retry : nullptr);
+    EXPECT_TRUE(TL) << RunDE.render();
+    return TL.value_or(Timeline{});
+  };
+  ExecutionEngine FreshPlain(M.Config), FreshFaulty(M.Config);
+  const Timeline Plain = Run(FreshPlain, false);
+  const Timeline Faulty = Run(FreshFaulty, true);
+  EXPECT_GT(Faulty.TotalNs, Plain.TotalNs);
+
+  for (const bool FaultyFirst : {false, true}) {
+    SCOPED_TRACE(FaultyFirst ? "fault-aware run first" : "fault-free first");
+    ExecutionEngine E(M.Config);
+    const Timeline First = Run(E, FaultyFirst);
+    const Timeline Then = Run(E, !FaultyFirst);
+    expectSameTimeline(First, FaultyFirst ? Faulty : Plain);
+    expectSameTimeline(Then, FaultyFirst ? Plain : Faulty);
+  }
 }
